@@ -3,8 +3,8 @@
 Three comparisons on multi-community scenario graphs:
 
 * **Full-relation RPQ** (gated) — ``(knows|bridge)*.bridge`` through
-  the engine seam (:meth:`evaluate_atom_ids`) with ``backend="compact"``
-  vs ``backend="dict"``.  The int-id kernels walk ``array('q')`` CSR
+  the engine seam (:meth:`evaluate_atom_ids`) on a forced ``compact``
+  vs a forced ``dict`` route.  The int-id kernels walk ``array('q')`` CSR
   rows and propagate bitset frontiers instead of hashing
   ``(NodeId, state)`` tuples, so CI gates the ratio at >= 2x (see the
   compact backend gate).  The query ends in the sparse ``bridge`` label
@@ -46,6 +46,7 @@ from repro.api.executors import ExecutionPolicy
 from repro.datagraph import DataGraph
 from repro.engine import default_engine
 from repro.engine.forkpool import fork_available
+from repro.planner.router import route_point
 from repro.query import rpq
 from repro.server.workers import ShardWorkerPool
 from repro.workloads import multi_community_scenario
@@ -79,14 +80,17 @@ def _bench_rpq_full_relation(benchmark, backend: str):
     engine = default_engine()
     query = rpq(RPQ_QUERY)
     _warm(graph, backend)
+    route = route_point(graph, ExecutionPolicy(backend=backend))
     pairs = benchmark.pedantic(
-        lambda: engine.evaluate_atom_ids(graph, query, backend=backend),
+        lambda: engine.evaluate_atom_ids(graph, query, route=route),
         rounds=1,
         iterations=1,
     )
     benchmark.extra_info["num_pairs"] = len(pairs)
     if backend == "compact":
-        assert pairs == engine.evaluate_atom_ids(graph, query, backend="dict")
+        assert pairs == engine.evaluate_atom_ids(
+            graph, query, route=route_point(graph, ExecutionPolicy(backend="dict"))
+        )
 
 
 def bench_compact_rpq_full_relation(benchmark):

@@ -12,17 +12,16 @@ of ``__all__``:
   :data:`NULL` value and the JSON (de)serialisers);
 * the unified execution API (:class:`Query`, :class:`QueryKind`,
   :class:`GraphSession`, :class:`Result`, :class:`ExecutionPolicy`,
-  :class:`SequentialExecutor`, :class:`ParallelExecutor`,
-  :func:`session_for`) — every query language evaluated through one
-  session with a versioned result cache and pluggable executors;
+  :class:`SequentialExecutor`, :class:`ParallelExecutor`) — every
+  query language evaluated through one session with a versioned result
+  cache and pluggable executors;
 * query construction for each language (RPQs via :func:`rpq` and
   friends, data RPQs via :func:`equality_rpq` / :func:`memory_rpq` /
   :func:`data_path_query`, regular-expression parsing via
   :func:`parse_regex`, GXPath via :func:`parse_gxpath_node` /
   :func:`parse_gxpath_path`);
 * the evaluation engine seam (:class:`EvaluationEngine`,
-  :func:`default_engine`) and the deprecated module-level evaluators
-  (``evaluate_*``), kept as shims over per-graph default sessions;
+  :func:`default_engine`);
 * schema mappings and certain answers (:class:`GraphSchemaMapping`,
   :func:`certain_answers`, :func:`universal_solution`,
   :func:`least_informative_solution`, ...);
@@ -35,7 +34,7 @@ their sub-packages, e.g. ``from repro.reductions import pcp``.
 
 from __future__ import annotations
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 from .api import (
     ExecutionPolicy,
@@ -45,7 +44,6 @@ from .api import (
     QueryKind,
     Result,
     SequentialExecutor,
-    session_for,
 )
 from .core import (
     DataExchangeEngine,
@@ -80,12 +78,7 @@ from .datagraph import (
 )
 from .deltas import DeltaJournal, GraphDelta, MutationBatch
 from .engine import EvaluationEngine, default_engine
-from .gxpath import (
-    evaluate_gxpath_node,
-    evaluate_gxpath_path,
-    parse_gxpath_node,
-    parse_gxpath_path,
-)
+from .gxpath import parse_gxpath_node, parse_gxpath_path
 from .query import (
     RPQ,
     ConjunctiveRPQ,
@@ -93,11 +86,8 @@ from .query import (
     atomic_rpq,
     data_path_query,
     equality_rpq,
-    evaluate_crpq,
-    parse_crpq,
-    evaluate_data_rpq,
-    evaluate_rpq,
     memory_rpq,
+    parse_crpq,
     reachability_rpq,
     rpq,
     word_rpq,
@@ -130,7 +120,6 @@ __all__ = [
     "ExecutionPolicy",
     "SequentialExecutor",
     "ParallelExecutor",
-    "session_for",
     # query construction per language
     "RPQ",
     "DataRPQ",
@@ -145,15 +134,10 @@ __all__ = [
     "parse_regex",
     "parse_gxpath_node",
     "parse_gxpath_path",
-    # evaluation engine seam + deprecated module-level evaluators
+    "parse_crpq",
+    # evaluation engine seam
     "EvaluationEngine",
     "default_engine",
-    "evaluate_rpq",
-    "evaluate_data_rpq",
-    "evaluate_crpq",
-    "parse_crpq",
-    "evaluate_gxpath_node",
-    "evaluate_gxpath_path",
     # mappings and certain answers
     "GraphSchemaMapping",
     "MappingRule",

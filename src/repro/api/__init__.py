@@ -22,8 +22,7 @@ an :class:`ExecutionPolicy`:
 
 Sessions memoise answers keyed on the graph's mutation counter
 (``graph.version``), so results are never stale and mutations never need
-explicit invalidation.  The deprecated module-level ``evaluate_*``
-functions delegate to per-graph default sessions (:func:`session_for`).
+explicit invalidation.
 
 The same surface is served remotely: :func:`connect` dials a
 ``repro serve`` daemon and returns a :class:`RemoteSession` — the other
@@ -49,7 +48,7 @@ from .remote import (
     connect,
 )
 from .result import Result
-from .session import GraphSession, session_for
+from .session import GraphSession
 
 __all__ = [
     "Query",
@@ -63,7 +62,6 @@ __all__ = [
     "ServerBusyError",
     "QueryTimeoutError",
     "ServerShuttingDownError",
-    "session_for",
     "ExecutionPolicy",
     "POLICY_PRESETS",
     "SequentialExecutor",

@@ -1,44 +1,41 @@
 """Pluggable batch executors and the session execution policy.
 
 A :class:`GraphSession` hands every ``run_many`` batch to an *executor*,
-whose only job is to turn ``(engine, graph, queries)`` into one answer
-set per query:
+whose only job is the fan-out: turn ``(evaluate, queries)`` into one
+answer set per query, where *evaluate* is the session's own dispatcher
+bound to each query's already-resolved route.
 
 * :class:`SequentialExecutor` — evaluate in order on the calling thread;
   the default, and the best choice for single queries and small batches.
 * :class:`ParallelExecutor` — fan a batch out across workers.  The
-  ``"thread"`` backend uses :class:`concurrent.futures.ThreadPoolExecutor`
-  (compilation is pre-warmed sequentially so worker threads only read the
-  engine's caches); the ``"process"`` backend forks worker processes that
-  inherit the graph and compiled automata by copy-on-write, which is the
+  ``"thread"`` backend uses :class:`concurrent.futures.ThreadPoolExecutor`;
+  the ``"process"`` backend forks worker processes that inherit the
+  session, graph and compiled automata by copy-on-write, which is the
   backend that actually scales CPU-bound evaluation across cores under
   the GIL.  On platforms without ``fork`` the process backend degrades to
   threads.
 
 Executors never touch the session's result cache — the session resolves
-cache hits first and only ships the misses, so executors stay stateless
-and trivially pluggable (anything with an ``execute_batch`` method
-works).
+cache hits and routes first, warms the compilation caches, and only
+ships the misses — so executors stay stateless and trivially pluggable
+(anything with an ``execute_batch`` method works).
 
 :class:`ExecutionPolicy` is the declarative knob the session is
-constructed with: which executor to use, how many workers, and how the
-versioned result cache behaves.
+constructed with: which executor to use, the worker budget, how the
+versioned caches behave, and the two forced-route overrides.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 from ..engine.forkpool import fork_available, run_forked
 from ..exceptions import EvaluationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..datagraph.graph import DataGraph
-    from ..engine.engine import EvaluationEngine
     from .query import Query
 
 __all__ = [
@@ -49,38 +46,19 @@ __all__ = [
     "ParallelExecutor",
 ]
 
+#: The session dispatcher an executor fans out: one query in, its answer
+#: set out (the route is already resolved and bound by the session).
+Evaluate = Callable[["Query"], frozenset]
+
 
 class SequentialExecutor:
-    """Evaluate a batch in order on the calling thread.
-
-    *storage_backend* picks the label-index representation each query
-    evaluates over (``"auto"`` / ``"compact"`` / ``"dict"``, see
-    :attr:`ExecutionPolicy.backend`); it rides on the executor — rather
-    than the ``execute_batch`` signature — so custom executor classes
-    keep working unchanged.
-    """
+    """Evaluate a batch in order on the calling thread."""
 
     name = "sequential"
-    #: Class-level default so subclasses with their own ``__init__``
-    #: (which may never call ``super().__init__``) still resolve a backend.
-    storage_backend = "auto"
 
-    def __init__(self, storage_backend: str = "auto"):
-        self.storage_backend = storage_backend
-
-    def execute_batch(
-        self,
-        engine: "EvaluationEngine",
-        graph: "DataGraph",
-        queries: Sequence["Query"],
-        null_semantics: bool = False,
-    ) -> List[frozenset]:
+    def execute_batch(self, evaluate: Evaluate, queries: Sequence["Query"]) -> List[frozenset]:
         """One answer set per query, in query order."""
-        backend = self.storage_backend
-        return [
-            query._evaluate(engine, graph, null_semantics, backend=backend)
-            for query in queries
-        ]
+        return [evaluate(query) for query in queries]
 
     def __repr__(self) -> str:
         return "SequentialExecutor()"
@@ -92,9 +70,9 @@ class SequentialExecutor:
 def _fork_worker(batch, index: int) -> frozenset:
     """Forked worker: one query of the batch (which arrives by copy-on-write
     through :func:`repro.engine.forkpool.run_forked`, fork being the only way
-    to ship an unpicklable DataGraph to workers)."""
-    engine, graph, queries, null_semantics, backend = batch
-    return queries[index]._evaluate(engine, graph, null_semantics, backend=backend)
+    to ship an unpicklable session and DataGraph to workers)."""
+    evaluate, queries = batch
+    return evaluate(queries[index])
 
 
 class ParallelExecutor:
@@ -112,21 +90,13 @@ class ParallelExecutor:
         the way back.
     """
 
-    storage_backend = "auto"
-
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        backend: str = "thread",
-        storage_backend: str = "auto",
-    ):
+    def __init__(self, max_workers: Optional[int] = None, backend: str = "thread"):
         if backend not in {"thread", "process"}:
             raise EvaluationError(f"unknown parallel backend {backend!r}")
         if max_workers is not None and max_workers < 1:
             raise EvaluationError(f"max_workers must be positive, got {max_workers}")
         self.max_workers = max_workers
         self.backend = backend
-        self.storage_backend = storage_backend
 
     @property
     def name(self) -> str:
@@ -136,48 +106,17 @@ class ParallelExecutor:
         limit = self.max_workers or min(os.cpu_count() or 1, 8)
         return max(1, min(limit, batch_size))
 
-    def execute_batch(
-        self,
-        engine: "EvaluationEngine",
-        graph: "DataGraph",
-        queries: Sequence["Query"],
-        null_semantics: bool = False,
-    ) -> List[frozenset]:
+    def execute_batch(self, evaluate: Evaluate, queries: Sequence["Query"]) -> List[frozenset]:
         """One answer set per query, in query order."""
-        backend = self.storage_backend
         if len(queries) <= 1:
-            return SequentialExecutor(backend).execute_batch(
-                engine, graph, queries, null_semantics
-            )
-        # Compile every automaton and build the label index *before*
-        # fanning out: the engine's LRU caches are not thread-safe for
-        # concurrent builds, and forked workers inherit the warm caches
-        # (including the CSR twin when the storage backend resolves
-        # compact for this graph).
-        graph.label_index()
-        from ..engine.compact import resolve_backend
-
-        if resolve_backend(backend, graph.num_nodes):
-            graph.compact_index()
-        for query in queries:
-            query._warm(engine)
+            return [evaluate(query) for query in queries]
+        workers = self._workers_for(len(queries))
         if self.backend == "process" and fork_available():
             return run_forked(
-                (engine, graph, tuple(queries), null_semantics, backend),
-                _fork_worker,
-                len(queries),
-                max_workers=self._workers_for(len(queries)),
+                (evaluate, tuple(queries)), _fork_worker, len(queries), max_workers=workers
             )
-        workers = self._workers_for(len(queries))
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(
-                pool.map(
-                    lambda query: query._evaluate(
-                        engine, graph, null_semantics, backend=backend
-                    ),
-                    queries,
-                )
-            )
+            return list(pool.map(evaluate, queries))
 
     def __repr__(self) -> str:
         return f"ParallelExecutor(max_workers={self.max_workers}, backend={self.backend!r})"
@@ -186,119 +125,59 @@ class ParallelExecutor:
 # ----------------------------------------------------------------------
 # Policy
 # ----------------------------------------------------------------------
-#: Valid ``ExecutionPolicy.intra_query`` modes.
+#: Valid ``ExecutionPolicy.intra_query`` values: ``"off"`` leaves the
+#: driver to the router, the others force it.
 INTRA_QUERY_MODES = ("off", "blocks", "sharded")
 
-#: Valid ``ExecutionPolicy.backend`` values (the storage/execution
-#: representation queries evaluate over).
+#: Valid ``ExecutionPolicy.backend`` values: ``"auto"`` leaves the kernel
+#: family to the router, the others force it.
 STORAGE_BACKENDS = ("auto", "compact", "dict", "sql")
 
 #: Valid ``ExecutionPolicy.routing`` values: ``"auto"`` lets the cost
 #: router (:func:`repro.planner.route_query`) pick the execution
-#: strategy per query, ``"manual"`` restores the pure knob behaviour.
+#: strategy per query, ``"manual"`` switches the cost model off.
 ROUTING_MODES = ("auto", "manual")
-
-#: Sentinel distinguishing "caller never passed this kwarg" from any
-#: real value, so only explicit use of the deprecated knobs warns.
-_UNSET = object()
 
 #: The named policy presets of :meth:`ExecutionPolicy.preset`.  Each
 #: entry overrides the dataclass defaults; everything unnamed keeps the
-#: default value.
+#: default value.  No preset forces a route — that stays the router's.
 POLICY_PRESETS = {
-    # Sequential evaluation, full caching — single queries, small
-    # graphs, notebooks.  Equivalent to the historical no-args policy.
+    # Sequential batches, full caching — single queries, small graphs,
+    # notebooks, and the daemon (which already multiplexes clients).
     "local": {},
-    # Saturate one machine: batches fork worker processes, single
-    # full-relation queries fan their phase-3 propagation out over
-    # source blocks (the configuration the CI bench gates pin ≥1×).
-    "parallel": {"executor": "process", "intra_query": "blocks"},
-    # The repro-serve daemon's shape: single queries route through the
-    # edge-cut sharded driver so the server's persistent shard-worker
-    # pool (or, standalone, a per-query pool) carries them; batches stay
-    # sequential because the daemon already multiplexes clients.
-    "server": {"intra_query": "sharded", "sharded_processes": True},
+    # Saturate one machine: batches fork worker processes.
+    "parallel": {"executor": "process"},
 }
 
-_DEPRECATED_KNOBS = ("intra_query", "intra_query_threshold", "num_shards", "sharded_processes")
 
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ExecutionPolicy:
     """How a :class:`GraphSession` executes and caches queries.
 
-    Build policies through :meth:`auto` or :meth:`preset` — the named
-    shapes (``"local"``, ``"parallel"``, ``"server"``) bundle the
-    partitioning knobs that are easy to mis-combine by hand, and
-    keyword overrides stay available for the rare cases that need
-    them::
+    Seven fields say what a user actually chooses — the batch executor,
+    the worker budget, the caches and whether the cost router is on —
+    and two (``backend``, ``intra_query``) force part of the route the
+    router would otherwise resolve::
 
-        ExecutionPolicy.auto()                      # pick for this host
-        ExecutionPolicy.preset("parallel")          # batch + intra-query fan-out
-        ExecutionPolicy.preset("server", num_shards=4)
-
-    Passing the partitioning knobs (``intra_query``,
-    ``intra_query_threshold``, ``num_shards``, ``sharded_processes``)
-    directly to the constructor is **deprecated** and warns; the
-    remaining constructor arguments (``executor``, ``max_workers`` and
-    the cache sizing) stay first-class.
+        ExecutionPolicy()                           # sequential, cached, routed
+        ExecutionPolicy.auto()                      # batch executor for this host
+        ExecutionPolicy(backend="sql")              # force the kernel family
+        ExecutionPolicy(intra_query="blocks", max_workers=4)   # force the driver
 
     Attributes
     ----------
     executor:
         ``"sequential"``, ``"thread"`` or ``"process"`` — the executor
         ``run_many`` batches are handed to.
-    backend:
-        The storage backend queries evaluate over: ``"dict"`` keeps the
-        hash-table :class:`~repro.datagraph.index.LabelIndex` kernels,
-        ``"compact"`` forces the int-id CSR kernels over the graph's
-        :class:`~repro.datagraph.compact.CompactLabelIndex`, ``"sql"``
-        forces the compiled relational backend of
-        :mod:`repro.sqlbackend` (recursive CTEs over the paper's
-        ``D_G`` encoding in an embedded sqlite/duckdb database), and
-        ``"auto"`` (the default) picks **cost-based** per query: compact
-        on graphs large enough for the array kernels to pay, and sql
-        when the planner's label statistics estimate a closure-heavy
-        relation (see :mod:`repro.sqlbackend.cost`).  Answers are
-        bit-identical in every mode; only the representation the
-        evaluation walks changes.
     max_workers:
-        Worker-pool bound for the parallel executors and for the
-        intra-query source-block fan-out.
+        The one worker budget: the parallel executors' pool size and the
+        intra-query drivers' worker and shard count (default: CPU count
+        capped at 8).
     cache_results:
         Whether the session memoises answers keyed on
         ``(graph.version, query.key, null_semantics)``.
     result_cache_size:
         LRU bound on the number of cached answer sets.
-    intra_query:
-        How a *single* full-relation query is evaluated: ``"off"`` (the
-        sequential engine), ``"blocks"`` (the phase-3 source propagation
-        fanned out over worker processes) or ``"sharded"`` (the edge-cut
-        scatter/gather driver).  Every dialect with a product space takes
-        the drivers — plain RPQs, data RPQs over the register product,
-        and the axis-star closures inside GXPath expressions.  Answers
-        are identical in every mode and land in the same versioned
-        result cache.
-    intra_query_threshold:
-        Minimum graph size (nodes) before the partitioned drivers kick
-        in; smaller graphs always run sequentially, where the fan-out
-        overhead cannot pay off.
-    num_shards:
-        Shard count for ``intra_query="sharded"`` (default: CPU count
-        capped at 8).
-    sharded_processes:
-        Whether the sharded driver forks its per-invocation worker
-        pool: ``True`` forks whenever the platform supports it,
-        ``False`` keeps the in-process loop, ``None`` (default) forks
-        on graphs large enough to amortise the pool.
-    routing:
-        ``"auto"`` (the default) lets the session's cost router
-        (:func:`repro.planner.route_query`) pick sequential / blocks /
-        sharded / compact / SQL execution per query from the graph's
-        statistics; the partitioning knobs above then act as
-        *overrides* — an explicit ``intra_query`` mode or ``backend``
-        wins over the router.  ``"manual"`` disables the router
-        entirely and restores the historical knob-driven behaviour.
     point_cache_size:
         LRU bound on the session's single-source (point-workload) cache
         of :meth:`GraphSession.targets` answers.
@@ -308,114 +187,58 @@ class ExecutionPolicy:
         the cached answer) instead of recomputing from scratch after
         every mutation.  Answers are identical either way; disable to
         force the full-recompute executable spec.
+    routing:
+        ``"auto"`` (the default) lets the session's cost router
+        (:func:`repro.planner.route_query`) resolve dict / compact / SQL
+        kernels and the sequential / blocks driver per query from the
+        graph's statistics.  ``"manual"`` switches the cost model off:
+        queries run sequentially on the ``backend`` kernels (``"auto"``
+        then means by graph size only).
+    backend:
+        Forced kernel family: ``"dict"`` keeps the hash-table
+        :class:`~repro.datagraph.index.LabelIndex` kernels,
+        ``"compact"`` the int-id CSR kernels over the graph's
+        :class:`~repro.datagraph.compact.CompactLabelIndex`, ``"sql"``
+        the compiled relational backend of :mod:`repro.sqlbackend`
+        (recursive CTEs over the paper's ``D_G`` encoding in an embedded
+        sqlite/duckdb database).  ``"auto"`` (the default) leaves the
+        choice to the router.  Answers are bit-identical in every mode.
+    intra_query:
+        Forced driver for a *single* full-relation query: ``"blocks"``
+        (the phase-3 source propagation fanned out over worker
+        processes) or ``"sharded"`` (the edge-cut scatter/gather
+        driver), for every dialect with a product space.  ``"off"`` (the
+        default) leaves the choice to the router.
     """
 
     executor: str = "sequential"
-    backend: str = "auto"
     max_workers: Optional[int] = None
     cache_results: bool = True
     result_cache_size: int = 1024
-    intra_query: str = "off"
-    intra_query_threshold: int = 64
-    num_shards: Optional[int] = None
-    sharded_processes: Optional[bool] = None
-    routing: str = "auto"
     point_cache_size: int = 1024
     delta_repair: bool = True
+    routing: str = "auto"
+    backend: str = "auto"
+    intra_query: str = "off"
 
-    def __init__(
-        self,
-        executor: str = "sequential",
-        max_workers: Optional[int] = None,
-        cache_results: bool = True,
-        result_cache_size: int = 1024,
-        intra_query=_UNSET,
-        intra_query_threshold=_UNSET,
-        num_shards=_UNSET,
-        sharded_processes=_UNSET,
-        point_cache_size: int = 1024,
-        delta_repair: bool = True,
-        backend: str = "auto",
-        routing: str = "auto",
-    ):
-        passed = {
-            "intra_query": intra_query,
-            "intra_query_threshold": intra_query_threshold,
-            "num_shards": num_shards,
-            "sharded_processes": sharded_processes,
-        }
-        deprecated = sorted(name for name, value in passed.items() if value is not _UNSET)
-        if deprecated:
-            import warnings
-
-            warnings.warn(
-                f"passing {', '.join(deprecated)} to ExecutionPolicy() is deprecated; "
-                "use ExecutionPolicy.preset('local'/'parallel'/'server', ...) or "
-                "ExecutionPolicy.auto() instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        defaults = _POLICY_DEFAULTS
-        self._assign(
-            executor=executor,
-            backend=backend,
-            routing=routing,
-            max_workers=max_workers,
-            cache_results=cache_results,
-            result_cache_size=result_cache_size,
-            point_cache_size=point_cache_size,
-            delta_repair=delta_repair,
-            **{
-                name: (value if value is not _UNSET else defaults[name])
-                for name, value in passed.items()
-            },
-        )
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def _assign(self, **fields) -> None:
-        """Set every dataclass field (the class is frozen) and validate."""
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
-        if self.intra_query not in INTRA_QUERY_MODES:
-            raise EvaluationError(
-                f"unknown intra_query mode {self.intra_query!r}; "
-                f"expected one of {', '.join(INTRA_QUERY_MODES)}"
-            )
-        if self.backend not in STORAGE_BACKENDS:
-            raise EvaluationError(
-                f"unknown storage backend {self.backend!r}; "
-                f"expected one of {', '.join(STORAGE_BACKENDS)}"
-            )
-        if self.routing not in ROUTING_MODES:
-            raise EvaluationError(
-                f"unknown routing mode {self.routing!r}; "
-                f"expected one of {', '.join(ROUTING_MODES)}"
-            )
-
-    @classmethod
-    def _build(cls, **fields) -> "ExecutionPolicy":
-        """Construct without the deprecation shim (presets, internal callers)."""
-        unknown = sorted(set(fields) - set(_POLICY_DEFAULTS))
-        if unknown:
-            raise EvaluationError(
-                f"unknown ExecutionPolicy field(s): {', '.join(unknown)}"
-            )
-        policy = object.__new__(cls)
-        policy._assign(**{**_POLICY_DEFAULTS, **fields})
-        return policy
+    def __post_init__(self) -> None:
+        for name, value, valid in (
+            ("executor", self.executor, ("sequential", "thread", "process")),
+            ("routing mode", self.routing, ROUTING_MODES),
+            ("storage backend", self.backend, STORAGE_BACKENDS),
+            ("intra_query mode", self.intra_query, INTRA_QUERY_MODES),
+        ):
+            if value not in valid:
+                raise EvaluationError(
+                    f"unknown {name} {value!r}; expected one of {', '.join(valid)}"
+                )
 
     @classmethod
     def preset(cls, name: str, **overrides) -> "ExecutionPolicy":
         """A named policy shape, optionally adjusted with field overrides.
 
-        ``"local"`` — sequential, fully cached (the default policy).
-        ``"parallel"`` — process-pool batches plus source-block
-        intra-query fan-out.  ``"server"`` — the serving shape: sharded
-        intra-query evaluation over a persistent worker pool.  Overrides
-        are ordinary field values and do **not** warn — this is the
-        supported spelling for expert knob access.
+        ``"local"`` — sequential batches, fully cached (the default
+        policy).  ``"parallel"`` — process-pool batches.
         """
         base = POLICY_PRESETS.get(name)
         if base is None:
@@ -423,32 +246,18 @@ class ExecutionPolicy:
                 f"unknown policy preset {name!r}; "
                 f"expected one of {', '.join(sorted(POLICY_PRESETS))}"
             )
-        return cls._build(**{**base, **overrides})
+        return cls(**{**base, **overrides})
 
     @classmethod
     def auto(cls, **overrides) -> "ExecutionPolicy":
         """Pick a preset for this host: ``"parallel"`` where forked worker
-        pools can pay (POSIX fork, multiple cores), else ``"local"``."""
+        pools can pay (POSIX fork, multiple cores), else ``"local"``.
+        Only the batch executor differs — routing stays the router's."""
         name = "parallel" if fork_available() and (os.cpu_count() or 1) >= 2 else "local"
         return cls.preset(name, **overrides)
 
-    # ------------------------------------------------------------------
     def build_executor(self):
         """Instantiate the executor this policy names."""
         if self.executor == "sequential":
-            return SequentialExecutor(storage_backend=self.backend)
-        if self.executor in {"thread", "process"}:
-            return ParallelExecutor(
-                max_workers=self.max_workers,
-                backend=self.executor,
-                storage_backend=self.backend,
-            )
-        raise EvaluationError(
-            f"unknown executor {self.executor!r}; expected 'sequential', 'thread' or 'process'"
-        )
-
-
-#: The dataclass defaults, used by both construction paths.
-_POLICY_DEFAULTS = {
-    field.name: field.default for field in dataclasses.fields(ExecutionPolicy)
-}
+            return SequentialExecutor()
+        return ParallelExecutor(max_workers=self.max_workers, backend=self.executor)

@@ -15,10 +15,9 @@ immutable value:
 A :class:`Query` is a frozen dataclass over structurally hashable plans,
 so it can key caches: two queries parsed from different texts but with
 equal ASTs share one :attr:`key`, one compiled automaton and one cached
-result.  Evaluation is dispatched by :meth:`Query._evaluate`, which is
-the single seam the :class:`~repro.api.session.GraphSession` executors
-drive; everything routes through the shared
-:class:`~repro.engine.engine.EvaluationEngine`.
+result.  :meth:`Query._evaluate` is the per-language switch onto the
+shared :class:`~repro.engine.engine.EvaluationEngine`; sessions call it
+from their dispatcher with the query's resolved route.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ from ..regular import Regex, parse_regex
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..datagraph.graph import DataGraph
     from ..engine.engine import EvaluationEngine
+    from ..planner.router import Route
 
 __all__ = ["QueryKind", "Query", "QueryLike"]
 
@@ -298,14 +298,14 @@ class Query:
         )
 
     # ------------------------------------------------------------------
-    # Execution seam (driven by GraphSession / executors)
+    # Execution seam (driven by GraphSession's dispatcher)
     # ------------------------------------------------------------------
     def _evaluate(
         self,
         engine: "EvaluationEngine",
         graph: "DataGraph",
         null_semantics: bool,
-        backend: str = "auto",
+        route: Optional["Route"] = None,
     ):
         """Evaluate the plan on *graph* through *engine*.
 
@@ -313,37 +313,29 @@ class Query:
         frozenset of node pairs for binary queries, of nodes for GXPath
         node expressions, and of head tuples for CRPQs.  The
         :class:`~repro.api.result.Result` wrapper normalises access.
-        *backend* picks the storage representation the kernels walk
-        (``"auto"`` / ``"compact"`` / ``"dict"``); answers are
-        bit-identical in every mode.
+        *route* is the resolved :class:`~repro.planner.router.Route` the
+        kernels run on; bare callers pass none and the entry points ask
+        the router.  Answers are bit-identical on every route.
         """
         kind = self.kind
         if kind is QueryKind.RPQ:
-            return engine.evaluate_rpq(graph, self.plan, backend=backend)
+            return engine.evaluate_rpq(graph, self.plan, route)
         if kind is QueryKind.DATA_RPQ:
             return engine.evaluate_data_rpq(
-                graph, self.plan, null_semantics=null_semantics, backend=backend
+                graph, self.plan, null_semantics=null_semantics, route=route
             )
         if kind is QueryKind.CRPQ:
             from ..query.crpq import evaluate_crpq_with_engine
 
             return evaluate_crpq_with_engine(
-                graph,
-                self.plan,
-                null_semantics=null_semantics,
-                engine=engine,
-                backend=backend,
+                graph, self.plan, null_semantics=null_semantics, engine=engine, route=route
             )
         from ..gxpath import evaluation as gxpath_evaluation
 
         if kind is QueryKind.GXPATH_NODE:
-            return gxpath_evaluation.evaluate_node(
-                graph, self.plan, null_semantics, backend=backend
-            )
+            return gxpath_evaluation.evaluate_node(graph, self.plan, null_semantics, route=route)
         if kind is QueryKind.GXPATH_PATH:
-            return gxpath_evaluation.evaluate_path(
-                graph, self.plan, null_semantics, backend=backend
-            )
+            return gxpath_evaluation.evaluate_path(graph, self.plan, null_semantics, route=route)
         raise EvaluationError(f"unknown query kind {kind!r}")  # pragma: no cover - defensive
 
     def _warm(self, engine: "EvaluationEngine") -> None:

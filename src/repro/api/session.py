@@ -22,24 +22,21 @@ age out of the LRU without any explicit invalidation hook.  A second,
 independent **point-workload cache** memoises single-source answers
 (:meth:`GraphSession.targets`) under the same versioning scheme.
 
-When the policy enables an ``intra_query`` mode, large full-relation
-RPQs are evaluated through the partitioned drivers of
-:mod:`repro.engine.partition` (source-block worker fan-out or the
-sharded scatter/gather); the answers — and therefore the cache entries
-and :class:`Result` objects — are identical to sequential evaluation.
-
-:func:`session_for` keeps one default session per graph (stored on the
-graph, so it lives and dies with it); it backs the deprecated
-module-level ``evaluate_*`` shims, which is how legacy call sites
-transparently gain caching.
+*How* a query runs is resolved once per evaluation by the cost router
+(:func:`repro.planner.route_query`) into a
+:class:`~repro.planner.router.Route`, and one dispatcher
+(:meth:`GraphSession._execute`) turns a ``(plan, route)`` pair into an
+answer — for ``run``, ``run_many`` under every executor, ``targets``
+and ``holds`` alike.  Every route returns the same answers, so they
+share cache entries and :class:`Result` objects.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
-import os
-from collections import deque
+from collections import Counter, deque
 from pathlib import Path
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -47,23 +44,25 @@ from ..datagraph.graph import DataGraph
 from ..datagraph.node import Node, NodeId
 from ..engine.cache import CacheStats, LRUCache
 from ..engine.engine import EvaluationEngine, default_engine
-from ..engine.partition import GraphPartition
 from ..exceptions import EvaluationError
+from ..planner.router import pool_serves, route_point, route_query
 from .executors import ExecutionPolicy, SequentialExecutor
 from .protocol import SessionProtocol
 from .query import Query, QueryKind, QueryLike
 from .result import Result
 
-__all__ = ["GraphSession", "session_for"]
+__all__ = ["GraphSession"]
 
 #: A server-provided hook evaluating one full-relation plan over a
 #: persistent shard-worker pool: ``(plan, null_semantics) -> answers``,
-#: or ``None`` to decline (pool busy / unsupported kind), in which case
-#: the session falls back to its own drivers.  Runners that additionally
+#: or ``None`` to decline (pool busy, pool gone), in which case the
+#: session runs the plan's local route.  Runners that additionally
 #: accept a ``sources`` keyword (a set of node ids restricting the BFS
 #: seeds) advertise it with a truthy ``supports_sources`` attribute —
 #: sessions then offer point queries (``.targets``) to the pool as
-#: seeded shard rounds instead of materialising the full relation.
+#: seeded shard rounds instead of materialising the full relation;
+#: ``supports_targets`` likewise advertises a ``targets`` mask applied
+#: worker-side (``.holds`` ships at most one pair back).
 ShardRunner = Callable[[Query, bool], Optional[frozenset]]
 
 #: Shared default policy: sequential execution, 1024-entry result cache.
@@ -90,12 +89,13 @@ class GraphSession(SessionProtocol):
         The :class:`~repro.api.executors.ExecutionPolicy`; defaults to
         sequential execution with a 1024-entry result cache.
     shard_runner:
-        Server hook: when set and the policy's intra-query mode is
-        ``"sharded"``, eligible full-relation plans are offered to this
+        Server hook: when set, the kinds the pool serves (full RPQ /
+        data-RPQ relations and their point forms) are offered to this
         callable first — the :mod:`repro.server` daemon passes its
         persistent shard-worker pool here so sessions share one pool
-        instead of forking their own.  A ``None`` return falls back to
-        the session's own drivers; answers are identical either way.
+        instead of forking their own.  A ``None`` return is counted as a
+        decline (:meth:`maintenance_stats`) and the plan runs its local
+        route; answers are identical either way.
 
     Examples
     --------
@@ -132,9 +132,6 @@ class GraphSession(SessionProtocol):
         # "targets of u" questions neither recompute a BFS nor force the
         # full relation.
         self._points: LRUCache[frozenset] = LRUCache(self.policy.point_cache_size)
-        # The sharded mode's edge-cut plan, reused across queries until
-        # the graph version (or the shard count) moves on.
-        self._partition: Optional[GraphPartition] = None
         # CRPQ logical plans, cached alongside the versioned result
         # cache and keyed the same way ((graph.version, query.key)):
         # replanning is cheap but not free, and a stable plan object
@@ -161,6 +158,8 @@ class GraphSession(SessionProtocol):
         # distributed-join counters, surfaced by `explain`.
         self._plan_traces: Dict[Tuple, object] = {}
         self._maintenance = {"repairs": 0, "recomputes": 0, "plans_retained": 0}
+        # Plans a pooled session ran locally instead, by reason.
+        self._pool_declines: Counter = Counter()
         self._lineage: deque = deque(maxlen=32)
 
     # ------------------------------------------------------------------
@@ -212,15 +211,9 @@ class GraphSession(SessionProtocol):
                 answers[key] = None  # placeholder: scheduled for the executor
                 misses.append(plan)
         if misses:
-            # A sequential batch honours the intra-query mode (one query
-            # at a time, each free to fan its own evaluation out); the
-            # parallel executors keep per-query sequential evaluation —
-            # nesting a fork pool inside every worker would oversubscribe
-            # the CPUs the batch fan-out already owns.
-            if self.policy.intra_query != "off" and isinstance(chosen, SequentialExecutor):
-                computed = [self._evaluate_plan(plan, null_semantics) for plan in misses]
-            else:
-                computed = chosen.execute_batch(self.engine, self.graph, misses, null_semantics)
+            computed = chosen.execute_batch(
+                self._batch_evaluator(misses, null_semantics, chosen), misses
+            )
             for plan, answer in zip(misses, computed):
                 key = (version, plan.key, null_semantics)
                 if caching:
@@ -255,22 +248,13 @@ class GraphSession(SessionProtocol):
                     or self.graph.get_node(target_node.id) != target_node
                 ):
                     return False
-                if (
-                    self.policy.intra_query == "sharded"
-                    and self.graph.num_nodes >= self.policy.intra_query_threshold
-                    and self.shard_runner is not None
-                    and getattr(self.shard_runner, "supports_targets", False)
-                ):
+                if getattr(self.shard_runner, "supports_targets", False):
                     # Point lookup through the persistent worker pool:
                     # the workers decode under a single-target mask, so
                     # only the (at most one) matching pair crosses the
-                    # pipes instead of the full relation.  None (pool
-                    # busy) falls through to the local point path.
-                    answer = self.shard_runner(
-                        plan,
-                        null_semantics,
-                        sources={source_node.id},
-                        targets={target_node.id},
+                    # pipes.  A decline falls through to the point path.
+                    answer = self._offer_to_pool(
+                        plan, null_semantics, source_node.id, target_node.id
                     )
                     if answer is not None:
                         return (source_node, target_node) in answer
@@ -517,14 +501,14 @@ class GraphSession(SessionProtocol):
     # ------------------------------------------------------------------
     def _answers(self, plan: Query, null_semantics: bool) -> frozenset:
         if not self.policy.cache_results:
-            return self._evaluate_plan(plan, null_semantics)
+            return self._execute(plan, self._route(plan), null_semantics)
         version = self.graph.version
         key = (version, plan.key, null_semantics)
         if key in self._results:
             return self._results.get_or_build(key, frozenset)  # recorded hit
         answer = self._repaired_answer(plan, null_semantics, version)
         if answer is None:
-            answer = self._evaluate_plan(plan, null_semantics)
+            answer = self._execute(plan, self._route(plan), null_semantics)
         self._result_history[(plan.key, null_semantics)] = version
         return self._results.get_or_build(key, lambda: answer)
 
@@ -585,12 +569,15 @@ class GraphSession(SessionProtocol):
             listener(event)
 
     def maintenance_stats(self) -> Dict:
-        """Delta-repair effectiveness: repair/recompute counts and the
-        most recent repair lineages ``(base → new, delta digest)``."""
+        """Delta-repair effectiveness — repair/recompute counts and the
+        most recent repair lineages ``(base → new, delta digest)`` — and,
+        for pooled sessions, how many plans ran their local route instead
+        of the worker pool, by reason."""
         return {
             "repairs": self._maintenance["repairs"],
             "recomputes": self._maintenance["recomputes"],
             "plans_retained": self._maintenance["plans_retained"],
+            "pool_declines": dict(self._pool_declines),
             "lineage": list(self._lineage),
         }
 
@@ -650,20 +637,27 @@ class GraphSession(SessionProtocol):
 
         return graph_statistics(self.graph)
 
-    def _route(self, plan: Query):
-        """The cost router's decision for *plan* under this session's
-        policy (knobs act as overrides, see
-        :func:`repro.planner.route_query`)."""
-        from ..planner import route_query
-
+    def _route(self, plan: Query, policy: Optional[ExecutionPolicy] = None, pooled=None):
+        """The resolved :class:`~repro.planner.router.Route` of *plan*:
+        the one decision :meth:`_execute` consumes and :meth:`explain`
+        prints (*policy* / *pooled* default to the session's own)."""
+        if policy is None:
+            policy = self.policy
+        if pooled is None:
+            pooled = self.shard_runner is not None
         planned = self._crpq_plan(plan) if plan.kind is QueryKind.CRPQ else None
         return route_query(
-            plan,
-            self.graph,
-            policy=self.policy,
-            stats=self._statistics(),
-            pooled=self.shard_runner is not None,
+            plan, self.graph, policy=policy, stats=self._statistics(), pooled=pooled,
             planned=planned,
+        )
+
+    def _point_route(self, plan: Query):
+        """The O(1) route of a point query — kernel by graph size, pool
+        offer — so a point-cache miss never pays for statistics."""
+        return route_point(
+            self.graph,
+            self.policy,
+            offer_pool=self.shard_runner is not None and pool_serves(plan),
         )
 
     def explain(self, query: QueryLike) -> str:
@@ -689,108 +683,104 @@ class GraphSession(SessionProtocol):
             return header + "\n" + body
         return header + "\n" + plan.explain(self.graph)
 
-    def _evaluate_plan(self, plan: Query, null_semantics: bool) -> frozenset:
-        """Evaluate one plan, honouring the policy's intra-query mode.
+    def _execute(
+        self, plan: Query, route, null_semantics: bool, source: Optional[NodeId] = None
+    ) -> frozenset:
+        """Turn a ``(plan, route)`` pair into an answer.
 
-        CRPQs always take the planner (parse → plan → execute, with the
-        plan cached per graph version); when the intra-query mode is on
-        and the graph is big enough, each atom scan additionally runs
-        through the partitioned drivers.  Large full-relation queries of
-        the other kinds are dispatched through the same drivers of
-        :mod:`repro.engine.partition`: plain RPQs over the NFA product,
-        data RPQs (REE/REM) over the register product, and GXPath
-        expressions route their axis-star closures through the drivers.
-        Every other plan (and every graph below the threshold) takes the
-        sequential engine.  The answers are identical either way, so
-        they share one cache entry and the switch is invisible to
-        callers.
+        The one path from the session to the kernels: ``run``,
+        ``run_many`` (under every executor), ``targets`` and ``holds``
+        all end here, and nothing below re-decides what *route* resolved.
+        With *source* given the answer is the point form — the targets of
+        *source* — else the plan's full answer set.
+
+        A route with ``offer_pool`` goes to the attached worker pool
+        first; a decline is counted and the plan runs the route's local
+        kernel family and driver.  CRPQs take the planner (the cached
+        plan, the session's relation cache and join runner, a recorded
+        :class:`~repro.planner.PlanTrace`); every other kind hands the
+        route to its engine entry point.
         """
-        policy = self.policy
-        route = self._route(plan)
-        mode = route.mode
-        intra_query = mode != "off"
-        if plan.kind is QueryKind.CRPQ:
-            from ..planner import PlanTrace, execute_plan
-
-            atom_mode = mode
-            trace = PlanTrace()
-            answer = execute_plan(
-                self._crpq_plan(plan),
-                self.graph,
-                engine=self.engine,
-                null_semantics=null_semantics,
-                mode=atom_mode,
-                workers=policy.max_workers,
-                shards=policy.num_shards,
-                partition=self._shard_partition() if atom_mode == "sharded" else None,
-                processes=policy.sharded_processes,
-                backend=policy.backend,
-                relation_cache=self._cached_relation_lookup(null_semantics),
-                join_runner=getattr(self.shard_runner, "hash_join", None),
-                trace=trace,
-            )
-            if len(self._plan_traces) >= 128:  # bounded like the LRU caches
-                self._plan_traces.clear()
-            self._plan_traces[(plan.key, null_semantics)] = trace
-            return answer
-        if intra_query:
-            if (
-                mode == "sharded"
-                and self.shard_runner is not None
-                and plan.kind in (QueryKind.RPQ, QueryKind.DATA_RPQ)
-            ):
-                # Offer the plan to the server's persistent worker pool
-                # first; a None return (pool busy, pool gone) falls
-                # through to the session's own sharded driver.
-                answer = self.shard_runner(plan, null_semantics)
-                if answer is not None:
+        if route.offer_pool:
+            answer = self._offer_to_pool(plan, null_semantics, source)
+            if answer is not None:
+                if source is None:
                     return answer
-            partition = self._shard_partition() if mode == "sharded" else None
+                return frozenset(target for start, target in answer if start.id == source)
+        elif self.shard_runner is not None and source is None and not pool_serves(plan):
+            self._pool_declines[f"{plan.kind.value} is not served by the pool"] += 1
+        if source is not None:
             if plan.kind is QueryKind.RPQ:
-                return self.engine.evaluate_rpq_partitioned(
-                    self.graph,
-                    plan.plan,
-                    mode=mode,
-                    workers=policy.max_workers,
-                    partition=partition,
-                    processes=policy.sharded_processes,
-                )
-            if plan.kind is QueryKind.DATA_RPQ:
-                return self.engine.evaluate_data_rpq_partitioned(
-                    self.graph,
-                    plan.plan,
-                    mode=mode,
-                    null_semantics=null_semantics,
-                    workers=policy.max_workers,
-                    partition=partition,
-                    processes=policy.sharded_processes,
-                )
-            if plan.kind in (QueryKind.GXPATH_NODE, QueryKind.GXPATH_PATH):
-                from ..gxpath import evaluation as gxpath_evaluation
+                return self.engine.evaluate_rpq_from(self.graph, plan.plan, source, route)
+            # No single-source kernel: filter the (cached) full relation.
+            answers = self._answers(plan, null_semantics)
+            return frozenset(target for start, target in answers if start.id == source)
+        if plan.kind is not QueryKind.CRPQ:
+            return plan._evaluate(self.engine, self.graph, null_semantics, route)
+        from ..planner import PlanTrace, execute_plan
 
-                evaluate = (
-                    gxpath_evaluation.evaluate_node
-                    if plan.kind is QueryKind.GXPATH_NODE
-                    else gxpath_evaluation.evaluate_path
-                )
-                return evaluate(
-                    self.graph,
-                    plan.plan,
-                    null_semantics,
-                    closure_mode=mode,
-                    num_workers=policy.max_workers,
-                    num_shards=policy.num_shards,
-                    partition=partition,
-                    processes=policy.sharded_processes,
-                )
-        if policy.backend != "auto":
-            # Only pass the knob when it deviates from the default, so
-            # Query subclasses (and tests) overriding the historical
-            # 4-argument ``_evaluate`` keep working under default policies.
-            return plan._evaluate(
-                self.engine, self.graph, null_semantics, backend=policy.backend
-            )
-        return plan._evaluate(self.engine, self.graph, null_semantics)
+        trace = PlanTrace()
+        answer = execute_plan(
+            self._crpq_plan(plan),
+            self.graph,
+            engine=self.engine,
+            null_semantics=null_semantics,
+            route=route,
+            relation_cache=self._cached_relation_lookup(null_semantics),
+            join_runner=getattr(self.shard_runner, "hash_join", None),
+            trace=trace,
+        )
+        if len(self._plan_traces) >= 128:  # bounded like the LRU caches
+            self._plan_traces.clear()
+        self._plan_traces[(plan.key, null_semantics)] = trace
+        return answer
+
+    def _offer_to_pool(
+        self,
+        plan: Query,
+        null_semantics: bool,
+        source: Optional[NodeId] = None,
+        target: Optional[NodeId] = None,
+    ) -> Optional[frozenset]:
+        """Offer *plan* (or its point form from *source*, optionally under
+        a single-*target* mask) to the worker pool; ``None`` — counted by
+        reason — means the caller runs the local route."""
+        runner = self.shard_runner
+        seeds = {}
+        if source is not None:
+            if not getattr(runner, "supports_sources", False):
+                self._pool_declines["the runner has no seeded rounds"] += 1
+                return None
+            # Only the single-source frontier crosses the pipes.
+            seeds["sources"] = {source}
+            if target is not None:
+                seeds["targets"] = {target}
+        answer = runner(plan, null_semantics, **seeds)
+        if answer is None:
+            self._pool_declines["the pool declined (busy or gone)"] += 1
+        return answer
+
+    def _batch_evaluator(self, plans: Sequence[Query], null_semantics: bool, executor):
+        """The per-query callable an executor fans a batch out over.
+
+        Routes are resolved here, in the calling thread, so statistics,
+        CRPQ plans and indexes are built once and the workers only
+        evaluate.  Under a parallel executor each query gets a one-worker
+        budget and no pool offer — the batch fan-out already owns the
+        cores, and forked workers must not share the pool's pipes — and
+        the compilation caches are warmed first, because they are not
+        safe for concurrent builds.
+        """
+        if isinstance(executor, SequentialExecutor):
+            routes = {plan.key: self._route(plan) for plan in plans}
+        else:
+            solo = dataclasses.replace(self.policy, max_workers=1, intra_query="off")
+            routes = {plan.key: self._route(plan, solo, pooled=False) for plan in plans}
+            for plan in plans:
+                plan._warm(self.engine)
+            if any(route.kernel == "compact" for route in routes.values()):
+                self.graph.compact_index()
+        return lambda plan: self._execute(plan, routes[plan.key], null_semantics)
 
     def _cached_relation_lookup(self, null_semantics: bool):
         """A relation-cache hook for the adaptive executor: map a CRPQ
@@ -811,16 +801,6 @@ class GraphSession(SessionProtocol):
 
         return lookup
 
-    def _shard_partition(self) -> GraphPartition:
-        """The session's edge-cut plan, rebuilt only when the graph moves on."""
-        index = self.graph.label_index()
-        num_shards = self.policy.num_shards or min(os.cpu_count() or 1, 8)
-        cached = self._partition
-        if cached is None or cached.version != index.version or cached.num_shards != num_shards:
-            cached = GraphPartition.build(index, max(1, num_shards))
-            self._partition = cached
-        return cached
-
     def _targets_of(self, plan: Query, source: NodeId, null_semantics: bool) -> frozenset:
         full_key = (self.graph.version, plan.key, null_semantics)
         if self.policy.cache_results and full_key in self._results:
@@ -828,28 +808,7 @@ class GraphSession(SessionProtocol):
             # rather than running a fresh traversal.
             relation = self._results.get_or_build(full_key, lambda: frozenset())
             return frozenset(target for start, target in relation if start.id == source)
-        policy = self.policy
-        if (
-            policy.intra_query == "sharded"
-            and self.graph.num_nodes >= policy.intra_query_threshold
-            and self.shard_runner is not None
-            and getattr(self.shard_runner, "supports_sources", False)
-            and plan.kind in (QueryKind.RPQ, QueryKind.DATA_RPQ)
-        ):
-            # Offer the point query to the server's persistent worker
-            # pool as a seeded shard round: only the single-source
-            # frontier crosses the pipes, not the full relation.  A None
-            # return (pool busy, pool gone) falls through to the
-            # session's own single-source path.
-            answer = self.shard_runner(plan, null_semantics, sources={source})
-            if answer is not None:
-                return frozenset(target for start, target in answer if start.id == source)
-        if plan.kind is QueryKind.RPQ:
-            return self.engine.evaluate_rpq_from(
-                self.graph, plan.plan, source, backend=self.policy.backend
-            )
-        answers = self._answers(plan, null_semantics)
-        return frozenset(target for start, target in answers if start.id == source)
+        return self._execute(plan, self._point_route(plan), null_semantics, source=source)
 
     def stats(self) -> Mapping[str, CacheStats]:
         """Cache snapshots: the session's ``results`` and ``points`` caches
@@ -878,23 +837,3 @@ class GraphSession(SessionProtocol):
             f"version={self.graph.version} executor={self._executor.name} "
             f"results={snapshot.size}/{snapshot.maxsize} ({snapshot.hits} hits)>"
         )
-
-
-# ----------------------------------------------------------------------
-# Default sessions (behind the deprecated module-level functions)
-# ----------------------------------------------------------------------
-def session_for(graph: DataGraph) -> GraphSession:
-    """The default (sequential, caching) session of a graph.
-
-    One session is kept per graph, stored on the graph itself, so its
-    lifetime is exactly the graph's — there is no global registry to
-    extend a graph's lifetime or leak sessions.  The deprecated
-    module-level ``evaluate_*`` functions delegate here, which is how
-    legacy call sites inherit result caching for free.  A session built
-    against a replaced process-wide engine is rebuilt transparently.
-    """
-    session = graph._api_session
-    if session is None or session.engine is not default_engine():
-        session = GraphSession(graph)
-        graph._api_session = session
-    return session

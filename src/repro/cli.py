@@ -80,36 +80,17 @@ def _execution_policy(arguments: argparse.Namespace) -> ExecutionPolicy:
     policy = getattr(arguments, "policy", "sequential")
     workers = getattr(arguments, "workers", None)
     intra_query = getattr(arguments, "intra_query", None)
-    num_shards = getattr(arguments, "num_shards", None)
-    threshold = getattr(arguments, "intra_query_threshold", None)
-    backend = getattr(arguments, "backend", None) or "auto"
-    routing = getattr(arguments, "routing", None) or "auto"
     if workers is not None and workers < 1:
         raise ReproError(f"--workers must be positive, got {workers}")
-    if num_shards is not None and num_shards < 1:
-        raise ReproError(f"--num-shards must be positive, got {num_shards}")
-    if threshold is not None and threshold < 0:
-        raise ReproError(f"--intra-query-threshold must be non-negative, got {threshold}")
-    if policy == "intra-query" or intra_query is not None:
-        # --intra-query implies the intra-query policy; the default
-        # threshold of 0 means the explicit request runs the partitioned
-        # driver regardless of graph size.
-        return ExecutionPolicy.preset(
-            "local",
-            intra_query=intra_query or "blocks",
-            intra_query_threshold=threshold if threshold is not None else 0,
-            max_workers=workers,
-            num_shards=num_shards,
-            backend=backend,
-            routing=routing,
-        )
-    if num_shards is not None or threshold is not None:
-        raise ReproError(
-            "--num-shards and --intra-query-threshold need --policy intra-query "
-            "or an --intra-query mode"
-        )
-    return ExecutionPolicy.preset(
-        "local", executor=policy, max_workers=workers, backend=backend, routing=routing
+    if policy == "intra-query":
+        # The intra-query policy forces a driver (blocks unless named).
+        policy, intra_query = "sequential", intra_query or "blocks"
+    return ExecutionPolicy(
+        executor=policy,
+        max_workers=workers,
+        intra_query=intra_query or "off",
+        backend=getattr(arguments, "backend", None) or "auto",
+        routing=getattr(arguments, "routing", None) or "auto",
     )
 
 
@@ -194,31 +175,17 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="worker/pool bound for the thread, process and intra-query policies "
+        help="the one worker budget: pool size of the thread/process policies, "
+        "worker and shard count of the intra-query drivers "
         "(default: CPU count, capped at 8)",
     )
     evaluate.add_argument(
         "--intra-query",
         choices=["blocks", "sharded"],
         default=None,
-        help="intra-query driver: 'blocks' fans the source propagation out over "
-        "forked workers, 'sharded' runs the edge-cut scatter/gather driver; "
-        "implies --policy intra-query (default when that policy is chosen: blocks)",
-    )
-    evaluate.add_argument(
-        "--num-shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard count for --intra-query sharded (default: CPU count, capped at 8)",
-    )
-    evaluate.add_argument(
-        "--intra-query-threshold",
-        type=int,
-        default=None,
-        metavar="N",
-        help="minimum graph size (nodes) before the intra-query drivers kick in "
-        "(default 0: an explicit CLI request always runs them)",
+        help="force the intra-query driver on any graph size: 'blocks' fans the "
+        "source propagation out over forked workers, 'sharded' runs the edge-cut "
+        "scatter/gather driver (default under --policy intra-query: blocks)",
     )
     evaluate.add_argument(
         "--backend",
@@ -233,9 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--routing",
         default=None,
         choices=["auto", "manual"],
-        help="query routing: 'auto' (default) lets the planner's cost step pick "
-        "sequential/blocks/sharded/compact/sql per query, with the policy flags "
-        "above as overrides; 'manual' restores pure knob-driven execution",
+        help="query routing: 'auto' (default) lets the cost router resolve "
+        "sequential/compact/sql/blocks per query, with --backend and "
+        "--intra-query as forced overrides; 'manual' switches the cost model "
+        "off (sequential, kernels by --backend or graph size)",
     )
     _add_query_arguments(evaluate)
 

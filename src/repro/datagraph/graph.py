@@ -70,9 +70,6 @@ class DataGraph:
     True
     """
 
-    # _api_session holds the graph's default GraphSession (set lazily by
-    # repro.api.session.session_for); keeping it on the graph ties the
-    # session's lifetime to the graph's without any global registry.
     # __weakref__ keeps the class slotted while still allowing weak refs.
     __slots__ = (
         "_nodes",
@@ -86,7 +83,6 @@ class DataGraph:
         "_stats",
         "_journal",
         "_batch",
-        "_api_session",
         "name",
         "__weakref__",
     )
@@ -108,7 +104,6 @@ class DataGraph:
         self._stats = None
         self._journal: Optional["DeltaJournal"] = None
         self._batch: Optional["MutationBatch"] = None
-        self._api_session = None
         self.name = name
 
     def _mutated(self, event: Optional[Tuple] = None) -> None:

@@ -53,25 +53,23 @@ __all__ = [
 
 Pair = Tuple[NodeId, NodeId]
 
-#: Below this many nodes the dict kernels' lower constant wins and
-#: ``backend="auto"`` stays on them; at and above it the int-id kernels'
-#: per-step savings dominate.  Deliberately small — the crossover on the
-#: bench graphs sits far lower — so "auto" behaves compactly wherever
-#: the difference could matter.
+#: Below this many nodes the dict kernels' lower constant wins and the
+#: router stays on them; at and above it the int-id kernels' per-step
+#: savings dominate.  Deliberately small — the crossover on the bench
+#: graphs sits far lower — so routing goes compact wherever the
+#: difference could matter.
 COMPACT_AUTO_MIN_NODES = 256
 
 
 def resolve_backend(backend: str, num_nodes: int) -> bool:
-    """Whether evaluation should use the compact kernels.
+    """Whether a storage *backend* value names the compact kernels.
 
     ``"compact"`` and ``"dict"`` force; ``"auto"`` switches on graph
-    size.  This is the compact half of the backend seam — every entry
-    point (engine methods, planner scans, GXPath axes, the shard
-    workers) resolves through here.  ``"sql"`` resolves ``False``: the
-    SQL backend is selected *upstream* (in the engine entry points and
-    ``execute_plan``, see :mod:`repro.sqlbackend`), so code paths
-    without a SQL twin degrade to the dict kernels with identical
-    answers.
+    size; ``"sql"`` resolves ``False`` (the SQL kernels are named by the
+    route itself).  Called by the router only
+    (:mod:`repro.planner.router`) — every evaluation entry point
+    consumes the resolved :class:`~repro.planner.router.Route` instead
+    of asking again.
     """
     if backend == "compact":
         return True

@@ -12,10 +12,15 @@ routes through.  It owns:
 * **batched entry points** (:meth:`evaluate_many`, :meth:`holds_many`)
   that amortise compilation and index construction across a workload.
 
+Every evaluation entry point takes the resolved
+:class:`~repro.planner.router.Route` of its query and merely *consumes*
+it (kernel family, driver, worker budget); a bare call that passes none
+gets its route from the same router function sessions use, so there is
+no second copy of the selection rule here.
+
 A process-wide default instance (:func:`default_engine`) backs the
-module-level convenience functions ``repro.query.evaluate_rpq`` /
-``evaluate_data_rpq`` and the certain-answer algorithms, so any two
-call sites evaluating the same query share one compiled automaton.
+certain-answer algorithms and the reductions, so any two call sites
+evaluating the same query share one compiled automaton.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ from .cache import CacheStats, LRUCache
 from .compiled import CompiledAutomaton
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; avoids a query<->engine cycle
+    from ..planner.router import Route
     from ..query.data_rpq import DataRPQ
     from ..query.rpq import RPQ
 
@@ -64,6 +70,21 @@ __all__ = ["EvaluationEngine", "default_engine", "set_default_engine"]
 #: attribute — so this module never imports :mod:`repro.query` at runtime.)
 RPQLike = Union["RPQ", Regex, str]
 NodePair = Tuple[Node, Node]
+
+
+def _bare_route(graph: DataGraph, expression: Optional[Regex] = None) -> "Route":
+    """The route of an engine call no session resolved one for.
+
+    Full plain-RPQ relations (*expression* given) take the router's cost
+    decision; point, seeded and data-RPQ calls take its O(1) part.
+    """
+    from ..planner import router
+
+    if expression is None:
+        return router.route_point(graph)
+    from ..planner.stats import graph_statistics
+
+    return router.route_query(expression, graph, stats=graph_statistics(graph))
 
 
 class EvaluationEngine:
@@ -124,104 +145,55 @@ class EvaluationEngine:
     # ------------------------------------------------------------------
     # RPQ evaluation
     # ------------------------------------------------------------------
-    def _index_for(self, graph: DataGraph, backend: str):
-        """The index the kernels walk: the CSR twin when *backend*
-        resolves compact for this graph, else the dict label index.
-
-        This is where every engine entry point applies the storage
-        backend seam — answers are bit-identical either way, so the
-        choice never leaks into results or caches.  (``"sql"`` resolves
-        ``False`` here: entry points with a SQL twin route to
-        :mod:`repro.sqlbackend` *before* touching an index; the rest
-        degrade to the dict kernels.)
-        """
-        if compact_kernels.resolve_backend(backend, graph.num_nodes):
-            return graph.compact_index()
-        return graph.label_index()
-
-    def _sql_selected(self, graph: DataGraph, query: RPQLike, backend: str) -> bool:
-        """Whether an RPQ entry point should run through the SQL backend.
-
-        ``"sql"`` forces it; ``"auto"`` asks the cost model of
-        :mod:`repro.sqlbackend.cost` (closure-heavy relations on large
-        graphs, estimated from the planner's label statistics).  Other
-        backends never select SQL.
-        """
-        if backend == "sql":
-            return True
-        if backend != "auto":
-            return False
-        from ..planner.stats import graph_statistics
-        from ..sqlbackend.cost import rpq_pays
-
-        # Statistics only ever widen the measured closure growth above
-        # the textbook floor, so threading them here can make auto pick
-        # SQL for more closure-heavy queries — never fewer.
-        return rpq_pays(
-            self._expression_of(query), graph.label_index(), graph_statistics(graph)
-        )
+    @staticmethod
+    def _index(graph: DataGraph, route: "Route"):
+        """The index *route*'s kernel family walks: the CSR twin for
+        ``compact``, else the dict label index."""
+        return graph.compact_index() if route.kernel == "compact" else graph.label_index()
 
     def evaluate_rpq(
-        self, graph: DataGraph, query: RPQLike, backend: str = "auto"
+        self, graph: DataGraph, query: RPQLike, route: Optional["Route"] = None
     ) -> FrozenSet[NodePair]:
         """The full binary relation ``e(G)`` of an RPQ on a data graph."""
         node = graph.node
         return frozenset(
             (node(source), node(target))
-            for source, target in self.evaluate_rpq_ids(graph, query, backend)
+            for source, target in self.evaluate_rpq_ids(graph, query, route)
         )
 
     def evaluate_rpq_ids(
-        self, graph: DataGraph, query: RPQLike, backend: str = "auto"
+        self, graph: DataGraph, query: RPQLike, route: Optional["Route"] = None
     ) -> FrozenSet[Tuple[NodeId, NodeId]]:
         """``e(G)`` as raw id pairs (no Node materialisation)."""
-        if self._sql_selected(graph, query, backend):
+        if route is None:
+            route = _bare_route(graph, self._expression_of(query))
+        if route.driver != "sequential":
+            return self.evaluate_atom_ids(graph, query, route=route)
+        if route.kernel == "sql":
             from ..sqlbackend import backend as sql_backend
 
             return sql_backend.evaluate_rpq_pairs(graph, query, engine=self)
         return frozenset(
-            product.full_relation(self._index_for(graph, backend), self.compile_rpq(query))
+            product.full_relation(self._index(graph, route), self.compile_rpq(query))
         )
 
-    def evaluate_rpq_partitioned(
+    def evaluate_rpq_from(
         self,
         graph: DataGraph,
         query: RPQLike,
-        mode: str = "blocks",
-        workers: Optional[int] = None,
-        shards: Optional[int] = None,
-        partition: Optional["partition_kernels.GraphPartition"] = None,
-        processes: Optional[bool] = None,
-    ) -> FrozenSet[NodePair]:
-        """``e(G)`` through the partitioned drivers; identical answers to
-        :meth:`evaluate_rpq`.
-
-        ``mode="blocks"`` splits the phase-3 source propagation across
-        worker processes (source-block parallelism); ``mode="sharded"``
-        runs the edge-cut scatter/gather driver, reusing *partition* when
-        one is supplied and running shard rounds in forked processes
-        according to *processes* (see
-        :func:`~repro.engine.partition.sharded_product_relation`).
-        """
-        space = spaces.NfaProductSpace(graph.label_index(), self.compile_rpq(query))
-        id_pairs = partition_kernels.partitioned_product_relation(
-            space, mode, workers=workers, num_shards=shards, partition=partition,
-            processes=processes,
-        )
-        node = graph.node
-        return frozenset((node(source), node(target)) for source, target in id_pairs)
-
-    def evaluate_rpq_from(
-        self, graph: DataGraph, query: RPQLike, source: NodeId, backend: str = "auto"
+        source: NodeId,
+        route: Optional["Route"] = None,
     ) -> FrozenSet[Node]:
         """All nodes ``v`` with ``(source, v) ∈ e(G)``.
 
-        Explicit ``backend="sql"`` runs a source-seeded CTE; ``"auto"``
-        stays on the Python BFS — a single-source frontier is exactly
-        the shape the dict/compact kernels win.
+        A ``sql`` route runs a source-seeded CTE; point routes only name
+        it when the policy forces it — a single-source frontier is
+        exactly the shape the dict/compact kernels win.
         """
         graph.node(source)  # raise UnknownNodeError early, mirroring the seed API
-        if backend == "sql":
+        if route is None:
+            route = _bare_route(graph)
+        if route.kernel == "sql":
             from ..sqlbackend import backend as sql_backend
 
             pairs = sql_backend.evaluate_rpq_pairs(
@@ -229,30 +201,17 @@ class EvaluationEngine:
             )
             return frozenset(graph.node(target) for _, target in pairs)
         targets = product.reachable_targets(
-            self._index_for(graph, backend), self.compile_rpq(query), source
+            self._index(graph, route), self.compile_rpq(query), source
         )
         return frozenset(graph.node(target) for target in targets)
 
     def rpq_holds(
-        self,
-        graph: DataGraph,
-        query: RPQLike,
-        source: NodeId,
-        target: NodeId,
-        backend: str = "auto",
+        self, graph: DataGraph, query: RPQLike, source: NodeId, target: NodeId
     ) -> bool:
         """Whether ``(source, target) ∈ e(G)``."""
         graph.node(source)
-        if backend == "sql":
-            from ..sqlbackend import backend as sql_backend
-
-            return bool(
-                sql_backend.evaluate_rpq_pairs(
-                    graph, query, engine=self, sources=(source,), targets=(target,)
-                )
-            )
         return product.pair_holds(
-            self._index_for(graph, backend), self.compile_rpq(query), source, target
+            self._index(graph, _bare_route(graph)), self.compile_rpq(query), source, target
         )
 
     def witness_path_labels(
@@ -266,15 +225,13 @@ class EvaluationEngine:
     # Batched entry points
     # ------------------------------------------------------------------
     def evaluate_many(
-        self, graph: DataGraph, queries: Sequence[RPQLike], backend: str = "auto"
+        self, graph: DataGraph, queries: Sequence[RPQLike]
     ) -> Tuple[FrozenSet[NodePair], ...]:
         """Evaluate several RPQs over one graph, sharing its label index.
 
         Returns one answer relation per query, in query order.  Duplicate
         queries are evaluated once.
         """
-        index = self._index_for(graph, backend)
-        node = graph.node
         # Keyed on the compiled object itself (identity hash): this both
         # dedupes repeated queries and pins the automaton alive, so LRU
         # eviction mid-batch cannot recycle a key.
@@ -284,16 +241,7 @@ class EvaluationEngine:
             compiled = self.compile_rpq(query)
             answer = memo.get(compiled)
             if answer is None:
-                if self._sql_selected(graph, query, backend):
-                    from ..sqlbackend import backend as sql_backend
-
-                    id_pairs = sql_backend.evaluate_rpq_pairs(graph, query, engine=self)
-                else:
-                    id_pairs = product.full_relation(index, compiled)
-                answer = frozenset(
-                    (node(source), node(target)) for source, target in id_pairs
-                )
-                memo[compiled] = answer
+                answer = memo[compiled] = self.evaluate_rpq(graph, query)
             results.append(answer)
         return tuple(results)
 
@@ -302,7 +250,6 @@ class EvaluationEngine:
         graph: DataGraph,
         query: RPQLike,
         pairs: Iterable[Tuple[NodeId, NodeId]],
-        backend: str = "auto",
     ) -> Dict[Tuple[NodeId, NodeId], bool]:
         """Decide membership of many pairs at once.
 
@@ -320,7 +267,7 @@ class EvaluationEngine:
         if not ordered:
             return {}
         compiled = self.compile_rpq(query)
-        index = self._index_for(graph, backend)
+        index = self._index(graph, _bare_route(graph))
         if len(wanted) > max(4, len(index.nodes) // 4):
             relation = product.full_relation(index, compiled)
             return {pair: pair in relation for pair in ordered}
@@ -340,66 +287,42 @@ class EvaluationEngine:
         query: DataRPQ,
         null_semantics: bool = False,
         engine: str = "auto",
-        backend: str = "auto",
+        route: Optional["Route"] = None,
     ) -> FrozenSet[NodePair]:
         """Evaluate a data RPQ, dispatching between the REE and REM engines.
 
-        The register-automaton path honours the storage *backend* (its
-        mask pass has an int-id CSR twin); the algebraic REE engine is
-        relation algebra over the dict index and ignores it.  Register
-        valuations have no first-order SQL encoding, so ``"sql"``
-        degrades to the dict mask pass here — answers stay identical.
+        The register-automaton path honours the route's kernel family
+        (its mask pass has an int-id CSR twin) and driver (REE queries
+        translate to a register automaton under the partitioned
+        drivers); the algebraic REE engine is relation algebra over the
+        dict index.
         """
         expression = query.expression
         if engine not in {"auto", "algebraic", "automaton"}:
             raise EvaluationError(f"unknown data RPQ engine {engine!r}")
-        index = graph.label_index()
+        if route is None:
+            route = _bare_route(graph)
         node = graph.node
-        if engine == "algebraic" or (
+        if route.driver != "sequential":
+            id_pairs = self.evaluate_atom_ids(
+                graph, query, null_semantics=null_semantics, route=route
+            )
+        elif engine == "algebraic" or (
             engine == "auto" and isinstance(expression, RegexWithEquality)
         ):
             if not isinstance(expression, RegexWithEquality):
                 raise EvaluationError("the algebraic engine only evaluates equality RPQs (REE)")
-            id_pairs = data_kernels.ree_relation(index, expression, null_semantics)
+            id_pairs = data_kernels.ree_relation(graph.label_index(), expression, null_semantics)
         else:
             automaton = self.compile_data_rpq(expression)
-            if compact_kernels.resolve_backend(backend, graph.num_nodes):
+            if route.kernel == "compact":
                 id_pairs = compact_kernels.register_relation(
                     graph.compact_index(), automaton, null_semantics
                 )
             else:
                 id_pairs = data_kernels.register_automaton_relation(
-                    index, automaton, null_semantics
+                    graph.label_index(), automaton, null_semantics
                 )
-        return frozenset((node(source), node(target)) for source, target in id_pairs)
-
-    def evaluate_data_rpq_partitioned(
-        self,
-        graph: DataGraph,
-        query: DataRPQ,
-        mode: str = "blocks",
-        null_semantics: bool = False,
-        workers: Optional[int] = None,
-        shards: Optional[int] = None,
-        partition: Optional["partition_kernels.GraphPartition"] = None,
-        processes: Optional[bool] = None,
-    ) -> FrozenSet[NodePair]:
-        """A data RPQ through the partitioned drivers; identical answers to
-        :meth:`evaluate_data_rpq`.
-
-        Both REE (translated to a register automaton) and REM queries run
-        over the :class:`~repro.engine.spaces.RegisterProductSpace`, so
-        the source-block and sharded drivers apply unchanged — register
-        valuations ride inside the configurations and cross shard
-        boundaries as ordinary frontier messages.
-        """
-        automaton = self.compile_data_rpq(query.expression)
-        space = spaces.RegisterProductSpace(graph.label_index(), automaton, null_semantics)
-        id_pairs = partition_kernels.partitioned_product_relation(
-            space, mode, workers=workers, num_shards=shards, partition=partition,
-            processes=processes,
-        )
-        node = graph.node
         return frozenset((node(source), node(target)) for source, target in id_pairs)
 
     # ------------------------------------------------------------------
@@ -430,34 +353,28 @@ class EvaluationEngine:
         sources: Optional[Iterable[NodeId]] = None,
         targets: Optional[Iterable[NodeId]] = None,
         null_semantics: bool = False,
-        mode: str = "off",
-        workers: Optional[int] = None,
-        shards: Optional[int] = None,
-        partition: Optional["partition_kernels.GraphPartition"] = None,
-        processes: Optional[bool] = None,
-        backend: str = "auto",
+        route: Optional["Route"] = None,
     ) -> FrozenSet[Tuple[NodeId, NodeId]]:
-        """One CRPQ atom's relation as raw id pairs, optionally seeded.
+        """One atom's relation as raw id pairs, optionally seeded.
 
-        This is the semijoin entry point the planner's scans call:
-        *sources* / *targets* restrict the relation to the node sets
-        already bound by earlier joins (``None`` means unrestricted), so
-        a later atom is evaluated only from the bindings that can still
-        contribute to the join.  ``mode`` picks the kernel driver —
-        ``"off"`` runs the sequential phases, ``"blocks"`` /
-        ``"sharded"`` reuse the intra-query drivers of
-        :mod:`repro.engine.partition`, seeded the same way.  Answers are
-        identical in every mode.
+        This is the space-generic entry point (plain regexes over the NFA
+        product, REE/REM expressions over the register product) the
+        planner's scans call: *sources* / *targets* restrict the relation
+        to the node sets already bound by earlier joins (``None`` means
+        unrestricted), so a later atom is evaluated only from the
+        bindings that can still contribute to the join.  *route* names
+        the kernel family and the driver — the sequential phases, or the
+        ``blocks`` / ``sharded`` drivers of :mod:`repro.engine.partition`
+        seeded the same way.  Answers are identical on every route.
         """
+        if route is None:
+            route = _bare_route(graph)
         expression = getattr(query, "expression", query)
-        if (
-            backend == "sql"
-            and mode == "off"
-            and not isinstance(expression, (RegexWithEquality, RegexWithMemory))
+        if route.kernel == "sql" and not isinstance(
+            expression, (RegexWithEquality, RegexWithMemory)
         ):
             # Plain-regex atoms have a seeded CTE twin; register atoms
-            # (and the partitioned modes, whose shard views are built
-            # over the dict index) stay on the Python kernels.
+            # stay on the dict kernels.
             from ..sqlbackend import backend as sql_backend
 
             return sql_backend.evaluate_rpq_pairs(
@@ -475,12 +392,8 @@ class EvaluationEngine:
             )
         if targets is not None and not isinstance(targets, set):
             targets = set(targets)
-        if mode == "off":
-            compact = (
-                graph.compact_index()
-                if compact_kernels.resolve_backend(backend, graph.num_nodes)
-                else None
-            )
+        if route.driver == "sequential":
+            compact = graph.compact_index() if route.kernel == "compact" else None
             return frozenset(
                 product.seeded_product_relation(
                     space, sources=sources, targets=targets, compact=compact
@@ -489,11 +402,9 @@ class EvaluationEngine:
         return frozenset(
             partition_kernels.partitioned_product_relation(
                 space,
-                mode,
-                workers=workers,
-                num_shards=shards,
-                partition=partition,
-                processes=processes,
+                route.driver,
+                workers=route.workers,
+                num_shards=route.workers,
                 sources=sources,
                 targets=targets,
             )

@@ -12,17 +12,17 @@ expressions — runs through the shared product kernels of
 :mod:`repro.engine.product` over a
 :class:`~repro.engine.spaces.ClosureSpace` (one mask-propagation pass
 for the whole closure instead of one BFS per start node), so it can also
-take the partitioned drivers: the ``closure_mode`` / ``num_workers`` /
-``num_shards`` keywords of the evaluation entry points fan axis-star
-closures out over source blocks or edge-cut shards exactly like plain
-RPQs.  The SQL-null mode (used when GXPath queries are posed over
-exchanged graphs with null nodes) makes the ``α=`` / ``α≠`` comparisons
-false when either endpoint carries the null value.
+take the partitioned drivers: the resolved
+:class:`~repro.planner.router.Route` the evaluation entry points receive
+names the kernel family and the driver every axis-star closure of the
+expression runs on.  The SQL-null mode (used when GXPath queries are
+posed over exchanged graphs with null nodes) makes the ``α=`` / ``α≠``
+comparisons false when either endpoint carries the null value.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Set, Tuple
 
 from ..datagraph.graph import DataGraph
 from ..datagraph.node import Node, NodeId
@@ -48,6 +48,9 @@ from .ast import (
     PathUnion,
 )
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..planner.router import Route
+
 __all__ = ["evaluate_path", "evaluate_node", "node_holds", "path_holds"]
 
 IdPair = Tuple[NodeId, NodeId]
@@ -63,52 +66,20 @@ class _Evaluator:
     """
 
     def __init__(
-        self,
-        graph: DataGraph,
-        null_semantics: bool,
-        closure_mode: str = "off",
-        num_workers: Optional[int] = None,
-        num_shards: Optional[int] = None,
-        partition: Optional[partition_kernels.GraphPartition] = None,
-        processes: Optional[bool] = None,
-        backend: str = "auto",
+        self, graph: DataGraph, null_semantics: bool, route: Optional["Route"] = None
     ):
+        if route is None:
+            # A bare call: the router's O(1) part — kernel family by
+            # graph size, sequential driver.
+            from ..planner.router import route_point
+
+            route = route_point(graph)
         self.graph = graph
         self.index = graph.label_index()
         self.null_semantics = null_semantics
-        self.closure_mode = closure_mode
-        self.num_workers = num_workers
-        self.num_shards = num_shards
-        self.partition = partition
-        self.processes = processes
-        self.backend = backend
-        self._compact_resolved = False
-        self._compact_index = None
+        self.route = route
         self._path_cache: Dict[int, FrozenSet[IdPair]] = {}
         self._node_cache: Dict[int, FrozenSet[NodeId]] = {}
-
-    def _compact(self):
-        """The graph's CSR index when the storage backend resolves
-        compact (resolved once per pass), else ``None``."""
-        if not self._compact_resolved:
-            from ..engine.compact import resolve_backend
-
-            if resolve_backend(self.backend, self.graph.num_nodes):
-                self._compact_index = self.graph.compact_index()
-            self._compact_resolved = True
-        return self._compact_index
-
-    def _sql_selected(self, label: str) -> bool:
-        """Whether an axis-star closure should run through the SQL
-        backend: forced by ``backend="sql"``, cost-based under
-        ``"auto"``."""
-        if self.backend == "sql":
-            return True
-        if self.backend != "auto":
-            return False
-        from ..sqlbackend.cost import closure_pays
-
-        return closure_pays(label, self.index)
 
     # ------------------------------------------------------------------
     def path(self, expression: PathExpression) -> FrozenSet[IdPair]:
@@ -155,35 +126,30 @@ class _Evaluator:
         raise EvaluationError(f"unknown GXPath path expression {expression!r}")  # pragma: no cover
 
     def _axis_star(self, label: str, inverse: bool) -> FrozenSet[IdPair]:
-        """The reflexive-transitive closure of one axis, via the kernels.
+        """The reflexive-transitive closure of one axis, on the route's kernels.
 
-        Always computed in the forward direction over a
-        :class:`ClosureSpace` (the inverse axis closure is its transpose),
-        optionally through the partitioned drivers when the evaluator was
-        given a ``closure_mode``.  ``backend="sql"`` (or ``"auto"`` when
-        the cost model finds the label's closure heavy enough) runs the
-        degenerate one-state recursive CTE instead — which traverses the
-        transposed edge table directly for inverse axes, so its result
-        needs no flip.
+        Computed in the forward direction over a :class:`ClosureSpace`
+        (the inverse axis closure is its transpose) by the sequential
+        dict or compact kernels or a partitioned driver.  A ``sql`` route
+        runs the degenerate one-state recursive CTE instead — which
+        traverses the transposed edge table directly for inverse axes,
+        so its result needs no flip.
         """
-        if self.closure_mode == "off" and self._sql_selected(label):
+        route = self.route
+        if route.kernel == "sql":
             from ..sqlbackend import backend as sql_backend
 
             return sql_backend.closure_pairs(self.graph, label, inverse)
         space = ClosureSpace(self.index, label)
-        if self.closure_mode == "off":
+        if route.driver == "sequential":
             # seeded_product_relation with no restriction is
-            # product_relation; the compact twin (when resolved) runs the
-            # int-id closure kernel instead of the dict mask pass.
-            pairs = product_kernels.seeded_product_relation(space, compact=self._compact())
+            # product_relation; the compact twin runs the int-id closure
+            # kernel instead of the dict mask pass.
+            compact = self.graph.compact_index() if route.kernel == "compact" else None
+            pairs = product_kernels.seeded_product_relation(space, compact=compact)
         else:
             pairs = partition_kernels.partitioned_product_relation(
-                space,
-                self.closure_mode,
-                workers=self.num_workers,
-                num_shards=self.num_shards,
-                partition=self.partition,
-                processes=self.processes,
+                space, route.driver, workers=route.workers, num_shards=route.workers
             )
         if inverse:
             return frozenset((target, source) for source, target in pairs)
@@ -227,25 +193,15 @@ def evaluate_path(
     expression: PathExpression,
     null_semantics: bool = False,
     *,
-    closure_mode: str = "off",
-    num_workers: Optional[int] = None,
-    num_shards: Optional[int] = None,
-    partition: Optional[partition_kernels.GraphPartition] = None,
-    processes: Optional[bool] = None,
-    backend: str = "auto",
+    route: Optional["Route"] = None,
 ) -> FrozenSet[Tuple[Node, Node]]:
     """The binary relation ``[[α]]_G`` as pairs of nodes.
 
-    ``closure_mode`` (``"off"`` / ``"blocks"`` / ``"sharded"``) routes the
-    axis-star closures through the partitioned drivers; ``backend``
-    (``"auto"`` / ``"compact"`` / ``"dict"``) picks the storage
-    representation sequential closures walk.  Answers are identical in
-    every mode.
+    *route* is the resolved :class:`~repro.planner.router.Route` the
+    axis-star closures run on (sessions pass theirs; a bare call takes
+    the router's graph-size rule).  Answers are identical on every route.
     """
-    evaluator = _Evaluator(
-        graph, null_semantics, closure_mode, num_workers, num_shards, partition, processes,
-        backend,
-    )
+    evaluator = _Evaluator(graph, null_semantics, route)
     return frozenset(
         (graph.node(source), graph.node(target)) for source, target in evaluator.path(expression)
     )
@@ -256,18 +212,10 @@ def evaluate_node(
     expression: NodeExpression,
     null_semantics: bool = False,
     *,
-    closure_mode: str = "off",
-    num_workers: Optional[int] = None,
-    num_shards: Optional[int] = None,
-    partition: Optional[partition_kernels.GraphPartition] = None,
-    processes: Optional[bool] = None,
-    backend: str = "auto",
+    route: Optional["Route"] = None,
 ) -> FrozenSet[Node]:
-    """The node set ``[[φ]]_G`` (knobs as in :func:`evaluate_path`)."""
-    evaluator = _Evaluator(
-        graph, null_semantics, closure_mode, num_workers, num_shards, partition, processes,
-        backend,
-    )
+    """The node set ``[[φ]]_G`` (*route* as in :func:`evaluate_path`)."""
+    evaluator = _Evaluator(graph, null_semantics, route)
     return frozenset(graph.node(node_id) for node_id in evaluator.node(expression))
 
 

@@ -3,12 +3,11 @@
 Relations flow between operators as ``(columns, rows)`` pairs in raw
 node-id space — :class:`~repro.datagraph.node.Node` objects are only
 materialised once, by the final projection.  Scans call
-:meth:`repro.engine.engine.EvaluationEngine.evaluate_atom_ids`, which is
-where the *mode* knob (``"off"`` / ``"blocks"`` / ``"sharded"``) routes
-each atom through the sequential kernels or the intra-query drivers of
-:mod:`repro.engine.partition` — a CRPQ plan inherits intra-query
-parallelism per atom, under the same policy thresholds as every other
-dialect.
+:meth:`repro.engine.engine.EvaluationEngine.evaluate_atom_ids` with the
+plan's one resolved :class:`~repro.planner.router.Route`, so every atom
+runs on the kernel family and driver the router chose for the whole
+query — the sequential kernels or the intra-query drivers of
+:mod:`repro.engine.partition`.
 
 Hash joins build their table on the smaller input and probe with the
 larger one; seeded scans receive the distinct surviving values of their
@@ -46,6 +45,7 @@ Two further v2 hooks ride on the executor:
 from __future__ import annotations
 
 from typing import (
+    TYPE_CHECKING,
     AbstractSet,
     Callable,
     Dict,
@@ -60,13 +60,15 @@ from typing import (
 from ..datagraph.graph import DataGraph
 from ..datagraph.node import Node, NodeId
 from ..engine.engine import EvaluationEngine, default_engine
-from ..engine.partition import GraphPartition
 from ..exceptions import EvaluationError
 from ..query.crpq import Atom
 from ..query.data_rpq import DataRPQ
 from .cost import atom_estimate
 from .logical import AtomScan, Filter, HashJoin, PlanOp, Project, SeededScan
 from .planner import CrpqPlan, _scan, reorder_remaining
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .router import Route
 
 __all__ = [
     "execute_plan",
@@ -140,9 +142,8 @@ class _Context:
     """Everything one plan execution needs, bundled for the recursion."""
 
     __slots__ = (
-        "graph", "engine", "null_semantics", "mode", "workers", "shards",
-        "partition", "processes", "backend", "relation_cache", "join_runner",
-        "trace",
+        "graph", "engine", "null_semantics", "route", "relation_cache",
+        "join_runner", "trace",
     )
 
     def __init__(
@@ -150,12 +151,7 @@ class _Context:
         graph: DataGraph,
         engine: EvaluationEngine,
         null_semantics: bool,
-        mode: str,
-        workers: Optional[int],
-        shards: Optional[int],
-        partition: Optional[GraphPartition],
-        processes: Optional[bool],
-        backend: str = "auto",
+        route: "Route",
         relation_cache: Optional[RelationCache] = None,
         join_runner: Optional[JoinRunner] = None,
         trace: Optional[PlanTrace] = None,
@@ -163,12 +159,7 @@ class _Context:
         self.graph = graph
         self.engine = engine
         self.null_semantics = null_semantics
-        self.mode = mode
-        self.workers = workers
-        self.shards = shards
-        self.partition = partition
-        self.processes = processes
-        self.backend = backend
+        self.route = route
         self.relation_cache = relation_cache
         self.join_runner = join_runner
         self.trace = trace
@@ -199,12 +190,7 @@ class _Context:
             sources=sources,
             targets=targets,
             null_semantics=null_semantics,
-            mode=self.mode,
-            workers=self.workers,
-            shards=self.shards,
-            partition=self.partition,
-            processes=self.processes,
-            backend=self.backend,
+            route=self.route,
         )
         return node.columns, pairs
 
@@ -441,12 +427,7 @@ def execute_plan(
     graph: DataGraph,
     engine: Optional[EvaluationEngine] = None,
     null_semantics: bool = False,
-    mode: str = "off",
-    workers: Optional[int] = None,
-    shards: Optional[int] = None,
-    partition: Optional[GraphPartition] = None,
-    processes: Optional[bool] = None,
-    backend: str = "auto",
+    route: Optional["Route"] = None,
     *,
     adaptive: Optional[bool] = None,
     relation_cache: Optional[RelationCache] = None,
@@ -456,19 +437,16 @@ def execute_plan(
     """Evaluate a planned CRPQ on *graph*, returning head-variable tuples.
 
     The answer shape matches the historical evaluators: a frozenset of
-    node tuples, ``{()}`` / ``frozenset()`` for Boolean queries.  *mode*
-    and the driver knobs are forwarded to every atom scan; ``"off"``
-    (the default) runs the sequential seeded kernels.  *backend* picks
-    the storage representation those sequential scans walk (``"auto"`` /
-    ``"compact"`` / ``"dict"`` / ``"sql"``); the partitioned modes stay
-    on the dict index their shard views are built over.
+    node tuples, ``{()}`` / ``frozenset()`` for Boolean queries.  *route*
+    is the query's resolved :class:`~repro.planner.router.Route`
+    (sessions pass theirs; a bare call asks
+    :func:`~repro.planner.router.route_query`): every atom scan runs on
+    its kernel family and driver.
 
-    ``backend="sql"`` lowers the **whole plan** — scans, semijoin
+    A ``sql`` route lowers the **whole plan** — scans, semijoin
     pushdown, joins, filters and the projection — into one SQL statement
     over the graph's ``D_G`` database (:mod:`repro.sqlbackend`), instead
-    of calling the engine per atom.  ``"auto"`` does the same when the
-    plan is closure-heavy by the cost model's label statistics
-    (:func:`repro.sqlbackend.cost.plan_pays`).
+    of calling the engine per atom.
 
     Keyword-only v2 hooks: *adaptive* (default on for multi-atom plans)
     observes intermediate cardinalities and re-plans on misestimates;
@@ -479,23 +457,18 @@ def execute_plan(
     """
     if engine is None:
         engine = default_engine()
-    if mode == "off":
-        use_sql = backend == "sql"
-        if backend == "auto":
-            from ..sqlbackend.cost import plan_pays
+    if route is None:
+        from .router import route_query
 
-            use_sql = plan_pays(plan.root, graph.label_index())
-        if use_sql:
-            from ..sqlbackend import backend as sql_backend
+        route = route_query(plan.query, graph, planned=plan)
+    if route.kernel == "sql":
+        from ..sqlbackend import backend as sql_backend
 
-            rows = sql_backend.evaluate_plan_rows(
-                plan.root, graph, engine, null_semantics
-            )
-            node_of = graph.node
-            return frozenset(tuple(node_of(value) for value in row) for row in rows)
+        rows = sql_backend.evaluate_plan_rows(plan.root, graph, engine, null_semantics)
+        node_of = graph.node
+        return frozenset(tuple(node_of(value) for value in row) for row in rows)
     context = _Context(
-        graph, engine, null_semantics, mode, workers, shards, partition, processes,
-        backend, relation_cache, join_runner, trace,
+        graph, engine, null_semantics, route, relation_cache, join_runner, trace
     )
     if adaptive is None:
         adaptive = len(plan.query.atoms) >= 2

@@ -1,36 +1,44 @@
-"""Cost-based routing of queries to an execution strategy (planner v2).
+"""The one decision point for how a query executes.
 
-Historically every dialect except CRPQs picked its execution strategy —
-sequential kernels, intra-query ``blocks`` / ``sharded`` drivers,
-compact CSR kernels, the SQL backend — from user-set
-:class:`~repro.api.executors.ExecutionPolicy` knobs.  :func:`route_query`
-makes that a *cost* decision for all five dialects (RPQ, data RPQ,
-CRPQ, GXPath node and path expressions): the label statistics and the
-:class:`~repro.planner.stats.GraphStatistics` catalogue estimate how
-much work a query's relation takes to materialise, and the route picks
+Every strategy in this library is bit-identical to the naive evaluators,
+so *how* a query runs is a pure cost decision — and it is made here,
+once per evaluation.  :func:`route_query` returns a fully resolved
+:class:`Route`: the kernel family (``dict`` / ``compact`` / ``sql``,
+never ``"auto"``), the driver (``sequential`` / ``blocks`` /
+``sharded``), whether the plan is offered to an attached worker pool
+first, and the worker budget.  Sessions, the engine facade, CRPQ atom
+scans and GXPath closures all *consume* that object; none of them asks
+the cost model again, so ``explain`` reports exactly what runs.
 
+The decision table, in order (DESIGN.md, "How a query is routed"):
+
+* a forced ``ExecutionPolicy.intra_query`` driver, then a forced
+  ``backend`` (or ``routing="manual"``, which switches the cost model
+  off and keeps only the graph-size kernel rule);
 * the **SQL** backend when the query is closure heavy by the
-  :mod:`repro.sqlbackend.cost` model (the existing ``"auto"`` seams);
-* an **intra-query driver** (``blocks``, upgraded to ``sharded`` when a
-  persistent worker pool is attached) when the graph is large, ``fork``
-  is available and the estimated relation is a multiple of the node
-  count — the regime where partitioned evaluation amortises its setup;
-* the **compact** CSR kernels when the graph clears their size
-  threshold (:func:`repro.engine.compact.resolve_backend`);
-* the plain **sequential** dict kernels otherwise.
+  :mod:`repro.sqlbackend.cost` model;
+* the **blocks** driver when the graph is large, ``fork`` is available,
+  the budget has at least two workers and the estimated relation is a
+  multiple of the node count;
+* the **compact** CSR kernels when the graph clears their size floor
+  (:func:`repro.engine.compact.resolve_backend`), else the **dict**
+  kernels.
 
-The old knobs are demoted to overrides: a policy with
-``intra_query != "off"`` or an explicit ``backend`` forces its choice
-(reason ``"policy override"``), and ``routing="manual"`` restores the
-pure knob behaviour.  Routing never changes answers — every strategy is
-bit-identical by the equivalence suites — so the route is a pure
-performance decision, surfaced to users via ``--explain``.
+A session with a persistent worker pool attached offers the kinds the
+pool serves (:data:`POOL_KINDS`) to it first; everything else — and
+every plan the pool declines — runs the local route above.
+
+:func:`route_point` resolves only the O(1) part (kernel by graph size,
+pool offer) for point queries and bare engine calls, which must not pay
+for statistics or estimates.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Set
 
 from ..engine.compact import COMPACT_AUTO_MIN_NODES, resolve_backend
 from ..engine.forkpool import fork_available
@@ -44,6 +52,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "Route",
     "route_query",
+    "route_point",
+    "pool_serves",
+    "POOL_KINDS",
     "ROUTE_PARALLEL_MIN_NODES",
     "ROUTE_PARALLEL_WORK_FACTOR",
 ]
@@ -59,71 +70,109 @@ ROUTE_PARALLEL_MIN_NODES = 2048
 #: where frontier work dwarfs the per-query pool setup.
 ROUTE_PARALLEL_WORK_FACTOR = 8.0
 
+#: The query kinds (``QueryKind.value``) a persistent shard-worker pool
+#: serves: full RPQ / data-RPQ relations and their point forms.
+POOL_KINDS = frozenset({"rpq", "data_rpq"})
+
+#: ``Route.strategy`` of a sequential route, by kernel family.
+_SEQUENTIAL_STRATEGY = {"dict": "sequential", "compact": "compact", "sql": "sql"}
+
 
 @dataclass(frozen=True)
 class Route:
-    """One routing decision: how a query should execute, and why.
+    """One resolved physical decision: how a query executes, and why.
 
-    ``strategy`` is the headline choice (``sequential`` / ``blocks`` /
-    ``sharded`` / ``compact`` / ``sql``) shown by ``--explain``;
-    ``mode`` is the intra-query driver mode the session forwards to the
-    engine (``"off"`` for the non-partitioned strategies); ``backend``
-    is the storage-backend knob forwarded to the kernels (``"auto"``
-    unless the policy forces one — the compact and SQL seams resolve it
-    per call with the same cost model this route reports).
+    ``kernel`` is the kernel family that walks the graph (``"dict"``,
+    ``"compact"`` or ``"sql"``); ``driver`` is ``"sequential"`` or one of
+    the partitioned drivers of :mod:`repro.engine.partition`
+    (``"blocks"`` / ``"sharded"``, always over the dict index their
+    shard views are built on); ``offer_pool`` says the plan goes to the
+    session's worker pool first, with this route as the fallback when
+    the pool declines; ``workers`` is the driver's worker (and shard)
+    budget, 1 for sequential routes.
     """
 
-    strategy: str
-    mode: str
-    backend: str
+    kernel: str
+    driver: str
+    offer_pool: bool
+    workers: int
     reason: str
     estimate: float
 
+    @property
+    def strategy(self) -> str:
+        """The headline shown by ``--explain``: ``sequential`` /
+        ``compact`` / ``sql`` / ``blocks`` / ``sharded``."""
+        if self.driver != "sequential":
+            return self.driver
+        return _SEQUENTIAL_STRATEGY[self.kernel]
+
     def describe(self) -> str:
         """The one-line route header of ``--explain``."""
+        offered = "; offered to the worker pool first" if self.offer_pool else ""
         return (
-            f"route: {self.strategy} (est ≈{self.estimate:.0f} pairs) — {self.reason}"
+            f"route: {self.strategy} (est ≈{self.estimate:.0f} pairs) — "
+            f"{self.reason}{offered}"
         )
 
 
-def _parallel(
-    num_nodes: int, estimate: float, pooled: bool
-) -> Optional[Route]:
-    """The parallel route when the size/estimate gates clear, else None."""
-    if num_nodes < ROUTE_PARALLEL_MIN_NODES or not fork_available():
-        return None
-    if estimate < ROUTE_PARALLEL_WORK_FACTOR * num_nodes:
-        return None
-    strategy = "sharded" if pooled else "blocks"
+def pool_serves(query: "Query") -> bool:
+    """Whether a persistent worker pool serves *query*'s kind."""
+    return query.kind.value in POOL_KINDS
+
+
+def _budget(policy: Optional["ExecutionPolicy"]) -> int:
+    """The one worker budget: ``max_workers``, else the CPU count capped at 8."""
+    if policy is not None and policy.max_workers:
+        return policy.max_workers
+    return min(os.cpu_count() or 1, 8)
+
+
+def _kernel(backend: str, num_nodes: int) -> str:
+    """The kernel family a storage *backend* value names on this graph
+    (``"auto"`` resolves by graph size)."""
+    if backend == "sql":
+        return "sql"
+    return "compact" if resolve_backend(backend, num_nodes) else "dict"
+
+
+def route_point(
+    graph: "DataGraph",
+    policy: Optional["ExecutionPolicy"] = None,
+    offer_pool: bool = False,
+) -> Route:
+    """The O(1) part of a route: kernel by forced backend or graph size.
+
+    Point queries (``targets`` / ``holds``) and bare engine calls resolve
+    through here — a single-source frontier is exactly the shape the
+    dict/compact kernels win, so no statistics, estimate or driver is
+    consulted (an explicit ``backend="sql"`` still runs seeded CTEs).
+    """
+    backend = policy.backend if policy is not None else "auto"
     return Route(
-        strategy=strategy,
-        mode=strategy,
-        backend="auto",
-        reason=(
-            f"estimated relation ≥ {ROUTE_PARALLEL_WORK_FACTOR:.0f}×|V| on a "
-            f"{num_nodes}-node graph; partitioned drivers amortise the closure"
-            + (" across the persistent worker pool" if pooled else "")
-        ),
-        estimate=estimate,
+        kernel=_kernel(backend, graph.num_nodes),
+        driver="sequential",
+        offer_pool=offer_pool,
+        workers=1,
+        reason="point query: kernel by graph size"
+        if backend == "auto"
+        else "policy override",
+        estimate=0.0,
     )
 
 
-def _local(num_nodes: int, estimate: float, reason: str) -> Route:
-    if resolve_backend("auto", num_nodes):
-        return Route(
-            strategy="compact",
-            mode="off",
-            backend="auto",
-            reason=f"{reason}; ≥{COMPACT_AUTO_MIN_NODES} nodes favours the CSR kernels",
-            estimate=estimate,
-        )
-    return Route(
-        strategy="sequential",
-        mode="off",
-        backend="auto",
-        reason=f"{reason}; small graph favours the dict kernels' constants",
-        estimate=estimate,
-    )
+def _star_labels(expression) -> Set[str]:
+    """The labels of every axis star (``a*``) inside a GXPath expression."""
+    from ..gxpath.ast import AxisStar, NodeExpression, PathExpression
+
+    if isinstance(expression, AxisStar):
+        return {expression.label}
+    labels: Set[str] = set()
+    for field in dataclasses.fields(expression):
+        child = getattr(expression, field.name)
+        if isinstance(child, (PathExpression, NodeExpression)):
+            labels |= _star_labels(child)
+    return labels
 
 
 def route_query(
@@ -134,17 +183,17 @@ def route_query(
     pooled: bool = False,
     planned=None,
 ) -> Route:
-    """Choose the execution strategy for *query* on *graph*.
+    """Resolve how *query* executes on *graph*, once.
 
-    *policy* knobs act as overrides (see module docstring); *stats*
-    sharpens the underlying estimates; *pooled* marks a session with a
-    persistent shard-worker pool attached, upgrading the parallel route
-    from per-query ``blocks`` forks to the resident ``sharded`` workers.
-    Sessions pass their cached :class:`~repro.planner.planner.CrpqPlan`
-    via *planned* so routing a CRPQ never re-plans it.
+    *policy* contributes the forced overrides and the worker budget;
+    *stats* sharpens the estimates; *pooled* marks a session with a
+    persistent shard-worker pool attached (the kinds it serves are
+    offered to it first).  Sessions pass their cached
+    :class:`~repro.planner.planner.CrpqPlan` via *planned* so routing a
+    CRPQ never re-plans it.
     """
     from ..api.query import Query, QueryKind
-    from ..sqlbackend.cost import plan_pays, rpq_pays
+    from ..sqlbackend.cost import closure_pays, plan_pays, rpq_pays
     from .cost import CLOSURE_GROWTH, atom_estimate, regex_estimate
     from .planner import plan_crpq
 
@@ -156,14 +205,18 @@ def route_query(
     # ------------------------------------------------------------------
     # Estimate the query's answer relation.
     if kind is QueryKind.RPQ:
-        estimate = regex_estimate(query.plan, index, stats)
+        estimate = regex_estimate(query.plan.expression, index, stats)
     elif kind is QueryKind.CRPQ:
         if planned is None:
             planned = plan_crpq(query.plan, index, stats)
         estimate = max(planned.estimates) if planned.estimates else 0.0
+    elif kind is QueryKind.DATA_RPQ:
+        from ..query.crpq import Atom
+
+        estimate = atom_estimate(Atom("x", query.plan, "y"), index, stats)
     else:
-        # Data RPQs and GXPath expressions: label mass scaled by closure
-        # growth — the same coarse ranking the atom estimator uses.
+        # GXPath expressions: label mass scaled by closure growth — the
+        # same coarse ranking the atom estimator uses.
         labels = query.labels()
         mass = float(sum(index.edge_count(label) for label in labels))
         growth = (
@@ -172,61 +225,78 @@ def route_query(
             else CLOSURE_GROWTH
         )
         estimate = min(float(num_nodes) ** 2, mass * growth)
-        if kind is QueryKind.DATA_RPQ:
-            from ..query.crpq import Atom
 
-            estimate = atom_estimate(Atom("x", query.plan, "y"), index, stats)
+    workers = _budget(policy)
+    offer_pool = pooled and pool_serves(query)
+
+    def resolved(kernel: str, driver: str, reason: str) -> Route:
+        if driver != "sequential":
+            # Shard views and source blocks are cut from the dict index.
+            return Route("dict", driver, offer_pool, workers, reason, estimate)
+        if kernel == "sql" and kind is QueryKind.DATA_RPQ:
+            kernel = "dict"
+            reason += "; register valuations have no SQL encoding, dict mask pass"
+        return Route(kernel, "sequential", offer_pool, 1, reason, estimate)
 
     # ------------------------------------------------------------------
-    # Policy overrides demote routing to the configured knobs.
+    # Forced overrides: a driver, then a kernel; manual switches the cost
+    # model off and keeps only the graph-size kernel rule.
     if policy is not None:
         manual = policy.routing == "manual"
-        forced_mode = policy.intra_query != "off"
-        if manual or forced_mode:
-            mode = policy.intra_query
-            if mode != "off" and num_nodes < policy.intra_query_threshold:
-                mode = "off"
-            strategy = mode if mode != "off" else (
-                policy.backend if policy.backend != "auto" else "sequential"
-            )
-            return Route(
-                strategy=strategy,
-                mode=mode,
-                backend=policy.backend,
-                reason="manual routing policy" if manual else "policy override",
-                estimate=estimate,
-            )
-        if policy.backend != "auto":
-            return Route(
-                strategy=policy.backend,
-                mode="off",
-                backend=policy.backend,
-                reason="policy override",
-                estimate=estimate,
-            )
+        override = "manual routing policy" if manual else "policy override"
+        if policy.intra_query != "off":
+            return resolved("dict", policy.intra_query, override)
+        if manual or policy.backend != "auto":
+            return resolved(_kernel(policy.backend, num_nodes), "sequential", override)
 
     # ------------------------------------------------------------------
     # Cost decisions per dialect.
-    if kind is QueryKind.RPQ and rpq_pays(query.plan, index, stats):
-        return Route(
-            strategy="sql",
-            mode="off",
-            backend="auto",
-            reason="closure heavy by the SQL cost model; the recursive CTE "
+    if kind is QueryKind.RPQ and rpq_pays(query.plan.expression, index, stats):
+        return resolved(
+            "sql",
+            "sequential",
+            "closure heavy by the SQL cost model; the recursive CTE "
             "streams the frontier through the embedded engine",
-            estimate=estimate,
         )
-    if kind is QueryKind.CRPQ:
-        if plan_pays(planned.root, index, stats):
-            return Route(
-                strategy="sql",
-                mode="off",
-                backend="auto",
-                reason="every atom lowers to SQL and at least one is closure "
-                "heavy; the whole plan runs as one statement over D_G",
-                estimate=estimate,
-            )
-    parallel = _parallel(num_nodes, estimate, pooled)
-    if parallel is not None:
-        return parallel
-    return _local(num_nodes, estimate, f"{kind.value} within sequential reach")
+    if kind is QueryKind.CRPQ and plan_pays(planned.root, index, stats):
+        return resolved(
+            "sql",
+            "sequential",
+            "every atom lowers to SQL and at least one is closure "
+            "heavy; the whole plan runs as one statement over D_G",
+        )
+    if kind in (QueryKind.GXPATH_NODE, QueryKind.GXPATH_PATH) and any(
+        closure_pays(label, index) for label in _star_labels(query.plan)
+    ):
+        return resolved(
+            "sql",
+            "sequential",
+            "an axis-star closure is at least as large as the node set; "
+            "closures run as recursive CTEs",
+        )
+    if (
+        num_nodes >= ROUTE_PARALLEL_MIN_NODES
+        and workers >= 2
+        and fork_available()
+        and estimate >= ROUTE_PARALLEL_WORK_FACTOR * num_nodes
+    ):
+        return resolved(
+            "dict",
+            "blocks",
+            f"estimated relation ≥ {ROUTE_PARALLEL_WORK_FACTOR:.0f}×|V| on a "
+            f"{num_nodes}-node graph; {workers} source-block workers amortise "
+            "the closure",
+        )
+    if resolve_backend("auto", num_nodes):
+        return resolved(
+            "compact",
+            "sequential",
+            f"{kind.value} within sequential reach; "
+            f"≥{COMPACT_AUTO_MIN_NODES} nodes favours the CSR kernels",
+        )
+    return resolved(
+        "dict",
+        "sequential",
+        f"{kind.value} within sequential reach; "
+        "small graph favours the dict kernels' constants",
+    )

@@ -10,7 +10,6 @@ homomorphism-preservation checks used by Propositions 2 and 6.
 from .crpq import (
     Atom,
     ConjunctiveRPQ,
-    evaluate_crpq,
     evaluate_crpq_naive,
     evaluate_crpq_with_engine,
     parse_crpq,
@@ -18,7 +17,6 @@ from .crpq import (
 from .data_rpq import DataRPQ, data_path_query, data_rpq, equality_rpq, memory_rpq
 from .data_rpq_eval import (
     data_rpq_holds,
-    evaluate_data_rpq,
     evaluate_data_rpq_naive,
     evaluate_ree_algebraic,
     evaluate_via_register_automaton,
@@ -26,7 +24,6 @@ from .data_rpq_eval import (
 from .homomorphism_closure import is_preserved_on, violates_homomorphism_preservation
 from .rpq import RPQ, atomic_rpq, reachability_rpq, rpq, word_rpq
 from .rpq_eval import (
-    evaluate_rpq,
     evaluate_rpq_from,
     evaluate_rpq_naive,
     evaluate_word,
@@ -40,7 +37,6 @@ __all__ = [
     "atomic_rpq",
     "word_rpq",
     "reachability_rpq",
-    "evaluate_rpq",
     "evaluate_rpq_from",
     "evaluate_rpq_naive",
     "rpq_holds",
@@ -51,7 +47,6 @@ __all__ = [
     "equality_rpq",
     "memory_rpq",
     "data_path_query",
-    "evaluate_data_rpq",
     "evaluate_data_rpq_naive",
     "evaluate_ree_algebraic",
     "evaluate_via_register_automaton",
@@ -59,7 +54,6 @@ __all__ = [
     "Atom",
     "ConjunctiveRPQ",
     "parse_crpq",
-    "evaluate_crpq",
     "evaluate_crpq_naive",
     "evaluate_crpq_with_engine",
     "is_preserved_on",

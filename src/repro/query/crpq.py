@@ -20,7 +20,6 @@ executable specification the planner is equivalence-tested against.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple, Union
 
@@ -32,12 +31,12 @@ from .rpq import RPQ
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.engine import EvaluationEngine
+    from ..planner.router import Route
 
 __all__ = [
     "Atom",
     "ConjunctiveRPQ",
     "parse_crpq",
-    "evaluate_crpq",
     "evaluate_crpq_naive",
     "evaluate_crpq_with_engine",
 ]
@@ -207,26 +206,6 @@ def parse_crpq(text: str) -> ConjunctiveRPQ:
     return ConjunctiveRPQ(head, tuple(atoms))
 
 
-def evaluate_crpq(
-    graph: DataGraph, query: ConjunctiveRPQ, null_semantics: bool = False
-) -> FrozenSet[Tuple[Node, ...]]:
-    """Evaluate a conjunctive (data) RPQ by joining its atom relations.
-
-    .. deprecated:: 1.1.0
-        Use ``GraphSession(graph).run(Query.crpq(query))`` from
-        :mod:`repro.api`; this shim delegates to the graph's default
-        session (and therefore shares its versioned result cache).
-    """
-    warnings.warn(
-        "evaluate_crpq() is deprecated; use repro.api.GraphSession.run(Query.crpq(...)).rows()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..api import Query, session_for
-
-    return session_for(graph).run(Query.crpq(query), null_semantics=null_semantics).rows()
-
-
 def evaluate_crpq_naive(
     graph: DataGraph,
     query: ConjunctiveRPQ,
@@ -307,7 +286,7 @@ def evaluate_crpq_with_engine(
     query: ConjunctiveRPQ,
     null_semantics: bool = False,
     engine: Optional["EvaluationEngine"] = None,
-    backend: str = "auto",
+    route: Optional["Route"] = None,
 ) -> FrozenSet[Tuple[Node, ...]]:
     """Evaluate a conjunctive (data) RPQ through the query planner.
 
@@ -324,6 +303,4 @@ def evaluate_crpq_with_engine(
     from ..planner import execute_plan, plan_crpq
 
     plan = plan_crpq(query, graph.label_index())
-    return execute_plan(
-        plan, graph, engine=engine, null_semantics=null_semantics, backend=backend
-    )
+    return execute_plan(plan, graph, engine=engine, null_semantics=null_semantics, route=route)

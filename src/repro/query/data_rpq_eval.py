@@ -32,7 +32,6 @@ benchmarking.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from typing import FrozenSet, Set, Tuple
 
@@ -50,7 +49,6 @@ from ..engine import default_engine
 from .data_rpq import DataRPQ
 
 __all__ = [
-    "evaluate_data_rpq",
     "evaluate_ree_algebraic",
     "evaluate_via_register_automaton",
     "data_rpq_holds",
@@ -58,50 +56,6 @@ __all__ = [
 ]
 
 NodePair = Tuple[Node, Node]
-
-
-def evaluate_data_rpq(
-    graph: DataGraph,
-    query: DataRPQ,
-    null_semantics: bool = False,
-    engine: str = "auto",
-) -> FrozenSet[NodePair]:
-    """Evaluate a data RPQ on a data graph.
-
-    Parameters
-    ----------
-    graph:
-        The data graph.
-    query:
-        The data RPQ (REM- or REE-based).
-    null_semantics:
-        Apply the SQL-null comparison rules of Section 7.
-    engine:
-        ``"auto"`` (default) picks the algebraic engine for equality RPQs
-        and the register-automaton engine for memory RPQs; ``"algebraic"``
-        and ``"automaton"`` force a specific engine (the algebraic engine
-        only supports REE expressions).
-
-    .. deprecated:: 1.1.0
-        Use ``GraphSession(graph).run(Query.data_rpq(query)).pairs()``
-        from :mod:`repro.api`; this shim delegates to the graph's default
-        session.  Forcing a specific sub-engine stays available on
-        :meth:`repro.engine.EvaluationEngine.evaluate_data_rpq`.
-    """
-    warnings.warn(
-        "evaluate_data_rpq() is deprecated; use "
-        "repro.api.GraphSession.run(Query.data_rpq(...)).pairs()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if engine != "auto":
-        # The session IR has no per-call engine override; honour it directly.
-        return default_engine().evaluate_data_rpq(
-            graph, query, null_semantics=null_semantics, engine=engine
-        )
-    from ..api import Query, session_for
-
-    return session_for(graph).run(Query.data_rpq(query), null_semantics=null_semantics).pairs()
 
 
 def data_rpq_holds(
@@ -153,7 +107,7 @@ def evaluate_data_rpq_naive(
 
     Kept as the executable specification for the engine's equivalence
     tests and as the benchmark baseline; production call sites use
-    :func:`evaluate_data_rpq`.
+    :meth:`repro.api.GraphSession.run`.
     """
     expression = query.expression
     if isinstance(expression, RegexWithEquality):

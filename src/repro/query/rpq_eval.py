@@ -8,8 +8,9 @@ reachable from an initial product state ``(v, q_0)``.
 
 The public functions here delegate to the shared
 :class:`~repro.engine.engine.EvaluationEngine`, which caches one compiled
-ε-free automaton per query across *all* entry points (``evaluate_rpq``,
-``evaluate_rpq_from``, ``rpq_holds``, ``witness_path_labels``) and runs a
+ε-free automaton per query across *all* entry points
+(``evaluate_rpq_from``, ``rpq_holds``, ``witness_path_labels``; full
+relations run through :class:`repro.api.GraphSession`) and runs a
 single multi-source product pass over the graph's label index instead of
 one BFS per source node.  The seed per-source evaluator is kept as
 :func:`evaluate_rpq_naive`: it is the executable specification the engine
@@ -19,7 +20,6 @@ speedups over.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
 
@@ -30,31 +30,12 @@ from ..regular import NFA, Regex, to_nfa
 from .rpq import RPQ
 
 __all__ = [
-    "evaluate_rpq",
     "evaluate_rpq_from",
     "rpq_holds",
     "evaluate_word",
     "witness_path_labels",
     "evaluate_rpq_naive",
 ]
-
-
-def evaluate_rpq(graph: DataGraph, query: RPQ | Regex | str) -> FrozenSet[Tuple[Node, Node]]:
-    """The full binary relation ``e(G)`` of an RPQ on a data graph.
-
-    .. deprecated:: 1.1.0
-        Use ``GraphSession(graph).run(Query.rpq(query)).pairs()`` from
-        :mod:`repro.api`; this shim delegates to the graph's default
-        session (and therefore shares its versioned result cache).
-    """
-    warnings.warn(
-        "evaluate_rpq() is deprecated; use repro.api.GraphSession.run(Query.rpq(...)).pairs()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..api import Query, session_for
-
-    return session_for(graph).run(Query.rpq(query)).pairs()
 
 
 def evaluate_rpq_from(graph: DataGraph, query: RPQ | Regex | str, source: NodeId) -> FrozenSet[Node]:
@@ -118,7 +99,7 @@ def evaluate_rpq_naive(graph: DataGraph, query: RPQ | Regex | str) -> FrozenSet[
     Recompiles the automaton on every call and runs one BFS per source
     node.  Kept as the executable specification for the engine's
     equivalence tests and as the baseline of the benchmark suite; all
-    production call sites use :func:`evaluate_rpq`.
+    production call sites use :meth:`repro.api.GraphSession.run`.
     """
     nfa = _coerce_nfa(query)
     pairs: Set[Tuple[Node, Node]] = set()

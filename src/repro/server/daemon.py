@@ -40,8 +40,8 @@ result caches, point caches and loaded snapshots are per-client; the
 compiled-automaton engine and the shard-worker pool are shared, which is
 the point of the daemon.  Sessions reach the pool through the
 ``shard_runner`` seam — when the pool is busy the session transparently
-falls back to its own in-process drivers, so answers never depend on
-pool availability.
+runs the plan's local cost route (and counts the decline), so answers
+never depend on pool availability.
 """
 
 from __future__ import annotations
@@ -361,7 +361,7 @@ class ReproServer:
         if old_pool is not None:
             old_pool.close()
 
-    def _session_for(self, connection: _Connection) -> GraphSession:
+    def _connection_session(self, connection: _Connection) -> GraphSession:
         """The connection's isolated session over the current graph."""
         with self._graph_lock:
             graph, generation, pool = self._graph, self._generation, self._pool
@@ -369,20 +369,14 @@ class ReproServer:
             raise EvaluationError("no graph loaded; send load_graph first")
         if connection.session is None or connection.generation != generation:
             runner = self._make_shard_runner(pool)
-            if runner is not None:
-                # threshold 0: offer every eligible plan to the pool;
-                # sharded_processes False keeps the busy-pool fallback
-                # in-process instead of forking a throwaway pool per query.
-                policy = ExecutionPolicy.preset(
-                    "server",
-                    intra_query_threshold=0,
-                    sharded_processes=False,
-                    backend=self.config.backend,
-                )
-            else:
-                # No pool (small graph, or no fork): plain local execution
-                # beats the sharded drivers' bookkeeping.
-                policy = ExecutionPolicy.auto(backend=self.config.backend)
+            # With a pool the session offers it every plan it serves and
+            # routes the rest (and every decline) locally; without one
+            # (small graph, or no fork) the host picks the batch executor.
+            policy = (
+                ExecutionPolicy(backend=self.config.backend)
+                if runner is not None
+                else ExecutionPolicy.auto(backend=self.config.backend)
+            )
             connection.session = GraphSession(
                 graph,
                 policy=policy,
@@ -516,13 +510,13 @@ class ReproServer:
             if op in ("run", "run_many", "targets"):
                 return self._op_query(connection, rid, op, request)
             if op == "explain":
-                session = self._session_for(connection)
+                session = self._connection_session(connection)
                 query = wire.decode_query(request.get("query"))
                 return {"id": rid, "ok": True, "text": session.explain(query)}
             if op == "stats":
                 return self._op_stats(connection, rid)
             if op == "point_cache":
-                session = self._session_for(connection)
+                session = self._connection_session(connection)
                 payload = session.point_cache_payload(max_entries=request.get("max_entries"))
                 return {"id": rid, "ok": True, "payload": payload}
             if op == "metrics":
@@ -607,7 +601,7 @@ class ReproServer:
     def _op_query(
         self, connection: _Connection, rid, op: str, request: Dict[str, Any]
     ) -> Dict[str, Any]:
-        session = self._session_for(connection)
+        session = self._connection_session(connection)
         null_semantics = bool(request.get("null_semantics", False))
         timeout = self._effective_timeout(request.get("timeout"))
 
@@ -708,7 +702,7 @@ class ReproServer:
 
     # ------------------------------------------------------------------
     def _op_stats(self, connection: _Connection, rid) -> Dict[str, Any]:
-        session = self._session_for(connection)
+        session = self._connection_session(connection)
         pool = self._pool
         worker_caches = pool.stats() if pool is not None else None
         return {

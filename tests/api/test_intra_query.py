@@ -1,8 +1,8 @@
-"""Intra-query execution policies and the point-workload cache.
+"""Forced intra-query drivers and the point-workload cache.
 
 Acceptance property (ISSUE 3, extended by ISSUE 4): a session under
-every ``intra_query`` mode (off / source-block parallel / sharded)
-returns exactly the answers of the naive spec evaluators across all five
+every forced ``intra_query`` driver (off / source-block parallel /
+sharded) returns exactly the answers of the naive spec evaluators across all five
 dialects and random graphs.  Since the ProductSpace refactor the modes
 are no longer RPQ-only — data RPQs ride the register product and GXPath
 expressions shard their axis-star closures — so the agreement properties
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.api import ExecutionPolicy, GraphSession, Query
 from repro.datagraph import DataGraph, generators
+from repro.engine.partition import sharded_product_relation
 from repro.exceptions import EvaluationError, UnknownNodeError
 from repro.query import (
     equality_rpq,
@@ -39,11 +40,11 @@ DIALECT_TEXTS = {
     "gxpath-path": "a* . (b)!=",
 }
 
-#: Threshold 1 so even tiny random graphs take the partitioned drivers.
+#: A forced driver is forced: even tiny random graphs take it.
 MODES = [
     ExecutionPolicy(),
-    ExecutionPolicy.preset("local", intra_query="blocks", intra_query_threshold=1, max_workers=2),
-    ExecutionPolicy.preset("local", intra_query="sharded", intra_query_threshold=1, num_shards=3),
+    ExecutionPolicy(intra_query="blocks", max_workers=2),
+    ExecutionPolicy(intra_query="sharded", max_workers=3),
 ]
 
 graphs = st.builds(
@@ -97,19 +98,21 @@ class TestModeAgreement:
                 session = GraphSession(graph, policy=policy)
                 assert session.run(plan).rows() == expected, (str(plan), _policy_label(policy))
 
-    def test_threshold_keeps_small_graphs_sequential(self):
+    def test_only_a_forced_driver_runs_on_small_graphs(self):
         graph = generators.random_graph(10, 20, labels=("a", "b"), rng=4)
-        high = GraphSession(graph, policy=ExecutionPolicy.preset("server"))
-        low = GraphSession(graph)
-        # below the default threshold of 64 nodes both run sequentially
-        assert graph.num_nodes < high.policy.intra_query_threshold
-        assert high.run("a.(a|b)*").pairs() == low.run("a.(a|b)*").pairs()
+        plan = Query.rpq("a.(a|b)*")
+        routed = GraphSession(graph)
+        forced = GraphSession(graph, policy=ExecutionPolicy(intra_query="sharded"))
+        # the router's own floors gate the automatic drivers
+        assert routed._route(plan).driver == "sequential"
+        assert forced._route(plan).driver == "sharded"
+        assert forced.run(plan).pairs() == routed.run(plan).pairs()
 
     def test_partitioned_answers_share_the_result_cache(self):
         graph = generators.random_graph(80, 200, labels=("a", "b"), rng=9)
         session = GraphSession(
             graph,
-            policy=ExecutionPolicy.preset("local", intra_query="sharded", intra_query_threshold=1),
+            policy=ExecutionPolicy(intra_query="sharded"),
         )
         first = session.run("a.(a|b)*.b").pairs()
         assert session.run("a.(a|b)*.b").pairs() == first
@@ -117,7 +120,7 @@ class TestModeAgreement:
 
     def test_unknown_intra_query_mode_rejected(self):
         with pytest.raises(EvaluationError):
-            ExecutionPolicy.preset("local", intra_query="quantum")
+            ExecutionPolicy(intra_query="quantum")
 
 
 class TestCrossShardBoundaries:
@@ -139,9 +142,7 @@ class TestCrossShardBoundaries:
         graph = self.chain_with_values([1, 2, 1, 3, 1, 2])
         spec = memory_rpq("!x.(a[x!=])+")
         expected = evaluate_data_rpq_naive(graph, spec)
-        policy = ExecutionPolicy.preset(
-            "local", intra_query="sharded", intra_query_threshold=1, num_shards=graph.num_nodes
-        )
+        policy = ExecutionPolicy(intra_query="sharded", max_workers=graph.num_nodes)
         session = GraphSession(graph, policy=policy)
         answers = session.run(Query.data_rpq(spec.expression)).pairs()
         assert answers == expected
@@ -153,23 +154,17 @@ class TestCrossShardBoundaries:
         graph = self.chain_with_values([1] * 7)
         plan = Query.parse("a*", "gxpath-path")
         expected = GraphSession(graph).run(plan).rows()
-        policy = ExecutionPolicy.preset(
-            "local", intra_query="sharded", intra_query_threshold=1, num_shards=graph.num_nodes
-        )
+        policy = ExecutionPolicy(intra_query="sharded", max_workers=graph.num_nodes)
         assert GraphSession(graph, policy=policy).run(plan).rows() == expected
 
-    def test_sharded_processes_policy_agrees(self):
+    def test_sharded_driver_agrees_in_process_and_forked(self):
         graph = generators.community_graph(3, 10, rng=8, domain_size=3)
         plan = Query.parse("!x.((knows|bridge)[x!=])+", "rem")
-        baseline = GraphSession(graph).run(plan).pairs()
+        session = GraphSession(graph)
+        baseline = {(u.id, v.id) for u, v in session.run(plan).pairs()}
+        space = session.engine.space_for_atom(graph, plan.plan)
         for processes in (False, True):
-            policy = ExecutionPolicy.preset(
-                "server",
-                intra_query_threshold=1,
-                num_shards=3,
-                sharded_processes=processes,
-            )
-            assert GraphSession(graph, policy=policy).run(plan).pairs() == baseline
+            assert sharded_product_relation(space, num_shards=3, processes=processes) == baseline
 
 
 class TestPointCache:

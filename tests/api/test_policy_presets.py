@@ -1,53 +1,77 @@
-"""ExecutionPolicy presets, auto-selection and the deprecation shims."""
+"""ExecutionPolicy: nine plain fields, presets and host auto-selection.
+
+Runs under every host shape of the ``host_shape`` fixture — (1 core),
+(N cores + fork), (N cores, no fork) — so the verdicts never depend on
+the machine the suite happens to run on.
+"""
 
 from __future__ import annotations
 
-import warnings
+import dataclasses
 
 import pytest
 
 from repro.api import POLICY_PRESETS, ExecutionPolicy, GraphSession
-from repro.engine.forkpool import fork_available
 from repro.exceptions import EvaluationError
 
-pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
+pytestmark = [
+    pytest.mark.filterwarnings("error::DeprecationWarning"),
+    pytest.mark.usefixtures("host_shape"),
+]
+
+
+class TestFields:
+    def test_nine_plain_fields(self):
+        assert [field.name for field in dataclasses.fields(ExecutionPolicy)] == [
+            "executor", "max_workers", "cache_results", "result_cache_size",
+            "point_cache_size", "delta_repair", "routing", "backend", "intra_query",
+        ]
+
+    def test_every_field_is_a_plain_constructor_argument(self):
+        policy = ExecutionPolicy(
+            executor="thread", max_workers=2, cache_results=False,
+            result_cache_size=16, point_cache_size=8, delta_repair=False,
+            routing="manual", backend="dict", intra_query="blocks",
+        )
+        assert policy.executor == "thread" and policy.result_cache_size == 16
+        assert policy.intra_query == "blocks" and policy.backend == "dict"
+        assert dataclasses.replace(policy, intra_query="off").intra_query == "off"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("executor", "quantum"), ("routing", "psychic"), ("backend", "gpu"),
+         ("intra_query", "quantum")],
+    )
+    def test_invalid_values_rejected_at_construction(self, field, value):
+        with pytest.raises(EvaluationError, match=value):
+            ExecutionPolicy(**{field: value})
+
+    def test_removed_knobs_are_gone(self):
+        for knob in ("intra_query_threshold", "num_shards", "sharded_processes"):
+            with pytest.raises(TypeError):
+                ExecutionPolicy(**{knob: 1})
 
 
 class TestPresets:
     def test_local_is_the_default_policy(self):
         assert ExecutionPolicy.preset("local") == ExecutionPolicy()
 
-    def test_parallel_preset_shape(self):
-        policy = ExecutionPolicy.preset("parallel")
-        assert policy.executor == "process"
-        assert policy.intra_query == "blocks"
+    def test_no_preset_forces_a_route(self):
+        for name in POLICY_PRESETS:
+            policy = ExecutionPolicy.preset(name)
+            assert policy.intra_query == "off" and policy.backend == "auto"
+            assert policy.routing == "auto"
 
-    def test_server_preset_shape(self):
-        policy = ExecutionPolicy.preset("server")
-        assert policy.intra_query == "sharded"
-        assert policy.sharded_processes is True
+    def test_parallel_preset_picks_the_batch_executor_only(self):
+        assert ExecutionPolicy.preset("parallel") == ExecutionPolicy(executor="process")
 
     def test_presets_accept_overrides(self):
-        policy = ExecutionPolicy.preset("server", num_shards=3, max_workers=2)
-        assert policy.num_shards == 3 and policy.max_workers == 2
-        assert policy.intra_query == "sharded"
-
-    def test_overrides_beat_the_preset_base(self):
-        policy = ExecutionPolicy.preset("parallel", executor="thread")
-        assert policy.executor == "thread"
+        policy = ExecutionPolicy.preset("parallel", executor="thread", max_workers=2)
+        assert policy.executor == "thread" and policy.max_workers == 2
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(EvaluationError, match="unknown policy preset"):
             ExecutionPolicy.preset("quantum")
-
-    def test_preset_construction_never_warns(self):
-        # The whole module runs under -W error::DeprecationWarning, so
-        # simply constructing every preset proves the no-warning path.
-        for name in POLICY_PRESETS:
-            ExecutionPolicy.preset(name)
-
-    def test_presets_registry_is_exported(self):
-        assert set(POLICY_PRESETS) == {"local", "parallel", "server"}
 
     def test_invalid_override_still_validates(self):
         with pytest.raises(EvaluationError):
@@ -55,57 +79,19 @@ class TestPresets:
 
 
 class TestAuto:
-    def test_auto_picks_a_known_preset(self):
+    def test_auto_follows_the_host_shape(self, host_shape):
+        cores, fork = host_shape
+        expected = "parallel" if cores >= 2 and fork else "local"
+        assert ExecutionPolicy.auto() == ExecutionPolicy.preset(expected)
+
+    def test_auto_leaves_routing_to_the_router(self):
         policy = ExecutionPolicy.auto()
-        if fork_available():
-            assert policy.executor in ("process", "sequential")
-        else:
-            assert policy == ExecutionPolicy.preset("local")
+        assert policy.intra_query == "off" and policy.routing == "auto"
 
     def test_auto_accepts_overrides(self):
         assert ExecutionPolicy.auto(max_workers=2).max_workers == 2
 
-
-class TestDeprecationShims:
-    """The old knob-sprawl constructor still works, but warns."""
-
-    def test_intra_query_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match="intra_query"):
-            policy = ExecutionPolicy(intra_query="blocks")
-        assert policy.intra_query == "blocks"
-
-    def test_sharded_knobs_warn_and_apply(self):
-        with pytest.warns(DeprecationWarning) as caught:
-            policy = ExecutionPolicy(
-                intra_query="sharded", num_shards=4, sharded_processes=False
-            )
-        assert policy.intra_query == "sharded"
-        assert policy.num_shards == 4
-        assert policy.sharded_processes is False
-        message = str(caught[0].message)
-        assert "ExecutionPolicy.preset" in message and "auto()" in message
-
-    def test_threshold_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match="intra_query_threshold"):
-            policy = ExecutionPolicy(intra_query_threshold=7)
-        assert policy.intra_query_threshold == 7
-
-    def test_first_class_kwargs_do_not_warn(self):
-        policy = ExecutionPolicy(
-            executor="thread", max_workers=2, cache_results=False,
-            result_cache_size=16, point_cache_size=8,
-        )
-        assert policy.executor == "thread" and policy.result_cache_size == 16
-
-    def test_shimmed_policy_equals_preset_spelling(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old = ExecutionPolicy(intra_query="sharded", sharded_processes=True)
-        assert old == ExecutionPolicy.preset("server")
-
-    def test_shimmed_policies_still_run_queries(self, toy_graph):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            policy = ExecutionPolicy(intra_query="blocks", intra_query_threshold=0)
+    def test_auto_sessions_run_queries(self, toy_graph):
         sequential = GraphSession(toy_graph).run("knows.knows").rows()
-        assert GraphSession(toy_graph, policy=policy).run("knows.knows").rows() == sequential
+        session = GraphSession(toy_graph, policy=ExecutionPolicy.auto())
+        assert session.run("knows.knows").rows() == sequential

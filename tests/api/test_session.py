@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import ExecutionPolicy, GraphSession, Query, SequentialExecutor, session_for
+from repro.api import ExecutionPolicy, GraphSession, Query, SequentialExecutor
 from repro.datagraph import GraphBuilder
 from repro.exceptions import EvaluationError
 
@@ -75,9 +75,9 @@ class TestResultShapes:
         session = GraphSession(diamond_graph())
         original = Query._evaluate
 
-        def counting(self, engine, graph, null_semantics):
+        def counting(self, engine, graph, null_semantics, route=None):
             calls.append(self)
-            return original(self, engine, graph, null_semantics)
+            return original(self, engine, graph, null_semantics, route)
 
         Query._evaluate = counting
         try:
@@ -186,9 +186,9 @@ class TestRunMany:
             def __init__(self):
                 self.batches = []
 
-            def execute_batch(self, engine, graph, queries, null_semantics=False):
+            def execute_batch(self, evaluate, queries):
                 self.batches.append(list(queries))
-                return super().execute_batch(engine, graph, queries, null_semantics)
+                return super().execute_batch(evaluate, queries)
 
         session = GraphSession(diamond_graph())
         counter = CountingExecutor()
@@ -200,26 +200,20 @@ class TestRunMany:
         assert len(counter.batches) == 1
 
 
-class TestSessionFor:
-    def test_one_session_per_graph(self):
-        graph = diamond_graph()
-        assert session_for(graph) is session_for(graph)
-        assert session_for(graph) is not session_for(diamond_graph())
-
-    def test_registry_does_not_keep_graphs_alive(self):
+class TestHoldsShortcut:
+    def test_sessions_do_not_keep_graphs_alive(self):
         import gc
         import weakref
 
         graph = diamond_graph()
-        session_for(graph)
+        GraphSession(graph).run("r.s").pairs()
         ref = weakref.ref(graph)
         del graph
         gc.collect()
         assert ref() is None
 
     def test_holds_shortcut(self):
-        graph = diamond_graph()
-        assert session_for(graph).holds(Query.rpq("r.s"), "a", "d")
+        assert GraphSession(diamond_graph()).holds(Query.rpq("r.s"), "a", "d")
 
 
 class TestFacadeSessions:

@@ -2,11 +2,32 @@
 
 from __future__ import annotations
 
+import os
 import random
+import sys
 
 import pytest
 
 from repro.datagraph import DataGraph, GraphBuilder
+from repro.engine import forkpool
+
+#: The host shapes the router / policy suites run under: ``(cores, fork)``.
+HOST_SHAPES = {"1-core": (1, True), "n-core-fork": (4, True), "n-core-no-fork": (4, False)}
+
+
+@pytest.fixture(params=sorted(HOST_SHAPES))
+def host_shape(request, monkeypatch):
+    """Pin ``os.cpu_count()`` and fork availability, so routing and policy
+    tests give the same verdict on every host.  Returns ``(cores, fork)``."""
+    cores, fork = HOST_SHAPES[request.param]
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    real = forkpool.fork_available
+    # ``from ..forkpool import fork_available`` bindings hold the same
+    # object under their own name; replace each of them.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro.") and getattr(module, "fork_available", None) is real:
+            monkeypatch.setattr(module, "fork_available", lambda: fork and real())
+    return cores, fork
 
 
 @pytest.fixture

@@ -20,6 +20,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import GraphSession
 from repro.core import (
     GraphSchemaMapping,
     certain_answers_equality_only,
@@ -32,7 +33,7 @@ from repro.core import (
     universal_solution,
 )
 from repro.datagraph import DataGraph, is_null_homomorphism
-from repro.query import equality_rpq, evaluate_data_rpq
+from repro.query import equality_rpq
 
 
 @st.composite
@@ -101,8 +102,8 @@ class TestCanonicalSolutionInvariants:
         hom = homomorphism_to_solution(universal, least)
         assert hom is not None
         query = equality_rpq(query_text)
-        universal_answers = evaluate_data_rpq(universal, query, null_semantics=True)
-        least_answers = evaluate_data_rpq(least, query)
+        universal_answers = GraphSession(universal).run(query, null_semantics=True).pairs()
+        least_answers = GraphSession(least).run(query).pairs()
         for left, right in universal_answers:
             if left.is_null or right.is_null:
                 continue

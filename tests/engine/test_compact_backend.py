@@ -21,6 +21,7 @@ from repro.engine import compact as compact_kernels
 from repro.engine import default_engine
 from repro.engine.partition import GraphPartition, sharded_product_relation
 from repro.engine.spaces import NfaProductSpace
+from repro.planner.router import route_point
 from repro.query import evaluate_crpq_naive, evaluate_data_rpq_naive, evaluate_rpq_naive, rpq
 
 RPQ_POOL = [
@@ -58,6 +59,11 @@ def random_graph_from(seed: int, size: int):
         rng=seed,
         domain_size=max(2, size // 3),
     )
+
+
+def forced_route(graph, backend: str):
+    """The resolved route of a forced kernel family."""
+    return route_point(graph, ExecutionPolicy(backend=backend))
 
 
 def sessions(graph):
@@ -153,10 +159,12 @@ def test_seeded_scans_agree(seed, size, query_index, data):
     for bound_sources in (None, sources):
         for bound_targets in (None, targets):
             compact_pairs = engine.evaluate_atom_ids(
-                graph, query, sources=bound_sources, targets=bound_targets, backend="compact"
+                graph, query, sources=bound_sources, targets=bound_targets,
+                route=forced_route(graph, "compact"),
             )
             dict_pairs = engine.evaluate_atom_ids(
-                graph, query, sources=bound_sources, targets=bound_targets, backend="dict"
+                graph, query, sources=bound_sources, targets=bound_targets,
+                route=forced_route(graph, "dict"),
             )
             assert compact_pairs == dict_pairs, (bound_sources, bound_targets)
 
@@ -172,8 +180,12 @@ def test_point_reachability_agrees(seed, size, query_index):
     engine = default_engine()
     query = rpq(RPQ_POOL[query_index])
     source = next(iter(graph.node_ids))
-    compact_targets = engine.evaluate_rpq_from(graph, query, source, backend="compact")
-    assert compact_targets == engine.evaluate_rpq_from(graph, query, source, backend="dict")
+    compact_targets = engine.evaluate_rpq_from(
+        graph, query, source, forced_route(graph, "compact")
+    )
+    assert compact_targets == engine.evaluate_rpq_from(
+        graph, query, source, forced_route(graph, "dict")
+    )
 
 
 # ----------------------------------------------------------------------
@@ -245,7 +257,9 @@ def test_single_node_shards(seed, size, query_index):
     partition = GraphPartition.build(graph.label_index(), graph.num_nodes)
     compact_pairs = compact_sharded_pairs(graph, text, partition)
     engine = default_engine()
-    assert compact_pairs == engine.evaluate_atom_ids(graph, rpq(text), backend="dict")
+    assert compact_pairs == engine.evaluate_atom_ids(
+        graph, rpq(text), route=forced_route(graph, "dict")
+    )
 
 
 # ----------------------------------------------------------------------

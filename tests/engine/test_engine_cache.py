@@ -1,7 +1,7 @@
 """Regression tests for the engine's compiled-automaton caches.
 
 The seed evaluators recompiled the NFA on every call to ``evaluate_rpq``
-/ ``rpq_holds`` / ``evaluate_rpq_from``.  These tests pin the fix: all
+(now ``GraphSession.run``) / ``rpq_holds`` / ``evaluate_rpq_from``.  These tests pin the fix: all
 public entry points share one compiled automaton per query, keyed on the
 structural AST, behind an LRU bound.
 """
@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import GraphSession
 from repro.datagraph import GraphBuilder
 from repro.engine import CompiledAutomaton, EvaluationEngine, LRUCache, default_engine
 from repro.query import (
     equality_rpq,
-    evaluate_rpq,
     evaluate_rpq_from,
     rpq,
     rpq_holds,
@@ -74,7 +74,7 @@ def test_equivalent_query_spellings_share_one_entry(small_graph):
 def test_public_module_functions_reuse_the_default_engine_cache(small_graph):
     """The seed recompiled per call; the public API must not (regression)."""
     before = default_engine().stats()["automata"]
-    evaluate_rpq(small_graph, "a.b.a")
+    GraphSession(small_graph).run("a.b.a").pairs()
     rpq_holds(small_graph, "a.b.a", "u", "u")
     evaluate_rpq_from(small_graph, "a.b.a", "u")
     witness_path_labels(small_graph, "a.b.a", "u", "u")

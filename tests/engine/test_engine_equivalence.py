@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import GraphSession
 from repro.datagraph import generators
 from repro.engine import EvaluationEngine, default_engine
 from repro.gxpath.ast import (
@@ -29,9 +30,7 @@ from repro.gxpath.ast import (
 )
 from repro.gxpath.evaluation import evaluate_path
 from repro.query import (
-    evaluate_data_rpq,
     evaluate_data_rpq_naive,
-    evaluate_rpq,
     evaluate_rpq_naive,
     rpq,
 )
@@ -71,7 +70,7 @@ def random_graph_from(seed: int, size: int):
 def test_rpq_engine_matches_naive(seed, size, query_index):
     graph = random_graph_from(seed, size)
     query = rpq(RPQ_POOL[query_index])
-    assert evaluate_rpq(graph, query) == evaluate_rpq_naive(graph, query)
+    assert GraphSession(graph).run(query).pairs() == evaluate_rpq_naive(graph, query)
 
 
 @settings(max_examples=15, deadline=None)
@@ -121,8 +120,8 @@ def test_data_rpq_engines_match_naive(seed, size, shape, null_semantics):
     )
     query = random_equality_query(("a", "b"), length=2, test=shape, rng=seed)
     naive = evaluate_data_rpq_naive(graph, query, null_semantics=null_semantics)
-    algebraic = evaluate_data_rpq(graph, query, null_semantics, engine="algebraic")
-    automaton = evaluate_data_rpq(graph, query, null_semantics, engine="automaton")
+    algebraic = default_engine().evaluate_data_rpq(graph, query, null_semantics, engine="algebraic")
+    automaton = default_engine().evaluate_data_rpq(graph, query, null_semantics, engine="automaton")
     assert algebraic == naive
     assert automaton == naive
 
@@ -136,8 +135,8 @@ def test_data_rpq_equivalence_on_workload_sweep():
             tuple(sorted(workload.mapping.source_alphabet)), test="repeat", rng=workload.parameters["nodes"]
         )
         naive = evaluate_data_rpq_naive(graph, query)
-        assert evaluate_data_rpq(graph, query, engine="algebraic") == naive
-        assert evaluate_data_rpq(graph, query, engine="automaton") == naive
+        assert default_engine().evaluate_data_rpq(graph, query, engine="algebraic") == naive
+        assert default_engine().evaluate_data_rpq(graph, query, engine="automaton") == naive
 
 
 # ----------------------------------------------------------------------
@@ -260,4 +259,4 @@ def test_engine_results_follow_graph_mutations(toy_graph):
 @pytest.mark.parametrize("query", RPQ_POOL)
 def test_rpq_pool_on_fixed_graph(query):
     graph = random_graph_from(424242, 25)
-    assert evaluate_rpq(graph, query) == evaluate_rpq_naive(graph, query)
+    assert GraphSession(graph).run(query).pairs() == evaluate_rpq_naive(graph, query)

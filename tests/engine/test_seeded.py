@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import ExecutionPolicy
 from repro.datagraph import generators
 from repro.datapaths import parse_rem
 from repro.engine import default_engine
@@ -21,6 +22,7 @@ from repro.engine.partition import (
 )
 from repro.engine.product import product_relation, seeded_product_relation
 from repro.engine.spaces import ClosureSpace, NfaProductSpace, RegisterProductSpace
+from repro.planner import route_query
 
 
 @pytest.fixture(scope="module")
@@ -104,9 +106,10 @@ class TestEngineAtomEntryPoint:
         # Sources arrive as an unordered set with a foreign id mixed in.
         got = engine.evaluate_atom_ids(graph, rpq("a*.b"), sources=set(some) | {"no-such"})
         assert got == expected
-        for mode in ("blocks", "sharded"):
+        for driver in ("blocks", "sharded"):
+            route = route_query(rpq("a*.b"), graph, ExecutionPolicy(intra_query=driver))
             assert (
-                engine.evaluate_atom_ids(graph, rpq("a*.b"), sources=some, mode=mode)
+                engine.evaluate_atom_ids(graph, rpq("a*.b"), sources=some, route=route)
                 == expected
             )
 

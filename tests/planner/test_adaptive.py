@@ -82,7 +82,9 @@ class TestAdaptiveMatchesTheSpec:
         )
         run_both(graph, query, null_semantics=null_semantics)
 
-    @settings(max_examples=25, deadline=None)
+    # Derandomized: the naive nested-loop spec blows up (minutes, GBs) on
+    # the rare 5-atom cartesian draw, which made tier-1 hang now and then.
+    @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
         shape=st.sampled_from(CRPQ_SHAPES),
         query_seed=st.integers(0, 500),

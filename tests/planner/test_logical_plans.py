@@ -219,5 +219,5 @@ class TestExecutionPolicyIntegration:
         query = Query.parse("x, z :- (x, b, y), (y, a+, z)", dialect="crpq")
         sequential = GraphSession(skewed_graph).run(query).rows()
         for mode in ("blocks", "sharded"):
-            policy = ExecutionPolicy.preset("local", intra_query=mode, intra_query_threshold=0)
+            policy = ExecutionPolicy(intra_query=mode)
             assert GraphSession(skewed_graph, policy=policy).run(query).rows() == sequential

@@ -18,6 +18,8 @@ import pytest
 from repro.api import ExecutionPolicy, GraphSession, Query
 from repro.datagraph import generators
 from repro.engine import default_engine
+from repro.engine.partition import sharded_product_relation
+from repro.engine.product import seeded_product_relation
 from repro.planner import execute_plan, plan_crpq
 from repro.query.crpq import evaluate_crpq_naive
 from repro.workloads import CRPQ_SHAPES, random_crpq
@@ -119,25 +121,18 @@ class TestIntraQueryModesAgree:
             )
         )
         sequential = GraphSession(graph).run(query).rows()
-        policy = ExecutionPolicy.preset(
-            "local", intra_query=mode, intra_query_threshold=0, num_shards=3
-        )
+        policy = ExecutionPolicy(intra_query=mode, max_workers=3)
         assert GraphSession(graph, policy=policy).run(query).rows() == sequential
 
-    def test_sharded_processes_toggle(self):
+    def test_sharded_scans_agree_forked_and_in_process(self):
         graph = community(41, num_nodes=30)
-        query = Query.crpq(
-            random_crpq(LABELS, shape="chain", num_atoms=3, closure_prob=0.4, rng=7)
-        )
-        sequential = GraphSession(graph).run(query).rows()
+        space = default_engine().space_for_atom(graph, "a.(a|b)*")
+        sources = graph.label_index().nodes[:10]
+        expected = seeded_product_relation(space, sources=sources)
         for processes in (False, True):
-            policy = ExecutionPolicy.preset(
-                "server",
-                intra_query_threshold=0,
-                num_shards=2,
-                sharded_processes=processes,
-            )
-            assert GraphSession(graph, policy=policy).run(query).rows() == sequential
+            assert sharded_product_relation(
+                space, num_shards=2, processes=processes, sources=sources
+            ) == expected
 
 
 class TestSelfLoopRegression:

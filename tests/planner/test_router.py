@@ -1,34 +1,75 @@
-"""Cost-based routing: choices, overrides, and answer equivalence.
+"""The one decision point: route choices, overrides, and "explain is what ran".
 
-Two invariants: (1) the route picked for a query is the one the policy
-and cost model say it should be — overrides beat cost, cost decisions
-match the SQL/compact/parallel seams they delegate to; (2) whatever
-route fires, answers are bit-identical to the sequential dict-backend
-baseline across all five dialects.  The parallel gates are monkeypatched
-down so the routes that normally need thousand-node graphs fire on test
-graphs.
+Three invariants: (1) the :class:`Route` resolved for a query is the one
+the policy and the cost model say it should be — fully resolved, never
+``"auto"``; (2) what ``explain`` prints is what runs: the kernel family
+and driver observed at the kernel entry points equal ``route.strategy``
+for ``run``, ``run_many`` and ``targets`` alike; (3) whatever route
+fires, answers equal the naive specification across all five dialects.
+
+The whole module runs under every host shape of the ``host_shape``
+fixture — (1 core), (N cores + fork), (N cores, no fork) — and the
+256 / 1,024 / 2,048-node floors are monkeypatched down so graphs on both
+sides of each floor stay small.
 """
 
 from __future__ import annotations
 
-import pytest
+from collections import Counter
 
-from repro.api import ExecutionPolicy, GraphSession, Query
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.api import ExecutionPolicy, GraphSession, ParallelExecutor, Query, QueryKind
 from repro.datagraph import generators
-from repro.exceptions import EvaluationError
+from repro.datagraph.compact import CompactLabelIndex
+from repro.engine import compact as compact_kernels
+from repro.engine import partition as partition_kernels
+from repro.engine import product as product_kernels
 from repro.planner import Route, graph_statistics, route_query
 from repro.planner import router as router_module
+from repro.planner import stats as stats_module
+from repro.planner.router import route_point
+from repro.query import evaluate_crpq_naive, evaluate_data_rpq_naive, evaluate_rpq_naive
+from repro.sqlbackend import backend as sql_backend
+from repro.sqlbackend import cost as sql_cost
 
-LABELS = ("a", "b")
+pytestmark = pytest.mark.usefixtures("host_shape")
 
-#: One representative query per dialect.
+#: One representative query per dialect (the data RPQ is a REM, so its
+#: kernel family is observable: REE algebra has no compact twin).
 DIALECTS = {
     "rpq": Query.parse("a.(a|b)+"),
-    "data_rpq": Query.parse("((a|b))=", dialect="ree"),
+    "data_rpq": Query.parse("!x.((a|b)[x=])+", dialect="rem"),
     "crpq": Query.parse("z(x, y) :- (x, a+, z), (z, (a|b), y)", dialect="crpq"),
-    "gxpath_node": Query.parse("<a.b>", dialect="gxpath-node"),
-    "gxpath_path": Query.parse("a.a-", dialect="gxpath-path"),
+    "gxpath_node": Query.parse("<a*.b>", dialect="gxpath-node"),
+    "gxpath_path": Query.parse("a*.a-", dialect="gxpath-path"),
 }
+
+#: The policy of every configuration the property sweeps; ``pooled``
+#: additionally attaches a worker-pool runner that always declines.
+CONFIGS = {
+    "default": ExecutionPolicy(),
+    "dict": ExecutionPolicy(backend="dict"),
+    "compact": ExecutionPolicy(backend="compact"),
+    "sql": ExecutionPolicy(backend="sql"),
+    "blocks": ExecutionPolicy(intra_query="blocks", max_workers=2),
+    "sharded": ExecutionPolicy(intra_query="sharded", max_workers=2),
+    "manual": ExecutionPolicy(routing="manual"),
+    "pooled": ExecutionPolicy(),
+}
+
+#: The floors, patched down: compact at 8 nodes, SQL at 16, parallel at 24.
+COMPACT_FLOOR, SQL_FLOOR, PARALLEL_FLOOR = 8, 16, 24
+
+
+@pytest.fixture
+def low_floors(monkeypatch):
+    monkeypatch.setattr(compact_kernels, "COMPACT_AUTO_MIN_NODES", COMPACT_FLOOR)
+    monkeypatch.setattr(sql_cost, "SQL_AUTO_MIN_NODES", SQL_FLOOR)
+    monkeypatch.setattr(router_module, "ROUTE_PARALLEL_MIN_NODES", PARALLEL_FLOOR)
+    monkeypatch.setattr(router_module, "ROUTE_PARALLEL_WORK_FACTOR", 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -39,115 +80,338 @@ def graph():
     )
 
 
+def declining_runner():
+    """A worker-pool runner that is always busy, and says what it was offered."""
+    offered = []
+
+    def runner(plan, null_semantics, sources=None, targets=None):
+        offered.append((plan.kind, sources, targets))
+        return None
+
+    runner.supports_sources = True
+    runner.supports_targets = True
+    runner.offered = offered
+    return runner
+
+
+def session_under(config: str, graph) -> GraphSession:
+    runner = declining_runner() if config == "pooled" else None
+    return GraphSession(graph, policy=CONFIGS[config], shard_runner=runner)
+
+
+def naive_rows(graph, query: Query):
+    """The executable specification's answer for *query*."""
+    if query.kind is QueryKind.RPQ:
+        return evaluate_rpq_naive(graph, query.plan)
+    if query.kind is QueryKind.DATA_RPQ:
+        return evaluate_data_rpq_naive(graph, query.plan)
+    if query.kind is QueryKind.CRPQ:
+        return evaluate_crpq_naive(graph, query.plan)
+    # GXPath has no separate naive evaluator: the router-off dict session
+    # (the benchmark oracle's reference) is its specification.
+    reference = GraphSession(graph, policy=ExecutionPolicy(routing="manual", backend="dict"))
+    return reference.run(query).rows()
+
+
+class KernelSpy:
+    """Record which kernel family and driver actually ran.
+
+    Wraps the kernel entry points — the compact ``*_relation`` kernels,
+    the dict forward expansion, mask pass and point BFS of ``product``,
+    the SQL backend's ``evaluate_*`` / ``closure_pairs`` and
+    ``partitioned_product_relation`` — and counts calls by family
+    (``dict`` / ``compact`` / ``sql``) and by driver (``blocks`` /
+    ``sharded``).
+    """
+
+    FAMILIES = (
+        (compact_kernels, "nfa_relation", "compact"),
+        (compact_kernels, "register_relation", "compact"),
+        (compact_kernels, "closure_relation", "compact"),
+        (compact_kernels, "nfa_reachable_targets", "compact"),
+        (product_kernels, "forward_expand", "dict"),
+        (product_kernels, "propagate_masks", "dict"),
+        (sql_backend, "evaluate_rpq_pairs", "sql"),
+        (sql_backend, "closure_pairs", "sql"),
+        (sql_backend, "evaluate_plan_rows", "sql"),
+    )
+
+    def __init__(self, monkeypatch):
+        self.families: Counter = Counter()
+        self.drivers: Counter = Counter()
+        for module, name, family in self.FAMILIES:
+            monkeypatch.setattr(module, name, self._counting(getattr(module, name), family))
+        point = product_kernels.reachable_targets
+
+        def reachable_targets(index, *args, **kwargs):
+            if not isinstance(index, CompactLabelIndex):  # the compact twin counts itself
+                self.families["dict"] += 1
+            return point(index, *args, **kwargs)
+
+        monkeypatch.setattr(product_kernels, "reachable_targets", reachable_targets)
+        partitioned = partition_kernels.partitioned_product_relation
+
+        def partitioned_product_relation(space, mode, *args, **kwargs):
+            self.drivers[mode] += 1
+            return partitioned(space, mode, *args, **kwargs)
+
+        monkeypatch.setattr(
+            partition_kernels, "partitioned_product_relation", partitioned_product_relation
+        )
+
+    def _counting(self, function, family):
+        def counted(*args, **kwargs):
+            self.families[family] += 1
+            return function(*args, **kwargs)
+
+        return counted
+
+    def reset(self):
+        self.families.clear()
+        self.drivers.clear()
+
+    def assert_ran(self, route: Route, context):
+        """What ran is what *route* says: its kernel family and driver,
+        and nothing else."""
+        if route.driver == "sequential":
+            assert not self.drivers, (context, dict(self.drivers))
+            assert set(self.families) == {route.kernel}, (context, dict(self.families))
+        else:
+            # Source blocks and shard rounds run the dict mask pass (in
+            # forked workers where the host forks, so it may go unseen).
+            assert set(self.drivers) == {route.driver}, (context, dict(self.drivers))
+            assert set(self.families) <= {"dict"}, (context, dict(self.families))
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    return KernelSpy(monkeypatch)
+
+
+# ----------------------------------------------------------------------
+# Route choices
+# ----------------------------------------------------------------------
 class TestRouteChoices:
     @pytest.mark.parametrize("name", sorted(DIALECTS))
-    def test_default_routes_are_local(self, graph, name):
+    def test_default_routes_are_resolved_and_local(self, graph, name):
         route = route_query(DIALECTS[name], graph, ExecutionPolicy.auto())
         assert isinstance(route, Route)
-        assert route.mode == "off"
+        assert route.driver == "sequential" and route.workers == 1
+        assert route.kernel in {"dict", "compact", "sql"}  # never "auto"
         assert route.strategy in {"sequential", "compact", "sql"}
+        assert not route.offer_pool
         assert route.estimate >= 0.0
         assert route.describe().startswith("route: ")
 
     def test_small_graph_routes_sequential(self, graph):
         route = route_query(Query.parse("a"), graph, ExecutionPolicy.auto())
-        assert route.strategy == "sequential"
+        assert route.strategy == "sequential" and route.kernel == "dict"
 
-    def test_large_graph_closure_routes_parallel(self, graph, monkeypatch):
-        monkeypatch.setattr(router_module, "ROUTE_PARALLEL_MIN_NODES", 1)
-        monkeypatch.setattr(router_module, "ROUTE_PARALLEL_WORK_FACTOR", 0.0)
-        route = route_query(DIALECTS["rpq"], graph, ExecutionPolicy.auto())
-        assert route.strategy == "blocks"
-        assert route.mode == "blocks"
+    def test_large_graph_closure_routes_by_host_shape(self, graph, host_shape, low_floors):
+        # auto() only picks the batch executor, so the router still decides
+        # — and decides the same way on every host of one shape.
+        # (A data RPQ: closure-heavy plain RPQs clear the SQL floor first.)
+        cores, fork = host_shape
+        route = route_query(DIALECTS["data_rpq"], graph, ExecutionPolicy.auto())
+        if cores >= 2 and fork:
+            assert (route.strategy, route.kernel, route.workers) == ("blocks", "dict", cores)
+        else:
+            assert route.strategy == "compact" and route.workers == 1
 
-    def test_pool_upgrades_parallel_to_sharded(self, graph, monkeypatch):
-        monkeypatch.setattr(router_module, "ROUTE_PARALLEL_MIN_NODES", 1)
-        monkeypatch.setattr(router_module, "ROUTE_PARALLEL_WORK_FACTOR", 0.0)
-        route = route_query(
-            DIALECTS["rpq"], graph, ExecutionPolicy.auto(), pooled=True
-        )
-        assert route.strategy == "sharded"
+    def test_worker_budget_gates_the_parallel_route(self, graph, low_floors):
+        route = route_query(DIALECTS["data_rpq"], graph, ExecutionPolicy(max_workers=1))
+        assert route.driver == "sequential"
 
-    def test_intra_query_policy_overrides_routing(self, graph):
-        policy = ExecutionPolicy.preset(
-            "local", intra_query="blocks", intra_query_threshold=0
-        )
+    def test_pooled_sessions_offer_served_kinds_and_keep_the_local_route(self, graph):
+        policy = ExecutionPolicy.auto()
+        for name, query in DIALECTS.items():
+            route = route_query(query, graph, policy, pooled=True)
+            local = route_query(query, graph, policy)
+            assert route.offer_pool == (name in {"rpq", "data_rpq"}), name
+            assert (route.strategy, route.kernel, route.driver) == (
+                local.strategy, local.kernel, local.driver
+            )
+        assert "worker pool" in route_query(DIALECTS["rpq"], graph, policy, pooled=True).describe()
+
+    @pytest.mark.parametrize("driver", ["blocks", "sharded"])
+    def test_forced_driver_is_forced_on_any_size(self, graph, driver):
+        policy = ExecutionPolicy(intra_query=driver, max_workers=3)
         route = route_query(DIALECTS["crpq"], graph, policy)
-        assert route.mode == "blocks"
+        assert (route.strategy, route.driver, route.kernel, route.workers) == (
+            driver, driver, "dict", 3
+        )
         assert "override" in route.reason
 
-    def test_intra_query_threshold_still_gates_the_override(self, graph):
-        policy = ExecutionPolicy.preset(
-            "local", intra_query="blocks", intra_query_threshold=10**6
-        )
-        route = route_query(DIALECTS["crpq"], graph, policy)
-        assert route.mode == "off"
-
     def test_forced_backend_overrides_routing(self, graph):
-        policy = ExecutionPolicy.auto(backend="dict")
-        route = route_query(DIALECTS["rpq"], graph, policy)
-        assert route.strategy == "dict"
-        assert route.backend == "dict"
-        assert route.mode == "off"
+        route = route_query(DIALECTS["rpq"], graph, ExecutionPolicy.auto(backend="dict"))
+        assert (route.strategy, route.kernel, route.driver) == ("sequential", "dict", "sequential")
+        route = route_query(DIALECTS["rpq"], graph, ExecutionPolicy(backend="sql"))
+        assert route.strategy == "sql"
 
-    def test_manual_routing_restores_knob_behaviour(self, graph, monkeypatch):
-        monkeypatch.setattr(router_module, "ROUTE_PARALLEL_MIN_NODES", 1)
-        monkeypatch.setattr(router_module, "ROUTE_PARALLEL_WORK_FACTOR", 0.0)
-        policy = ExecutionPolicy.preset("local", routing="manual")
-        route = route_query(DIALECTS["rpq"], graph, policy)
-        assert route.mode == "off"
+    def test_forced_sql_resolves_to_what_data_rpqs_can_run(self, graph):
+        route = route_query(DIALECTS["data_rpq"], graph, ExecutionPolicy(backend="sql"))
+        assert route.kernel == "dict" and route.strategy == "sequential"
+        assert "no SQL encoding" in route.reason
+
+    def test_manual_routing_switches_the_cost_model_off(self, graph, low_floors):
+        route = route_query(DIALECTS["rpq"], graph, ExecutionPolicy(routing="manual"))
+        assert route.driver == "sequential" and route.kernel == "compact"  # by size only
         assert route.reason == "manual routing policy"
+        oracle = ExecutionPolicy(routing="manual", backend="dict")
+        assert route_query(DIALECTS["rpq"], graph, oracle).strategy == "sequential"
 
     def test_stats_sharpen_the_estimate(self, graph):
         with_stats = route_query(
-            DIALECTS["crpq"], graph, ExecutionPolicy.auto(),
-            stats=graph_statistics(graph),
+            DIALECTS["crpq"], graph, ExecutionPolicy.auto(), stats=graph_statistics(graph)
         )
         without = route_query(DIALECTS["crpq"], graph, ExecutionPolicy.auto())
         # Stats only ever sharpen (shrink data-atom / widen closure
         # numbers); both must be valid local routes on this small graph.
-        assert with_stats.mode == without.mode == "off"
-
-    def test_unknown_routing_mode_rejected(self):
-        with pytest.raises(EvaluationError, match="routing"):
-            ExecutionPolicy.preset("local", routing="psychic")
+        assert with_stats.driver == without.driver == "sequential"
 
 
-class TestRoutedAnswersMatchDictBackend:
-    """Every route the auto-router can pick returns the baseline answer."""
+class TestRouterSeesTheRegex:
+    """The router unwraps ``RPQ.expression``: plain RPQs no longer estimate
+    |V|² ("no information"), so SQL is reported where it runs and the
+    parallel gate is no longer vacuously true."""
 
-    @pytest.mark.parametrize("name", sorted(DIALECTS))
-    def test_auto_matches_manual(self, graph, name):
-        query = DIALECTS[name]
-        baseline = GraphSession(
-            graph, policy=ExecutionPolicy.preset("local", backend="dict", routing="manual")
-        ).run(query).rows()
-        auto = GraphSession(graph, policy=ExecutionPolicy.auto()).run(query).rows()
-        assert auto == baseline
+    def test_closure_on_a_large_graph_explains_sql(self):
+        graph = generators.random_graph(1100, 2400, labels=("supplies_to", "alt_for"), rng=3)
+        session = GraphSession(graph)
+        route = session._route(Query.parse("supplies_to+"))
+        assert route.strategy == "sql"
+        assert route.estimate < graph.num_nodes**2
+        assert session.explain("supplies_to+").startswith("route: sql ")
 
-    @pytest.mark.parametrize("name", sorted(DIALECTS))
-    def test_forced_parallel_route_matches(self, graph, name, monkeypatch):
-        monkeypatch.setattr(router_module, "ROUTE_PARALLEL_MIN_NODES", 1)
-        monkeypatch.setattr(router_module, "ROUTE_PARALLEL_WORK_FACTOR", 0.0)
-        query = DIALECTS[name]
-        baseline = GraphSession(
-            graph, policy=ExecutionPolicy.preset("local", backend="dict", routing="manual")
-        ).run(query).rows()
-        assert GraphSession(graph, policy=ExecutionPolicy.auto()).run(query).rows() == baseline
+    def test_concatenation_on_a_large_graph_does_not_route_blocks(self, host_shape):
+        graph = generators.random_graph(2100, 4400, labels=("a", "b"), rng=5)
+        route = route_query(Query.parse("a.b.a"), graph, ExecutionPolicy.auto())
+        assert route.estimate < 8 * graph.num_nodes
+        assert route.strategy == "compact"
 
-    @pytest.mark.parametrize("backend", ["compact", "sql"])
-    @pytest.mark.parametrize("name", sorted(DIALECTS))
-    def test_forced_backends_match(self, graph, name, backend):
-        query = DIALECTS[name]
-        if backend == "sql":
-            pytest.importorskip("duckdb")
-        baseline = GraphSession(
-            graph, policy=ExecutionPolicy.preset("local", backend="dict", routing="manual")
-        ).run(query).rows()
-        forced = GraphSession(
-            graph, policy=ExecutionPolicy.auto(backend=backend)
-        ).run(query).rows()
-        assert forced == baseline
+
+class TestPointQueriesSkipTheRouter:
+    def test_point_route_is_the_constant_time_part(self, graph, low_floors):
+        route = route_point(graph)
+        assert (route.kernel, route.driver, route.offer_pool) == ("compact", "sequential", False)
+        assert route_point(graph, ExecutionPolicy(backend="dict")).kernel == "dict"
+        assert route_point(graph, ExecutionPolicy(backend="sql")).kernel == "sql"
+        assert route_point(graph, offer_pool=True).offer_pool
+
+    def test_targets_and_holds_never_call_route_query(self, graph, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the point path must not pay for a full route")
+
+        session = GraphSession(graph)
+        expected = session.run(DIALECTS["rpq"]).pairs()
+        fresh = GraphSession(graph)
+        monkeypatch.setattr("repro.api.session.route_query", forbidden)
+        monkeypatch.setattr(stats_module, "graph_statistics", forbidden)
+        source, target = next(iter(expected))
+        assert fresh.targets(DIALECTS["rpq"], source.id) == frozenset(
+            v for u, v in expected if u == source
+        )
+        assert fresh.holds(DIALECTS["rpq"], source.id, target.id)
+
+
+# ----------------------------------------------------------------------
+# Explain is what ran
+# ----------------------------------------------------------------------
+graphs = st.builds(
+    lambda size, seed: generators.random_graph(
+        size, size * 2, labels=("a", "b"), rng=seed, domain_size=3
+    ),
+    # both sides of the (patched) 8 / 16 / 24-node floors
+    size=st.sampled_from([5, 9, 18, 26]),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+
+
+class TestExplainIsWhatRan:
+    @settings(
+        max_examples=8,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(graph=graphs)
+    def test_every_dialect_under_every_configuration(self, graph, low_floors, spy):
+        for name, query in DIALECTS.items():
+            expected = naive_rows(graph, query)
+            for config in CONFIGS:
+                context = (name, config, graph.num_nodes)
+                session = session_under(config, graph)
+                route = session._route(query)
+                assert route.kernel != "auto"
+                assert session.explain(query).splitlines()[0] == route.describe(), context
+
+                spy.reset()
+                assert session.run(query).rows() == expected, context
+                spy.assert_ran(route, context)
+
+                # run_many takes the same dispatcher, plan cache and trace
+                spy.reset()
+                batch = session_under(config, graph)
+                assert batch.run_many([query])[0].rows() == expected, context
+                spy.assert_ran(route, context)
+                if query.kind is QueryKind.CRPQ:
+                    assert (query.key, False) in batch._plan_traces, context
+                    if route.kernel != "sql":
+                        assert "adaptive:" in batch.explain(query), context
+
+                if query.arity == 2 and query.kind is not QueryKind.CRPQ:
+                    source = next(iter(graph.node_ids))
+                    spy.reset()
+                    point = session_under(config, graph)
+                    assert point.targets(query, source) == frozenset(
+                        v for u, v in expected if u.id == source
+                    ), context
+                    if query.kind is QueryKind.RPQ:
+                        # one single-source BFS on the point route's kernel
+                        spy.assert_ran(point._point_route(query), context)
+
+    def test_pool_declines_run_the_local_route_and_are_counted(self, graph, spy):
+        for name, query in DIALECTS.items():
+            session = session_under("pooled", graph)
+            plain = GraphSession(graph)
+            spy.reset()
+            assert session.run(query).rows() == plain.run(query).rows()
+            # never the in-process sharded driver: the local cost route
+            assert not spy.drivers, name
+            offered = session.shard_runner.offered
+            declines = session.maintenance_stats()["pool_declines"]
+            if name in {"rpq", "data_rpq"}:
+                assert [kind for kind, _, _ in offered] == [query.kind]
+                assert declines == {"the pool declined (busy or gone)": 1}
+            else:
+                assert offered == []
+                assert declines == {f"{query.kind.value} is not served by the pool": 1}
+        assert GraphSession(graph).maintenance_stats()["pool_declines"] == {}
+
+    def test_pooled_point_queries_are_offered_with_their_seeds(self, graph):
+        session = session_under("pooled", graph)
+        source = next(iter(graph.node_ids))
+        plain = GraphSession(graph)
+        assert session.targets(DIALECTS["rpq"], source) == plain.targets(DIALECTS["rpq"], source)
+        assert session.shard_runner.offered == [(QueryKind.RPQ, {source}, None)]
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_process_batches_agree_with_run(self, graph, config, low_floors):
+        queries = list(DIALECTS.values())
+        expected = [session_under(config, graph).run(query).rows() for query in queries]
+        session = session_under(config, graph)
+        executor = ParallelExecutor(max_workers=2, backend="process")
+        results = session.run_many(queries, executor=executor)
+        assert [result.rows() for result in results] == expected
+        # a fanned-out batch never offers the pool from its forked workers
+        if config == "pooled":
+            assert session.shard_runner.offered == []
+
+    def test_run_many_uses_the_session_plan_cache_and_trace(self, graph):
+        session = GraphSession(graph)
+        query = DIALECTS["crpq"]
+        session.run_many([query])
+        assert (graph.version, query.key) in session._crpq_plans
+        assert "adaptive:" in session.explain(query)
 
 
 class TestExplainShowsTheRoute:

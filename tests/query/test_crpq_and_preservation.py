@@ -4,15 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import GraphSession
 from repro.datagraph import NULL, GraphBuilder
 from repro.exceptions import EvaluationError
 from repro.query import (
     Atom,
     ConjunctiveRPQ,
     equality_rpq,
-    evaluate_crpq,
-    evaluate_data_rpq,
-    evaluate_rpq,
     is_preserved_on,
     rpq,
     violates_homomorphism_preservation,
@@ -42,7 +40,7 @@ class TestConjunctiveRPQ:
         query = ConjunctiveRPQ(head=("x",), atoms=(Atom("x", rpq("knows"), "x"),))
         naive = {row[0].id for row in evaluate_crpq_naive(toy_graph, query)}
         assert naive == {"carol"}
-        planned = {row[0].id for row in evaluate_crpq(toy_graph, query)}
+        planned = {row[0].id for row in GraphSession(toy_graph).run(query).rows()}
         assert planned == {"carol"}
 
     def test_self_loop_atom_with_bound_variable(self, toy_graph):
@@ -58,7 +56,7 @@ class TestConjunctiveRPQ:
         )
         expected = {("alice", "bob"), ("bob", "bob")}
         assert {(a.id, b.id) for a, b in evaluate_crpq_naive(toy_graph, query)} == expected
-        assert {(a.id, b.id) for a, b in evaluate_crpq(toy_graph, query)} == expected
+        assert {(a.id, b.id) for a, b in GraphSession(toy_graph).run(query).rows()} == expected
 
     def test_two_atom_join(self, toy_graph):
         # people who know someone working at the same institution as alice
@@ -69,7 +67,7 @@ class TestConjunctiveRPQ:
                 Atom("y", rpq("worksAt"), "z"),
             ),
         )
-        answers = {(a.id, b.id) for a, b in evaluate_crpq(toy_graph, query)}
+        answers = {(a.id, b.id) for a, b in GraphSession(toy_graph).run(query).rows()}
         assert ("alice", "uni") in answers
         assert ("dave", "uni") in answers
         assert ("bob", "uni") not in answers
@@ -82,14 +80,14 @@ class TestConjunctiveRPQ:
                 Atom("y", rpq("knows.knows.knows"), "x"),
             ),
         )
-        answers = {tpl[0].id for tpl in evaluate_crpq(toy_graph, query)}
+        answers = {tpl[0].id for tpl in GraphSession(toy_graph).run(query).rows()}
         assert answers == {"alice", "bob", "carol", "dave"}
 
     def test_boolean_query(self, toy_graph):
         yes = ConjunctiveRPQ(head=(), atoms=(Atom("x", rpq("worksAt"), "y"),))
-        assert evaluate_crpq(toy_graph, yes) == frozenset({()})
+        assert GraphSession(toy_graph).run(yes).rows() == frozenset({()})
         no = ConjunctiveRPQ(head=(), atoms=(Atom("x", rpq("worksAt.worksAt"), "y"),))
-        assert evaluate_crpq(toy_graph, no) == frozenset()
+        assert GraphSession(toy_graph).run(no).rows() == frozenset()
 
     def test_data_rpq_atoms(self):
         g = (
@@ -105,7 +103,7 @@ class TestConjunctiveRPQ:
             head=("x", "y"),
             atoms=(Atom("x", equality_rpq("(knows)="), "y"),),
         )
-        answers = {(a.id, b.id) for a, b in evaluate_crpq(g, query)}
+        answers = {(a.id, b.id) for a, b in GraphSession(g).run(query).rows()}
         assert answers == {("p1", "p2")}
 
     def test_unsatisfiable_join(self, toy_graph):
@@ -116,17 +114,17 @@ class TestConjunctiveRPQ:
                 Atom("y", rpq("knows"), "x"),
             ),
         )
-        assert evaluate_crpq(toy_graph, query) == frozenset()
+        assert GraphSession(toy_graph).run(query).rows() == frozenset()
 
 
 class TestHomomorphismPreservation:
     def _rpq_evaluator(self, text):
-        return lambda graph: evaluate_rpq(graph, rpq(text))
+        return lambda graph: GraphSession(graph).run(rpq(text)).pairs()
 
     def _ree_evaluator(self, text, null_semantics=True):
-        return lambda graph: evaluate_data_rpq(
-            graph, equality_rpq(text), null_semantics=null_semantics
-        )
+        return lambda graph: GraphSession(graph).run(
+            equality_rpq(text), null_semantics=null_semantics
+        ).pairs()
 
     def test_rpq_preserved_under_collapse(self):
         source = GraphBuilder().node("a", NULL).node("b", NULL).node("c", NULL).edge(

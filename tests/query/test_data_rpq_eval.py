@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import GraphSession
 from repro.datagraph import NULL, DataGraph, GraphBuilder, enumerate_paths, generators
 from repro.datapaths import parse_ree, parse_rem, ree_matches, rem_matches
+from repro.engine import default_engine
 from repro.exceptions import EvaluationError
-from repro.query import data_path_query, data_rpq_holds, equality_rpq, evaluate_data_rpq, memory_rpq
+from repro.query import data_path_query, data_rpq_holds, equality_rpq, memory_rpq
 
 
 def _ids(pairs):
@@ -64,39 +66,39 @@ class TestDataRPQWrappers:
 
     def test_unknown_engine_rejected(self, value_graph):
         with pytest.raises(EvaluationError):
-            evaluate_data_rpq(value_graph, equality_rpq("a"), engine="bogus")
+            default_engine().evaluate_data_rpq(value_graph, equality_rpq("a"), engine="bogus")
 
     def test_algebraic_engine_rejects_rem(self, value_graph):
         with pytest.raises(EvaluationError):
-            evaluate_data_rpq(value_graph, memory_rpq("a"), engine="algebraic")
+            default_engine().evaluate_data_rpq(value_graph, memory_rpq("a"), engine="algebraic")
 
 
 class TestEqualityRPQEvaluation:
     def test_plain_letter(self, value_graph):
-        answers = _ids(evaluate_data_rpq(value_graph, equality_rpq("a")))
+        answers = _ids(GraphSession(value_graph).run(equality_rpq("a")).pairs())
         assert ("n0", "n1") in answers
         assert ("n2", "n3") not in answers
 
     def test_equal_endpoints(self, value_graph):
         # (a.a)= : 2-step a-paths returning to the same data value.
-        answers = _ids(evaluate_data_rpq(value_graph, equality_rpq("(a.a)=")))
+        answers = _ids(GraphSession(value_graph).run(equality_rpq("(a.a)=")).pairs())
         assert ("n0", "n2") in answers  # values 1 ... 1
         assert ("n2", "n1") not in answers
 
     def test_not_equal_endpoints(self, value_graph):
-        answers = _ids(evaluate_data_rpq(value_graph, equality_rpq("(a.b)!=")))
+        answers = _ids(GraphSession(value_graph).run(equality_rpq("(a.b)!=")).pairs())
         assert ("n0", "n4") in answers  # 1 vs 2
         assert ("n1", "n3") in answers  # 2 vs 3
 
     def test_repeated_value_reachability(self, value_graph):
         # Σ* (Σ+)= Σ* : pairs connected by a path on which some value repeats.
         query = equality_rpq("(a|b)* . ((a|b)+)= . (a|b)*")
-        answers = _ids(evaluate_data_rpq(value_graph, query))
+        answers = _ids(GraphSession(value_graph).run(query).pairs())
         assert ("n0", "n3") in answers  # via n0(1) a n1 a n2(1) b n3
         assert ("n3", "n4") not in answers
 
     def test_star_includes_identity(self, value_graph):
-        answers = _ids(evaluate_data_rpq(value_graph, equality_rpq("a*")))
+        answers = _ids(GraphSession(value_graph).run(equality_rpq("a*")).pairs())
         for node in value_graph.node_ids:
             assert (node, node) in answers
 
@@ -111,24 +113,24 @@ class TestEqualityRPQEvaluation:
             .build()
         )
         query = equality_rpq("(a)=")
-        plain = _ids(evaluate_data_rpq(g, query))
+        plain = _ids(GraphSession(g).run(query).pairs())
         assert ("x", "y") in plain  # NULL == NULL at the Python level
-        with_nulls = _ids(evaluate_data_rpq(g, query, null_semantics=True))
+        with_nulls = _ids(GraphSession(g).run(query, null_semantics=True).pairs())
         assert with_nulls == set()
         neq = equality_rpq("(a)!=")
-        assert ("y", "z") not in _ids(evaluate_data_rpq(g, neq, null_semantics=True))
+        assert ("y", "z") not in _ids(GraphSession(g).run(neq, null_semantics=True).pairs())
 
 
 class TestMemoryRPQEvaluation:
     def test_all_values_differ_from_first(self, value_graph):
         query = memory_rpq("!x.(a[x!=])+")
-        answers = _ids(evaluate_data_rpq(value_graph, query))
+        answers = _ids(GraphSession(value_graph).run(query).pairs())
         assert ("n0", "n1") in answers  # 1 -> 2
         assert ("n0", "n2") not in answers  # 1 a 2 a 1 repeats the first value
 
     def test_memory_rpq_with_equality(self, value_graph):
         query = memory_rpq("!x.(a.a)[x=]")
-        answers = _ids(evaluate_data_rpq(value_graph, query))
+        answers = _ids(GraphSession(value_graph).run(query).pairs())
         # n0(1) -a-> n1(2) -a-> n2(1): first and last values coincide.
         assert ("n0", "n2") in answers
         # n1(2) -a-> n2(1) -a-> n0(1): values 2 vs 1 differ, so excluded.
@@ -137,8 +139,8 @@ class TestMemoryRPQEvaluation:
     def test_engines_agree_on_ree_queries(self, value_graph):
         for text in ("a", "(a.a)=", "(a.b)!=", "(a|b)* . ((a|b)+)= . (a|b)*", "a*"):
             query = equality_rpq(text)
-            algebraic = _ids(evaluate_data_rpq(value_graph, query, engine="algebraic"))
-            automaton = _ids(evaluate_data_rpq(value_graph, query, engine="automaton"))
+            algebraic = _ids(default_engine().evaluate_data_rpq(value_graph, query, engine="algebraic"))
+            automaton = _ids(default_engine().evaluate_data_rpq(value_graph, query, engine="automaton"))
             assert algebraic == automaton, text
 
     def test_holds_helper(self, value_graph):
@@ -163,7 +165,7 @@ class TestAgainstPathEnumeration:
             for path in enumerate_paths(graph, source, max_length=4):
                 if ree_matches(expression, path.data_path()):
                     expected.add((source, path.target.id))
-        answers = _ids(evaluate_data_rpq(graph, equality_rpq(text)))
+        answers = _ids(GraphSession(graph).run(equality_rpq(text)).pairs())
         # enumeration is truncated at length 4, so expected ⊆ answers;
         # and any answer over a short path must be enumerated: check both ways
         assert expected <= answers
@@ -188,5 +190,5 @@ class TestAgainstPathEnumeration:
             for path in enumerate_paths(graph, source, max_length=4):
                 if rem_matches(expression, path.data_path()):
                     expected.add((source, path.target.id))
-        answers = _ids(evaluate_data_rpq(graph, memory_rpq(text)))
+        answers = _ids(GraphSession(graph).run(memory_rpq(text)).pairs())
         assert expected <= answers

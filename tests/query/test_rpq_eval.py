@@ -5,12 +5,12 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import GraphSession
 from repro.datagraph import GraphBuilder
 from repro.datagraph import generators
 from repro.query import (
     RPQ,
     atomic_rpq,
-    evaluate_rpq,
     evaluate_rpq_from,
     evaluate_word,
     reachability_rpq,
@@ -55,27 +55,27 @@ class TestRPQClassification:
 
 class TestEvaluation:
     def test_atomic_is_edge_relation(self, toy_graph):
-        answers = _ids(evaluate_rpq(toy_graph, atomic_rpq("worksAt")))
+        answers = _ids(GraphSession(toy_graph).run(atomic_rpq("worksAt")).pairs())
         assert answers == {("alice", "uni"), ("bob", "uni")}
 
     def test_word_query(self, toy_graph):
-        answers = _ids(evaluate_rpq(toy_graph, word_rpq(["knows", "worksAt"])))
+        answers = _ids(GraphSession(toy_graph).run(word_rpq(["knows", "worksAt"])).pairs())
         assert answers == {("dave", "uni"), ("alice", "uni")}
 
     def test_star_query_includes_empty_path(self, toy_graph):
-        answers = _ids(evaluate_rpq(toy_graph, rpq("knows*")))
+        answers = _ids(GraphSession(toy_graph).run(rpq("knows*")).pairs())
         assert ("alice", "alice") in answers
         assert ("alice", "dave") in answers
         assert ("uni", "uni") in answers
         assert ("alice", "uni") not in answers
 
     def test_reachability_query(self, toy_graph):
-        answers = _ids(evaluate_rpq(toy_graph, reachability_rpq(["knows", "worksAt"])))
+        answers = _ids(GraphSession(toy_graph).run(reachability_rpq(["knows", "worksAt"])).pairs())
         assert ("alice", "uni") in answers
         assert ("uni", "alice") not in answers
 
     def test_union_and_plus(self, toy_graph):
-        answers = _ids(evaluate_rpq(toy_graph, rpq("knows.knows | worksAt")))
+        answers = _ids(GraphSession(toy_graph).run(rpq("knows.knows | worksAt")).pairs())
         assert ("alice", "carol") in answers
         assert ("alice", "uni") in answers
         assert ("alice", "bob") not in answers
@@ -90,20 +90,20 @@ class TestEvaluation:
 
     def test_empty_graph_portions(self):
         g = GraphBuilder().node("isolated", 1).build()
-        assert _ids(evaluate_rpq(g, rpq("a"))) == set()
-        assert _ids(evaluate_rpq(g, rpq("a*"))) == {("isolated", "isolated")}
+        assert _ids(GraphSession(g).run(rpq("a")).pairs()) == set()
+        assert _ids(GraphSession(g).run(rpq("a*")).pairs()) == {("isolated", "isolated")}
 
     def test_chain_word_lengths(self, chain_graph_10):
-        answers = _ids(evaluate_rpq(chain_graph_10, word_rpq(["a"] * 10)))
+        answers = _ids(GraphSession(chain_graph_10).run(word_rpq(["a"] * 10)).pairs())
         assert answers == {("c0", "c10")}
-        assert _ids(evaluate_rpq(chain_graph_10, word_rpq(["a"] * 11))) == set()
+        assert _ids(GraphSession(chain_graph_10).run(word_rpq(["a"] * 11)).pairs()) == set()
 
 
 class TestEvaluateWordFastPath:
     def test_agrees_with_automaton_on_words(self, toy_graph):
         for labels in (["knows"], ["knows", "knows"], ["knows", "worksAt"], ["worksAt", "knows"]):
             direct = _ids(evaluate_word(toy_graph, labels))
-            automaton = _ids(evaluate_rpq(toy_graph, word_rpq(labels)))
+            automaton = _ids(GraphSession(toy_graph).run(word_rpq(labels)).pairs())
             assert direct == automaton
 
     def test_empty_word(self, toy_graph):
@@ -115,7 +115,7 @@ class TestEvaluateWordFastPath:
     def test_random_graphs(self, word_length, seed):
         graph = generators.random_graph(6, 12, labels=("a", "b"), rng=seed)
         labels = ["a" if i % 2 == 0 else "b" for i in range(word_length)]
-        assert _ids(evaluate_word(graph, labels)) == _ids(evaluate_rpq(graph, word_rpq(labels)))
+        assert _ids(evaluate_word(graph, labels)) == _ids(GraphSession(graph).run(word_rpq(labels)).pairs())
 
 
 class TestWitnessPaths:
@@ -148,7 +148,7 @@ class TestEvaluationOnRandomGraphs:
 
         graph = generators.random_graph(5, 8, labels=("a", "b"), rng=seed)
         expression = "a.(a|b)*.b"
-        answers = _ids(evaluate_rpq(graph, rpq(expression)))
+        answers = _ids(GraphSession(graph).run(rpq(expression)).pairs())
         # Every enumerated short witness must be reported by the evaluator.
         for source in graph.node_ids:
             for path in enumerate_paths(graph, source, max_length=4):

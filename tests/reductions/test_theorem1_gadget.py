@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import GraphSession
 from repro.core import is_solution
 from repro.exceptions import ReductionError
-from repro.query import evaluate_data_rpq, evaluate_rpq, rpq
+from repro.query import rpq
 from repro.reductions import (
     SOLVABLE_EXAMPLES,
     THEOREM1_ALPHABET,
@@ -140,18 +141,18 @@ class TestErrorQueries:
     def test_structural_error_absent_on_witness(self, instance, solution):
         witness = solution_witness_graph(instance, solution)
         start, end = witness.node("start"), witness.node("end")
-        assert (start, end) not in evaluate_data_rpq(witness, structural_error_query())
+        assert (start, end) not in GraphSession(witness).run(structural_error_query()).pairs()
 
     def test_structural_error_detected_on_malformed_witness(self, instance, solution):
         witness = solution_witness_graph(instance, solution)
         # malform it: make the s edge jump directly to the verification section
         witness.add_edge("sol:start", "v", "verify:start")
-        answers = evaluate_data_rpq(witness, structural_error_query())
+        answers = GraphSession(witness).run(structural_error_query()).pairs()
         assert any(left.id == "solution-anchor" for left, _ in answers)
 
     def test_repetition_error_absent_on_witness(self, instance, solution):
         witness = solution_witness_graph(instance, solution)
-        answers = evaluate_data_rpq(witness, repetition_error_query())
+        answers = GraphSession(witness).run(repetition_error_query()).pairs()
         # no pair whose witness path lies after the v separator repeats a value
         assert not any(left.id.startswith("sol:") and left.id.endswith(":close") for left, _ in answers)
 
@@ -162,7 +163,7 @@ class TestErrorQueries:
         assert len(verify_nodes) >= 2
         witness.set_value(verify_nodes[0].id, "dup")
         witness.set_value(verify_nodes[-1].id, "dup")
-        answers = evaluate_data_rpq(witness, repetition_error_query())
+        answers = GraphSession(witness).run(repetition_error_query()).pairs()
         assert answers  # the repetition is now detectable
 
 
@@ -184,5 +185,5 @@ class TestReductionCorrespondence:
         sigma = "|".join(label for label in THEOREM1_ALPHABET)
         # the reachability rule forces end to stay reachable from the anchor
         witness = solution_witness_graph(instance, solve_pcp_bounded(instance, max_length=4))
-        answers = evaluate_rpq(witness, rpq(f"({sigma})*"))
+        answers = GraphSession(witness).run(rpq(f"({sigma})*")).pairs()
         assert (witness.node("start"), witness.node("end")) in answers

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.api import ExecutionPolicy, GraphSession, Query
+from repro.api import GraphSession, Query
 from repro.datagraph import generators
 from repro.engine.forkpool import fork_available
 from repro.server.workers import ShardWorkerPool
@@ -124,10 +124,7 @@ class TestSessionPointQueriesThroughPool:
             runner.supports_sources = True
             runner.supports_targets = True
             runner.hash_join = pool.hash_join
-            policy = ExecutionPolicy.preset(
-                "server", intra_query_threshold=0, sharded_processes=False
-            )
-            session = GraphSession(graph, policy=policy, shard_runner=runner)
+            session = GraphSession(graph, shard_runner=runner)
             positive = next(iter(expected))
             absent_source = positive[0]
             assert session.holds(query, absent_source.id, positive[1].id)

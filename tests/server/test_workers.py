@@ -381,8 +381,6 @@ class TestSeededSources:
         assert pool.evaluate(QUERIES[0], sources=frozenset()) == frozenset()
 
     def test_session_targets_ride_the_pool(self, pool, graph):
-        from repro.api import ExecutionPolicy
-
         query = QUERIES[0]
         calls = []
 
@@ -391,21 +389,13 @@ class TestSeededSources:
             return pool.evaluate(plan, null_semantics, sources=sources)
 
         runner.supports_sources = True
-        session = GraphSession(
-            graph,
-            policy=ExecutionPolicy.preset(
-                "server", intra_query_threshold=0, sharded_processes=False
-            ),
-            shard_runner=runner,
-        )
+        session = GraphSession(graph, shard_runner=runner)
         source = next(iter(graph.node_ids))
         expected = GraphSession(graph).targets(query, source)
         assert session.targets(query, source) == expected
         assert calls and calls[-1] == {source}
 
     def test_sessions_skip_runners_without_sources_support(self, graph):
-        from repro.api import ExecutionPolicy
-
         query = QUERIES[0]
         offered = []
 
@@ -413,14 +403,11 @@ class TestSeededSources:
             offered.append(plan)
             return None
 
-        session = GraphSession(
-            graph,
-            policy=ExecutionPolicy.preset(
-                "server", intra_query_threshold=0, sharded_processes=False
-            ),
-            shard_runner=legacy_runner,
-        )
+        session = GraphSession(graph, shard_runner=legacy_runner)
         source = next(iter(graph.node_ids))
         expected = GraphSession(graph).targets(query, source)
         assert session.targets(query, source) == expected  # 2-arg runner untouched
         assert offered == []  # point path never offered a legacy runner
+        assert session.maintenance_stats()["pool_declines"] == {
+            "the runner has no seeded rounds": 1
+        }

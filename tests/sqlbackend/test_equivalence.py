@@ -19,6 +19,7 @@ from repro.api import ExecutionPolicy, GraphSession, Query
 from repro.datagraph import generators
 from repro.gxpath.ast import Axis, AxisStar, NodeExists, PathConcat, PathUnion
 from repro.gxpath.evaluation import evaluate_node, evaluate_path
+from repro.planner.router import route_point
 from repro.query import evaluate_crpq_naive, evaluate_rpq_naive
 from repro.sqlbackend import store_for
 
@@ -142,12 +143,15 @@ def test_gxpath_axis_star_sql_matches_dict(seed, size, inverse):
         PathConcat(AxisStar("a", inverse), Axis("b", False)),
         PathUnion(AxisStar("a", inverse), AxisStar("b", not inverse)),
     ]
+    sql, plain = (
+        route_point(graph, ExecutionPolicy(backend=backend)) for backend in ("sql", "dict")
+    )
     for expression in expressions:
-        expected = evaluate_path(graph, expression, backend="dict")
-        assert evaluate_path(graph, expression, backend="sql") == expected
+        expected = evaluate_path(graph, expression, route=plain)
+        assert evaluate_path(graph, expression, route=sql) == expected
     condition = NodeExists(AxisStar("b", inverse))
-    assert evaluate_node(graph, condition, backend="sql") == evaluate_node(
-        graph, condition, backend="dict"
+    assert evaluate_node(graph, condition, route=sql) == evaluate_node(
+        graph, condition, route=plain
     )
 
 

@@ -129,34 +129,21 @@ class TestInfoAndEvaluate:
             expected = capsys.readouterr().out
             assert main([
                 "evaluate", str(graph_file), flag, text,
-                "--intra-query", mode, "--num-shards", "2",
+                "--intra-query", mode, "--workers", "2",
             ]) == 0
             assert capsys.readouterr().out == expected
 
-    def test_intra_query_threshold_is_threaded_through(self, graph_file, capsys):
-        # A threshold above the graph size keeps evaluation sequential but
-        # must still be accepted and produce the same answers.
-        assert main(["evaluate", str(graph_file), "--rpq", "r.r"]) == 0
-        expected = capsys.readouterr().out
+    def test_forced_driver_shows_in_explain(self, graph_file, capsys):
         assert main([
-            "evaluate", str(graph_file), "--rpq", "r.r", "--policy", "intra-query",
-            "--intra-query-threshold", "100",
+            "evaluate", str(graph_file), "--rpq", "r.r", "--explain",
+            "--intra-query", "sharded", "--workers", "2",
         ]) == 0
-        assert capsys.readouterr().out == expected
+        assert capsys.readouterr().out.startswith("route: sharded ")
 
-    def test_intra_query_flags_require_the_intra_query_policy(self, graph_file, capsys):
-        assert main([
-            "evaluate", str(graph_file), "--rpq", "r", "--policy", "thread",
-            "--num-shards", "2",
-        ]) == 1
-        assert "--num-shards" in capsys.readouterr().err
-
-    def test_rejects_bad_shard_counts(self, graph_file, capsys):
-        assert main([
-            "evaluate", str(graph_file), "--rpq", "r", "--intra-query", "sharded",
-            "--num-shards", "0",
-        ]) == 1
-        assert "--num-shards must be positive" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag", ["--num-shards", "--intra-query-threshold"])
+    def test_removed_knob_flags_are_rejected(self, graph_file, flag):
+        with pytest.raises(SystemExit):
+            main(["evaluate", str(graph_file), "--rpq", "r", flag, "2"])
 
 
 class TestCertainAndExchange:

@@ -19,7 +19,7 @@ EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
 class TestPublicApi:
     def test_version(self):
-        assert repro.__version__ == "1.1.0"
+        assert repro.__version__ == "2.0.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
