@@ -13,10 +13,12 @@ Three comparisons on multi-community scenario graphs:
   final ``set``-of-pairs materialisation both backends share.  The
   ratio is a constant-factor claim about the kernels and holds on any
   core count.
-* **Data-RPQ mask pass** — the REM register kernel over CSR rows vs the
-  dict mask pass, through full sessions.  Register configurations keep
-  hashed valuation tuples either way, so the CSR win is smaller;
-  reported for the trajectory, not gated.
+* **Data-RPQ mask pass** (gated) — the REM register kernel over CSR
+  rows vs the dict mask pass, through full sessions.  Both sit on the
+  same :class:`~repro.datapaths.register_automata.RegisterStepper`
+  (interned ``(state, valuation)`` pairs, per-value closure memo); the
+  compact kernel additionally runs on int configurations, so CI gates
+  it at >= 1x dict (measured 2.0x): it may not lose.
 * **Shard-worker memory** — a mixed workload (one dense plain RPQ, one
   data-RPQ) through a :class:`~repro.server.workers.ShardWorkerPool`
   with and without the shared-memory CSR segment.  Each bench records
@@ -102,7 +104,7 @@ def bench_dict_rpq_full_relation(benchmark):
 
 
 # ----------------------------------------------------------------------
-# Data-RPQ register mask pass (informational)
+# Data-RPQ register mask pass: the second gated pair
 # ----------------------------------------------------------------------
 def _bench_datarpq_mask_pass(benchmark, backend: str):
     graph = _scenario_graph(6, 50)

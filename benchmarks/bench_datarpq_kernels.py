@@ -19,8 +19,11 @@ Each runs through the historical per-source product search
 through the shared-kernel mask pass
 (:func:`repro.engine.data.register_automaton_relation`).  Both must
 return identical relations; CI compares the means from BENCH_pr.json and
-fails when the mask kernel falls below the per-source baseline (see the
-bench-smoke gate).
+fails when the mask kernel is less than 2x faster than the per-source
+baseline (see the bench-smoke gate).  The baseline calls the raw
+automaton's ``silent_closure`` per edge; the mask pass takes closures
+from the :class:`~repro.datapaths.register_automata.RegisterStepper`
+memo.
 """
 
 from __future__ import annotations

@@ -6,11 +6,12 @@ the ``nodes`` tuple stays the id↔int mapping (``nodes[i]`` is the public
 the inverse), every label's adjacency becomes one CSR row pair —
 ``array('q')`` offsets of length ``n + 1`` plus a neighbors column, kept
 both forward and transposed — and the data values become a list indexed
-by int id.  The int-id kernels in :mod:`repro.engine.compact` walk these
-arrays with ``bytearray`` visited sets and integer-bitmask frontiers
-instead of hashing ``(NodeId, state)`` tuples, and translate back to
-public node ids only at the answer boundary, so results are bit-identical
-to the dict-backed kernels.
+by int id (plus a derived column of dense value ids,
+:attr:`CompactLabelIndex.value_ids`).  The int-id kernels in
+:mod:`repro.engine.compact` walk these arrays with ``bytearray`` visited
+sets and integer-bitmask frontiers instead of hashing ``(NodeId, state)``
+tuples, and translate back to public node ids only at the answer
+boundary, so results are bit-identical to the dict-backed kernels.
 
 :class:`SharedCompactIndex` serialises the same arrays into one
 :mod:`multiprocessing.shared_memory` segment so forked shard workers map
@@ -72,6 +73,7 @@ class CompactLabelIndex:
         "backward",
         "_counts",
         "_shared",
+        "_value_ids",
     )
 
     def __init__(
@@ -98,6 +100,7 @@ class CompactLabelIndex:
         # Keeps the attached segment (and its exported memoryviews)
         # alive for as long as any view-backed index is in use.
         self._shared = shared
+        self._value_ids: Optional[List[int]] = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -129,6 +132,22 @@ class CompactLabelIndex:
     def edge_labels(self) -> FrozenSet[str]:
         """Labels that actually carry at least one edge."""
         return frozenset(self.forward)
+
+    @property
+    def value_ids(self) -> List[int]:
+        """``value_ids[u]`` is a dense id of node ``u``'s data value.
+
+        Two nodes share an id exactly when their values are one dict key
+        (equal and hash-equal, or the same object), which is how the
+        register kernel names a value without hashing it per edge.
+        Derived from :attr:`values` on first use and kept for the life of
+        this (immutable) snapshot — shared-memory views derive their own.
+        """
+        column = self._value_ids
+        if column is None:
+            ids: Dict[DataValue, int] = {}
+            column = self._value_ids = [ids.setdefault(value, len(ids)) for value in self.values]
+        return column
 
     def edge_count(self, label: str) -> int:
         """Number of edges carrying *label*."""

@@ -24,7 +24,6 @@ used here coincides with SQL's three-valued logic for data RPQs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional
 
 from ..datagraph.values import DataValue, is_null
@@ -193,10 +192,14 @@ class Valuation:
     support.  Unbound variables are simply absent from the mapping.
     """
 
-    __slots__ = ("_assignment",)
+    __slots__ = ("_assignment", "_hash")
 
     def __init__(self, assignment: Optional[Mapping[str, DataValue]] = None):
-        self._assignment: Mapping[str, DataValue] = MappingProxyType(dict(assignment or {}))
+        # A private copy nobody mutates after construction; the hash is
+        # computed on first use (register-product configurations hash
+        # their valuation on every mask lookup).
+        self._assignment: Dict[str, DataValue] = dict(assignment or {})
+        self._hash: Optional[int] = None
 
     def get(self, variable: str) -> Optional[DataValue]:
         """The value bound to *variable*, or ``None`` (⊥) if unbound."""
@@ -233,17 +236,23 @@ class Valuation:
         return Valuation({var: val for var, val in self._assignment.items() if var in keep})
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Valuation):
             return NotImplemented
-        return dict(self._assignment) == dict(other._assignment)
+        return self._assignment == other._assignment
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._assignment.items()))
+        cached = self._hash
+        if cached is None:
+            cached = self._hash = hash(frozenset(self._assignment.items()))
+        return cached
 
     def __reduce__(self):
-        # The MappingProxyType behind _assignment does not pickle; rebuild
-        # from a plain dict so register-product configurations can cross
-        # process boundaries (the sharded multiprocess driver).
+        # Rebuild from the plain dict: the cached hash must not travel
+        # (string hashes differ between interpreter processes), and
+        # register-product configurations cross process boundaries in
+        # the sharded multiprocess driver.
         return (Valuation, (dict(self._assignment),))
 
     def __repr__(self) -> str:

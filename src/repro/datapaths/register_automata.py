@@ -31,9 +31,10 @@ the second.
 
 from __future__ import annotations
 
+import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..datagraph.paths import DataPath
 from ..datagraph.values import DataValue
@@ -60,7 +61,14 @@ from .rem import (
     RemUnion,
 )
 
-__all__ = ["Transition", "RegisterAutomaton", "compile_rem", "ra_accepts", "ra_is_empty"]
+__all__ = [
+    "Transition",
+    "RegisterAutomaton",
+    "RegisterStepper",
+    "compile_rem",
+    "ra_accepts",
+    "ra_is_empty",
+]
 
 
 @dataclass(frozen=True)
@@ -101,17 +109,35 @@ class RegisterAutomaton:
 
     def __post_init__(self) -> None:
         self._outgoing: Dict[int, List[Transition]] = {}
+        # The same transitions split by what consumes them: silent
+        # (guard/store) moves for the closure, ``(symbol, target)``
+        # letter moves for a step.
+        self._silent: Dict[int, List[Transition]] = {}
+        self._letters: Dict[int, List[Tuple[str, int]]] = {}
         for transition in self.transitions:
-            self._outgoing.setdefault(transition.source, []).append(transition)
+            self._index(transition)
+
+    def _index(self, transition: Transition) -> None:
+        self._outgoing.setdefault(transition.source, []).append(transition)
+        if transition.kind == "letter":
+            self._letters.setdefault(transition.source, []).append(
+                (transition.symbol, transition.target)
+            )
+        else:
+            self._silent.setdefault(transition.source, []).append(transition)
 
     def add_transition(self, transition: Transition) -> None:
         """Append a transition (used by the compiler)."""
         self.transitions.append(transition)
-        self._outgoing.setdefault(transition.source, []).append(transition)
+        self._index(transition)
 
     def outgoing(self, state: int) -> Tuple[Transition, ...]:
         """Transitions leaving *state*."""
         return tuple(self._outgoing.get(state, ()))
+
+    def letters_from(self, state: int) -> Sequence[Tuple[str, int]]:
+        """The ``(symbol, target state)`` letter moves leaving *state*."""
+        return self._letters.get(state, ())
 
     def registers(self) -> FrozenSet[str]:
         """All registers mentioned by guards or stores."""
@@ -138,13 +164,11 @@ class RegisterAutomaton:
         """Close a configuration set under guard/store moves for the current *value*."""
         closure: Set[Tuple[int, Valuation]] = set(configurations)
         queue = deque(closure)
+        silent = self._silent
         while queue:
             state, valuation = queue.popleft()
-            for transition in self.outgoing(state):
-                if transition.kind == "letter":
-                    continue
+            for transition in silent.get(state, ()):
                 if transition.kind == "guard":
-                    assert transition.condition is not None
                     if not evaluate_condition(transition.condition, valuation, value, null_semantics):
                         continue
                     successor = (transition.target, valuation)
@@ -163,11 +187,12 @@ class RegisterAutomaton:
         null_semantics: bool,
     ) -> FrozenSet[Tuple[int, Valuation]]:
         """Consume one ``(symbol, value)`` pair and re-close under silent moves."""
+        letters = self._letters
         moved: Set[Tuple[int, Valuation]] = set()
         for state, valuation in configurations:
-            for transition in self.outgoing(state):
-                if transition.kind == "letter" and transition.symbol == symbol:
-                    moved.add((transition.target, valuation))
+            for letter, target in letters.get(state, ()):
+                if letter == symbol:
+                    moved.add((target, valuation))
         return self.silent_closure(moved, new_value, null_semantics)
 
     def accepts(
@@ -302,6 +327,107 @@ class RegisterAutomaton:
                 condition.right, valuation, current
             )
         raise EvaluationError(f"unknown condition {condition!r}")  # pragma: no cover - defensive
+
+
+class RegisterStepper:
+    """The silent closures of one kernel call, interned and memoised.
+
+    On a data graph a valuation only ever holds the graph's own data
+    values, and a closure depends on the node it is taken at only through
+    that node's *value*.  So the stepper (a) interns every
+    ``(state, valuation)`` pair a closure produces to a dense int ``sv``
+    — :attr:`states` ``[sv]`` and :attr:`valuations` ``[sv]`` hold the
+    one canonical pair — and (b) memoises the initial closure per value
+    and each letter step per ``(sv, target state, value)``, so
+    :meth:`RegisterAutomaton.silent_closure` runs once per distinct key
+    instead of once per edge expansion.
+
+    The memo names a value by a hashable *key* of its equality class:
+    the value itself (the default), or a dense id the caller interned
+    (the compact index's value-id column, which saves hashing the value
+    per edge) — one convention per stepper.  The closure is a pure
+    function of state, valuation, value and ``null_semantics``, so the
+    memo never changes an answer; an ``UnboundVariableError`` propagates
+    from the first expansion that meets it and is never cached.
+
+    Built per kernel call and dropped with it.  Interning takes a lock
+    (the thread backend of the source-block driver shares one space);
+    memo hits are lock-free reads.
+    """
+
+    __slots__ = (
+        "automaton",
+        "null_semantics",
+        "states",
+        "valuations",
+        "_ids",
+        "_initial",
+        "_steps",
+        "_lock",
+    )
+
+    def __init__(self, automaton: RegisterAutomaton, null_semantics: bool = False):
+        self.automaton = automaton
+        self.null_semantics = null_semantics
+        #: ``sv -> state`` and ``sv -> valuation`` of every interned pair.
+        self.states: List[int] = []
+        self.valuations: List[Valuation] = []
+        self._ids: Dict[Tuple[int, Valuation], int] = {}
+        self._initial: Dict[Hashable, Tuple[int, ...]] = {}
+        # sv -> {(target state, value key) -> successor svs}
+        self._steps: List[Dict[Tuple[int, Hashable], Tuple[int, ...]]] = []
+        self._lock = threading.Lock()
+
+    def _intern(self, pairs: Iterable[Tuple[int, Valuation]]) -> Tuple[int, ...]:
+        ids = self._ids
+        out = []
+        with self._lock:
+            for pair in pairs:
+                sv = ids.get(pair)
+                if sv is None:
+                    sv = len(self.states)
+                    self.states.append(pair[0])
+                    self.valuations.append(pair[1])
+                    self._steps.append({})
+                    ids[pair] = sv  # published last: readers take no lock
+                out.append(sv)
+        return tuple(out)
+
+    def sv_of(self, state: int, valuation: Valuation) -> int:
+        """The id of ``(state, valuation)``, interned now if it is new
+        (a configuration that arrived from another process)."""
+        sv = self._ids.get((state, valuation))
+        if sv is None:
+            (sv,) = self._intern(((state, valuation),))
+        return sv
+
+    def initial(self, value: DataValue, key: Optional[Hashable] = None) -> Tuple[int, ...]:
+        """The pairs a source whose data value is *value* starts in."""
+        if key is None:
+            key = value
+        svs = self._initial.get(key)
+        if svs is None:
+            closure = self.automaton.silent_closure(
+                {(self.automaton.initial, EMPTY_VALUATION)}, value, self.null_semantics
+            )
+            svs = self._initial[key] = self._intern(closure)
+        return svs
+
+    def step(
+        self, sv: int, target_state: int, value: DataValue, key: Optional[Hashable] = None
+    ) -> Tuple[int, ...]:
+        """The pairs reached from *sv* by a letter move into *target_state*
+        that lands on a node whose data value is *value*."""
+        if key is None:
+            key = value
+        memo = self._steps[sv]
+        svs = memo.get((target_state, key))
+        if svs is None:
+            closure = self.automaton.silent_closure(
+                {(target_state, self.valuations[sv])}, value, self.null_semantics
+            )
+            svs = memo[(target_state, key)] = self._intern(closure)
+        return svs
 
 
 def compile_rem(expression: RegexWithMemory) -> RegisterAutomaton:

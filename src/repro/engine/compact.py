@@ -33,8 +33,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from ..datagraph.compact import CompactLabelIndex
 from ..datagraph.node import NodeId
-from ..datapaths.conditions import EMPTY_VALUATION
-from ..datapaths.register_automata import RegisterAutomaton
+from ..datapaths.register_automata import RegisterAutomaton, RegisterStepper
 from .compiled import CompiledAutomaton
 from .spaces import ClosureSpace, NfaProductSpace, ProductSpace, RegisterProductSpace
 
@@ -149,6 +148,17 @@ def _source_ints(
     return out
 
 
+def _target_flags(compact: CompactLabelIndex, targets: Iterable[NodeId]) -> bytearray:
+    """One flag per int node: whether it is among *targets*."""
+    flags = bytearray(compact.num_nodes)
+    position = compact.position
+    for node_id in targets:
+        u = position.get(node_id)
+        if u is not None:
+            flags[u] = 1
+    return flags
+
+
 # ----------------------------------------------------------------------
 # The NFA product kernel (plain RPQs): full and seeded
 # ----------------------------------------------------------------------
@@ -173,12 +183,7 @@ def nfa_relation(
         return set()
     target_flags: Optional[bytearray] = None
     if targets is not None:
-        target_flags = bytearray(n)
-        position = compact.position
-        for node_id in targets:
-            u = position.get(node_id)
-            if u is not None:
-                target_flags[u] = 1
+        target_flags = _target_flags(compact, targets)
         if not any(target_flags):
             return set()
     S = automaton.num_states
@@ -380,12 +385,7 @@ def closure_relation(
         return set()
     target_flags: Optional[bytearray] = None
     if targets is not None:
-        target_flags = bytearray(n)
-        position = compact.position
-        for node_id in targets:
-            u = position.get(node_id)
-            if u is not None:
-                target_flags[u] = 1
+        target_flags = _target_flags(compact, targets)
     row = compact.csr_t(label) if inverse else compact.csr(label)
     masks: List[int] = [0] * n
     touched: List[int] = []
@@ -437,58 +437,50 @@ def register_relation(
     sources: Optional[Sequence[NodeId]] = None,
     targets: Optional[Iterable[NodeId]] = None,
 ) -> Set[Pair]:
-    """The data-RPQ relation by mask propagation over int-id configurations.
+    """The data-RPQ relation by mask propagation over int configurations.
 
-    Register valuations are unbounded values, so configurations stay
-    hashed tuples — but the node component is the int id, adjacency
-    expansion walks CSR rows grouped per state and symbol, and data
-    values come from the flat column instead of a dict keyed by node id.
-    Pruning is unavailable (valuations do not reverse), matching the
-    dict-backed :class:`~repro.engine.spaces.RegisterProductSpace`.
+    A :class:`~repro.datapaths.register_automata.RegisterStepper` built
+    for this call interns each ``(state, valuation)`` pair to a dense int
+    ``sv`` and memoises silent closures per data value, so a
+    configuration is the single int ``sv * n + node``: mask, expansion
+    and queue tables are int-keyed, adjacency expansion walks CSR rows
+    grouped per state and symbol, and the value a step lands on is named
+    by the index's value-id column instead of being hashed.  Pruning is
+    unavailable (valuations do not reverse), matching the dict-backed
+    :class:`~repro.engine.spaces.RegisterProductSpace`.
     """
     n = compact.num_nodes
     if n == 0:
         return set()
-    src_ints = _source_ints(compact, sources)
+    src_ints = range(n) if sources is None else _source_ints(compact, sources)
     if not src_ints:
         return set()
-    target_ints: Optional[Set[int]] = None
-    if targets is not None:
-        position = compact.position
-        target_ints = {
-            position[node_id] for node_id in targets if node_id in position
-        }
     values = compact.values
-    accepting = automaton.accepting
-    silent_closure = automaton.silent_closure
-    # Letter transitions bound to CSR rows, grouped by source state.
-    letters: Dict[int, List[Tuple[Sequence[int], Sequence[int], int]]] = {}
-    for transition in automaton.transitions:
-        if transition.kind != "letter":
-            continue
-        row = compact.csr(transition.symbol)
-        if row is not None:
-            letters.setdefault(transition.source, []).append(
-                (row[0], row[1], transition.target)
-            )
-    masks: Dict[Tuple[int, int, object], int] = {}
-    pending: List[Tuple[int, int, object]] = []
-    in_queue: Set[Tuple[int, int, object]] = set()
+    value_ids = compact.value_ids
+    stepper = RegisterStepper(automaton, null_semantics)
+    states = stepper.states
+    step = stepper.step
+    # Letter transitions bound to CSR rows, indexed by source state.
+    letters: List[List[Tuple[Sequence[int], Sequence[int], int]]] = []
+    for state in range(automaton.num_states):
+        rows = []
+        for symbol, target_state in automaton.letters_from(state):
+            row = compact.csr(symbol)
+            if row is not None:
+                rows.append((row[0], row[1], target_state))
+        letters.append(rows)
+    masks: Dict[int, int] = {}
+    pending: List[int] = []
+    in_queue: Set[int] = set()
     for u in src_ints:
         bit = 1 << u
-        closure = silent_closure(
-            {(automaton.initial, EMPTY_VALUATION)}, values[u], null_semantics
-        )
-        for state, valuation in closure:
-            config = (u, state, valuation)
-            known = masks.get(config, 0)
-            merged = known | bit
-            if merged != known:
-                masks[config] = merged
-                if config not in in_queue:
-                    in_queue.add(config)
-                    pending.append(config)
-    expansions: Dict[Tuple[int, int, object], Tuple] = {}
+        for sv in stepper.initial(values[u], value_ids[u]):
+            config = sv * n + u
+            masks[config] = masks.get(config, 0) | bit
+            if config not in in_queue:
+                in_queue.add(config)
+                pending.append(config)
+    expansions: Dict[int, Tuple[int, ...]] = {}
     head = 0
     while head < len(pending):
         config = pending[head]
@@ -497,15 +489,12 @@ def register_relation(
         mask = masks[config]
         expanded = expansions.get(config)
         if expanded is None:
-            u, state, valuation = config
+            sv, u = divmod(config, n)
             out = []
-            for offsets, neighbors, target_state in letters.get(state, ()):
+            for offsets, neighbors, target_state in letters[states[sv]]:
                 for v in neighbors[offsets[u] : offsets[u + 1]]:
-                    stepped = silent_closure(
-                        {(target_state, valuation)}, values[v], null_semantics
-                    )
-                    for next_state, next_valuation in stepped:
-                        out.append((v, next_state, next_valuation))
+                    for next_sv in step(sv, target_state, values[v], value_ids[v]):
+                        out.append(next_sv * n + v)
             expanded = expansions[config] = tuple(out)
         for successor in expanded:
             known = masks.get(successor, 0)
@@ -515,13 +504,17 @@ def register_relation(
                 if successor not in in_queue:
                     in_queue.add(successor)
                     pending.append(successor)
+    target_flags = None if targets is None else _target_flags(compact, targets)
+    accepting = automaton.accepting
+    accepting_sv = [state in accepting for state in states]
     nodes = compact.nodes
     pairs: Set[Pair] = set()
     decoded: Dict[int, List[NodeId]] = {}
-    for (u, state, _valuation), mask in masks.items():
-        if state not in accepting:
+    for config, mask in masks.items():
+        sv, u = divmod(config, n)
+        if not accepting_sv[sv]:
             continue
-        if target_ints is not None and u not in target_ints:
+        if target_flags is not None and not target_flags[u]:
             continue
         sources_of = _mask_sources(mask, nodes, decoded)
         pairs.update(zip(sources_of, repeat(nodes[u])))

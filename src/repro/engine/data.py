@@ -196,12 +196,10 @@ def _register_reachable(
             break
     while queue:
         node, state, valuation = queue.popleft()
-        for transition in automaton.outgoing(state):
-            if transition.kind != "letter":
-                continue
-            for neighbour in index.targets(transition.symbol, node):
+        for symbol, target_state in automaton.letters_from(state):
+            for neighbour in index.targets(symbol, node):
                 stepped = automaton.silent_closure(
-                    {(transition.target, valuation)}, values[neighbour], null_semantics
+                    {(target_state, valuation)}, values[neighbour], null_semantics
                 )
                 for next_state, next_valuation in stepped:
                     config = (neighbour, next_state, next_valuation)

@@ -418,10 +418,17 @@ class EvaluationEngine:
         target: NodeId,
         null_semantics: bool = False,
     ) -> bool:
-        """Whether ``(source, target)`` belongs to the data RPQ answer."""
-        source_node = graph.node(source)
-        target_node = graph.node(target)
-        return (source_node, target_node) in self.evaluate_data_rpq(graph, query, null_semantics)
+        """Whether ``(source, target)`` belongs to the data RPQ answer.
+
+        One scan seeded at *source* and restricted to *target*, on the
+        route a bare engine call resolves — never the full relation.
+        """
+        graph.node(source)  # raise UnknownNodeError early, mirroring rpq_holds
+        graph.node(target)
+        pairs = self.evaluate_atom_ids(
+            graph, query, sources=(source,), targets={target}, null_semantics=null_semantics
+        )
+        return bool(pairs)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -45,19 +45,22 @@ Three implementations cover the paper's languages:
   the REE→REM translation, equality RPQs.  One mask-propagation pass
   over this space replaces the historical per-source search: sources
   whose runs meet in the same configuration share all downstream work,
-  and the source sets ride along as word-parallel big-int ORs.
+  and the source sets ride along as word-parallel big-int ORs.  Silent
+  closures come from a per-space
+  :class:`~repro.datapaths.register_automata.RegisterStepper`, which
+  memoises them per data value (the int-id twin in
+  :mod:`repro.engine.compact` uses the same stepper).
 * :class:`ClosureSpace` — bare-node configurations over one edge label;
   the transitive-closure hot path of GXPath ``a*`` / ``a-*`` axes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Iterable, List, Tuple
 
 from ..datagraph.index import LabelIndex
 from ..datagraph.node import NodeId
-from ..datapaths.conditions import EMPTY_VALUATION
-from ..datapaths.register_automata import RegisterAutomaton
+from ..datapaths.register_automata import RegisterAutomaton, RegisterStepper
 from .compiled import CompiledAutomaton
 
 __all__ = [
@@ -190,7 +193,7 @@ class RegisterProductSpace(ProductSpace):
     direction's current data value, so the product does not reverse.
     """
 
-    __slots__ = ("index", "automaton", "null_semantics", "_values", "_letters", "_accepting")
+    __slots__ = ("index", "automaton", "null_semantics", "_values", "_stepper", "_accepting")
 
     prune = False
     compact_kernel = "register"
@@ -203,38 +206,31 @@ class RegisterProductSpace(ProductSpace):
         self.null_semantics = null_semantics
         self._values = index.values
         self._accepting = automaton.accepting
-        # Letter transitions grouped by source state: the only transition
-        # kind expansion consults (silent moves live in silent_closure).
-        letters: Dict[int, List[Tuple[str, int]]] = {}
-        for transition in automaton.transitions:
-            if transition.kind == "letter":
-                letters.setdefault(transition.source, []).append(
-                    (transition.symbol, transition.target)
-                )
-        self._letters = letters
+        # Silent closures come from the stepper's per-value memo, keyed
+        # by the data value itself; the valuations it hands out are its
+        # canonical objects, so equal configurations mostly compare by
+        # identity.
+        self._stepper = RegisterStepper(automaton, null_semantics)
 
     def seed_configs(self, node: NodeId) -> List[Tuple[NodeId, int, object]]:
-        closure = self.automaton.silent_closure(
-            {(self.automaton.initial, EMPTY_VALUATION)},
-            self._values[node],
-            self.null_semantics,
-        )
-        return [(node, state, valuation) for state, valuation in closure]
+        stepper = self._stepper
+        states, valuations = stepper.states, stepper.valuations
+        return [
+            (node, states[sv], valuations[sv]) for sv in stepper.initial(self._values[node])
+        ]
 
     def successors(self, adjacency, config) -> List[Tuple[NodeId, int, object]]:
         node, state, valuation = config
         targets_of = adjacency.targets
-        silent_closure = self.automaton.silent_closure
+        stepper = self._stepper
+        states, valuations, step = stepper.states, stepper.valuations, stepper.step
         values = self._values
-        null_semantics = self.null_semantics
+        sv = stepper.sv_of(state, valuation)
         out: List[Tuple[NodeId, int, object]] = []
-        for symbol, target_state in self._letters.get(state, ()):
+        for symbol, target_state in self.automaton.letters_from(state):
             for neighbour in targets_of(symbol, node):
-                stepped = silent_closure(
-                    {(target_state, valuation)}, values[neighbour], null_semantics
-                )
-                for next_state, next_valuation in stepped:
-                    out.append((neighbour, next_state, next_valuation))
+                for next_sv in step(sv, target_state, values[neighbour]):
+                    out.append((neighbour, states[next_sv], valuations[next_sv]))
         return out
 
     def is_accepting(self, config) -> bool:

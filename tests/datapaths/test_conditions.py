@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,6 +55,30 @@ class TestValuation:
         assert hash(v1) == hash(v2)
         assert v1 != EMPTY_VALUATION
         assert v1 != "not a valuation"
+
+    def test_cached_hash_survives_use_and_pickling(self):
+        v = Valuation({"x": 1, "y": NULL})
+        first = hash(v)
+        assert hash(v) == first  # the second call serves the cached value
+        assert v.bind("x", 2) != v  # a bind makes a new object with its own hash
+        clone = pickle.loads(pickle.dumps(v))
+        assert clone == v and clone is not v
+        assert hash(clone) == hash(v)
+        assert {v: "seen"}[clone] == "seen"
+        # the cached hash is rebuilt, never shipped: only the mapping travels
+        assert v.__reduce__() == (Valuation, ({"x": 1, "y": NULL},))
+
+    @given(
+        left=st.dictionaries(st.sampled_from("xyz"), st.sampled_from([1, 1.0, True, 2, "1", NULL])),
+        right=st.dictionaries(st.sampled_from("xyz"), st.sampled_from([1, 1.0, True, 2, "1", NULL])),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_eq_and_hash_follow_the_mapping(self, left, right):
+        a, b = Valuation(left), Valuation(right)
+        assert (a == b) == (left == right)
+        if left == right:
+            assert hash(a) == hash(b)
+        assert a == a and hash(a) == hash(Valuation(dict(left)))
 
     def test_restrict(self):
         v = Valuation({"x": 1, "y": 2})

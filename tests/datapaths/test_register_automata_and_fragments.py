@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +29,7 @@ from repro.datapaths import (
     ree_to_rem,
     rem_matches,
 )
+from repro.datapaths.register_automata import RegisterStepper
 
 
 def dp(*items):
@@ -127,6 +131,76 @@ class TestRemCompilation:
         assert ra_accepts(expr, dp(1, "a", 2))
         assert ra_accepts(compile_rem(expr), dp(1, "a", 2))
         assert not ra_accepts(expr, dp(1, "a", 1))
+
+
+class TestRegisterStepper:
+    """The per-call closure memo both register kernels take their steps from."""
+
+    TEXT = "!x.(a.!y.((a|b)[x!= && y!=]))+"
+
+    def test_memo_agrees_with_the_raw_closure(self):
+        automaton = compile_rem(parse_rem(self.TEXT))
+        for null_semantics in (False, True):
+            stepper = RegisterStepper(automaton, null_semantics)
+            frontier = list(stepper.initial(1))
+            assert {(stepper.states[sv], stepper.valuations[sv]) for sv in frontier} == (
+                automaton.silent_closure(
+                    {(automaton.initial, Valuation())}, 1, null_semantics
+                )
+            )
+            seen = set(frontier)
+            while frontier:
+                sv = frontier.pop()
+                state, valuation = stepper.states[sv], stepper.valuations[sv]
+                assert stepper.sv_of(state, valuation) == sv
+                for _symbol, target in automaton.letters_from(state):
+                    for value in (1, 2, NULL):
+                        stepped = stepper.step(sv, target, value)
+                        assert stepper.step(sv, target, value) is stepped  # memo hit
+                        assert {
+                            (stepper.states[n], stepper.valuations[n]) for n in stepped
+                        } == automaton.silent_closure({(target, valuation)}, value, null_semantics)
+                        frontier.extend(n for n in stepped if n not in seen)
+                        seen.update(stepped)
+
+    def test_concurrent_interning_loses_no_pair(self):
+        """The thread backend of the source-block driver shares one
+        stepper: ids must stay dense and every id must map back to its
+        pair whatever the interleaving."""
+        automaton = compile_rem(parse_rem(self.TEXT))
+        stepper = RegisterStepper(automaton)
+        values = list(range(12))
+        errors = []
+
+        def walk(offset: int) -> None:
+            try:
+                order = values[offset:] + values[:offset]
+                frontier = [sv for value in order for sv in stepper.initial(value)]
+                for _ in range(3):
+                    reached = []
+                    for sv in frontier:
+                        for _symbol, target in automaton.letters_from(stepper.states[sv]):
+                            for value in order:
+                                reached.extend(stepper.step(sv, target, value))
+                    frontier = list(dict.fromkeys(reached))[:40]
+            except Exception as error:  # surfaced below, on the main thread
+                errors.append(error)
+
+        threads = [threading.Thread(target=walk, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        pairs = list(zip(stepper.states, stepper.valuations))
+        assert len(set(pairs)) == len(pairs) > 0  # no pair interned twice
+        assert all(stepper.sv_of(*pair) == sv for sv, pair in enumerate(pairs))
 
 
 class TestNonemptiness:

@@ -11,18 +11,26 @@ backend is an *optimisation*, so any divergence anywhere is a bug.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import ExecutionPolicy, GraphSession, Query
-from repro.datagraph import GraphBuilder, generators
+from repro.datagraph import NULL, GraphBuilder, generators
 from repro.datagraph.compact import CompactLabelIndex, owner_column
 from repro.engine import compact as compact_kernels
 from repro.engine import default_engine
 from repro.engine.partition import GraphPartition, sharded_product_relation
 from repro.engine.spaces import NfaProductSpace
+from repro.exceptions import UnboundVariableError
 from repro.planner.router import route_point
-from repro.query import evaluate_crpq_naive, evaluate_data_rpq_naive, evaluate_rpq_naive, rpq
+from repro.query import (
+    data_rpq_holds,
+    evaluate_crpq_naive,
+    evaluate_data_rpq_naive,
+    evaluate_rpq_naive,
+    rpq,
+)
 
 RPQ_POOL = [
     "a",
@@ -137,6 +145,119 @@ def test_gxpath_compact_matches_dict(seed, size, path_index, node_index):
     assert compact_session.run(path_query).pairs() == dict_session.run(path_query).pairs()
     node_query = Query.parse(GXPATH_NODE_POOL[node_index], dialect="gxpath-node")
     assert compact_session.run(node_query).nodes() == dict_session.run(node_query).nodes()
+
+
+# ----------------------------------------------------------------------
+# The interned register product: the per-value memo must not change answers
+# ----------------------------------------------------------------------
+REGISTER_POOL = [  # several registers, stores over a bound register, multi-binds
+    ("!x.(a|b).!y.((a|b)[x!= && y!=])+", "rem"),
+    ("(!x.(a|b)[x!=])+", "rem"),
+    ("!x.a.!x.(b[x=])", "rem"),
+    ("!x,y.(a[x=] | b[y!=])+", "rem"),
+    ("!x.((a|b)+[x=]).!y.((a|b)[y!= || x=])", "rem"),
+    ("((a|b)+)!=", "ree"),
+    ("(a.((a|b))=)!=", "ree"),
+]
+
+NAN = float("nan")
+#: equal across types (1 == 1.0 == True), the SQL null, one shared NaN
+#: object (equal to nothing, itself included) and a second, distinct one
+TRICKY_VALUES = [1, 1.0, True, 2, "1", NULL, NAN, float("nan")]
+
+
+@st.composite
+def tricky_graphs(draw):
+    size = draw(st.integers(min_value=1, max_value=9))
+    builder = GraphBuilder(name="tricky")
+    for i in range(size):
+        builder.node(f"n{i}", draw(st.sampled_from(TRICKY_VALUES)))
+    ends = st.integers(min_value=0, max_value=size - 1)
+    for source, label, target in draw(
+        st.lists(st.tuples(ends, st.sampled_from("ab"), ends), max_size=3 * size)
+    ):
+        builder.edge(f"n{source}", label, f"n{target}")
+    return builder.build()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    graph=tricky_graphs(),
+    query_index=st.integers(min_value=0, max_value=len(REGISTER_POOL) - 1),
+    null_semantics=st.booleans(),
+    data=st.data(),
+)
+def test_register_product_on_tricky_values(graph, query_index, null_semantics, data):
+    text, dialect = REGISTER_POOL[query_index]
+    query = Query.parse(text, dialect=dialect)
+    expected = evaluate_data_rpq_naive(graph, query.plan, null_semantics)
+    compact_session, dict_session = sessions(graph)
+    assert compact_session.run(query, null_semantics=null_semantics).pairs() == expected
+    assert dict_session.run(query, null_semantics=null_semantics).pairs() == expected
+    # Seeded scans, and the one-pair form built on them.
+    engine = default_engine()
+    ids = list(graph.node_ids)
+    sources = set(data.draw(st.lists(st.sampled_from(ids), max_size=4)))
+    targets = set(data.draw(st.lists(st.sampled_from(ids), max_size=4)))
+    expected_ids = {(source.id, target.id) for source, target in expected}
+    for bound_sources in (None, sources):
+        for bound_targets in (None, targets):
+            wanted = {
+                (source, target)
+                for source, target in expected_ids
+                if (bound_sources is None or source in bound_sources)
+                and (bound_targets is None or target in bound_targets)
+            }
+            for backend in ("compact", "dict"):
+                assert wanted == engine.evaluate_atom_ids(
+                    graph, query.plan, sources=bound_sources, targets=bound_targets,
+                    null_semantics=null_semantics, route=forced_route(graph, backend),
+                ), (backend, bound_sources, bound_targets)
+    source, target = data.draw(st.sampled_from(ids)), data.draw(st.sampled_from(ids))
+    assert data_rpq_holds(graph, query.plan, source, target, null_semantics) == (
+        (source, target) in expected_ids
+    )
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    query_index=st.integers(min_value=0, max_value=len(REGISTER_POOL) - 1),
+    null_semantics=st.booleans(),
+)
+def test_register_product_on_forked_shard_workers(seed, query_index, null_semantics):
+    """Valuations cross the pipe pickled: each worker re-interns what it receives."""
+    graph = random_graph_from(seed, 24)
+    text, dialect = REGISTER_POOL[query_index]
+    query = Query.parse(text, dialect=dialect)
+    space = default_engine().space_for_atom(graph, query.plan, null_semantics)
+    expected = evaluate_data_rpq_naive(graph, query.plan, null_semantics)
+    forked = sharded_product_relation(space, num_shards=3, processes=True)
+    assert forked == {(source.id, target.id) for source, target in expected}
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        ExecutionPolicy(backend="compact"),
+        ExecutionPolicy(backend="dict"),
+        ExecutionPolicy(intra_query="blocks", max_workers=2),
+        ExecutionPolicy(intra_query="sharded", max_workers=2),
+    ],
+    ids=["compact", "dict", "blocks", "sharded"],
+)
+def test_unbound_register_raises_on_every_route(policy):
+    """The memo must neither swallow nor cache the error: it surfaces on
+    the first run and again on a re-run, and null semantics still turns
+    the unbound comparison into plain falsity."""
+    graph = random_graph_from(3, 12)
+    query = Query.parse("!x.((a|b)[x= || x!=]).((a|b)[y!=])", dialect="rem")
+    session = GraphSession(graph, policy=policy)
+    for _ in range(2):
+        with pytest.raises(UnboundVariableError, match="unbound register 'y'"):
+            session.run(query).pairs()
+    assert session.run(query, null_semantics=True).pairs() == frozenset()
+    assert evaluate_data_rpq_naive(graph, query.plan, True) == frozenset()
 
 
 # ----------------------------------------------------------------------

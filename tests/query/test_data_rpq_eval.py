@@ -10,8 +10,14 @@ from repro.api import GraphSession
 from repro.datagraph import NULL, DataGraph, GraphBuilder, enumerate_paths, generators
 from repro.datapaths import parse_ree, parse_rem, ree_matches, rem_matches
 from repro.engine import default_engine
-from repro.exceptions import EvaluationError
-from repro.query import data_path_query, data_rpq_holds, equality_rpq, memory_rpq
+from repro.exceptions import EvaluationError, UnknownNodeError
+from repro.query import (
+    data_path_query,
+    data_rpq_holds,
+    equality_rpq,
+    evaluate_data_rpq_naive,
+    memory_rpq,
+)
 
 
 def _ids(pairs):
@@ -146,6 +152,47 @@ class TestMemoryRPQEvaluation:
     def test_holds_helper(self, value_graph):
         assert data_rpq_holds(value_graph, equality_rpq("(a.a)="), "n0", "n2")
         assert not data_rpq_holds(value_graph, equality_rpq("(a.a)!="), "n0", "n2")
+
+
+class TestHoldsIsASeededScan:
+    """``data_rpq_holds`` answers one pair from one seeded scan."""
+
+    QUERIES = [
+        equality_rpq("(a.a)="),
+        equality_rpq("((a|b)+)!="),
+        memory_rpq("!x.(a[x!=])+"),
+        memory_rpq("!x.((a|b)+[x=])"),
+    ]
+
+    @pytest.mark.parametrize("query", QUERIES, ids=str)
+    @pytest.mark.parametrize("null_semantics", [False, True])
+    @given(seed=st.integers(min_value=1, max_value=200))
+    @settings(max_examples=10, deadline=None)
+    def test_agrees_with_naive_membership(self, query, null_semantics, seed):
+        graph = generators.random_graph(6, 10, labels=("a", "b"), rng=seed, domain_size=3)
+        graph.add_node("void", NULL)
+        graph.add_edge("n0", "a", "void")
+        graph.add_edge("void", "b", "n1")
+        expected = _ids(evaluate_data_rpq_naive(graph, query, null_semantics))
+        for source in graph.node_ids:
+            for target in graph.node_ids:
+                assert data_rpq_holds(graph, query, source, target, null_semantics) == (
+                    (source, target) in expected
+                ), (source, target)
+
+    def test_never_evaluates_the_full_relation(self, value_graph, monkeypatch):
+        engine = default_engine()
+        monkeypatch.setattr(
+            engine, "evaluate_data_rpq", lambda *a, **k: pytest.fail("full relation evaluated")
+        )
+        assert data_rpq_holds(value_graph, memory_rpq("!x.(a.a)[x=]"), "n0", "n2")
+
+    def test_unknown_nodes_raise(self, value_graph):
+        query = memory_rpq("!x.(a[x!=])+")
+        with pytest.raises(UnknownNodeError):
+            data_rpq_holds(value_graph, query, "nowhere", "n0")
+        with pytest.raises(UnknownNodeError):
+            data_rpq_holds(value_graph, query, "n0", "nowhere")
 
 
 class TestAgainstPathEnumeration:
