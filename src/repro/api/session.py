@@ -42,6 +42,7 @@ from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence,
 
 from ..datagraph.graph import DataGraph
 from ..datagraph.node import Node, NodeId
+from ..engine.bitrelation import CachedRelation
 from ..engine.cache import CacheStats, LRUCache
 from ..engine.engine import EvaluationEngine, default_engine
 from ..exceptions import EvaluationError
@@ -126,7 +127,7 @@ class GraphSession(SessionProtocol):
         # survive) a mutation; the server wires its metrics counters here.
         self.repair_listener = repair_listener
         self._executor = self.policy.build_executor()
-        self._results: LRUCache[frozenset] = LRUCache(self.policy.result_cache_size)
+        self._results: LRUCache[CachedRelation] = LRUCache(self.policy.result_cache_size)
         # Point-workload cache: single-source answers keyed on
         # (graph.version, query.key, source, null_semantics), so repeated
         # "targets of u" questions neither recompute a BFS nor force the
@@ -201,12 +202,12 @@ class GraphSession(SessionProtocol):
             if key in answers:
                 continue
             if caching and key in self._results:
-                answers[key] = self._results.get_or_build(key, lambda: None)  # recorded hit
+                answers[key] = self._results.get_or_build(key, tuple)[0]  # recorded hit
                 continue
             repaired = self._repaired_answer(plan, null_semantics, version) if caching else None
             if repaired is not None:
                 self._result_history[(plan.key, null_semantics)] = version
-                answers[key] = self._results.get_or_build(key, lambda r=repaired: r)
+                answers[key] = self._results.get_or_build(key, lambda r=repaired: r)[0]
             else:
                 answers[key] = None  # placeholder: scheduled for the executor
                 misses.append(plan)
@@ -217,7 +218,9 @@ class GraphSession(SessionProtocol):
             for plan, answer in zip(misses, computed):
                 key = (version, plan.key, null_semantics)
                 if caching:
-                    answer = self._results.get_or_build(key, lambda answer=answer: answer)
+                    # Batch answers may come back from forked workers, so
+                    # they are cached without bit rows.
+                    answer = self._results.get_or_build(key, lambda answer=answer: (answer, None))[0]
                     self._result_history[(plan.key, null_semantics)] = version
                 answers[key] = answer
 
@@ -505,17 +508,29 @@ class GraphSession(SessionProtocol):
         version = self.graph.version
         key = (version, plan.key, null_semantics)
         if key in self._results:
-            return self._results.get_or_build(key, frozenset)  # recorded hit
-        answer = self._repaired_answer(plan, null_semantics, version)
-        if answer is None:
-            answer = self._execute(plan, self._route(plan), null_semantics)
+            return self._results.get_or_build(key, tuple)[0]  # recorded hit
+        route = self._route(plan)
+        entry = self._repaired_answer(plan, null_semantics, version, route)
+        if entry is None:
+            entry = self._full_entry(plan, route, null_semantics)
         self._result_history[(plan.key, null_semantics)] = version
-        return self._results.get_or_build(key, lambda: answer)
+        return self._results.get_or_build(key, lambda: entry)[0]
+
+    def _full_entry(self, plan: Query, route, null_semantics: bool) -> CachedRelation:
+        """*plan*'s full answer as a result-cache entry.  An RPQ / data
+        RPQ whose *route* computes bit rows in this process is decoded
+        from them here and keeps them (KBs beside MBs) for delta repair
+        and CRPQ atom scans; everything else is :meth:`_execute`'s answer."""
+        if plan.kind in (QueryKind.RPQ, QueryKind.DATA_RPQ) and not route.offer_pool:
+            bits = self.engine.relation_bits(self.graph, plan.plan, route, null_semantics)
+            if bits is not None:
+                return bits.node_pairs(self.graph.compact_index().node_objects), bits
+        return self._execute(plan, route, null_semantics), None
 
     def _repaired_answer(
-        self, plan: Query, null_semantics: bool, version: int
-    ) -> Optional[frozenset]:
-        """Repair the previous version's cached answer across journaled
+        self, plan: Query, null_semantics: bool, version: int, route=None
+    ) -> Optional[CachedRelation]:
+        """Repair the previous version's cached entry across journaled
         deltas, or ``None`` when the session must evaluate afresh.
 
         Repair applies when (a) the policy enables it, (b) this plan was
@@ -523,9 +538,11 @@ class GraphSession(SessionProtocol):
         (c) the journal holds an unbroken delta chain from that version
         to the current one, and (d) the composed delta is insert-only on
         a per-source-monotone dialect with a small touched closure
-        (:func:`repro.deltas.repair.repair_full_relation`).  Failures of
-        (d) with a known lineage count as recomputes; the listener and
-        counters let servers report repair effectiveness.
+        (:func:`repro.deltas.repair.repair_full_relation`), re-derived on
+        the kernel family of *route* (the plan's, resolved here when the
+        caller has not).  Failures of (d) with a known lineage count as
+        recomputes; the listener and counters let servers report repair
+        effectiveness.
         """
         if not self.policy.delta_repair:
             return None
@@ -543,8 +560,10 @@ class GraphSession(SessionProtocol):
             return None
         from ..deltas.repair import repair_full_relation
 
+        if route is None:
+            route = self._route(plan)
         repaired = repair_full_relation(
-            self.engine, self.graph, plan, null_semantics, cached, composed
+            self.engine, self.graph, plan, null_semantics, cached, composed, route
         )
         if repaired is None:
             self._record_maintenance("recompute")
@@ -690,8 +709,9 @@ class GraphSession(SessionProtocol):
 
         The one path from the session to the kernels: ``run``,
         ``run_many`` (under every executor), ``targets`` and ``holds``
-        all end here, and nothing below re-decides what *route* resolved.
-        With *source* given the answer is the point form — the targets of
+        all end here (a cached ``run`` through :meth:`_full_entry`, which
+        keeps a local bit-row route's rows), and nothing below re-decides
+        what *route* resolved.  With *source* given the answer is the point form — the targets of
         *source* — else the plan's full answer set.
 
         A route with ``offer_pool`` goes to the attached worker pool
@@ -783,21 +803,32 @@ class GraphSession(SessionProtocol):
         return lambda plan: self._execute(plan, routes[plan.key], null_semantics)
 
     def _cached_relation_lookup(self, null_semantics: bool):
-        """A relation-cache hook for the adaptive executor: map a CRPQ
-        atom to its previously materialised full relation (the versioned
-        result cache) as raw id pairs, or ``None`` on a miss — scans
-        then reuse the cached relation instead of re-walking the graph."""
+        """A relation-cache hook for the adaptive executor: answer a CRPQ
+        atom scan from the atom's previously materialised full relation
+        (the versioned result cache), or ``None`` when re-walking the
+        graph is the cheaper way.
+
+        An entry with bit rows serves any scan — the seed restriction is
+        a mask AND and only the surviving pairs are decoded.  An entry
+        without them serves unseeded scans only: filtering every decoded
+        ``Node`` pair costs more than the seeded kernel it would replace.
+        """
         if not self.policy.cache_results:
             return None
         version = self.graph.version
 
-        def lookup(atom):
+        def lookup(atom, sources, targets):
             query = Query.of(atom.query)
             null = null_semantics if query.kind is QueryKind.DATA_RPQ else False
             cached = self._results.peek((version, query.key, null))
             if cached is None:
                 return None
-            return {(source.id, target.id) for source, target in cached}
+            answer, bits = cached
+            if bits is not None:
+                return bits.restrict(sources, targets).id_pairs()
+            if sources is None and targets is None:
+                return {(source.id, target.id) for source, target in answer}
+            return None
 
         return lookup
 
@@ -806,7 +837,7 @@ class GraphSession(SessionProtocol):
         if self.policy.cache_results and full_key in self._results:
             # The full relation is already materialised — filter it
             # rather than running a fresh traversal.
-            relation = self._results.get_or_build(full_key, lambda: frozenset())
+            relation = self._results.get_or_build(full_key, tuple)[0]
             return frozenset(target for start, target in relation if start.id == source)
         return self._execute(plan, self._point_route(plan), null_semantics, source=source)
 

@@ -6,12 +6,14 @@ the ``nodes`` tuple stays the id↔int mapping (``nodes[i]`` is the public
 the inverse), every label's adjacency becomes one CSR row pair —
 ``array('q')`` offsets of length ``n + 1`` plus a neighbors column, kept
 both forward and transposed — and the data values become a list indexed
-by int id (plus a derived column of dense value ids,
-:attr:`CompactLabelIndex.value_ids`).  The int-id kernels in
+by int id (plus two derived columns: dense value ids,
+:attr:`CompactLabelIndex.value_ids`, and the snapshot's ``Node`` objects,
+:attr:`CompactLabelIndex.node_objects`).  The int-id kernels in
 :mod:`repro.engine.compact` walk these arrays with ``bytearray`` visited
 sets and integer-bitmask frontiers instead of hashing ``(NodeId, state)``
-tuples, and translate back to public node ids only at the answer
-boundary, so results are bit-identical to the dict-backed kernels.
+tuples and hand back per-target source bitmasks; those are decoded once,
+at the answer boundary, against ``nodes`` (id pairs) or ``node_objects``
+(``Node`` pairs), so results are bit-identical to the dict-backed kernels.
 
 :class:`SharedCompactIndex` serialises the same arrays into one
 :mod:`multiprocessing.shared_memory` segment so forked shard workers map
@@ -38,7 +40,7 @@ from typing import (
     Tuple,
 )
 
-from .node import NodeId
+from .node import Node, NodeId
 from .values import DataValue
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -74,6 +76,7 @@ class CompactLabelIndex:
         "_counts",
         "_shared",
         "_value_ids",
+        "_node_objects",
     )
 
     def __init__(
@@ -101,6 +104,7 @@ class CompactLabelIndex:
         # alive for as long as any view-backed index is in use.
         self._shared = shared
         self._value_ids: Optional[List[int]] = None
+        self._node_objects: Optional[Tuple[Node, ...]] = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -147,6 +151,17 @@ class CompactLabelIndex:
         if column is None:
             ids: Dict[DataValue, int] = {}
             column = self._value_ids = [ids.setdefault(value, len(ids)) for value in self.values]
+        return column
+
+    @property
+    def node_objects(self) -> Tuple[Node, ...]:
+        """``node_objects[u]`` is the :class:`Node` of int node ``u`` —
+        the column full relations are decoded against.  Derived from
+        :attr:`nodes` and :attr:`values` on first use, like
+        :attr:`value_ids`; never serialised."""
+        column = self._node_objects
+        if column is None:
+            column = self._node_objects = tuple(map(Node, self.nodes, self.values))
         return column
 
     def edge_count(self, label: str) -> int:

@@ -19,13 +19,29 @@ __all__ = ["NodeId", "Node", "make_node", "null_node"]
 NodeId = Hashable
 
 
-@dataclass(frozen=True, order=False)
-class Node:
+class _HashSlot:
+    """The one non-field slot of :class:`Node`: its memoised hash.
+
+    Declared on a base class so the ``slots=True`` dataclass keeps it out
+    of ``dataclasses.fields`` (and so out of ``repr``, ``==``, ``asdict``
+    and pickles).  Deliberately a slot and not an instance ``__dict__``
+    entry: materialising per-node dicts de-specialises every ``node.id``
+    load on the point-lookup path.
+    """
+
+    __slots__ = ("_hash",)
+
+
+@dataclass(frozen=True, order=False, slots=True, init=False)
+class Node(_HashSlot):
     """A data graph node: a node id together with a data value.
 
     The pair is immutable and hashable so nodes can be used as dictionary
     keys and set members, and so query answers (sets of node tuples) can
-    be represented as ordinary Python sets.
+    be represented as ordinary Python sets.  Answer sets hash every node
+    once per pair, so the hash is computed once, at construction — a
+    lazily filled slot would make a node that is hashed exactly once
+    (every wire-decoded answer) pay an ``AttributeError`` round trip.
 
     Attributes
     ----------
@@ -37,6 +53,14 @@ class Node:
 
     id: NodeId
     value: DataValue = NULL
+
+    def __init__(self, id: NodeId, value: DataValue = NULL):
+        _set_id(self, id)
+        _set_value(self, value)
+        try:
+            _set_hash(self, hash((id, value)))
+        except TypeError:
+            pass  # unhashable id or value: __hash__ raises if it is ever asked
 
     @property
     def data(self) -> DataValue:
@@ -56,6 +80,18 @@ class Node:
         """Return a copy of this node with a different id but the same value."""
         return Node(node_id, self.value)
 
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            return hash((self.id, self.value))  # raises the TypeError __init__ deferred
+
+    def __reduce__(self):
+        # Only (id, value) ever leaves the process: ``str`` hashes are
+        # salted per interpreter, so a shipped ``_hash`` would be wrong
+        # in a spawn worker or after a restart.
+        return (Node, (self.id, self.value))
+
     def __repr__(self) -> str:
         return f"Node({self.id!r}, {self.value!r})"
 
@@ -68,6 +104,15 @@ class Node:
     def sort_key(self) -> tuple[str, str]:
         """A deterministic sort key based on the repr of id and value."""
         return (repr(self.id), repr(self.value))
+
+
+# The slots' own setters: what ``object.__setattr__(node, name, value)``
+# resolves to on a frozen instance, minus the per-call name lookup (a
+# third off a construction, and answers decoded off the wire build two
+# nodes per row).
+_set_id = Node.__dict__["id"].__set__
+_set_value = Node.__dict__["value"].__set__
+_set_hash = _HashSlot.__dict__["_hash"].__set__
 
 
 def make_node(node_id: NodeId, value: DataValue = NULL) -> Node:

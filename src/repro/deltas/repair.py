@@ -8,7 +8,9 @@ nodes — following predecessor edges on the *new* index, restricted to
 the labels the query's automaton can actually read.  Re-running the
 product kernels seeded only from that closure (linear in the closure,
 not the graph) and unioning into the cached answer reproduces the fresh
-evaluation bit for bit.
+evaluation bit for bit.  The re-run uses the kernel family of the
+query's resolved route; on the compact kernels the merge happens on bit
+rows and only the pairs the cached answer lacks are decoded.
 
 The repair declines (returns ``None``) whenever the argument does not
 hold or would not pay off: removals or value changes (non-monotone),
@@ -19,16 +21,19 @@ a touched closure so large that seeding it approaches a full recompute.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import TYPE_CHECKING, FrozenSet, Iterable, Optional, Set
 
 from ..datagraph.index import LabelIndex
 from ..datagraph.node import NodeId
-from ..engine.product import seeded_product_relation
+from ..engine.bitrelation import CachedRelation
+from ..engine.compact import compact_space_relation
 from .delta import GraphDelta
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..datagraph.graph import DataGraph
     from ..engine.engine import EvaluationEngine
+    from ..planner.router import Route
 
 __all__ = ["backward_touched_closure", "repair_full_relation", "REPAIRABLE_KINDS"]
 
@@ -95,16 +100,20 @@ def repair_full_relation(
     graph: "DataGraph",
     plan,
     null_semantics: bool,
-    cached_rows,
+    cached: CachedRelation,
     delta: GraphDelta,
+    route: "Route",
     max_seed_fraction: float = DEFAULT_MAX_SEED_FRACTION,
-):
+) -> Optional[CachedRelation]:
     """Union the delta's new pairs into a cached full-relation answer.
 
-    *plan* is a ``QueryPlan`` (``plan.kind`` / ``plan.plan``) and
-    *cached_rows* the frozenset of ``(Node, Node)`` rows cached for the
-    delta's base version.  Returns the repaired frozenset, or ``None``
-    when the delta is not repairable and the caller must recompute.
+    *plan* is a ``QueryPlan`` (``plan.kind`` / ``plan.plan``), *cached*
+    the ``(rows, bit rows)`` entry of the delta's base version and
+    *route* the query's route on the current graph, whose kernel family
+    re-derives the touched closure's pairs (sequentially: the closure is
+    small).  Returns the repaired entry — with bit rows when the cached
+    one had them and the delta only appended to its node ordering — or
+    ``None`` when the delta is not repairable and the caller recomputes.
     """
     kind = getattr(plan.kind, "value", plan.kind)
     if kind not in REPAIRABLE_KINDS:
@@ -112,18 +121,31 @@ def repair_full_relation(
     if not delta.insert_only:
         return None
     if delta.is_empty:
-        return frozenset(cached_rows)
+        return cached
     index = graph.label_index()
     space = engine.space_for_atom(graph, plan.plan, null_semantics)
     seeds = backward_touched_closure(index, delta.touched_nodes, automaton_labels(space))
     if not seeds:
-        return frozenset(cached_rows)
+        return cached
     total = len(index.nodes)
     if total and len(seeds) > max_seed_fraction * total:
         return None
     ordered = sorted(seeds, key=index.position.__getitem__)
-    new_pairs = seeded_product_relation(space, sources=ordered)
+    rows, bits = cached
+    if route.kernel == "compact":
+        compact = graph.compact_index()
+        new = compact_space_relation(space, compact, sources=ordered)
+        if bits is not None and bits.extended_by(new):
+            bits, new = bits.union(new), new.minus(bits)
+        else:
+            bits = None
+        if new.rows:
+            rows = rows | new.node_pairs(compact.node_objects)
+        return rows, bits
+    if route.driver != "sequential":
+        route = dataclasses.replace(route, driver="sequential", workers=1)
+    new_pairs = engine.evaluate_atom_ids(
+        graph, plan.plan, sources=ordered, null_semantics=null_semantics, route=route
+    )
     node = graph.node
-    repaired = set(cached_rows)
-    repaired.update((node(source), node(target)) for source, target in new_pairs)
-    return frozenset(repaired)
+    return rows.union((node(source), node(target)) for source, target in new_pairs), None

@@ -19,7 +19,9 @@ It provides:
   the same phase kernels (:mod:`repro.engine.product`) over each graph's
   lazily built :class:`~repro.datagraph.index.LabelIndex`
   (:mod:`repro.engine.data` holds the REE algebra and the register
-  entry points);
+  entry points) and all handing their answer over as a
+  :class:`BitRelation` (:mod:`repro.engine.bitrelation`) — per-target
+  source bitmasks, decoded exactly once by the one decoder;
 * the partitioned evaluation layer (:mod:`repro.engine.partition`) —
   edge-cut :class:`GraphPartition` plans with shard-local views, the
   sharded scatter/gather driver (shard rounds in forked worker
@@ -36,6 +38,7 @@ Quickstart::
     engine.stats()["automata"].hits                          # cache telemetry
 """
 
+from .bitrelation import BitRelation
 from .cache import CacheStats, LRUCache
 from .compiled import CompiledAutomaton, compile_nfa
 from .engine import EvaluationEngine, default_engine, set_default_engine
@@ -54,6 +57,7 @@ __all__ = [
     "EvaluationEngine",
     "default_engine",
     "set_default_engine",
+    "BitRelation",
     "CompiledAutomaton",
     "compile_nfa",
     "CacheStats",

@@ -1,0 +1,151 @@
+"""The engine's id-level relation currency: per-target source bitmasks.
+
+Phase 3 of every mask kernel ends with, for each node ``v``, the bitmask
+of source nodes ``u`` with ``(u, v)`` in the answer — bit ``i`` is the
+node at index ``i`` of the dense ordering of the index snapshot the
+kernel ran on.  :class:`BitRelation` is exactly that table plus the
+ordering it is only meaningful against, with the operations its
+consumers need and **the** decoder behind every answer set: a mask is
+expanded to its members once per distinct value — at C speed
+(``bin`` → ``translate`` → :func:`itertools.compress`) unless it is so
+sparse that hopping between its set digits is cheaper — and the pairs
+stream straight into one ``frozenset``.
+"""
+
+from __future__ import annotations
+
+from itertools import chain, compress, repeat
+from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple
+
+from ..datagraph.node import NodeId
+
+__all__ = ["BitRelation", "CachedRelation"]
+
+#: ``b"0"`` / ``b"1"`` digits → the falsy / truthy bytes ``compress`` selects by.
+_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+class BitRelation:
+    """A binary relation over one index snapshot's nodes, as bit rows.
+
+    ``rows[v]`` is the non-zero bitmask of the sources paired with the
+    node at position ``v``; ``nodes`` / ``position`` are the snapshot's
+    dense ordering and its inverse (shared with the index, not copied).
+    A relation is only ever decoded against names aligned with *its own*
+    ordering — a cached one is kept under the graph version it was
+    computed at.
+    """
+
+    __slots__ = ("nodes", "position", "rows")
+
+    def __init__(
+        self,
+        nodes: Sequence[NodeId],
+        position: Dict[NodeId, int],
+        rows: Dict[int, int],
+    ):
+        self.nodes = nodes
+        self.position = position
+        self.rows = rows
+
+    def count(self) -> int:
+        """Number of pairs."""
+        return sum(map(int.bit_count, self.rows.values()))
+
+    def _mask_of(self, node_ids: Iterable[NodeId]) -> int:
+        position = self.position
+        mask = 0
+        for node_id in node_ids:
+            at = position.get(node_id)
+            if at is not None:
+                mask |= 1 << at
+        return mask
+
+    def restrict(
+        self,
+        sources: Optional[Iterable[NodeId]] = None,
+        targets: Optional[Iterable[NodeId]] = None,
+    ) -> "BitRelation":
+        """The pairs whose source is in *sources* and target in *targets*
+        (``None`` leaves that side unrestricted; unknown ids match nothing)."""
+        rows = self.rows
+        if targets is not None:
+            position = self.position
+            picked = (position.get(node_id) for node_id in targets)
+            rows = {at: rows[at] for at in picked if at in rows}
+        if sources is not None:
+            keep = self._mask_of(sources)
+            rows = {at: mask & keep for at, mask in rows.items() if mask & keep}
+        return BitRelation(self.nodes, self.position, rows)
+
+    def extended_by(self, other: "BitRelation") -> bool:
+        """Whether *other*'s ordering is this one, possibly with nodes
+        appended — what an insert-only delta does to an index."""
+        mine = self.nodes
+        return other.nodes is mine or other.nodes[: len(mine)] == mine
+
+    def union(self, other: "BitRelation") -> "BitRelation":
+        """Both relations' pairs, on *other*'s ordering (which must
+        extend this one: see :meth:`extended_by`)."""
+        rows = dict(self.rows)
+        for at, mask in other.rows.items():
+            rows[at] = rows.get(at, 0) | mask
+        return BitRelation(other.nodes, other.position, rows)
+
+    def minus(self, other: "BitRelation") -> "BitRelation":
+        """The pairs not in *other* (whose ordering this one must extend)."""
+        known = other.rows
+        rows = {}
+        for at, mask in self.rows.items():
+            fresh = mask & ~known.get(at, 0)
+            if fresh:
+                rows[at] = fresh
+        return BitRelation(self.nodes, self.position, rows)
+
+    # ------------------------------------------------------------------
+    # The decoder
+    # ------------------------------------------------------------------
+    def _row_pairs(self, names: Sequence) -> Iterator[Iterator[Tuple]]:
+        # Configurations of one strongly-connected region all carry the
+        # same mask, so members are expanded once per distinct mask.
+        members: Dict[int, Sequence] = {}
+        for at, mask in self.rows.items():
+            sources = members.get(mask)
+            if sources is None:
+                digits = bin(mask)[:1:-1]
+                if mask.bit_count() << 4 < len(digits):
+                    # A seeded scan's rows: a few members in a long mask.
+                    # Hopping between the set digits costs per member what
+                    # ``compress`` costs per 16 digits.
+                    sources, member = [], digits.find("1")
+                    while member >= 0:
+                        sources.append(names[member])
+                        member = digits.find("1", member + 1)
+                else:
+                    sources = tuple(compress(names, digits.encode().translate(_SELECTORS)))
+                members[mask] = sources
+            yield zip(sources, repeat(names[at]))
+
+    def id_pairs(self) -> FrozenSet[Tuple[NodeId, NodeId]]:
+        """The relation as public ``(source id, target id)`` pairs."""
+        return frozenset(chain.from_iterable(self._row_pairs(self.nodes)))
+
+    def node_pairs(self, objects: Sequence) -> FrozenSet[Tuple]:
+        """The relation as pairs of *objects*, a column aligned with this
+        relation's ordering (the snapshot's ``Node`` objects)."""
+        if len(objects) != len(self.nodes):
+            raise ValueError(
+                f"cannot decode a relation over an ordering of {len(self.nodes)} nodes "
+                f"against a column of {len(objects)}"
+            )
+        return frozenset(chain.from_iterable(self._row_pairs(objects)))
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<BitRelation {self.count()} pairs over {len(self.rows)} targets>"
+
+
+#: A cached full-relation answer: its decoded ``(Node, Node)`` rows and,
+#: when a sequential compact route computed it in this process, the same
+#: relation's bit rows — what delta repair merges into and CRPQ atom
+#: scans restrict instead of re-deriving ids from the ``Node`` pairs.
+CachedRelation = Tuple[frozenset, Optional[BitRelation]]

@@ -9,7 +9,11 @@ adjacency expansion walks ``array('q')`` CSR rows.  Source bitmasks keep
 the exact semantics of the dict kernels (bit ``i`` is the node at index
 ``i`` of the shared dense ordering), so the two backends produce
 bit-identical answer sets; mask tables are flat lists indexed by
-configuration with a ``touched`` journal for sparse decoding.
+configuration with a ``touched`` journal.  Every relation kernel hands
+back a :class:`~repro.engine.bitrelation.BitRelation` — the accepting
+configurations' masks folded per target node, target restriction
+included — and leaves decoding to its caller, so an answer is
+materialised once, in the shape (ids or ``Node`` objects) it is needed.
 
 The per-state transition **plans** — ``plans[state]`` is a list of
 ``(offsets, neighbors, next_states)`` triples, one per symbol the state
@@ -28,12 +32,12 @@ copy.
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..datagraph.compact import CompactLabelIndex
 from ..datagraph.node import NodeId
 from ..datapaths.register_automata import RegisterAutomaton, RegisterStepper
+from .bitrelation import BitRelation
 from .compiled import CompiledAutomaton
 from .spaces import ClosureSpace, NfaProductSpace, ProductSpace, RegisterProductSpace
 
@@ -112,26 +116,29 @@ def _backward_plans(
     return plans
 
 
-def _mask_sources(
-    mask: int, nodes: Sequence[NodeId], cache: Dict[int, List[NodeId]]
-) -> List[NodeId]:
-    """The source nodes named by *mask*'s bits, memoised per mask value.
+def _relation(compact: CompactLabelIndex, rows: Dict[int, int]) -> BitRelation:
+    return BitRelation(compact.nodes, compact.position, rows)
 
-    Configurations of one strongly-connected region all carry the same
-    mask, so decoding caches the bit expansion by mask value — on dense
-    relations this collapses hundreds of thousands of ``bit_length``
-    walks into one per distinct mask.
-    """
-    sources = cache.get(mask)
-    if sources is None:
-        sources = []
-        cursor = mask
-        while cursor:
-            low = cursor & -cursor
-            sources.append(nodes[low.bit_length() - 1])
-            cursor ^= low
-        cache[mask] = sources
-    return sources
+
+def _state_flags(S: int, states: Iterable[int]) -> bytearray:
+    """One flag per automaton state: whether it is among *states*."""
+    flags = bytearray(S)
+    for state in states:
+        flags[state] = 1
+    return flags
+
+
+def _accepting_rows(
+    masks: Iterable[Tuple[int, int]], S: int, accepting: bytearray
+) -> Dict[int, int]:
+    """Fold ``(node * S + state, mask)`` entries into per-node rows,
+    keeping the accepting states' masks only."""
+    rows: Dict[int, int] = {}
+    for config, mask in masks:
+        if accepting[config % S]:
+            node = config // S
+            rows[node] = rows.get(node, 0) | mask
+    return rows
 
 
 def _source_ints(
@@ -167,30 +174,29 @@ def nfa_relation(
     automaton: CompiledAutomaton,
     sources: Optional[Sequence[NodeId]] = None,
     targets: Optional[Iterable[NodeId]] = None,
-) -> Set[Pair]:
+) -> BitRelation:
     """All ``(u, v)`` pairs accepted by *automaton*, on int-id arrays.
 
     The same three phases as the dict kernel — forward reach, backward
     prune (with a *targets* restriction folded into the useful set),
-    bitmask propagation — each over flat arrays.  Bit-identical to
-    ``seeded_product_relation(NfaProductSpace(index, automaton), ...)``.
+    bitmask propagation — each over flat arrays.  Decodes bit-identical
+    to ``seeded_product_relation(NfaProductSpace(index, automaton), ...)``.
     """
     n = compact.num_nodes
+    empty = _relation(compact, {})
     if n == 0:
-        return set()
+        return empty
     src_ints = _source_ints(compact, sources)
     if not src_ints:
-        return set()
+        return empty
     target_flags: Optional[bytearray] = None
     if targets is not None:
         target_flags = _target_flags(compact, targets)
         if not any(target_flags):
-            return set()
+            return empty
     S = automaton.num_states
     initial = automaton.initial
-    accepting = bytearray(S)
-    for state in automaton.accepting:
-        accepting[state] = 1
+    accepting = _state_flags(S, automaton.accepting)
     forward = _forward_plans(compact, automaton)
 
     # Phase 1: forward reachability over the product, LIFO order (the
@@ -226,7 +232,7 @@ def nfa_relation(
                 useful[config] = 1
                 stack.append(config)
     if not stack:
-        return set()
+        return empty
     while stack:
         config = stack.pop()
         u, state = divmod(config, S)
@@ -289,18 +295,10 @@ def nfa_relation(
                     in_queue[successor] = 1
                     pending.append(successor)
 
-    # Decode: accepting configurations' masks name the sources; the
-    # target restriction was already folded into the useful set.
-    nodes = compact.nodes
-    pairs: Set[Pair] = set()
-    decoded: Dict[int, List[NodeId]] = {}
-    for config in touched:
-        if not accepting[config % S]:
-            continue
-        target = nodes[config // S]
-        sources_of = _mask_sources(masks[config], nodes, decoded)
-        pairs.update(zip(sources_of, repeat(target)))
-    return pairs
+    # Accepting configurations' masks name the sources; the target
+    # restriction was already folded into the useful set.
+    reached = zip(touched, map(masks.__getitem__, touched))
+    return _relation(compact, _accepting_rows(reached, S, accepting))
 
 
 def nfa_reachable_targets(
@@ -320,9 +318,7 @@ def nfa_reachable_targets(
     stop = position.get(stop_at) if stop_at is not None else None
     n = compact.num_nodes
     S = automaton.num_states
-    accepting = bytearray(S)
-    for state in automaton.accepting:
-        accepting[state] = 1
+    accepting = _state_flags(S, automaton.accepting)
     forward = _forward_plans(compact, automaton)
     nodes = compact.nodes
     visited = bytearray(n * S)
@@ -370,19 +366,20 @@ def closure_relation(
     inverse: bool = False,
     sources: Optional[Sequence[NodeId]] = None,
     targets: Optional[Iterable[NodeId]] = None,
-) -> Set[Pair]:
+) -> BitRelation:
     """The reflexive-transitive closure of one label's edge relation.
 
-    Configurations degenerate to bare int nodes (``S = 1``): masks are a
-    flat list over nodes and every configuration accepts, so ``(u, u)``
-    pairs are included — exactly ``product_relation(ClosureSpace(...))``.
+    Configurations degenerate to bare int nodes (``S = 1``): the mask
+    list over nodes *is* the row table and every configuration accepts,
+    so ``(u, u)`` pairs are included — exactly
+    ``product_relation(ClosureSpace(...))``.
     """
     n = compact.num_nodes
     if n == 0:
-        return set()
+        return _relation(compact, {})
     src_ints = _source_ints(compact, sources)
     if not src_ints:
-        return set()
+        return _relation(compact, {})
     target_flags: Optional[bytearray] = None
     if targets is not None:
         target_flags = _target_flags(compact, targets)
@@ -416,15 +413,9 @@ def closure_relation(
                     if not in_queue[v]:
                         in_queue[v] = 1
                         pending.append(v)
-    nodes = compact.nodes
-    pairs: Set[Pair] = set()
-    decoded: Dict[int, List[NodeId]] = {}
-    for u in touched:
-        if target_flags is not None and not target_flags[u]:
-            continue
-        sources_of = _mask_sources(masks[u], nodes, decoded)
-        pairs.update(zip(sources_of, repeat(nodes[u])))
-    return pairs
+    if target_flags is not None:
+        touched = [u for u in touched if target_flags[u]]
+    return _relation(compact, {u: masks[u] for u in touched})
 
 
 # ----------------------------------------------------------------------
@@ -436,7 +427,7 @@ def register_relation(
     null_semantics: bool = False,
     sources: Optional[Sequence[NodeId]] = None,
     targets: Optional[Iterable[NodeId]] = None,
-) -> Set[Pair]:
+) -> BitRelation:
     """The data-RPQ relation by mask propagation over int configurations.
 
     A :class:`~repro.datapaths.register_automata.RegisterStepper` built
@@ -451,10 +442,10 @@ def register_relation(
     """
     n = compact.num_nodes
     if n == 0:
-        return set()
-    src_ints = range(n) if sources is None else _source_ints(compact, sources)
+        return _relation(compact, {})
+    src_ints = _source_ints(compact, sources)
     if not src_ints:
-        return set()
+        return _relation(compact, {})
     values = compact.values
     value_ids = compact.value_ids
     stepper = RegisterStepper(automaton, null_semantics)
@@ -507,18 +498,12 @@ def register_relation(
     target_flags = None if targets is None else _target_flags(compact, targets)
     accepting = automaton.accepting
     accepting_sv = [state in accepting for state in states]
-    nodes = compact.nodes
-    pairs: Set[Pair] = set()
-    decoded: Dict[int, List[NodeId]] = {}
+    rows: Dict[int, int] = {}
     for config, mask in masks.items():
         sv, u = divmod(config, n)
-        if not accepting_sv[sv]:
-            continue
-        if target_flags is not None and not target_flags[u]:
-            continue
-        sources_of = _mask_sources(mask, nodes, decoded)
-        pairs.update(zip(sources_of, repeat(nodes[u])))
-    return pairs
+        if accepting_sv[sv] and (target_flags is None or target_flags[u]):
+            rows[u] = rows.get(u, 0) | mask
+    return _relation(compact, rows)
 
 
 # ----------------------------------------------------------------------
@@ -529,10 +514,10 @@ def compact_space_relation(
     compact: CompactLabelIndex,
     sources: Optional[Sequence[NodeId]] = None,
     targets: Optional[Iterable[NodeId]] = None,
-) -> Optional[Set[Pair]]:
+) -> Optional[BitRelation]:
     """Evaluate a :class:`ProductSpace`'s (seeded) relation compactly.
 
-    The compact twin of
+    The compact twin of the dict phases behind
     :func:`repro.engine.product.seeded_product_relation`: the space names
     its control structure (via :attr:`ProductSpace.compact_kernel`), this
     module supplies the array kernels.  Returns ``None`` for spaces
@@ -651,17 +636,12 @@ def decode_shard_masks(
     S: int,
     accepting: FrozenSet[int],
     masks: Dict[int, int],
-) -> Set[Pair]:
-    """Decode one shard's mask table into public node-id pairs."""
-    nodes = compact.nodes
-    accept = bytearray(S)
-    for state in accepting:
-        accept[state] = 1
-    pairs: Set[Pair] = set()
-    decoded: Dict[int, List[NodeId]] = {}
-    for config, mask in masks.items():
-        if not accept[config % S]:
-            continue
-        sources_of = _mask_sources(mask, nodes, decoded)
-        pairs.update(zip(sources_of, repeat(nodes[config // S])))
-    return pairs
+    targets: Optional[Iterable[NodeId]] = None,
+) -> FrozenSet[Pair]:
+    """Decode one shard's mask table into public node-id pairs (ending
+    at one of *targets*, when given)."""
+    rows = _accepting_rows(masks.items(), S, _state_flags(S, accepting))
+    relation = _relation(compact, rows)
+    if targets is not None:
+        relation = relation.restrict(targets=targets)
+    return relation.id_pairs()

@@ -55,6 +55,7 @@ from . import data as data_kernels
 from . import partition as partition_kernels
 from . import product
 from . import spaces
+from .bitrelation import BitRelation
 from .cache import CacheStats, LRUCache
 from .compiled import CompiledAutomaton
 
@@ -151,10 +152,44 @@ class EvaluationEngine:
         ``compact``, else the dict label index."""
         return graph.compact_index() if route.kernel == "compact" else graph.label_index()
 
+    def relation_bits(
+        self, graph: DataGraph, query, route: "Route", null_semantics: bool = False
+    ) -> Optional[BitRelation]:
+        """The full relation of an RPQ / data RPQ as the bit rows of
+        *route*'s kernel, or ``None`` when that route yields id pairs
+        (dict / sql kernels, partitioned drivers, the algebraic REE
+        engine).  Decode with ``node_pairs(graph.compact_index().node_objects)``.
+        """
+        expression = getattr(query, "expression", query)
+        if (
+            route.kernel != "compact"
+            or route.driver != "sequential"
+            or isinstance(expression, RegexWithEquality)
+        ):
+            return None
+        return self._compact_relation(graph, query, null_semantics)
+
+    def _compact_relation(self, graph: DataGraph, query, null_semantics: bool) -> BitRelation:
+        compact = graph.compact_index()
+        expression = getattr(query, "expression", query)
+        if isinstance(expression, (RegexWithEquality, RegexWithMemory)):
+            automaton = self.compile_data_rpq(expression)
+            return compact_kernels.register_relation(compact, automaton, null_semantics)
+        return compact_kernels.nfa_relation(compact, self.compile_rpq(query))
+
     def evaluate_rpq(
         self, graph: DataGraph, query: RPQLike, route: Optional["Route"] = None
     ) -> FrozenSet[NodePair]:
-        """The full binary relation ``e(G)`` of an RPQ on a data graph."""
+        """The full binary relation ``e(G)`` of an RPQ on a data graph.
+
+        Bit rows (see :meth:`relation_bits`) are decoded straight to
+        ``Node`` pairs; every other route decodes its id pairs.
+        """
+        if route is None:
+            route = _bare_route(graph, self._expression_of(query))
+        relation = self.relation_bits(graph, query, route)
+        if relation is not None:
+            return relation.node_pairs(graph.compact_index().node_objects)
         node = graph.node
         return frozenset(
             (node(source), node(target))
@@ -292,8 +327,9 @@ class EvaluationEngine:
         """Evaluate a data RPQ, dispatching between the REE and REM engines.
 
         The register-automaton path honours the route's kernel family
-        (its mask pass has an int-id CSR twin) and driver (REE queries
-        translate to a register automaton under the partitioned
+        (its mask pass has an int-id CSR twin, decoded straight to
+        ``Node`` pairs as in :meth:`evaluate_rpq`) and driver (REE
+        queries translate to a register automaton under the partitioned
         drivers); the algebraic REE engine is relation algebra over the
         dict index.
         """
@@ -313,16 +349,13 @@ class EvaluationEngine:
             if not isinstance(expression, RegexWithEquality):
                 raise EvaluationError("the algebraic engine only evaluates equality RPQs (REE)")
             id_pairs = data_kernels.ree_relation(graph.label_index(), expression, null_semantics)
+        elif route.kernel == "compact":
+            relation = self._compact_relation(graph, query, null_semantics)
+            return relation.node_pairs(graph.compact_index().node_objects)
         else:
-            automaton = self.compile_data_rpq(expression)
-            if route.kernel == "compact":
-                id_pairs = compact_kernels.register_relation(
-                    graph.compact_index(), automaton, null_semantics
-                )
-            else:
-                id_pairs = data_kernels.register_automaton_relation(
-                    graph.label_index(), automaton, null_semantics
-                )
+            id_pairs = data_kernels.register_automaton_relation(
+                graph.label_index(), self.compile_data_rpq(expression), null_semantics
+            )
         return frozenset((node(source), node(target)) for source, target in id_pairs)
 
     # ------------------------------------------------------------------

@@ -25,7 +25,9 @@ kernel stack:
    word-parallel big-int ORs rather than per-source set manipulation.
 
 The answer is read off the accepting configurations: ``(u, v) ∈ e(G)``
-iff bit ``u`` is set on some accepting configuration sitting at ``v``.
+iff bit ``u`` is set on some accepting configuration sitting at ``v``
+(:func:`decode_pairs` folds those masks per target node into a
+:class:`~repro.engine.bitrelation.BitRelation` and decodes it once).
 
 Each phase is exposed as a standalone kernel so the partitioned drivers
 in :mod:`repro.engine.partition` can recompose them: the propagation
@@ -58,12 +60,13 @@ non-pruning spaces, the accepting configurations phase 4 decodes).
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from ..datagraph.compact import CompactLabelIndex
 from ..datagraph.index import LabelIndex
 from ..datagraph.node import NodeId
 from . import compact as compact_kernels
+from .bitrelation import BitRelation
 from .compiled import CompiledAutomaton
 from .spaces import NfaProductSpace, ProductSpace
 
@@ -233,30 +236,28 @@ def propagate_masks(
 
 def decode_pairs(
     space: ProductSpace, masks: Dict, targets: Optional[Set[NodeId]] = None
-) -> Set[Pair]:
+) -> FrozenSet[Pair]:
     """Read the answer relation off the accepting configurations' masks.
 
-    The bit decoding mirrors ``LabelIndex.nodes_of``, inlined because
-    this loop dominates the answer-materialisation cost on dense
-    relations.  With *targets* given, only accepting configurations at
-    those nodes are decoded — how non-pruning spaces honour a seeded
-    scan's target restriction.
+    The masks are folded per target node and decoded by the one
+    :class:`~repro.engine.bitrelation.BitRelation` decoder.  With
+    *targets* given, only accepting configurations at those nodes count
+    — how non-pruning spaces honour a seeded scan's target restriction.
     """
-    nodes = space.index.nodes
+    index = space.index
+    position = index.position
     is_accepting = space.is_accepting
     node_of = space.node_of
-    pairs: Set[Pair] = set()
+    rows: Dict[int, int] = {}
     for config, mask in masks.items():
         if not is_accepting(config):
             continue
         target = node_of(config)
         if targets is not None and target not in targets:
             continue
-        while mask:
-            low = mask & -mask
-            pairs.add((nodes[low.bit_length() - 1], target))
-            mask ^= low
-    return pairs
+        at = position[target]
+        rows[at] = rows.get(at, 0) | mask
+    return BitRelation(index.nodes, position, rows).id_pairs()
 
 
 def source_block_relation(
@@ -264,7 +265,7 @@ def source_block_relation(
     useful: Optional[Set],
     block: Sequence[NodeId],
     targets: Optional[Set[NodeId]] = None,
-) -> Set[Pair]:
+) -> FrozenSet[Pair]:
     """The answer pairs contributed by one block of source nodes.
 
     Runs the phase-3 fixpoint with seeds restricted to *block*; because
@@ -283,7 +284,7 @@ def source_block_relation(
 # ----------------------------------------------------------------------
 # The sequential compositions
 # ----------------------------------------------------------------------
-def product_relation(space: ProductSpace) -> Set[Pair]:
+def product_relation(space: ProductSpace) -> FrozenSet[Pair]:
     """All pairs ``(u, v)`` the product space connects — any dialect.
 
     Runs phases 1–2 only on spaces that support pruning; otherwise the
@@ -299,7 +300,7 @@ def seeded_product_relation(
     sources: Optional[Sequence[NodeId]] = None,
     targets: Optional[Set[NodeId]] = None,
     compact: Optional[CompactLabelIndex] = None,
-) -> Set[Pair]:
+) -> FrozenSet[Pair]:
     """The pairs of :func:`product_relation` restricted to bound endpoints.
 
     The semijoin kernel behind the CRPQ planner's seeded scans: with
@@ -320,19 +321,19 @@ def seeded_product_relation(
             space, compact, sources=sources, targets=targets
         )
         if relation is not None:
-            return relation
+            return relation.id_pairs()
     if not space.index.nodes:
-        return set()
+        return frozenset()
     if sources is not None and not sources:
-        return set()
+        return frozenset()
     if targets is not None and not targets:
-        return set()
+        return frozenset()
     useful: Optional[Set] = None
     if space.prune:
         reachable = forward_expand(space, initial_configs(space, sources))
         useful = backward_prune(space, reachable, targets=targets)
         if not useful:
-            return set()
+            return frozenset()
     seeds = seed_masks(space, useful=useful, sources=sources)
     masks, _ = propagate_masks(space, seeds, useful=useful)
     return decode_pairs(space, masks, targets=targets)
@@ -340,7 +341,7 @@ def seeded_product_relation(
 
 def full_relation(
     index: Union[LabelIndex, CompactLabelIndex], automaton: CompiledAutomaton
-) -> Set[Pair]:
+) -> FrozenSet[Pair]:
     """All pairs ``(u, v)`` connected by a path accepted by *automaton*.
 
     The plain-RPQ entry point: :func:`product_relation` over the
@@ -349,7 +350,7 @@ def full_relation(
     int-id kernel directly.
     """
     if isinstance(index, CompactLabelIndex):
-        return compact_kernels.nfa_relation(index, automaton)
+        return compact_kernels.nfa_relation(index, automaton).id_pairs()
     return product_relation(NfaProductSpace(index, automaton))
 
 

@@ -30,10 +30,10 @@ per join for ``--explain``.
 
 Two further v2 hooks ride on the executor:
 
-* ``relation_cache`` — a callable mapping an atom to a previously
-  materialised full relation (the session's versioned result cache);
-  scans reuse it — filtered by the live seed bindings — instead of
-  re-walking the graph.
+* ``relation_cache`` — a callable answering an atom scan (the atom plus
+  its live seed bindings) from a previously materialised full relation
+  (the session's versioned result cache), or declining with ``None``;
+  scans it answers do not re-walk the graph.
 * ``join_runner`` — a partitioned distributed hash join (the
   :meth:`repro.server.workers.ShardWorkerPool.hash_join` seam).  Joins
   whose combined input reaches :data:`DISTRIBUTED_JOIN_MIN_ROWS` rows
@@ -82,9 +82,14 @@ __all__ = [
 #: scans can hand the engine's frozenset through without copying.
 Relation = Tuple[Tuple[str, ...], AbstractSet[Tuple[NodeId, ...]]]
 
-#: A cached-relation lookup: atom -> full id-pair relation, or ``None``
-#: when the cache has nothing for it.
-RelationCache = Callable[[Atom], Optional[AbstractSet[Tuple[NodeId, NodeId]]]]
+#: A cached-relation lookup: ``(atom, sources, targets)`` -> the atom's
+#: id pairs restricted to the bound endpoint sets (``None`` = unbound),
+#: or ``None`` when the cache has nothing for it (or nothing cheaper
+#: than the seeded scan).
+RelationCache = Callable[
+    [Atom, Optional[Set[NodeId]], Optional[Set[NodeId]]],
+    Optional[AbstractSet[Tuple[NodeId, NodeId]]],
+]
 
 #: A distributed hash-join runner:
 #: ``(left_rows, right_rows, left_key, right_key, right_only) -> rows``
@@ -173,16 +178,11 @@ class _Context:
         atom = node.atom
         lookup = self.relation_cache
         if lookup is not None:
-            cached = lookup(atom)
+            cached = lookup(atom, sources, targets)
             if cached is not None:
                 if self.trace is not None:
                     self.trace.cache_hits += 1
-                pairs: AbstractSet[Tuple[NodeId, ...]] = cached
-                if sources is not None:
-                    pairs = {pair for pair in pairs if pair[0] in sources}
-                if targets is not None:
-                    pairs = {pair for pair in pairs if pair[1] in targets}
-                return node.columns, pairs
+                return node.columns, cached
         null_semantics = self.null_semantics if isinstance(atom.query, DataRPQ) else False
         pairs = self.engine.evaluate_atom_ids(
             self.graph,
@@ -450,8 +450,8 @@ def execute_plan(
 
     Keyword-only v2 hooks: *adaptive* (default on for multi-atom plans)
     observes intermediate cardinalities and re-plans on misestimates;
-    *relation_cache* reuses previously materialised full relations as
-    scan inputs; *join_runner* offers large joins to the distributed
+    *relation_cache* answers scans from previously materialised full
+    relations; *join_runner* offers large joins to the distributed
     partitioned hash join; *trace* collects the estimate-vs-observed
     record for ``--explain``.
     """

@@ -281,12 +281,12 @@ def _shard_worker_main(payload, index: int, message):
         if "compact" in state:
             S, accepting, _plans, compact = state["compact"]
             for shard_masks in state["masks"].values():
-                pairs |= compact_kernels.decode_shard_masks(compact, S, accepting, shard_masks)
+                pairs |= compact_kernels.decode_shard_masks(
+                    compact, S, accepting, shard_masks, targets=mask
+                )
         else:
             for shard_masks in state["masks"].values():
-                pairs |= product.decode_pairs(state["space"], shard_masks)
-        if mask is not None:
-            pairs = {pair for pair in pairs if pair[1] in mask}
+                pairs |= product.decode_pairs(state["space"], shard_masks, targets=mask)
         return pairs
 
     if kind == "drop":

@@ -14,6 +14,10 @@ import pytest
 
 from repro.api import ExecutionPolicy, GraphSession, Query
 from repro.datagraph import DataGraph
+from repro.deltas.repair import repair_full_relation
+from repro.engine import compact as compact_kernels
+from repro.engine import product as product_kernels
+from repro.engine.bitrelation import BitRelation
 from repro.engine.partition import GraphPartition
 from repro.exceptions import EvaluationError
 
@@ -190,6 +194,174 @@ class TestRepairedEqualsFresh:
         assert entry["plan"].startswith("rpq:")
         assert entry["delta_digest"] == delta.digest
         assert entry["delta_size"] == delta.size
+
+
+#: Forced routes a repair must follow: the kernel family re-derives the
+#: touched closure (partitioned drivers are cut from the dict index).
+ROUTE_POLICIES = {
+    "compact": ExecutionPolicy(backend="compact"),
+    "dict": ExecutionPolicy(backend="dict"),
+    "sql": ExecutionPolicy(backend="sql"),
+    "blocks": ExecutionPolicy(intra_query="blocks", max_workers=2),
+}
+
+
+class KernelCalls:
+    """Count entries into the dict forward phase and the compact kernels."""
+
+    def __init__(self, monkeypatch):
+        self.dict_forward = 0
+        self.compact = 0
+        forward = product_kernels.forward_expand
+
+        def forward_expand(*args, **kwargs):
+            self.dict_forward += 1
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(product_kernels, "forward_expand", forward_expand)
+        for name in ("nfa_relation", "register_relation"):
+            monkeypatch.setattr(compact_kernels, name, self._counting(getattr(compact_kernels, name)))
+
+    def _counting(self, kernel):
+        def counted(*args, **kwargs):
+            self.compact += 1
+            return kernel(*args, **kwargs)
+
+        return counted
+
+
+class TestRepairFollowsTheRoute:
+    @pytest.mark.parametrize("dialect", sorted(REPAIRING))
+    @pytest.mark.parametrize("route", sorted(ROUTE_POLICIES))
+    def test_repaired_equals_recomputed_on_every_route(self, route, dialect, monkeypatch):
+        graph = chain_graph()
+        query = DIALECT_QUERIES[dialect]
+        session = GraphSession(graph, policy=ROUTE_POLICIES[route])
+        session.run(query).rows()
+        shortcut_batch(graph)
+        expected = fresh_rows(graph, query)
+        calls = KernelCalls(monkeypatch)
+        served = session.run(query).rows()
+        assert served == expected
+        stats = session.maintenance_stats()
+        assert stats["repairs"] == 1 and stats["recomputes"] == 0
+        if route == "compact":
+            # what explain names is what repaired: never the dict phases
+            assert calls.compact == 1 and calls.dict_forward == 0
+        elif route in ("dict", "blocks"):
+            assert calls.compact == 0
+            assert calls.dict_forward == (1 if dialect == "rpq" else 0)  # only the NFA product prunes
+
+    @pytest.mark.parametrize("removal", [False, True], ids=["repair", "recompute"])
+    def test_a_run_resolves_its_route_once(self, removal, monkeypatch):
+        """The route a repair follows is the one a declined repair's
+        recompute executes on — resolved once per run, not once each."""
+        import repro.api.session as session_module
+
+        graph = chain_graph()
+        session = GraphSession(graph, policy=ROUTE_POLICIES["compact"])
+        queries = [DIALECT_QUERIES["rpq"], Query.parse("x, y :- (x, a+, z), (z, b, y)", dialect="crpq")]
+        for query in queries:
+            session.run(query).rows()
+        with graph.batch() as batch:
+            batch.add_edge("k0n1", "b", "k0n7")
+            if removal:
+                batch.remove_edge("k1n1", "b", "k1n2")
+        expected = [fresh_rows(graph, query) for query in queries]
+        resolved = []
+        route_query = session_module.route_query
+
+        def counting(plan, *args, **kwargs):
+            resolved.append(plan.kind.value)
+            return route_query(plan, *args, **kwargs)
+
+        monkeypatch.setattr(session_module, "route_query", counting)
+        assert [session.run(query).rows() for query in queries] == expected
+        assert sorted(resolved) == ["crpq", "rpq"]
+        stats = session.maintenance_stats()
+        assert (stats["repairs"], stats["recomputes"]) == ((0, 2) if removal else (1, 1))
+
+    def test_compact_repairs_keep_bit_rows_across_batches(self):
+        graph = chain_graph()
+        query = DIALECT_QUERIES["rpq"]
+        session = GraphSession(graph, policy=ROUTE_POLICIES["compact"])
+        session.run(query).rows()
+        for step in range(3):  # the first batch appends a node, all add edges
+            with graph.batch() as batch:
+                if step == 0:
+                    batch.add_node("fresh", 1)
+                    batch.add_edge("k0n3", "a", "fresh")
+                batch.add_edge(f"k{step}n1", "b", f"k{step}n7")
+            served = session.run(query).rows()
+            assert served == fresh_rows(graph, query)
+            answer, bits = session._results.peek((graph.version, query.key, False))
+            assert answer is served and bits is not None
+            assert bits.nodes == graph.compact_index().nodes
+            assert bits.node_pairs(graph.compact_index().node_objects) == served
+            assert bits.count() == len(served)
+        assert session.maintenance_stats()["repairs"] == 3
+
+    def test_an_entry_without_bit_rows_still_repairs(self):
+        graph = chain_graph()
+        query = DIALECT_QUERIES["rpq"]
+        session = GraphSession(graph, policy=ROUTE_POLICIES["compact"])
+        session.run_many([query])  # batch answers are cached without bit rows
+        assert session._results.peek((graph.version, query.key, False))[1] is None
+        shortcut_batch(graph)
+        assert session.run(query).rows() == fresh_rows(graph, query)
+        assert session.maintenance_stats()["repairs"] == 1
+        assert session._results.peek((graph.version, query.key, False))[1] is None
+
+    def test_bit_rows_on_another_ordering_are_dropped_not_merged(self):
+        """Bit rows only merge into an ordering that extends their own; a
+        cached relation that does not line up keeps its answer, repaired,
+        and loses the bit rows."""
+        graph = chain_graph()
+        query = DIALECT_QUERIES["rpq"]
+        session = GraphSession(graph, policy=ROUTE_POLICIES["compact"])
+        rows = session.run(query).rows()
+        _answer, bits = session._results.peek((graph.version, query.key, False))
+        previous = graph.version
+        shortcut_batch(graph)
+        delta = graph.journal.composed(previous, graph.version)
+        route = session._route(query)
+        expected = fresh_rows(graph, query)
+
+        repaired, merged = repair_full_relation(
+            session.engine, graph, query, False, (rows, bits), delta, route
+        )
+        assert repaired == expected
+        assert merged.node_pairs(graph.compact_index().node_objects) == expected
+
+        shuffled = tuple(reversed(bits.nodes))
+        misaligned = BitRelation(
+            shuffled, {node: at for at, node in enumerate(shuffled)}, dict(bits.rows)
+        )
+        repaired, merged = repair_full_relation(
+            session.engine, graph, query, False, (rows, misaligned), delta, route
+        )
+        assert repaired == expected and merged is None
+
+    def test_remove_and_re_add_keeps_the_snapshot_ordering_consistent(self):
+        """A node removed and re-added in one batch nets out of the delta;
+        whatever ordering the patched index settles on, cached bit rows
+        are either on it or gone."""
+        graph = chain_graph()
+        graph.add_node("loner", 5)
+        query = DIALECT_QUERIES["rpq"]
+        session = GraphSession(graph, policy=ROUTE_POLICIES["compact"])
+        session.run(query).rows()
+        with graph.batch() as batch:
+            batch.remove_node("loner")
+            batch.add_node("loner", 5)
+            batch.add_edge("k0n1", "b", "k0n7")
+        served = session.run(query).rows()
+        assert served == fresh_rows(graph, query)
+        _answer, bits = session._results.peek((graph.version, query.key, False))
+        if bits is not None:
+            compact = graph.compact_index()
+            assert bits.nodes == compact.nodes
+            assert bits.node_pairs(compact.node_objects) == served
 
 
 class TestPartitionPatching:

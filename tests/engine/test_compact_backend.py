@@ -11,6 +11,8 @@ backend is an *optimisation*, so any divergence anywhere is a bug.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from repro.datagraph import NULL, GraphBuilder, generators
 from repro.datagraph.compact import CompactLabelIndex, owner_column
 from repro.engine import compact as compact_kernels
 from repro.engine import default_engine
+from repro.engine.bitrelation import BitRelation
 from repro.engine.partition import GraphPartition, sharded_product_relation
 from repro.engine.spaces import NfaProductSpace
 from repro.exceptions import UnboundVariableError
@@ -258,6 +261,315 @@ def test_unbound_register_raises_on_every_route(policy):
             session.run(query).pairs()
     assert session.run(query, null_semantics=True).pairs() == frozenset()
     assert evaluate_data_rpq_naive(graph, query.plan, True) == frozenset()
+
+
+# ----------------------------------------------------------------------
+# Bit-row relations: what the kernels hand back, and the one decoder
+# ----------------------------------------------------------------------
+def bit_walk_pairs(relation: BitRelation, names):
+    """The reference decoder: one ``bit_length`` walk per pair (what the
+    kernels' five hand-written decode loops did)."""
+    pairs = set()
+    for at, mask in relation.rows.items():
+        while mask:
+            low = mask & -mask
+            pairs.add((names[low.bit_length() - 1], names[at]))
+            mask ^= low
+    return pairs
+
+
+def restricted(pairs, sources, targets):
+    return {
+        (source, target)
+        for source, target in pairs
+        if (sources is None or source in sources) and (targets is None or target in targets)
+    }
+
+
+def assert_decodes_to(relation: BitRelation, compact, expected_nodes):
+    """Every view of *relation* agrees with the ``Node``-pair set *expected_nodes*."""
+    expected_ids = {(source.id, target.id) for source, target in expected_nodes}
+    id_pairs = relation.id_pairs()
+    assert isinstance(id_pairs, frozenset)
+    assert id_pairs == bit_walk_pairs(relation, compact.nodes) == expected_ids
+    node_pairs = relation.node_pairs(compact.node_objects)
+    assert node_pairs == bit_walk_pairs(relation, compact.node_objects) == expected_nodes
+    assert relation.count() == len(id_pairs) == len(node_pairs)
+    assert all(relation.rows.values())  # rows never hold an empty mask
+
+
+def drawn_restrictions(data, graph):
+    """``(sources, targets)`` draws: unrestricted, bound, and bound to
+    ids the graph does not have."""
+    ids = list(graph.node_ids)
+    bound = st.none() | st.sets(st.sampled_from(ids + ["absent"]), max_size=6)
+    return data.draw(bound), data.draw(bound)
+
+
+#: graph sizes beyond one and two 64-bit limbs ride along the small ones
+SIZES = st.integers(min_value=1, max_value=40) | st.sampled_from([65, 70, 129, 140])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    size=SIZES,
+    query_index=st.integers(min_value=0, max_value=len(RPQ_POOL) - 1),
+    data=st.data(),
+)
+def test_nfa_bit_rows_decode_to_the_naive_relation(seed, size, query_index, data):
+    graph = random_graph_from(seed, size)
+    compact = graph.compact_index()
+    query = rpq(RPQ_POOL[query_index])
+    sources, targets = drawn_restrictions(data, graph)
+    relation = compact_kernels.nfa_relation(
+        compact,
+        default_engine().compile_rpq(query),
+        sources=None if sources is None else sorted(sources),
+        targets=targets,
+    )
+    naive = evaluate_rpq_naive(graph, query)
+    expected = {
+        pair for pair in naive
+        if (sources is None or pair[0].id in sources) and (targets is None or pair[1].id in targets)
+    }
+    assert_decodes_to(relation, compact, expected)
+    # restrict ∘ decode == filter ∘ decode, from the unrestricted rows
+    full = compact_kernels.nfa_relation(compact, default_engine().compile_rpq(query))
+    assert full.restrict(sources, targets).id_pairs() == restricted(
+        full.id_pairs(), sources, targets
+    )
+    assert full.restrict(sources, targets).count() == len(expected)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    size=SIZES,
+    label=st.sampled_from("ab"),
+    inverse=st.booleans(),
+    data=st.data(),
+)
+def test_closure_bit_rows_decode_to_the_naive_closure(seed, size, label, inverse, data):
+    graph = random_graph_from(seed, size)
+    compact = graph.compact_index()
+    sources, targets = drawn_restrictions(data, graph)
+    relation = compact_kernels.closure_relation(
+        compact, label, inverse=inverse,
+        sources=None if sources is None else sorted(sources), targets=targets,
+    )
+    naive = evaluate_rpq_naive(graph, rpq(f"{label}*"))
+    if inverse:
+        naive = {(target, source) for source, target in naive}
+    expected = {
+        pair for pair in naive
+        if (sources is None or pair[0].id in sources) and (targets is None or pair[1].id in targets)
+    }
+    assert_decodes_to(relation, compact, expected)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    size=st.integers(min_value=1, max_value=30) | st.just(70),
+    query_index=st.integers(min_value=0, max_value=len(DATA_POOL) - 1),
+    null_semantics=st.booleans(),
+    data=st.data(),
+)
+def test_register_bit_rows_decode_to_the_naive_relation(
+    seed, size, query_index, null_semantics, data
+):
+    graph = random_graph_from(seed, size)
+    compact = graph.compact_index()
+    text, dialect = DATA_POOL[query_index]
+    query = Query.parse(text, dialect=dialect)
+    sources, targets = drawn_restrictions(data, graph)
+    relation = compact_kernels.register_relation(
+        compact,
+        default_engine().compile_data_rpq(query.plan.expression),
+        null_semantics,
+        sources=None if sources is None else sorted(sources),
+        targets=targets,
+    )
+    naive = evaluate_data_rpq_naive(graph, query.plan, null_semantics)
+    expected = {
+        pair for pair in naive
+        if (sources is None or pair[0].id in sources) and (targets is None or pair[1].id in targets)
+    }
+    assert_decodes_to(relation, compact, expected)
+
+
+class TestBitRelationEdges:
+    def test_empty_graph_and_single_node(self):
+        empty = GraphBuilder(name="empty").build().compact_index()
+        automaton = default_engine().compile_rpq(rpq("a*"))
+        for relation in (
+            compact_kernels.nfa_relation(empty, automaton),
+            compact_kernels.closure_relation(empty, "a"),
+        ):
+            assert relation.rows == {} and relation.count() == 0
+            assert relation.id_pairs() == relation.node_pairs(empty.node_objects) == frozenset()
+        lonely = GraphBuilder(name="lonely").node("only", 1).build().compact_index()
+        relation = compact_kernels.nfa_relation(lonely, automaton)
+        assert relation.rows == {0: 1}
+        assert relation.id_pairs() == {("only", "only")}
+        assert relation.node_pairs(lonely.node_objects) == {(lonely.node_objects[0],) * 2}
+
+    @pytest.mark.parametrize("size", [1, 63, 64, 65, 128, 129, 200])
+    def test_top_bit_is_the_last_node(self, size):
+        """A mask whose only (and highest) bit is the last node of the
+        ordering, on sizes around the 64-bit limb boundaries."""
+        builder = GraphBuilder(name="star")
+        for i in range(size):
+            builder.node(i, i % 2)
+        builder.node("hub", 0)
+        for i in range(size):
+            builder.edge("hub", "a", i)
+        graph = builder.build()
+        compact = graph.compact_index()
+        assert compact.nodes[-1] == "hub"
+        relation = compact_kernels.nfa_relation(compact, default_engine().compile_rpq(rpq("a")))
+        assert set(relation.rows.values()) == {1 << size}
+        assert relation.id_pairs() == {("hub", i) for i in range(size)}
+        assert relation.count() == size
+        # ... and a full row: every node reaches the last one
+        closure = compact_kernels.closure_relation(compact, "a", inverse=True)
+        assert closure.rows[size] == (1 << (size + 1)) - 1
+        assert_decodes_to(
+            closure,
+            compact,
+            {(graph.node(i), graph.node("hub")) for i in range(size)}
+            | {(node, node) for node in graph.nodes},
+        )
+
+    @pytest.mark.parametrize("size", [17, 64, 200, 1100])
+    def test_sparse_and_dense_masks_decode_alike(self, size):
+        """The decoder hops between the set digits of a sparse mask and
+        ``compress``es a dense one; member counts on both sides of that
+        switch (a 16th of the mask's length) decode to the bit walk."""
+        names = tuple(f"n{i}" for i in range(size))
+        position = {name: at for at, name in enumerate(names)}
+        edge = size // 16
+        rows = {}
+        for at, members in enumerate([1, 2, edge - 1, edge, edge + 1, edge + 2, size // 2, size]):
+            members = max(1, min(size, members))
+            step = size // members
+            # the top bit first, so every mask spans the whole ordering
+            rows[at] = sum(1 << (size - 1 - i * step) for i in range(members))
+        rows[size - 1] = 1  # the lowest bit alone
+        relation = BitRelation(names, position, rows)
+        assert relation.id_pairs() == bit_walk_pairs(relation, names)
+        assert relation.count() == len(relation.id_pairs())
+
+    def test_non_string_node_ids(self):
+        ids = [0, 1, (2, "x"), ("y", 3), 4.5, frozenset({6}), "seven"]
+        builder = GraphBuilder(name="mixed-ids")
+        for position, node_id in enumerate(ids):
+            builder.node(node_id, position % 3)
+        for source, target in zip(ids, ids[1:]):
+            builder.edge(source, "a", target)
+        graph = builder.build()
+        compact_session, dict_session = sessions(graph)
+        for text in ("a", "a+", "a.a*"):
+            expected = evaluate_rpq_naive(graph, rpq(text))
+            assert compact_session.run(text).pairs() == expected
+            assert dict_session.run(text).pairs() == expected
+            relation = compact_kernels.nfa_relation(
+                graph.compact_index(), default_engine().compile_rpq(rpq(text))
+            )
+            assert_decodes_to(relation, graph.compact_index(), expected)
+        assert compact_session.run("a+").holds(0, "seven")
+
+    def test_node_objects_column_is_the_graphs_nodes(self):
+        graph = random_graph_from(5, 20)
+        compact = graph.compact_index()
+        assert compact.node_objects == graph.nodes
+        assert compact.node_objects is compact.node_objects  # derived once per snapshot
+        with pytest.raises(ValueError, match="ordering"):
+            BitRelation(compact.nodes, compact.position, {0: 1}).node_pairs(
+                compact.node_objects[:-1]
+            )
+
+    def test_relation_bits_is_what_the_entry_points_decode(self):
+        # The engine's one bit-row entry point: rows on a sequential
+        # compact route (never for the algebraic REE engine), ``None`` on
+        # every other route; a caching session keeps exactly those rows.
+        graph = random_graph_from(9, 30)
+        engine = default_engine()
+        compact_route = forced_route(graph, "compact")
+        objects = graph.compact_index().node_objects
+        queries = [(Query.rpq(text), "rpq") for text in RPQ_POOL]
+        queries += [(Query.parse(text, dialect=dialect), dialect) for text, dialect in DATA_POOL]
+        session = GraphSession(graph, policy=ExecutionPolicy(backend="compact"))
+        for query, dialect in queries:
+            for null_semantics in (False, True):
+                bits = engine.relation_bits(graph, query.plan, compact_route, null_semantics)
+                expected = query._evaluate(engine, graph, null_semantics, compact_route)
+                answer = session.run(query, null_semantics=null_semantics).pairs()
+                assert answer == expected
+                _cached, kept = session._results.peek((graph.version, query.key, null_semantics))
+                if dialect == "ree":
+                    assert bits is None and kept is None
+                else:
+                    assert bits.node_pairs(objects) == expected
+                    assert kept.rows == bits.rows
+            for route in (
+                forced_route(graph, "dict"),
+                forced_route(graph, "sql"),
+                dataclasses.replace(compact_route, driver="blocks", workers=2),
+            ):
+                assert engine.relation_bits(graph, query.plan, route) is None
+
+    def test_shard_decode_honours_targets(self):
+        graph = random_graph_from(11, 30)
+        compact = graph.compact_index()
+        automaton = default_engine().compile_rpq(rpq("(a|b)+"))
+        S, initial, accepting, _plans = compact_kernels.nfa_shard_plans(compact, automaton)
+        # One "shard" holding the whole fixpoint: seed every node, no cut edges.
+        masks = {}
+        seeds = {
+            i * S + state: 1 << i for i in range(compact.num_nodes) for state in initial
+        }
+        compact_kernels.compact_shard_round(
+            _plans, S, [0] * compact.num_nodes, 0, masks, seeds
+        )
+        everything = compact_kernels.decode_shard_masks(compact, S, accepting, masks)
+        assert everything == compact_kernels.nfa_relation(compact, automaton).id_pairs()
+        wanted = frozenset(list(graph.node_ids)[:4]) | {"absent"}
+        assert compact_kernels.decode_shard_masks(
+            compact, S, accepting, masks, targets=wanted
+        ) == {pair for pair in everything if pair[1] in wanted}
+
+
+ROWS = st.dictionaries(
+    st.integers(min_value=0, max_value=139),
+    st.integers(min_value=1, max_value=(1 << 140) - 1),
+    max_size=12,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(left=ROWS, right=ROWS, grown=st.integers(min_value=0, max_value=5), data=st.data())
+def test_bit_relation_algebra(left, right, grown, data):
+    """count / restrict / union / minus against plain set algebra on the
+    decoded pairs, with *right* on an ordering that extends *left*'s."""
+    nodes = tuple(range(140))
+    longer = nodes + tuple(f"new{i}" for i in range(grown))
+    a = BitRelation(nodes, {n: i for i, n in enumerate(nodes)}, left)
+    b = BitRelation(longer, {n: i for i, n in enumerate(longer)}, right)
+    assert a.extended_by(b) and a.extended_by(a)
+    assert b.extended_by(a) == (grown == 0)
+    pairs_a, pairs_b = a.id_pairs(), b.id_pairs()
+    assert a.count() == len(pairs_a) and pairs_a == bit_walk_pairs(a, nodes)
+    union = a.union(b)
+    assert union.nodes is longer and union.id_pairs() == pairs_a | pairs_b
+    assert b.minus(a).id_pairs() == pairs_b - pairs_a
+    assert a.rows == left and b.rows == right  # operands are never mutated
+    picks = st.none() | st.sets(st.sampled_from(longer + ("absent",)), max_size=8)
+    sources, targets = data.draw(picks), data.draw(picks)
+    assert union.restrict(sources, targets).id_pairs() == restricted(
+        union.id_pairs(), sources, targets
+    )
 
 
 # ----------------------------------------------------------------------

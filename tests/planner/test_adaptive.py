@@ -15,6 +15,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import ExecutionPolicy, GraphSession, Query
 from repro.datagraph import generators
 from repro.engine import default_engine
 from repro.planner import PlanTrace, execute_plan, graph_statistics, plan_crpq
@@ -141,8 +142,8 @@ class TestRelationCache:
 
         served = []
 
-        def cache(atom):
-            pairs = engine.evaluate_atom_ids(graph, atom.query)
+        def cache(atom, sources, targets):
+            pairs = engine.evaluate_atom_ids(graph, atom.query, sources=sources, targets=targets)
             served.append(atom)
             return pairs
 
@@ -154,7 +155,54 @@ class TestRelationCache:
     def test_declining_cache_changes_nothing(self):
         graph = community(10)
         query = random_crpq(LABELS, shape="star", num_atoms=3, head_arity=2, rng=22)
-        run_both(graph, query, relation_cache=lambda atom: None)
+        run_both(graph, query, relation_cache=lambda atom, sources, targets: None)
+
+
+class _NeverIterated(frozenset):
+    """A cached answer that fails the test if anything walks it."""
+
+    def __iter__(self):
+        raise AssertionError("the cached relation was iterated")
+
+
+class TestSessionRelationReuse:
+    """A session serves CRPQ atom scans from its cached full relations
+    without re-deriving id pairs from the decoded ``Node`` pairs."""
+
+    CLOSURE = Query.parse("a+")
+    JOIN = Query.parse("x, y :- (x, b, z), (z, a+, y)", dialect="crpq")
+
+    def _warm(self, backend: str):
+        graph = community(17, num_nodes=30)
+        session = GraphSession(graph, policy=ExecutionPolicy(backend=backend))
+        answer = session.run(self.CLOSURE).pairs()
+        key = (graph.version, self.CLOSURE.key, False)
+        _answer, bits = session._results.peek(key)
+        session._results._entries[key] = (_NeverIterated(answer), bits)
+        return graph, session, bits
+
+    def test_seeded_scan_is_served_from_the_bit_rows(self):
+        graph, session, bits = self._warm("compact")
+        assert bits is not None and bits.count() == len(session.run(self.CLOSURE).pairs())
+        rows = session.run(self.JOIN).rows()
+        assert rows == evaluate_crpq_naive(graph, self.JOIN.plan)
+        assert "1 cached relation(s) reused" in session.explain(self.JOIN)
+
+    def test_seeded_scan_without_bit_rows_runs_the_seeded_kernel(self):
+        graph, session, bits = self._warm("dict")
+        assert bits is None
+        rows = session.run(self.JOIN).rows()
+        assert rows == evaluate_crpq_naive(graph, self.JOIN.plan)
+        assert "0 cached relation(s) reused" in session.explain(self.JOIN)
+
+    def test_unseeded_scan_still_reuses_an_entry_without_bit_rows(self):
+        graph = community(17, num_nodes=30)
+        session = GraphSession(graph, policy=ExecutionPolicy(backend="dict"))
+        session.run(self.CLOSURE).pairs()
+        anchor = Query.parse("x, y :- (x, a+, y), (y, a+, x)", dialect="crpq")
+        assert session.run(anchor).rows() == evaluate_crpq_naive(graph, anchor.plan)
+        assert "cached relation(s) reused" in session.explain(anchor)
+        assert "0 cached relation(s) reused" not in session.explain(anchor)
 
 
 class TestDistributedJoinHook:
