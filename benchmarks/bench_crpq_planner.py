@@ -14,12 +14,24 @@ the bindings that survive (seeded kernels + hash joins).
 Both must return identical answers; CI compares the means from
 BENCH_pr.json and fails when the planner's speedup over the naive join
 drops below 2× (see the bench-smoke gate in ci.yml).
+
+The random chains have existential interior variables, so the planner
+fuses each into one atom and runs no join at all — which is the point of
+that gate, but leaves the join seam unmeasured.  The distributed-join
+leg therefore runs the same chains with **every variable in the head**
+(nothing fuses, every join runs).  A second gate pins the elimination
+itself: a supplier-shaped 3-atom existential chain must cost at most 2×
+its hand-fused RPQ (3.8× before existential-variable elimination).
 """
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.api import ExecutionPolicy, GraphSession, Query
+from repro.datagraph import DataGraph
 from repro.engine import default_engine
 from repro.engine.forkpool import fork_available
 from repro.planner import execute_plan, plan_crpq
@@ -41,19 +53,24 @@ def community_graph():
     return graph
 
 
-@pytest.fixture(scope="module")
-def crpq_workload():
+def _chains(head_arity: int):
     return tuple(
         random_crpq(
             ("knows", "bridge"),
             shape="chain",
             num_atoms=3,
+            head_arity=head_arity,
             closure_prob=0.6,
             first_atom="bridge",
             rng=seed,
         )
         for seed in QUERY_SEEDS
     )
+
+
+@pytest.fixture(scope="module")
+def crpq_workload():
+    return _chains(head_arity=2)
 
 
 @pytest.fixture(scope="module")
@@ -93,10 +110,9 @@ def bench_crpq_planner_hash_join(benchmark, community_graph, crpq_workload, expe
     assert answers == expected_answers
 
 
-def bench_crpq_planner_distributed_join(
-    benchmark, community_graph, crpq_workload, expected_answers
-):
-    """The same workload with joins scattered over the shard-worker pool.
+def bench_crpq_planner_distributed_join(benchmark, community_graph):
+    """The same chains, every variable in the head so every join runs,
+    with the joins scattered over the shard-worker pool.
 
     A comparison leg, not a gated one: on few cores the scatter/gather
     IPC can cost more than the local hash join saves — the production
@@ -110,6 +126,11 @@ def bench_crpq_planner_distributed_join(
 
     engine = default_engine()
     index = community_graph.label_index()
+    join_workload = _chains(head_arity=4)
+    expected = tuple(
+        execute_plan(plan_crpq(query, index), community_graph, engine=engine)
+        for query in join_workload
+    )
     threshold = execute_module.DISTRIBUTED_JOIN_MIN_ROWS
     with ShardWorkerPool(community_graph, num_workers=2, num_shards=4) as pool:
         execute_module.DISTRIBUTED_JOIN_MIN_ROWS = 0
@@ -123,10 +144,66 @@ def bench_crpq_planner_distributed_join(
                         engine=engine,
                         join_runner=pool.hash_join,
                     )
-                    for query in crpq_workload
+                    for query in join_workload
                 )
 
             answers = benchmark.pedantic(run, rounds=1, iterations=1)
         finally:
             execute_module.DISTRIBUTED_JOIN_MIN_ROWS = threshold
-    assert answers == expected_answers
+    assert answers == expected
+
+
+# ----------------------------------------------------------------------
+# Existential-variable elimination: a chain CRPQ is its fused RPQ
+# ----------------------------------------------------------------------
+TIERS, WIDTH, FAN, REGIONS = 8, 130, 2, 8
+CHAIN_CRPQ = "x, r :- (x, supplies_to+, y), (y, alt_for, z), (z, located_in, r)"
+FUSED_RPQ = "supplies_to+.alt_for.located_in"
+
+
+@pytest.fixture(scope="module")
+def supplier_graph():
+    """A tiered supplier graph shaped like the end-to-end benchmark's
+    ``supplier_l``: ``FAN`` ``supplies_to`` edges from every supplier to
+    the tier below, one ``located_in`` region each, ``alt_for`` inside a
+    tier for one supplier in five."""
+    rng = random.Random(15)
+    graph = DataGraph()
+    for region in range(REGIONS):
+        graph.add_node(("region", region), f"R{region}")
+    for tier in range(TIERS):
+        for i in range(WIDTH):
+            graph.add_node((tier, i), tier)
+    for tier in range(TIERS):
+        for i in range(WIDTH):
+            graph.add_edge((tier, i), "located_in", ("region", rng.randrange(REGIONS)))
+            if tier:
+                for below in rng.sample(range(WIDTH), FAN):
+                    graph.add_edge((tier, i), "supplies_to", (tier - 1, below))
+            if i % 5 == 0:
+                graph.add_edge((tier, i), "alt_for", (tier, rng.randrange(1, WIDTH)))
+    graph.compact_index()
+    return graph
+
+
+def _fresh_session_run(benchmark, graph, query):
+    def run():
+        session = GraphSession(graph, policy=ExecutionPolicy(backend="compact"))
+        return session.run(query).rows()
+
+    run()  # compile the automaton; build nothing inside the timer
+    return benchmark.pedantic(run, rounds=3, iterations=1)
+
+
+def bench_rpq_hand_fused_chain(benchmark, supplier_graph):
+    pairs = _fresh_session_run(benchmark, supplier_graph, Query.parse(FUSED_RPQ))
+    assert len(pairs) > supplier_graph.num_nodes
+    benchmark.extra_info["answer_pairs"] = len(pairs)
+
+
+def bench_crpq_existential_chain(benchmark, supplier_graph):
+    rows = _fresh_session_run(
+        benchmark, supplier_graph, Query.parse(CHAIN_CRPQ, dialect="crpq")
+    )
+    expected = GraphSession(supplier_graph).run(Query.parse(FUSED_RPQ)).rows()
+    assert rows == expected

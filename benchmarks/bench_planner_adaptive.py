@@ -8,7 +8,7 @@ all the edges — whose two-step value-equality atom ``(likes.likes)=``
 tiny, because the data values are nearly distinct and hub targets have
 almost no outgoing ``likes`` edges.
 
-The query is a cycle: ``ans(y, z) :- (x, knows+, y),
+The query is a cycle: ``ans(x, y, z) :- (x, knows+, y),
 (y, (likes.likes)=, z), (z, knows+, x)``.  The v1 plan, pricing the
 equality atom as the largest relation, defers it to the end — and joins
 the two closures first, a near-cartesian intermediate of every
@@ -75,8 +75,10 @@ def skewed_graph():
 
 @pytest.fixture(scope="module")
 def skewed_query():
+    # x is in the head: existential, the planner would fuse the two
+    # closures into one atom and there would be no join order to get wrong.
     return ConjunctiveRPQ(
-        head=("y", "z"),
+        head=("x", "y", "z"),
         atoms=(
             Atom("x", rpq("knows+"), "y"),
             Atom("y", DataRPQ(parse_ree("(likes.likes)=")), "z"),

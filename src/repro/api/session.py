@@ -206,8 +206,7 @@ class GraphSession(SessionProtocol):
                 continue
             repaired = self._repaired_answer(plan, null_semantics, version) if caching else None
             if repaired is not None:
-                self._result_history[(plan.key, null_semantics)] = version
-                answers[key] = self._results.get_or_build(key, lambda r=repaired: r)[0]
+                answers[key] = self._remember(plan, null_semantics, version, repaired)
             else:
                 answers[key] = None  # placeholder: scheduled for the executor
                 misses.append(plan)
@@ -220,8 +219,7 @@ class GraphSession(SessionProtocol):
                 if caching:
                     # Batch answers may come back from forked workers, so
                     # they are cached without bit rows.
-                    answer = self._results.get_or_build(key, lambda answer=answer: (answer, None))[0]
-                    self._result_history[(plan.key, null_semantics)] = version
+                    answer = self._remember(plan, null_semantics, version, (answer, None))
                 answers[key] = answer
 
         results: List[Result] = []
@@ -513,7 +511,23 @@ class GraphSession(SessionProtocol):
         entry = self._repaired_answer(plan, null_semantics, version, route)
         if entry is None:
             entry = self._full_entry(plan, route, null_semantics)
-        self._result_history[(plan.key, null_semantics)] = version
+        return self._remember(plan, null_semantics, version, entry)
+
+    def _remember(
+        self, plan: Query, null_semantics: bool, version: int, entry: CachedRelation
+    ) -> frozenset:
+        """Cache *entry* as *plan*'s answer at *version* and drop the
+        entry it supersedes.  Graph versions only grow, so an older
+        version's answer can never be hit again: it was alive as the
+        base of the next delta repair, a role *entry* now takes.  Kept
+        until the LRU fills, one dead full relation per mutation is what
+        every full garbage-collection pass then walks (DESIGN §5)."""
+        history_key = (plan.key, null_semantics)
+        previous = self._result_history.get(history_key)
+        if previous is not None and previous != version:
+            self._results.discard((previous, plan.key, null_semantics))
+        self._result_history[history_key] = version
+        key = (version, plan.key, null_semantics)
         return self._results.get_or_build(key, lambda: entry)[0]
 
     def _full_entry(self, plan: Query, route, null_semantics: bool) -> CachedRelation:
@@ -809,7 +823,7 @@ class GraphSession(SessionProtocol):
         graph is the cheaper way.
 
         An entry with bit rows serves any scan — the seed restriction is
-        a mask AND and only the surviving pairs are decoded.  An entry
+        a mask AND and the scan decodes only its live columns.  An entry
         without them serves unseeded scans only: filtering every decoded
         ``Node`` pair costs more than the seeded kernel it would replace.
         """
@@ -825,7 +839,7 @@ class GraphSession(SessionProtocol):
                 return None
             answer, bits = cached
             if bits is not None:
-                return bits.restrict(sources, targets).id_pairs()
+                return bits.restrict(sources, targets)
             if sources is None and targets is None:
                 return {(source.id, target.id) for source, target in answer}
             return None

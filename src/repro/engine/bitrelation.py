@@ -52,6 +52,11 @@ class BitRelation:
         """Number of pairs."""
         return sum(map(int.bit_count, self.rows.values()))
 
+    __len__ = count
+
+    def __bool__(self) -> bool:
+        return bool(self.rows)  # rows hold non-zero masks only
+
     def _mask_of(self, node_ids: Iterable[NodeId]) -> int:
         position = self.position
         mask = 0
@@ -105,25 +110,30 @@ class BitRelation:
     # ------------------------------------------------------------------
     # The decoder
     # ------------------------------------------------------------------
+    @staticmethod
+    def _members(mask: int, names: Sequence) -> Sequence:
+        """The entries of *names* at the set bits of *mask*."""
+        digits = bin(mask)[:1:-1]
+        if mask.bit_count() << 4 >= len(digits):
+            return tuple(compress(names, digits.encode().translate(_SELECTORS)))
+        # A seeded scan's rows: a few members in a long mask.  Hopping
+        # between the set digits costs per member what ``compress`` costs
+        # per 16 digits.
+        members, member = [], digits.find("1")
+        while member >= 0:
+            members.append(names[member])
+            member = digits.find("1", member + 1)
+        return members
+
     def _row_pairs(self, names: Sequence) -> Iterator[Iterator[Tuple]]:
         # Configurations of one strongly-connected region all carry the
         # same mask, so members are expanded once per distinct mask.
         members: Dict[int, Sequence] = {}
+        expand = self._members
         for at, mask in self.rows.items():
             sources = members.get(mask)
             if sources is None:
-                digits = bin(mask)[:1:-1]
-                if mask.bit_count() << 4 < len(digits):
-                    # A seeded scan's rows: a few members in a long mask.
-                    # Hopping between the set digits costs per member what
-                    # ``compress`` costs per 16 digits.
-                    sources, member = [], digits.find("1")
-                    while member >= 0:
-                        sources.append(names[member])
-                        member = digits.find("1", member + 1)
-                else:
-                    sources = tuple(compress(names, digits.encode().translate(_SELECTORS)))
-                members[mask] = sources
+                sources = members[mask] = expand(mask, names)
             yield zip(sources, repeat(names[at]))
 
     def id_pairs(self) -> FrozenSet[Tuple[NodeId, NodeId]]:
@@ -139,6 +149,17 @@ class BitRelation:
                 f"against a column of {len(objects)}"
             )
         return frozenset(chain.from_iterable(self._row_pairs(objects)))
+
+    def source_ids(self) -> Sequence[NodeId]:
+        """The distinct sources (the OR of the row masks), each once."""
+        mask = 0
+        for row in self.rows.values():
+            mask |= row
+        return self._members(mask, self.nodes)
+
+    def target_ids(self) -> Sequence[NodeId]:
+        """The distinct targets (the row keys), each once."""
+        return list(map(self.nodes.__getitem__, self.rows))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<BitRelation {self.count()} pairs over {len(self.rows)} targets>"

@@ -84,6 +84,11 @@ class LRUCache(Generic[V]):
         """
         return self._entries.get(key, default)
 
+    def discard(self, key: Hashable) -> None:
+        """Drop *key*'s entry if present.  Not an eviction: the caller
+        knows the entry can never be asked for again."""
+        self._entries.pop(key, None)
+
     def items(self):
         """A snapshot of ``(key, value)`` pairs, least-recently-used first.
 

@@ -379,6 +379,27 @@ class EvaluationEngine:
             return spaces.RegisterProductSpace(index, automaton, null_semantics)
         return spaces.NfaProductSpace(index, self.compile_rpq(query))
 
+    def atom_bits(
+        self,
+        graph: DataGraph,
+        query,
+        route: "Route",
+        sources: Optional[Iterable[NodeId]] = None,
+        targets: Optional[Iterable[NodeId]] = None,
+        null_semantics: bool = False,
+    ) -> Optional[BitRelation]:
+        """One atom's (seeded) relation as the bit rows of *route*'s
+        kernel — what :meth:`evaluate_atom_ids` decodes — or ``None`` when
+        that route yields id pairs (dict / sql kernels, partitioned
+        drivers).  CRPQ scans read live columns straight off the rows.
+        """
+        if route.kernel != "compact" or route.driver != "sequential":
+            return None
+        space = self.space_for_atom(graph, query, null_semantics)
+        return compact_kernels.compact_space_relation(
+            space, graph.compact_index(), sources=sources, targets=targets
+        )
+
     def evaluate_atom_ids(
         self,
         graph: DataGraph,
@@ -413,6 +434,9 @@ class EvaluationEngine:
             return sql_backend.evaluate_rpq_pairs(
                 graph, query, engine=self, sources=sources, targets=targets
             )
+        bits = self.atom_bits(graph, query, route, sources, targets, null_semantics)
+        if bits is not None:
+            return bits.id_pairs()
         space = self.space_for_atom(graph, query, null_semantics)
         index = space.index
         if sources is not None:
@@ -426,11 +450,8 @@ class EvaluationEngine:
         if targets is not None and not isinstance(targets, set):
             targets = set(targets)
         if route.driver == "sequential":
-            compact = graph.compact_index() if route.kernel == "compact" else None
             return frozenset(
-                product.seeded_product_relation(
-                    space, sources=sources, targets=targets, compact=compact
-                )
+                product.seeded_product_relation(space, sources=sources, targets=targets)
             )
         return frozenset(
             partition_kernels.partitioned_product_relation(

@@ -16,7 +16,8 @@ specification).
   invalidated per touched label from the delta journal;
 * :mod:`repro.planner.cost` — cardinality estimates from label-index
   edge counts, sharpened by the statistics catalogue when present;
-* :mod:`repro.planner.planner` — :func:`plan_crpq`, the greedy
+* :mod:`repro.planner.planner` — :func:`plan_crpq`: existential-variable
+  elimination (chain fusion, live columns), then the greedy
   cost-ordered join-order search producing a cacheable
   :class:`CrpqPlan`;
 * :mod:`repro.planner.execute` — :func:`execute_plan`, adaptive

@@ -2,19 +2,24 @@
 
 Relations flow between operators as ``(columns, rows)`` pairs in raw
 node-id space — :class:`~repro.datagraph.node.Node` objects are only
-materialised once, by the final projection.  Scans call
-:meth:`repro.engine.engine.EvaluationEngine.evaluate_atom_ids` with the
-plan's one resolved :class:`~repro.planner.router.Route`, so every atom
-runs on the kernel family and driver the router chose for the whole
-query — the sequential kernels or the intra-query drivers of
-:mod:`repro.engine.partition`.
+materialised once, by the final projection.  Scans run with the plan's
+one resolved :class:`~repro.planner.router.Route`, so every atom runs on
+the kernel family and driver the router chose for the whole query: a
+sequential compact route hands back the kernel's bit rows
+(:meth:`repro.engine.engine.EvaluationEngine.atom_bits`) and the scan
+reads its live columns straight off them — both endpoints decode to id
+pairs, one endpoint is the OR of the row masks or the row keys, none is
+an emptiness test — while every other route decodes
+:meth:`~repro.engine.engine.EvaluationEngine.evaluate_atom_ids` pairs.
+A plan that is one scan emitting exactly the head never enters id space:
+its bit rows decode once to ``Node`` pairs, as ``evaluate_rpq`` does.
 
 Hash joins build their table on the smaller input and probe with the
-larger one; seeded scans receive the distinct surviving values of their
-seed variables from the join's left side, so each engine call explores
-only the part of the product that can still contribute (semijoin
-reduction).  An empty intermediate relation short-circuits the rest of
-the plan.
+larger one (a right side that adds no column is a filter); seeded scans
+receive the distinct surviving values of their seed variables from the
+join's left side, so each engine call explores only the part of the
+product that can still contribute (semijoin reduction).  An empty
+intermediate relation short-circuits the rest of the plan.
 
 Execution is **adaptive** by default (the v2 planner): the left-deep
 plan is unrolled into its join sequence, the actual cardinality of every
@@ -32,8 +37,8 @@ Two further v2 hooks ride on the executor:
 
 * ``relation_cache`` — a callable answering an atom scan (the atom plus
   its live seed bindings) from a previously materialised full relation
-  (the session's versioned result cache), or declining with ``None``;
-  scans it answers do not re-walk the graph.
+  (the session's versioned result cache) as bit rows or id pairs, or
+  declining with ``None``; scans it answers do not re-walk the graph.
 * ``join_runner`` — a partitioned distributed hash join (the
   :meth:`repro.server.workers.ShardWorkerPool.hash_join` seam).  Joins
   whose combined input reaches :data:`DISTRIBUTED_JOIN_MIN_ROWS` rows
@@ -52,18 +57,18 @@ from typing import (
     FrozenSet,
     List,
     Optional,
-    Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from ..datagraph.graph import DataGraph
 from ..datagraph.node import Node, NodeId
+from ..engine.bitrelation import BitRelation
 from ..engine.engine import EvaluationEngine, default_engine
 from ..exceptions import EvaluationError
 from ..query.crpq import Atom
 from ..query.data_rpq import DataRPQ
-from .cost import atom_estimate
 from .logical import AtomScan, Filter, HashJoin, PlanOp, Project, SeededScan
 from .planner import CrpqPlan, _scan, reorder_remaining
 
@@ -77,18 +82,21 @@ __all__ = [
     "DISTRIBUTED_JOIN_MIN_ROWS",
 ]
 
-#: An intermediate relation: ordered column names and id-tuple rows.
-#: Rows are never mutated in place — operators build fresh sets — so
-#: scans can hand the engine's frozenset through without copying.
-Relation = Tuple[Tuple[str, ...], AbstractSet[Tuple[NodeId, ...]]]
+#: The rows of a relation: id tuples, or — for a two-column scan of a
+#: compact route that nothing has had to decode yet — the kernel's bit
+#: rows over ``(source, target)``.  Never mutated in place: operators
+#: build fresh sets, so scans hand the engine's frozenset through.
+Rows = Union[AbstractSet[Tuple[NodeId, ...]], BitRelation]
+
+#: An intermediate relation: ordered column names and their rows.
+Relation = Tuple[Tuple[str, ...], Rows]
 
 #: A cached-relation lookup: ``(atom, sources, targets)`` -> the atom's
-#: id pairs restricted to the bound endpoint sets (``None`` = unbound),
+#: relation restricted to the bound endpoint sets (``None`` = unbound),
 #: or ``None`` when the cache has nothing for it (or nothing cheaper
 #: than the seeded scan).
 RelationCache = Callable[
-    [Atom, Optional[Set[NodeId]], Optional[Set[NodeId]]],
-    Optional[AbstractSet[Tuple[NodeId, NodeId]]],
+    [Atom, Optional[Set[NodeId]], Optional[Set[NodeId]]], Optional[Rows]
 ]
 
 #: A distributed hash-join runner:
@@ -111,8 +119,9 @@ class PlanTrace:
 
     Filled in by :func:`execute_plan` when passed via ``trace=``; one
     entry per executed scan/join plus counters for the adaptive
-    machinery.  ``atom_order`` is the order actually executed, which
-    differs from the plan's whenever a mid-join re-plan fired.
+    machinery.  Atom indexes are positions in the plan's *eliminated*
+    atoms; ``atom_order`` is the order actually executed, which differs
+    from the plan's whenever a mid-join re-plan fired.
     """
 
     __slots__ = ("steps", "replans", "cache_hits", "distributed_joins", "atom_order")
@@ -169,22 +178,28 @@ class _Context:
         self.join_runner = join_runner
         self.trace = trace
 
-    def scan(
+    def fetch(
         self,
-        node: "AtomScan | SeededScan",
+        atom: Atom,
         sources: Optional[Set[NodeId]],
         targets: Optional[Set[NodeId]],
-    ) -> Relation:
-        atom = node.atom
+    ) -> Rows:
+        """One atom's (seeded) relation over ``(source, target)``: from the
+        relation cache, as the route's bit rows, or as id pairs."""
         lookup = self.relation_cache
         if lookup is not None:
             cached = lookup(atom, sources, targets)
             if cached is not None:
                 if self.trace is not None:
                     self.trace.cache_hits += 1
-                return node.columns, cached
+                return cached
         null_semantics = self.null_semantics if isinstance(atom.query, DataRPQ) else False
-        pairs = self.engine.evaluate_atom_ids(
+        bits = self.engine.atom_bits(
+            self.graph, atom.query, self.route, sources, targets, null_semantics
+        )
+        if bits is not None:
+            return bits
+        return self.engine.evaluate_atom_ids(
             self.graph,
             atom.query,
             sources=sources,
@@ -192,12 +207,38 @@ class _Context:
             null_semantics=null_semantics,
             route=self.route,
         )
-        return node.columns, pairs
+
+    def scan(
+        self,
+        node: "AtomScan | SeededScan",
+        sources: Optional[Set[NodeId]],
+        targets: Optional[Set[NodeId]],
+    ) -> Relation:
+        emits = node.emits
+        return emits, _live_rows(self.fetch(node.atom, sources, targets), node.atom, emits)
+
+
+def _live_rows(fetched: Rows, atom: Atom, emits: Tuple[str, ...]) -> Rows:
+    """The rows of a fetched atom relation over its live columns."""
+    if len(emits) == 2:
+        return fetched
+    if not emits:
+        return {()} if fetched else set()
+    # One endpoint (never a self-loop atom: its filter reads both).
+    return set(zip(_column_values(((atom.source, atom.target), fetched), emits[0])))
+
+
+def _tuples(rows: Rows) -> AbstractSet[Tuple[NodeId, ...]]:
+    return rows.id_pairs() if isinstance(rows, BitRelation) else rows
 
 
 def _column_values(relation: Relation, column: str) -> Set[NodeId]:
+    """The distinct values of one column (off bit rows: the OR of the
+    row masks for the source column, the row keys for the target)."""
     columns, rows = relation
     position = columns.index(column)
+    if isinstance(rows, BitRelation):
+        return set(rows.target_ids() if position else rows.source_ids())
     return {row[position] for row in rows}
 
 
@@ -213,6 +254,7 @@ def _evaluate(
         return context.scan(node, sources, targets)
     if isinstance(node, Filter):
         columns, rows = _evaluate(node.child, context, bindings)
+        rows = _tuples(rows)
         left = columns.index(node.left)
         right = columns.index(node.right)
         keep = tuple(i for i in range(len(columns)) if i != right)
@@ -230,10 +272,14 @@ def _evaluate(
 
 def _project(head: Tuple[str, ...], relation: Relation) -> Relation:
     columns, rows = relation
+    if not rows:
+        return head, set()
     if not head:
-        return (), ({()} if rows else set())
+        return (), {()}
+    if head == columns:
+        return relation
     positions = tuple(columns.index(variable) for variable in head)
-    return head, {tuple(row[i] for i in positions) for row in rows}
+    return head, {tuple(row[i] for i in positions) for row in _tuples(rows)}
 
 
 def _seed_bindings(
@@ -255,14 +301,25 @@ def _join_rows(
     keys: Tuple[str, ...],
     context: _Context,
 ) -> Relation:
-    """Join two materialised relations on *keys* (cartesian when empty)."""
+    """Join two materialised relations on *keys* (cartesian when empty).
+
+    A side all of whose columns are join keys binds nothing new: the join
+    is a filter on the other side, which keeps its columns — and, filtered
+    on one endpoint, its bit rows.  Everything else decodes to tuples and
+    yields the left columns followed by the right-only ones.
+    """
     left_columns, left_rows = left_relation
     right_columns, right_rows = right_relation
+    if keys and len(keys) == len(right_columns):
+        return _filtered(left_relation, right_relation, keys)
+    if keys and len(keys) == len(left_columns):
+        return _filtered(right_relation, left_relation, keys)
     out_columns = left_columns + tuple(
         column for column in right_columns if column not in left_columns
     )
     if not left_rows or not right_rows:
         return out_columns, set()
+    left_rows, right_rows = _tuples(left_rows), _tuples(right_rows)
     right_only = tuple(
         columns_index
         for columns_index, column in enumerate(right_columns)
@@ -309,6 +366,27 @@ def _join_rows(
     return out_columns, rows
 
 
+def _filtered(kept: Relation, by: Relation, keys: Tuple[str, ...]) -> Relation:
+    """The rows of *kept* whose *keys* occur in *by* (whose columns are
+    exactly those keys, in any order)."""
+    columns, rows = kept
+    if not rows or not by[1]:
+        return columns, set()
+    if len(keys) == 1:
+        values = _column_values(by, keys[0])
+        at = columns.index(keys[0])
+        if isinstance(rows, BitRelation):
+            return columns, (
+                rows.restrict(targets=values) if at else rows.restrict(sources=values)
+            )
+        return columns, {row for row in rows if row[at] in values}
+    by_columns, by_rows = by
+    order = tuple(by_columns.index(key) for key in keys)
+    wanted = {tuple(row[i] for i in order) for row in _tuples(by_rows)}
+    at = tuple(columns.index(key) for key in keys)
+    return columns, {row for row in _tuples(rows) if tuple(row[i] for i in at) in wanted}
+
+
 def _hash_join(node: HashJoin, context: _Context) -> Relation:
     left_relation = _evaluate(node.left, context)
     if not left_relation[1]:
@@ -329,11 +407,7 @@ def _misestimate(expected: float, observed: int) -> float:
     return max(expected / actual, actual / expected)
 
 
-def _execute_adaptive(
-    plan: CrpqPlan,
-    context: _Context,
-    estimates: Sequence[float],
-) -> Relation:
+def _execute_adaptive(plan: CrpqPlan, context: _Context) -> Relation:
     """Run the plan's join sequence, observing and re-planning.
 
     The left-deep tree is unrolled into its ``atom_order``; after every
@@ -344,14 +418,14 @@ def _execute_adaptive(
     so seeding, self-loop filters and join keys are exactly what
     :func:`plan_crpq` would have emitted for the adapted order.
     """
-    atoms = plan.query.atoms
+    atoms, estimates, emits = plan.eliminated.atoms, plan.estimates, plan.emits
     trace = context.trace
     num_nodes = max(1, context.graph.num_nodes)
 
     order = list(plan.atom_order)
     first, remaining = order[0], order[1:]
     bound: Set[str] = set()
-    anchor = _scan(atoms[first], first, estimates[first], bound)
+    anchor = _scan(atoms[first], first, estimates[first], bound, emits[first])
     relation = _evaluate(anchor, context)
     bound.update({atoms[first].source, atoms[first].target})
     running = float(len(relation[1]))
@@ -373,20 +447,12 @@ def _execute_adaptive(
 
     while remaining:
         if not relation[1]:
-            # Empty intermediate: the conjunction is empty; account for the
-            # untouched columns so the projection below stays total.
+            # Empty intermediate: the conjunction is empty.
             executed.extend(remaining)
-            columns = relation[0]
-            for index in remaining:
-                atom = atoms[index]
-                columns += tuple(
-                    v for v in (atom.source, atom.target) if v not in columns
-                )
-            relation = (columns, set())
             break
         index = remaining.pop(0)
         atom = atoms[index]
-        scan = _scan(atom, index, estimates[index], bound)
+        scan = _scan(atom, index, estimates[index], bound, emits[index])
         keys = tuple(
             variable
             for variable in dict.fromkeys((atom.source, atom.target))
@@ -419,7 +485,7 @@ def _execute_adaptive(
 
     if trace is not None:
         trace.atom_order = tuple(executed)
-    return _project(tuple(plan.query.head), relation)
+    return _project(plan.query.head, relation)
 
 
 def execute_plan(
@@ -429,7 +495,7 @@ def execute_plan(
     null_semantics: bool = False,
     route: Optional["Route"] = None,
     *,
-    adaptive: Optional[bool] = None,
+    adaptive: bool = True,
     relation_cache: Optional[RelationCache] = None,
     join_runner: Optional[JoinRunner] = None,
     trace: Optional[PlanTrace] = None,
@@ -448,8 +514,9 @@ def execute_plan(
     over the graph's ``D_G`` database (:mod:`repro.sqlbackend`), instead
     of calling the engine per atom.
 
-    Keyword-only v2 hooks: *adaptive* (default on for multi-atom plans)
-    observes intermediate cardinalities and re-plans on misestimates;
+    Keyword-only v2 hooks: *adaptive* (on by default; a one-atom plan has
+    nothing to adapt) observes intermediate cardinalities and re-plans on
+    misestimates;
     *relation_cache* answers scans from previously materialised full
     relations; *join_runner* offers large joins to the distributed
     partitioned hash join; *trace* collects the estimate-vs-observed
@@ -465,24 +532,49 @@ def execute_plan(
         from ..sqlbackend import backend as sql_backend
 
         rows = sql_backend.evaluate_plan_rows(plan.root, graph, engine, null_semantics)
-        node_of = graph.node
-        return frozenset(tuple(node_of(value) for value in row) for row in rows)
+        return _node_rows(rows, graph, route)
     context = _Context(
         graph, engine, null_semantics, route, relation_cache, join_runner, trace
     )
-    if adaptive is None:
-        adaptive = len(plan.query.atoms) >= 2
-    if adaptive and len(plan.query.atoms) >= 2:
-        estimates = plan.estimates
-        if len(estimates) != len(plan.query.atoms):
-            index = graph.label_index()
-            estimates = tuple(
-                atom_estimate(atom, index) for atom in plan.query.atoms
-            )
-        _, rows = _execute_adaptive(plan, context, estimates)
+    if len(plan.atom_order) == 1:
+        return _execute_single(plan, context)
+    if adaptive:
+        _, rows = _execute_adaptive(plan, context)
     else:
         _, rows = _evaluate(plan.root, context)
         if trace is not None:
             trace.atom_order = plan.atom_order
-    node_of = graph.node
-    return frozenset(tuple(node_of(value) for value in row) for row in rows)
+    return _node_rows(rows, graph, route)
+
+
+def _execute_single(plan: CrpqPlan, context: _Context) -> FrozenSet[Tuple[Node, ...]]:
+    """A plan that eliminated to one atom: there is nothing to join (and
+    a scan that emits exactly the head is decoded from its bit rows once,
+    as ``evaluate_rpq`` would)."""
+    _, rows = _evaluate(plan.root.child, context)
+    trace = context.trace
+    if trace is not None:
+        trace.steps.append((0, plan.estimates[0], len(rows), False))
+        trace.atom_order = plan.atom_order
+    _, rows = _project(plan.root.head, (plan.root.child.columns, rows))
+    return _node_rows(rows, context.graph, context.route)
+
+
+def _node_rows(rows: Rows, graph: DataGraph, route: "Route") -> FrozenSet[Tuple[Node, ...]]:
+    """The one place id rows become ``Node`` rows.
+
+    Bit rows decode straight to ``Node`` pairs against the snapshot they
+    were computed on.  For tuples on a compact route the lookup is that
+    snapshot's ``node_objects`` column behind a C-level getter, so a row
+    costs no Python frame.
+    """
+    compact = graph.compact_index() if route.kernel == "compact" else None
+    if isinstance(rows, BitRelation):
+        if compact is not None and compact.nodes is rows.nodes:
+            return rows.node_pairs(compact.node_objects)
+        rows = rows.id_pairs()
+    if compact is not None:
+        node_of = dict(zip(compact.nodes, compact.node_objects)).__getitem__
+    else:
+        node_of = graph.node
+    return frozenset(tuple(map(node_of, row)) for row in rows)

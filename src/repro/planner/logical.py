@@ -4,7 +4,11 @@ A plan is a small immutable operator tree over *named columns* (the CRPQ
 variables).  Five operators cover everything the planner emits:
 
 ``AtomScan``
-    Materialise one atom's full binary relation through the engine.
+    Materialise one atom's full binary relation through the engine,
+    emitting only its **live** columns — the endpoints that are in the
+    head or shared with another atom.  An atom whose far endpoint
+    occurs nowhere else is a one-column relation (and its join a
+    filter); one with no live endpoint is an existence test.
 ``SeededScan``
     Materialise one atom's relation restricted to the values an earlier
     join already bound for its source and/or target variable — the
@@ -45,6 +49,8 @@ __all__ = [
     "Filter",
     "Project",
     "loop_column",
+    "atom_columns",
+    "atom_text",
     "render_plan",
 ]
 
@@ -78,36 +84,50 @@ class PlanNode:
         raise NotImplementedError
 
 
-def _atom_columns(atom: Atom) -> Columns:
+def atom_columns(atom: Atom) -> Columns:
+    """The two columns an atom's relation binds (a self-loop atom's
+    target under its primed name)."""
     if atom.source == atom.target:
         return (atom.source, loop_column(atom.source))
     return (atom.source, atom.target)
 
 
-def _atom_text(atom: Atom) -> str:
+def atom_text(atom: Atom) -> str:
     return f"({atom.source}, {atom.query.expression}, {atom.target})"
+
+
+def _emits_text(scan: "AtomScan | SeededScan") -> str:
+    """`` emits (z)`` for a scan that drops a dead column, else nothing."""
+    if len(scan.emits) == 2:
+        return ""
+    return f" emits ({', '.join(scan.emits)})"
 
 
 @dataclass(frozen=True)
 class AtomScan(PlanNode):
     """One atom's full relation, evaluated through the engine kernels.
 
-    ``index`` is the atom's position in ``query.atoms`` (used by explain
-    output and by the executor to look the atom up); ``estimate`` is the
-    planner's cardinality estimate, kept on the node so explain output
-    shows why the join order was chosen.
+    ``index`` is the atom's position among the plan's (eliminated) atoms
+    (used by explain output and by the executor to look the atom up);
+    ``estimate`` is the planner's cardinality estimate, kept on the node
+    so explain output shows why the join order was chosen; ``emits`` are
+    the live columns the scan hands on, in atom order.
     """
 
     atom: Atom
     index: int
     estimate: float
+    emits: Columns
 
     @property
     def columns(self) -> Columns:
-        return _atom_columns(self.atom)
+        return self.emits
 
     def describe(self) -> str:
-        return f"AtomScan #{self.index} {_atom_text(self.atom)} est≈{self.estimate:.0f}"
+        return (
+            f"AtomScan #{self.index} {atom_text(self.atom)}"
+            f"{_emits_text(self)} est≈{self.estimate:.0f}"
+        )
 
 
 @dataclass(frozen=True)
@@ -123,12 +143,13 @@ class SeededScan(PlanNode):
     atom: Atom
     index: int
     estimate: float
+    emits: Columns
     seed_sources: Optional[str] = None
     seed_targets: Optional[str] = None
 
     @property
     def columns(self) -> Columns:
-        return _atom_columns(self.atom)
+        return self.emits
 
     def describe(self) -> str:
         seeds = []
@@ -137,7 +158,7 @@ class SeededScan(PlanNode):
         if self.seed_targets is not None:
             seeds.append(f"targets←{self.seed_targets}")
         return (
-            f"SeededScan #{self.index} {_atom_text(self.atom)} "
+            f"SeededScan #{self.index} {atom_text(self.atom)}{_emits_text(self)} "
             f"[{', '.join(seeds)}] est≈{self.estimate:.0f}"
         )
 

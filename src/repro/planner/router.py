@@ -15,8 +15,10 @@ The decision table, in order (DESIGN.md, "How a query is routed"):
 * a forced ``ExecutionPolicy.intra_query`` driver, then a forced
   ``backend`` (or ``routing="manual"``, which switches the cost model
   off and keeps only the graph-size kernel rule);
-* the **SQL** backend when the query is closure heavy by the
-  :mod:`repro.sqlbackend.cost` model;
+* the **SQL** backend for a plain RPQ whose factored plan has a pivot
+  selective enough to win (:func:`repro.sqlbackend.cost.rpq_pays` — the
+  one shape where SQL still beats the compact kernels; CRPQs and GXPath
+  take ``sql`` only when the policy forces it);
 * the **blocks** driver when the graph is large, ``fork`` is available,
   the budget has at least two workers and the estimated relation is a
   multiple of the node count;
@@ -35,10 +37,9 @@ for statistics or estimates.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Set
+from typing import TYPE_CHECKING, Optional
 
 from ..engine.compact import COMPACT_AUTO_MIN_NODES, resolve_backend
 from ..engine.forkpool import fork_available
@@ -161,20 +162,6 @@ def route_point(
     )
 
 
-def _star_labels(expression) -> Set[str]:
-    """The labels of every axis star (``a*``) inside a GXPath expression."""
-    from ..gxpath.ast import AxisStar, NodeExpression, PathExpression
-
-    if isinstance(expression, AxisStar):
-        return {expression.label}
-    labels: Set[str] = set()
-    for field in dataclasses.fields(expression):
-        child = getattr(expression, field.name)
-        if isinstance(child, (PathExpression, NodeExpression)):
-            labels |= _star_labels(child)
-    return labels
-
-
 def route_query(
     query: "Query",
     graph: "DataGraph",
@@ -193,7 +180,7 @@ def route_query(
     CRPQ never re-plans it.
     """
     from ..api.query import Query, QueryKind
-    from ..sqlbackend.cost import closure_pays, plan_pays, rpq_pays
+    from ..sqlbackend.cost import rpq_pays
     from .cost import CLOSURE_GROWTH, atom_estimate, regex_estimate
     from .planner import plan_crpq
 
@@ -251,28 +238,12 @@ def route_query(
 
     # ------------------------------------------------------------------
     # Cost decisions per dialect.
-    if kind is QueryKind.RPQ and rpq_pays(query.plan.expression, index, stats):
+    if kind is QueryKind.RPQ and rpq_pays(query.plan.expression, index):
         return resolved(
             "sql",
             "sequential",
-            "closure heavy by the SQL cost model; the recursive CTE "
-            "streams the frontier through the embedded engine",
-        )
-    if kind is QueryKind.CRPQ and plan_pays(planned.root, index, stats):
-        return resolved(
-            "sql",
-            "sequential",
-            "every atom lowers to SQL and at least one is closure "
-            "heavy; the whole plan runs as one statement over D_G",
-        )
-    if kind in (QueryKind.GXPATH_NODE, QueryKind.GXPATH_PATH) and any(
-        closure_pays(label, index) for label in _star_labels(query.plan)
-    ):
-        return resolved(
-            "sql",
-            "sequential",
-            "an axis-star closure is at least as large as the node set; "
-            "closures run as recursive CTEs",
+            "a selective pivot in front of a closure; the factored plan "
+            "grows the closure from the pivot's endpoints inside the embedded engine",
         )
     if (
         num_nodes >= ROUTE_PARALLEL_MIN_NODES

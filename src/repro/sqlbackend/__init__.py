@@ -17,7 +17,7 @@ from .backend import (
     sql_cache_stats,
     store_for,
 )
-from .cost import SQL_AUTO_MIN_NODES, closure_pays, plan_pays, rpq_pays
+from .cost import SQL_AUTO_MIN_NODES, rpq_pays
 from .schema import SQL_DIALECTS, SqlStore, duckdb_available
 
 __all__ = [
@@ -30,8 +30,6 @@ __all__ = [
     "closure_pairs",
     "evaluate_plan_rows",
     "rpq_pays",
-    "closure_pays",
-    "plan_pays",
     "sql_cache_stats",
     "clear_sql_caches",
 ]

@@ -3,10 +3,10 @@
 This module owns the runtime half of the SQL backend:
 
 * a **weak-keyed store registry** — one :class:`~repro.sqlbackend.
-  schema.SqlStore` per live graph, refreshed to the graph's version on
-  every use (incrementally, through the delta journal) and rebuilt after
-  ``fork`` (an inherited sqlite connection must not be reused, so stores
-  are pinned to the pid that created them);
+  schema.SqlStore` per live graph, refreshed to the graph's version by
+  every statement (incrementally, through the delta journal) and
+  rebuilt after ``fork`` (an inherited sqlite connection must not be
+  reused, so stores are pinned to the pid that created them);
 * a **compiled-SQL LRU** keyed on the structural query key plus the
   seeding shape, mirroring the engine's automaton caches: two queries
   parsed from different texts but with equal ASTs share one SQL string,
@@ -73,9 +73,10 @@ _SQL_CACHE: LRUCache[str] = LRUCache(256)
 
 
 def store_for(graph: DataGraph, dialect: str = "auto") -> SqlStore:
-    """The graph's ``D_G`` store, built on first use and refreshed to the
-    graph's current version (incrementally when the delta journal
-    allows).
+    """The graph's ``D_G`` store, built on first use.  Callers bring it
+    to the graph's current version themselves — ``store.refresh(graph)``
+    under ``store.lock``, so the refresh and the statement that needs it
+    are one critical section.
 
     A store created before a ``fork`` is discarded in the child; an
     explicit *dialect* differing from the cached store's also rebuilds
@@ -92,8 +93,6 @@ def store_for(graph: DataGraph, dialect: str = "auto") -> SqlStore:
         if store is None:
             store = SqlStore(graph, dialect)
             _STORES[graph] = store
-            return store
-    store.refresh(graph)
     return store
 
 

@@ -29,11 +29,13 @@ point queries.
 
 GXPath axis stars compile to the degenerate one-state closure CTE, and
 CRPQ plans from :func:`repro.planner.planner.plan_crpq` lower
-operator-by-operator: every scan becomes a named reachability CTE (a
-seeded scan's base case selects from the *already lowered* left join
-side — semijoin pushdown expressed as SQL), hash joins become equi-joins
-on the shared variables, filters become ``WHERE`` equalities, and the
-projection becomes the final ``SELECT DISTINCT``.  Data-RPQ atoms have
+operator-by-operator: every scan becomes a named reachability CTE
+selecting its live columns only (a one-column scan is the ``SELECT
+DISTINCT`` of that endpoint; a seeded scan's base case selects from the
+*already lowered* left join side — semijoin pushdown expressed as SQL),
+hash joins become equi-joins on the shared variables, filters become
+``WHERE`` equalities, and the projection becomes the final ``SELECT
+DISTINCT``.  Fused atoms are plain RPQs like any other.  Data-RPQ atoms have
 register valuations no first-order CTE can carry, so their relations are
 materialised Python-side into per-plan temp tables and joined like any
 other CTE — the join itself still runs inside the SQL engine.
@@ -48,7 +50,15 @@ from typing import Dict, List, Optional, Tuple
 
 from ..engine.compiled import CompiledAutomaton
 from ..exceptions import EvaluationError
-from ..planner.logical import AtomScan, Filter, HashJoin, PlanOp, Project, SeededScan
+from ..planner.logical import (
+    AtomScan,
+    Filter,
+    HashJoin,
+    PlanOp,
+    Project,
+    SeededScan,
+    atom_columns,
+)
 from ..query.data_rpq import DataRPQ
 from ..regular import Concat, Epsilon, Letter, Plus, Regex, Star, Union
 
@@ -77,6 +87,12 @@ def _ident(name: str) -> str:
     """A quoted SQL identifier (CRPQ variables, including the planner's
     primed loop columns)."""
     return '"' + name.replace('"', '""') + '"'
+
+
+def _select_list(items: List[str]) -> str:
+    """A select list; a relation with no live column (an existence test)
+    selects a constant, which no parent operator ever names."""
+    return ", ".join(items) if items else "1 AS _exists"
 
 
 def _inline_rows(rows: List[Tuple], columns: Tuple[str, ...]) -> str:
@@ -459,7 +475,18 @@ class _Lowering:
         source_seed = seeds.get(getattr(node, "seed_sources", None))
         target_seed = seeds.get(getattr(node, "seed_targets", None))
         name = self.fresh("s")
-        out_cols = f"{_ident(columns[0])}, {_ident(columns[1])}"
+        both = atom_columns(atom)
+
+        def out_cols(source: str, target: str) -> str:
+            """The live columns, read off the relation's two endpoints."""
+            return _select_list(
+                [
+                    f"{endpoint} AS {_ident(column)}"
+                    for endpoint, column in zip((source, target), both)
+                    if column in columns
+                ]
+            )
+
         if isinstance(atom.query, DataRPQ):
             # Materialised Python-side into a temp table by the backend;
             # the seeds (when any) become plain membership filters.
@@ -470,8 +497,8 @@ class _Lowering:
                 where.append(f"b IN (SELECT {_ident(node.seed_targets)} FROM {target_seed})")
             clause = f" WHERE {' AND '.join(where)}" if where else ""
             self.ctes.append(
-                f"{name} AS (SELECT DISTINCT a AS {_ident(columns[0])}, "
-                f"b AS {_ident(columns[1])} FROM {atom_table_name(node.index)}{clause})"
+                f"{name} AS (SELECT DISTINCT {out_cols('a', 'b')} "
+                f"FROM {atom_table_name(node.index)}{clause})"
             )
             return name, columns
         automaton = node._compiled  # attached by the backend before lowering
@@ -479,10 +506,7 @@ class _Lowering:
         parts = _rpq_ctes_seeded(automaton, prefix, source_seed,
                                  getattr(node, "seed_sources", None))
         if parts is None or not automaton.accepting:
-            self.ctes.append(
-                f"{name} AS (SELECT 0 AS {_ident(columns[0])}, "
-                f"0 AS {_ident(columns[1])} WHERE 1 = 0)"
-            )
+            self.ctes.append(f"{name} AS (SELECT {out_cols('0', '0')} WHERE 1 = 0)")
             return name, columns
         self.recursive = True
         self.ctes.extend(parts)
@@ -493,8 +517,8 @@ class _Lowering:
                 f" AND r.node IN (SELECT {_ident(node.seed_targets)} FROM {target_seed})"
             )
         self.ctes.append(
-            f"{name} AS (SELECT DISTINCT r.src AS {_ident(columns[0])}, "
-            f"r.node AS {_ident(columns[1])} FROM {prefix}_reach AS r WHERE {where})"
+            f"{name} AS (SELECT DISTINCT {out_cols('r.src', 'r.node')} "
+            f"FROM {prefix}_reach AS r WHERE {where})"
         )
         return name, columns
 
@@ -510,7 +534,7 @@ class _Lowering:
                     seeds[variable] = left_name
         right_name, right_columns = self.lower(node.right, seeds)
         right_only = tuple(c for c in right_columns if c not in left_columns)
-        out = ", ".join(
+        out = _select_list(
             [f"l.{_ident(c)}" for c in left_columns]
             + [f"r.{_ident(c)}" for c in right_only]
         )

@@ -1,97 +1,69 @@
 """Cost-based selection of the SQL backend under ``backend="auto"``.
 
-The decision reuses the planner's label statistics
-(:func:`repro.planner.cost.regex_estimate` over per-label edge counts)
-— no new statistics are gathered.  The SQL backend wins when a query is
-*closure heavy*: a Kleene iteration over enough edges that the Python
-worklist's per-configuration interpretation dominates, while the
-recursive CTE streams the same frontier through the embedded engine's C
-loop.  Everything else (small graphs, closure-free path shapes, seeded
-point lookups) stays on the dict/compact kernels, whose constants win.
+One shape still beats the compact kernels in SQL: a plain RPQ that is a
+concatenation of letter-set steps and closures
+(:func:`repro.sqlbackend.compile.concat_parts`) with a very selective
+step.  The factored plan materialises that *pivot* first and grows the
+closures around it as fixpoints seeded by the pivot's endpoints, so its
+work is bounded by the answer's neighbourhood, while the mask kernels
+flow every source through the whole closure before the rare step
+filters it away.  Everything else — small graphs, bare closures,
+closure-free paths, point lookups, CRPQ plans, GXPath axis stars —
+stays on the dict/compact kernels, which measure 1.2-72x faster there
+on 1-4k-node graphs (the ratios are in DESIGN.md, "How a query is
+routed"); a forced ``backend="sql"`` still runs every dialect it ever
+ran.
 
-The thresholds are deliberately conservative: ``"auto"`` only re-routes
-queries where the CTE's advantage is robust, so existing workloads keep
-their measured kernels.  Answers are bit-identical either way — the
-selection is purely a performance policy, enforced as such by the
-equivalence suite in ``tests/sqlbackend``.
+Answers are bit-identical either way — the selection is purely a
+performance policy, enforced as such by the equivalence suite in
+``tests/sqlbackend``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from ..datagraph.index import LabelIndex
-from ..planner.cost import regex_estimate
-from ..planner.logical import AtomScan, Filter, HashJoin, PlanOp, Project, SeededScan
-from ..query.data_rpq import DataRPQ
-from ..regular import Concat, Plus, Regex, Star, Union
+from ..regular import Regex
 from .compile import STEP, concat_parts
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..planner.stats import GraphStatistics
-
-__all__ = [
-    "SQL_AUTO_MIN_NODES",
-    "SQL_CLOSURE_FACTOR",
-    "SQL_PIVOT_SELECTIVITY",
-    "has_closure",
-    "rpq_pays",
-    "closure_pays",
-    "plan_pays",
-]
+__all__ = ["SQL_AUTO_MIN_NODES", "SQL_PIVOT_SELECTIVITY", "rpq_pays"]
 
 #: Below this many nodes ``"auto"`` never selects SQL: the per-query
 #: seeding/decoding overhead and the kernels' low constants dominate.
 SQL_AUTO_MIN_NODES = 1024
 
-#: ``"auto"`` selects SQL only when the planner's estimate of the answer
-#: relation is at least this many times the node count — the regime
-#: where the closure frontier is traversed many times over.
-SQL_CLOSURE_FACTOR = 4.0
+#: ``"auto"`` selects SQL only when the cheapest step factor has at most
+#: ``|V| / SQL_PIVOT_SELECTIVITY`` edges.  Measured sql vs compact, full
+#: relation, 2-core container (``compact / sql``, > 1 means SQL wins):
+#:
+#: * ``(cites)*.tagged`` on a 1,200-node citation chain (deep closure,
+#:   ``bench_sql_backend``), pivot share 0.66 % / 1.0 % / 1.6 % / 2.3 % /
+#:   4.8 % / 9.1 % of ``|V|``: **9.9x / 6.5x / 3.0x / 2.4x / 1.1x / 0.8x**
+#:   (2,400 nodes: 16x at 0.33 %, 7.0x at 0.8 %, 3.3x at 1.5 %);
+#: * ``flag.supplies_to+`` / ``supplies_to*.flag`` on tiered supplier
+#:   graphs (shallow closure, 8 tiers, 1,048-2,088 nodes): 0.8-1.45x up
+#:   to 0.8 %, 0.8-1.3x at 1.5 %, 0.6-0.9x at 3 %, 0.5-0.6x at 6 %; on 16
+#:   tiers (bigger answers) SQL loses 1.05-1.9x below 0.8 % and 2.3-3.4x
+#:   at 1.5 %.
+#:
+#: So the win needs a *deep* closure behind a pivot under about 1 % of
+#: ``|V|``; no label statistic sees depth, so the rule keeps only the
+#: selectivity half and sets it where the deep case wins >= 6x and the
+#: shallow case is a tie (the old ``|V| / 4`` sent 20 %-share pivots to a
+#: 3.6x loss).
+SQL_PIVOT_SELECTIVITY = 128
 
-#: A factorable concatenation pays off in SQL when its cheapest step
-#: factor has at most ``|V| / SQL_PIVOT_SELECTIVITY`` edges: the factored
-#: plan's closures are then seeded by a small pivot relation, while the
-#: Python kernels still flow source masks through the whole closure.
-SQL_PIVOT_SELECTIVITY = 4
 
-
-def has_closure(expression: Regex) -> bool:
-    """Whether a regex contains a Kleene iteration (``*`` or ``+``)."""
-    if isinstance(expression, (Star, Plus)):
-        return True
-    if isinstance(expression, (Concat, Union)):
-        return has_closure(expression.left) or has_closure(expression.right)
-    return False
-
-
-def rpq_pays(
-    expression: Regex,
-    index: Optional[LabelIndex],
-    stats: Optional["GraphStatistics"] = None,
-) -> bool:
-    """Whether ``"auto"`` should run this RPQ through the SQL backend.
-
-    *stats* (the planner v2 catalogue) sharpens the closure estimate
-    with measured per-label fanout; the measured growth never drops
-    below the textbook constant, so statistics can only widen — never
-    narrow — the set of queries re-routed to SQL.
-    """
+def rpq_pays(expression: Regex, index: Optional[LabelIndex]) -> bool:
+    """Whether ``"auto"`` should run this RPQ through the SQL backend:
+    the graph clears the size floor and the factored plan applies with a
+    closure to seed and a pivot selective enough to bound its work."""
     if index is None:
         return False
     num_nodes = len(index.nodes)
-    if num_nodes < SQL_AUTO_MIN_NODES or not has_closure(expression):
+    if num_nodes < SQL_AUTO_MIN_NODES:
         return False
-    if _selective_pivot(expression, index, num_nodes):
-        return True
-    return regex_estimate(expression, index, stats) >= SQL_CLOSURE_FACTOR * num_nodes
-
-
-def _selective_pivot(
-    expression: Regex, index: LabelIndex, num_nodes: int
-) -> bool:
-    """Whether the factored plan of :mod:`repro.sqlbackend.compile`
-    applies with a pivot selective enough to bound the closure work."""
     parts = concat_parts(expression)
     if parts is None:
         return False
@@ -100,51 +72,6 @@ def _selective_pivot(
         for kind, labels in parts
         if kind == STEP
     ]
-    if not step_counts:
-        return False
+    if not step_counts or len(step_counts) == len(parts):
+        return False  # no pivot, or no closure for it to seed
     return min(step_counts) * SQL_PIVOT_SELECTIVITY <= num_nodes
-
-
-def closure_pays(label: str, index: Optional[LabelIndex]) -> bool:
-    """Whether ``"auto"`` should run a GXPath axis star (``a*``) in SQL.
-
-    An axis star is the degenerate one-state closure: it pays off when
-    the label's edge relation is at least as large as the node set, so
-    the closure genuinely iterates instead of terminating immediately.
-    """
-    if index is None:
-        return False
-    num_nodes = len(index.nodes)
-    return num_nodes >= SQL_AUTO_MIN_NODES and index.edge_count(label) >= num_nodes
-
-
-def plan_pays(
-    root: PlanOp,
-    index: Optional[LabelIndex],
-    stats: Optional["GraphStatistics"] = None,
-) -> bool:
-    """Whether ``"auto"`` should lower a whole CRPQ plan to SQL.
-
-    Conservative: every atom must be a plain RPQ (data atoms would be
-    materialised Python-side anyway, erasing the win) and at least one
-    must be closure heavy by :func:`rpq_pays`.
-    """
-    if index is None:
-        return False
-    pays = False
-    for scan in _scans(root):
-        if isinstance(scan.atom.query, DataRPQ):
-            return False
-        if rpq_pays(scan.atom.query.expression, index, stats):
-            pays = True
-    return pays
-
-
-def _scans(node: PlanOp):
-    if isinstance(node, (AtomScan, SeededScan)):
-        yield node
-    elif isinstance(node, (Project, Filter)):
-        yield from _scans(node.child)
-    elif isinstance(node, HashJoin):
-        yield from _scans(node.left)
-        yield from _scans(node.right)

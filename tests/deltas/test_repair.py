@@ -312,6 +312,33 @@ class TestRepairFollowsTheRoute:
         assert session.maintenance_stats()["repairs"] == 1
         assert session._results.peek((graph.version, query.key, False))[1] is None
 
+    def test_a_superseded_entry_is_dropped_not_kept_until_the_lru_fills(self):
+        """Versions only grow, so the entry a repair (or a recompute, or a
+        batch) started from can never be hit again; the cache holds one
+        entry per plan however many mutations pass."""
+        graph = chain_graph()
+        rpq, crpq = DIALECT_QUERIES["rpq"], DIALECT_QUERIES["crpq"]
+        session = GraphSession(graph, policy=ROUTE_POLICIES["compact"])
+        served_first = session.run(rpq).rows()
+        session.run(crpq).rows()
+        for step in range(3):
+            previous = graph.version
+            if step == 1:
+                graph.remove_edge("k0n0", "a", "k0n1")  # a removal: recompute
+            else:
+                with graph.batch() as batch:
+                    batch.add_edge(f"k{step}n1", "b", f"k{step}n7")
+            if step == 2:
+                session.run_many([rpq, crpq])
+            else:
+                session.run(rpq).rows(), session.run(crpq).rows()
+            for query in (rpq, crpq):
+                assert session._results.peek((previous, query.key, False)) is None
+                assert session.run(query).rows() == fresh_rows(graph, query)
+            assert session.stats()["results"].size == 2
+        assert session.stats()["results"].evictions == 0
+        assert len(served_first) == 660  # a handed-out answer outlives its entry
+
     def test_bit_rows_on_another_ordering_are_dropped_not_merged(self):
         """Bit rows only merge into an ordering that extends their own; a
         cached relation that does not line up keeps its answer, repaired,

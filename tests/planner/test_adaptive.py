@@ -103,7 +103,7 @@ class TestAdaptiveMatchesTheSpec:
             LABELS,
             shape=shape,
             num_atoms=num_atoms,
-            head_arity=2,
+            head_arity=num_atoms + 2,  # every variable: nothing fuses, every join runs
             data_atom_prob=0.25,
             closure_prob=0.3,
             self_loop_prob=0.2,
@@ -123,7 +123,7 @@ class TestAdaptiveMatchesTheSpec:
         monkeypatch.setattr(execute_module, "ADAPTIVE_REPLAN_RATIO", 1.0)
         graph = community(5)
         query = random_crpq(
-            LABELS, shape="chain", num_atoms=4, head_arity=2, closure_prob=0.4, rng=13
+            LABELS, shape="chain", num_atoms=4, head_arity=5, closure_prob=0.4, rng=13
         )
         trace = PlanTrace()
         run_both(graph, query, trace=trace)
@@ -137,7 +137,7 @@ class TestAdaptiveMatchesTheSpec:
 class TestRelationCache:
     def test_cached_relation_is_reused_and_answers_match(self):
         graph = community(9)
-        query = random_crpq(LABELS, shape="chain", num_atoms=3, head_arity=2, rng=21)
+        query = random_crpq(LABELS, shape="chain", num_atoms=3, head_arity=4, rng=21)
         engine = default_engine()
 
         served = []
@@ -170,7 +170,8 @@ class TestSessionRelationReuse:
     without re-deriving id pairs from the decoded ``Node`` pairs."""
 
     CLOSURE = Query.parse("a+")
-    JOIN = Query.parse("x, y :- (x, b, z), (z, a+, y)", dialect="crpq")
+    #: z is in the head: existential, it would fuse the atoms into ``b.a+``
+    JOIN = Query.parse("x, z, y :- (x, b, z), (z, a+, y)", dialect="crpq")
 
     def _warm(self, backend: str):
         graph = community(17, num_nodes=30)
@@ -209,7 +210,7 @@ class TestDistributedJoinHook:
     def test_join_runner_result_is_used(self, monkeypatch):
         monkeypatch.setattr(execute_module, "DISTRIBUTED_JOIN_MIN_ROWS", 0)
         graph = community(11)
-        query = random_crpq(LABELS, shape="chain", num_atoms=3, head_arity=2, rng=31)
+        query = random_crpq(LABELS, shape="chain", num_atoms=3, head_arity=4, rng=31)
 
         calls = []
 
@@ -232,14 +233,14 @@ class TestDistributedJoinHook:
     def test_busy_runner_falls_back_to_local(self, monkeypatch):
         monkeypatch.setattr(execute_module, "DISTRIBUTED_JOIN_MIN_ROWS", 0)
         graph = community(12)
-        query = random_crpq(LABELS, shape="cycle", num_atoms=3, head_arity=2, rng=32)
+        query = random_crpq(LABELS, shape="cycle", num_atoms=3, head_arity=3, rng=32)
         trace = PlanTrace()
         run_both(graph, query, join_runner=lambda *a: None, trace=trace)
         assert trace.distributed_joins == 0
 
     def test_small_joins_are_not_offered(self):
         graph = community(13)
-        query = random_crpq(LABELS, shape="chain", num_atoms=2, head_arity=2, rng=33)
+        query = random_crpq(LABELS, shape="chain", num_atoms=2, head_arity=3, rng=33)
 
         def exploding(*args):  # pragma: no cover - must never run
             raise AssertionError("join below DISTRIBUTED_JOIN_MIN_ROWS was offered")

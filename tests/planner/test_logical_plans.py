@@ -71,7 +71,7 @@ class TestCostModel:
 class TestPlanShapes:
     def test_cheapest_atom_anchors_the_join_order(self, skewed_graph):
         query = ConjunctiveRPQ(
-            head=("x", "z"),
+            head=("x", "y", "z"),  # y in the head: an existential y would fuse the atoms
             atoms=(
                 Atom("x", rpq("a+"), "y"),
                 Atom("y", rpq("b"), "z"),
@@ -89,7 +89,7 @@ class TestPlanShapes:
 
     def test_connected_atoms_beat_cheaper_disconnected_ones(self, skewed_graph):
         query = ConjunctiveRPQ(
-            head=("x", "u"),
+            head=("x", "y", "u"),
             atoms=(
                 Atom("x", rpq("a"), "y"),      # anchor? no: b is cheaper
                 Atom("u", rpq("b"), "v"),      # cheapest, disconnected from x/y
@@ -154,22 +154,22 @@ class TestPlanShapes:
 
 class TestExplain:
     def test_explain_shows_join_order_and_operators(self, skewed_graph):
-        query = parse_crpq("x, z :- (x, a+, y), (y, b, z)")
+        query = parse_crpq("x, y, z :- (x, a+, y), (y, b, z)")
         text = Query.crpq(query).explain(skewed_graph)
         assert "join order: #1 → #0" in text
         assert "AtomScan #1" in text
         assert "SeededScan #0" in text and "targets←y" in text
         assert "HashJoin on (y)" in text
-        assert "Project [x, z]" in text
+        assert "Project [x, y, z]" in text
 
     def test_explain_without_graph_follows_written_order(self):
-        query = parse_crpq("x, z :- (x, a+, y), (y, b, z)")
+        query = parse_crpq("x, y, z :- (x, a+, y), (y, b, z)")
         text = Query.crpq(query).explain()
         assert "join order: #0 → #1" in text
 
     def test_session_explain_uses_the_cached_plan(self, skewed_graph):
         session = GraphSession(skewed_graph)
-        query = Query.parse("x, z :- (x, a+, y), (y, b, z)", dialect="crpq")
+        query = Query.parse("x, y, z :- (x, a+, y), (y, b, z)", dialect="crpq")
         text = session.explain(query)
         assert "join order: #1 → #0" in text
         assert session._crpq_plan(query) is session._crpq_plan(query)

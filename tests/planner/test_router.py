@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import ExecutionPolicy, GraphSession, ParallelExecutor, Query, QueryKind
-from repro.datagraph import generators
+from repro.datagraph import DataGraph, generators
 from repro.datagraph.compact import CompactLabelIndex
 from repro.engine import compact as compact_kernels
 from repro.engine import partition as partition_kernels
@@ -270,18 +270,62 @@ class TestRouteChoices:
         assert with_stats.driver == without.driver == "sequential"
 
 
+def citation_chain(length=1200, taps=8):
+    """The ``bench_sql_backend`` graph: one long ``cites`` chain against
+    insertion order, ``tagged`` on 0.66 % of the nodes."""
+    graph = DataGraph()
+    for i in range(length):
+        graph.add_node(("paper", i), i)
+    for i in range(length - 1):
+        graph.add_edge(("paper", i + 1), "cites", ("paper", i))
+    for k in range(taps):
+        graph.add_node(("topic", k), None)
+        graph.add_edge(("paper", 1 + k), "tagged", ("topic", k))
+    return graph
+
+
 class TestRouterSeesTheRegex:
     """The router unwraps ``RPQ.expression``: plain RPQs no longer estimate
     |V|² ("no information"), so SQL is reported where it runs and the
     parallel gate is no longer vacuously true."""
 
-    def test_closure_on_a_large_graph_explains_sql(self):
-        graph = generators.random_graph(1100, 2400, labels=("supplies_to", "alt_for"), rng=3)
+    #: Above the 1,024-node SQL floor, ``sql`` keeps only its measured
+    #: regime: a selective pivot in front of a deep closure.
+    ABOVE_THE_SQL_FLOOR = {
+        "bare closure": ("supplier", Query.parse("supplies_to+"), "compact"),
+        "closure CRPQ": (
+            "supplier",
+            Query.parse(
+                "x, z :- (x, alt_for, y), (y, supplies_to+, z), (z, alt_for, w)", dialect="crpq"
+            ),
+            "compact",
+        ),
+        "GXPath axis star": (
+            "supplier", Query.parse("supplies_to*.alt_for-", dialect="gxpath-path"), "compact",
+        ),
+        "pivot before a deep closure": ("chain", Query.parse("(cites)*.tagged"), "sql"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ABOVE_THE_SQL_FLOOR))
+    def test_sql_keeps_only_its_measured_regime(self, case, spy):
+        shape, query, strategy = self.ABOVE_THE_SQL_FLOOR[case]
+        if shape == "supplier":
+            graph = generators.random_graph(
+                1100, 2400, labels=("supplies_to", "alt_for"), rng=3
+            )
+        else:
+            graph = citation_chain()
+        assert graph.num_nodes >= sql_cost.SQL_AUTO_MIN_NODES
         session = GraphSession(graph)
-        route = session._route(Query.parse("supplies_to+"))
-        assert route.strategy == "sql"
+        route = session._route(query)
+        assert route.strategy == strategy
         assert route.estimate < graph.num_nodes**2
-        assert session.explain("supplies_to+").startswith("route: sql ")
+        assert session.explain(query).startswith(f"route: {strategy} ")
+        oracle = GraphSession(graph, policy=ExecutionPolicy(routing="manual", backend="dict"))
+        expected = oracle.run(query).rows()
+        spy.reset()
+        assert session.run(query).rows() == expected
+        spy.assert_ran(route, case)
 
     def test_concatenation_on_a_large_graph_does_not_route_blocks(self, host_shape):
         graph = generators.random_graph(2100, 4400, labels=("a", "b"), rng=5)

@@ -76,13 +76,25 @@ class TestInfoAndEvaluate:
 
     def test_explain_prints_the_join_plan_instead_of_answers(self, graph_file, capsys):
         assert main([
-            "evaluate", str(graph_file), "--crpq", "x, z :- (x, r+, y), (y, r, z)",
+            "evaluate", str(graph_file), "--crpq", "x, y, z :- (x, r+, y), (y, r, z)",
             "--explain",
         ]) == 0
         output = capsys.readouterr().out
         assert "join order:" in output
         assert "HashJoin" in output and "SeededScan" in output
         assert "answer(s)" not in output
+
+    def test_explain_prints_the_rewrites_above_the_tree(self, graph_file, capsys):
+        assert main([
+            "evaluate", str(graph_file), "--crpq", "x, z :- (x, r+, y), (y, r, z), (z, r, w)",
+            "--explain",
+        ]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        fused = next(i for i, line in enumerate(lines) if line.startswith("fused #0·#1 → #0 "))
+        emits = next(i for i, line in enumerate(lines) if line.startswith("#1 (z, r, w) emits (z)"))
+        tree = next(i for i, line in enumerate(lines) if line.startswith("Project [x, z]"))
+        assert fused < emits < tree
+        assert "atoms=2 (of 3 written)" in lines[fused - 1]
 
     def test_explain_other_dialects(self, graph_file, capsys):
         assert main(["evaluate", str(graph_file), "--rpq", "r.r", "--explain"]) == 0
