@@ -24,6 +24,10 @@ baseline (see the bench-smoke gate).  The baseline calls the raw
 automaton's ``silent_closure`` per edge; the mask pass takes closures
 from the :class:`~repro.datapaths.register_automata.RegisterStepper`
 memo.
+
+The REE is measured a third way, untranslated: the bottom-up bit-row
+algebra (:func:`repro.engine.data.ree_relation`) over the same index,
+which the same gate holds at least 2x under the translated mask pass.
 """
 
 from __future__ import annotations
@@ -111,3 +115,13 @@ def bench_datarpq_ree_mask_kernel(benchmark, community_index, ree_automaton, exp
         iterations=1,
     )
     assert pairs == expected_ree
+
+
+def bench_datarpq_ree_bit_rows(benchmark, community_index, expected_ree):
+    relation = benchmark.pedantic(
+        data_kernels.ree_relation,
+        args=(community_index, parse_ree(REE_QUERY)),
+        rounds=1,
+        iterations=1,
+    )
+    assert relation.id_pairs() == expected_ree

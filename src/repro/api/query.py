@@ -288,9 +288,13 @@ class Query:
                 "forward-expand → backward-prune → mask-propagate → decode"
             )
         if kind is QueryKind.DATA_RPQ:
+            if isinstance(self.plan.expression, RegexWithEquality):
+                return (
+                    "data_rpq: bottom-up REE algebra on per-target source bitmasks "
+                    "(a partitioned driver translates to REM and runs the register product)"
+                )
             return (
-                "data_rpq: register-automaton × graph product, one full-relation "
-                "mask pass (REE expressions translate to REM first)"
+                "data_rpq: register-automaton × graph product, one full-relation mask pass"
             )
         return (
             f"{kind.value}: recursive GXPath evaluation over the label index; "

@@ -41,7 +41,7 @@ from typing import (
 )
 
 from .node import Node, NodeId
-from .values import DataValue
+from .values import DataValue, value_classes
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .index import LabelIndex
@@ -76,6 +76,7 @@ class CompactLabelIndex:
         "_counts",
         "_shared",
         "_value_ids",
+        "_value_classes",
         "_node_objects",
     )
 
@@ -104,6 +105,7 @@ class CompactLabelIndex:
         # alive for as long as any view-backed index is in use.
         self._shared = shared
         self._value_ids: Optional[List[int]] = None
+        self._value_classes: Optional[Tuple[List[int], int]] = None
         self._node_objects: Optional[Tuple[Node, ...]] = None
 
     # ------------------------------------------------------------------
@@ -152,6 +154,15 @@ class CompactLabelIndex:
             ids: Dict[DataValue, int] = {}
             column = self._value_ids = [ids.setdefault(value, len(ids)) for value in self.values]
         return column
+
+    @property
+    def value_classes(self) -> Tuple[List[int], int]:
+        """:func:`~repro.datagraph.values.value_classes` of :attr:`values`,
+        derived on first use.  Not :attr:`value_ids` regrouped: those
+        follow dict-key identity, under which a NaN would equal itself."""
+        if self._value_classes is None:
+            self._value_classes = value_classes(self.values)
+        return self._value_classes
 
     @property
     def node_objects(self) -> Tuple[Node, ...]:

@@ -33,7 +33,7 @@ from typing import (
 )
 
 from .node import NodeId
-from .values import DataValue
+from .values import DataValue, value_classes
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..deltas.delta import GraphDelta
@@ -53,7 +53,9 @@ class LabelIndex:
     (and :meth:`DataGraph.label_index`) can detect staleness.
     """
 
-    __slots__ = ("version", "nodes", "position", "values", "labels", "_succ", "_pred")
+    __slots__ = (
+        "version", "nodes", "position", "values", "labels", "_succ", "_pred", "_value_classes"
+    )
 
     def __init__(self, graph: "DataGraph"):
         self.version: int = graph.version
@@ -65,6 +67,7 @@ class LabelIndex:
             node.id: node.value for node in graph.nodes
         }
         self.labels: FrozenSet[str] = graph.alphabet
+        self._value_classes: Optional[Tuple[List[int], int]] = None
         self._succ: Dict[str, Dict[NodeId, Tuple[NodeId, ...]]] = {}
         self._pred: Dict[str, Dict[NodeId, Tuple[NodeId, ...]]] = {}
         for label in sorted(graph.alphabet):
@@ -118,6 +121,7 @@ class LabelIndex:
             for node_id, _old, new in delta.value_changes:
                 values[node_id] = new
         index.values = values
+        index._value_classes = None
         index.labels = base.labels | frozenset(delta.added_labels) | delta.touched_labels
 
         added_forward: Dict[Tuple[str, NodeId], List[NodeId]] = {}
@@ -219,6 +223,14 @@ class LabelIndex:
             low = mask & -mask
             yield nodes[low.bit_length() - 1]
             mask ^= low
+
+    @property
+    def value_classes(self) -> Tuple[List[int], int]:
+        """:func:`~repro.datagraph.values.value_classes` of the values in
+        node order, derived on first use and kept for this snapshot."""
+        if self._value_classes is None:
+            self._value_classes = value_classes([self.values[node_id] for node_id in self.nodes])
+        return self._value_classes
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         edges = sum(len(targets) for adj in self._succ.values() for targets in adj.values())

@@ -15,7 +15,7 @@ all agree on how nulls behave.
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Iterable, Iterator
+from typing import Any, Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple
 
 __all__ = [
     "NULL",
@@ -24,6 +24,7 @@ __all__ = [
     "is_null",
     "values_equal",
     "values_differ",
+    "value_classes",
     "fresh_value_factory",
     "FreshValueFactory",
 ]
@@ -101,6 +102,23 @@ def values_differ(left: DataValue, right: DataValue) -> bool:
     if is_null(left) or is_null(right):
         return False
     return left != right
+
+
+def value_classes(values: Sequence[DataValue]) -> Tuple[List[int], int]:
+    """``(same, nulls)`` for a value column: bit ``j`` of ``same[i]`` is
+    ``values[i] == values[j]`` — so ``1``, ``1.0`` and ``True`` share a
+    class, the null equals itself, and a value with ``v != v`` (a NaN) is
+    in no class, its own included — and ``nulls`` is the null's class.
+    ``first == last`` over a set of positions is then one AND; the SQL
+    rule of :func:`values_equal` / :func:`values_differ` masks ``nulls``
+    out on both sides as well.  One mask per distinct value, so up to
+    ``len(values)² / 16`` bytes on an all-distinct column — half of one
+    dense relation's bit rows — for as long as an index snapshot keeps it.
+    """
+    masks: Dict[DataValue, int] = {}
+    for at, value in enumerate(values):
+        masks[value] = masks.get(value, 0) | (1 << at)
+    return [masks[value] if value == value else 0 for value in values], masks.get(NULL, 0)
 
 
 class FreshValueFactory:

@@ -3,7 +3,8 @@
 Phase 3 of every mask kernel ends with, for each node ``v``, the bitmask
 of source nodes ``u`` with ``(u, v)`` in the answer — bit ``i`` is the
 node at index ``i`` of the dense ordering of the index snapshot the
-kernel ran on.  :class:`BitRelation` is exactly that table plus the
+kernel ran on (the REE algebra computes on such tables from the leaves
+up).  :class:`BitRelation` is exactly that table plus the
 ordering it is only meaningful against, with the operations its
 consumers need and **the** decoder behind every answer set: a mask is
 expanded to its members once per distinct value — at C speed
@@ -111,7 +112,7 @@ class BitRelation:
     # The decoder
     # ------------------------------------------------------------------
     @staticmethod
-    def _members(mask: int, names: Sequence) -> Sequence:
+    def members(mask: int, names: Sequence) -> Sequence:
         """The entries of *names* at the set bits of *mask*."""
         digits = bin(mask)[:1:-1]
         if mask.bit_count() << 4 >= len(digits):
@@ -129,7 +130,7 @@ class BitRelation:
         # Configurations of one strongly-connected region all carry the
         # same mask, so members are expanded once per distinct mask.
         members: Dict[int, Sequence] = {}
-        expand = self._members
+        expand = self.members
         for at, mask in self.rows.items():
             sources = members.get(mask)
             if sources is None:
@@ -155,7 +156,7 @@ class BitRelation:
         mask = 0
         for row in self.rows.values():
             mask |= row
-        return self._members(mask, self.nodes)
+        return self.members(mask, self.nodes)
 
     def target_ids(self) -> Sequence[NodeId]:
         """The distinct targets (the row keys), each once."""
@@ -166,7 +167,8 @@ class BitRelation:
 
 
 #: A cached full-relation answer: its decoded ``(Node, Node)`` rows and,
-#: when a sequential compact route computed it in this process, the same
-#: relation's bit rows — what delta repair merges into and CRPQ atom
-#: scans restrict instead of re-deriving ids from the ``Node`` pairs.
+#: when a sequential compact route computed it in this process (a mask
+#: kernel, or the REE algebra), the same relation's bit rows — what
+#: delta repair merges into and CRPQ atom scans restrict instead of
+#: re-deriving ids from the ``Node`` pairs.
 CachedRelation = Tuple[frozenset, Optional[BitRelation]]

@@ -6,9 +6,13 @@ described in :mod:`repro.query.data_rpq_eval`:
 * the bottom-up relational algebra for equality RPQs (REE), and
 * the register-automaton × graph product for memory RPQs (REM).
 
-Both work over a :class:`~repro.datagraph.index.LabelIndex` and on plain
-node ids; the public wrappers in :mod:`repro.query.data_rpq_eval`
-translate to :class:`~repro.datagraph.node.Node` pairs at the boundary.
+The REE algebra produces bit rows over either index type
+(:class:`~repro.datagraph.index.LabelIndex` or its CSR twin) and hands
+back a :class:`~repro.engine.bitrelation.BitRelation`; the register
+entry points here work over a ``LabelIndex`` on plain node ids (int-id
+twin: :func:`repro.engine.compact.register_relation`).  The
+:class:`~repro.engine.engine.EvaluationEngine` translates to
+:class:`~repro.datagraph.node.Node` pairs at the boundary.
 Automaton compilation (``compile_rem``, the REE→REM translation) is
 cached by the :class:`~repro.engine.engine.EvaluationEngine`, so repeated
 evaluation of one query over many graphs — the shape of the adversarial
@@ -18,11 +22,11 @@ certain-answer loops — compiles exactly once.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple, Union
 
+from ..datagraph.compact import CompactLabelIndex
 from ..datagraph.index import LabelIndex
 from ..datagraph.node import NodeId
-from ..datagraph.values import values_differ, values_equal
 from ..datapaths import RegisterAutomaton, Valuation
 from ..datapaths.ree import (
     ReeConcat,
@@ -36,6 +40,7 @@ from ..datapaths.ree import (
 )
 from ..exceptions import EvaluationError
 from . import product
+from .bitrelation import BitRelation
 from .spaces import RegisterProductSpace
 
 __all__ = [
@@ -45,95 +50,132 @@ __all__ = [
 ]
 
 IdPair = Tuple[NodeId, NodeId]
+#: One sub-expression's relation: ``target position -> source bitmask``.
+Rows = Dict[int, int]
 
 
 # ----------------------------------------------------------------------
-# Bottom-up relational algebra for REE, over the label index
+# Bottom-up relational algebra for REE, on bit rows
 # ----------------------------------------------------------------------
 def ree_relation(
-    index: LabelIndex, expression: RegexWithEquality, null_semantics: bool = False
-) -> FrozenSet[IdPair]:
-    """The id-pair relation of an equality RPQ, computed bottom-up."""
-    memo: Dict[int, FrozenSet[IdPair]] = {}
-    return _ree_relation(index, expression, null_semantics, memo)
-
-
-def _ree_relation(
-    index: LabelIndex,
+    index: Union[LabelIndex, CompactLabelIndex],
     expression: RegexWithEquality,
-    null_semantics: bool,
-    memo: Dict[int, FrozenSet[IdPair]],
-) -> FrozenSet[IdPair]:
-    key = id(expression)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    if isinstance(expression, ReeEpsilon):
-        result = frozenset((node_id, node_id) for node_id in index.nodes)
-    elif isinstance(expression, ReeLetter):
-        result = frozenset(index.pairs(expression.symbol))
-    elif isinstance(expression, ReeConcat):
-        left = _ree_relation(index, expression.left, null_semantics, memo)
-        right = _ree_relation(index, expression.right, null_semantics, memo)
-        result = compose_relations(left, right)
-    elif isinstance(expression, ReeUnion):
-        result = _ree_relation(index, expression.left, null_semantics, memo) | _ree_relation(
-            index, expression.right, null_semantics, memo
-        )
-    elif isinstance(expression, ReePlus):
-        result = transitive_closure(_ree_relation(index, expression.inner, null_semantics, memo))
-    elif isinstance(expression, (ReeEqualTest, ReeNotEqualTest)):
-        inner = _ree_relation(index, expression.inner, null_semantics, memo)
-        values = index.values
-        want_equal = isinstance(expression, ReeEqualTest)
-        kept = set()
-        for source, target in inner:
-            first = values[source]
-            last = values[target]
-            if null_semantics:
-                ok = values_equal(first, last) if want_equal else values_differ(first, last)
-            else:
-                ok = (first == last) if want_equal else (first != last)
-            if ok:
-                kept.add((source, target))
-        result = frozenset(kept)
-    else:  # pragma: no cover - defensive
-        raise EvaluationError(f"unknown REE node {expression!r}")
-    memo[key] = result
-    return result
+    null_semantics: bool = False,
+) -> BitRelation:
+    """The relation of an equality RPQ, computed bottom-up on bit rows.
+
+    Every sub-expression denotes ``{target position: source bitmask}``
+    rows over *index*'s dense ordering (either index type: the algebra
+    reads only the ordering, the value classes and per-label predecessor
+    lists), evaluated once per *structurally* distinct sub-expression.
+    """
+    same, nulls = index.value_classes
+    dead = nulls if null_semantics else 0  # positions no comparison is true at
+    positions = range(len(index.nodes))
+    memo: Dict[RegexWithEquality, Rows] = {}
+
+    def relation(rows: Rows) -> BitRelation:
+        return BitRelation(index.nodes, index.position, rows)
+
+    def evaluate(expr: RegexWithEquality) -> Rows:
+        rows = memo.get(expr)
+        if rows is not None:
+            return rows
+        if isinstance(expr, ReeEpsilon):
+            rows = {v: 1 << v for v in positions}
+        elif isinstance(expr, ReeLetter):
+            rows = _letter_rows(index, expr.symbol)
+        elif isinstance(expr, ReeConcat):
+            rows = _compose(evaluate(expr.left), evaluate(expr.right), positions)
+        elif isinstance(expr, ReeUnion):
+            rows = relation(evaluate(expr.left)).union(relation(evaluate(expr.right))).rows
+        elif isinstance(expr, ReePlus):
+            rows = _closure(evaluate(expr.inner), positions)
+        elif isinstance(expr, (ReeEqualTest, ReeNotEqualTest)):
+            # One AND per row with the class of the target's value (a
+            # target holding the null compares with nothing).
+            want_equal = isinstance(expr, ReeEqualTest)
+            rows = {}
+            for v, mask in evaluate(expr.inner).items():
+                equal = same[v]
+                mask &= equal if want_equal else ~(equal | dead)
+                if mask and not equal & dead:
+                    rows[v] = mask
+        else:  # pragma: no cover - defensive
+            raise EvaluationError(f"unknown REE node {expr!r}")
+        memo[expr] = rows
+        return rows
+
+    return relation(evaluate(expression))
 
 
-def compose_relations(left: Iterable[IdPair], right: Iterable[IdPair]) -> FrozenSet[IdPair]:
-    """Relational composition ``left ∘ right`` on id pairs."""
-    right_index: Dict[NodeId, Set[NodeId]] = {}
-    for middle, target in right:
-        right_index.setdefault(middle, set()).add(target)
-    result: Set[IdPair] = set()
-    for source, middle in left:
-        targets = right_index.get(middle)
-        if targets:
-            for target in targets:
-                result.add((source, target))
-    return frozenset(result)
+def _letter_rows(index: Union[LabelIndex, CompactLabelIndex], label: str) -> Rows:
+    """One label's edges: per target, the OR of its predecessors' bits —
+    off the transposed CSR rows, or the dict index's predecessor map
+    sent through ``position``."""
+    if isinstance(index, CompactLabelIndex):
+        row = index.csr_t(label)
+        if row is None:
+            return {}
+        offsets, neighbors = row
+        lists = ((v, neighbors[offsets[v] : offsets[v + 1]]) for v in range(index.num_nodes))
+    else:
+        at = index.position.__getitem__
+        lists = ((at(v), map(at, sources)) for v, sources in index.predecessors(label).items())
+    rows: Rows = {}
+    for v, sources in lists:
+        mask = 0
+        for u in sources:
+            mask |= 1 << u
+        if mask:
+            rows[v] = mask
+    return rows
 
 
-def transitive_closure(relation: Iterable[IdPair]) -> FrozenSet[IdPair]:
-    """The transitive closure of a binary relation on id pairs."""
-    successors: Dict[NodeId, Set[NodeId]] = {}
-    for source, target in relation:
-        successors.setdefault(source, set()).add(target)
-    closure: Set[IdPair] = set()
-    for start in list(successors):
-        seen: Set[NodeId] = set()
-        queue = deque(successors.get(start, ()))
-        while queue:
-            current = queue.popleft()
-            if current in seen:
-                continue
-            seen.add(current)
-            closure.add((start, current))
-            queue.extend(successors.get(current, ()))
-    return frozenset(closure)
+def _compose(left: Rows, right: Rows, positions: range) -> Rows:
+    """``(u, v)`` whenever ``(u, m)`` is in *left* and ``(m, v)`` in
+    *right*: OR *left*'s rows over the members of each *right* row, once
+    per distinct row."""
+    by_middles: Dict[int, int] = {}
+    rows: Rows = {}
+    for v, middles in right.items():
+        mask = by_middles.get(middles)
+        if mask is None:
+            mask = 0
+            for m in BitRelation.members(middles, positions):
+                mask |= left.get(m, 0)
+            by_middles[middles] = mask
+        if mask:
+            rows[v] = mask
+    return rows
+
+
+def _closure(inner: Rows, positions: range) -> Rows:
+    """The transitive closure of *inner*: the FIFO mask propagation of
+    :func:`repro.engine.compact.closure_relation` along *inner*'s own
+    pairs, started from its rows (one or more steps), not the identity."""
+    successors: Dict[int, List[int]] = {}
+    for v, mask in inner.items():
+        for u in BitRelation.members(mask, positions):
+            if u in inner:  # only a node with sources has any to pass on
+                successors.setdefault(u, []).append(v)
+    rows = dict(inner)
+    pending = list(successors)
+    in_queue = set(pending)
+    head = 0
+    while head < len(pending):
+        u = pending[head]
+        head += 1
+        in_queue.discard(u)
+        mask = rows[u]
+        for v in successors[u]:
+            merged = rows[v] | mask
+            if merged != rows[v]:
+                rows[v] = merged
+                if v in successors and v not in in_queue:
+                    in_queue.add(v)
+                    pending.append(v)
+    return rows
 
 
 # ----------------------------------------------------------------------

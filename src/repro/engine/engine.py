@@ -155,27 +155,11 @@ class EvaluationEngine:
     def relation_bits(
         self, graph: DataGraph, query, route: "Route", null_semantics: bool = False
     ) -> Optional[BitRelation]:
-        """The full relation of an RPQ / data RPQ as the bit rows of
-        *route*'s kernel, or ``None`` when that route yields id pairs
-        (dict / sql kernels, partitioned drivers, the algebraic REE
-        engine).  Decode with ``node_pairs(graph.compact_index().node_objects)``.
+        """The full relation of an RPQ / data RPQ as bit rows — :meth:`atom_bits`
+        with nothing seeded, so ``None`` off a sequential compact route.
+        Decode with ``node_pairs(graph.compact_index().node_objects)``.
         """
-        expression = getattr(query, "expression", query)
-        if (
-            route.kernel != "compact"
-            or route.driver != "sequential"
-            or isinstance(expression, RegexWithEquality)
-        ):
-            return None
-        return self._compact_relation(graph, query, null_semantics)
-
-    def _compact_relation(self, graph: DataGraph, query, null_semantics: bool) -> BitRelation:
-        compact = graph.compact_index()
-        expression = getattr(query, "expression", query)
-        if isinstance(expression, (RegexWithEquality, RegexWithMemory)):
-            automaton = self.compile_data_rpq(expression)
-            return compact_kernels.register_relation(compact, automaton, null_semantics)
-        return compact_kernels.nfa_relation(compact, self.compile_rpq(query))
+        return self.atom_bits(graph, query, route, null_semantics=null_semantics)
 
     def evaluate_rpq(
         self, graph: DataGraph, query: RPQLike, route: Optional["Route"] = None
@@ -326,12 +310,12 @@ class EvaluationEngine:
     ) -> FrozenSet[NodePair]:
         """Evaluate a data RPQ, dispatching between the REE and REM engines.
 
-        The register-automaton path honours the route's kernel family
-        (its mask pass has an int-id CSR twin, decoded straight to
-        ``Node`` pairs as in :meth:`evaluate_rpq`) and driver (REE
-        queries translate to a register automaton under the partitioned
-        drivers); the algebraic REE engine is relation algebra over the
-        dict index.
+        Both honour the route's kernel family: the REE algebra computes
+        its bit rows over whichever index the route names, the
+        register-automaton mask pass has an int-id CSR twin, and either
+        way the rows are decoded straight to ``Node`` pairs as in
+        :meth:`evaluate_rpq`.  Under the partitioned drivers an REE
+        translates to a register automaton.
         """
         expression = query.expression
         if engine not in {"auto", "algebraic", "automaton"}:
@@ -348,10 +332,17 @@ class EvaluationEngine:
         ):
             if not isinstance(expression, RegexWithEquality):
                 raise EvaluationError("the algebraic engine only evaluates equality RPQs (REE)")
-            id_pairs = data_kernels.ree_relation(graph.label_index(), expression, null_semantics)
+            index = self._index(graph, route)
+            relation = data_kernels.ree_relation(index, expression, null_semantics)
+            if route.kernel == "compact":
+                return relation.node_pairs(index.node_objects)
+            return relation.node_pairs(tuple(map(node, index.nodes)))
         elif route.kernel == "compact":
-            relation = self._compact_relation(graph, query, null_semantics)
-            return relation.node_pairs(graph.compact_index().node_objects)
+            compact = graph.compact_index()
+            relation = compact_kernels.register_relation(
+                compact, self.compile_data_rpq(expression), null_semantics
+            )
+            return relation.node_pairs(compact.node_objects)
         else:
             id_pairs = data_kernels.register_automaton_relation(
                 graph.label_index(), self.compile_data_rpq(expression), null_semantics
@@ -392,12 +383,20 @@ class EvaluationEngine:
         kernel — what :meth:`evaluate_atom_ids` decodes — or ``None`` when
         that route yields id pairs (dict / sql kernels, partitioned
         drivers).  CRPQ scans read live columns straight off the rows.
+        An REE with unbound sources takes the bottom-up algebra (bound
+        *targets* select rows); bound sources seed the register kernel,
+        which explores only what they reach.
         """
         if route.kernel != "compact" or route.driver != "sequential":
             return None
+        compact = graph.compact_index()
+        expression = getattr(query, "expression", query)
+        if sources is None and isinstance(expression, RegexWithEquality):
+            relation = data_kernels.ree_relation(compact, expression, null_semantics)
+            return relation.restrict(targets=targets)
         space = self.space_for_atom(graph, query, null_semantics)
         return compact_kernels.compact_space_relation(
-            space, graph.compact_index(), sources=sources, targets=targets
+            space, compact, sources=sources, targets=targets
         )
 
     def evaluate_atom_ids(

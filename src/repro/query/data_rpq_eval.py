@@ -5,8 +5,9 @@ Two engines are provided:
 * **Relational-algebra engine for equality RPQs** — REE expressions are
   evaluated bottom-up: each sub-expression denotes a binary relation over
   the graph's nodes (pairs connected by a path whose data path matches the
-  sub-expression), built by composition, union, transitive closure and
-  endpoint data-value filtering for the ``e=`` / ``e≠`` subscripts.  This
+  sub-expression), held as per-target source bitmasks and built by
+  composition, union, transitive closure and endpoint data-value
+  filtering for the ``e=`` / ``e≠`` subscripts.  This
   is sound because an REE subscript only ever compares the *first* and
   *last* data value of the sub-path it annotates, which are exactly the
   endpoint node values of the corresponding sub-relation.  Data complexity
@@ -25,7 +26,8 @@ no comparison involving a null node's value is true.
 The public functions route through the shared
 :class:`~repro.engine.engine.EvaluationEngine`: register automata are
 compiled once per query (LRU-cached on the expression AST) and both
-strategies run over the graph's label index.  The seed evaluators are
+strategies run over the index the router picks for the graph (the dict
+label index, or its CSR twin on larger graphs).  The seed evaluators are
 kept as :func:`evaluate_data_rpq_naive` for equivalence testing and
 benchmarking.
 """
@@ -73,10 +75,9 @@ def evaluate_ree_algebraic(
     graph: DataGraph, expression: RegexWithEquality, null_semantics: bool = False
 ) -> FrozenSet[NodePair]:
     """Evaluate an equality RPQ by bottom-up relation construction."""
-    from ..engine.data import ree_relation
-
-    id_pairs = ree_relation(graph.label_index(), expression, null_semantics)
-    return frozenset((graph.node(source), graph.node(target)) for source, target in id_pairs)
+    return default_engine().evaluate_data_rpq(
+        graph, DataRPQ(expression), null_semantics, engine="algebraic"
+    )
 
 
 def evaluate_via_register_automaton(

@@ -15,6 +15,7 @@ import pytest
 from repro.api import ExecutionPolicy, GraphSession, Query
 from repro.datagraph import DataGraph
 from repro.deltas.repair import repair_full_relation
+from repro.engine import default_engine
 from repro.engine import compact as compact_kernels
 from repro.engine import product as product_kernels
 from repro.engine.bitrelation import BitRelation
@@ -281,11 +282,16 @@ class TestRepairFollowsTheRoute:
         stats = session.maintenance_stats()
         assert (stats["repairs"], stats["recomputes"]) == ((0, 2) if removal else (1, 1))
 
-    def test_compact_repairs_keep_bit_rows_across_batches(self):
+    @pytest.mark.parametrize("dialect", ["rpq", "ree"])
+    def test_compact_repairs_keep_bit_rows_across_batches(self, dialect):
+        """An REE entry's rows come from the bottom-up algebra, the pairs a
+        repair merges into them from the seeded register kernel: the
+        union is still the fresh run's, bit for bit."""
         graph = chain_graph()
-        query = DIALECT_QUERIES["rpq"]
+        query = DIALECT_QUERIES[dialect]
         session = GraphSession(graph, policy=ROUTE_POLICIES["compact"])
         session.run(query).rows()
+        assert session._results.peek((graph.version, query.key, False))[1] is not None
         for step in range(3):  # the first batch appends a node, all add edges
             with graph.batch() as batch:
                 if step == 0:
@@ -299,6 +305,10 @@ class TestRepairFollowsTheRoute:
             assert bits.nodes == graph.compact_index().nodes
             assert bits.node_pairs(graph.compact_index().node_objects) == served
             assert bits.count() == len(served)
+            fresh = default_engine().relation_bits(
+                graph, query.plan, session._route(query), null_semantics=False
+            )
+            assert bits.rows == fresh.rows
         assert session.maintenance_stats()["repairs"] == 3
 
     def test_an_entry_without_bit_rows_still_repairs(self):

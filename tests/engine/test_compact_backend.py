@@ -20,7 +20,18 @@ from hypothesis import strategies as st
 from repro.api import ExecutionPolicy, GraphSession, Query
 from repro.datagraph import NULL, GraphBuilder, generators
 from repro.datagraph.compact import CompactLabelIndex, owner_column
+from repro.datagraph.index import LabelIndex
+from repro.datapaths.ree import (
+    ReeConcat,
+    ReeEpsilon,
+    ReeEqualTest,
+    ReeLetter,
+    ReeNotEqualTest,
+    ReePlus,
+    ReeUnion,
+)
 from repro.engine import compact as compact_kernels
+from repro.engine import data as data_kernels
 from repro.engine import default_engine
 from repro.engine.bitrelation import BitRelation
 from repro.engine.partition import GraphPartition, sharded_product_relation
@@ -28,6 +39,7 @@ from repro.engine.spaces import NfaProductSpace
 from repro.exceptions import UnboundVariableError
 from repro.planner.router import route_point
 from repro.query import (
+    DataRPQ,
     data_rpq_holds,
     evaluate_crpq_naive,
     evaluate_data_rpq_naive,
@@ -220,6 +232,95 @@ def test_register_product_on_tricky_values(graph, query_index, null_semantics, d
     assert data_rpq_holds(graph, query.plan, source, target, null_semantics) == (
         (source, target) in expected_ids
     )
+
+
+# ----------------------------------------------------------------------
+# The REE algebra on bit rows: any expression, either index, tricky values
+# ----------------------------------------------------------------------
+#: ε, the graph's two letters and one it never carries, under every
+#: operator: tests nest, ``+`` wraps tested inners, unions mix them all.
+REE_ASTS = st.recursive(
+    st.just(ReeEpsilon()) | st.sampled_from("abc").map(ReeLetter),
+    lambda inner: st.one_of(
+        st.builds(ReeConcat, inner, inner),
+        st.builds(ReeUnion, inner, inner),
+        st.builds(ReePlus, inner),
+        st.builds(ReeEqualTest, inner),
+        st.builds(ReeNotEqualTest, inner),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    graph=tricky_graphs(),
+    expression=REE_ASTS,
+    null_semantics=st.booleans(),
+    grown=st.booleans(),
+)
+def test_ree_bit_rows_match_naive_and_the_register_kernel(
+    graph, expression, null_semantics, grown
+):
+    dict_index = graph.label_index()
+    if grown:
+        # An insert-only batch: the index is patched, its ordering grows
+        # and the appended values join (1.0) or refuse (NaN) old classes —
+        # classes the patched snapshot derives for itself, not the base's.
+        stale = dict_index.value_classes
+        with graph.batch() as batch:
+            batch.add_node("late", 1.0)
+            batch.add_node("later", NAN)
+            batch.add_edge("n0", "a", "late")
+            batch.add_edge("late", "b", "later")
+            batch.add_edge("later", "a", "n0")
+        dict_index = LabelIndex.patched(dict_index, graph.journal.deltas()[-1])
+        assert dict_index.nodes[-2:] == ("late", "later")
+        assert dict_index.value_classes is dict_index.value_classes is not stale
+    query = DataRPQ(expression)
+    naive = evaluate_data_rpq_naive(graph, query, null_semantics)
+    expected = {(source.id, target.id) for source, target in naive}
+    rows = None
+    for index in (dict_index, CompactLabelIndex.from_label_index(dict_index)):
+        relation = data_kernels.ree_relation(index, expression, null_semantics)
+        assert relation.id_pairs() == expected
+        assert all(relation.rows.values())  # rows never hold an empty mask
+        assert rows is None or relation.rows == rows  # one algebra, either index
+        rows = relation.rows
+    engine = default_engine()
+    for backend in ("compact", "dict"):
+        route = forced_route(graph, backend)
+        for strategy in ("algebraic", "automaton"):
+            assert naive == engine.evaluate_data_rpq(
+                graph, query, null_semantics, engine=strategy, route=route
+            ), (backend, strategy)
+    # An atom scan with bound targets and unbound sources selects rows.
+    targets = set(dict_index.nodes[::2])
+    bound = engine.atom_bits(
+        graph, query, forced_route(graph, "compact"), targets=targets, null_semantics=null_semantics
+    )
+    assert bound.id_pairs() == {pair for pair in expected if pair[1] in targets}
+
+
+def test_ree_memo_is_structural(monkeypatch):
+    """``(a+)= | (a+)!=`` holds two equal ``a+`` sub-trees (distinct
+    objects): the closure under them is evaluated once."""
+    calls = []
+    closure = data_kernels._closure
+
+    def counting(inner, positions):
+        calls.append(inner)
+        return closure(inner, positions)
+
+    monkeypatch.setattr(data_kernels, "_closure", counting)
+    graph = random_graph_from(4, 20)
+    query = Query.parse("((a)+)= | ((a)+)!=", dialect="ree").plan
+    union = query.expression
+    assert union.left.inner == union.right.inner and union.left.inner is not union.right.inner
+    relation = data_kernels.ree_relation(graph.compact_index(), union)
+    assert len(calls) == 1
+    plain = {(source.id, target.id) for source, target in evaluate_rpq_naive(graph, rpq("a+"))}
+    assert relation.id_pairs() == plain  # = and ≠ partition a+ (no NaN here)
 
 
 @settings(max_examples=10, deadline=None)
@@ -492,27 +593,24 @@ class TestBitRelationEdges:
 
     def test_relation_bits_is_what_the_entry_points_decode(self):
         # The engine's one bit-row entry point: rows on a sequential
-        # compact route (never for the algebraic REE engine), ``None`` on
+        # compact route (an REE's from the bottom-up algebra), ``None`` on
         # every other route; a caching session keeps exactly those rows.
         graph = random_graph_from(9, 30)
         engine = default_engine()
         compact_route = forced_route(graph, "compact")
         objects = graph.compact_index().node_objects
-        queries = [(Query.rpq(text), "rpq") for text in RPQ_POOL]
-        queries += [(Query.parse(text, dialect=dialect), dialect) for text, dialect in DATA_POOL]
+        queries = [Query.rpq(text) for text in RPQ_POOL]
+        queries += [Query.parse(text, dialect=dialect) for text, dialect in DATA_POOL]
         session = GraphSession(graph, policy=ExecutionPolicy(backend="compact"))
-        for query, dialect in queries:
+        for query in queries:
             for null_semantics in (False, True):
                 bits = engine.relation_bits(graph, query.plan, compact_route, null_semantics)
                 expected = query._evaluate(engine, graph, null_semantics, compact_route)
                 answer = session.run(query, null_semantics=null_semantics).pairs()
                 assert answer == expected
                 _cached, kept = session._results.peek((graph.version, query.key, null_semantics))
-                if dialect == "ree":
-                    assert bits is None and kept is None
-                else:
-                    assert bits.node_pairs(objects) == expected
-                    assert kept.rows == bits.rows
+                assert bits.node_pairs(objects) == expected
+                assert kept.rows == bits.rows
             for route in (
                 forced_route(graph, "dict"),
                 forced_route(graph, "sql"),

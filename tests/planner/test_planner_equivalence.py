@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.api import ExecutionPolicy, GraphSession, Query
 from repro.datagraph import generators
+from repro.engine import data as data_kernels
 from repro.engine import default_engine
 from repro.engine.partition import sharded_product_relation
 from repro.engine.product import seeded_product_relation
@@ -158,6 +159,42 @@ class TestEliminationMatchesTheSpec:
             "y, y :- (x, a, y)",
         ):
             assert_planner_matches_naive(graph, parse_crpq(text))
+
+
+    @pytest.mark.parametrize("null_semantics", [False, True], ids=["plain", "nulls"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x, y :- (x, ree:((a|b)+)!=, y)",
+            "x, z :- (x, ree:(a.a)=, y), (y, b, z)",
+            "x, y :- (x, ree:((a)!=)+, y), (y, b, z), (z, a, w)",
+        ],
+    )
+    def test_an_unseeded_ree_atom_answers_from_the_algebra_rows(
+        self, text, null_semantics, monkeypatch
+    ):
+        """A compact route scans an REE atom no join has bound the sources
+        of off the bottom-up algebra's bit rows (bound targets are a row
+        selection); the answer is the spec's, as on the dict route."""
+        calls = []
+        ree_relation = data_kernels.ree_relation
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return ree_relation(*args, **kwargs)
+
+        graph = community(12)
+        query = parse_crpq(text)
+        expected = evaluate_crpq_naive(
+            graph, query, null_semantics=null_semantics, engine=default_engine()
+        )
+        monkeypatch.setattr(data_kernels, "ree_relation", counting)
+        for backend in ("compact", "dict"):
+            session = GraphSession(graph, policy=ExecutionPolicy(backend=backend))
+            rows = session.run(Query.crpq(query), null_semantics=null_semantics).rows()
+            assert rows == expected, session.explain(Query.crpq(query))
+            assert len(calls) == (1 if backend == "compact" else 0)
+            calls.clear()
 
 
 def eliminated_atoms(text):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.api import GraphSession
 from repro.datagraph import NULL, DataGraph, GraphBuilder, enumerate_paths, generators
-from repro.datapaths import parse_ree, parse_rem, ree_matches, rem_matches
+from repro.datapaths import compile_rem, parse_ree, parse_rem, ree_matches, rem_matches
 from repro.engine import default_engine
 from repro.exceptions import EvaluationError, UnknownNodeError
 from repro.query import (
@@ -16,6 +16,8 @@ from repro.query import (
     data_rpq_holds,
     equality_rpq,
     evaluate_data_rpq_naive,
+    evaluate_ree_algebraic,
+    evaluate_via_register_automaton,
     memory_rpq,
 )
 
@@ -148,6 +150,18 @@ class TestMemoryRPQEvaluation:
             algebraic = _ids(default_engine().evaluate_data_rpq(value_graph, query, engine="algebraic"))
             automaton = _ids(default_engine().evaluate_data_rpq(value_graph, query, engine="automaton"))
             assert algebraic == automaton, text
+
+    def test_public_wrappers_agree_with_naive(self, value_graph):
+        # The module-level evaluators: the REE algebra, and the register
+        # product from an expression or from an automaton built elsewhere.
+        ree = parse_ree("((a|b)+)=")
+        assert evaluate_ree_algebraic(value_graph, ree) == evaluate_data_rpq_naive(
+            value_graph, equality_rpq(ree)
+        )
+        rem = parse_rem("!x.(a[x!=])+")
+        naive = evaluate_data_rpq_naive(value_graph, memory_rpq(rem))
+        assert evaluate_via_register_automaton(value_graph, rem) == naive
+        assert evaluate_via_register_automaton(value_graph, compile_rem(rem)) == naive
 
     def test_holds_helper(self, value_graph):
         assert data_rpq_holds(value_graph, equality_rpq("(a.a)="), "n0", "n2")
