@@ -22,16 +22,28 @@ pure overhead, so the gate only bounds that overhead (see ci.yml).
 
 Both sides answer every request and are checked against precomputed
 expected answers, so the benchmark cannot quietly win by dropping work.
+
+**Answer codec vs local decode** (gated) — what a full relation costs to
+cross the wire (``encode_answers`` → ``json.dumps`` → ``json.loads`` →
+``decode_answers``, no socket) beside what the same relation costs a
+local session to hand over (``BitRelation.node_pairs`` of its bit rows).
+Both end in one ``frozenset`` of ``Node`` pairs; CI holds the round trip
+at ≤ 5× the local decode (measures ≈ 3×; the per-pair document it
+replaced was ≈ 36×).
 """
 
 from __future__ import annotations
 
+import gc
+import json
 import threading
 
 import pytest
 
-from repro.api import GraphSession, Query, connect
+from repro.api import GraphSession, Query, connect, wire
 from repro.datagraph import generators
+from repro.engine import compact as compact_kernels
+from repro.engine import default_engine
 from repro.server import ReproServer, ServerConfig
 
 NUM_CLIENTS = 8
@@ -47,12 +59,16 @@ TRAFFIC = [
 ]
 
 
-@pytest.fixture(scope="module")
-def server_graph():
+def _community_graph(community_size: int):
     return generators.community_graph(
-        3, 120, intra_edges_per_node=3, bridges_per_community=4,
+        3, community_size, intra_edges_per_node=3, bridges_per_community=4,
         labels=("a", "b"), bridge_label="c", rng=17, domain_size=4,
     )
+
+
+@pytest.fixture(scope="module")
+def server_graph():
+    return _community_graph(120)
 
 
 @pytest.fixture(scope="module")
@@ -145,3 +161,41 @@ def bench_server_concurrent_throughput(benchmark, server_graph, requests, expect
         assert metrics["latency"]["p95_ms"] is not None
     finally:
         server.shutdown()
+
+
+# ----------------------------------------------------------------------
+# The answer codec against the local decode of the same relation
+# ----------------------------------------------------------------------
+#: ``(a|b)+`` stays inside a community: three dense blocks, 28k pairs.
+CLOSURE = Query.parse("(a|b)+")
+
+
+@pytest.fixture(scope="module")
+def closure_graph():
+    graph = _community_graph(100)
+    graph.compact_index().node_objects  # the column both sides decode against
+    return graph
+
+
+def bench_wire_answers_roundtrip(benchmark, closure_graph):
+    answers = GraphSession(closure_graph).run(CLOSURE).pairs()
+    gc.collect()
+
+    def roundtrip():
+        frame = json.dumps(wire.encode_answers(CLOSURE, answers), separators=(",", ":"))
+        return wire.decode_answers(CLOSURE, json.loads(frame)), len(frame)
+
+    decoded, frame_bytes = benchmark.pedantic(roundtrip, rounds=5, iterations=1)
+    benchmark.extra_info["num_pairs"] = len(answers)
+    benchmark.extra_info["frame_bytes"] = frame_bytes
+    assert decoded == answers and len(answers) > 25_000
+
+
+def bench_wire_answers_local_decode(benchmark, closure_graph):
+    compact = closure_graph.compact_index()
+    relation = compact_kernels.nfa_relation(compact, default_engine().compile_rpq(CLOSURE.plan))
+    objects = compact.node_objects
+    gc.collect()
+    pairs = benchmark.pedantic(lambda: relation.node_pairs(objects), rounds=5, iterations=1)
+    benchmark.extra_info["num_pairs"] = len(pairs)
+    assert pairs == GraphSession(closure_graph).run(CLOSURE).pairs()

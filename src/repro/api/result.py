@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Callable, FrozenSet, Iterator, Optional, Tuple
 
-from ..datagraph.node import Node
+from ..datagraph.node import Node, index_rows
 from ..datagraph.values import is_null
 from ..exceptions import EvaluationError
 from .query import Query, QueryKind
@@ -156,18 +156,16 @@ class Result:
 
     def to_json(self, indent: Optional[int] = None) -> str:
         """A deterministic JSON document describing the result."""
-        rows = sorted(
-            self.rows(), key=lambda row: tuple(node.sort_key() for node in row)
-        )
+        column, rows = index_rows(self.rows(), self.query.arity)
+        cells = [
+            {"id": _json_value(node.id), "value": _json_value(node.value)} for node in column
+        ]
         payload = {
             "query": str(self.query.plan),
             "kind": self.query.kind.value,
             "arity": self.query.arity,
             "count": len(rows),
-            "rows": [
-                [{"id": _json_value(node.id), "value": _json_value(node.value)} for node in row]
-                for row in rows
-            ],
+            "rows": [[cells[at] for at in row] for row in rows],
         }
         return json.dumps(payload, indent=indent, sort_keys=False)
 

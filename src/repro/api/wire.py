@@ -18,19 +18,22 @@ null maps to JSON ``null``.  Non-scalar ids or values raise
 :class:`~repro.exceptions.SerializationError`, matching the graph
 serialiser's contract.
 
-Answer sets are encoded in their natural shape — bare node sets for
-GXPath node expressions, node-tuple rows for everything else — and
-decoded against the query's kind, reconstructing real
-:class:`~repro.datagraph.node.Node` objects so a remote
+Answer sets travel as **rows over one node column** — the distinct nodes
+of the answer, each ``[id, value]`` once, plus integer index rows into
+that column (:func:`encode_answers`) — so a reply is O(answer) bytes, the
+same bytes for the same answer, and the decoder builds each
+:class:`~repro.datagraph.node.Node` once; a remote
 :class:`~repro.api.result.Result` behaves exactly like a local one.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, FrozenSet, Tuple
+from collections import defaultdict
+from itertools import chain, repeat
+from typing import Any, Dict, FrozenSet, List, Tuple
 
-from ..datagraph.node import Node
+from ..datagraph.node import Node, index_rows, sorted_column
 from ..datagraph.values import NULL, is_null
 from ..datapaths import conditions as _conditions
 from ..datapaths import ree as _ree
@@ -240,45 +243,94 @@ def decode_node(doc: Any) -> Node:
     return Node(decode_value(doc[0]), decode_value(doc[1]))
 
 
-def encode_answers(query: Query, answers: frozenset) -> Dict[str, Any]:
-    """One query's raw answer set in its natural shape, deterministically ordered."""
+def _answer_shape(query: Query) -> str:
     if query.kind is QueryKind.GXPATH_NODE:
-        return {
-            "shape": "nodes",
-            "nodes": [encode_node(node) for node in sorted(answers, key=Node.sort_key)],
-        }
-    return {
-        "shape": "rows",
-        "rows": [
-            [encode_node(node) for node in row]
-            for row in sorted(answers, key=lambda row: tuple(node.sort_key() for node in row))
-        ],
-    }
+        return "nodes"
+    return "relation" if query.arity == 2 else "tuples"
+
+
+def encode_answers(query: Query, answers: frozenset) -> Dict[str, Any]:
+    """One query's raw answer set as index rows over its node column.
+
+    ``nodes`` is the column: the distinct nodes of *answers*, sorted.
+    A ``relation`` (arity 2) adds ``targets`` — ascending column indices —
+    and, aligned with it, ``rows``: each target's sources, ascending;
+    ``tuples`` (any other arity) adds ``rows``, the answers as sorted index
+    tuples; for ``nodes`` (GXPath node expressions) the column is the answer.
+    """
+    shape = _answer_shape(query)
+    if shape == "nodes":
+        column, document = sorted(answers, key=Node.sort_key), {}
+    elif shape == "tuples":
+        column, rows = index_rows(answers, query.arity)
+        document = {"rows": rows}
+    else:
+        flat = list(chain.from_iterable(answers))
+        column, index = sorted_column(flat)
+        indices = list(map(index.__getitem__, flat))
+        sources_of = defaultdict(list)
+        for source, target in zip(indices[0::2], indices[1::2]):
+            sources_of[target].append(source)
+        targets = sorted(sources_of)
+        document = {"targets": targets, "rows": [sorted(sources_of[at]) for at in targets]}
+    return {"shape": shape, "nodes": [encode_node(node) for node in column], **document}
+
+
+def _checked_indices(indices: List, size: int) -> List:
+    """*indices* once every one is an ``int`` inside a column of *size*
+    (a negative one would wrap, ``true`` would pass for ``1``) — three C
+    passes, after which indexing the column cannot fail."""
+    if indices and not (set(map(type, indices)) == {int} and 0 <= min(indices) <= max(indices) < size):
+        raise SerializationError(f"answer rows must index a column of {size} nodes")
+    return indices
 
 
 def decode_answers(query: Query, doc: Any) -> FrozenSet:
     """Rebuild the raw answer set :func:`encode_answers` described.
 
-    The shape is driven by *query*'s kind (node sets for GXPath node
-    expressions, node tuples otherwise), so the result is exactly what a
-    local evaluation would have produced.
+    The shape is driven by *query*, so the result is exactly what a local
+    evaluation would have produced.  Every malformed document raises
+    :class:`~repro.exceptions.SerializationError`: another shape, a
+    missing or non-list field, an index that is no integer inside the
+    column, a wrong-arity, empty or repeated row, a repeated answer.
     """
-    if not isinstance(doc, dict):
-        raise SerializationError(f"malformed answers document {doc!r}")
-    if query.kind is QueryKind.GXPATH_NODE:
-        nodes = doc.get("nodes")
-        if not isinstance(nodes, list):
-            raise SerializationError(f"malformed node-set answers {doc!r}")
-        return frozenset(decode_node(node) for node in nodes)
+    shape = _answer_shape(query)
+    if not isinstance(doc, dict) or doc.get("shape") != shape:
+        found = doc.get("shape") if isinstance(doc, dict) else doc
+        raise SerializationError(f"{query} is answered by a {shape!r} document, got {found!r}")
+    nodes = doc.get("nodes")
+    if not isinstance(nodes, list):
+        raise SerializationError(f"{shape!r} answers document has no node column")
+    column = list(map(decode_node, nodes))
+    pick = column.__getitem__
     rows = doc.get("rows")
-    if not isinstance(rows, list):
-        raise SerializationError(f"malformed row answers {doc!r}")
-    decoded: set = set()
-    for row in rows:
-        if not isinstance(row, list):
-            raise SerializationError(f"malformed answer row {row!r}")
-        decoded.add(tuple(decode_node(node) for node in row))
-    return frozenset(decoded)
+    try:
+        if shape == "nodes":
+            answers, count = frozenset(column), len(column)
+        elif shape == "tuples":
+            arity, count = query.arity, len(rows)
+            if set(map(len, rows)) - {arity}:
+                raise SerializationError(f"{query} is answered by rows of {arity} indices")
+            indices = _checked_indices(list(chain.from_iterable(rows)), len(column))
+            # One iterator, *arity* times: zip deals the flat nodes back into rows.
+            answers = frozenset(zip(*[map(pick, indices)] * arity) if arity else map(tuple, rows))
+        else:
+            targets = doc.get("targets")
+            indices = _checked_indices([*targets, *chain.from_iterable(rows)], len(column))
+            count = len(indices) - len(targets)
+            if not (len(targets) == len(rows) == len(set(targets)) and all(rows)):
+                raise SerializationError("a relation needs one non-empty row per distinct target")
+            answers = frozenset(
+                chain.from_iterable(
+                    zip(map(pick, row), repeat(target))
+                    for row, target in zip(rows, map(pick, targets))
+                )
+            )
+    except TypeError as error:  # a field that is no list (of lists)
+        raise SerializationError(f"malformed {shape!r} answers document: {error}") from error
+    if len(answers) != count:
+        raise SerializationError(f"{shape!r} answers document repeats a node or an answer")
+    return answers
 
 
 # ----------------------------------------------------------------------

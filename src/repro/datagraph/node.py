@@ -9,11 +9,12 @@ No two nodes of the same graph may share a node id.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable
+from itertools import chain
+from typing import Collection, Dict, Hashable, Iterable, List, Tuple
 
 from .values import NULL, DataValue, is_null
 
-__all__ = ["NodeId", "Node", "make_node", "null_node"]
+__all__ = ["NodeId", "Node", "make_node", "null_node", "sorted_column", "index_rows"]
 
 #: Type alias for node identifiers: any hashable object.
 NodeId = Hashable
@@ -113,6 +114,26 @@ class Node(_HashSlot):
 _set_id = Node.__dict__["id"].__set__
 _set_value = Node.__dict__["value"].__set__
 _set_hash = _HashSlot.__dict__["_hash"].__set__
+
+
+def sorted_column(nodes: Iterable[Node]) -> Tuple[List[Node], Dict[Node, int]]:
+    """The distinct *nodes* in :meth:`Node.sort_key` order — the order
+    serialised answers are written in, at one key (two ``repr`` calls) per
+    distinct node instead of per node per row — and each one's index."""
+    column = sorted(set(nodes), key=Node.sort_key)
+    return column, dict(zip(column, range(len(column))))
+
+
+def index_rows(
+    rows: Collection[Tuple[Node, ...]], arity: int
+) -> Tuple[List[Node], List[Tuple[int, ...]]]:
+    """Node tuples of one *arity* as their :func:`sorted_column` plus the
+    sorted tuples of indices into it (the rows' order by node sort keys)."""
+    flat = list(chain.from_iterable(rows))
+    column, index = sorted_column(flat)
+    if not arity:
+        return column, sorted(rows)  # the empty tuple, or nothing
+    return column, sorted(zip(*[map(index.__getitem__, flat)] * arity))
 
 
 def make_node(node_id: NodeId, value: DataValue = NULL) -> Node:

@@ -472,7 +472,15 @@ class ReproServer:
                 try:
                     response = self._handle_request(connection, request)
                     try:
-                        self._reply(connection, response)
+                        try:
+                            self._reply(connection, response)
+                        except ProtocolError as error:
+                            # The reply outgrew ``max_frame_bytes``; nothing
+                            # was sent, so say why and keep serving.
+                            self.metrics.increment("unsendable_replies")
+                            self._reply(
+                                connection, error_payload(request.get("id"), "protocol", str(error))
+                            )
                     except (OSError, ProtocolError):
                         self.metrics.increment("disconnects_mid_query")
                         break

@@ -106,6 +106,7 @@ class ServerMetrics:
             "connections_active": 0,
             "protocol_errors": 0,
             "disconnects_mid_query": 0,
+            "unsendable_replies": 0,
             "pool_queries": 0,
             "pool_fallbacks": 0,
             "pool_respawns": 0,

@@ -65,6 +65,32 @@ class TestResultShapes:
         again = session.run(Query.rpq("r")).to_json()
         assert json.loads(again) == payload
 
+    @pytest.mark.parametrize(
+        "query",
+        [
+            Query.rpq("(r|s)+"),
+            Query.crpq(("x", "y", "z"), [("x", "r", "y"), ("y", "s", "z")]),
+            Query.crpq((), [("x", "r", "y")]),
+            Query.gxpath("<r>"),
+        ],
+        ids=str,
+    )
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_to_json_orders_rows_by_their_nodes_sort_keys(self, query, indent):
+        # The document sorts a node column once; this is the per-row sort
+        # it replaced, and the bytes must not differ.
+        result = GraphSession(diamond_graph()).run(query)
+        rows = sorted(result.rows(), key=lambda row: tuple(node.sort_key() for node in row))
+        assert len(rows) == result.count() > 0
+        reference = {
+            "query": str(query.plan),
+            "kind": query.kind.value,
+            "arity": query.arity,
+            "count": len(rows),
+            "rows": [[{"id": node.id, "value": node.value} for node in row] for row in rows],
+        }
+        assert result.to_json(indent=indent) == json.dumps(reference, indent=indent)
+
     def test_null_value_serialises_as_json_null(self):
         graph = GraphBuilder().node("n").node("m", 3).edge("n", "r", "m").build()
         payload = json.loads(GraphSession(graph).run(Query.rpq("r")).to_json())

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import GraphSession, Query
 from repro.api import wire
@@ -98,29 +100,229 @@ class TestValuesAndNodes:
         assert wire.decode_node(wire.encode_node(node)) == node
 
 
+#: One query per answer shape: ``(text, dialect, shape, arity)``.
+SHAPES = [
+    ("a.(b|c)*", "rpq", "relation", 2),
+    ("x,y :- (x, a, z), (z, b, y)", "crpq", "relation", 2),
+    ("x :- (x, a, y)", "crpq", "tuples", 1),
+    ("x,y,z :- (x, a, y), (y, b, z)", "crpq", "tuples", 3),
+    (":- (x, a, y)", "crpq", "tuples", 0),
+    ("<a.[<b>]>", "gxpath-node", "nodes", 1),
+]
+
+NAN = float("nan")
+#: ``tricky_graphs``' values (tests/engine/test_compact_backend.py): equal
+#: across types, the SQL null, NaN — and ids that are tuples, as the
+#: property-graph encoding makes them.
+TRICKY_NODES = [
+    Node(node_id, value)
+    for node_id, value in zip(
+        ["n0", "n1", "n2", ("person", 3), ("person", 4), "n5", 6, ("t", ("u", 7))],
+        [1, 1.0, True, 2, "1", NULL, NAN, float("nan")],
+    )
+]
+
+
+def hop(document):
+    """A real JSON hop: tuples become lists, NaN stays NaN."""
+    return json.loads(json.dumps(document))
+
+
+def spelled(answers):
+    """Answers by ``repr``: tells ``1`` / ``1.0`` / ``True`` apart, and
+    equates the NaN a decoder rebuilt with the one that was sent."""
+    if all(isinstance(answer, Node) for answer in answers):
+        return {answer.sort_key() for answer in answers}
+    return {tuple(node.sort_key() for node in row) for row in answers}
+
+
 class TestAnswerSets:
-    def test_row_answers_round_trip(self, valued_graph):
-        query = Query.parse("a.(b|c)*")
+    @pytest.mark.parametrize("text,dialect,shape,arity", SHAPES)
+    def test_every_shape_round_trips(self, text, dialect, shape, arity, valued_graph):
+        query = Query.parse(text, dialect=dialect)
+        assert query.arity == arity
         answers = GraphSession(valued_graph).run(query)._force()
         assert answers  # a trivial set would prove nothing
-        document = json.loads(json.dumps(wire.encode_answers(query, answers)))
-        assert wire.decode_answers(query, document) == answers
-
-    def test_node_answers_round_trip(self, valued_graph):
-        query = Query.parse("<a.[<b>]>", dialect="gxpath-node")
-        answers = GraphSession(valued_graph).run(query)._force()
         document = wire.encode_answers(query, answers)
-        assert document["shape"] == "nodes"
-        assert wire.decode_answers(query, document) == answers
+        assert document["shape"] == shape
+        assert wire.decode_answers(query, hop(document)) == answers
+        empty = wire.encode_answers(query, frozenset())
+        assert empty["nodes"] == [] and wire.decode_answers(query, hop(empty)) == frozenset()
+
+    def test_a_relation_is_one_node_column_plus_a_row_per_target(self, valued_graph):
+        query = Query.parse("a|b")
+        answers = GraphSession(valued_graph).run(query)._force()
+        document = hop(wire.encode_answers(query, answers))
+        column = [wire.decode_node(node) for node in document["nodes"]]
+        # Each node once, in sort-key order; targets and each row ascending.
+        assert column == sorted({node for pair in answers for node in pair}, key=Node.sort_key)
+        assert document["targets"] == sorted(set(document["targets"]))
+        assert all(row == sorted(set(row)) for row in document["rows"])
+        assert sum(map(len, document["rows"])) == len(answers)
+        assert answers == {
+            (column[source], column[target])
+            for target, row in zip(document["targets"], document["rows"])
+            for source in row
+        }
+
+    def test_reply_size_follows_the_answer_not_the_graph(self):
+        builder = GraphBuilder(name="wide")
+        for i in range(400):
+            builder.node(f"n{i}", i)
+        graph = builder.edge("n1", "a", "n2").edge("n3", "a", "n2").build()
+        document = wire.encode_answers(Query.parse("a"), GraphSession(graph).run("a")._force())
+        assert len(document["nodes"]) == 3 and document["rows"] == [[0, 2]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=st.sampled_from(SHAPES),
+        picks=st.lists(st.lists(st.sampled_from(TRICKY_NODES), min_size=3, max_size=3), max_size=40),
+        data=st.data(),
+    )
+    def test_round_trip_on_tricky_nodes(self, shape, picks, data):
+        text, dialect, _, arity = shape
+        query = Query.parse(text, dialect=dialect)
+        if dialect == "gxpath-node":
+            answers = frozenset(row[0] for row in picks)
+        else:
+            answers = frozenset(tuple(row[:arity]) for row in picks)
+        sent = json.dumps(wire.encode_answers(query, answers))
+        decoded = wire.decode_answers(query, json.loads(sent))
+        assert spelled(decoded) == spelled(answers) and len(decoded) == len(answers)
+        if "nan" not in sent.lower():
+            assert decoded == answers
+        # The same answer built in another order is the same bytes.
+        again = frozenset(data.draw(st.permutations(sorted(answers, key=repr))))
+        assert again == answers and json.dumps(wire.encode_answers(query, again)) == sent
 
     def test_encoding_is_deterministic(self, valued_graph):
         query = Query.parse("a|b")
         answers = GraphSession(valued_graph).run(query)._force()
         assert wire.encode_answers(query, answers) == wire.encode_answers(query, answers)
 
-    def test_malformed_answers_rejected(self):
-        query = Query.parse("a")
+
+def relation_document(**changes):
+    """A valid two-target relation over three nodes, with *changes* applied
+    (a value of ``...`` drops the field)."""
+    document = {
+        "shape": "relation",
+        "nodes": [["n1", 1], ["n2", "two"], ["n3", None]],
+        "targets": [1, 2],
+        "rows": [[0, 2], [0]],
+        **changes,
+    }
+    return {key: value for key, value in document.items() if value is not ...}
+
+
+class TestHostileAnswerDocuments:
+    """Every malformed document is a SerializationError — no IndexError /
+    TypeError / ValueError leaks and no document decodes to a wrong answer."""
+
+    RELATION = Query.parse("a")
+    TRIPLES = Query.parse("x,y,z :- (x, a, y), (y, b, z)", dialect="crpq")
+    NODES = Query.parse("<a>", dialect="gxpath-node")
+
+    def test_the_valid_documents_decode(self):
+        n1, n2, n3 = Node("n1", 1), Node("n2", "two"), Node("n3", NULL)
+        assert wire.decode_answers(self.RELATION, relation_document()) == {
+            (n1, n2), (n3, n2), (n1, n3)
+        }
+        triples = relation_document(shape="tuples", targets=..., rows=[[0, 1, 2], [2, 1, 0]])
+        assert wire.decode_answers(self.TRIPLES, triples) == {(n1, n2, n3), (n3, n2, n1)}
+        nodes = relation_document(shape="nodes", targets=..., rows=...)
+        assert wire.decode_answers(self.NODES, nodes) == {n1, n2, n3}
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"nodes": ...},  # no column
+            {"nodes": {"0": ["n1", 1]}},  # column is not a list
+            {"nodes": [["n1", 1], ["n2"], ["n3", None]]},  # malformed node
+            {"nodes": [["n1", 1], ["n2", "two"], ["n2", "two"]]},  # (n1, n2) twice
+            {"rows": ...},
+            {"rows": 7},
+            {"rows": {"0": [0]}},
+            {"rows": [[0, 2], 0]},  # a row that is no list
+            {"rows": [[0, 2], "0"]},
+            {"rows": [[0, 3], [0]]},  # out of range
+            {"rows": [[0, -1], [0]]},  # must not wrap to the last node
+            {"rows": [[0, 2.0], [0]]},
+            {"rows": [[0, "2"], [0]]},
+            {"rows": [[0, None], [0]]},
+            {"rows": [[0, True], [0]]},  # JSON true is not the index 1
+            {"rows": [[0, [2]], [0]]},
+            {"rows": [[0, 2], []]},  # empty target row
+            {"rows": [[0, 0], [0]]},  # a pair twice
+            {"rows": [[0, 2]]},  # fewer rows than targets
+            {"rows": [[0, 2], [0], [1]]},
+            {"targets": ...},
+            {"targets": [1, 1]},  # duplicate target row
+            {"targets": [1, -1]},
+            {"targets": [1, 3]},
+            {"targets": [1, "2"]},
+            {"targets": [1, None]},
+            {"targets": "12"},
+            {"shape": "tuples"},  # pairs must come as a relation
+            {"shape": "nodes"},
+            {"shape": "rows"},
+            {"shape": ...},
+        ],
+        ids=repr,
+    )
+    def test_malformed_relation_rejected(self, changes):
         with pytest.raises(SerializationError):
-            wire.decode_answers(query, {"shape": "rows"})
+            wire.decode_answers(self.RELATION, relation_document(**changes))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            None,
+            [[0, 1]],  # wrong arity
+            [[0, 1, 2, 0]],
+            [[0, 1, 2], [0, 1]],
+            [[0, 1], [2, 0, 1, 2]],  # six indices, but not two triples
+            [0, 1, 2],
+            ["012"],
+            [[0, 1, 3]],
+            [[0, 1, -3]],
+            [[0, 1, 2.0]],
+            [[0, 1, None]],
+            [[0, 1, 2], [0, 1, 2]],  # an answer twice
+        ],
+        ids=repr,
+    )
+    def test_malformed_tuples_rejected(self, rows):
+        document = relation_document(shape="tuples", targets=..., rows=rows)
         with pytest.raises(SerializationError):
-            wire.decode_answers(query, None)
+            wire.decode_answers(self.TRIPLES, document)
+
+    def test_a_boolean_answer_is_the_empty_tuple_at_most_once(self):
+        boolean = Query.parse(":- (x, a, y)", dialect="crpq")
+        assert wire.decode_answers(boolean, {"shape": "tuples", "nodes": [], "rows": [[]]}) == {()}
+        for rows in ([[], []], [[0]], [0]):
+            with pytest.raises(SerializationError):
+                wire.decode_answers(boolean, {"shape": "tuples", "nodes": [], "rows": rows})
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            None,
+            [],
+            "nodes",
+            {"shape": "nodes"},
+            {"shape": "nodes", "nodes": None},
+            {"shape": "nodes", "nodes": [["n1", 1], ["n1", 1]]},
+            relation_document(shape="tuples", targets=..., rows=[[0], [1], [2]]),
+            relation_document(),
+        ],
+        ids=repr,
+    )
+    def test_malformed_node_sets_rejected(self, document):
+        with pytest.raises(SerializationError):
+            wire.decode_answers(self.NODES, document)
+
+    def test_the_per_pair_rows_document_is_gone(self):
+        per_pair = {"shape": "rows", "rows": [[["n1", 1], ["n2", "two"]]]}
+        for query in (self.RELATION, self.TRIPLES, self.NODES):
+            with pytest.raises(SerializationError):
+                wire.decode_answers(query, per_pair)

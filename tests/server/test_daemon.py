@@ -32,7 +32,7 @@ from repro.engine.forkpool import fork_available
 from repro.exceptions import EvaluationError, UnknownNodeError
 from repro.server import ReproServer, ServerConfig
 from repro.server import daemon as daemon_module
-from repro.server.protocol import recv_frame, send_frame
+from repro.server.protocol import ProtocolError, recv_frame, send_frame
 
 QUERIES = [
     ("a.(b|c)+", "rpq"),
@@ -40,6 +40,14 @@ QUERIES = [
     ("!x.((a|b)[x!=])+", "rem"),
     ("x,y :- (x, a+, z), (z, b|c, y)", "crpq"),
     ("<a.[<b>]>", "gxpath-node"),
+]
+
+#: The remaining dialect, the other CRPQ head shapes and an empty answer.
+EXTRA_QUERIES = [
+    ("a-.(b)!=", "gxpath-path"),
+    ("x :- (x, a, y), (y, c, z)", "crpq"),
+    ("x,y,z :- (x, a, y), (y, c, z)", "crpq"),
+    ("zzz", "rpq"),
 ]
 
 
@@ -65,13 +73,30 @@ def served():
 
 
 class TestBasicOperations:
-    def test_every_dialect_matches_local_evaluation(self, served):
+    @pytest.mark.parametrize("null_semantics", [False, True])
+    def test_every_dialect_matches_local_evaluation(self, served, null_semantics):
         graph, address, _ = served
         local = GraphSession(graph)
+        queries = [Query.parse(text, dialect=dialect) for text, dialect in QUERIES + EXTRA_QUERIES]
+        counts = []
         with connect(address) as session:
-            for text, dialect in QUERIES:
-                query = Query.parse(text, dialect=dialect)
-                assert session.run(query).rows() == local.run(query).rows(), text
+            batch = session.run_many(queries, null_semantics=null_semantics)
+            for query, batched in zip(queries, batch):
+                expected = local.run(query, null_semantics=null_semantics)
+                remote = session.run(query, null_semantics=null_semantics)
+                # Result equality is query + rows; the accessors and the
+                # JSON document must agree too.
+                assert remote == expected and batched == expected, str(query)
+                assert remote.to_json() == expected.to_json()
+                assert remote.count() == expected.count()
+                if query.arity == 2:
+                    assert remote.pairs() == expected.pairs()
+                if query.arity == 1:
+                    assert remote.nodes() == expected.nodes()
+                for row in list(expected.rows())[:3]:
+                    assert remote.holds(*row) and remote.holds(*(node.id for node in row))
+                counts.append(expected.count())
+        assert counts[-1] == 0 and all(counts[:-1])  # exactly the one empty answer
 
     def test_run_many_and_targets(self, served):
         graph, address, _ = served
@@ -382,6 +407,24 @@ class TestProtocolAbuse:
             assert recv_frame(sock)["pong"] is True  # still serving
         finally:
             sock.close()
+
+    def test_reply_over_the_frame_limit_is_a_typed_error(self):
+        graph = make_graph()
+        limit = 4096
+        with ReproServer(graph, ServerConfig(max_frame_bytes=limit)) as server:
+            with connect(server.address) as session:
+                with pytest.raises(ProtocolError) as raised:
+                    session.run("(a|b|c)+")  # thousands of pairs
+                size = int(str(raised.value).split()[2])  # "frame of N bytes exceeds ..."
+                assert size > limit and f"{limit}-byte limit" in str(raised.value)
+                # Nothing of the reply was sent, so the stream is intact.
+                assert session.ping()
+                source = next(iter(graph.node_ids))
+                assert session.targets("a", source) == GraphSession(graph).targets("a", source)
+                assert session.run("zzz").count() == 0
+            counters = server.metrics.counters
+            assert counters["unsendable_replies"] == 1
+            assert counters["disconnects_mid_query"] == counters["protocol_errors"] == 0
 
     def test_mid_query_disconnect_leaves_the_server_healthy(self, served):
         graph, address, _ = served
