@@ -14,7 +14,10 @@ Four comparisons on multi-community scenario graphs:
   ratio is a constant-factor claim about the kernels and holds on any
   core count.
 * **Data-RPQ mask pass** (gated) — the REM register kernel over CSR
-  rows vs the dict mask pass, through full sessions.  Both sit on the
+  rows vs the dict mask pass, through the engine with
+  ``engine="automaton"`` (since ISSUE 24 a session answers this scoped
+  REM with the bit-row algebra on either index; the register kernels
+  keep cross-scope REMs and are forced here).  Both sit on the
   same :class:`~repro.datapaths.register_automata.RegisterStepper`
   (interned ``(state, valuation)`` pairs, per-value closure memo); the
   compact kernel additionally runs on int configurations, so CI gates
@@ -121,17 +124,17 @@ def bench_dict_rpq_full_relation(benchmark):
 # ----------------------------------------------------------------------
 def _bench_datarpq_mask_pass(benchmark, backend: str):
     graph = _scenario_graph(6, 50)
-    query = Query.parse(REM_QUERY, dialect="rem")
-    session = GraphSession(
-        graph, policy=ExecutionPolicy(cache_results=False, backend=backend)
-    )
+    query = Query.parse(REM_QUERY, dialect="rem").plan
+    engine = default_engine()
+
+    def register_pass(backend: str):
+        route = route_point(graph, ExecutionPolicy(backend=backend))
+        return engine.evaluate_data_rpq(graph, query, engine="automaton", route=route)
+
     _warm(graph, backend)
-    pairs = benchmark.pedantic(lambda: session.run(query).pairs(), rounds=1, iterations=1)
+    pairs = benchmark.pedantic(register_pass, args=(backend,), rounds=1, iterations=1)
     if backend == "compact":
-        dict_session = GraphSession(
-            graph, policy=ExecutionPolicy(cache_results=False, backend="dict")
-        )
-        assert pairs == dict_session.run(query).pairs()
+        assert pairs == register_pass("dict")
 
 
 def bench_compact_datarpq_mask_pass(benchmark):

@@ -28,13 +28,26 @@ memo.
 The REE is measured a third way, untranslated: the bottom-up bit-row
 algebra (:func:`repro.engine.data.ree_relation`) over the same index,
 which the same gate holds at least 2x under the translated mask pass.
+
+Since ISSUE 24 the same algebra answers scoped REMs with registers as
+origin masks.  ``bench_datarpq_rem_bit_rows`` runs the memory RPQ
+through it, gated >= 2x the *compact* register mask pass
+(``bench_datarpq_compact_mask_kernel``, the kernel it replaced);
+``bench_datarpq_rem_distinct_values`` repeats it with every value
+distinct — where valuations multiply under the register product and the
+algebra does not notice; ``bench_datarpq_rem_deep_chain`` holds the
+position worklist of ``e+`` in origin mode within 3x of the closed-mode
+closure (``bench_datarpq_ree_deep_chain``) on a 1,200-deep chain, where
+a level-synchronous ``e+`` pays one round per level (~500 ms).
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.datagraph import generators
 from repro.datapaths import compile_rem, parse_ree, parse_rem, ree_to_rem
+from repro.engine import compact as compact_kernels
 from repro.engine import data as data_kernels
 from repro.workloads import multi_community_scenario
 
@@ -47,12 +60,25 @@ COMMUNITY_SIZE = 20
 REM_QUERY = "!x.((knows|bridge)[x!=])+"
 #: The equality RPQ (REE → REM translation): same-value reachability.
 REE_QUERY = "((knows|bridge)+)="
+#: Nodes of the all-distinct chain under ``!x.(a[x!=])+`` / ``((a)+)!=``.
+CHAIN_NODES = 1200
 
 
 @pytest.fixture(scope="module")
-def community_index():
-    scenario = multi_community_scenario(NUM_COMMUNITIES, COMMUNITY_SIZE, rng=17)
-    return scenario.source.label_index()
+def community_graph():
+    return multi_community_scenario(NUM_COMMUNITIES, COMMUNITY_SIZE, rng=17).source
+
+
+@pytest.fixture(scope="module")
+def community_index(community_graph):
+    return community_graph.label_index()
+
+
+@pytest.fixture(scope="module")
+def chain_index():
+    compact = generators.chain(CHAIN_NODES - 1, value_of=lambda i: i).compact_index()
+    compact.value_classes  # derived once per snapshot, as in a session
+    return compact
 
 
 @pytest.fixture(scope="module")
@@ -125,3 +151,57 @@ def bench_datarpq_ree_bit_rows(benchmark, community_index, expected_ree):
         iterations=1,
     )
     assert relation.id_pairs() == expected_ree
+
+
+# ----------------------------------------------------------------------
+# The memory RPQ on bit rows: registers as origin masks (ISSUE 24)
+# ----------------------------------------------------------------------
+def bench_datarpq_compact_mask_kernel(benchmark, community_graph, rem_automaton, expected_rem):
+    relation = benchmark.pedantic(
+        compact_kernels.register_relation,
+        args=(community_graph.compact_index(), rem_automaton),
+        rounds=1,
+        iterations=1,
+    )
+    assert relation.id_pairs() == expected_rem
+
+
+def bench_datarpq_rem_bit_rows(benchmark, community_graph, expected_rem):
+    relation = benchmark.pedantic(
+        data_kernels.ree_relation,
+        args=(community_graph.compact_index(), parse_rem(REM_QUERY)),
+        rounds=1,
+        iterations=1,
+    )
+    assert relation.id_pairs() == expected_rem
+
+
+def bench_datarpq_rem_distinct_values(benchmark, community_graph, rem_automaton):
+    distinct = community_graph.map_values(lambda node: node.id).compact_index()
+    relation = benchmark.pedantic(
+        data_kernels.ree_relation,
+        args=(distinct, parse_rem(REM_QUERY)),
+        rounds=1,
+        iterations=1,
+    )
+    assert relation.id_pairs() == compact_kernels.register_relation(distinct, rem_automaton).id_pairs()
+
+
+def bench_datarpq_ree_deep_chain(benchmark, chain_index):
+    relation = benchmark.pedantic(
+        data_kernels.ree_relation,
+        args=(chain_index, parse_ree("((a)+)!=")),
+        rounds=1,
+        iterations=1,
+    )
+    assert relation.count() == CHAIN_NODES * (CHAIN_NODES - 1) // 2
+
+
+def bench_datarpq_rem_deep_chain(benchmark, chain_index):
+    relation = benchmark.pedantic(
+        data_kernels.ree_relation,
+        args=(chain_index, parse_rem("!x.(a[x!=])+")),
+        rounds=1,
+        iterations=1,
+    )
+    assert relation.count() == CHAIN_NODES * (CHAIN_NODES - 1) // 2

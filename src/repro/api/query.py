@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, FrozenSet, Iterable, Optional, Sequence, Tuple, Union
 
 from ..datapaths import RegexWithEquality, RegexWithMemory, parse_ree, parse_rem
+from ..datapaths.fragments import scope_violation
 from ..exceptions import EvaluationError, ParseError, UnsupportedQueryError
 from ..gxpath.ast import NodeExpression, PathExpression
 from ..gxpath.parser import parse_gxpath_node, parse_gxpath_path
@@ -288,13 +289,16 @@ class Query:
                 "forward-expand → backward-prune → mask-propagate → decode"
             )
         if kind is QueryKind.DATA_RPQ:
-            if isinstance(self.plan.expression, RegexWithEquality):
+            # The fragment test the engine dispatches on, so this is what runs.
+            violation = scope_violation(self.plan.expression)
+            if violation is None:
                 return (
-                    "data_rpq: bottom-up REE algebra on per-target source bitmasks "
-                    "(a partitioned driver translates to REM and runs the register product)"
+                    "data_rpq: bit-row algebra, registers as origin masks "
+                    "(a partitioned driver runs the register product)"
                 )
             return (
-                "data_rpq: register-automaton × graph product, one full-relation mask pass"
+                "data_rpq: register product (register-automaton × graph, one full-relation "
+                f"mask pass) — outside the scoped fragment: {violation}"
             )
         return (
             f"{kind.value}: recursive GXPath evaluation over the label index; "

@@ -13,12 +13,19 @@ The helpers here classify an expression object into these fragments and
 translate REE expressions into REM expressions (every equality RPQ is a
 memory RPQ — the converse fails).  The translation threads one fresh
 register per subscripted sub-expression.
+
+One more fragment is syntactic rather than the paper's: the **scoped**
+expressions (:func:`scope_violation`), in which a register only ever
+holds the value of the node its ``↓`` was entered at while it is read.
+Every translated REE is scoped; the engine evaluates scoped expressions
+on origin bitmasks (:func:`repro.engine.data.ree_relation`) and keeps
+the register product for the rest.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Union
+from typing import FrozenSet, Optional, Tuple, Union
 
 from .conditions import Equal, NotEqual
 from .path_tests import is_path_with_tests
@@ -43,7 +50,16 @@ from .ree import (
     ReeUnion,
 )
 
-__all__ = ["Fragment", "classify", "is_equality_only", "ree_to_rem", "DataPathExpression"]
+__all__ = [
+    "Fragment",
+    "classify",
+    "is_equality_only",
+    "ree_to_rem",
+    "free_registers",
+    "scope_violation",
+    "is_scoped",
+    "DataPathExpression",
+]
 
 #: Either kind of data-path expression.
 DataPathExpression = Union[RegexWithMemory, RegexWithEquality]
@@ -121,3 +137,67 @@ def ree_to_rem(expression: RegexWithEquality) -> RegexWithMemory:
         raise TypeError(f"unknown REE node {node!r}")  # pragma: no cover - defensive
 
     return translate(expression)
+
+
+# ----------------------------------------------------------------------
+# The scoped fragment: registers that are origin values
+# ----------------------------------------------------------------------
+def free_registers(expression: RegexWithMemory) -> FrozenSet[str]:
+    """The registers some test of *expression* reads that no ``↓``
+    enclosing that test inside *expression* binds."""
+    if isinstance(expression, RemTest):
+        return free_registers(expression.inner) | expression.condition.variables()
+    if isinstance(expression, RemBind):
+        return free_registers(expression.inner) - frozenset(expression.variables_bound)
+    if isinstance(expression, (RemConcat, RemUnion)):
+        return free_registers(expression.left) | free_registers(expression.right)
+    if isinstance(expression, RemPlus):
+        return free_registers(expression.inner)
+    return frozenset()
+
+
+def scope_violation(expression: DataPathExpression) -> Optional[str]:
+    """Why *expression* is outside the scoped fragment (``None`` inside it).
+
+    Two rules: every register a test reads is bound by the **innermost**
+    ``↓`` enclosing that test, and no ``↓`` re-binds a register of a
+    ``↓`` it is nested in.  Stores happen only at ``↓`` and control
+    cannot leave a bind's body while its registers are live, so under
+    both rules a register read at a test holds the value of the node its
+    bind was entered at — ``(↓x.a[x≠])+``, ``↓x,y.(a[x= ∨ y≠])+`` and
+    every :func:`ree_to_rem` output qualify; ``(↓x.a).b[x=]`` (read after
+    the bind closed, or never bound), ``↓x.(a.(↓x.b).c[x=])`` (re-bound
+    underneath) and ``↓x.(a.↓y.(b[x= ∧ y≠]))`` (read across ``↓y``) do not.
+    """
+    if isinstance(expression, RegexWithEquality):
+        return None  # one fresh register per subscript, read where it is bound
+
+    def visit(
+        node: RegexWithMemory, innermost: Tuple[str, ...], enclosing: FrozenSet[str]
+    ) -> Optional[str]:
+        if isinstance(node, RemTest):
+            stray = sorted(node.condition.variables() - frozenset(innermost))
+            if stray:
+                where = f"across ↓{','.join(innermost)}" if innermost else "outside every ↓"
+                return f"the test [{node.condition}] reads register {stray[0]!r} {where}"
+            return visit(node.inner, innermost, enclosing)
+        if isinstance(node, RemBind):
+            bound = node.variables_bound
+            again = sorted(enclosing.intersection(bound))
+            if again:
+                return f"↓{','.join(bound)} re-binds register {again[0]!r} of a ↓ it is nested in"
+            return visit(node.inner, bound, enclosing | frozenset(bound))
+        if isinstance(node, (RemConcat, RemUnion)):
+            return visit(node.left, innermost, enclosing) or visit(
+                node.right, innermost, enclosing
+            )
+        if isinstance(node, RemPlus):
+            return visit(node.inner, innermost, enclosing)
+        return None
+
+    return visit(expression, (), frozenset())
+
+
+def is_scoped(expression: DataPathExpression) -> bool:
+    """Whether *expression* is in the scoped fragment (see :func:`scope_violation`)."""
+    return scope_violation(expression) is None

@@ -8,9 +8,12 @@ nodes — following predecessor edges on the *new* index, restricted to
 the labels the query's automaton can actually read.  Re-running the
 product kernels seeded only from that closure (linear in the closure,
 not the graph) and unioning into the cached answer reproduces the fresh
-evaluation bit for bit.  The re-run uses the kernel family of the
-query's resolved route; on the compact kernels the merge happens on bit
-rows and only the pairs the cached answer lacks are decoded.
+evaluation bit for bit.  The re-run is the seeded scan of the query's
+resolved route — the same ``EvaluationEngine.atom_bits`` dispatch that
+computed the cached answer, so a scoped data RPQ is repaired by the
+bit-row algebra and a cross-scope one by the register kernel; on the
+compact kernels the merge happens on bit rows and only the pairs the
+cached answer lacks are decoded.
 
 The repair declines (returns ``None``) whenever the argument does not
 hold or would not pay off: removals or value changes (non-monotone),
@@ -27,7 +30,6 @@ from typing import TYPE_CHECKING, FrozenSet, Iterable, Optional, Set
 from ..datagraph.index import LabelIndex
 from ..datagraph.node import NodeId
 from ..engine.bitrelation import CachedRelation
-from ..engine.compact import compact_space_relation
 from .delta import GraphDelta
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -132,18 +134,19 @@ def repair_full_relation(
         return None
     ordered = sorted(seeds, key=index.position.__getitem__)
     rows, bits = cached
-    if route.kernel == "compact":
-        compact = graph.compact_index()
-        new = compact_space_relation(space, compact, sources=ordered)
+    if route.driver != "sequential":
+        route = dataclasses.replace(route, driver="sequential", workers=1)
+    new = engine.atom_bits(
+        graph, plan.plan, route, sources=ordered, null_semantics=null_semantics
+    )
+    if new is not None:
         if bits is not None and bits.extended_by(new):
             bits, new = bits.union(new), new.minus(bits)
         else:
             bits = None
         if new.rows:
-            rows = rows | new.node_pairs(compact.node_objects)
+            rows = rows | new.node_pairs(graph.compact_index().node_objects)
         return rows, bits
-    if route.driver != "sequential":
-        route = dataclasses.replace(route, driver="sequential", workers=1)
     new_pairs = engine.evaluate_atom_ids(
         graph, plan.plan, sources=ordered, null_semantics=null_semantics, route=route
     )

@@ -1,42 +1,48 @@
 """Index-driven evaluation kernels for data RPQs (REE and REM).
 
-These are the engine-side counterparts of the two evaluation strategies
-described in :mod:`repro.query.data_rpq_eval`:
+Two kernels, one per side of the syntactic fragment test
+:func:`repro.datapaths.fragments.scope_violation`:
 
-* the bottom-up relational algebra for equality RPQs (REE), and
-* the register-automaton × graph product for memory RPQs (REM).
+* the **bit-row algebra** (:func:`ree_relation`) for *scoped*
+  expressions — every REE (``ree_to_rem`` sugar: one fresh register per
+  subscript) and each REM whose registers are only read under the bind
+  that stored them.  There a register holds the value of the node its
+  bind was entered at, so ``x=`` / ``x≠`` at a node is a mask over
+  *origin* bits and the expression is evaluated by pushing ``{position:
+  origins arrived here}`` rows through it, full or seeded, over either
+  index type (:class:`~repro.datagraph.index.LabelIndex` or its CSR
+  twin); cost does not depend on how many distinct values there are;
+* the **register-automaton × graph product** for the cross-scope rest,
+  here over a ``LabelIndex`` on plain node ids (int-id twin:
+  :func:`repro.engine.compact.register_relation`), with its automata
+  compiled once per query by the
+  :class:`~repro.engine.engine.EvaluationEngine`.
 
-The REE algebra produces bit rows over either index type
-(:class:`~repro.datagraph.index.LabelIndex` or its CSR twin) and hands
-back a :class:`~repro.engine.bitrelation.BitRelation`; the register
-entry points here work over a ``LabelIndex`` on plain node ids (int-id
-twin: :func:`repro.engine.compact.register_relation`).  The
-:class:`~repro.engine.engine.EvaluationEngine` translates to
+Both hand back id-level relations; the engine translates to
 :class:`~repro.datagraph.node.Node` pairs at the boundary.
-Automaton compilation (``compile_rem``, the REE→REM translation) is
-cached by the :class:`~repro.engine.engine.EvaluationEngine`, so repeated
-evaluation of one query over many graphs — the shape of the adversarial
-certain-answer loops — compiles exactly once.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, List, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
 from ..datagraph.compact import CompactLabelIndex
 from ..datagraph.index import LabelIndex
 from ..datagraph.node import NodeId
 from ..datapaths import RegisterAutomaton, Valuation
-from ..datapaths.ree import (
-    ReeConcat,
-    ReeEpsilon,
-    ReeEqualTest,
-    ReeLetter,
-    ReeNotEqualTest,
-    ReePlus,
-    ReeUnion,
-    RegexWithEquality,
+from ..datapaths.conditions import And, Condition, Equal, NotEqual, Or
+from ..datapaths.fragments import DataPathExpression, free_registers, ree_to_rem, scope_violation
+from ..datapaths.ree import RegexWithEquality
+from ..datapaths.rem import (
+    RegexWithMemory,
+    RemBind,
+    RemConcat,
+    RemEpsilon,
+    RemLetter,
+    RemPlus,
+    RemTest,
+    RemUnion,
 )
 from ..exceptions import EvaluationError
 from . import product
@@ -50,85 +56,218 @@ __all__ = [
 ]
 
 IdPair = Tuple[NodeId, NodeId]
-#: One sub-expression's relation: ``target position -> source bitmask``.
+#: One sub-expression's relation: ``target position -> source bitmask``
+#: (in origin mode: ``position -> bitmask of the origins arrived there``).
 Rows = Dict[int, int]
+Pusher = Callable[[Rows], Rows]
 
 
 # ----------------------------------------------------------------------
-# Bottom-up relational algebra for REE, on bit rows
+# The bit-row algebra for scoped data RPQs (every REE, most REMs)
 # ----------------------------------------------------------------------
 def ree_relation(
     index: Union[LabelIndex, CompactLabelIndex],
-    expression: RegexWithEquality,
+    expression: DataPathExpression,
     null_semantics: bool = False,
+    sources: Optional[Iterable[NodeId]] = None,
 ) -> BitRelation:
-    """The relation of an equality RPQ, computed bottom-up on bit rows.
-
-    Every sub-expression denotes ``{target position: source bitmask}``
-    rows over *index*'s dense ordering (either index type: the algebra
-    reads only the ordering, the value classes and per-label predecessor
-    lists), evaluated once per *structurally* distinct sub-expression.
+    """The relation of a scoped data RPQ — an REE, or a REM passing
+    :func:`~repro.datapaths.fragments.scope_violation` — on bit rows,
+    over either index type; with *sources*, only the pairs starting at
+    one of them, exploring only what they reach.
     """
-    same, nulls = index.value_classes
-    dead = nulls if null_semantics else 0  # positions no comparison is true at
-    positions = range(len(index.nodes))
-    memo: Dict[RegexWithEquality, Rows] = {}
+    reason = scope_violation(expression)
+    if reason is not None:
+        raise EvaluationError(f"the bit-row algebra evaluates scoped expressions only: {reason}")
+    if isinstance(expression, RegexWithEquality):
+        expression = ree_to_rem(expression)
+    algebra = _OriginAlgebra(index, null_semantics, seeded=sources is not None)
+    if sources is None:
+        rows = algebra.closed(expression)
+    else:
+        at = index.position.get
+        seeds = {u: 1 << u for u in map(at, sources) if u is not None}
+        rows = algebra.pusher(expression)(seeds)
+    return BitRelation(index.nodes, index.position, rows)
 
-    def relation(rows: Rows) -> BitRelation:
-        return BitRelation(index.nodes, index.position, rows)
 
-    def evaluate(expr: RegexWithEquality) -> Rows:
-        rows = memo.get(expr)
+class _OriginAlgebra:
+    """One evaluation's two mutually recursive modes over bit rows.
+
+    **Closed** (:meth:`closed`): a sub-expression that reads no outer
+    register denotes a relation, ``{target: source bitmask}`` rows built
+    bottom-up and memoised per *structurally* equal sub-expression;
+    ``↓x̄.e`` is *e* pushed from the identity.  **Origin**
+    (:meth:`pusher`): inside a bind's body a register holds the value of
+    the node the bind was entered at — its *origin* — so control state is
+    ``{position: origins that arrived here}`` rows and a test is one AND
+    per row with the origins the condition admits at that position.
+    Unseeded, a closed sub-expression met at the identity is its memoised
+    relation; a seeded evaluation only ever pushes.
+    """
+
+    def __init__(self, index, null_semantics: bool, seeded: bool):
+        self.index = index
+        self.same, nulls = index.value_classes
+        self.dead = nulls if null_semantics else 0  # positions no comparison is true at
+        self.positions = range(len(index.nodes))
+        self.identity: Optional[Rows] = None if seeded else {v: 1 << v for v in self.positions}
+        self.relations: Dict[RegexWithMemory, Rows] = {}
+        self.pushers: Dict[RegexWithMemory, Pusher] = {}
+
+    def closed(self, expr: RegexWithMemory) -> Rows:
+        rows = self.relations.get(expr)
         if rows is not None:
             return rows
-        if isinstance(expr, ReeEpsilon):
-            rows = {v: 1 << v for v in positions}
-        elif isinstance(expr, ReeLetter):
-            rows = _letter_rows(index, expr.symbol)
-        elif isinstance(expr, ReeConcat):
-            rows = _compose(evaluate(expr.left), evaluate(expr.right), positions)
-        elif isinstance(expr, ReeUnion):
-            rows = relation(evaluate(expr.left)).union(relation(evaluate(expr.right))).rows
-        elif isinstance(expr, ReePlus):
-            rows = _closure(evaluate(expr.inner), positions)
-        elif isinstance(expr, (ReeEqualTest, ReeNotEqualTest)):
-            # One AND per row with the class of the target's value (a
-            # target holding the null compares with nothing).
-            want_equal = isinstance(expr, ReeEqualTest)
-            rows = {}
-            for v, mask in evaluate(expr.inner).items():
-                equal = same[v]
-                mask &= equal if want_equal else ~(equal | dead)
-                if mask and not equal & dead:
-                    rows[v] = mask
-        else:  # pragma: no cover - defensive
-            raise EvaluationError(f"unknown REE node {expr!r}")
-        memo[expr] = rows
+        if isinstance(expr, RemConcat):
+            rows = _compose(self.closed(expr.left), self.closed(expr.right), self.positions)
+        elif isinstance(expr, RemUnion):
+            rows = _union(self.closed(expr.left), self.closed(expr.right))
+        elif isinstance(expr, RemPlus):
+            rows = _closure(self.closed(expr.inner), self.positions)
+        elif isinstance(expr, RemBind):
+            rows = self.pusher(expr.inner)(self.identity)
+        elif isinstance(expr, RemTest):  # closed, so its condition reads nothing: ⊤
+            rows = self.closed(expr.inner)
+        else:  # ε, a letter
+            rows = self.pusher(expr)(self.identity)
+        self.relations[expr] = rows
         return rows
 
-    return relation(evaluate(expression))
+    def pusher(self, expr: RegexWithMemory) -> Pusher:
+        """*expr* as a function from arrived rows to the rows after it."""
+        push = self.pushers.get(expr)
+        if push is None:
+            push = self._build(expr)
+            leaf = isinstance(expr, (RemEpsilon, RemLetter))  # whose relation *is* its push
+            if self.identity is not None and not leaf and not free_registers(expr):
+                identity, closed, pushed = self.identity, self.closed, push
+
+                def push(arrived: Rows) -> Rows:
+                    return closed(expr) if arrived is identity else pushed(arrived)
+
+            self.pushers[expr] = push
+        return push
+
+    def _build(self, expr: RegexWithMemory) -> Pusher:
+        if isinstance(expr, RemEpsilon):
+            return lambda arrived: arrived
+        if isinstance(expr, RemLetter):
+            return _letter_pusher(self.index, expr.symbol)
+        if isinstance(expr, RemPlus):
+            return _plus_pusher(self.pusher(expr.inner))
+        if isinstance(expr, RemTest):
+            return _test_pusher(self.pusher(expr.inner), self._allowed(expr.condition))
+        if isinstance(expr, RemBind):
+            # A nested bind is closed: restart the origins at the arrived
+            # positions and carry the arrived masks across what they reach.
+            inner, positions = self.pusher(expr.inner), self.positions
+
+            def push(arrived: Rows) -> Rows:
+                restarted = {u: 1 << u for u in arrived}
+                rows = inner(restarted)
+                return rows if restarted == arrived else _compose(arrived, rows, positions)
+
+            return push
+        if not isinstance(expr, (RemConcat, RemUnion)):  # pragma: no cover - defensive
+            raise EvaluationError(f"unknown REM node {expr!r}")
+        left, right = self.pusher(expr.left), self.pusher(expr.right)
+        if isinstance(expr, RemConcat):
+            return lambda arrived: right(left(arrived))
+        return lambda arrived: _union(left(arrived), right(arrived))
+
+    def _allowed(self, condition: Condition) -> Callable[[int], int]:
+        """``position -> the origins whose value satisfies *condition*
+        against the value there`` (``-1``: all of them)."""
+        if isinstance(condition, (Equal, NotEqual)):
+            same, dead, want_equal = self.same, self.dead, isinstance(condition, Equal)
+            def allowed(v: int) -> int:
+                equal = same[v]
+                if equal & dead:  # a position holding the null compares with nothing
+                    return 0
+                return equal if want_equal else ~(equal | dead)
+
+            return allowed
+        if isinstance(condition, (And, Or)):
+            left, right = self._allowed(condition.left), self._allowed(condition.right)
+            if isinstance(condition, And):
+                return lambda v: left(v) & right(v)
+            return lambda v: left(v) | right(v)
+        return lambda v: -1  # ⊤
 
 
-def _letter_rows(index: Union[LabelIndex, CompactLabelIndex], label: str) -> Rows:
-    """One label's edges: per target, the OR of its predecessors' bits —
-    off the transposed CSR rows, or the dict index's predecessor map
-    sent through ``position``."""
+def _letter_pusher(index: Union[LabelIndex, CompactLabelIndex], label: str) -> Pusher:
+    """Arrived masks along one label's *forward* edges — CSR rows, or the
+    dict index's targets sent through ``position`` — so a push costs what
+    its frontier's out-edges do, not the graph."""
     if isinstance(index, CompactLabelIndex):
-        row = index.csr_t(label)
+        row = index.csr(label)
         if row is None:
-            return {}
+            return lambda arrived: {}
         offsets, neighbors = row
-        lists = ((v, neighbors[offsets[v] : offsets[v + 1]]) for v in range(index.num_nodes))
+
+        def push(arrived: Rows) -> Rows:
+            rows: Rows = {}
+            for u, mask in arrived.items():
+                for v in neighbors[offsets[u] : offsets[u + 1]]:
+                    rows[v] = rows.get(v, 0) | mask
+            return rows
+
     else:
-        at = index.position.__getitem__
-        lists = ((at(v), map(at, sources)) for v, sources in index.predecessors(label).items())
-    rows: Rows = {}
-    for v, sources in lists:
-        mask = 0
-        for u in sources:
-            mask |= 1 << u
-        if mask:
-            rows[v] = mask
+        nodes, at, targets = index.nodes, index.position.__getitem__, index.targets
+
+        def push(arrived: Rows) -> Rows:
+            rows: Rows = {}
+            for u, mask in arrived.items():
+                for v in map(at, targets(label, nodes[u])):
+                    rows[v] = rows.get(v, 0) | mask
+            return rows
+
+    return push
+
+
+def _test_pusher(inner: Pusher, allowed: Callable[[int], int]) -> Pusher:
+    def push(arrived: Rows) -> Rows:
+        rows: Rows = {}
+        for v, mask in inner(arrived).items():
+            mask &= allowed(v)
+            if mask:
+                rows[v] = mask
+        return rows
+
+    return push
+
+
+def _plus_pusher(inner: Pusher) -> Pusher:
+    """One or more *inner* steps as a worklist over positions: a position
+    re-pushes only the origins it gained since its last turn, and the
+    waiting positions are swept in index order, alternately up and down
+    — a chain is finished in two sweeps whichever way its edges point,
+    where FIFO order needs one pass per level against the ordering and
+    level-synchronous rounds one per level either way."""
+
+    def push(arrived: Rows) -> Rows:
+        rows = dict(inner(arrived))  # the first step, by every arrival at once
+        waiting = dict(rows)  # origins a position has yet to push onwards
+        descending = False
+        while waiting:
+            for u in sorted(waiting, reverse=descending):
+                for v, mask in inner({u: waiting.pop(u)}).items():
+                    known = rows.get(v, 0)
+                    gained = mask & ~known
+                    if gained:
+                        rows[v] = known | gained
+                        waiting[v] = waiting.get(v, 0) | gained
+            descending = not descending
+        return rows
+
+    return push
+
+
+def _union(left: Rows, right: Rows) -> Rows:
+    rows = dict(left)
+    for v, mask in right.items():
+        rows[v] = rows.get(v, 0) | mask
     return rows
 
 

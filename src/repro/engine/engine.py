@@ -48,6 +48,7 @@ from ..datapaths import (
     compile_rem,
     ree_to_rem,
 )
+from ..datapaths.fragments import scope_violation
 from ..exceptions import EvaluationError
 from ..regular import Regex, parse_regex, thompson
 from . import compact as compact_kernels
@@ -308,14 +309,18 @@ class EvaluationEngine:
         engine: str = "auto",
         route: Optional["Route"] = None,
     ) -> FrozenSet[NodePair]:
-        """Evaluate a data RPQ, dispatching between the REE and REM engines.
+        """Evaluate a data RPQ: the bit-row algebra for a scoped expression
+        (every REE, and each REM passing
+        :func:`~repro.datapaths.fragments.scope_violation`), the register
+        product for a cross-scope one.
 
-        Both honour the route's kernel family: the REE algebra computes
-        its bit rows over whichever index the route names, the
-        register-automaton mask pass has an int-id CSR twin, and either
-        way the rows are decoded straight to ``Node`` pairs as in
-        :meth:`evaluate_rpq`.  Under the partitioned drivers an REE
-        translates to a register automaton.
+        Both honour the route's kernel family — the algebra computes its
+        bit rows over whichever index the route names, the register mask
+        pass has an int-id CSR twin — and rows are decoded straight to
+        ``Node`` pairs as in :meth:`evaluate_rpq`.  ``engine="algebraic"``
+        refuses a cross-scope expression (naming the violation),
+        ``"automaton"`` forces the register product on any; the
+        partitioned drivers run the register product.
         """
         expression = query.expression
         if engine not in {"auto", "algebraic", "automaton"}:
@@ -323,20 +328,21 @@ class EvaluationEngine:
         if route is None:
             route = _bare_route(graph)
         node = graph.node
+        relation = None
+        if engine != "automaton":
+            relation = self._scoped_bits(graph, expression, route, null_semantics=null_semantics)
+        if relation is not None:
+            if route.kernel == "compact":
+                return relation.node_pairs(graph.compact_index().node_objects)
+            return relation.node_pairs(tuple(map(node, relation.nodes)))
         if route.driver != "sequential":
             id_pairs = self.evaluate_atom_ids(
                 graph, query, null_semantics=null_semantics, route=route
             )
-        elif engine == "algebraic" or (
-            engine == "auto" and isinstance(expression, RegexWithEquality)
-        ):
-            if not isinstance(expression, RegexWithEquality):
-                raise EvaluationError("the algebraic engine only evaluates equality RPQs (REE)")
-            index = self._index(graph, route)
-            relation = data_kernels.ree_relation(index, expression, null_semantics)
-            if route.kernel == "compact":
-                return relation.node_pairs(index.node_objects)
-            return relation.node_pairs(tuple(map(node, index.nodes)))
+        elif engine == "algebraic":
+            raise EvaluationError(
+                f"the algebraic engine declines this expression: {scope_violation(expression)}"
+            )
         elif route.kernel == "compact":
             compact = graph.compact_index()
             relation = compact_kernels.register_relation(
@@ -370,6 +376,30 @@ class EvaluationEngine:
             return spaces.RegisterProductSpace(index, automaton, null_semantics)
         return spaces.NfaProductSpace(index, self.compile_rpq(query))
 
+    def _scoped_bits(
+        self,
+        graph: DataGraph,
+        expression,
+        route: "Route",
+        sources: Optional[Iterable[NodeId]] = None,
+        targets: Optional[Iterable[NodeId]] = None,
+        null_semantics: bool = False,
+    ) -> Optional[BitRelation]:
+        """A scoped data expression's (seeded) relation by the bit-row
+        algebra, over the index a sequential *route* names — the one
+        place a data RPQ is sent to it.  ``None`` for anything else: a
+        plain regex, a cross-scope REM, a partitioned driver."""
+        if (
+            route.driver != "sequential"
+            or not isinstance(expression, (RegexWithEquality, RegexWithMemory))
+            or scope_violation(expression) is not None
+        ):
+            return None
+        relation = data_kernels.ree_relation(
+            self._index(graph, route), expression, null_semantics, sources
+        )
+        return relation if targets is None else relation.restrict(targets=targets)
+
     def atom_bits(
         self,
         graph: DataGraph,
@@ -383,20 +413,19 @@ class EvaluationEngine:
         kernel — what :meth:`evaluate_atom_ids` decodes — or ``None`` when
         that route yields id pairs (dict / sql kernels, partitioned
         drivers).  CRPQ scans read live columns straight off the rows.
-        An REE with unbound sources takes the bottom-up algebra (bound
-        *targets* select rows); bound sources seed the register kernel,
-        which explores only what they reach.
+        A scoped data expression takes the bit-row algebra — bound
+        *sources* seed it, bound *targets* select rows — and a
+        cross-scope one the register kernel.
         """
         if route.kernel != "compact" or route.driver != "sequential":
             return None
-        compact = graph.compact_index()
         expression = getattr(query, "expression", query)
-        if sources is None and isinstance(expression, RegexWithEquality):
-            relation = data_kernels.ree_relation(compact, expression, null_semantics)
-            return relation.restrict(targets=targets)
+        bits = self._scoped_bits(graph, expression, route, sources, targets, null_semantics)
+        if bits is not None:
+            return bits
         space = self.space_for_atom(graph, query, null_semantics)
         return compact_kernels.compact_space_relation(
-            space, compact, sources=sources, targets=targets
+            space, graph.compact_index(), sources=sources, targets=targets
         )
 
     def evaluate_atom_ids(
@@ -434,6 +463,8 @@ class EvaluationEngine:
                 graph, query, engine=self, sources=sources, targets=targets
             )
         bits = self.atom_bits(graph, query, route, sources, targets, null_semantics)
+        if bits is None:  # off the compact kernels the algebra still runs, on the dict index
+            bits = self._scoped_bits(graph, expression, route, sources, targets, null_semantics)
         if bits is not None:
             return bits.id_pairs()
         space = self.space_for_atom(graph, query, null_semantics)

@@ -29,6 +29,7 @@ from repro.datapaths import (
     ree_to_rem,
     rem_matches,
 )
+from repro.datapaths.fragments import free_registers, is_scoped, scope_violation
 from repro.datapaths.register_automata import RegisterStepper
 
 
@@ -254,6 +255,51 @@ class TestFragments:
         assert not is_equality_only(parse_rem("!x.a[x!=]"))
         with pytest.raises(TypeError):
             is_equality_only(42)
+
+
+class TestScopedFragment:
+    """The syntactic test the engine, ``explain`` and the suites consult:
+    a register read at a test holds the value its innermost ``↓`` stored."""
+
+    #: (expression, what the violation says — ``None`` inside the fragment)
+    TABLE = [
+        ("!x.(supplies_to[x!=])+", None),
+        ("!x.((supplies_to|returns_to)[x!=])+", None),
+        ("!v.(supplies_to[v!=])+", None),  # the benchmark's ``rem:`` CRPQ atom
+        ("(!x.a[x!=])+", None),
+        ("!x,y.(a[x= || y!=])+", None),
+        ("!x.(a.(!y.b[y=])+.c[x!=])", None),  # a nested bind reading only its own
+        ("!x.((!y.a)[x=])", None),  # the test is ↓x's, not the ↓y under it
+        ("a.b+|c", None),  # no register at all
+        ("(!x.a).b[x=]", "the test [x=] reads register 'x' outside every ↓"),
+        ("a[x=]", "the test [x=] reads register 'x' outside every ↓"),
+        ("!x.(a.(!x.b).c[x=])", "↓x re-binds register 'x' of a ↓ it is nested in"),
+        ("!x.(a.!y,x.b)", "↓y,x re-binds register 'x' of a ↓ it is nested in"),
+        ("!x.(a.!y.(b[x= && y!=]))", "reads register 'x' across ↓y"),
+        # ↓ scopes over the rest of its concatenation: ``c[x≠]`` sits under ↓y
+        ("!x.a.!y.b.c[x!=]", "the test [x≠] reads register 'x' across ↓y"),
+        ("!y.a.b[x!=]", "the test [x≠] reads register 'x' across ↓y"),
+        ("(!x.a.(!y.b)).c[x= || z=]", "reads register 'x' outside every ↓"),
+    ]
+
+    @pytest.mark.parametrize("text, reason", TABLE)
+    def test_the_two_rules(self, text, reason):
+        expression = parse_rem(text)
+        violation = scope_violation(expression)
+        assert is_scoped(expression) == (reason is None)
+        assert violation is None if reason is None else reason in violation, violation
+
+    def test_every_translated_ree_is_scoped(self):
+        for text in TestReeToRem.CASES + ["(((a)=.b)!=|(c+)=)+", "((a=)+)!="]:
+            expression = parse_ree(text)
+            assert is_scoped(expression) and is_scoped(ree_to_rem(expression)), text
+            assert not free_registers(ree_to_rem(expression))
+
+    def test_free_registers(self):
+        assert free_registers(parse_rem("a[x= && y!=].b")) == {"x", "y"}
+        assert free_registers(parse_rem("!x.(a[x= && y!=])")) == {"y"}
+        assert free_registers(parse_rem("(!x.a).b[x=]")) == {"x"}
+        assert free_registers(parse_rem("!x,y.(a[x=]|b[y!=])+")) == frozenset()
 
 
 class TestReeToRem:

@@ -16,7 +16,9 @@ from repro.api import ExecutionPolicy, GraphSession, Query
 from repro.datagraph import DataGraph
 from repro.deltas.repair import repair_full_relation
 from repro.engine import default_engine
+from repro.datagraph.compact import CompactLabelIndex
 from repro.engine import compact as compact_kernels
+from repro.engine import data as data_kernels
 from repro.engine import product as product_kernels
 from repro.engine.bitrelation import BitRelation
 from repro.engine.partition import GraphPartition
@@ -29,6 +31,8 @@ DIALECT_QUERIES = {
     "rpq": Query.parse("(a|b)+"),
     "ree": Query.parse("((a|b)+)=", dialect="ree"),
     "rem": Query.parse("!x.((a|b)[x!=])+", dialect="rem"),
+    # x is read across ↓y: outside the scoped fragment, so the register product's
+    "rem-cross": Query.parse("!x.(a|b).!y.((a|b)[x!= && y!=])+", dialect="rem"),
     "crpq": Query.parse("x, y :- (x, a, z), (z, b, y)", dialect="crpq"),
     "gxpath-node": Query.parse("<a.b>", dialect="gxpath-node"),
     "gxpath-path": Query.parse("a.b", dialect="gxpath-path"),
@@ -36,7 +40,9 @@ DIALECT_QUERIES = {
 
 #: Kinds whose full relation the session can repair in place; the rest
 #: must recompute (their semantics are not per-source monotone).
-REPAIRING = {"rpq", "ree", "rem"}
+REPAIRING = {"rpq", "ree", "rem", "rem-cross"}
+#: ... of which the scoped data RPQs, answered and repaired by the bit-row algebra.
+SCOPED = {"ree", "rem"}
 
 
 def chain_graph() -> DataGraph:
@@ -208,12 +214,22 @@ ROUTE_POLICIES = {
 
 
 class KernelCalls:
-    """Count entries into the dict forward phase and the compact kernels."""
+    """Count entries into the dict forward phase, the compact kernels and
+    the bit-row algebra (by the index type it ran on, with its seeds)."""
 
     def __init__(self, monkeypatch):
         self.dict_forward = 0
         self.compact = 0
+        self.algebra = []  # (index is the CSR twin, number of seeded sources or None)
         forward = product_kernels.forward_expand
+        algebra = data_kernels.ree_relation
+
+        def ree_relation(index, expression, null_semantics=False, sources=None):
+            seeded = None if sources is None else len(sources)
+            self.algebra.append((isinstance(index, CompactLabelIndex), seeded))
+            return algebra(index, expression, null_semantics, sources)
+
+        monkeypatch.setattr(data_kernels, "ree_relation", ree_relation)
 
         def forward_expand(*args, **kwargs):
             self.dict_forward += 1
@@ -246,11 +262,16 @@ class TestRepairFollowsTheRoute:
         assert served == expected
         stats = session.maintenance_stats()
         assert stats["repairs"] == 1 and stats["recomputes"] == 0
-        if route == "compact":
-            # what explain names is what repaired: never the dict phases
-            assert calls.compact == 1 and calls.dict_forward == 0
+        # what explain names is what repaired: a scoped data RPQ by one
+        # seeded run of the algebra over the route's index, never a kernel
+        if dialect in SCOPED:
+            ((on_csr, seeded),) = calls.algebra
+            assert on_csr == (route == "compact") and seeded
+            assert calls.compact == 0 and calls.dict_forward == 0
+        elif route == "compact":
+            assert calls.compact == 1 and calls.dict_forward == 0 and not calls.algebra
         elif route in ("dict", "blocks"):
-            assert calls.compact == 0
+            assert calls.compact == 0 and not calls.algebra
             assert calls.dict_forward == (1 if dialect == "rpq" else 0)  # only the NFA product prunes
 
     @pytest.mark.parametrize("removal", [False, True], ids=["repair", "recompute"])
@@ -282,16 +303,19 @@ class TestRepairFollowsTheRoute:
         stats = session.maintenance_stats()
         assert (stats["repairs"], stats["recomputes"]) == ((0, 2) if removal else (1, 1))
 
-    @pytest.mark.parametrize("dialect", ["rpq", "ree"])
-    def test_compact_repairs_keep_bit_rows_across_batches(self, dialect):
-        """An REE entry's rows come from the bottom-up algebra, the pairs a
-        repair merges into them from the seeded register kernel: the
-        union is still the fresh run's, bit for bit."""
+    @pytest.mark.parametrize("dialect", sorted(REPAIRING))
+    def test_compact_repairs_keep_bit_rows_across_batches(self, dialect, monkeypatch):
+        """A scoped data RPQ's rows come from the algebra run unseeded, the
+        pairs a repair merges into them from the same algebra seeded at
+        the touched closure (a cross-scope REM's: the register kernel,
+        both times): the union is still the fresh run's, bit for bit,
+        on a node ordering the first batch grows."""
         graph = chain_graph()
         query = DIALECT_QUERIES[dialect]
         session = GraphSession(graph, policy=ROUTE_POLICIES["compact"])
         session.run(query).rows()
         assert session._results.peek((graph.version, query.key, False))[1] is not None
+        calls = KernelCalls(monkeypatch)
         for step in range(3):  # the first batch appends a node, all add edges
             with graph.batch() as batch:
                 if step == 0:
@@ -310,6 +334,13 @@ class TestRepairFollowsTheRoute:
             )
             assert bits.rows == fresh.rows
         assert session.maintenance_stats()["repairs"] == 3
+        # three repairs (seeded) and three `relation_bits` runs, each on the
+        # kernel explain names; the default-policy `fresh_rows` run dict-side
+        repairs = [on_csr for on_csr, seeded in calls.algebra if seeded]
+        if dialect in SCOPED:
+            assert repairs == [True] * 3 and calls.compact == 0
+        else:
+            assert not calls.algebra and calls.compact == 6
 
     def test_an_entry_without_bit_rows_still_repairs(self):
         graph = chain_graph()

@@ -21,6 +21,8 @@ from repro.api import ExecutionPolicy, GraphSession, Query
 from repro.datagraph import NULL, GraphBuilder, generators
 from repro.datagraph.compact import CompactLabelIndex, owner_column
 from repro.datagraph.index import LabelIndex
+from repro.datapaths.conditions import And, Equal, NotEqual, Or
+from repro.datapaths.fragments import is_scoped
 from repro.datapaths.ree import (
     ReeConcat,
     ReeEpsilon,
@@ -30,13 +32,22 @@ from repro.datapaths.ree import (
     ReePlus,
     ReeUnion,
 )
+from repro.datapaths.rem import (
+    RemBind,
+    RemConcat,
+    RemEpsilon,
+    RemLetter,
+    RemPlus,
+    RemTest,
+    RemUnion,
+)
 from repro.engine import compact as compact_kernels
 from repro.engine import data as data_kernels
 from repro.engine import default_engine
 from repro.engine.bitrelation import BitRelation
 from repro.engine.partition import GraphPartition, sharded_product_relation
 from repro.engine.spaces import NfaProductSpace
-from repro.exceptions import UnboundVariableError
+from repro.exceptions import EvaluationError, UnboundVariableError
 from repro.planner.router import route_point
 from repro.query import (
     DataRPQ,
@@ -252,6 +263,25 @@ REE_ASTS = st.recursive(
 )
 
 
+def grown_index(graph):
+    """*graph*'s dict index after an insert-only batch: the index is
+    patched, its ordering grows and the appended values join (1.0) or
+    refuse (NaN) old classes — classes the patched snapshot derives for
+    itself, not the base's."""
+    dict_index = graph.label_index()
+    stale = dict_index.value_classes
+    with graph.batch() as batch:
+        batch.add_node("late", 1.0)
+        batch.add_node("later", NAN)
+        batch.add_edge("n0", "a", "late")
+        batch.add_edge("late", "b", "later")
+        batch.add_edge("later", "a", "n0")
+    dict_index = LabelIndex.patched(dict_index, graph.journal.deltas()[-1])
+    assert dict_index.nodes[-2:] == ("late", "later")
+    assert dict_index.value_classes is dict_index.value_classes is not stale
+    return dict_index
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     graph=tricky_graphs(),
@@ -262,21 +292,7 @@ REE_ASTS = st.recursive(
 def test_ree_bit_rows_match_naive_and_the_register_kernel(
     graph, expression, null_semantics, grown
 ):
-    dict_index = graph.label_index()
-    if grown:
-        # An insert-only batch: the index is patched, its ordering grows
-        # and the appended values join (1.0) or refuse (NaN) old classes —
-        # classes the patched snapshot derives for itself, not the base's.
-        stale = dict_index.value_classes
-        with graph.batch() as batch:
-            batch.add_node("late", 1.0)
-            batch.add_node("later", NAN)
-            batch.add_edge("n0", "a", "late")
-            batch.add_edge("late", "b", "later")
-            batch.add_edge("later", "a", "n0")
-        dict_index = LabelIndex.patched(dict_index, graph.journal.deltas()[-1])
-        assert dict_index.nodes[-2:] == ("late", "later")
-        assert dict_index.value_classes is dict_index.value_classes is not stale
+    dict_index = grown_index(graph) if grown else graph.label_index()
     query = DataRPQ(expression)
     naive = evaluate_data_rpq_naive(graph, query, null_semantics)
     expected = {(source.id, target.id) for source, target in naive}
@@ -300,6 +316,114 @@ def test_ree_bit_rows_match_naive_and_the_register_kernel(
         graph, query, forced_route(graph, "compact"), targets=targets, null_semantics=null_semantics
     )
     assert bound.id_pairs() == {pair for pair in expected if pair[1] in targets}
+
+
+# ----------------------------------------------------------------------
+# The same algebra on REMs: registers as origin masks, or the register product
+# ----------------------------------------------------------------------
+REGISTERS = ("x", "y", "z")
+
+
+@st.composite
+def rem_asts(draw, innermost=(), depth=4):
+    """Letters ``a``/``b``/``c`` and ε under every operator: 1–2-register
+    binds, ``∧``/``∨`` conditions, ``+``, nesting.  A test mostly reads
+    the registers of the bind around it (scoped), sometimes any of the
+    three (across a bind, after one closed, or never bound), and nested
+    binds draw their registers freely, so some re-bind an outer one."""
+    shape = draw(st.sampled_from(["leaf", "concat", "union", "plus", "test", "test", "bind"]))
+    if depth == 0 or shape == "leaf":
+        return draw(st.just(RemEpsilon()) | st.sampled_from("abc").map(RemLetter))
+    if shape == "test" and not innermost and draw(st.integers(0, 7)):
+        shape = "bind"  # outside every bind a test can only read the unbound
+    below = rem_asts(innermost, depth - 1)
+    if shape == "concat":
+        return RemConcat(draw(below), draw(below))
+    if shape == "union":
+        return RemUnion(draw(below), draw(below))
+    if shape == "plus":
+        return RemPlus(draw(below))
+    if shape == "bind":
+        bound = tuple(draw(st.lists(st.sampled_from(REGISTERS), min_size=1, max_size=2, unique=True)))
+        return RemBind(bound, draw(rem_asts(bound, depth - 1)))
+    readable = innermost if innermost and draw(st.integers(0, 7)) else REGISTERS
+    atoms = st.sampled_from(readable).map(Equal) | st.sampled_from(readable).map(NotEqual)
+    condition = draw(
+        st.recursive(
+            atoms,
+            lambda inner: st.builds(And, inner, inner) | st.builds(Or, inner, inner),
+            max_leaves=3,
+        )
+    )
+    return RemTest(draw(below), condition)
+
+
+REM_ASTS = rem_asts()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    graph=tricky_graphs(),
+    expression=REM_ASTS,
+    null_semantics=st.booleans(),
+    grown=st.booleans(),
+    data=st.data(),
+)
+def test_rem_bit_rows_match_naive_and_the_register_kernel(
+    graph, expression, null_semantics, grown, data
+):
+    dict_index = grown_index(graph) if grown else graph.label_index()
+    query = DataRPQ(expression)
+    engine = default_engine()
+    routes = [forced_route(graph, backend) for backend in ("compact", "dict")]
+    try:
+        naive = evaluate_data_rpq_naive(graph, query, null_semantics)
+    except UnboundVariableError:
+        # An unbound read some run reaches: never the algebra's, and the
+        # register product raises what it always did.
+        assert not is_scoped(expression) and not null_semantics
+        for route in routes:
+            with pytest.raises(UnboundVariableError):
+                engine.evaluate_data_rpq(graph, query, null_semantics, route=route)
+        return
+    expected = {(source.id, target.id) for source, target in naive}
+    ids = list(dict_index.nodes)
+    sources = set(data.draw(st.lists(st.sampled_from(ids), max_size=4)))
+    targets = set(data.draw(st.lists(st.sampled_from(ids), max_size=4)))
+
+    def wanted(bound_sources, bound_targets):
+        return {
+            (source, target)
+            for source, target in expected
+            if (bound_sources is None or source in bound_sources)
+            and (bound_targets is None or target in bound_targets)
+        }
+
+    if is_scoped(expression):
+        for bound_sources in (None, sources):
+            rows = None
+            for index in (dict_index, CompactLabelIndex.from_label_index(dict_index)):
+                relation = data_kernels.ree_relation(
+                    index, expression, null_semantics, bound_sources
+                )
+                assert relation.id_pairs() == wanted(bound_sources, None)
+                assert all(relation.rows.values())  # rows never hold an empty mask
+                assert rows is None or relation.rows == rows  # one algebra, either index
+                rows = relation.rows
+    else:
+        with pytest.raises(EvaluationError, match="scoped expressions only"):
+            data_kernels.ree_relation(dict_index, expression, null_semantics)
+    for route in routes:
+        for strategy in ("auto", "automaton"):
+            assert naive == engine.evaluate_data_rpq(
+                graph, query, null_semantics, engine=strategy, route=route
+            ), (route.kernel, strategy)
+        for bound_sources in (None, sources):
+            for bound_targets in (None, targets):
+                assert wanted(bound_sources, bound_targets) == engine.evaluate_atom_ids(
+                    graph, query, sources=bound_sources, targets=bound_targets,
+                    null_semantics=null_semantics, route=route,
+                ), (route.kernel, bound_sources, bound_targets)
 
 
 def test_ree_memo_is_structural(monkeypatch):

@@ -24,7 +24,9 @@ from hypothesis import strategies as st
 from repro.api import ExecutionPolicy, GraphSession, ParallelExecutor, Query, QueryKind
 from repro.datagraph import DataGraph, generators
 from repro.datagraph.compact import CompactLabelIndex
+from repro.datapaths.fragments import is_scoped
 from repro.engine import compact as compact_kernels
+from repro.engine import data as data_kernels
 from repro.engine import partition as partition_kernels
 from repro.engine import product as product_kernels
 from repro.planner import Route, graph_statistics, route_query
@@ -37,14 +39,22 @@ from repro.sqlbackend import cost as sql_cost
 
 pytestmark = pytest.mark.usefixtures("host_shape")
 
-#: One representative query per dialect (the data RPQ is a REM, so its
-#: kernel family is observable: REE algebra has no compact twin).
+#: One representative query per dialect (the data RPQ is a scoped REM:
+#: the bit-row algebra's, on whichever index its route names).
 DIALECTS = {
     "rpq": Query.parse("a.(a|b)+"),
     "data_rpq": Query.parse("!x.((a|b)[x=])+", dialect="rem"),
     "crpq": Query.parse("z(x, y) :- (x, a+, z), (z, (a|b), y)", dialect="crpq"),
     "gxpath_node": Query.parse("<a*.b>", dialect="gxpath-node"),
     "gxpath_path": Query.parse("a*.a-", dialect="gxpath-path"),
+}
+
+#: ... and, for "explain is what ran", both data-RPQ paths: an REE (the
+#: algebra again) and a REM reading x across ↓y (the register product).
+SPIED_DIALECTS = {
+    **DIALECTS,
+    "ree": Query.parse("((a|b)+)=", dialect="ree"),
+    "rem_cross": Query.parse("!x.(a|b).!y.((a|b)[x!= && y=])+", dialect="rem"),
 }
 
 #: The policy of every configuration the property sweeps; ``pooled``
@@ -121,7 +131,9 @@ class KernelSpy:
     the SQL backend's ``evaluate_*`` / ``closure_pairs`` and
     ``partitioned_product_relation`` — and counts calls by family
     (``dict`` / ``compact`` / ``sql``) and by driver (``blocks`` /
-    ``sharded``).
+    ``sharded``).  The bit-row algebra and the point BFS run over either
+    index, so their family is read off the index they were handed;
+    ``algebra`` counts the former's calls on their own.
     """
 
     FAMILIES = (
@@ -139,6 +151,7 @@ class KernelSpy:
     def __init__(self, monkeypatch):
         self.families: Counter = Counter()
         self.drivers: Counter = Counter()
+        self.algebra = 0
         for module, name, family in self.FAMILIES:
             monkeypatch.setattr(module, name, self._counting(getattr(module, name), family))
         point = product_kernels.reachable_targets
@@ -149,6 +162,14 @@ class KernelSpy:
             return point(index, *args, **kwargs)
 
         monkeypatch.setattr(product_kernels, "reachable_targets", reachable_targets)
+        algebra = data_kernels.ree_relation
+
+        def ree_relation(index, *args, **kwargs):
+            self.algebra += 1
+            self.families["compact" if isinstance(index, CompactLabelIndex) else "dict"] += 1
+            return algebra(index, *args, **kwargs)
+
+        monkeypatch.setattr(data_kernels, "ree_relation", ree_relation)
         partitioned = partition_kernels.partitioned_product_relation
 
         def partitioned_product_relation(space, mode, *args, **kwargs):
@@ -169,6 +190,7 @@ class KernelSpy:
     def reset(self):
         self.families.clear()
         self.drivers.clear()
+        self.algebra = 0
 
     def assert_ran(self, route: Route, context):
         """What ran is what *route* says: its kernel family and driver,
@@ -379,7 +401,7 @@ class TestExplainIsWhatRan:
     )
     @given(graph=graphs)
     def test_every_dialect_under_every_configuration(self, graph, low_floors, spy):
-        for name, query in DIALECTS.items():
+        for name, query in SPIED_DIALECTS.items():
             expected = naive_rows(graph, query)
             for config in CONFIGS:
                 context = (name, config, graph.num_nodes)
@@ -391,6 +413,14 @@ class TestExplainIsWhatRan:
                 spy.reset()
                 assert session.run(query).rows() == expected, context
                 spy.assert_ran(route, context)
+                if query.kind is QueryKind.DATA_RPQ:
+                    # the body names the data-RPQ kernel, and a decline its reason
+                    scoped = is_scoped(query.plan.expression)
+                    body = session.explain(query).splitlines()[1]
+                    assert ("bit-row algebra" in body) == scoped, context
+                    assert ("reads register 'x' across ↓y" in body) == (not scoped), context
+                    if route.driver == "sequential":
+                        assert spy.algebra == (1 if scoped else 0), context
 
                 # run_many takes the same dispatcher, plan cache and trace
                 spy.reset()

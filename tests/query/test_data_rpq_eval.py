@@ -76,9 +76,14 @@ class TestDataRPQWrappers:
         with pytest.raises(EvaluationError):
             default_engine().evaluate_data_rpq(value_graph, equality_rpq("a"), engine="bogus")
 
-    def test_algebraic_engine_rejects_rem(self, value_graph):
-        with pytest.raises(EvaluationError):
-            default_engine().evaluate_data_rpq(value_graph, memory_rpq("a"), engine="algebraic")
+    def test_algebraic_engine_rejects_only_cross_scope_rem(self, value_graph):
+        engine = default_engine()
+        scoped = memory_rpq("!x.(a[x!=])+")
+        assert engine.evaluate_data_rpq(
+            value_graph, scoped, engine="algebraic"
+        ) == evaluate_data_rpq_naive(value_graph, scoped)
+        with pytest.raises(EvaluationError, match=r"reads register 'x' outside every ↓"):
+            engine.evaluate_data_rpq(value_graph, memory_rpq("(!x.a).b[x=]"), engine="algebraic")
 
 
 class TestEqualityRPQEvaluation:
