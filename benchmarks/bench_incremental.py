@@ -15,6 +15,14 @@ cache-free fresh evaluation); CI compares the means from BENCH_pr.json
 and fails when repair falls below 2x faster than recompute (see the
 bench-smoke incremental gate).  The ratio is algorithmic — seeds vs all
 sources — so the gate holds on any core count.
+
+A removal cannot be repaired, but the recompute that answers it need not
+decode the whole relation again: ``bench_requery_after_removal`` removes
+one edge inside a community and re-runs the query, which patches the
+previous answer by the bit rows it lost, while
+``bench_requery_after_removal_full_decode`` (``delta_repair=False``, so
+no lineage to patch from) decodes every pair.  Both run the same kernel;
+CI gates the patched re-answer at ≥ 1.5x the full decode, single-core.
 """
 
 from __future__ import annotations
@@ -78,3 +86,35 @@ def bench_incremental_full_recompute(benchmark):
     stats = session.maintenance_stats()
     assert stats["repairs"] == 0, stats
     assert frozenset(recomputed) == frozenset(_fresh_answer(graph))
+
+
+def _requery_after_removal(benchmark, policy: ExecutionPolicy):
+    """Time one re-run of the warm query after a single-edge removal
+    batch in community 0 (a fresh warm session per round)."""
+
+    def warm_then_remove():
+        graph = _build_graph()
+        session = GraphSession(graph, policy=policy)
+        session.run(QUERY).pairs()
+        with graph.batch() as batch:
+            batch.remove_edge((0, 30), "knows", (0, 31))
+        sessions.append(session)
+        return (session,), {}
+
+    sessions = []
+    answer = benchmark.pedantic(
+        lambda session: session.run(QUERY).pairs(), setup=warm_then_remove, rounds=5
+    )
+    session = sessions[-1]
+    assert frozenset(answer) == frozenset(_fresh_answer(session.graph))
+    return session.maintenance_stats()
+
+
+def bench_requery_after_removal(benchmark):
+    stats = _requery_after_removal(benchmark, ExecutionPolicy())
+    assert stats["patched"] == 1 and stats["recompute_reasons"] == {"removal": 1}, stats
+
+
+def bench_requery_after_removal_full_decode(benchmark):
+    stats = _requery_after_removal(benchmark, ExecutionPolicy(delta_repair=False))
+    assert stats["patched"] == 0 and stats["recomputes"] == 0, stats

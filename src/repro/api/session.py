@@ -42,7 +42,9 @@ from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence,
 
 from ..datagraph.graph import DataGraph
 from ..datagraph.node import Node, NodeId
-from ..engine.bitrelation import CachedRelation
+from ..deltas.delta import GraphDelta
+from ..deltas.repair import decline_reason, patched_answer, repair_full_relation
+from ..engine.bitrelation import BitRelation, CachedRelation
 from ..engine.cache import CacheStats, LRUCache
 from ..engine.engine import EvaluationEngine, default_engine
 from ..exceptions import EvaluationError
@@ -124,7 +126,9 @@ class GraphSession(SessionProtocol):
         self.shard_runner = shard_runner
         # Observer hook for the delta-repair path: called with "repair"
         # or "recompute" whenever a cached answer survives (or fails to
-        # survive) a mutation; the server wires its metrics counters here.
+        # survive) a mutation, and with "patched" whenever the new answer
+        # was decoded by difference from the old one; the server wires
+        # its metrics counters here.
         self.repair_listener = repair_listener
         self._executor = self.policy.build_executor()
         self._results: LRUCache[CachedRelation] = LRUCache(self.policy.result_cache_size)
@@ -158,7 +162,10 @@ class GraphSession(SessionProtocol):
         # estimate-vs-observed join cardinalities, re-plan and
         # distributed-join counters, surfaced by `explain`.
         self._plan_traces: Dict[Tuple, object] = {}
-        self._maintenance = {"repairs": 0, "recomputes": 0, "plans_retained": 0}
+        # "repair" / "recompute" / "patched" events and plans retained,
+        # plus the recomputes by reason.
+        self._maintenance: Counter = Counter()
+        self._recompute_reasons: Counter = Counter()
         # Plans a pooled session ran locally instead, by reason.
         self._pool_declines: Counter = Counter()
         self._lineage: deque = deque(maxlen=32)
@@ -204,7 +211,8 @@ class GraphSession(SessionProtocol):
             if caching and key in self._results:
                 answers[key] = self._results.get_or_build(key, tuple)[0]  # recorded hit
                 continue
-            repaired = self._repaired_answer(plan, null_semantics, version) if caching else None
+            lineage = self._lineage_base(plan, null_semantics, version) if caching else None
+            repaired = self._repaired_answer(plan, null_semantics, lineage) if lineage else None
             if repaired is not None:
                 answers[key] = self._remember(plan, null_semantics, version, repaired)
             else:
@@ -508,9 +516,10 @@ class GraphSession(SessionProtocol):
         if key in self._results:
             return self._results.get_or_build(key, tuple)[0]  # recorded hit
         route = self._route(plan)
-        entry = self._repaired_answer(plan, null_semantics, version, route)
+        lineage = self._lineage_base(plan, null_semantics, version)
+        entry = self._repaired_answer(plan, null_semantics, lineage, route) if lineage else None
         if entry is None:
-            entry = self._full_entry(plan, route, null_semantics)
+            entry = self._full_entry(plan, route, null_semantics, lineage)
         return self._remember(plan, null_semantics, version, entry)
 
     def _remember(
@@ -530,85 +539,123 @@ class GraphSession(SessionProtocol):
         key = (version, plan.key, null_semantics)
         return self._results.get_or_build(key, lambda: entry)[0]
 
-    def _full_entry(self, plan: Query, route, null_semantics: bool) -> CachedRelation:
+    def _full_entry(self, plan: Query, route, null_semantics: bool, lineage=None) -> CachedRelation:
         """*plan*'s full answer as a result-cache entry.  An RPQ / data
-        RPQ whose *route* computes bit rows in this process is decoded
-        from them here and keeps them (KBs beside MBs) for delta repair
-        and CRPQ atom scans; everything else is :meth:`_execute`'s answer."""
-        if plan.kind in (QueryKind.RPQ, QueryKind.DATA_RPQ) and not route.offer_pool:
+        RPQ whose *route* computes bit rows in this process, or a binary
+        CRPQ whose plan ends on them, is decoded from them here and keeps
+        them (KBs beside MBs) for delta repair, CRPQ atom scans and the
+        next re-answer; everything else is :meth:`_execute`'s answer.
+
+        With the plan's *lineage* — the previous version's entry and the
+        composed delta since — the rows are decoded by difference when
+        :func:`~repro.deltas.repair.patched_answer` can do so exactly,
+        and in full otherwise."""
+        bits = None
+        if plan.kind is QueryKind.CRPQ:
+            answer = self._execute(plan, route, null_semantics, decode=False)
+            if not isinstance(answer, BitRelation):
+                return answer, None
+            bits = answer
+        elif plan.kind in (QueryKind.RPQ, QueryKind.DATA_RPQ) and not route.offer_pool:
             bits = self.engine.relation_bits(self.graph, plan.plan, route, null_semantics)
-            if bits is not None:
-                return bits.node_pairs(self.graph.compact_index().node_objects), bits
-        return self._execute(plan, route, null_semantics), None
+        if bits is None:
+            return self._execute(plan, route, null_semantics), None
+        objects = self.graph.compact_index().node_objects
+        answer = None if lineage is None else patched_answer(*lineage, bits, objects)
+        if answer is None:
+            return bits.node_pairs(objects), bits
+        self._record_maintenance("patched")
+        return answer, bits
 
-    def _repaired_answer(
-        self, plan: Query, null_semantics: bool, version: int, route=None
-    ) -> Optional[CachedRelation]:
-        """Repair the previous version's cached entry across journaled
-        deltas, or ``None`` when the session must evaluate afresh.
+    def _lineage_base(
+        self, plan: Query, null_semantics: bool, version: int
+    ) -> Optional[Tuple[CachedRelation, GraphDelta]]:
+        """The previous version's cached entry for *plan* and the journal's
+        composed delta from that version to *version* — what a repair
+        merges into and a recompute patches its decode from — or ``None``.
 
-        Repair applies when (a) the policy enables it, (b) this plan was
-        answered at an earlier version whose entry is still in the LRU,
-        (c) the journal holds an unbroken delta chain from that version
-        to the current one, and (d) the composed delta is insert-only on
-        a per-source-monotone dialect with a small touched closure
-        (:func:`repro.deltas.repair.repair_full_relation`), re-derived on
-        the kernel family of *route* (the plan's, resolved here when the
-        caller has not).  Failures of (d) with a known lineage count as
-        recomputes; the listener and counters let servers report repair
-        effectiveness.
+        There is a lineage when (a) the policy enables delta repair, (b)
+        this plan was answered at an earlier version whose entry is still
+        in the LRU and (c) the journal holds an unbroken delta chain from
+        that version to the current one.  An evicted entry and a broken
+        chain count as recomputes, by reason.
         """
         if not self.policy.delta_repair:
             return None
-        history_key = (plan.key, null_semantics)
-        previous = self._result_history.get(history_key)
+        previous = self._result_history.get((plan.key, null_semantics))
         if previous is None or previous >= version:
             return None
         cached = self._results.peek((previous, plan.key, null_semantics))
         if cached is None:
+            self._record_maintenance("recompute", "base evicted")
             return None
         composed = self.graph.journal.composed(previous, version)
         if composed is None:
             # Broken lineage: a single-op mutation or journal eviction.
-            self._record_maintenance("recompute")
+            self._record_maintenance("recompute", "broken lineage")
             return None
-        from ..deltas.repair import repair_full_relation
+        return cached, composed
 
+    def _repaired_answer(
+        self, plan: Query, null_semantics: bool, lineage, route=None
+    ) -> Optional[CachedRelation]:
+        """Repair the *lineage*'s cached entry across its composed delta,
+        or ``None`` when the session must evaluate afresh.
+
+        Repair applies when the composed delta is insert-only on a
+        per-source-monotone dialect with a small touched closure
+        (:func:`repro.deltas.repair.repair_full_relation`), re-derived on
+        the kernel family of *route* (the plan's, resolved here when the
+        caller has not).  A decline counts as a recompute, by reason; the
+        listener and counters let servers report repair effectiveness.
+        """
+        cached, composed = lineage
         if route is None:
             route = self._route(plan)
         repaired = repair_full_relation(
             self.engine, self.graph, plan, null_semantics, cached, composed, route
         )
         if repaired is None:
-            self._record_maintenance("recompute")
+            reason = decline_reason(plan, composed) or "seed fraction"
+            self._record_maintenance("recompute", reason)
             return None
         self._record_maintenance("repair")
+        if repaired is not cached and repaired[1] is not None:
+            self._record_maintenance("patched")
         kind_value, plan_text = plan.key
         self._lineage.append(
             {
                 "plan": f"{kind_value}:{plan_text}",
-                "base_version": previous,
-                "new_version": version,
+                "base_version": composed.base_version,
+                "new_version": composed.new_version,
                 "delta_digest": composed.digest,
                 "delta_size": composed.size,
             }
         )
         return repaired
 
-    def _record_maintenance(self, event: str) -> None:
-        self._maintenance["repairs" if event == "repair" else "recomputes"] += 1
+    def _record_maintenance(self, event: str, reason: Optional[str] = None) -> None:
+        self._maintenance[event] += 1
+        if reason is not None:
+            self._recompute_reasons[reason] += 1
         listener = self.repair_listener
         if listener is not None:
             listener(event)
 
     def maintenance_stats(self) -> Dict:
-        """Delta-repair effectiveness — repair/recompute counts and the
-        most recent repair lineages ``(base → new, delta digest)`` — and,
-        for pooled sessions, how many plans ran their local route instead
-        of the worker pool, by reason."""
+        """Delta-repair effectiveness — repair/recompute counts, the
+        recomputes by reason (``"query kind"``, ``"removal"``, ``"value
+        change"``, ``"node removal"``, ``"seed fraction"``, ``"broken
+        lineage"``, ``"base evicted"``), how many re-answers were
+        ``patched`` (decoded by difference from the previous version's
+        answer) and the most recent repair lineages ``(base → new, delta
+        digest)`` — and, for pooled sessions, how many plans ran their
+        local route instead of the worker pool, by reason."""
         return {
-            "repairs": self._maintenance["repairs"],
-            "recomputes": self._maintenance["recomputes"],
+            "repairs": self._maintenance["repair"],
+            "recomputes": self._maintenance["recompute"],
+            "patched": self._maintenance["patched"],
+            "recompute_reasons": dict(self._recompute_reasons),
             "plans_retained": self._maintenance["plans_retained"],
             "pool_declines": dict(self._pool_declines),
             "lineage": list(self._lineage),
@@ -717,8 +764,8 @@ class GraphSession(SessionProtocol):
         return header + "\n" + plan.explain(self.graph)
 
     def _execute(
-        self, plan: Query, route, null_semantics: bool, source: Optional[NodeId] = None
-    ) -> frozenset:
+        self, plan: Query, route, null_semantics: bool, source: Optional[NodeId] = None, decode=True
+    ):
         """Turn a ``(plan, route)`` pair into an answer.
 
         The one path from the session to the kernels: ``run``,
@@ -726,7 +773,9 @@ class GraphSession(SessionProtocol):
         all end here (a cached ``run`` through :meth:`_full_entry`, which
         keeps a local bit-row route's rows), and nothing below re-decides
         what *route* resolved.  With *source* given the answer is the point form — the targets of
-        *source* — else the plan's full answer set.
+        *source* — else the plan's full answer set (for a CRPQ without
+        *decode*, its bit rows when the plan ends on them: see
+        :func:`~repro.planner.execute_plan`).
 
         A route with ``offer_pool`` goes to the attached worker pool
         first; a decline is counted and the plan runs the route's local
@@ -763,6 +812,7 @@ class GraphSession(SessionProtocol):
             relation_cache=self._cached_relation_lookup(null_semantics),
             join_runner=getattr(self.shard_runner, "hash_join", None),
             trace=trace,
+            decode=decode,
         )
         if len(self._plan_traces) >= 128:  # bounded like the LRU caches
             self._plan_traces.clear()

@@ -13,23 +13,30 @@ resolved route — the same ``EvaluationEngine.atom_bits`` dispatch that
 computed the cached answer, so a scoped data RPQ is repaired by the
 bit-row algebra and a cross-scope one by the register kernel; on the
 compact kernels the merge happens on bit rows and only the pairs the
-cached answer lacks are decoded.
+cached answer lacks are decoded.  The touched nodes are the added nodes
+and the endpoints of added edges whose label the automaton reads: an
+edge it cannot read carries no witness path.
 
 The repair declines (returns ``None``) whenever the argument does not
 hold or would not pay off: removals or value changes (non-monotone),
 dialects whose semantics are not per-source monotone under edge
 insertion (GXPath negation/inverses, CRPQ's existential side atoms), or
 a touched closure so large that seeding it approaches a full recompute.
+:func:`decline_reason` names the first kind of decline.
+
+Whether repaired or recomputed, a re-answer whose previous entry kept bit
+rows is decoded by difference (:func:`patched_answer`): the old answer
+minus the pairs the new rows lost, plus the pairs they gained.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, FrozenSet, Iterable, Optional, Set
+from typing import TYPE_CHECKING, FrozenSet, Iterable, Optional, Sequence, Set
 
 from ..datagraph.index import LabelIndex
 from ..datagraph.node import NodeId
-from ..engine.bitrelation import CachedRelation
+from ..engine.bitrelation import BitRelation, CachedRelation
 from .delta import GraphDelta
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -37,7 +44,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.engine import EvaluationEngine
     from ..planner.router import Route
 
-__all__ = ["backward_touched_closure", "repair_full_relation", "REPAIRABLE_KINDS"]
+__all__ = [
+    "backward_touched_closure", "decline_reason", "patched_answer", "repair_full_relation",
+    "REPAIRABLE_KINDS",
+]
 
 #: Query kinds whose full relation is per-source monotone under inserts.
 REPAIRABLE_KINDS = frozenset({"rpq", "data_rpq"})
@@ -97,6 +107,45 @@ def backward_touched_closure(
     return seen
 
 
+def decline_reason(plan, delta: GraphDelta) -> Optional[str]:
+    """Why no repair of *plan*'s cached answer can absorb *delta*, or
+    ``None`` when only the size of the touched closure can still decline
+    it (then the reason is ``"seed fraction"``)."""
+    if getattr(plan.kind, "value", plan.kind) not in REPAIRABLE_KINDS:
+        return "query kind"
+    if delta.removed_nodes:
+        return "node removal"
+    if delta.value_changes:
+        return "value change"
+    if delta.removed_edges:
+        return "removal"
+    return None
+
+
+def patched_answer(
+    base: CachedRelation, delta: GraphDelta, new: BitRelation, objects: Sequence
+) -> Optional[frozenset]:
+    """*new*'s decoded answer, patched from *base* — the lineage's entry
+    from before *delta* — by their bit-row difference: the old answer
+    minus ``decode(old ∖ new)`` plus ``decode(new ∖ old)``, where
+    *objects* is the ``Node`` column aligned with *new*'s ordering.
+
+    ``None`` when the patch would not be exact and the caller decodes
+    *new* in full: *base* kept no bit rows, its ordering is not a prefix
+    of *new*'s, or *delta* removed a node or changed a value (either one
+    rewrites ``Node`` objects in pairs the difference does not name).
+    """
+    answer, bits = base
+    if bits is None or delta.removed_nodes or delta.value_changes or not bits.extended_by(new):
+        return None
+    lost, gained = bits.minus(new), new.minus(bits)
+    if lost:
+        answer = answer - lost.node_pairs(objects[: len(lost.nodes)])
+    if gained:
+        answer = answer | gained.node_pairs(objects)
+    return answer
+
+
 def repair_full_relation(
     engine: "EvaluationEngine",
     graph: "DataGraph",
@@ -113,20 +162,24 @@ def repair_full_relation(
     the ``(rows, bit rows)`` entry of the delta's base version and
     *route* the query's route on the current graph, whose kernel family
     re-derives the touched closure's pairs (sequentially: the closure is
-    small).  Returns the repaired entry — with bit rows when the cached
-    one had them and the delta only appended to its node ordering — or
-    ``None`` when the delta is not repairable and the caller recomputes.
+    small).  Returns the repaired entry — with bit rows, its answer
+    patched by their difference, when the cached one had them and the
+    delta only appended to its node ordering; *cached* itself when the
+    delta touches nothing the query reads — or ``None`` when the delta is
+    not repairable and the caller recomputes.
     """
-    kind = getattr(plan.kind, "value", plan.kind)
-    if kind not in REPAIRABLE_KINDS:
-        return None
-    if not delta.insert_only:
+    if decline_reason(plan, delta) is not None:
         return None
     if delta.is_empty:
         return cached
     index = graph.label_index()
     space = engine.space_for_atom(graph, plan.plan, null_semantics)
-    seeds = backward_touched_closure(index, delta.touched_nodes, automaton_labels(space))
+    labels = automaton_labels(space)
+    touched = {node_id for node_id, _value in delta.added_nodes}
+    for source, label, target in delta.added_edges:
+        if labels is None or label in labels:
+            touched.update((source, target))
+    seeds = backward_touched_closure(index, touched, labels)
     if not seeds:
         return cached
     total = len(index.nodes)
@@ -140,13 +193,11 @@ def repair_full_relation(
         graph, plan.plan, route, sources=ordered, null_semantics=null_semantics
     )
     if new is not None:
+        objects = graph.compact_index().node_objects
         if bits is not None and bits.extended_by(new):
-            bits, new = bits.union(new), new.minus(bits)
-        else:
-            bits = None
-        if new.rows:
-            rows = rows | new.node_pairs(graph.compact_index().node_objects)
-        return rows, bits
+            bits = bits.union(new)
+            return patched_answer(cached, delta, bits, objects), bits
+        return (rows | new.node_pairs(objects) if new else rows), None
     new_pairs = engine.evaluate_atom_ids(
         graph, plan.plan, sources=ordered, null_semantics=null_semantics, route=route
     )

@@ -99,7 +99,13 @@ class BitRelation:
         return BitRelation(other.nodes, other.position, rows)
 
     def minus(self, other: "BitRelation") -> "BitRelation":
-        """The pairs not in *other* (whose ordering this one must extend)."""
+        """The pairs not in *other*, on this relation's ordering.
+
+        Either ordering may be a prefix of the other — positions must
+        agree on the common prefix, as across an insert-only delta: a bit
+        beyond the shorter ordering is only ever set on the longer side,
+        so ``old.minus(new)`` is what was lost and ``new.minus(old)`` what
+        was gained (see :meth:`extended_by`)."""
         known = other.rows
         rows = {}
         for at, mask in self.rows.items():
@@ -168,7 +174,8 @@ class BitRelation:
 
 #: A cached full-relation answer: its decoded ``(Node, Node)`` rows and,
 #: when a sequential compact route computed it in this process (a mask
-#: kernel, or the REE algebra), the same relation's bit rows — what
-#: delta repair merges into and CRPQ atom scans restrict instead of
-#: re-deriving ids from the ``Node`` pairs.
+#: kernel, the bit-row algebra, or a binary CRPQ plan ending on bit rows),
+#: the same relation's bit rows — what delta repair merges into, CRPQ
+#: atom scans restrict instead of re-deriving ids from the ``Node`` pairs,
+#: and the next version's answer is patched from by their difference.
 CachedRelation = Tuple[frozenset, Optional[BitRelation]]

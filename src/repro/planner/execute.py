@@ -499,11 +499,17 @@ def execute_plan(
     relation_cache: Optional[RelationCache] = None,
     join_runner: Optional[JoinRunner] = None,
     trace: Optional[PlanTrace] = None,
-) -> FrozenSet[Tuple[Node, ...]]:
+    decode: bool = True,
+) -> Union[FrozenSet[Tuple[Node, ...]], BitRelation]:
     """Evaluate a planned CRPQ on *graph*, returning head-variable tuples.
 
     The answer shape matches the historical evaluators: a frozenset of
-    node tuples, ``{()}`` / ``frozenset()`` for Boolean queries.  *route*
+    node tuples, ``{()}`` / ``frozenset()`` for Boolean queries.  With
+    *decode* false, a binary answer that ends on bit rows over the
+    graph's current compact snapshot is returned as that
+    :class:`~repro.engine.bitrelation.BitRelation` instead — a caching
+    session decodes it, or patches its previous answer by the
+    difference — and every other answer is decoded as usual.  *route*
     is the query's resolved :class:`~repro.planner.router.Route`
     (sessions pass theirs; a bare call asks
     :func:`~repro.planner.router.route_query`): every atom scan runs on
@@ -532,46 +538,49 @@ def execute_plan(
         from ..sqlbackend import backend as sql_backend
 
         rows = sql_backend.evaluate_plan_rows(plan.root, graph, engine, null_semantics)
-        return _node_rows(rows, graph, route)
+        return _node_rows(rows, graph, route, decode)
     context = _Context(
         graph, engine, null_semantics, route, relation_cache, join_runner, trace
     )
     if len(plan.atom_order) == 1:
-        return _execute_single(plan, context)
-    if adaptive:
+        rows = _execute_single(plan, context)
+    elif adaptive:
         _, rows = _execute_adaptive(plan, context)
     else:
         _, rows = _evaluate(plan.root, context)
         if trace is not None:
             trace.atom_order = plan.atom_order
-    return _node_rows(rows, graph, route)
+    return _node_rows(rows, graph, route, decode)
 
 
-def _execute_single(plan: CrpqPlan, context: _Context) -> FrozenSet[Tuple[Node, ...]]:
+def _execute_single(plan: CrpqPlan, context: _Context) -> Rows:
     """A plan that eliminated to one atom: there is nothing to join (and
-    a scan that emits exactly the head is decoded from its bit rows once,
-    as ``evaluate_rpq`` would)."""
+    a scan that emits exactly the head keeps its bit rows, to be decoded
+    once, as ``evaluate_rpq`` would)."""
     _, rows = _evaluate(plan.root.child, context)
     trace = context.trace
     if trace is not None:
         trace.steps.append((0, plan.estimates[0], len(rows), False))
         trace.atom_order = plan.atom_order
     _, rows = _project(plan.root.head, (plan.root.child.columns, rows))
-    return _node_rows(rows, context.graph, context.route)
+    return rows
 
 
-def _node_rows(rows: Rows, graph: DataGraph, route: "Route") -> FrozenSet[Tuple[Node, ...]]:
+def _node_rows(
+    rows: Rows, graph: DataGraph, route: "Route", decode: bool = True
+) -> Union[FrozenSet[Tuple[Node, ...]], BitRelation]:
     """The one place id rows become ``Node`` rows.
 
     Bit rows decode straight to ``Node`` pairs against the snapshot they
-    were computed on.  For tuples on a compact route the lookup is that
-    snapshot's ``node_objects`` column behind a C-level getter, so a row
-    costs no Python frame.
+    were computed on (or, without *decode*, are handed back as they are).
+    For tuples on a compact route the lookup is that snapshot's
+    ``node_objects`` column behind a C-level getter, so a row costs no
+    Python frame.
     """
     compact = graph.compact_index() if route.kernel == "compact" else None
     if isinstance(rows, BitRelation):
         if compact is not None and compact.nodes is rows.nodes:
-            return rows.node_pairs(compact.node_objects)
+            return rows.node_pairs(compact.node_objects) if decode else rows
         rows = rows.id_pairs()
     if compact is not None:
         node_of = dict(zip(compact.nodes, compact.node_objects)).__getitem__

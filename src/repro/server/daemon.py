@@ -387,9 +387,12 @@ class ReproServer:
         return connection.session
 
     def _record_repair(self, event: str) -> None:
-        """Session maintenance callback: count repairs vs recomputes."""
+        """Session maintenance callback: count repairs vs recomputes, and
+        the re-answers decoded by difference."""
         if event == "repair":
             self.metrics.increment("result_repairs")
+        elif event == "patched":
+            self.metrics.increment("result_patched")
         else:
             self.metrics.increment("result_recomputes")
 

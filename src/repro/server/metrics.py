@@ -113,6 +113,7 @@ class ServerMetrics:
             "mutations_total": 0,
             "result_repairs": 0,
             "result_recomputes": 0,
+            "result_patched": 0,
         }
         self._pool_busy_seconds = 0.0
         self._inflight = 0

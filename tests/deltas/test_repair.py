@@ -1,21 +1,29 @@
 """Delta-driven repair of cached answers: repaired ≡ fresh, always.
 
-The contract under test is acceptance-level: after an insert-only batch
-on a warm session, the served answer must be bit-identical to a fresh
-evaluation — whether the session repaired the cached relation or fell
-back to a recompute.  The maintenance counters then distinguish the two
-paths, so each test pins *which* path produced the (always-correct)
-answer.
+The contract under test is acceptance-level: after a batch on a warm
+session, the served answer must be bit-identical to a fresh evaluation —
+whether the session repaired the cached relation or fell back to a
+recompute, and whether the new answer was decoded in full or patched
+from the previous one by their bit-row difference.  The maintenance
+counters then distinguish the paths, so each test pins *which* path
+produced the (always-correct) answer.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.api import ExecutionPolicy, GraphSession, Query
 from repro.datagraph import DataGraph
+from repro.datagraph.values import NULL
+from repro.deltas import repair as repair_module
 from repro.deltas.repair import repair_full_relation
 from repro.engine import default_engine
+from repro.query.crpq import evaluate_crpq_naive
+from repro.query.data_rpq_eval import evaluate_data_rpq_naive
+from repro.query.rpq_eval import evaluate_rpq_naive
 from repro.datagraph.compact import CompactLabelIndex
 from repro.engine import compact as compact_kernels
 from repro.engine import data as data_kernels
@@ -43,6 +51,10 @@ DIALECT_QUERIES = {
 REPAIRING = {"rpq", "ree", "rem", "rem-cross"}
 #: ... of which the scoped data RPQs, answered and repaired by the bit-row algebra.
 SCOPED = {"ree", "rem"}
+
+#: The route whose cached entries keep bit rows on these small graphs
+#: (``auto`` takes the dict kernels below a few hundred nodes).
+COMPACT = ExecutionPolicy(backend="compact")
 
 
 def chain_graph() -> DataGraph:
@@ -202,11 +214,59 @@ class TestRepairedEqualsFresh:
         assert entry["delta_digest"] == delta.digest
         assert entry["delta_size"] == delta.size
 
+    def test_edges_the_query_cannot_read_seed_nothing(self, monkeypatch):
+        """An edge whose label the automaton never reads carries no
+        witness path: a batch of them repairs with zero seeds — however
+        much of the graph its endpoints could reach — and the cached
+        entry stands, bit for bit the fresh one."""
+        graph = chain_graph()
+        query = DIALECT_QUERIES["rpq"]
+        session = GraphSession(graph, policy=COMPACT)
+        session.run(query).rows()
+        entry = session._results.peek((graph.version, query.key, False))
+        closures = []
+        closure = repair_module.backward_touched_closure
+
+        def sized(index, touched, labels=None):
+            seeds = closure(index, touched, labels)
+            closures.append(len(seeds))
+            return seeds
+
+        monkeypatch.setattr(repair_module, "backward_touched_closure", sized)
+        with graph.batch() as batch:  # tail to head of every chain: all of them upstream
+            for c in range(CHAINS):
+                batch.add_edge(f"k{c}n0", "alt_for", f"k{c}n{CHAIN_LENGTH - 1}")
+        calls = KernelCalls(monkeypatch)
+        served = session.run(query).rows()
+        assert closures == [0] and calls.compact == 0
+        assert session._results.peek((graph.version, query.key, False)) is entry
+        fresh = GraphSession(graph, policy=COMPACT)
+        assert served == fresh.run(query).rows() == fresh_rows(graph, query)
+        assert entry[1].rows == fresh._results.peek((graph.version, query.key, False))[1].rows
+        stats = session.maintenance_stats()
+        assert (stats["repairs"], stats["recomputes"], stats["patched"]) == (1, 0, 0)
+
+    @pytest.mark.parametrize("executor", ["sequential", "thread"])
+    def test_run_many_after_a_removal_serves_the_fresh_answers(self, executor):
+        graph = chain_graph()
+        queries = [DIALECT_QUERIES[dialect] for dialect in ("rpq", "rem", "crpq")]
+        policy = ExecutionPolicy(backend="compact", executor=executor, max_workers=2)
+        session = GraphSession(graph, policy=policy)
+        for query in queries:
+            session.run(query).rows()  # warm, with bit rows
+        for step in range(2):
+            with graph.batch() as batch:
+                batch.remove_edge(f"k{step}n5", "b", f"k{step}n6")
+                batch.add_edge(f"k{step}n1", "b", f"k{step}n7")
+            served = [result.rows() for result in session.run_many(queries)]
+            assert served == [fresh_rows(graph, query) for query in queries]
+        assert session.maintenance_stats()["recompute_reasons"] == {"removal": 4, "query kind": 2}
+
 
 #: Forced routes a repair must follow: the kernel family re-derives the
 #: touched closure (partitioned drivers are cut from the dict index).
 ROUTE_POLICIES = {
-    "compact": ExecutionPolicy(backend="compact"),
+    "compact": COMPACT,
     "dict": ExecutionPolicy(backend="dict"),
     "sql": ExecutionPolicy(backend="sql"),
     "blocks": ExecutionPolicy(intra_query="blocks", max_workers=2),
@@ -430,6 +490,217 @@ class TestRepairFollowsTheRoute:
             compact = graph.compact_index()
             assert bits.nodes == compact.nodes
             assert bits.node_pairs(compact.node_objects) == served
+
+    def test_a_binary_crpq_re_answer_is_patched_from_its_plan_rows(self, monkeypatch):
+        """A CRPQ is never repaired, but a binary one whose plan ends on
+        bit rows keeps them: each re-answer runs the plan and decodes only
+        the pairs that changed — through a node append, a removal and
+        plain inserts — into the previous version's answer."""
+        graph = chain_graph()
+        query = DIALECT_QUERIES["crpq"]
+        session = GraphSession(graph, policy=ROUTE_POLICIES["compact"])
+        previous = session.run(query).rows()
+        assert session._results.peek((graph.version, query.key, False))[1] is not None
+        decoded = decoded_sizes(monkeypatch)
+        for step in range(3):
+            with graph.batch() as batch:
+                if step == 0:
+                    batch.add_node("fresh", 1)
+                    batch.add_edge("k0n2", "a", "fresh")
+                    batch.add_edge("fresh", "b", "k0n9")
+                elif step == 1:
+                    batch.remove_edge("k1n4", "a", "k1n5")
+                else:
+                    batch.add_edge(f"k{step}n1", "b", f"k{step}n7")
+                    batch.add_edge(f"k{step}n6", "a", f"k{step}n3")
+            key = (graph.version, query.key, False)
+            fresh = GraphSession(graph, policy=ROUTE_POLICIES["compact"])
+            expected = fresh.run(query).rows()
+            assert expected == fresh_rows(graph, query)
+            decoded.clear()
+            served = session.run(query).rows()
+            assert served == expected
+            assert sum(decoded) == len(previous ^ served) < len(served)
+            answer, bits = session._results.peek(key)
+            assert answer is served and bits.rows == fresh._results.peek(key)[1].rows
+            previous = served
+        stats = session.maintenance_stats()
+        assert (stats["patched"], stats["recomputes"]) == (3, 3)
+        assert stats["recompute_reasons"] == {"query kind": 3}
+
+
+def decoded_sizes(monkeypatch):
+    """Spy on the one decoder: the size of every ``node_pairs`` decode."""
+    sizes = []
+    node_pairs = BitRelation.node_pairs
+
+    def spied(self, objects):
+        pairs = node_pairs(self, objects)
+        sizes.append(len(pairs))
+        return pairs
+
+    monkeypatch.setattr(BitRelation, "node_pairs", spied)
+    return sizes
+
+
+class TestReAnswersDecodeByDifference:
+    """A recomputed re-answer decodes its rows' difference from the
+    previous version's — when the lineage's entry kept bit rows on a
+    prefix of the new ordering and no node changed — and the whole
+    relation otherwise."""
+
+    @pytest.mark.parametrize("dialect", ["rpq", "rem", "crpq"])
+    def test_a_removal_decodes_only_the_pairs_it_lost(self, dialect, monkeypatch):
+        graph = chain_graph()
+        query = DIALECT_QUERIES[dialect]
+        events = []
+        session = GraphSession(graph, policy=COMPACT, repair_listener=events.append)
+        before = session.run(query).rows()
+        with graph.batch() as batch:
+            batch.remove_edge("k0n5", "b", "k0n6")
+        expected = fresh_rows(graph, query)
+        decoded = decoded_sizes(monkeypatch)
+        served = session.run(query).rows()
+        assert served == expected and served < before
+        assert decoded == [len(before - served)]
+        stats = session.maintenance_stats()
+        assert (stats["repairs"], stats["recomputes"], stats["patched"]) == (0, 1, 1)
+        reason = "query kind" if dialect == "crpq" else "removal"
+        assert stats["recompute_reasons"] == {reason: 1}
+        assert events == ["recompute", "patched"]
+
+    def test_a_repair_is_patched_too(self):
+        graph = chain_graph()
+        query = DIALECT_QUERIES["rpq"]
+        events = []
+        session = GraphSession(graph, policy=COMPACT, repair_listener=events.append)
+        session.run(query).rows()
+        shortcut_batch(graph)
+        assert session.run(query).rows() == fresh_rows(graph, query)
+        assert events == ["repair", "patched"]
+
+    @pytest.mark.parametrize(
+        "lineage",
+        ["value change", "node removal", "base evicted", "broken lineage", "repair disabled"],
+    )
+    def test_a_lineage_it_cannot_patch_exactly_takes_the_full_decode(self, lineage, monkeypatch):
+        """A value change — or a node removed and re-added with another
+        value — leaves every bit row as it was but rewrites ``Node``
+        objects; an evicted base or a broken lineage leaves nothing to
+        patch from.  Each takes the full decode."""
+        graph = chain_graph()
+        graph.add_node("loner", 5)  # last in the ordering: re-added, it lands there again
+        query = Query.parse("(a|b)*")
+        policy = {
+            "base evicted": ExecutionPolicy(backend="compact", result_cache_size=1),
+            "repair disabled": ExecutionPolicy(backend="compact", delta_repair=False),
+        }.get(lineage, COMPACT)
+        session = GraphSession(graph, policy=policy)
+        session.run(query).rows()
+        if lineage == "base evicted":
+            session.run("a").rows()
+        if lineage == "broken lineage":
+            graph.add_edge("k0n1", "b", "k0n7")  # bypasses the batch journal
+        else:
+            with graph.batch() as batch:
+                if lineage == "value change":
+                    batch.set_value("k0n4", 99)
+                elif lineage == "node removal":
+                    batch.remove_node("loner")
+                    batch.add_node("loner", 6)
+                else:
+                    batch.add_edge("k0n1", "b", "k0n7")
+        expected = fresh_rows(graph, query)
+        decoded = decoded_sizes(monkeypatch)
+        served = session.run(query).rows()
+        assert served == expected and decoded == [len(served)]
+        stats = session.maintenance_stats()
+        assert stats["patched"] == 0
+        assert stats["recompute_reasons"] == ({} if lineage == "repair disabled" else {lineage: 1})
+
+
+def naive_answer(graph: DataGraph, query: Query, null_semantics: bool):
+    """The executable specification of *query*'s answer."""
+    if query.kind.value == "rpq":
+        return evaluate_rpq_naive(graph, query.plan)
+    if query.kind.value == "data_rpq":
+        return evaluate_data_rpq_naive(graph, query.plan, null_semantics)
+    return evaluate_crpq_naive(graph, query.plan, null_semantics)
+
+
+#: An RPQ, a scoped REM, an REE, a cross-scope REM, and a binary (ending
+#: on bit rows), a unary and a 3-ary CRPQ.
+PROPERTY_QUERIES = (
+    Query.parse("a.(a|b)*"),
+    DIALECT_QUERIES["rem"],
+    Query.parse("((a|b)+)!=", dialect="ree"),
+    DIALECT_QUERIES["rem-cross"],
+    Query.parse("x, y :- (x, ree:((a|b)+)=, y), (y, b, w)", dialect="crpq"),
+    Query.parse("x :- (x, a, y), (y, b+, z)", dialect="crpq"),
+    Query.parse("x, y, z :- (x, a, y), (y, b, z)", dialect="crpq"),
+)
+VALUES = (0, 1, 2, NULL)
+ACTIONS = ("add_edge", "add_edge", "remove_edge", "remove_edge", "add_node", "set_value", "remove_node")
+
+
+def random_batch(graph: DataGraph, data, fresh_ids) -> None:
+    """One batch of one to four drawn mutations of any kind."""
+    with graph.batch() as batch:
+        for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+            ids = sorted(graph.node_ids)
+            action = data.draw(st.sampled_from(ACTIONS))
+            if action == "add_node" or len(ids) < 3:
+                batch.add_node(next(fresh_ids), data.draw(st.sampled_from(VALUES)))
+            elif action == "add_edge":
+                pick = st.sampled_from(ids)
+                batch.add_edge(data.draw(pick), data.draw(st.sampled_from("ab")), data.draw(pick))
+            elif action == "remove_edge":
+                edges = sorted((s.id, label, t.id) for s, label, t in graph.edges)
+                if edges:
+                    batch.remove_edge(*data.draw(st.sampled_from(edges)))
+            elif action == "set_value":
+                batch.set_value(data.draw(st.sampled_from(ids)), data.draw(st.sampled_from(VALUES)))
+            else:
+                batch.remove_node(data.draw(st.sampled_from(ids)))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_re_answers_after_random_batches_equal_a_fresh_session_and_the_spec(data):
+    """After every batch — edge inserts and removals, node adds, value
+    changes, node removals — a warm session's answers equal a fresh
+    session's and the naive spec's, its cached bit rows equal the fresh
+    rows, and a lineage that changed a value or removed a node is never
+    patched."""
+    graph = DataGraph(name="random-batches")
+    size = data.draw(st.integers(min_value=3, max_value=7))
+    for i in range(size):
+        graph.add_node(f"n{i}", data.draw(st.sampled_from(VALUES)))
+    ids = sorted(graph.node_ids)
+    edge = st.tuples(st.sampled_from(ids), st.sampled_from("ab"), st.sampled_from(ids))
+    for source, label, target in data.draw(st.lists(edge, max_size=14)):
+        graph.add_edge(source, label, target)
+    cells = [(query, null) for query in PROPERTY_QUERIES for null in (False, True)]
+    session = GraphSession(graph, policy=COMPACT)
+    for query, null in cells:
+        session.run(query, null).rows()
+    fresh_ids = (f"m{i}" for i in range(1000))
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        base = graph.version
+        random_batch(graph, data, fresh_ids)
+        delta = graph.journal.composed(base, graph.version)
+        patched = session.maintenance_stats()["patched"]
+        fresh = GraphSession(graph, policy=COMPACT)
+        for query, null in cells:
+            served = session.run(query, null).rows()
+            assert served == fresh.run(query, null).rows() == naive_answer(graph, query, null)
+            key = (graph.version, query.key, null)
+            warm_bits, fresh_bits = session._results.peek(key)[1], fresh._results.peek(key)[1]
+            assert (warm_bits is None) == (fresh_bits is None)
+            if warm_bits is not None:
+                assert warm_bits.nodes == fresh_bits.nodes and warm_bits.rows == fresh_bits.rows
+        if delta.value_changes or delta.removed_nodes:
+            assert session.maintenance_stats()["patched"] == patched
 
 
 class TestPartitionPatching:

@@ -786,12 +786,40 @@ def test_bit_relation_algebra(left, right, grown, data):
     union = a.union(b)
     assert union.nodes is longer and union.id_pairs() == pairs_a | pairs_b
     assert b.minus(a).id_pairs() == pairs_b - pairs_a
+    lost = a.minus(b)  # the shorter ordering as the prefix works too
+    assert lost.nodes is nodes and lost.id_pairs() == pairs_a - pairs_b
     assert a.rows == left and b.rows == right  # operands are never mutated
     picks = st.none() | st.sets(st.sampled_from(longer + ("absent",)), max_size=8)
     sources, targets = data.draw(picks), data.draw(picks)
     assert union.restrict(sources, targets).id_pairs() == restricted(
         union.id_pairs(), sources, targets
     )
+
+
+@pytest.mark.parametrize("direction", ["lost", "gained"])
+def test_minus_takes_either_ordering_as_the_prefix(direction):
+    """``old.minus(new)`` and ``new.minus(old)`` across a grown ordering:
+    positions agree on the common prefix, bits and rows beyond it exist
+    only on the longer side, and the result is on the receiver's ordering."""
+    old_nodes = ("a", "b", "c")
+    new_nodes = old_nodes + ("d", "e")
+
+    def relation(nodes, pairs):
+        position = {node: at for at, node in enumerate(nodes)}
+        rows = {}
+        for source, target in pairs:
+            rows[position[target]] = rows.get(position[target], 0) | 1 << position[source]
+        return BitRelation(nodes, position, rows)
+
+    old_pairs = {("a", "b"), ("a", "c"), ("b", "c")}
+    new_pairs = {("a", "c"), ("e", "c"), ("b", "d"), ("a", "e")}
+    old, new = relation(old_nodes, old_pairs), relation(new_nodes, new_pairs)
+    if direction == "lost":
+        difference, expected, on = old.minus(new), old_pairs - new_pairs, old_nodes
+    else:
+        difference, expected, on = new.minus(old), new_pairs - old_pairs, new_nodes
+    assert difference.nodes is on and difference.id_pairs() == expected
+    assert difference.node_pairs(on) == expected
 
 
 # ----------------------------------------------------------------------

@@ -540,6 +540,25 @@ class TestMetricsAndManagement:
         assert 0.0 <= metrics["worker_pool"]["utilization"] <= 1.0
         assert metrics["uptime_seconds"] > 0
 
+    def test_a_local_crpq_re_run_after_a_write_is_patched(self):
+        """CRPQs run on the connection's own session: a binary one whose
+        plan ends on bit rows is re-answered after a mutation by decoding
+        the difference, and the server counts it."""
+        graph = make_graph()
+        server = ReproServer(graph, ServerConfig(num_workers=1, backend="compact"))
+        address = server.start()
+        query = Query.parse("x,y :- (x, a+, z), (z, b|c, y)", dialect="crpq")
+        try:
+            with connect(address) as session:
+                session.run(query).rows()
+                source, target = sorted(graph.node_ids, key=repr)[:2]
+                session.mutate([["add_edge", source, "c", target]])
+                assert session.run(query).rows() == GraphSession(graph).run(query).rows()
+                counters = session.metrics()["counters"]
+        finally:
+            server.shutdown()
+        assert counters["result_patched"] == 1 and counters["result_recomputes"] == 1
+
     def test_load_graph_swaps_the_served_graph(self, served):
         _, address, _ = served
         replacement = (
