@@ -2,17 +2,16 @@
 
 Four comparisons on multi-community scenario graphs:
 
-* **Full-relation RPQ** (gated) — ``(knows|bridge)*.bridge`` through
-  the engine seam (:meth:`evaluate_atom_ids`) on a forced ``compact``
-  vs a forced ``dict`` route.  The int-id kernels walk ``array('q')`` CSR
-  rows and propagate bitset frontiers instead of hashing
-  ``(NodeId, state)`` tuples, so CI gates the ratio at >= 2x (see the
-  compact backend gate).  The query ends in the sparse ``bridge`` label
-  on purpose: traversal covers the whole product space while the answer
-  set stays modest, so the timer sees kernel work, not the identical
-  final ``set``-of-pairs materialisation both backends share.  The
-  ratio is a constant-factor claim about the kernels and holds on any
-  core count.
+* **RPQ kernels** (gated) — the bit-row algebra
+  (:func:`~repro.engine.data.ree_relation` on the regex as a
+  register-free REM), which answers every sequential full RPQ, against
+  the compact NFA mask kernel (:func:`~repro.engine.compact.nfa_relation`)
+  it replaced, each summed over four CSR relations: a closure ending in
+  the sparse ``bridge`` label, the dense closure, a selective letter in
+  front of a closure, and a two-step word.  Both hand back the same bit
+  rows (checked after the timed region); CI gates the algebra at
+  >= 1.3x (measures ~2.2x; see the compact backend gate).  A single-core
+  constant-factor claim: no host condition.
 * **Data-RPQ mask pass** (gated) — the REM register kernel over CSR
   rows vs the dict mask pass, through the engine with
   ``engine="automaton"`` (since ISSUE 24 a session answers this scoped
@@ -22,15 +21,16 @@ Four comparisons on multi-community scenario graphs:
   (interned ``(state, valuation)`` pairs, per-value closure memo); the
   compact kernel additionally runs on int configurations, so CI gates
   it at >= 1x dict (measured 2.0x): it may not lose.
-* **Closure answer vs bit rows** (gated) — ``session.run(closure)
-  .pairs()`` beside the bare :func:`~repro.engine.compact.nfa_relation`
-  call that produces the same relation as per-target source bitmasks.
-  The difference is everything between the fixpoint and the user: the
-  one decode to ``Node`` pairs, routing, the session.  CI gates
-  answer <= 8x rows: with the relation materialised three times in
-  Python the answer cost 15.6x the rows here (82.8 ms over the same
-  5.3 ms fixpoint), decoded once through the ``BitRelation`` decoder it
-  costs 4.5x (24.0 ms).  A single-core constant-factor claim.
+* **Closure answer vs bit rows + one decode** (gated) —
+  ``session.run(closure).pairs()`` beside the bare algebra call that
+  produces the same relation as per-target source bitmasks, and one
+  ``BitRelation.node_pairs`` decode of those rows.  The difference is
+  everything between the fixpoint and the user: routing, the session,
+  and how often the answer is materialised.  CI gates answer <= 1.5x
+  (rows + decode): decoded once it measures 0.9-1.0x, twice it would be
+  ~1.9x (with the relation materialised three times in Python the
+  answer once cost 15.6x the rows).  A single-core constant-factor
+  claim.
 * **Shard-worker memory** — a mixed workload (one dense plain RPQ, one
   data-RPQ) through a :class:`~repro.server.workers.ShardWorkerPool`
   with and without the shared-memory CSR segment.  Each bench records
@@ -58,11 +58,13 @@ import pytest
 from repro.api import GraphSession, Query
 from repro.api.executors import ExecutionPolicy
 from repro.datagraph import DataGraph
+from repro.datapaths.fragments import regex_to_rem
 from repro.engine import compact as compact_kernels
+from repro.engine import data as data_kernels
 from repro.engine import default_engine
 from repro.engine.forkpool import fork_available
 from repro.planner.router import route_point
-from repro.query import rpq
+from repro.regular import parse_regex
 from repro.server.workers import ShardWorkerPool
 from repro.workloads import multi_community_scenario
 
@@ -74,6 +76,9 @@ REM_QUERY = "!x.((knows|bridge)[x!=])+"
 #: A dense closure: nearly every pair is an answer, so materialising the
 #: answer — not the fixpoint — is what the user waits for.
 CLOSURE_QUERY = "(knows|bridge)+"
+#: The kernel pair's relations: a selective letter in front of a dense
+#: closure, and a word, beside the two closures above.
+KERNEL_QUERIES = (RPQ_QUERY, CLOSURE_QUERY, "bridge.(knows|bridge)*", "knows.knows")
 
 
 def _scenario_graph(num_communities: int, community_size: int) -> DataGraph:
@@ -91,32 +96,39 @@ def _warm(graph: DataGraph, backend: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# Full-relation RPQ through the engine seam: the gated pair
+# RPQ kernels on the CSR index: the algebra against the NFA mask kernel
 # ----------------------------------------------------------------------
-def _bench_rpq_full_relation(benchmark, backend: str):
-    graph = _scenario_graph(16, 80)
-    engine = default_engine()
-    query = rpq(RPQ_QUERY)
-    _warm(graph, backend)
-    route = route_point(graph, ExecutionPolicy(backend=backend))
-    pairs = benchmark.pedantic(
-        lambda: engine.evaluate_atom_ids(graph, query, route=route),
-        rounds=1,
-        iterations=1,
+def _kernel_runs(graph: DataGraph):
+    """``(algebra, nfa)``: each a no-argument call returning the bit rows
+    of every :data:`KERNEL_QUERIES` relation."""
+    compact = graph.compact_index()
+    expressions = [parse_regex(text) for text in KERNEL_QUERIES]
+    rems = [regex_to_rem(expression) for expression in expressions]
+    automata = [default_engine().compile_rpq(expression) for expression in expressions]
+    return (
+        lambda: [data_kernels.ree_relation(compact, rem) for rem in rems],
+        lambda: [compact_kernels.nfa_relation(compact, automaton) for automaton in automata],
     )
-    benchmark.extra_info["num_pairs"] = len(pairs)
-    if backend == "compact":
-        assert pairs == engine.evaluate_atom_ids(
-            graph, query, route=route_point(graph, ExecutionPolicy(backend="dict"))
-        )
 
 
-def bench_compact_rpq_full_relation(benchmark):
-    _bench_rpq_full_relation(benchmark, "compact")
+def _bench_rpq_kernels(benchmark, kernel: str):
+    graph = _scenario_graph(16, 80)
+    _warm(graph, "compact")
+    algebra, nfa = _kernel_runs(graph)
+    relations = benchmark.pedantic(
+        algebra if kernel == "algebra" else nfa, rounds=1, iterations=1
+    )
+    benchmark.extra_info["num_pairs"] = sum(relation.count() for relation in relations)
+    if kernel == "algebra":
+        assert [relation.rows for relation in relations] == [relation.rows for relation in nfa()]
 
 
-def bench_dict_rpq_full_relation(benchmark):
-    _bench_rpq_full_relation(benchmark, "dict")
+def bench_compact_rpq_algebra(benchmark):
+    _bench_rpq_kernels(benchmark, "algebra")
+
+
+def bench_compact_rpq_nfa_kernel(benchmark):
+    _bench_rpq_kernels(benchmark, "nfa")
 
 
 # ----------------------------------------------------------------------
@@ -146,17 +158,27 @@ def bench_dict_datarpq_mask_pass(benchmark):
 
 
 # ----------------------------------------------------------------------
-# A closure's answer against its bare bit rows: the decode gate
+# A closure's answer against its bare bit rows and one decode: the decode gate
 # ----------------------------------------------------------------------
+def _closure_rows(graph: DataGraph):
+    return data_kernels.ree_relation(graph.compact_index(), regex_to_rem(parse_regex(CLOSURE_QUERY)))
+
+
 def bench_compact_closure_rows(benchmark):
     graph = _scenario_graph(6, 50)
-    automaton = default_engine().compile_rpq(rpq(CLOSURE_QUERY))
     _warm(graph, "compact")
-    compact = graph.compact_index()
-    relation = benchmark.pedantic(
-        lambda: compact_kernels.nfa_relation(compact, automaton), rounds=1, iterations=1
-    )
+    relation = benchmark.pedantic(_closure_rows, args=(graph,), rounds=1, iterations=1)
     benchmark.extra_info["num_pairs"] = relation.count()
+
+
+def bench_compact_closure_decode(benchmark):
+    graph = _scenario_graph(6, 50)
+    relation = _closure_rows(graph)
+    objects = graph.compact_index().node_objects
+    _warm(graph, "compact")
+    pairs = benchmark.pedantic(relation.node_pairs, args=(objects,), rounds=1, iterations=1)
+    benchmark.extra_info["num_pairs"] = len(pairs)
+    assert len(pairs) == relation.count()
 
 
 def bench_compact_closure_answer(benchmark):

@@ -39,16 +39,25 @@ algebra does not notice; ``bench_datarpq_rem_deep_chain`` holds the
 position worklist of ``e+`` in origin mode within 3x of the closed-mode
 closure (``bench_datarpq_ree_deep_chain``) on a 1,200-deep chain, where
 a level-synchronous ``e+`` pays one round per level (~500 ms).
+
+Plain RPQs run on the same algebra, and closed mode's
+``e+`` shares origin mode's swept worklist: ``bench_rpq_reversed_chain``
+(``next+`` on a 1,200-node chain whose edges all point against the index
+order) is gated at most 2x ``bench_rpq_forward_chain`` (measures ~1.2x) —
+the FIFO worklist it replaced paid one pass per level against the
+ordering (~96x).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.datagraph import generators
+from repro.datagraph import GraphBuilder, generators
 from repro.datapaths import compile_rem, parse_ree, parse_rem, ree_to_rem
+from repro.datapaths.fragments import regex_to_rem
 from repro.engine import compact as compact_kernels
 from repro.engine import data as data_kernels
+from repro.regular import parse_regex
 from repro.workloads import multi_community_scenario
 
 #: Communities × community size: ~120 nodes with a value domain of 5,
@@ -205,3 +214,34 @@ def bench_datarpq_rem_deep_chain(benchmark, chain_index):
         iterations=1,
     )
     assert relation.count() == CHAIN_NODES * (CHAIN_NODES - 1) // 2
+
+
+# ----------------------------------------------------------------------
+# Plain RPQs on the same algebra: one closure routine, either edge direction
+# ----------------------------------------------------------------------
+def _next_chain(reverse: bool):
+    builder = GraphBuilder(name="next-chain")
+    for i in range(CHAIN_NODES):
+        builder.node(i, 0)
+    for i in range(1, CHAIN_NODES):
+        builder.edge(i, "next", i - 1) if reverse else builder.edge(i - 1, "next", i)
+    return builder.build().compact_index()
+
+
+def _bench_next_chain(benchmark, reverse: bool):
+    index = _next_chain(reverse)
+    relation = benchmark.pedantic(
+        data_kernels.ree_relation,
+        args=(index, regex_to_rem(parse_regex("next+"))),
+        rounds=1,
+        iterations=1,
+    )
+    assert relation.count() == CHAIN_NODES * (CHAIN_NODES - 1) // 2
+
+
+def bench_rpq_forward_chain(benchmark):
+    _bench_next_chain(benchmark, reverse=False)
+
+
+def bench_rpq_reversed_chain(benchmark):
+    _bench_next_chain(benchmark, reverse=True)

@@ -15,6 +15,8 @@ from BENCH_pr.json (see the bench-smoke gate).
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.api import ExecutionPolicy, GraphSession
@@ -40,6 +42,7 @@ def _run_batch(graph, policy):
 
 def bench_session_run_many_sequential(benchmark, batch_graph, expected_rows):
     policy = ExecutionPolicy(executor="sequential", cache_results=False)
+    gc.collect()  # a gen-2 pass over an earlier bench's garbage would decide the ratio
     results = benchmark.pedantic(
         _run_batch, args=(batch_graph, policy), rounds=1, iterations=1
     )
@@ -48,6 +51,7 @@ def bench_session_run_many_sequential(benchmark, batch_graph, expected_rows):
 
 def bench_session_run_many_parallel(benchmark, batch_graph, expected_rows):
     policy = ExecutionPolicy(executor="process", cache_results=False)
+    gc.collect()  # a gen-2 pass over an earlier bench's garbage would decide the ratio
     results = benchmark.pedantic(
         _run_batch, args=(batch_graph, policy), rounds=1, iterations=1
     )

@@ -285,8 +285,9 @@ class Query:
             return plan_crpq(self.plan, index).explain()
         if kind is QueryKind.RPQ:
             return (
-                "rpq: compiled ε-free NFA × graph product; full-relation phases "
-                "forward-expand → backward-prune → mask-propagate → decode"
+                "rpq: bit-row algebra, the regex as a register-free REM (concatenations "
+                "push their left factor's rows; point queries and partitioned drivers "
+                "run the compiled ε-free NFA × graph product)"
             )
         if kind is QueryKind.DATA_RPQ:
             # The fragment test the engine dispatches on, so this is what runs.

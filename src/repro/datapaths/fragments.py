@@ -12,14 +12,15 @@ The paper works with a hierarchy of languages on data paths:
 The helpers here classify an expression object into these fragments and
 translate REE expressions into REM expressions (every equality RPQ is a
 memory RPQ — the converse fails).  The translation threads one fresh
-register per subscripted sub-expression.
+register per subscripted sub-expression.  A plain regular expression is
+the REM with no registers at all (:func:`regex_to_rem`).
 
 One more fragment is syntactic rather than the paper's: the **scoped**
 expressions (:func:`scope_violation`), in which a register only ever
 holds the value of the node its ``↓`` was entered at while it is read.
-Every translated REE is scoped; the engine evaluates scoped expressions
-on origin bitmasks (:func:`repro.engine.data.ree_relation`) and keeps
-the register product for the rest.
+Every translated REE and RPQ is scoped; the engine evaluates scoped
+expressions on origin bitmasks (:func:`repro.engine.data.ree_relation`)
+and keeps the register product for the rest.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import FrozenSet, Optional, Tuple, Union
 
+from ..regular.ast import Concat, Epsilon, Letter, Plus, Regex, Star, Union as RegexUnion
 from .conditions import Equal, NotEqual
 from .path_tests import is_path_with_tests
 from .rem import (
@@ -38,6 +40,7 @@ from .rem import (
     RemPlus,
     RemTest,
     RemUnion,
+    rem_star,
 )
 from .ree import (
     RegexWithEquality,
@@ -55,6 +58,7 @@ __all__ = [
     "classify",
     "is_equality_only",
     "ree_to_rem",
+    "regex_to_rem",
     "free_registers",
     "scope_violation",
     "is_scoped",
@@ -137,6 +141,24 @@ def ree_to_rem(expression: RegexWithEquality) -> RegexWithMemory:
         raise TypeError(f"unknown REE node {node!r}")  # pragma: no cover - defensive
 
     return translate(expression)
+
+
+def regex_to_rem(expression: Regex) -> RegexWithMemory:
+    """A plain regular expression as the REM with no registers: node for
+    node, with ``e*`` as ``ε + e+`` (:func:`~repro.datapaths.rem.rem_star`)."""
+    if isinstance(expression, Epsilon):
+        return RemEpsilon()
+    if isinstance(expression, Letter):
+        return RemLetter(expression.symbol)
+    if isinstance(expression, Concat):
+        return RemConcat(regex_to_rem(expression.left), regex_to_rem(expression.right))
+    if isinstance(expression, RegexUnion):
+        return RemUnion(regex_to_rem(expression.left), regex_to_rem(expression.right))
+    if isinstance(expression, Plus):
+        return RemPlus(regex_to_rem(expression.inner))
+    if isinstance(expression, Star):
+        return rem_star(regex_to_rem(expression.inner))
+    raise TypeError(f"unknown regex node {expression!r}")  # pragma: no cover - defensive
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ answer is a superset of the cached one, and every *new* pair's witness
 path must traverse at least one added edge or added node.  That means
 every new pair's source lies in the **backward closure** of the touched
 nodes — following predecessor edges on the *new* index, restricted to
-the labels the query's automaton can actually read.  Re-running the
+the labels the query mentions.  Re-running the
 product kernels seeded only from that closure (linear in the closure,
 not the graph) and unioning into the cached answer reproduces the fresh
 evaluation bit for bit.  The re-run is the seeded scan of the query's
@@ -14,7 +14,7 @@ computed the cached answer, so a scoped data RPQ is repaired by the
 bit-row algebra and a cross-scope one by the register kernel; on the
 compact kernels the merge happens on bit rows and only the pairs the
 cached answer lacks are decoded.  The touched nodes are the added nodes
-and the endpoints of added edges whose label the automaton reads: an
+and the endpoints of added edges whose label the query mentions: an
 edge it cannot read carries no witness path.
 
 The repair declines (returns ``None``) whenever the argument does not
@@ -32,7 +32,7 @@ minus the pairs the new rows lost, plus the pairs they gained.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, FrozenSet, Iterable, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Set
 
 from ..datagraph.index import LabelIndex
 from ..datagraph.node import NodeId
@@ -56,26 +56,6 @@ REPAIRABLE_KINDS = frozenset({"rpq", "data_rpq"})
 #: a full recompute (the seeded kernels would re-explore most of the
 #: product anyway), so the session falls back.
 DEFAULT_MAX_SEED_FRACTION = 0.5
-
-
-def automaton_labels(space) -> Optional[FrozenSet[str]]:
-    """The edge labels the space's automaton can read, if discoverable.
-
-    ``None`` means "unknown — treat every label as readable", which only
-    widens the backward closure (still sound, just less selective).
-    """
-    automaton = getattr(space, "automaton", None)
-    if automaton is not None:
-        symbols = getattr(automaton, "symbols", None)
-        if symbols is not None:
-            return frozenset(symbols)
-        labels = getattr(automaton, "labels", None)
-        if callable(labels):
-            return frozenset(labels())
-    label = getattr(space, "label", None)
-    if isinstance(label, str):
-        return frozenset({label})
-    return None
 
 
 def backward_touched_closure(
@@ -158,7 +138,7 @@ def repair_full_relation(
 ) -> Optional[CachedRelation]:
     """Union the delta's new pairs into a cached full-relation answer.
 
-    *plan* is a ``QueryPlan`` (``plan.kind`` / ``plan.plan``), *cached*
+    *plan* is a ``Query`` (``plan.kind`` / ``plan.plan`` / ``plan.labels()``), *cached*
     the ``(rows, bit rows)`` entry of the delta's base version and
     *route* the query's route on the current graph, whose kernel family
     re-derives the touched closure's pairs (sequentially: the closure is
@@ -173,11 +153,10 @@ def repair_full_relation(
     if delta.is_empty:
         return cached
     index = graph.label_index()
-    space = engine.space_for_atom(graph, plan.plan, null_semantics)
-    labels = automaton_labels(space)
+    labels = plan.labels()  # the regex's letters, or the REM's / REE's labels
     touched = {node_id for node_id, _value in delta.added_nodes}
     for source, label, target in delta.added_edges:
-        if labels is None or label in labels:
+        if label in labels:
             touched.update((source, target))
     seeds = backward_touched_closure(index, touched, labels)
     if not seeds:

@@ -56,9 +56,10 @@ __all__ = [
 
 Pair = Tuple[NodeId, NodeId]
 
-#: Below this many nodes the dict kernels' lower constant wins and the
-#: router stays on them; at and above it the int-id kernels' per-step
-#: savings dominate.  Deliberately small — the crossover on the bench
+#: Below this many nodes the router stays on the dict label index (its
+#: product kernels' lower constant; RPQs and scoped data RPQs run the
+#: same bit-row algebra over either index); at and above it the int-id
+#: kernels' per-step savings dominate.  Deliberately small — the crossover on the bench
 #: graphs sits far lower — so routing goes compact wherever the
 #: difference could matter.
 COMPACT_AUTO_MIN_NODES = 256
@@ -181,6 +182,11 @@ def nfa_relation(
     prune (with a *targets* restriction folded into the useful set),
     bitmask propagation — each over flat arrays.  Decodes bit-identical
     to ``seeded_product_relation(NfaProductSpace(index, automaton), ...)``.
+    No route runs it: the bit-row algebra
+    (:func:`repro.engine.data.ree_relation`) answers every sequential
+    RPQ.  Kept as the baseline the ``bench_compact_rpq_nfa_kernel`` CI
+    gate measures the algebra against, and as the rows the tests hold the
+    algebra's to.
     """
     n = compact.num_nodes
     empty = _relation(compact, {})

@@ -1,12 +1,13 @@
-"""Index-driven evaluation kernels for data RPQs (REE and REM).
+"""Index-driven evaluation kernels for data RPQs (REE and REM) and RPQs.
 
 Two kernels, one per side of the syntactic fragment test
 :func:`repro.datapaths.fragments.scope_violation`:
 
 * the **bit-row algebra** (:func:`ree_relation`) for *scoped*
   expressions — every REE (``ree_to_rem`` sugar: one fresh register per
-  subscript) and each REM whose registers are only read under the bind
-  that stored them.  There a register holds the value of the node its
+  subscript), every plain RPQ (``regex_to_rem``: no register at all) and
+  each REM whose registers are only read under the bind that stored
+  them.  There a register holds the value of the node its
   bind was entered at, so ``x=`` / ``x≠`` at a node is a mask over
   *origin* bits and the expression is evaluated by pushing ``{position:
   origins arrived here}`` rows through it, full or seeded, over either
@@ -25,7 +26,7 @@ Both hand back id-level relations; the engine translates to
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, Optional, Set, Tuple, Union
 
 from ..datagraph.compact import CompactLabelIndex
 from ..datagraph.index import LabelIndex
@@ -63,7 +64,7 @@ Pusher = Callable[[Rows], Rows]
 
 
 # ----------------------------------------------------------------------
-# The bit-row algebra for scoped data RPQs (every REE, most REMs)
+# The bit-row algebra for scoped expressions (every RPQ and REE, most REMs)
 # ----------------------------------------------------------------------
 def ree_relation(
     index: Union[LabelIndex, CompactLabelIndex],
@@ -71,8 +72,9 @@ def ree_relation(
     null_semantics: bool = False,
     sources: Optional[Iterable[NodeId]] = None,
 ) -> BitRelation:
-    """The relation of a scoped data RPQ — an REE, or a REM passing
-    :func:`~repro.datapaths.fragments.scope_violation` — on bit rows,
+    """The relation of a scoped expression — an REE, or a REM passing
+    :func:`~repro.datapaths.fragments.scope_violation` (a plain RPQ is
+    one, through :func:`~repro.datapaths.fragments.regex_to_rem`) — on bit rows,
     over either index type; with *sources*, only the pairs starting at
     one of them, exploring only what they reach.
     """
@@ -97,19 +99,20 @@ class _OriginAlgebra:
     **Closed** (:meth:`closed`): a sub-expression that reads no outer
     register denotes a relation, ``{target: source bitmask}`` rows built
     bottom-up and memoised per *structurally* equal sub-expression;
-    ``↓x̄.e`` is *e* pushed from the identity.  **Origin**
-    (:meth:`pusher`): inside a bind's body a register holds the value of
-    the node the bind was entered at — its *origin* — so control state is
-    ``{position: origins that arrived here}`` rows and a test is one AND
-    per row with the origins the condition admits at that position.
-    Unseeded, a closed sub-expression met at the identity is its memoised
-    relation; a seeded evaluation only ever pushes.
+    ``↓x̄.e`` is *e* pushed from the identity and ``e₁·e₂`` is *e₁*'s rows
+    pushed through *e₂*, so a selective left factor never builds its
+    right factor's whole relation.  **Origin** (:meth:`pusher`): inside a
+    bind's body a register holds the value of the node the bind was
+    entered at — its *origin* — so control state is ``{position: origins
+    that arrived here}`` rows and a test is one AND per row with the
+    origins the condition admits at that position.  Unseeded, a closed
+    sub-expression met at the identity is its memoised relation; a seeded
+    evaluation only ever pushes.
     """
 
     def __init__(self, index, null_semantics: bool, seeded: bool):
         self.index = index
-        self.same, nulls = index.value_classes
-        self.dead = nulls if null_semantics else 0  # positions no comparison is true at
+        self.null_semantics = null_semantics
         self.positions = range(len(index.nodes))
         self.identity: Optional[Rows] = None if seeded else {v: 1 << v for v in self.positions}
         self.relations: Dict[RegexWithMemory, Rows] = {}
@@ -120,17 +123,15 @@ class _OriginAlgebra:
         if rows is not None:
             return rows
         if isinstance(expr, RemConcat):
-            rows = _compose(self.closed(expr.left), self.closed(expr.right), self.positions)
+            rows = self.pusher(expr.right)(self.closed(expr.left))
         elif isinstance(expr, RemUnion):
             rows = _union(self.closed(expr.left), self.closed(expr.right))
-        elif isinstance(expr, RemPlus):
-            rows = _closure(self.closed(expr.inner), self.positions)
         elif isinstance(expr, RemBind):
             rows = self.pusher(expr.inner)(self.identity)
         elif isinstance(expr, RemTest):  # closed, so its condition reads nothing: ⊤
             rows = self.closed(expr.inner)
-        else:  # ε, a letter
-            rows = self.pusher(expr)(self.identity)
+        else:  # ε, a letter, e⁺: pushed from the identity
+            rows = self._build(expr)(self.identity)
         self.relations[expr] = rows
         return rows
 
@@ -155,7 +156,11 @@ class _OriginAlgebra:
         if isinstance(expr, RemLetter):
             return _letter_pusher(self.index, expr.symbol)
         if isinstance(expr, RemPlus):
-            return _plus_pusher(self.pusher(expr.inner))
+            # An inner reading no register carries every mask alike: its
+            # successors are a graph fact, memoised across this evaluation.
+            inner = self.pusher(expr.inner)
+            successors = None if free_registers(expr.inner) else {}
+            return lambda arrived: _closure(inner, inner(arrived), successors)
         if isinstance(expr, RemTest):
             return _test_pusher(self.pusher(expr.inner), self._allowed(expr.condition))
         if isinstance(expr, RemBind):
@@ -178,9 +183,14 @@ class _OriginAlgebra:
 
     def _allowed(self, condition: Condition) -> Callable[[int], int]:
         """``position -> the origins whose value satisfies *condition*
-        against the value there`` (``-1``: all of them)."""
+        against the value there`` (``-1``: all of them).  The index's
+        value classes are read here, so a test-free expression never
+        builds them."""
         if isinstance(condition, (Equal, NotEqual)):
-            same, dead, want_equal = self.same, self.dead, isinstance(condition, Equal)
+            same, nulls = self.index.value_classes
+            dead = nulls if self.null_semantics else 0  # positions no comparison is true at
+            want_equal = isinstance(condition, Equal)
+
             def allowed(v: int) -> int:
                 equal = same[v]
                 if equal & dead:  # a position holding the null compares with nothing
@@ -238,30 +248,44 @@ def _test_pusher(inner: Pusher, allowed: Callable[[int], int]) -> Pusher:
     return push
 
 
-def _plus_pusher(inner: Pusher) -> Pusher:
-    """One or more *inner* steps as a worklist over positions: a position
-    re-pushes only the origins it gained since its last turn, and the
-    waiting positions are swept in index order, alternately up and down
-    — a chain is finished in two sweeps whichever way its edges point,
-    where FIFO order needs one pass per level against the ordering and
-    level-synchronous rounds one per level either way."""
-
-    def push(arrived: Rows) -> Rows:
-        rows = dict(inner(arrived))  # the first step, by every arrival at once
-        waiting = dict(rows)  # origins a position has yet to push onwards
-        descending = False
-        while waiting:
-            for u in sorted(waiting, reverse=descending):
-                for v, mask in inner({u: waiting.pop(u)}).items():
+def _closure(
+    step: Pusher, first: Rows, successors: Optional[Dict[int, Tuple[int, ...]]]
+) -> Rows:
+    """One or more *step*s, from the rows *first* reached: a worklist
+    over positions, each pushing its row onwards when it grew since its
+    last turn, with the waiting positions swept in index order,
+    alternately up and down — a chain is finished in two sweeps whichever
+    way its edges point, where FIFO order needs one pass per level
+    against the ordering.  Given a *successors* memo (a step that reads
+    no register), a position's successors are pushed once, on its first
+    turn, and every later turn is pure ORs — a dense cycle revisits its
+    positions many times over."""
+    rows = dict(first)
+    waiting = set(rows)
+    descending = False
+    while waiting:
+        for u in sorted(waiting, reverse=descending):
+            waiting.discard(u)
+            mask = rows[u]
+            if successors is None:  # the step reads registers: it filters per target
+                for v, arrived in step({u: mask}).items():
                     known = rows.get(v, 0)
-                    gained = mask & ~known
-                    if gained:
-                        rows[v] = known | gained
-                        waiting[v] = waiting.get(v, 0) | gained
-            descending = not descending
-        return rows
-
-    return push
+                    merged = known | arrived
+                    if merged != known:
+                        rows[v] = merged
+                        waiting.add(v)
+                continue
+            out = successors.get(u)
+            if out is None:
+                out = successors[u] = tuple(step({u: 1}))
+            for v in out:
+                known = rows.get(v, 0)
+                merged = known | mask
+                if merged != known:
+                    rows[v] = merged
+                    waiting.add(v)
+        descending = not descending
+    return rows
 
 
 def _union(left: Rows, right: Rows) -> Rows:
@@ -286,34 +310,6 @@ def _compose(left: Rows, right: Rows, positions: range) -> Rows:
             by_middles[middles] = mask
         if mask:
             rows[v] = mask
-    return rows
-
-
-def _closure(inner: Rows, positions: range) -> Rows:
-    """The transitive closure of *inner*: the FIFO mask propagation of
-    :func:`repro.engine.compact.closure_relation` along *inner*'s own
-    pairs, started from its rows (one or more steps), not the identity."""
-    successors: Dict[int, List[int]] = {}
-    for v, mask in inner.items():
-        for u in BitRelation.members(mask, positions):
-            if u in inner:  # only a node with sources has any to pass on
-                successors.setdefault(u, []).append(v)
-    rows = dict(inner)
-    pending = list(successors)
-    in_queue = set(pending)
-    head = 0
-    while head < len(pending):
-        u = pending[head]
-        head += 1
-        in_queue.discard(u)
-        mask = rows[u]
-        for v in successors[u]:
-            merged = rows[v] | mask
-            if merged != rows[v]:
-                rows[v] = merged
-                if v in successors and v not in in_queue:
-                    in_queue.add(v)
-                    pending.append(v)
     return rows
 
 

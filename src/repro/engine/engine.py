@@ -6,9 +6,12 @@ routes through.  It owns:
 * **compiled-automaton caches** (LRU-bounded, keyed on the structural
   query AST) — parsed regexes, Thompson NFAs compiled to ε-free tables,
   and register automata for memory RPQs;
-* **the product evaluators** of :mod:`repro.engine.product` and
-  :mod:`repro.engine.data`, driven by each graph's lazily built
-  :class:`~repro.datagraph.index.LabelIndex`;
+* **the kernels**, driven by each graph's lazily built
+  :class:`~repro.datagraph.index.LabelIndex` (or its CSR twin): the
+  bit-row algebra of :mod:`repro.engine.data` answers every sequential
+  full or seeded RPQ and scoped data RPQ; the NFA and register products
+  of :mod:`repro.engine.product` keep point queries, partitioned drivers
+  and cross-scope REMs;
 * **batched entry points** (:meth:`evaluate_many`, :meth:`holds_many`)
   that amortise compilation and index construction across a workload.
 
@@ -48,7 +51,7 @@ from ..datapaths import (
     compile_rem,
     ree_to_rem,
 )
-from ..datapaths.fragments import scope_violation
+from ..datapaths.fragments import regex_to_rem, scope_violation
 from ..exceptions import EvaluationError
 from ..regular import Regex, parse_regex, thompson
 from . import compact as compact_kernels
@@ -167,14 +170,16 @@ class EvaluationEngine:
     ) -> FrozenSet[NodePair]:
         """The full binary relation ``e(G)`` of an RPQ on a data graph.
 
-        Bit rows (see :meth:`relation_bits`) are decoded straight to
-        ``Node`` pairs; every other route decodes its id pairs.
+        A sequential route's bit rows (the algebra's, see
+        :meth:`_scoped_bits`) are decoded straight to ``Node`` pairs; the
+        sql kernel and the partitioned drivers decode their id pairs.
         """
         if route is None:
             route = _bare_route(graph, self._expression_of(query))
-        relation = self.relation_bits(graph, query, route)
-        if relation is not None:
-            return relation.node_pairs(graph.compact_index().node_objects)
+        if route.kernel != "sql":  # plain regexes have a recursive-CTE twin
+            relation = self._scoped_bits(graph, query, route)
+            if relation is not None:
+                return self._node_pairs(graph, relation, route)
         node = graph.node
         return frozenset(
             (node(source), node(target))
@@ -184,18 +189,11 @@ class EvaluationEngine:
     def evaluate_rpq_ids(
         self, graph: DataGraph, query: RPQLike, route: Optional["Route"] = None
     ) -> FrozenSet[Tuple[NodeId, NodeId]]:
-        """``e(G)`` as raw id pairs (no Node materialisation)."""
+        """``e(G)`` as raw id pairs (no Node materialisation): the
+        unseeded :meth:`evaluate_atom_ids`."""
         if route is None:
             route = _bare_route(graph, self._expression_of(query))
-        if route.driver != "sequential":
-            return self.evaluate_atom_ids(graph, query, route=route)
-        if route.kernel == "sql":
-            from ..sqlbackend import backend as sql_backend
-
-            return sql_backend.evaluate_rpq_pairs(graph, query, engine=self)
-        return frozenset(
-            product.full_relation(self._index(graph, route), self.compile_rpq(query))
-        )
+        return self.evaluate_atom_ids(graph, query, route=route)
 
     def evaluate_rpq_from(
         self,
@@ -252,16 +250,15 @@ class EvaluationEngine:
         Returns one answer relation per query, in query order.  Duplicate
         queries are evaluated once.
         """
-        # Keyed on the compiled object itself (identity hash): this both
-        # dedupes repeated queries and pins the automaton alive, so LRU
-        # eviction mid-batch cannot recycle a key.
-        memo: Dict[CompiledAutomaton, FrozenSet[NodePair]] = {}
+        # Keyed on the structural regex AST, so every spelling of one
+        # query is evaluated once.
+        memo: Dict[Regex, FrozenSet[NodePair]] = {}
         results: List[FrozenSet[NodePair]] = []
         for query in queries:
-            compiled = self.compile_rpq(query)
-            answer = memo.get(compiled)
+            expression = self._expression_of(query)
+            answer = memo.get(expression)
             if answer is None:
-                answer = memo[compiled] = self.evaluate_rpq(graph, query)
+                answer = memo[expression] = self.evaluate_rpq(graph, expression)
             results.append(answer)
         return tuple(results)
 
@@ -275,7 +272,7 @@ class EvaluationEngine:
 
         Pairs are grouped by source so each distinct source runs one
         product BFS; when the workload asks about most of the graph, the
-        engine switches to one full-relation pass instead.
+        engine answers from the full relation's bit rows instead.
         """
         wanted: Dict[NodeId, Set[NodeId]] = {}
         ordered: List[Tuple[NodeId, NodeId]] = []
@@ -286,11 +283,12 @@ class EvaluationEngine:
             wanted.setdefault(source, set()).add(target)
         if not ordered:
             return {}
-        compiled = self.compile_rpq(query)
-        index = self._index(graph, _bare_route(graph))
-        if len(wanted) > max(4, len(index.nodes) // 4):
-            relation = product.full_relation(index, compiled)
+        route = _bare_route(graph)
+        if len(wanted) > max(4, graph.num_nodes // 4):
+            relation = self._scoped_bits(graph, query, route).id_pairs()
             return {pair: pair in relation for pair in ordered}
+        compiled = self.compile_rpq(query)
+        index = self._index(graph, route)
         verdicts: Dict[Tuple[NodeId, NodeId], bool] = {}
         for source, targets in wanted.items():
             reachable = product.reachable_targets(index, compiled, source)
@@ -332,9 +330,7 @@ class EvaluationEngine:
         if engine != "automaton":
             relation = self._scoped_bits(graph, expression, route, null_semantics=null_semantics)
         if relation is not None:
-            if route.kernel == "compact":
-                return relation.node_pairs(graph.compact_index().node_objects)
-            return relation.node_pairs(tuple(map(node, relation.nodes)))
+            return self._node_pairs(graph, relation, route)
         if route.driver != "sequential":
             id_pairs = self.evaluate_atom_ids(
                 graph, query, null_semantics=null_semantics, route=route
@@ -376,24 +372,34 @@ class EvaluationEngine:
             return spaces.RegisterProductSpace(index, automaton, null_semantics)
         return spaces.NfaProductSpace(index, self.compile_rpq(query))
 
+    @staticmethod
+    def _node_pairs(graph: DataGraph, relation: BitRelation, route: "Route") -> FrozenSet[NodePair]:
+        """*relation*'s rows, over the index *route* names, as ``Node`` pairs."""
+        if route.kernel == "compact":
+            return relation.node_pairs(graph.compact_index().node_objects)
+        return relation.node_pairs(tuple(map(graph.node, relation.nodes)))
+
     def _scoped_bits(
         self,
         graph: DataGraph,
-        expression,
+        query,
         route: "Route",
         sources: Optional[Iterable[NodeId]] = None,
         targets: Optional[Iterable[NodeId]] = None,
         null_semantics: bool = False,
     ) -> Optional[BitRelation]:
-        """A scoped data expression's (seeded) relation by the bit-row
-        algebra, over the index a sequential *route* names — the one
-        place a data RPQ is sent to it.  ``None`` for anything else: a
-        plain regex, a cross-scope REM, a partitioned driver."""
-        if (
-            route.driver != "sequential"
-            or not isinstance(expression, (RegexWithEquality, RegexWithMemory))
-            or scope_violation(expression) is not None
-        ):
+        """A scoped expression's (seeded) relation by the bit-row algebra,
+        over the index a sequential *route* names — the one place an RPQ
+        or a data RPQ is sent to it; a plain regex goes as the REM with no
+        registers (:func:`~repro.datapaths.fragments.regex_to_rem`).
+        ``None`` for anything else: a cross-scope REM, a partitioned
+        driver."""
+        if route.driver != "sequential":
+            return None
+        expression = getattr(query, "expression", query)
+        if not isinstance(expression, (RegexWithEquality, RegexWithMemory)):
+            expression = regex_to_rem(self._expression_of(expression))
+        elif scope_violation(expression) is not None:
             return None
         relation = data_kernels.ree_relation(
             self._index(graph, route), expression, null_semantics, sources
@@ -413,19 +419,21 @@ class EvaluationEngine:
         kernel — what :meth:`evaluate_atom_ids` decodes — or ``None`` when
         that route yields id pairs (dict / sql kernels, partitioned
         drivers).  CRPQ scans read live columns straight off the rows.
-        A scoped data expression takes the bit-row algebra — bound
-        *sources* seed it, bound *targets* select rows — and a
-        cross-scope one the register kernel.
+        An RPQ or scoped data expression takes the bit-row algebra —
+        bound *sources* seed it, bound *targets* select rows — and a
+        cross-scope REM the register kernel.
         """
         if route.kernel != "compact" or route.driver != "sequential":
             return None
-        expression = getattr(query, "expression", query)
-        bits = self._scoped_bits(graph, expression, route, sources, targets, null_semantics)
+        bits = self._scoped_bits(graph, query, route, sources, targets, null_semantics)
         if bits is not None:
             return bits
-        space = self.space_for_atom(graph, query, null_semantics)
-        return compact_kernels.compact_space_relation(
-            space, graph.compact_index(), sources=sources, targets=targets
+        return compact_kernels.register_relation(
+            graph.compact_index(),
+            self.compile_data_rpq(getattr(query, "expression", query)),
+            null_semantics,
+            sources=sources,
+            targets=targets,
         )
 
     def evaluate_atom_ids(
@@ -439,9 +447,10 @@ class EvaluationEngine:
     ) -> FrozenSet[Tuple[NodeId, NodeId]]:
         """One atom's relation as raw id pairs, optionally seeded.
 
-        This is the space-generic entry point (plain regexes over the NFA
-        product, REE/REM expressions over the register product) the
-        planner's scans call: *sources* / *targets* restrict the relation
+        This is the entry point the planner's scans call — the bit-row
+        algebra on a sequential route (:meth:`_scoped_bits`), else the
+        product spaces (plain regexes over the NFA product, REE/REM
+        expressions over the register product): *sources* / *targets* restrict the relation
         to the node sets already bound by earlier joins (``None`` means
         unrestricted), so a later atom is evaluated only from the
         bindings that can still contribute to the join.  *route* names
@@ -464,7 +473,7 @@ class EvaluationEngine:
             )
         bits = self.atom_bits(graph, query, route, sources, targets, null_semantics)
         if bits is None:  # off the compact kernels the algebra still runs, on the dict index
-            bits = self._scoped_bits(graph, expression, route, sources, targets, null_semantics)
+            bits = self._scoped_bits(graph, query, route, sources, targets, null_semantics)
         if bits is not None:
             return bits.id_pairs()
         space = self.space_for_atom(graph, query, null_semantics)

@@ -7,9 +7,11 @@ import random
 import sys
 
 import pytest
+from hypothesis import strategies as st
 
 from repro.datagraph import DataGraph, GraphBuilder
 from repro.engine import forkpool
+from repro.regular import EPSILON, concat, letter, plus, star, union
 
 #: The host shapes the router / policy suites run under: ``(cores, fork)``.
 HOST_SHAPES = {"1-core": (1, True), "n-core-fork": (4, True), "n-core-no-fork": (4, False)}
@@ -69,3 +71,21 @@ def chain_graph_10() -> DataGraph:
     for i in range(10):
         builder.edge(f"c{i}", "a", f"c{i + 1}")
     return builder.build()
+
+
+@st.composite
+def regex_strategy(draw, depth=3):
+    """Regex ASTs over ``a``/``b``/``c`` and ε, built by the smart
+    constructors (shared by the parser round trip and the kernel suites)."""
+    if depth == 0:
+        return draw(st.sampled_from([letter("a"), letter("b"), letter("c"), EPSILON]))
+    choice = draw(st.integers(0, 4))
+    if choice == 0:
+        return draw(st.sampled_from([letter("a"), letter("b"), letter("c")]))
+    if choice == 1:
+        return concat(draw(regex_strategy(depth=depth - 1)), draw(regex_strategy(depth=depth - 1)))
+    if choice == 2:
+        return union(draw(regex_strategy(depth=depth - 1)), draw(regex_strategy(depth=depth - 1)))
+    if choice == 3:
+        return star(draw(regex_strategy(depth=depth - 1)))
+    return plus(draw(regex_strategy(depth=depth - 1)))

@@ -29,6 +29,7 @@ from repro.engine import compact as compact_kernels
 from repro.engine import data as data_kernels
 from repro.engine import product as product_kernels
 from repro.engine.bitrelation import BitRelation
+from repro.engine.engine import EvaluationEngine
 from repro.engine.partition import GraphPartition
 from repro.exceptions import EvaluationError
 
@@ -49,8 +50,9 @@ DIALECT_QUERIES = {
 #: Kinds whose full relation the session can repair in place; the rest
 #: must recompute (their semantics are not per-source monotone).
 REPAIRING = {"rpq", "ree", "rem", "rem-cross"}
-#: ... of which the scoped data RPQs, answered and repaired by the bit-row algebra.
-SCOPED = {"ree", "rem"}
+#: ... of which the scoped ones (an RPQ is the REM with no registers),
+#: answered and repaired by the bit-row algebra.
+SCOPED = {"rpq", "ree", "rem"}
 
 #: The route whose cached entries keep bit rows on these small graphs
 #: (``auto`` takes the dict kernels below a few hundred nodes).
@@ -66,6 +68,22 @@ def chain_graph() -> DataGraph:
             graph.add_node(f"k{c}n{i}", i % 3)
         for i in range(CHAIN_LENGTH - 1):
             graph.add_edge(f"k{c}n{i}", "ab"[i % 2], f"k{c}n{i+1}")
+    return graph
+
+
+def supplier_graph() -> DataGraph:
+    """Tiers of suppliers: each supplies two of the tier above it, and
+    some stand in for a neighbour (``alt_for``) within their tier."""
+    graph = DataGraph(name="repair-suppliers")
+    tiers, width = 5, 6
+    for t in range(tiers):
+        for s in range(width):
+            graph.add_node(f"t{t}s{s}", s % 3)
+    for t in range(tiers - 1):
+        for s in range(width):
+            graph.add_edge(f"t{t}s{s}", "supplies_to", f"t{t + 1}s{s}")
+            graph.add_edge(f"t{t}s{s}", "supplies_to", f"t{t + 1}s{(s + 1) % width}")
+            graph.add_edge(f"t{t}s{s}", "alt_for", f"t{t}s{(s + 3) % width}")
     return graph
 
 
@@ -215,7 +233,7 @@ class TestRepairedEqualsFresh:
         assert entry["delta_size"] == delta.size
 
     def test_edges_the_query_cannot_read_seed_nothing(self, monkeypatch):
-        """An edge whose label the automaton never reads carries no
+        """An edge whose label the query never mentions carries no
         witness path: a batch of them repairs with zero seeds — however
         much of the graph its endpoints could reach — and the cached
         entry stands, bit for bit the fresh one."""
@@ -245,6 +263,46 @@ class TestRepairedEqualsFresh:
         assert entry[1].rows == fresh._results.peek((graph.version, query.key, False))[1].rows
         stats = session.maintenance_stats()
         assert (stats["repairs"], stats["recomputes"], stats["patched"]) == (1, 0, 0)
+
+    def test_a_closure_is_answered_and_repaired_without_an_automaton(self, monkeypatch):
+        """run → insert → run → ``alt_for``-only batch → run on
+        ``supplies_to+``: the answer, the repair's seeds and the labels
+        that choose them all come from the query itself, so no automaton
+        is compiled; the repaired rows are a fresh session's, bit for
+        bit, and the ``alt_for`` batch repairs with zero seeds."""
+        graph = supplier_graph()
+        query = Query.parse("supplies_to+")
+        compiled, closures = [], []
+        compile_rpq = EvaluationEngine.compile_rpq
+        closure = repair_module.backward_touched_closure
+
+        def counting(engine, rpq):
+            compiled.append(rpq)
+            return compile_rpq(engine, rpq)
+
+        def sized(index, touched, labels=None):
+            seeds = closure(index, touched, labels)
+            closures.append(len(seeds))
+            return seeds
+
+        monkeypatch.setattr(EvaluationEngine, "compile_rpq", counting)
+        monkeypatch.setattr(repair_module, "backward_touched_closure", sized)
+        session = GraphSession(graph, policy=COMPACT)
+        session.run(query).rows()
+        with graph.batch() as batch:
+            batch.add_edge("t3s0", "supplies_to", "t1s2")
+        assert session.run(query).rows() == fresh_rows(graph, query)
+        with graph.batch() as batch:
+            batch.add_edge("t2s1", "alt_for", "t2s5")
+        served = session.run(query).rows()
+        assert compiled == []
+        assert closures[0] > 0 and closures[1] == 0
+        stats = session.maintenance_stats()
+        assert (stats["repairs"], stats["recomputes"]) == (2, 0)
+        fresh = GraphSession(graph, policy=COMPACT)
+        assert served == fresh.run(query).rows()
+        key = (graph.version, query.key, False)
+        assert session._results.peek(key)[1].rows == fresh._results.peek(key)[1].rows
 
     @pytest.mark.parametrize("executor", ["sequential", "thread"])
     def test_run_many_after_a_removal_serves_the_fresh_answers(self, executor):
@@ -322,17 +380,19 @@ class TestRepairFollowsTheRoute:
         assert served == expected
         stats = session.maintenance_stats()
         assert stats["repairs"] == 1 and stats["recomputes"] == 0
-        # what explain names is what repaired: a scoped data RPQ by one
-        # seeded run of the algebra over the route's index, never a kernel
-        if dialect in SCOPED:
+        # what explain names is what repaired: an RPQ or a scoped data RPQ
+        # by one seeded run of the algebra over the route's index (an RPQ
+        # on the sql route by its seeded CTE), never a product kernel
+        if dialect == "rpq" and route == "sql":
+            assert not calls.algebra and calls.compact == 0 and calls.dict_forward == 0
+        elif dialect in SCOPED:
             ((on_csr, seeded),) = calls.algebra
             assert on_csr == (route == "compact") and seeded
             assert calls.compact == 0 and calls.dict_forward == 0
         elif route == "compact":
             assert calls.compact == 1 and calls.dict_forward == 0 and not calls.algebra
-        elif route in ("dict", "blocks"):
-            assert calls.compact == 0 and not calls.algebra
-            assert calls.dict_forward == (1 if dialect == "rpq" else 0)  # only the NFA product prunes
+        else:  # the register product, which does not prune
+            assert calls.compact == 0 and calls.dict_forward == 0 and not calls.algebra
 
     @pytest.mark.parametrize("removal", [False, True], ids=["repair", "recompute"])
     def test_a_run_resolves_its_route_once(self, removal, monkeypatch):
@@ -365,11 +425,11 @@ class TestRepairFollowsTheRoute:
 
     @pytest.mark.parametrize("dialect", sorted(REPAIRING))
     def test_compact_repairs_keep_bit_rows_across_batches(self, dialect, monkeypatch):
-        """A scoped data RPQ's rows come from the algebra run unseeded, the
-        pairs a repair merges into them from the same algebra seeded at
-        the touched closure (a cross-scope REM's: the register kernel,
-        both times): the union is still the fresh run's, bit for bit,
-        on a node ordering the first batch grows."""
+        """An RPQ's or scoped data RPQ's rows come from the algebra run
+        unseeded, the pairs a repair merges into them from the same
+        algebra seeded at the touched closure (a cross-scope REM's: the
+        register kernel, both times): the union is still the fresh run's,
+        bit for bit, on a node ordering the first batch grows."""
         graph = chain_graph()
         query = DIALECT_QUERIES[dialect]
         session = GraphSession(graph, policy=ROUTE_POLICIES["compact"])

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from conftest import regex_strategy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,7 @@ from repro.datagraph import NULL, GraphBuilder, generators
 from repro.datagraph.compact import CompactLabelIndex, owner_column
 from repro.datagraph.index import LabelIndex
 from repro.datapaths.conditions import And, Equal, NotEqual, Or
-from repro.datapaths.fragments import is_scoped
+from repro.datapaths.fragments import is_scoped, regex_to_rem
 from repro.datapaths.ree import (
     ReeConcat,
     ReeEpsilon,
@@ -57,6 +58,7 @@ from repro.query import (
     evaluate_rpq_naive,
     rpq,
 )
+from repro.regular import EPSILON, Concat, Letter, Plus, Star, Union, parse_regex
 
 RPQ_POOL = [
     "a",
@@ -432,9 +434,9 @@ def test_ree_memo_is_structural(monkeypatch):
     calls = []
     closure = data_kernels._closure
 
-    def counting(inner, positions):
-        calls.append(inner)
-        return closure(inner, positions)
+    def counting(step, first, successors):
+        calls.append(first)
+        return closure(step, first, successors)
 
     monkeypatch.setattr(data_kernels, "_closure", counting)
     graph = random_graph_from(4, 20)
@@ -567,6 +569,87 @@ def test_nfa_bit_rows_decode_to_the_naive_relation(seed, size, query_index, data
     assert full.restrict(sources, targets).count() == len(expected)
 
 
+#: Shapes the smart constructors simplify away: ε, nested stars, a closure
+#: of ε, union with ε, ε factors, and a label the graphs never carry.
+RAW_RPQS = [
+    EPSILON,
+    Star(Star(Letter("a"))),
+    Plus(Star(Union(Letter("a"), Letter("b")))),
+    Star(EPSILON),
+    Union(EPSILON, Letter("a")),
+    Concat(Union(Letter("b"), EPSILON), Concat(EPSILON, Star(Letter("a")))),
+    Concat(Letter("c"), Star(Letter("a"))),
+    Union(Letter("c"), Plus(Letter("c"))),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    graph=tricky_graphs(),
+    expression=regex_strategy() | st.sampled_from(RAW_RPQS),
+    data=st.data(),
+)
+def test_rpq_bit_rows_on_the_algebra_match_naive_and_the_nfa_kernel(graph, expression, data):
+    """An RPQ is the REM with no registers: the algebra's rows, full and
+    seeded, over either index, are the NFA kernel's, bit for bit, and
+    decode to the naive relation."""
+    expected = {(source.id, target.id) for source, target in evaluate_rpq_naive(graph, expression)}
+    rem = regex_to_rem(expression)
+    dict_index = graph.label_index()
+    compact = CompactLabelIndex.from_label_index(dict_index)
+    automaton = default_engine().compile_rpq(expression)
+    ids = list(dict_index.nodes) + ["absent"]
+    drawn = data.draw(st.sets(st.sampled_from(ids), max_size=4))
+    for sources in (None, drawn):
+        wanted = restricted(expected, sources, None)
+        nfa = compact_kernels.nfa_relation(
+            compact, automaton, sources=None if sources is None else sorted(sources)
+        )
+        assert nfa.id_pairs() == wanted
+        for index in (dict_index, compact):
+            relation = data_kernels.ree_relation(index, rem, sources=sources)
+            assert relation.id_pairs() == wanted
+            assert relation.rows == nfa.rows  # bit-identical, not just equal as pairs
+
+
+def test_a_closure_against_the_index_order_is_the_chains():
+    """``next+`` on a 1,200-node chain whose edges all point against the
+    index order (where a FIFO worklist needs one pass per level) is the
+    chain's closure, full and seeded: every node reaches all before it."""
+    size = 1200
+    builder = GraphBuilder(name="reversed-chain")
+    for i in range(size):
+        builder.node(i, 0)
+    for i in range(1, size):
+        builder.edge(i, "next", i - 1)
+    graph = builder.build()
+    compact = graph.compact_index()
+    expected, reaching = {}, 0
+    for i in reversed(range(size)):  # the sources of i: every node after it
+        if reaching:
+            expected[compact.position[i]] = reaching
+        reaching |= 1 << compact.position[i]
+    rem = regex_to_rem(parse_regex("next+"))
+    for index in (graph.label_index(), compact):
+        assert data_kernels.ree_relation(index, rem).rows == expected
+    assert data_kernels.ree_relation(compact, rem, sources=[size - 1]).rows == {
+        at: 1 << compact.position[size - 1] for at, _mask in expected.items()
+    }
+
+
+def test_a_plain_rpq_never_reads_the_value_classes():
+    """Only a test reads values: RPQs (full, seeded, in a CRPQ) leave the
+    |V|²/16-byte value-class table of either index unbuilt."""
+    graph = random_graph_from(7, 40)
+    crpq = Query.parse(CRPQ_POOL[1], dialect="crpq")
+    for backend in ("compact", "dict"):
+        session = GraphSession(graph, policy=ExecutionPolicy(backend=backend))
+        assert session.run("a.(a|b)*.b").pairs() == evaluate_rpq_naive(graph, rpq("a.(a|b)*.b"))
+        session.run(crpq).rows()
+    assert graph.compact_index()._value_classes is None
+    assert graph.label_index()._value_classes is None
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
@@ -628,13 +711,18 @@ class TestBitRelationEdges:
     def test_empty_graph_and_single_node(self):
         empty = GraphBuilder(name="empty").build().compact_index()
         automaton = default_engine().compile_rpq(rpq("a*"))
+        star = regex_to_rem(parse_regex("a*"))
         for relation in (
             compact_kernels.nfa_relation(empty, automaton),
             compact_kernels.closure_relation(empty, "a"),
+            data_kernels.ree_relation(empty, star),
+            data_kernels.ree_relation(empty, star, sources=["absent"]),
+            *(data_kernels.ree_relation(empty, regex_to_rem(raw)) for raw in RAW_RPQS),
         ):
             assert relation.rows == {} and relation.count() == 0
             assert relation.id_pairs() == relation.node_pairs(empty.node_objects) == frozenset()
         lonely = GraphBuilder(name="lonely").node("only", 1).build().compact_index()
+        assert data_kernels.ree_relation(lonely, star).rows == {0: 1}
         relation = compact_kernels.nfa_relation(lonely, automaton)
         assert relation.rows == {0: 1}
         assert relation.id_pairs() == {("only", "only")}

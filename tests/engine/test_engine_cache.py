@@ -2,8 +2,9 @@
 
 The seed evaluators recompiled the NFA on every call to ``evaluate_rpq``
 (now ``GraphSession.run``) / ``rpq_holds`` / ``evaluate_rpq_from``.  These tests pin the fix: all
-public entry points share one compiled automaton per query, keyed on the
-structural AST, behind an LRU bound.
+point entry points share one compiled automaton per query, keyed on the
+structural AST, behind an LRU bound.  Full relations compile none: the
+bit-row algebra runs the regex itself.
 """
 
 from __future__ import annotations
@@ -39,10 +40,10 @@ def small_graph():
 
 def test_second_evaluation_hits_the_automaton_cache(small_graph):
     engine = EvaluationEngine()
-    engine.evaluate_rpq(small_graph, "a.b")
+    engine.evaluate_rpq_from(small_graph, "a.b", "u")
     stats = engine.stats()["automata"]
     assert (stats.misses, stats.hits) == (1, 0)
-    engine.evaluate_rpq(small_graph, "a.b")
+    engine.evaluate_rpq_from(small_graph, "a.b", "u")
     stats = engine.stats()["automata"]
     assert (stats.misses, stats.hits) == (1, 1)
 
@@ -51,21 +52,23 @@ def test_all_entry_points_share_one_compiled_automaton(small_graph):
     engine = EvaluationEngine()
     query = rpq("a.b")
     engine.evaluate_rpq(small_graph, query)
+    engine.evaluate_many(small_graph, [query, query])
+    assert engine.stats()["automata"].misses == 0  # full relations: the algebra
     engine.rpq_holds(small_graph, query, "u", "w")
     engine.evaluate_rpq_from(small_graph, query, "u")
     engine.witness_path_labels(small_graph, query, "u", "w")
-    engine.evaluate_many(small_graph, [query, query])
+    engine.holds_many(small_graph, query, [("u", "w")])
     stats = engine.stats()["automata"]
     assert stats.misses == 1
-    assert stats.hits >= 5
+    assert stats.hits >= 3
 
 
 def test_equivalent_query_spellings_share_one_entry(small_graph):
     engine = EvaluationEngine()
     expression = parse_regex("a.b")
-    engine.evaluate_rpq(small_graph, "a.b")  # textual
-    engine.evaluate_rpq(small_graph, expression)  # regex AST
-    engine.evaluate_rpq(small_graph, rpq("a.b"))  # RPQ wrapper
+    engine.evaluate_rpq_from(small_graph, "a.b", "u")  # textual
+    engine.evaluate_rpq_from(small_graph, expression, "u")  # regex AST
+    engine.evaluate_rpq_from(small_graph, rpq("a.b"), "u")  # RPQ wrapper
     stats = engine.stats()["automata"]
     assert stats.misses == 1
     assert stats.hits == 2
@@ -78,6 +81,7 @@ def test_public_module_functions_reuse_the_default_engine_cache(small_graph):
     rpq_holds(small_graph, "a.b.a", "u", "u")
     evaluate_rpq_from(small_graph, "a.b.a", "u")
     witness_path_labels(small_graph, "a.b.a", "u", "u")
+    evaluate_rpq_from(small_graph, "a.b.a", "v")
     after = default_engine().stats()["automata"]
     assert after.misses - before.misses <= 1
     assert after.hits - before.hits >= 3
@@ -94,13 +98,13 @@ def test_register_automaton_compilation_is_cached(small_graph):
 
 def test_lru_bound_evicts_least_recently_used(small_graph):
     engine = EvaluationEngine(automaton_cache_size=2)
-    engine.evaluate_rpq(small_graph, "a")
-    engine.evaluate_rpq(small_graph, "b")
-    engine.evaluate_rpq(small_graph, "a.b")  # evicts "a"
+    engine.evaluate_rpq_from(small_graph, "a", "u")
+    engine.evaluate_rpq_from(small_graph, "b", "u")
+    engine.evaluate_rpq_from(small_graph, "a.b", "u")  # evicts "a"
     stats = engine.stats()["automata"]
     assert stats.size == 2
     assert stats.evictions == 1
-    engine.evaluate_rpq(small_graph, "a")  # recompilation, not a hit
+    engine.evaluate_rpq_from(small_graph, "a", "u")  # recompilation, not a hit
     assert engine.stats()["automata"].misses == 4
 
 
@@ -175,10 +179,10 @@ def test_evaluate_many_stays_correct_across_cache_eviction(small_graph):
 
 def test_clear_caches_resets_entries_but_keeps_counters(small_graph):
     engine = EvaluationEngine()
-    engine.evaluate_rpq(small_graph, "a.b")
+    engine.rpq_holds(small_graph, "a.b", "u", "w")
     engine.clear_caches()
     stats = engine.stats()["automata"]
     assert stats.size == 0
     assert stats.misses == 1
-    engine.evaluate_rpq(small_graph, "a.b")
+    engine.rpq_holds(small_graph, "a.b", "u", "w")
     assert engine.stats()["automata"].misses == 2

@@ -179,7 +179,9 @@ class TestExplain:
         assert session._crpq_plan(query) is not stale
 
     def test_non_crpq_kinds_explain_their_fixed_strategy(self, skewed_graph):
-        assert "NFA" in Query.parse("a.b").explain(skewed_graph)
+        rpq_text = Query.parse("a.b").explain(skewed_graph)
+        assert rpq_text.startswith("rpq: bit-row algebra")
+        assert "point queries and partitioned drivers run the compiled ε-free NFA" in rpq_text
         assert "register" in Query.parse("(a)=", dialect="ree").explain()
 
     def test_boolean_head_renders(self, skewed_graph):

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from repro.api import ExecutionPolicy, GraphSession, Query
 from repro.datagraph import generators
 from repro.datagraph.compact import CompactLabelIndex
+from repro.datapaths.ree import RegexWithEquality
 from repro.engine import data as data_kernels
 from repro.engine import default_engine
 from repro.engine.partition import sharded_product_relation
@@ -176,13 +177,14 @@ class TestEliminationMatchesTheSpec:
     ):
         """A sequential route scans an REE atom no join has bound the
         sources of off the algebra's bit rows, over the index the route
-        names (bound targets are a row selection); the answer is the spec's."""
+        names (bound targets are a row selection); the plain atoms beside
+        it run on the same algebra and index; the answer is the spec's."""
         calls = []
         ree_relation = data_kernels.ree_relation
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return ree_relation(*args, **kwargs)
+        def counting(index, expression, null_semantics=False, sources=None):
+            calls.append((index, expression, sources))
+            return ree_relation(index, expression, null_semantics, sources)
 
         graph = community(12)
         query = parse_crpq(text)
@@ -194,8 +196,13 @@ class TestEliminationMatchesTheSpec:
             session = GraphSession(graph, policy=ExecutionPolicy(backend=backend))
             rows = session.run(Query.crpq(query), null_semantics=null_semantics).rows()
             assert rows == expected, session.explain(Query.crpq(query))
-            ((index, *_),) = calls
-            assert isinstance(index, CompactLabelIndex) == (backend == "compact")
+            assert len(calls) == len(plan_crpq(query).eliminated.atoms)  # one scan each
+            for index, _expression, _sources in calls:
+                assert isinstance(index, CompactLabelIndex) == (backend == "compact")
+            ((_index, _ree, sources),) = [
+                call for call in calls if isinstance(call[1], RegexWithEquality)
+            ]
+            assert sources is None
             calls.clear()
 
 

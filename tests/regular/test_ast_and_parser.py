@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from conftest import regex_strategy
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.exceptions import ParseError
 from repro.regular import (
@@ -159,20 +159,6 @@ class TestParser:
         assert "position" in str(excinfo.value)
 
 
-@st.composite
-def regex_strategy(draw, depth=3):
-    if depth == 0:
-        return draw(st.sampled_from([letter("a"), letter("b"), letter("c"), EPSILON]))
-    choice = draw(st.integers(0, 4))
-    if choice == 0:
-        return draw(st.sampled_from([letter("a"), letter("b"), letter("c")]))
-    if choice == 1:
-        return concat(draw(regex_strategy(depth=depth - 1)), draw(regex_strategy(depth=depth - 1)))
-    if choice == 2:
-        return union(draw(regex_strategy(depth=depth - 1)), draw(regex_strategy(depth=depth - 1)))
-    if choice == 3:
-        return star(draw(regex_strategy(depth=depth - 1)))
-    return plus(draw(regex_strategy(depth=depth - 1)))
 
 
 class TestRegexProperties:
