@@ -1,6 +1,6 @@
 """Benchmark the compact CSR backend against the dict kernels.
 
-Four comparisons on multi-community scenario graphs:
+Five comparisons on multi-community scenario graphs:
 
 * **RPQ kernels** (gated) — the bit-row algebra
   (:func:`~repro.engine.data.ree_relation` on the regex as a
@@ -31,6 +31,12 @@ Four comparisons on multi-community scenario graphs:
   ~1.9x (with the relation materialised three times in Python the
   answer once cost 15.6x the rows).  A single-core constant-factor
   claim.
+* **GXPath path vs its RPQ twin** (gated) — ``knows*.bridge`` asked as
+  a GXPath path (:func:`~repro.gxpath.evaluation.evaluate_path`) and as
+  an RPQ, on the compact route, answer decoded both times.  Both run the
+  bit-row algebra, so CI gates GXPath at <= 1.3x the RPQ (measures
+  ~1.0x; the pair-set evaluator it replaced measured 5.9x).  A
+  single-core constant-factor claim.
 * **Shard-worker memory** — a mixed workload (one dense plain RPQ, one
   data-RPQ) through a :class:`~repro.server.workers.ShardWorkerPool`
   with and without the shared-memory CSR segment.  Each bench records
@@ -63,6 +69,8 @@ from repro.engine import compact as compact_kernels
 from repro.engine import data as data_kernels
 from repro.engine import default_engine
 from repro.engine.forkpool import fork_available
+from repro.gxpath import parse_gxpath_path
+from repro.gxpath.evaluation import evaluate_path
 from repro.planner.router import route_point
 from repro.regular import parse_regex
 from repro.server.workers import ShardWorkerPool
@@ -79,6 +87,8 @@ CLOSURE_QUERY = "(knows|bridge)+"
 #: The kernel pair's relations: a selective letter in front of a dense
 #: closure, and a word, beside the two closures above.
 KERNEL_QUERIES = (RPQ_QUERY, CLOSURE_QUERY, "bridge.(knows|bridge)*", "knows.knows")
+#: One relation in two dialects: a GXPath path and an RPQ, the same text.
+TWIN_QUERY = "knows*.bridge"
 
 
 def _scenario_graph(num_communities: int, community_size: int) -> DataGraph:
@@ -195,6 +205,33 @@ def bench_compact_closure_answer(benchmark):
     )
     benchmark.extra_info["num_pairs"] = len(pairs)
     assert len(pairs) == expected
+
+
+# ----------------------------------------------------------------------
+# One relation as a GXPath path and as an RPQ: the GXPath gate
+# ----------------------------------------------------------------------
+def _bench_path_answer(benchmark, dialect: str):
+    graph = _scenario_graph(16, 80)
+    route = route_point(graph, ExecutionPolicy(backend="compact"))
+    path, regex = parse_gxpath_path(TWIN_QUERY), parse_regex(TWIN_QUERY)
+    runs = {
+        "gxpath": lambda: evaluate_path(graph, path, route=route),
+        "rpq": lambda: default_engine().evaluate_rpq(graph, regex, route),
+    }
+    graph.compact_index().node_objects  # the decode column, built untimed
+    _warm(graph, "compact")
+    pairs = benchmark.pedantic(runs[dialect], rounds=5, iterations=1)
+    benchmark.extra_info["num_pairs"] = len(pairs)
+    if dialect == "gxpath":
+        assert pairs == runs["rpq"]()
+
+
+def bench_gxpath_path_answer(benchmark):
+    _bench_path_answer(benchmark, "gxpath")
+
+
+def bench_rpq_path_answer(benchmark):
+    _bench_path_answer(benchmark, "rpq")
 
 
 # ----------------------------------------------------------------------

@@ -302,8 +302,9 @@ class Query:
                 f"mask pass) — outside the scoped fragment: {violation}"
             )
         return (
-            f"{kind.value}: recursive GXPath evaluation over the label index; "
-            "axis closures (a*) route through the ClosureSpace kernels"
+            f"{kind.value}: bit-row algebra over the route's index (axes push rows along "
+            "forward or transposed edges, a* is the swept closure, concatenations push "
+            "their left factor's rows; node expressions are position masks)"
         )
 
     # ------------------------------------------------------------------
@@ -366,4 +367,4 @@ class Query:
                 elif isinstance(atom.query.expression, RegexWithMemory):
                     engine.compile_data_rpq(atom.query.expression)
         # GXPath plans have no compiled artefacts: each evaluation builds
-        # its own memo tables over the shared label index.
+        # its own bit rows over the index its route names.

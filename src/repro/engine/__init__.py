@@ -12,16 +12,15 @@ It provides:
   algorithms, so all call sites share one compilation cache;
 * :class:`CompiledAutomaton` — ε-free tabular automata built once per
   query;
-* the :class:`ProductSpace` protocol (:mod:`repro.engine.spaces`) with
-  one implementation per dialect — :class:`NfaProductSpace` for plain
-  RPQs, :class:`RegisterProductSpace` for data RPQs,
-  :class:`ClosureSpace` for GXPath axis-star closures — all evaluated by
-  the same phase kernels (:mod:`repro.engine.product`) over each graph's
-  lazily built :class:`~repro.datagraph.index.LabelIndex`
-  (:mod:`repro.engine.data` holds the REE algebra and the register
-  entry points) and all handing their answer over as a
-  :class:`BitRelation` (:mod:`repro.engine.bitrelation`) — per-target
-  source bitmasks, decoded exactly once by the one decoder;
+* the bit-row algebra (:mod:`repro.engine.data`) behind every
+  sequential RPQ, scoped data RPQ and GXPath expression, and the
+  :class:`ProductSpace` protocol (:mod:`repro.engine.spaces`) —
+  :class:`NfaProductSpace` for plain RPQs, :class:`RegisterProductSpace`
+  for data RPQs — evaluated by the phase kernels
+  (:mod:`repro.engine.product`) over each graph's lazily built
+  :class:`~repro.datagraph.index.LabelIndex`, all handing their answer
+  over as a :class:`BitRelation` (:mod:`repro.engine.bitrelation`) —
+  per-target source bitmasks, decoded exactly once by the one decoder;
 * the partitioned evaluation layer (:mod:`repro.engine.partition`) —
   edge-cut :class:`GraphPartition` plans with shard-local views, the
   sharded scatter/gather driver (shard rounds in forked worker
@@ -51,7 +50,7 @@ from .partition import (
     sharded_product_relation,
     split_blocks,
 )
-from .spaces import ClosureSpace, NfaProductSpace, ProductSpace, RegisterProductSpace
+from .spaces import NfaProductSpace, ProductSpace, RegisterProductSpace
 
 __all__ = [
     "EvaluationEngine",
@@ -65,7 +64,6 @@ __all__ = [
     "ProductSpace",
     "NfaProductSpace",
     "RegisterProductSpace",
-    "ClosureSpace",
     "GraphPartition",
     "ShardView",
     "split_blocks",

@@ -39,7 +39,6 @@ from ..datagraph.node import NodeId
 from ..datapaths.register_automata import RegisterAutomaton, RegisterStepper
 from .bitrelation import BitRelation
 from .compiled import CompiledAutomaton
-from .spaces import ClosureSpace, NfaProductSpace, ProductSpace, RegisterProductSpace
 
 __all__ = [
     "COMPACT_AUTO_MIN_NODES",
@@ -48,7 +47,6 @@ __all__ = [
     "nfa_reachable_targets",
     "closure_relation",
     "register_relation",
-    "compact_space_relation",
     "nfa_shard_plans",
     "compact_shard_round",
     "decode_shard_masks",
@@ -57,8 +55,8 @@ __all__ = [
 Pair = Tuple[NodeId, NodeId]
 
 #: Below this many nodes the router stays on the dict label index (its
-#: product kernels' lower constant; RPQs and scoped data RPQs run the
-#: same bit-row algebra over either index); at and above it the int-id
+#: product kernels' lower constant; RPQs, scoped data RPQs and GXPath run
+#: the same bit-row algebra over either index); at and above it the int-id
 #: kernels' per-step savings dominate.  Deliberately small — the crossover on the bench
 #: graphs sits far lower — so routing goes compact wherever the
 #: difference could matter.
@@ -364,45 +362,23 @@ def nfa_reachable_targets(
 
 
 # ----------------------------------------------------------------------
-# The closure kernel (GXPath a* / a-* axes)
+# The closure kernel (one label's a* / a-*)
 # ----------------------------------------------------------------------
-def closure_relation(
-    compact: CompactLabelIndex,
-    label: str,
-    inverse: bool = False,
-    sources: Optional[Sequence[NodeId]] = None,
-    targets: Optional[Iterable[NodeId]] = None,
-) -> BitRelation:
+def closure_relation(compact: CompactLabelIndex, label: str, inverse: bool = False) -> BitRelation:
     """The reflexive-transitive closure of one label's edge relation.
 
     Configurations degenerate to bare int nodes (``S = 1``): the mask
     list over nodes *is* the row table and every configuration accepts,
-    so ``(u, u)`` pairs are included — exactly
-    ``product_relation(ClosureSpace(...))``.
+    so ``(u, u)`` pairs are included.  No route runs it (GXPath's ``a*``
+    is the bit-row algebra's closure); kept only because the frozen e2e
+    tracer resolves it by name, it goes with that tracer row.
     """
     n = compact.num_nodes
-    if n == 0:
-        return _relation(compact, {})
-    src_ints = _source_ints(compact, sources)
-    if not src_ints:
-        return _relation(compact, {})
-    target_flags: Optional[bytearray] = None
-    if targets is not None:
-        target_flags = _target_flags(compact, targets)
+    masks = [1 << u for u in range(n)]
     row = compact.csr_t(label) if inverse else compact.csr(label)
-    masks: List[int] = [0] * n
-    touched: List[int] = []
-    in_queue = bytearray(n)
-    pending: List[int] = []
-    for u in src_ints:
-        if not masks[u]:
-            touched.append(u)
-        masks[u] |= 1 << u
-        if row is not None and not in_queue[u]:
-            in_queue[u] = 1
-            pending.append(u)
     if row is not None:
         offsets, neighbors = row
+        pending, in_queue = list(range(n)), bytearray(b"\x01" * n)
         head = 0
         while head < len(pending):
             u = pending[head]
@@ -410,18 +386,13 @@ def closure_relation(
             in_queue[u] = 0
             mask = masks[u]
             for v in neighbors[offsets[u] : offsets[u + 1]]:
-                known = masks[v]
-                merged = known | mask
-                if merged != known:
-                    if not known:
-                        touched.append(v)
+                merged = masks[v] | mask
+                if merged != masks[v]:
                     masks[v] = merged
                     if not in_queue[v]:
                         in_queue[v] = 1
                         pending.append(v)
-    if target_flags is not None:
-        touched = [u for u in touched if target_flags[u]]
-    return _relation(compact, {u: masks[u] for u in touched})
+    return _relation(compact, dict(enumerate(masks)))
 
 
 # ----------------------------------------------------------------------
@@ -510,42 +481,6 @@ def register_relation(
         if accepting_sv[sv] and (target_flags is None or target_flags[u]):
             rows[u] = rows.get(u, 0) | mask
     return _relation(compact, rows)
-
-
-# ----------------------------------------------------------------------
-# The space-level dispatch: one seam for every dialect
-# ----------------------------------------------------------------------
-def compact_space_relation(
-    space: ProductSpace,
-    compact: CompactLabelIndex,
-    sources: Optional[Sequence[NodeId]] = None,
-    targets: Optional[Iterable[NodeId]] = None,
-) -> Optional[BitRelation]:
-    """Evaluate a :class:`ProductSpace`'s (seeded) relation compactly.
-
-    The compact twin of the dict phases behind
-    :func:`repro.engine.product.seeded_product_relation`: the space names
-    its control structure (via :attr:`ProductSpace.compact_kernel`), this
-    module supplies the array kernels.  Returns ``None`` for spaces
-    without a compact kernel so callers fall back to the dict path.
-    """
-    kernel = space.compact_kernel
-    if kernel == "nfa":
-        assert isinstance(space, NfaProductSpace)
-        return nfa_relation(compact, space.automaton, sources=sources, targets=targets)
-    if kernel == "closure":
-        assert isinstance(space, ClosureSpace)
-        return closure_relation(compact, space.label, sources=sources, targets=targets)
-    if kernel == "register":
-        assert isinstance(space, RegisterProductSpace)
-        return register_relation(
-            compact,
-            space.automaton,
-            space.null_semantics,
-            sources=sources,
-            targets=targets,
-        )
-    return None
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,8 @@ Two kernels, one per side of the syntactic fragment test
   :class:`~repro.engine.engine.EvaluationEngine`.
 
 Both hand back id-level relations; the engine translates to
-:class:`~repro.datagraph.node.Node` pairs at the boundary.
+:class:`~repro.datagraph.node.Node` pairs at the boundary.  GXPath
+(:mod:`repro.gxpath.evaluation`) runs on the algebra's primitives.
 """
 
 from __future__ import annotations
@@ -183,21 +184,9 @@ class _OriginAlgebra:
 
     def _allowed(self, condition: Condition) -> Callable[[int], int]:
         """``position -> the origins whose value satisfies *condition*
-        against the value there`` (``-1``: all of them).  The index's
-        value classes are read here, so a test-free expression never
-        builds them."""
+        against the value there`` (``-1``: all of them)."""
         if isinstance(condition, (Equal, NotEqual)):
-            same, nulls = self.index.value_classes
-            dead = nulls if self.null_semantics else 0  # positions no comparison is true at
-            want_equal = isinstance(condition, Equal)
-
-            def allowed(v: int) -> int:
-                equal = same[v]
-                if equal & dead:  # a position holding the null compares with nothing
-                    return 0
-                return equal if want_equal else ~(equal | dead)
-
-            return allowed
+            return _comparison(self.index, isinstance(condition, Equal), self.null_semantics)
         if isinstance(condition, (And, Or)):
             left, right = self._allowed(condition.left), self._allowed(condition.right)
             if isinstance(condition, And):
@@ -206,12 +195,33 @@ class _OriginAlgebra:
         return lambda v: -1  # ⊤
 
 
-def _letter_pusher(index: Union[LabelIndex, CompactLabelIndex], label: str) -> Pusher:
-    """Arrived masks along one label's *forward* edges — CSR rows, or the
-    dict index's targets sent through ``position`` — so a push costs what
-    its frontier's out-edges do, not the graph."""
+def _comparison(
+    index: Union[LabelIndex, CompactLabelIndex], want_equal: bool, null_semantics: bool
+) -> Callable[[int], int]:
+    """``position -> the positions whose value compares true with the
+    value there`` under ``=`` (*want_equal*) or ``≠``, for REM tests and
+    GXPath's ``α=`` / ``α≠`` alike; a comparison-free expression never
+    builds the value classes."""
+    same, nulls = index.value_classes
+    dead = nulls if null_semantics else 0  # positions no comparison is true at
+
+    def allowed(v: int) -> int:
+        equal = same[v]
+        if equal & dead:  # a position holding the null compares with nothing
+            return 0
+        return equal if want_equal else ~(equal | dead)
+
+    return allowed
+
+
+def _letter_pusher(
+    index: Union[LabelIndex, CompactLabelIndex], label: str, inverse: bool = False
+) -> Pusher:
+    """Arrived masks along one label's edges (transposed for a GXPath
+    ``a⁻``) — CSR rows, or the dict index's neighbours sent through
+    ``position`` — so a push costs what its frontier's edges do."""
     if isinstance(index, CompactLabelIndex):
-        row = index.csr(label)
+        row = index.csr_t(label) if inverse else index.csr(label)
         if row is None:
             return lambda arrived: {}
         offsets, neighbors = row
@@ -224,12 +234,13 @@ def _letter_pusher(index: Union[LabelIndex, CompactLabelIndex], label: str) -> P
             return rows
 
     else:
-        nodes, at, targets = index.nodes, index.position.__getitem__, index.targets
+        nodes, at = index.nodes, index.position.__getitem__
+        neighbours = index.sources if inverse else index.targets
 
         def push(arrived: Rows) -> Rows:
             rows: Rows = {}
             for u, mask in arrived.items():
-                for v in map(at, targets(label, nodes[u])):
+                for v in map(at, neighbours(label, nodes[u])):
                     rows[v] = rows.get(v, 0) | mask
             return rows
 

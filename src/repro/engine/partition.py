@@ -3,8 +3,8 @@
 Two independent ways to split one product-relation pass across more
 hardware, both built from the phase kernels of :mod:`repro.engine.product`
 and both **generic over any** :class:`~repro.engine.spaces.ProductSpace`
-— plain RPQs, register-automaton data RPQs and GXPath closures all ride
-the same drivers:
+— plain RPQs and register-automaton data RPQs ride the same drivers
+(GXPath runs on bit rows, sequentially, and takes neither):
 
 * **Source-block parallelism** (:func:`parallel_product_relation`) keeps
   one copy of the graph but splits the phase-3 bitmask propagation
@@ -125,7 +125,7 @@ def parallel_product_relation(
 
     Works for any :class:`ProductSpace`: pruning spaces share the
     forward/backward phases across all blocks; non-pruning spaces (the
-    register product, closures) hand every block an unpruned fixpoint.
+    register product) hand every block an unpruned fixpoint.
     With *sources* / *targets* given this is the driver-parallel form of
     :func:`~repro.engine.product.seeded_product_relation`: the blocks are
     cut from the bound source set only, so a CRPQ seeded scan fans its
@@ -640,9 +640,9 @@ def partitioned_product_relation(
     """Dispatch one product space through the driver *mode* names.
 
     The one mode→driver mapping shared by the engine's ``*_partitioned``
-    methods, the GXPath closure routing and the CRPQ planner's per-atom
-    seeded scans, so new driver knobs are threaded through a single
-    seam.  *sources* / *targets* select seeded (semijoin) evaluation.
+    methods and the CRPQ planner's per-atom seeded scans, so new driver
+    knobs are threaded through a single seam.  *sources* / *targets*
+    select seeded (semijoin) evaluation.
     """
     if mode in {"blocks", "source-blocks"}:
         return parallel_product_relation(

@@ -6,8 +6,7 @@ node regardless of label.  This module replaces it with a three-phase
 pass that is run **once** for the whole binary relation ``e(G)`` — and,
 since PR 4, the phases are generic over any
 :class:`~repro.engine.spaces.ProductSpace` (NFA product, register-
-automaton product, per-label closure), so every dialect shares one
-kernel stack:
+automaton product), so both automaton dialects share one kernel stack:
 
 1. **Forward multi-source reachability** (:func:`forward_expand`) — one
    BFS from *all* seed configurations at once, over the label-indexed
@@ -299,7 +298,6 @@ def seeded_product_relation(
     space: ProductSpace,
     sources: Optional[Sequence[NodeId]] = None,
     targets: Optional[Set[NodeId]] = None,
-    compact: Optional[CompactLabelIndex] = None,
 ) -> FrozenSet[Pair]:
     """The pairs of :func:`product_relation` restricted to bound endpoints.
 
@@ -310,18 +308,7 @@ def seeded_product_relation(
     restrict the phase-2 accepting set to those nodes and non-pruning
     spaces filter at decode time.  Equivalent to (but much cheaper than)
     ``{(u, v) ∈ product_relation(space) | u ∈ sources, v ∈ targets}``.
-
-    With *compact* given (the CSR twin of ``space.index``), the space's
-    int-id kernel in :mod:`repro.engine.compact` runs instead of the
-    dict phases — bit-identical answers, array-indexed inner loops; a
-    space without a compact kernel silently takes the dict path.
     """
-    if compact is not None:
-        relation = compact_kernels.compact_space_relation(
-            space, compact, sources=sources, targets=targets
-        )
-        if relation is not None:
-            return relation.id_pairs()
     if not space.index.nodes:
         return frozenset()
     if sources is not None and not sources:

@@ -1,9 +1,10 @@
-"""Product spaces: one configuration-space protocol for every dialect.
+"""Product spaces: one configuration-space protocol for the automaton dialects.
 
-Every query language in the paper evaluates by reachability in a product
-of the graph with some finite control — an NFA for plain RPQs, a register
-automaton for memory RPQs, a single looping state for the GXPath ``a*``
-closure.  The phase kernels in :mod:`repro.engine.product` (forward
+Every automaton-based query language in the paper evaluates by
+reachability in a product of the graph with some finite control — an NFA
+for plain RPQs, a register automaton for memory RPQs.  (GXPath has no
+product: it runs on the bit rows of :mod:`repro.engine.data`.)  The
+phase kernels in :mod:`repro.engine.product` (forward
 expansion, backward pruning, bitmask source propagation, answer
 decoding) only ever need five operations from that product, captured
 here as the **ProductSpace protocol**:
@@ -36,7 +37,7 @@ planner's semijoin contract) for free: restricting the nodes handed to
 restricting which accepting configurations count (by ``node_of``)
 restricts the targets — no space needs seeding-specific code.
 
-Three implementations cover the paper's languages:
+Two implementations cover the paper's automaton-based languages:
 
 * :class:`NfaProductSpace` — ``(node, state)`` configurations over a
   compiled ε-free NFA; plain RPQs.  Supports backward pruning.
@@ -50,8 +51,6 @@ Three implementations cover the paper's languages:
   :class:`~repro.datapaths.register_automata.RegisterStepper`, which
   memoises them per data value (the int-id twin in
   :mod:`repro.engine.compact` uses the same stepper).
-* :class:`ClosureSpace` — bare-node configurations over one edge label;
-  the transitive-closure hot path of GXPath ``a*`` / ``a-*`` axes.
 """
 
 from __future__ import annotations
@@ -67,7 +66,6 @@ __all__ = [
     "ProductSpace",
     "NfaProductSpace",
     "RegisterProductSpace",
-    "ClosureSpace",
 ]
 
 
@@ -83,20 +81,14 @@ class ProductSpace:
     :attr:`prune` declares whether the space supports backward expansion
     (:meth:`predecessors`): when true, the drivers run the
     forward/backward phases and hand the kernels a *useful* set; when
-    false (register automata — valuations cannot be run backwards; the
-    closure space — every configuration accepts) the propagation phase
-    simply runs unpruned.
+    false (register automata — valuations cannot be run backwards) the
+    propagation phase simply runs unpruned.
     """
 
     __slots__ = ()
 
     #: Whether backward pruning is available (and worthwhile).
     prune: bool = False
-    #: Which int-id kernel in :mod:`repro.engine.compact` evaluates this
-    #: space over a CSR :class:`~repro.datagraph.compact.CompactLabelIndex`
-    #: ("nfa" | "closure" | "register"); ``None`` means the space has no
-    #: compact twin and the dict kernels are the only path.
-    compact_kernel: "str | None" = None
     index: LabelIndex
 
     def seed_configs(self, node: NodeId) -> Iterable:
@@ -133,7 +125,6 @@ class NfaProductSpace(ProductSpace):
     __slots__ = ("index", "automaton", "_moves", "_backward_moves", "_accepting")
 
     prune = True
-    compact_kernel = "nfa"
 
     def __init__(self, index: LabelIndex, automaton: CompiledAutomaton):
         self.index = index
@@ -196,7 +187,6 @@ class RegisterProductSpace(ProductSpace):
     __slots__ = ("index", "automaton", "null_semantics", "_values", "_stepper", "_accepting")
 
     prune = False
-    compact_kernel = "register"
 
     def __init__(
         self, index: LabelIndex, automaton: RegisterAutomaton, null_semantics: bool = False
@@ -245,41 +235,3 @@ class RegisterProductSpace(ProductSpace):
             f"{self.automaton.num_states} states>"
         )
 
-
-class ClosureSpace(ProductSpace):
-    """The degenerate product behind per-label transitive closures.
-
-    Configurations are bare node ids; expansion follows one edge label;
-    every configuration accepts.  ``product_relation`` over this space is
-    the reflexive-transitive closure ``a*`` — the hot path of GXPath
-    axis-star evaluation — computed as a single mask propagation instead
-    of one BFS per start node.  Inverse axes (``a-*``) are the transpose
-    of the forward closure, so callers evaluate forward and flip pairs.
-    """
-
-    __slots__ = ("index", "label")
-
-    prune = False
-    compact_kernel = "closure"
-
-    def __init__(self, index: LabelIndex, label: str):
-        self.index = index
-        self.label = label
-
-    def seed_configs(self, node: NodeId) -> Tuple[NodeId, ...]:
-        return (node,)
-
-    def successors(self, adjacency, config) -> Tuple[NodeId, ...]:
-        return adjacency.targets(self.label, config)
-
-    def predecessors(self, adjacency, config) -> Tuple[NodeId, ...]:
-        return adjacency.sources(self.label, config)
-
-    def is_accepting(self, config) -> bool:
-        return True
-
-    def node_of(self, config) -> NodeId:
-        return config
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<ClosureSpace {self.label!r}* over {len(self.index.nodes)} nodes>"

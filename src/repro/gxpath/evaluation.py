@@ -6,30 +6,25 @@ Given a data graph ``G = <V, E>``:
   ``[[α]]_G ⊆ V × V``;
 * the semantics of a node expression φ is a set ``[[φ]]_G ⊆ V``.
 
-All cases of Figure 1 are implemented directly by set computations; the
-transitive closure ``a*`` — the hot path on reachability-heavy
-expressions — runs through the shared product kernels of
-:mod:`repro.engine.product` over a
-:class:`~repro.engine.spaces.ClosureSpace` (one mask-propagation pass
-for the whole closure instead of one BFS per start node), so it can also
-take the partitioned drivers: the resolved
-:class:`~repro.planner.router.Route` the evaluation entry points receive
-names the kernel family and the driver every axis-star closure of the
-expression runs on.  The SQL-null mode (used when GXPath queries are
-posed over exchanged graphs with null nodes) makes the ``α=`` / ``α≠``
-comparisons false when either endpoint carries the null value.
+Both run on the bit rows of :mod:`repro.engine.data`, over the index the
+resolved :class:`~repro.planner.router.Route` names: a path is ``{target
+position → source bitmask}`` rows, a node expression one position mask.
+An axis pushes rows along forward or transposed edges, ``a*`` is the
+algebra's swept closure, ``α·β`` pushes α's rows through β, ``[φ]`` keeps
+the rows at φ's positions, ``⟨α⟩`` ORs α's rows, and ``α=`` / ``α≠`` AND
+each row with its target's value class — false at the null under the
+SQL-null mode used over exchanged graphs with null nodes.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Sequence, Tuple
 
+from ..datagraph.compact import CompactLabelIndex
 from ..datagraph.graph import DataGraph
 from ..datagraph.node import Node, NodeId
-from ..datagraph.values import values_differ, values_equal
-from ..engine import partition as partition_kernels
-from ..engine import product as product_kernels
-from ..engine.spaces import ClosureSpace
+from ..engine.bitrelation import BitRelation
+from ..engine.data import Pusher, Rows, _closure, _comparison, _compose, _letter_pusher, _union
 from ..exceptions import EvaluationError
 from .ast import (
     Axis,
@@ -53,139 +48,125 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["evaluate_path", "evaluate_node", "node_holds", "path_holds"]
 
-IdPair = Tuple[NodeId, NodeId]
 
+class _RowEvaluator:
+    """One evaluation over a fixed index: paths as bit rows (closed, or
+    as pushers of arrived rows), node expressions as position masks."""
 
-class _Evaluator:
-    """One evaluation pass over a fixed graph, with memoisation per sub-expression.
-
-    Axis relations and per-label transitive closures are read off the
-    graph's :meth:`~repro.datagraph.graph.DataGraph.label_index`, so a
-    pass never materialises :class:`~repro.datagraph.node.Node` objects
-    or scans edges of irrelevant labels.
-    """
-
-    def __init__(
-        self, graph: DataGraph, null_semantics: bool, route: Optional["Route"] = None
-    ):
-        if route is None:
-            # A bare call: the router's O(1) part — kernel family by
-            # graph size, sequential driver.
-            from ..planner.router import route_point
-
-            route = route_point(graph)
-        self.graph = graph
-        self.index = graph.label_index()
+    def __init__(self, index, null_semantics: bool):
+        self.index = index
         self.null_semantics = null_semantics
-        self.route = route
-        self._path_cache: Dict[int, FrozenSet[IdPair]] = {}
-        self._node_cache: Dict[int, FrozenSet[NodeId]] = {}
+        self.positions = range(len(index.nodes))
+        self.all = (1 << len(index.nodes)) - 1
+        self.identity: Rows = {v: 1 << v for v in self.positions}
+        self.keys: Dict[int, int] = {}
+        self.shapes: Dict[tuple, int] = {}
+        self.relations: Dict[int, Rows] = {}
+        self.pushers: Dict[int, Pusher] = {}
+        self.masks: Dict[int, int] = {}
 
-    # ------------------------------------------------------------------
-    def path(self, expression: PathExpression) -> FrozenSet[IdPair]:
-        key = id(expression)
-        if key in self._path_cache:
-            return self._path_cache[key]
-        result = self._path(expression)
-        self._path_cache[key] = result
-        return result
-
-    def _path(self, expression: PathExpression) -> FrozenSet[IdPair]:
-        graph = self.graph
-        if isinstance(expression, PathEpsilon):
-            return frozenset((node_id, node_id) for node_id in graph.node_ids)
-        if isinstance(expression, Axis):
-            pairs = self.index.pairs(expression.label)
-            if expression.inverse:
-                return frozenset((target, source) for source, target in pairs)
-            return frozenset(pairs)
-        if isinstance(expression, AxisStar):
-            return self._axis_star(expression.label, expression.inverse)
-        if isinstance(expression, PathConcat):
-            return self._compose(self.path(expression.left), self.path(expression.right))
-        if isinstance(expression, PathUnion):
-            return self.path(expression.left) | self.path(expression.right)
-        if isinstance(expression, (PathEqual, PathNotEqual)):
-            inner = self.path(expression.inner)
-            want_equal = isinstance(expression, PathEqual)
-            values = self.index.values
-            kept = set()
-            for source, target in inner:
-                first = values[source]
-                last = values[target]
-                if self.null_semantics:
-                    ok = values_equal(first, last) if want_equal else values_differ(first, last)
-                else:
-                    ok = (first == last) if want_equal else (first != last)
-                if ok:
-                    kept.add((source, target))
-            return frozenset(kept)
-        if isinstance(expression, NodeTest):
-            selected = self.node(expression.condition)
-            return frozenset((node_id, node_id) for node_id in selected)
-        raise EvaluationError(f"unknown GXPath path expression {expression!r}")  # pragma: no cover
-
-    def _axis_star(self, label: str, inverse: bool) -> FrozenSet[IdPair]:
-        """The reflexive-transitive closure of one axis, on the route's kernels.
-
-        Computed in the forward direction over a :class:`ClosureSpace`
-        (the inverse axis closure is its transpose) by the sequential
-        dict or compact kernels or a partitioned driver.  A ``sql`` route
-        runs the degenerate one-state recursive CTE instead — which
-        traverses the transposed edge table directly for inverse axes,
-        so its result needs no flip.
-        """
-        route = self.route
-        if route.kernel == "sql":
-            from ..sqlbackend import backend as sql_backend
-
-            return sql_backend.closure_pairs(self.graph, label, inverse)
-        space = ClosureSpace(self.index, label)
-        if route.driver == "sequential":
-            # seeded_product_relation with no restriction is
-            # product_relation; the compact twin runs the int-id closure
-            # kernel instead of the dict mask pass.
-            compact = self.graph.compact_index() if route.kernel == "compact" else None
-            pairs = product_kernels.seeded_product_relation(space, compact=compact)
-        else:
-            pairs = partition_kernels.partitioned_product_relation(
-                space, route.driver, workers=route.workers, num_shards=route.workers
+    def _key(self, expr) -> int:
+        """The memo key: one int per structurally equal sub-expression,
+        interned bottom-up so no lookup hashes a whole subtree (Theorem
+        7's formulas run to thousands of nodes)."""
+        key = self.keys.get(id(expr))
+        if key is None:
+            shape = (type(expr),) + tuple(
+                self._key(part) if isinstance(part, (PathExpression, NodeExpression)) else part
+                for part in vars(expr).values()
             )
-        if inverse:
-            return frozenset((target, source) for source, target in pairs)
-        return frozenset(pairs)
+            key = self.keys[id(expr)] = self.shapes.setdefault(shape, len(self.shapes))
+        return key
 
-    @staticmethod
-    def _compose(left: FrozenSet[IdPair], right: FrozenSet[IdPair]) -> FrozenSet[IdPair]:
-        index: Dict[NodeId, Set[NodeId]] = {}
-        for middle, target in right:
-            index.setdefault(middle, set()).add(target)
-        result: Set[IdPair] = set()
-        for source, middle in left:
-            for target in index.get(middle, ()):
-                result.add((source, target))
-        return frozenset(result)
+    def path(self, expr: PathExpression) -> Rows:
+        """``[[expr]]`` as ``{target position: source bitmask}`` rows."""
+        key = self._key(expr)
+        rows = self.relations.get(key)
+        if rows is not None:
+            return rows
+        if isinstance(expr, PathConcat):
+            rows = self.pusher(expr.right)(self.path(expr.left))
+        elif isinstance(expr, PathUnion):
+            rows = _union(self.path(expr.left), self.path(expr.right))
+        elif isinstance(expr, (PathEqual, PathNotEqual)):
+            allowed = _comparison(self.index, isinstance(expr, PathEqual), self.null_semantics)
+            rows = {
+                v: kept for v, mask in self.path(expr.inner).items() if (kept := mask & allowed(v))
+            }
+        else:  # ε, an axis, a*, [φ]: pushed from the identity
+            rows = self.pusher(expr)(self.identity)
+        self.relations[key] = rows
+        return rows
 
-    # ------------------------------------------------------------------
-    def node(self, expression: NodeExpression) -> FrozenSet[NodeId]:
-        key = id(expression)
-        if key in self._node_cache:
-            return self._node_cache[key]
-        result = self._node(expression)
-        self._node_cache[key] = result
-        return result
+    def pusher(self, expr: PathExpression) -> Pusher:
+        """*expr* as a function from arrived rows to the rows after it."""
+        key = self._key(expr)
+        push = self.pushers.get(key)
+        if push is None:
+            push = self.pushers[key] = self._build(expr)
+        return push
 
-    def _node(self, expression: NodeExpression) -> FrozenSet[NodeId]:
-        graph = self.graph
-        if isinstance(expression, NodeNot):
-            return frozenset(graph.node_ids) - self.node(expression.inner)
-        if isinstance(expression, NodeAnd):
-            return self.node(expression.left) & self.node(expression.right)
-        if isinstance(expression, NodeOr):
-            return self.node(expression.left) | self.node(expression.right)
-        if isinstance(expression, NodeExists):
-            return frozenset(source for source, _ in self.path(expression.path))
-        raise EvaluationError(f"unknown GXPath node expression {expression!r}")  # pragma: no cover
+    def _build(self, expr: PathExpression) -> Pusher:
+        if isinstance(expr, PathEpsilon):
+            return lambda arrived: arrived
+        if isinstance(expr, Axis):
+            return _letter_pusher(self.index, expr.label, expr.inverse)
+        if isinstance(expr, AxisStar):
+            # One label's successors are a graph fact: memoised across pushes.
+            step, successors = _letter_pusher(self.index, expr.label, expr.inverse), {}
+            return lambda arrived: _union(arrived, _closure(step, step(arrived), successors))
+        if isinstance(expr, NodeTest):
+            keep = frozenset(BitRelation.members(self.node(expr.condition), self.positions))
+            return lambda arrived: {v: mask for v, mask in arrived.items() if v in keep}
+        if isinstance(expr, (PathEqual, PathNotEqual)):
+            # compares the inner path's own endpoints: compose with its rows
+            positions = self.positions
+            return lambda arrived: _compose(arrived, self.path(expr), positions)
+        if not isinstance(expr, (PathConcat, PathUnion)):  # pragma: no cover - defensive
+            raise EvaluationError(f"unknown GXPath path expression {expr!r}")
+        left, right = self.pusher(expr.left), self.pusher(expr.right)
+        if isinstance(expr, PathConcat):
+            return lambda arrived: right(left(arrived))
+        return lambda arrived: _union(left(arrived), right(arrived))
+
+    def node(self, expr: NodeExpression) -> int:
+        """``[[expr]]`` as a mask over positions."""
+        key = self._key(expr)
+        mask = self.masks.get(key)
+        if mask is not None:
+            return mask
+        if isinstance(expr, NodeNot):
+            mask = self.all & ~self.node(expr.inner)
+        elif isinstance(expr, NodeAnd):
+            mask = self.node(expr.left) & self.node(expr.right)
+        elif isinstance(expr, NodeOr):
+            mask = self.node(expr.left) | self.node(expr.right)
+        elif isinstance(expr, NodeExists):
+            mask = 0
+            for row in self.path(expr.path).values():
+                mask |= row
+        else:  # pragma: no cover - defensive
+            raise EvaluationError(f"unknown GXPath node expression {expr!r}")
+        self.masks[key] = mask
+        return mask
+
+
+def _evaluator(graph: DataGraph, null_semantics: bool, route=None) -> _RowEvaluator:
+    """An evaluator over the index *route* names (a bare call: the
+    router's O(1) part, kernel by graph size)."""
+    if route is None:
+        from ..planner.router import route_point
+
+        route = route_point(graph)
+    index = graph.compact_index() if route.kernel == "compact" else graph.label_index()
+    return _RowEvaluator(index, null_semantics)
+
+
+def _objects(graph: DataGraph, index) -> Sequence[Node]:
+    """The ``Node`` column aligned with *index*'s positions."""
+    if isinstance(index, CompactLabelIndex):
+        return index.node_objects
+    return tuple(map(graph.node, index.nodes))
 
 
 def evaluate_path(
@@ -195,16 +176,12 @@ def evaluate_path(
     *,
     route: Optional["Route"] = None,
 ) -> FrozenSet[Tuple[Node, Node]]:
-    """The binary relation ``[[α]]_G`` as pairs of nodes.
-
-    *route* is the resolved :class:`~repro.planner.router.Route` the
-    axis-star closures run on (sessions pass theirs; a bare call takes
-    the router's graph-size rule).  Answers are identical on every route.
-    """
-    evaluator = _Evaluator(graph, null_semantics, route)
-    return frozenset(
-        (graph.node(source), graph.node(target)) for source, target in evaluator.path(expression)
-    )
+    """The binary relation ``[[α]]_G`` as pairs of nodes, computed over
+    the index *route* names (answers are identical on either index)."""
+    evaluator = _evaluator(graph, null_semantics, route)
+    index = evaluator.index
+    relation = BitRelation(index.nodes, index.position, evaluator.path(expression))
+    return relation.node_pairs(_objects(graph, index))
 
 
 def evaluate_node(
@@ -215,16 +192,18 @@ def evaluate_node(
     route: Optional["Route"] = None,
 ) -> FrozenSet[Node]:
     """The node set ``[[φ]]_G`` (*route* as in :func:`evaluate_path`)."""
-    evaluator = _Evaluator(graph, null_semantics, route)
-    return frozenset(graph.node(node_id) for node_id in evaluator.node(expression))
+    evaluator = _evaluator(graph, null_semantics, route)
+    mask = evaluator.node(expression)
+    return frozenset(BitRelation.members(mask, _objects(graph, evaluator.index)))
 
 
 def node_holds(
     graph: DataGraph, expression: NodeExpression, node_id: NodeId, null_semantics: bool = False
 ) -> bool:
     """Whether ``v ∈ [[φ]]_G`` for the node with the given id."""
-    evaluator = _Evaluator(graph, null_semantics)
-    return node_id in evaluator.node(expression)
+    evaluator = _evaluator(graph, null_semantics)
+    at = evaluator.index.position.get(node_id)
+    return at is not None and bool(evaluator.node(expression) >> at & 1)
 
 
 def path_holds(
@@ -235,5 +214,6 @@ def path_holds(
     null_semantics: bool = False,
 ) -> bool:
     """Whether ``(source, target) ∈ [[α]]_G``."""
-    evaluator = _Evaluator(graph, null_semantics)
-    return (source, target) in evaluator.path(expression)
+    evaluator = _evaluator(graph, null_semantics)
+    u, v = map(evaluator.index.position.get, (source, target))
+    return u is not None and v is not None and bool(evaluator.path(expression).get(v, 0) >> u & 1)

@@ -7,18 +7,23 @@ once per evaluation.  :func:`route_query` returns a fully resolved
 never ``"auto"``), the driver (``sequential`` / ``blocks`` /
 ``sharded``), whether the plan is offered to an attached worker pool
 first, and the worker budget.  Sessions, the engine facade, CRPQ atom
-scans and GXPath closures all *consume* that object; none of them asks
+scans and GXPath evaluations all *consume* that object; none of them asks
 the cost model again, so ``explain`` reports exactly what runs.
 
-The decision table, in order (DESIGN.md, "How a query is routed"):
+GXPath has one route, decided before anything is estimated: the bit-row
+algebra, sequential, on the ``compact`` or ``dict`` index (a forced
+backend, else the graph-size rule below); a forced ``sql`` backend or
+intra-query driver is declined and the route's reason says so.  For the
+other dialects the decision table, in order (DESIGN.md, "How a query is
+routed"):
 
 * a forced ``ExecutionPolicy.intra_query`` driver, then a forced
   ``backend`` (or ``routing="manual"``, which switches the cost model
   off and keeps only the graph-size kernel rule);
 * the **SQL** backend for a plain RPQ whose factored plan has a pivot
   selective enough to win (:func:`repro.sqlbackend.cost.rpq_pays` — the
-  one shape where SQL still beats the compact kernels; CRPQs and GXPath
-  take ``sql`` only when the policy forces it);
+  one shape where SQL still beats the compact kernels; CRPQs take
+  ``sql`` only when the policy forces it);
 * the **blocks** driver when the graph is large, ``fork`` is available,
   the budget has at least two workers and the estimated relation is a
   multiple of the node count;
@@ -162,6 +167,23 @@ def route_point(
     )
 
 
+def _gxpath_route(num_nodes: int, policy: Optional["ExecutionPolicy"]) -> Route:
+    """GXPath's one route (module docstring); the reason names a decline."""
+    backend = "auto" if policy is None else policy.backend
+    reason, declined = "gxpath: the bit-row algebra, index by graph size", []
+    if policy is not None:
+        if backend == "sql":
+            declined.append(f"backend={backend!r}")
+        if policy.intra_query != "off":
+            declined.append(f"intra_query={policy.intra_query!r}")
+        if policy.routing == "manual" or backend != "auto" or declined:
+            reason = "manual routing policy" if policy.routing == "manual" else "policy override"
+    if declined:
+        reason += f"; {' and '.join(declined)} declined: GXPath runs on the bit-row algebra only"
+    kernel = _kernel("auto" if backend == "sql" else backend, num_nodes)
+    return Route(kernel, "sequential", False, 1, reason, 0.0)
+
+
 def route_query(
     query: "Query",
     graph: "DataGraph",
@@ -181,13 +203,15 @@ def route_query(
     """
     from ..api.query import Query, QueryKind
     from ..sqlbackend.cost import rpq_pays
-    from .cost import CLOSURE_GROWTH, atom_estimate, regex_estimate
+    from .cost import atom_estimate, regex_estimate
     from .planner import plan_crpq
 
     query = Query.of(query)
-    index = graph.label_index()
     num_nodes = graph.num_nodes
     kind = query.kind
+    if kind in (QueryKind.GXPATH_NODE, QueryKind.GXPATH_PATH):
+        return _gxpath_route(num_nodes, policy)
+    index = graph.label_index()
 
     # ------------------------------------------------------------------
     # Estimate the query's answer relation.
@@ -197,21 +221,10 @@ def route_query(
         if planned is None:
             planned = plan_crpq(query.plan, index, stats)
         estimate = max(planned.estimates) if planned.estimates else 0.0
-    elif kind is QueryKind.DATA_RPQ:
+    else:
         from ..query.crpq import Atom
 
         estimate = atom_estimate(Atom("x", query.plan, "y"), index, stats)
-    else:
-        # GXPath expressions: label mass scaled by closure growth — the
-        # same coarse ranking the atom estimator uses.
-        labels = query.labels()
-        mass = float(sum(index.edge_count(label) for label in labels))
-        growth = (
-            stats.closure_growth(labels, CLOSURE_GROWTH)
-            if stats is not None
-            else CLOSURE_GROWTH
-        )
-        estimate = min(float(num_nodes) ** 2, mass * growth)
 
     workers = _budget(policy)
     offer_pool = pooled and pool_serves(query)

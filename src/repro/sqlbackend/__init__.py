@@ -4,9 +4,9 @@ The third storage/execution backend next to the dict index and the
 compact CSR (``ExecutionPolicy(backend="sql")``, cost-selected under
 ``"auto"``): the paper's relational encoding ``D_G`` materialised in an
 embedded SQL engine (stdlib sqlite3 always, DuckDB when importable) and
-kept current through the graph's delta journal, with RPQs, GXPath axis
-stars and whole CRPQ plans compiled to ``WITH RECURSIVE``
-product-reachability statements.  See ``DESIGN.md`` §7.
+kept current through the graph's delta journal, with RPQs and whole
+CRPQ plans compiled to ``WITH RECURSIVE`` product-reachability
+statements.  See ``DESIGN.md`` §7.
 """
 
 from .backend import (

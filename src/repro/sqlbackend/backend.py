@@ -21,9 +21,10 @@ This module owns the runtime half of the SQL backend:
 
 The entry points mirror the engine seams they plug into:
 :func:`evaluate_rpq_pairs` (full or seeded RPQ relations, the
-``evaluate_rpq`` / ``evaluate_atom_ids`` twin), :func:`closure_pairs`
-(GXPath axis stars) and :func:`evaluate_plan_rows` (whole CRPQ plans for
-:func:`repro.planner.execute.execute_plan`).
+``evaluate_rpq`` / ``evaluate_atom_ids`` twin) and
+:func:`evaluate_plan_rows` (whole CRPQ plans for
+:func:`repro.planner.execute.execute_plan`), plus :func:`closure_pairs`,
+which no route runs (see its docstring).
 """
 
 from __future__ import annotations
@@ -189,9 +190,9 @@ def closure_pairs(
     """The reflexive-transitive closure of one axis as id pairs.
 
     For ``inverse=True`` the statement traverses the transposed edges
-    directly, so the result *is* the inverse-axis closure — no transpose
-    at the caller (unlike the kernel path, which computes forward and
-    flips).
+    directly.  No route runs it (GXPath's ``a*`` is the bit-row algebra's
+    closure); kept only because the frozen e2e tracer resolves it by
+    name, it goes with that tracer row.
     """
     sql = _SQL_CACHE.get_or_build(
         ("closure", label, inverse), lambda: closure_sql(label, inverse)

@@ -8,11 +8,12 @@ closures around it as fixpoints seeded by the pivot's endpoints, so its
 work is bounded by the answer's neighbourhood, while the mask kernels
 flow every source through the whole closure before the rare step
 filters it away.  Everything else — small graphs, bare closures,
-closure-free paths, point lookups, CRPQ plans, GXPath axis stars —
-stays on the dict/compact kernels, which measure 1.2-72x faster there
-on 1-4k-node graphs (the ratios are in DESIGN.md, "How a query is
-routed"); a forced ``backend="sql"`` still runs every dialect it ever
-ran.
+closure-free paths, point lookups, CRPQ plans — stays on the
+dict/compact kernels, which measure 1.2-72x faster there on 1-4k-node
+graphs (the ratios are in DESIGN.md, "How a query is routed"); a forced
+``backend="sql"`` still runs RPQs and CRPQs.  GXPath never reaches this
+rule: its one route is the bit-row algebra, and a forced ``sql``
+backend is declined for it by the router.
 
 Answers are bit-identical either way — the selection is purely a
 performance policy, enforced as such by the equivalence suite in

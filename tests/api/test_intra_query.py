@@ -1,14 +1,13 @@
 """Forced intra-query drivers and the point-workload cache.
 
-Acceptance property (ISSUE 3, extended by ISSUE 4): a session under
-every forced ``intra_query`` driver (off / source-block parallel /
-sharded) returns exactly the answers of the naive spec evaluators across all five
-dialects and random graphs.  Since the ProductSpace refactor the modes
-are no longer RPQ-only — data RPQs ride the register product and GXPath
-expressions shard their axis-star closures — so the agreement properties
-here genuinely drive every dialect through the partitioned drivers,
-including REM register valuations crossing shard boundaries and GXPath
-``a*`` over cut edges.
+A session under every forced ``intra_query`` driver (off /
+source-block parallel / sharded) returns exactly the answers of the
+naive spec evaluators across all five dialects and random graphs.  RPQs
+ride the NFA product and data RPQs the register product, so the
+agreement properties here drive both through the partitioned drivers,
+including REM register valuations crossing shard boundaries; GXPath
+declines every driver (it runs on bit rows, sequentially) and must
+still answer the same.
 """
 
 from __future__ import annotations
@@ -124,9 +123,8 @@ class TestModeAgreement:
 
 
 class TestCrossShardBoundaries:
-    """ISSUE 4 acceptance: the sharded mode is correct even when every
-    answer path crosses shard boundaries — for register valuations and
-    for GXPath closures, not just plain RPQs."""
+    """The sharded mode is correct even when every answer path crosses
+    shard boundaries — for register valuations, not just plain RPQs."""
 
     def chain_with_values(self, values):
         graph = DataGraph(alphabet={"a"})
@@ -150,12 +148,16 @@ class TestCrossShardBoundaries:
         ids = {(u.id, v.id) for u, v in answers}
         assert ("n0", "n1") in ids and ("n0", "n2") not in ids
 
-    def test_gxpath_axis_star_over_cut_edges(self):
+    def test_gxpath_declines_the_sharded_driver(self):
         graph = self.chain_with_values([1] * 7)
         plan = Query.parse("a*", "gxpath-path")
         expected = GraphSession(graph).run(plan).rows()
         policy = ExecutionPolicy(intra_query="sharded", max_workers=graph.num_nodes)
-        assert GraphSession(graph, policy=policy).run(plan).rows() == expected
+        session = GraphSession(graph, policy=policy)
+        route = session._route(plan)
+        assert route.driver == "sequential"
+        assert "intra_query='sharded' declined" in route.reason
+        assert session.run(plan).rows() == expected
 
     def test_sharded_driver_agrees_in_process_and_forked(self):
         graph = generators.community_graph(3, 10, rng=8, domain_size=3)

@@ -9,8 +9,22 @@ import sys
 import pytest
 from hypothesis import strategies as st
 
-from repro.datagraph import DataGraph, GraphBuilder
+from repro.datagraph import DataGraph, GraphBuilder, values_differ, values_equal
 from repro.engine import forkpool
+from repro.gxpath.ast import (
+    Axis,
+    AxisStar,
+    NodeAnd,
+    NodeExists,
+    NodeNot,
+    NodeOr,
+    NodeTest,
+    PathConcat,
+    PathEpsilon,
+    PathEqual,
+    PathNotEqual,
+    PathUnion,
+)
 from repro.regular import EPSILON, concat, letter, plus, star, union
 
 #: The host shapes the router / policy suites run under: ``(cores, fork)``.
@@ -89,3 +103,81 @@ def regex_strategy(draw, depth=3):
     if choice == 3:
         return star(draw(regex_strategy(depth=depth - 1)))
     return plus(draw(regex_strategy(depth=depth - 1)))
+
+
+# ----------------------------------------------------------------------
+# GXPath's executable specification (Figure 1), written on the graph API
+# ----------------------------------------------------------------------
+def reference_path(graph, expression, null_semantics=False):
+    """``[[α]]_G`` as id pairs, case by case from Figure 1 of the paper."""
+    if isinstance(expression, PathEpsilon):
+        return frozenset((node_id, node_id) for node_id in graph.node_ids)
+    if isinstance(expression, Axis):
+        pairs = {
+            (source.id, target.id)
+            for source, target in graph.edge_relation(expression.label)
+        }
+        return frozenset((t, s) for s, t in pairs) if expression.inverse else frozenset(pairs)
+    if isinstance(expression, AxisStar):
+        result = set()
+        for start in graph.node_ids:
+            seen = {start}
+            stack = [start]
+            while stack:
+                current = stack.pop()
+                result.add((start, current))
+                steps = (
+                    graph.predecessors(current, expression.label)
+                    if expression.inverse
+                    else graph.successors(current, expression.label)
+                )
+                for _, neighbour in steps:
+                    if neighbour.id not in seen:
+                        seen.add(neighbour.id)
+                        stack.append(neighbour.id)
+        return frozenset(result)
+    if isinstance(expression, PathConcat):
+        left = reference_path(graph, expression.left, null_semantics)
+        after = {}
+        for middle, target in reference_path(graph, expression.right, null_semantics):
+            after.setdefault(middle, set()).add(target)
+        return frozenset((s, t) for s, middle in left for t in after.get(middle, ()))
+    if isinstance(expression, PathUnion):
+        return reference_path(graph, expression.left, null_semantics) | reference_path(
+            graph, expression.right, null_semantics
+        )
+    if isinstance(expression, (PathEqual, PathNotEqual)):
+        inner = reference_path(graph, expression.inner, null_semantics)
+        want_equal = isinstance(expression, PathEqual)
+        kept = set()
+        for s, t in inner:
+            first, last = graph.value_of(s), graph.value_of(t)
+            if null_semantics:
+                ok = values_equal(first, last) if want_equal else values_differ(first, last)
+            else:
+                ok = (first == last) if want_equal else (first != last)
+            if ok:
+                kept.add((s, t))
+        return frozenset(kept)
+    if isinstance(expression, NodeTest):
+        return frozenset(
+            (v, v) for v in reference_node(graph, expression.condition, null_semantics)
+        )
+    raise AssertionError(f"unexpected path expression {expression!r}")
+
+
+def reference_node(graph, expression, null_semantics=False):
+    """``[[φ]]_G`` as a set of node ids, case by case from Figure 1."""
+    if isinstance(expression, NodeNot):
+        return frozenset(graph.node_ids) - reference_node(graph, expression.inner, null_semantics)
+    if isinstance(expression, NodeAnd):
+        return reference_node(graph, expression.left, null_semantics) & reference_node(
+            graph, expression.right, null_semantics
+        )
+    if isinstance(expression, NodeOr):
+        return reference_node(graph, expression.left, null_semantics) | reference_node(
+            graph, expression.right, null_semantics
+        )
+    if isinstance(expression, NodeExists):
+        return frozenset(s for s, _ in reference_path(graph, expression.path, null_semantics))
+    raise AssertionError(f"unexpected node expression {expression!r}")

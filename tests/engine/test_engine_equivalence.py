@@ -3,8 +3,9 @@
 For random graphs (drawn via :mod:`repro.workloads.random_workloads` and
 :mod:`repro.datagraph.generators`) and random queries, the engine must
 return byte-identical answer sets to the seed implementations for RPQs,
-data RPQs and GXPath.  The naive evaluators are the executable
-specification — any divergence is an engine bug.
+data RPQs and GXPath (whose specification is ``reference_path`` /
+``reference_node`` in ``tests/conftest.py``).  The naive evaluators are
+the executable specification — any divergence is an engine bug.
 """
 
 from __future__ import annotations
@@ -15,20 +16,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import GraphSession
-from repro.datagraph import generators
+from conftest import reference_node, reference_path
+from repro.api import ExecutionPolicy, GraphSession
+from repro.datagraph import NULL, generators
 from repro.engine import EvaluationEngine, default_engine
 from repro.gxpath.ast import (
     Axis,
     AxisStar,
+    NodeAnd,
     NodeExists,
+    NodeNot,
+    NodeOr,
+    NodeTest,
     PathConcat,
     PathEpsilon,
     PathEqual,
     PathNotEqual,
     PathUnion,
 )
-from repro.gxpath.evaluation import evaluate_path
+from repro.gxpath.evaluation import evaluate_node, evaluate_path
+from repro.planner.router import route_point
 from repro.query import (
     evaluate_data_rpq_naive,
     evaluate_rpq_naive,
@@ -140,64 +147,8 @@ def test_data_rpq_equivalence_on_workload_sweep():
 
 
 # ----------------------------------------------------------------------
-# GXPath: indexed evaluator vs a direct seed-style reference
+# GXPath: the bit-row evaluator vs the Figure-1 reference (conftest)
 # ----------------------------------------------------------------------
-def reference_path(graph, expression, null_semantics=False):
-    """Seed-style GXPath path semantics, written directly on the graph API."""
-    if isinstance(expression, PathEpsilon):
-        return frozenset((node_id, node_id) for node_id in graph.node_ids)
-    if isinstance(expression, Axis):
-        pairs = {
-            (source.id, target.id)
-            for source, target in graph.edge_relation(expression.label)
-        }
-        return frozenset((t, s) for s, t in pairs) if expression.inverse else frozenset(pairs)
-    if isinstance(expression, AxisStar):
-        result = set()
-        for start in graph.node_ids:
-            seen = {start}
-            stack = [start]
-            while stack:
-                current = stack.pop()
-                result.add((start, current))
-                steps = (
-                    graph.predecessors(current, expression.label)
-                    if expression.inverse
-                    else graph.successors(current, expression.label)
-                )
-                for _, neighbour in steps:
-                    if neighbour.id not in seen:
-                        seen.add(neighbour.id)
-                        stack.append(neighbour.id)
-        return frozenset(result)
-    if isinstance(expression, PathConcat):
-        left = reference_path(graph, expression.left, null_semantics)
-        right = reference_path(graph, expression.right, null_semantics)
-        return frozenset(
-            (s, t2) for s, t1 in left for t1b, t2 in right if t1 == t1b
-        )
-    if isinstance(expression, PathUnion):
-        return reference_path(graph, expression.left, null_semantics) | reference_path(
-            graph, expression.right, null_semantics
-        )
-    if isinstance(expression, (PathEqual, PathNotEqual)):
-        from repro.datagraph import values_differ, values_equal
-
-        inner = reference_path(graph, expression.inner, null_semantics)
-        want_equal = isinstance(expression, PathEqual)
-        kept = set()
-        for s, t in inner:
-            first, last = graph.value_of(s), graph.value_of(t)
-            if null_semantics:
-                ok = values_equal(first, last) if want_equal else values_differ(first, last)
-            else:
-                ok = (first == last) if want_equal else (first != last)
-            if ok:
-                kept.add((s, t))
-        return frozenset(kept)
-    raise AssertionError(f"unexpected expression {expression!r}")
-
-
 def random_gxpath(rng: random.Random, depth: int = 3):
     if depth == 0 or rng.random() < 0.3:
         choice = rng.random()
@@ -208,37 +159,55 @@ def random_gxpath(rng: random.Random, depth: int = 3):
         if choice < 0.6:
             return Axis(label, inverse)
         return AxisStar(label, inverse)
-    combinator = rng.choice(["concat", "union", "equal", "notequal"])
+    combinator = rng.choice(["concat", "union", "equal", "notequal", "test"])
     if combinator == "concat":
         return PathConcat(random_gxpath(rng, depth - 1), random_gxpath(rng, depth - 1))
     if combinator == "union":
         return PathUnion(random_gxpath(rng, depth - 1), random_gxpath(rng, depth - 1))
     if combinator == "equal":
         return PathEqual(random_gxpath(rng, depth - 1))
+    if combinator == "test":
+        return NodeTest(random_node(rng, depth - 1))
     return PathNotEqual(random_gxpath(rng, depth - 1))
 
 
-@settings(max_examples=20, deadline=None)
+def random_node(rng: random.Random, depth: int = 3):
+    combinator = rng.choice(["not", "and", "or", "exists"]) if depth > 0 else "exists"
+    if combinator == "not":
+        return NodeNot(random_node(rng, depth - 1))
+    if combinator == "and":
+        return NodeAnd(random_node(rng, depth - 1), random_node(rng, depth - 1))
+    if combinator == "or":
+        return NodeOr(random_node(rng, depth - 1), random_node(rng, depth - 1))
+    return NodeExists(random_gxpath(rng, max(depth - 1, 0)))
+
+
+@settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
-    size=st.integers(min_value=1, max_value=20),
+    # masks of one machine word and of two
+    size=st.one_of(st.integers(min_value=1, max_value=20), st.integers(min_value=65, max_value=90)),
     null_semantics=st.booleans(),
+    nulls=st.booleans(),
 )
-def test_gxpath_engine_matches_reference(seed, size, null_semantics):
+def test_gxpath_engine_matches_reference(seed, size, null_semantics, nulls):
     graph = random_graph_from(seed, size)
+    if nulls:
+        for node_id in graph.node_ids[::3]:
+            graph.set_value(node_id, NULL)
     rng = random.Random(seed)
-    expression = random_gxpath(rng)
-    expected = reference_path(graph, expression, null_semantics)
-    actual = frozenset(
-        (source.id, target.id)
-        for source, target in evaluate_path(graph, expression, null_semantics)
-    )
-    assert actual == expected
+    path, node = random_gxpath(rng), random_node(rng)
+    expected_path = reference_path(graph, path, null_semantics)
+    expected_node = reference_node(graph, node, null_semantics)
+    for backend in ("compact", "dict"):
+        route = route_point(graph, ExecutionPolicy(backend=backend))
+        pairs = evaluate_path(graph, path, null_semantics, route=route)
+        assert {(source.id, target.id) for source, target in pairs} == expected_path, backend
+        nodes = evaluate_node(graph, node, null_semantics, route=route)
+        assert {v.id for v in nodes} == expected_node, backend
 
 
 def test_gxpath_node_exists_uses_indexed_paths(toy_graph):
-    from repro.gxpath.evaluation import evaluate_node
-
     expression = NodeExists(PathConcat(Axis("knows"), Axis("worksAt")))
     nodes = {node.id for node in evaluate_node(toy_graph, expression)}
     assert nodes == {"alice", "dave"}

@@ -1,10 +1,11 @@
 """The ProductSpace protocol: every dialect through one kernel stack.
 
-Acceptance property (ISSUE 4): the generic phase kernels and both
-partition drivers must agree with the dialect's executable spec for
-every space — the NFA product (plain RPQs), the register product
-(REE/REM data RPQs, including valuations crossing shard boundaries) and
-the closure space (GXPath ``a*``, including closures over cut edges).
+The generic phase kernels and both partition drivers must agree with
+the dialect's executable spec for every space — the NFA product (plain
+RPQs) and the register product (REE/REM data RPQs, including valuations
+crossing shard boundaries).  GXPath's ``a*`` / ``a-*`` (the bit-row
+algebra's closure, on either index) is held to the per-start BFS spec
+here too.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import ExecutionPolicy
 from repro.datagraph import DataGraph, generators
 from repro.datapaths import compile_rem, parse_ree, parse_rem, ree_to_rem
 from repro.engine import (
-    ClosureSpace,
     GraphPartition,
     NfaProductSpace,
     RegisterProductSpace,
@@ -31,6 +32,9 @@ from repro.engine.data import (
     register_automaton_relation,
     register_automaton_relation_per_source,
 )
+from repro.gxpath.ast import AxisStar
+from repro.gxpath.evaluation import evaluate_path
+from repro.planner.router import route_point
 
 REM_POOL = [
     "!x.((a|b)[x!=])+",
@@ -59,7 +63,7 @@ def rem_space(index, text, null_semantics=False):
 
 
 def naive_closure(index, label, inverse=False):
-    """Per-start BFS closure — the executable spec `_axis_star` used to be."""
+    """Per-start BFS closure: the executable spec of GXPath ``a*`` / ``a-*``."""
     adjacency = index.predecessors(label) if inverse else index.successors(label)
     pairs = set()
     for start in index.nodes:
@@ -159,46 +163,28 @@ class TestRegisterProductSpace:
 
 
 # ----------------------------------------------------------------------
-# The closure space vs the per-start BFS spec
+# GXPath a* / a-* (the bit-row algebra's closure) vs the per-start BFS spec
 # ----------------------------------------------------------------------
-class TestClosureSpace:
+def axis_star_ids(graph, label, inverse, backend):
+    route = route_point(graph, ExecutionPolicy(backend=backend))
+    pairs = evaluate_path(graph, AxisStar(label, inverse), route=route)
+    return {(source.id, target.id) for source, target in pairs}
+
+
+class TestAxisStarClosure:
     @settings(max_examples=25, deadline=None)
-    @given(graph=graphs, label=st.sampled_from(["a", "b"]))
-    def test_closure_equals_per_start_bfs(self, graph, label):
-        index = graph.label_index()
-        space = ClosureSpace(index, label)
-        assert product.product_relation(space) == naive_closure(index, label)
+    @given(graph=graphs, label=st.sampled_from(["a", "b"]), inverse=st.booleans())
+    def test_axis_star_equals_per_start_bfs(self, graph, label, inverse):
+        expected = naive_closure(graph.label_index(), label, inverse)
+        for backend in ("compact", "dict"):
+            assert axis_star_ids(graph, label, inverse, backend) == expected, backend
 
-    @settings(max_examples=15, deadline=None)
-    @given(
-        graph=graphs,
-        label=st.sampled_from(["a", "b"]),
-        num_shards=st.integers(min_value=1, max_value=5),
-    )
-    def test_sharded_closure_agrees(self, graph, label, num_shards):
-        index = graph.label_index()
-        space = ClosureSpace(index, label)
-        assert sharded_product_relation(space, num_shards=num_shards) == naive_closure(
-            index, label
-        )
-
-    def test_closure_over_cut_edges_only(self):
-        """A pure chain with one node per shard: every closure step is a
-        cut edge, so the whole relation is built by frontier exchange."""
-        graph = generators.chain(7, labels=("a",))
-        index = graph.label_index()
-        space = ClosureSpace(index, "a")
-        partition = GraphPartition.build(index, len(index.nodes))
-        assert partition.cut_edge_count == 7  # chain(7) has 8 nodes, 7 edges
-        assert sharded_product_relation(space, partition=partition) == naive_closure(
-            index, "a"
-        )
-
-    def test_inverse_closure_is_the_transpose(self):
+    def test_inverse_axis_star_is_the_transpose(self):
         graph = generators.random_graph(12, 30, labels=("a",), rng=9)
-        index = graph.label_index()
-        forward = product.product_relation(ClosureSpace(index, "a"))
-        assert {(v, u) for u, v in forward} == naive_closure(index, "a", inverse=True)
+        expected = naive_closure(graph.label_index(), "a", inverse=True)
+        for backend in ("compact", "dict"):
+            forward = axis_star_ids(graph, "a", False, backend)
+            assert {(v, u) for u, v in forward} == axis_star_ids(graph, "a", True, backend) == expected
 
 
 # ----------------------------------------------------------------------
@@ -220,7 +206,6 @@ class TestNfaSpaceGenericComposition:
         for space in (
             NfaProductSpace(index, automaton),
             RegisterProductSpace(index, rem),
-            ClosureSpace(index, "a"),
         ):
             assert product.product_relation(space) == set()
             assert sharded_product_relation(space, num_shards=3) == set()
@@ -228,6 +213,6 @@ class TestNfaSpaceGenericComposition:
 
     def test_rejects_unknown_backend_before_running(self):
         index = generators.chain(2).label_index()
-        space = ClosureSpace(index, "a")
+        space = NfaProductSpace(index, default_engine().compile_rpq("a"))
         with pytest.raises(Exception):
             parallel_product_relation(space, backend="gpu")

@@ -183,6 +183,9 @@ class TestExplain:
         assert rpq_text.startswith("rpq: bit-row algebra")
         assert "point queries and partitioned drivers run the compiled ε-free NFA" in rpq_text
         assert "register" in Query.parse("(a)=", dialect="ree").explain()
+        for text, dialect in (("a*.b-", "gxpath-path"), ("<a*.b>", "gxpath-node")):
+            gxpath_text = Query.parse(text, dialect=dialect).explain(skewed_graph)
+            assert "bit-row algebra" in gxpath_text and "ClosureSpace" not in gxpath_text
 
     def test_boolean_head_renders(self, skewed_graph):
         text = GraphSession(skewed_graph).explain(

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_node, reference_path
 from repro.api import ExecutionPolicy, GraphSession, ParallelExecutor, Query, QueryKind
 from repro.datagraph import DataGraph, generators
 from repro.datagraph.compact import CompactLabelIndex
@@ -29,6 +30,7 @@ from repro.engine import compact as compact_kernels
 from repro.engine import data as data_kernels
 from repro.engine import partition as partition_kernels
 from repro.engine import product as product_kernels
+from repro.gxpath import evaluation as gxpath_evaluation
 from repro.planner import Route, graph_statistics, route_query
 from repro.planner import router as router_module
 from repro.planner import stats as stats_module
@@ -117,10 +119,10 @@ def naive_rows(graph, query: Query):
         return evaluate_data_rpq_naive(graph, query.plan)
     if query.kind is QueryKind.CRPQ:
         return evaluate_crpq_naive(graph, query.plan)
-    # GXPath has no separate naive evaluator: the router-off dict session
-    # (the benchmark oracle's reference) is its specification.
-    reference = GraphSession(graph, policy=ExecutionPolicy(routing="manual", backend="dict"))
-    return reference.run(query).rows()
+    node = graph.node
+    if query.kind is QueryKind.GXPATH_NODE:
+        return frozenset((node(v),) for v in reference_node(graph, query.plan))
+    return frozenset((node(u), node(v)) for u, v in reference_path(graph, query.plan))
 
 
 class KernelSpy:
@@ -128,23 +130,22 @@ class KernelSpy:
 
     Wraps the kernel entry points — the compact ``*_relation`` kernels,
     the dict forward expansion, mask pass and point BFS of ``product``,
-    the SQL backend's ``evaluate_*`` / ``closure_pairs`` and
-    ``partitioned_product_relation`` — and counts calls by family
-    (``dict`` / ``compact`` / ``sql``) and by driver (``blocks`` /
-    ``sharded``).  The bit-row algebra and the point BFS run over either
-    index, so their family is read off the index they were handed;
-    ``algebra`` counts the former's calls on their own.
+    the SQL backend's ``evaluate_*``, ``partitioned_product_relation``,
+    the bit-row algebra and the GXPath row evaluator — and counts calls
+    by family (``dict`` / ``compact`` / ``sql``) and by driver
+    (``blocks`` / ``sharded``).  The algebra, the GXPath evaluator and
+    the point BFS run over either index, so their family is read off the
+    index they were handed; ``algebra`` counts the algebra's calls on
+    their own.
     """
 
     FAMILIES = (
         (compact_kernels, "nfa_relation", "compact"),
         (compact_kernels, "register_relation", "compact"),
-        (compact_kernels, "closure_relation", "compact"),
         (compact_kernels, "nfa_reachable_targets", "compact"),
         (product_kernels, "forward_expand", "dict"),
         (product_kernels, "propagate_masks", "dict"),
         (sql_backend, "evaluate_rpq_pairs", "sql"),
-        (sql_backend, "closure_pairs", "sql"),
         (sql_backend, "evaluate_plan_rows", "sql"),
     )
 
@@ -170,6 +171,13 @@ class KernelSpy:
             return algebra(index, *args, **kwargs)
 
         monkeypatch.setattr(data_kernels, "ree_relation", ree_relation)
+        rows = gxpath_evaluation._RowEvaluator
+
+        def row_evaluator(index, *args, **kwargs):
+            self.families["compact" if isinstance(index, CompactLabelIndex) else "dict"] += 1
+            return rows(index, *args, **kwargs)
+
+        monkeypatch.setattr(gxpath_evaluation, "_RowEvaluator", row_evaluator)
         partitioned = partition_kernels.partitioned_product_relation
 
         def partitioned_product_relation(space, mode, *args, **kwargs):
@@ -274,6 +282,23 @@ class TestRouteChoices:
         route = route_query(DIALECTS["data_rpq"], graph, ExecutionPolicy(backend="sql"))
         assert route.kernel == "dict" and route.strategy == "sequential"
         assert "no SQL encoding" in route.reason
+
+    @pytest.mark.parametrize("forced", ["sql", "blocks", "sharded"])
+    @pytest.mark.parametrize("name", ["gxpath_node", "gxpath_path"])
+    def test_gxpath_declines_sql_and_the_partitioned_drivers(self, graph, name, forced, spy):
+        if forced == "sql":
+            policy, declined = ExecutionPolicy(backend="sql"), "backend='sql'"
+        else:
+            policy, declined = ExecutionPolicy(intra_query=forced, max_workers=2), repr(forced)
+        query = DIALECTS[name]
+        route = route_query(query, graph, policy)
+        default = route_query(query, graph)
+        assert (route.kernel, route.driver, route.workers) == (default.kernel, "sequential", 1)
+        assert declined in route.reason and "declined" in route.reason
+        expected = GraphSession(graph).run(query).rows()
+        spy.reset()
+        assert GraphSession(graph, policy=policy).run(query).rows() == expected
+        spy.assert_ran(route, (name, forced))
 
     def test_manual_routing_switches_the_cost_model_off(self, graph, low_floors):
         route = route_query(DIALECTS["rpq"], graph, ExecutionPolicy(routing="manual"))
