@@ -192,7 +192,7 @@ class RemoteSession(SessionProtocol):
             timeout=self._query_timeout(timeout),
         )
         answers = wire.decode_answers(plan, response.get("answers"))
-        result = Result(plan, None, lambda: answers)
+        result = Result(plan, None, lambda: (answers, None))
         result._force()
         return result
 
@@ -216,7 +216,7 @@ class RemoteSession(SessionProtocol):
         results: List[Result] = []
         for plan, document in zip(plans, documents):
             answers = wire.decode_answers(plan, document)
-            result = Result(plan, None, lambda answers=answers: answers)
+            result = Result(plan, None, lambda answers=answers: (answers, None))
             result._force()
             results.append(result)
         return results

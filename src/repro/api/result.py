@@ -16,6 +16,8 @@ behind one small accessor surface:
 Results are **lazy**: the evaluation thunk passed by the session runs on
 first access and is forced at most once, so ``session.run(q)`` is free
 until an accessor is called, and a result forced twice never recomputes.
+The thunk returns the answer set and the session's bit rows for it (or
+``None``), which the daemon encodes the answer from; they are no API.
 """
 
 from __future__ import annotations
@@ -52,18 +54,19 @@ class Result:
     not constructed directly by users.
     """
 
-    __slots__ = ("query", "graph", "_materialise", "_answers", "_by_id")
+    __slots__ = ("query", "graph", "_materialise", "_answers", "_rows", "_by_id")
 
     def __init__(
         self,
         query: Query,
         graph: Optional["DataGraph"],
-        materialise: Callable[[], frozenset],
+        materialise: Callable[[], Tuple[frozenset, object]],
     ):
         self.query = query
         self.graph = graph
         self._materialise = materialise
         self._answers: Optional[frozenset] = None
+        self._rows = None
         # Lazily-built id → Node table for graph-less (remote) results,
         # so .holds() can resolve bare node ids without a graph.
         self._by_id: Optional[dict] = None
@@ -74,7 +77,7 @@ class Result:
     def _force(self) -> frozenset:
         answers = self._answers
         if answers is None:
-            answers = self._materialise()
+            answers, self._rows = self._materialise()
             self._answers = answers
         return answers
 

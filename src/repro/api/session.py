@@ -59,13 +59,8 @@ __all__ = ["GraphSession"]
 #: A server-provided hook evaluating one full-relation plan over a
 #: persistent shard-worker pool: ``(plan, null_semantics) -> answers``,
 #: or ``None`` to decline (pool busy, pool gone), in which case the
-#: session runs the plan's local route.  Runners that additionally
-#: accept a ``sources`` keyword (a set of node ids restricting the BFS
-#: seeds) advertise it with a truthy ``supports_sources`` attribute —
-#: sessions then offer point queries (``.targets``) to the pool as
-#: seeded shard rounds instead of materialising the full relation;
-#: ``supports_targets`` likewise advertises a ``targets`` mask applied
-#: worker-side (``.holds`` ships at most one pair back).
+#: session runs the plan's local route.  Only parallel routes are offered
+#: (:func:`~repro.planner.router.route_query`); point queries never are.
 ShardRunner = Callable[[Query, bool], Optional[frozenset]]
 
 #: Shared default policy: sequential execution, 1024-entry result cache.
@@ -92,9 +87,9 @@ class GraphSession(SessionProtocol):
         The :class:`~repro.api.executors.ExecutionPolicy`; defaults to
         sequential execution with a 1024-entry result cache.
     shard_runner:
-        Server hook: when set, the kinds the pool serves (full RPQ /
-        data-RPQ relations and their point forms) are offered to this
-        callable first — the :mod:`repro.server` daemon passes its
+        Server hook: when set, a parallel route of a kind the pool serves
+        (full RPQ / data-RPQ relations) is offered to this callable
+        first — the :mod:`repro.server` daemon passes its
         persistent shard-worker pool here so sessions share one pool
         instead of forking their own.  A ``None`` return is counted as a
         decline (:meth:`maintenance_stats`) and the plan runs its local
@@ -202,14 +197,14 @@ class GraphSession(SessionProtocol):
         caching = self.policy.cache_results
         version = self.graph.version
 
-        answers: Dict[Tuple, frozenset] = {}
+        answers: Dict[Tuple, CachedRelation] = {}
         misses: List[Query] = []
         for plan in plans:
             key = (version, plan.key, null_semantics)
             if key in answers:
                 continue
             if caching and key in self._results:
-                answers[key] = self._results.get_or_build(key, tuple)[0]  # recorded hit
+                answers[key] = self._results.get_or_build(key, tuple)  # recorded hit
                 continue
             lineage = self._lineage_base(plan, null_semantics, version) if caching else None
             repaired = self._repaired_answer(plan, null_semantics, lineage) if lineage else None
@@ -222,18 +217,17 @@ class GraphSession(SessionProtocol):
             computed = chosen.execute_batch(
                 self._batch_evaluator(misses, null_semantics, chosen), misses
             )
-            for plan, answer in zip(misses, computed):
+            for plan, entry in zip(misses, computed):
                 key = (version, plan.key, null_semantics)
                 if caching:
-                    # Batch answers may come back from forked workers, so
-                    # they are cached without bit rows.
-                    answer = self._remember(plan, null_semantics, version, (answer, None))
-                answers[key] = answer
+                    entry = self._remember(plan, null_semantics, version, entry)
+                answers[key] = entry
 
         results: List[Result] = []
         for plan in plans:
-            answer = answers[(version, plan.key, null_semantics)]
-            result = Result(plan, self.graph, lambda answer=answer: answer)
+            answer, bits = answers[(version, plan.key, null_semantics)]
+            readable = (answer, self._rows_at(bits, version))
+            result = Result(plan, self.graph, lambda readable=readable: readable)
             result._force()  # already computed; materialise eagerly
             results.append(result)
         return results
@@ -257,16 +251,6 @@ class GraphSession(SessionProtocol):
                     or self.graph.get_node(target_node.id) != target_node
                 ):
                     return False
-                if getattr(self.shard_runner, "supports_targets", False):
-                    # Point lookup through the persistent worker pool:
-                    # the workers decode under a single-target mask, so
-                    # only the (at most one) matching pair crosses the
-                    # pipes.  A decline falls through to the point path.
-                    answer = self._offer_to_pool(
-                        plan, null_semantics, source_node.id, target_node.id
-                    )
-                    if answer is not None:
-                        return (source_node, target_node) in answer
                 return target_node in self.targets(
                     plan, source_node.id, null_semantics=null_semantics
                 )
@@ -508,23 +492,36 @@ class GraphSession(SessionProtocol):
     # ------------------------------------------------------------------
     # Cache plumbing
     # ------------------------------------------------------------------
-    def _answers(self, plan: Query, null_semantics: bool) -> frozenset:
+    def _answers(self, plan: Query, null_semantics: bool) -> Tuple[frozenset, Optional[Tuple]]:
+        """*plan*'s answer set and its :meth:`_rows_at` — what a
+        :class:`Result` materialises."""
         if not self.policy.cache_results:
-            return self._execute(plan, self._route(plan), null_semantics)
+            return self._execute(plan, self._route(plan), null_semantics), None
         version = self.graph.version
         key = (version, plan.key, null_semantics)
         if key in self._results:
-            return self._results.get_or_build(key, tuple)[0]  # recorded hit
+            answer, bits = self._results.get_or_build(key, tuple)  # recorded hit
+            return answer, self._rows_at(bits, version)
         route = self._route(plan)
         lineage = self._lineage_base(plan, null_semantics, version)
         entry = self._repaired_answer(plan, null_semantics, lineage, route) if lineage else None
         if entry is None:
             entry = self._full_entry(plan, route, null_semantics, lineage)
-        return self._remember(plan, null_semantics, version, entry)
+        answer, bits = self._remember(plan, null_semantics, version, entry)
+        return answer, self._rows_at(bits, version)
+
+    def _rows_at(self, bits: Optional[BitRelation], version: int) -> Optional[Tuple]:
+        """An entry's *bits* beside the CSR snapshot they index — what the
+        daemon encodes the answer from (:func:`repro.api.wire.encode_answers`)
+        — or ``None``: no rows, or a write moved the graph past *version*."""
+        if bits is None:
+            return None
+        compact = self.graph.compact_index()
+        return (bits, compact) if compact.version == version else None
 
     def _remember(
         self, plan: Query, null_semantics: bool, version: int, entry: CachedRelation
-    ) -> frozenset:
+    ) -> CachedRelation:
         """Cache *entry* as *plan*'s answer at *version* and drop the
         entry it supersedes.  Graph versions only grow, so an older
         version's answer can never be hit again: it was alive as the
@@ -537,7 +534,7 @@ class GraphSession(SessionProtocol):
             self._results.discard((previous, plan.key, null_semantics))
         self._result_history[history_key] = version
         key = (version, plan.key, null_semantics)
-        return self._results.get_or_build(key, lambda: entry)[0]
+        return self._results.get_or_build(key, lambda: entry)
 
     def _full_entry(self, plan: Query, route, null_semantics: bool, lineage=None) -> CachedRelation:
         """*plan*'s full answer as a result-cache entry.  An RPQ / data
@@ -556,7 +553,7 @@ class GraphSession(SessionProtocol):
             if not isinstance(answer, BitRelation):
                 return answer, None
             bits = answer
-        elif plan.kind in (QueryKind.RPQ, QueryKind.DATA_RPQ) and not route.offer_pool:
+        elif plan.kind in (QueryKind.RPQ, QueryKind.DATA_RPQ):
             bits = self.engine.relation_bits(self.graph, plan.plan, route, null_semantics)
         if bits is None:
             return self._execute(plan, route, null_semantics), None
@@ -731,15 +728,6 @@ class GraphSession(SessionProtocol):
             planned=planned,
         )
 
-    def _point_route(self, plan: Query):
-        """The O(1) route of a point query — kernel by graph size, pool
-        offer — so a point-cache miss never pays for statistics."""
-        return route_point(
-            self.graph,
-            self.policy,
-            offer_pool=self.shard_runner is not None and pool_serves(plan),
-        )
-
     def explain(self, query: QueryLike) -> str:
         """The execution plan of *query* on this session's graph.
 
@@ -770,33 +758,33 @@ class GraphSession(SessionProtocol):
 
         The one path from the session to the kernels: ``run``,
         ``run_many`` (under every executor), ``targets`` and ``holds``
-        all end here (a cached ``run`` through :meth:`_full_entry`, which
-        keeps a local bit-row route's rows), and nothing below re-decides
-        what *route* resolved.  With *source* given the answer is the point form — the targets of
+        all end here (a cached ``run`` and an in-process batch through
+        :meth:`_full_entry`, which keeps a local bit-row route's rows),
+        and nothing below re-decides what *route* resolved.  With
+        *source* given the answer is the point form — the targets of
         *source* — else the plan's full answer set (for a CRPQ without
         *decode*, its bit rows when the plan ends on them: see
         :func:`~repro.planner.execute_plan`).
 
-        A route with ``offer_pool`` goes to the attached worker pool
-        first; a decline is counted and the plan runs the route's local
-        kernel family and driver.  CRPQs take the planner (the cached
-        plan, the session's relation cache and join runner, a recorded
-        :class:`~repro.planner.PlanTrace`); every other kind hands the
-        route to its engine entry point.
+        A route with ``offer_pool`` (a parallel route on a pooled session)
+        goes to the attached worker pool first; a decline is counted and
+        the plan runs the route's local kernel family and driver.  CRPQs
+        take the planner (the cached plan, the session's relation cache
+        and join runner, a recorded :class:`~repro.planner.PlanTrace`);
+        every other kind hands the route to its engine entry point.
         """
         if route.offer_pool:
-            answer = self._offer_to_pool(plan, null_semantics, source)
+            answer = self.shard_runner(plan, null_semantics)
             if answer is not None:
-                if source is None:
-                    return answer
-                return frozenset(target for start, target in answer if start.id == source)
+                return answer
+            self._pool_declines["the pool declined (busy or gone)"] += 1
         elif self.shard_runner is not None and source is None and not pool_serves(plan):
             self._pool_declines[f"{plan.kind.value} is not served by the pool"] += 1
         if source is not None:
             if plan.kind is QueryKind.RPQ:
                 return self.engine.evaluate_rpq_from(self.graph, plan.plan, source, route)
             # No single-source kernel: filter the (cached) full relation.
-            answers = self._answers(plan, null_semantics)
+            answers = self._answers(plan, null_semantics)[0]
             return frozenset(target for start, target in answers if start.id == source)
         if plan.kind is not QueryKind.CRPQ:
             return plan._evaluate(self.engine, self.graph, null_semantics, route)
@@ -819,31 +807,6 @@ class GraphSession(SessionProtocol):
         self._plan_traces[(plan.key, null_semantics)] = trace
         return answer
 
-    def _offer_to_pool(
-        self,
-        plan: Query,
-        null_semantics: bool,
-        source: Optional[NodeId] = None,
-        target: Optional[NodeId] = None,
-    ) -> Optional[frozenset]:
-        """Offer *plan* (or its point form from *source*, optionally under
-        a single-*target* mask) to the worker pool; ``None`` — counted by
-        reason — means the caller runs the local route."""
-        runner = self.shard_runner
-        seeds = {}
-        if source is not None:
-            if not getattr(runner, "supports_sources", False):
-                self._pool_declines["the runner has no seeded rounds"] += 1
-                return None
-            # Only the single-source frontier crosses the pipes.
-            seeds["sources"] = {source}
-            if target is not None:
-                seeds["targets"] = {target}
-        answer = runner(plan, null_semantics, **seeds)
-        if answer is None:
-            self._pool_declines["the pool declined (busy or gone)"] += 1
-        return answer
-
     def _batch_evaluator(self, plans: Sequence[Query], null_semantics: bool, executor):
         """The per-query callable an executor fans a batch out over.
 
@@ -857,14 +820,16 @@ class GraphSession(SessionProtocol):
         """
         if isinstance(executor, SequentialExecutor):
             routes = {plan.key: self._route(plan) for plan in plans}
-        else:
-            solo = dataclasses.replace(self.policy, max_workers=1, intra_query="off")
-            routes = {plan.key: self._route(plan, solo, pooled=False) for plan in plans}
-            for plan in plans:
-                plan._warm(self.engine)
-            if any(route.kernel == "compact" for route in routes.values()):
-                self.graph.compact_index()
-        return lambda plan: self._execute(plan, routes[plan.key], null_semantics)
+            # In-process, so entries keep their bit rows as run()'s do.
+            return lambda plan: self._full_entry(plan, routes[plan.key], null_semantics)
+        solo = dataclasses.replace(self.policy, max_workers=1, intra_query="off")
+        routes = {plan.key: self._route(plan, solo, pooled=False) for plan in plans}
+        for plan in plans:
+            plan._warm(self.engine)
+        if any(route.kernel == "compact" for route in routes.values()):
+            self.graph.compact_index()
+        # Answers may come back from forked workers: cached without bit rows.
+        return lambda plan: (self._execute(plan, routes[plan.key], null_semantics), None)
 
     def _cached_relation_lookup(self, null_semantics: bool):
         """A relation-cache hook for the adaptive executor: answer a CRPQ
@@ -903,7 +868,8 @@ class GraphSession(SessionProtocol):
             # rather than running a fresh traversal.
             relation = self._results.get_or_build(full_key, tuple)[0]
             return frozenset(target for start, target in relation if start.id == source)
-        return self._execute(plan, self._point_route(plan), null_semantics, source=source)
+        # A point route never pays for statistics and is never pooled.
+        return self._execute(plan, route_point(self.graph, self.policy), null_semantics, source=source)
 
     def stats(self) -> Mapping[str, CacheStats]:
         """Cache snapshots: the session's ``results`` and ``points`` caches

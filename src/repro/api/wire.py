@@ -38,6 +38,7 @@ from ..datagraph.values import NULL, is_null
 from ..datapaths import conditions as _conditions
 from ..datapaths import ree as _ree
 from ..datapaths import rem as _rem
+from ..engine.bitrelation import BitRelation
 from ..exceptions import SerializationError
 from ..gxpath import ast as _gxpath
 from ..query.crpq import Atom, ConjunctiveRPQ
@@ -249,7 +250,7 @@ def _answer_shape(query: Query) -> str:
     return "relation" if query.arity == 2 else "tuples"
 
 
-def encode_answers(query: Query, answers: frozenset) -> Dict[str, Any]:
+def encode_answers(query: Query, answers: frozenset, rows=None) -> Dict[str, Any]:
     """One query's raw answer set as index rows over its node column.
 
     ``nodes`` is the column: the distinct nodes of *answers*, sorted.
@@ -257,13 +258,20 @@ def encode_answers(query: Query, answers: frozenset) -> Dict[str, Any]:
     and, aligned with it, ``rows``: each target's sources, ascending;
     ``tuples`` (any other arity) adds ``rows``, the answers as sorted index
     tuples; for ``nodes`` (GXPath node expressions) the column is the answer.
+
+    *rows* — a session's ``(bit rows, CSR snapshot)`` of a relation
+    answer — builds the same document from the row masks, never touching
+    the pairs, when the rows sit on the snapshot's ordering or a prefix of
+    it; otherwise the pairs are regrouped.
     """
     shape = _answer_shape(query)
     if shape == "nodes":
         column, document = sorted(answers, key=Node.sort_key), {}
     elif shape == "tuples":
-        column, rows = index_rows(answers, query.arity)
-        document = {"rows": rows}
+        column, indexed = index_rows(answers, query.arity)
+        document = {"rows": indexed}
+    elif rows is not None and rows[1].nodes[: len(rows[0].nodes)] == rows[0].nodes:
+        column, document = _relation_from_rows(*rows)
     else:
         flat = list(chain.from_iterable(answers))
         column, index = sorted_column(flat)
@@ -274,6 +282,31 @@ def encode_answers(query: Query, answers: frozenset) -> Dict[str, Any]:
         targets = sorted(sources_of)
         document = {"targets": targets, "rows": [sorted(sources_of[at]) for at in targets]}
     return {"shape": shape, "nodes": [encode_node(node) for node in column], **document}
+
+
+def _relation_from_rows(bits: BitRelation, compact) -> Tuple[List[Node], Dict[str, Any]]:
+    """:func:`encode_answers`' relation column and document from *bits*:
+    the used positions (the rows' OR plus their targets) in sort-key rank,
+    then each row's members as ascending column indices."""
+    rows, used = bits.rows, 0
+    for at, mask in rows.items():
+        used |= mask | (1 << at)
+    size = len(bits.nodes)
+    positions = sorted(BitRelation.members(used, range(size)), key=compact.sort_ranks.__getitem__)
+    index = [0] * size
+    for at, position in enumerate(positions):
+        index[position] = at
+    targets, sources, expanded = [], [], {}
+    for at, position in enumerate(positions):
+        mask = rows.get(position)
+        if mask:
+            row = expanded.get(mask)
+            if row is None:
+                row = expanded[mask] = sorted(BitRelation.members(mask, index))
+            targets.append(at)
+            sources.append(row)
+    objects = compact.node_objects
+    return [objects[position] for position in positions], {"targets": targets, "rows": sources}
 
 
 def _checked_indices(indices: List, size: int) -> List:

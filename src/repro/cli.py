@@ -263,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--pool-min-nodes", type=int, default=None, metavar="N",
-        help="smallest graph served through the shard-worker pool; smaller "
-        "graphs run in-process (default: the engine's forking threshold)",
+        help="smallest graph given a shard-worker pool, which serves parallel routes "
+        "only; smaller graphs run in-process (default: the engine's forking threshold)",
     )
     serve.add_argument(
         "--drain-grace", type=float, default=5.0, metavar="SECONDS",

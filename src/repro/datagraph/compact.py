@@ -6,9 +6,10 @@ the ``nodes`` tuple stays the id↔int mapping (``nodes[i]`` is the public
 the inverse), every label's adjacency becomes one CSR row pair —
 ``array('q')`` offsets of length ``n + 1`` plus a neighbors column, kept
 both forward and transposed — and the data values become a list indexed
-by int id (plus two derived columns: dense value ids,
-:attr:`CompactLabelIndex.value_ids`, and the snapshot's ``Node`` objects,
-:attr:`CompactLabelIndex.node_objects`).  The int-id kernels in
+by int id (plus derived columns: dense value ids,
+:attr:`CompactLabelIndex.value_ids`, the snapshot's ``Node`` objects,
+:attr:`CompactLabelIndex.node_objects`, and their sort ranks,
+:attr:`CompactLabelIndex.sort_ranks`).  The int-id kernels in
 :mod:`repro.engine.compact` walk these arrays with ``bytearray`` visited
 sets and integer-bitmask frontiers instead of hashing ``(NodeId, state)``
 tuples and hand back per-target source bitmasks; those are decoded once,
@@ -78,6 +79,7 @@ class CompactLabelIndex:
         "_value_ids",
         "_value_classes",
         "_node_objects",
+        "_sort_ranks",
     )
 
     def __init__(
@@ -107,6 +109,7 @@ class CompactLabelIndex:
         self._value_ids: Optional[List[int]] = None
         self._value_classes: Optional[Tuple[List[int], int]] = None
         self._node_objects: Optional[Tuple[Node, ...]] = None
+        self._sort_ranks: Optional[List[int]] = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -173,6 +176,21 @@ class CompactLabelIndex:
         column = self._node_objects
         if column is None:
             column = self._node_objects = tuple(map(Node, self.nodes, self.values))
+        return column
+
+    @property
+    def sort_ranks(self) -> List[int]:
+        """``sort_ranks[u]`` is int node ``u``'s place in :meth:`Node.sort_key`
+        order — the order an answer's node column is written in
+        (:func:`repro.api.wire.encode_answers`).  Derived from
+        :attr:`node_objects` on first use, like it; never serialised."""
+        column = self._sort_ranks
+        if column is None:
+            keys = [node.sort_key() for node in self.node_objects]
+            column = [0] * self.num_nodes
+            for rank, u in enumerate(sorted(range(self.num_nodes), key=keys.__getitem__)):
+                column[u] = rank
+            self._sort_ranks = column  # assigned whole: concurrent readers race benignly
         return column
 
     def edge_count(self, label: str) -> int:

@@ -31,13 +31,14 @@ routed"):
   (:func:`repro.engine.compact.resolve_backend`), else the **dict**
   kernels.
 
-A session with a persistent worker pool attached offers the kinds the
-pool serves (:data:`POOL_KINDS`) to it first; everything else — and
-every plan the pool declines — runs the local route above.
+A session with a persistent worker pool attached offers the pool exactly
+the *parallel* routes of the kinds it serves (:data:`POOL_KINDS`); a
+sequential route is answered in-process on its bit rows, and its reason
+says so.  Every plan the pool declines runs the local route above.
 
-:func:`route_point` resolves only the O(1) part (kernel by graph size,
-pool offer) for point queries and bare engine calls, which must not pay
-for statistics or estimates.
+:func:`route_point` resolves only the O(1) part (kernel by graph size)
+for point queries and bare engine calls, which must not pay for
+statistics or estimates; a point route is never offered to the pool.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ ROUTE_PARALLEL_MIN_NODES = 2048
 ROUTE_PARALLEL_WORK_FACTOR = 8.0
 
 #: The query kinds (``QueryKind.value``) a persistent shard-worker pool
-#: serves: full RPQ / data-RPQ relations and their point forms.
+#: serves on parallel routes: full RPQ / data-RPQ relations.
 POOL_KINDS = frozenset({"rpq", "data_rpq"})
 
 #: ``Route.strategy`` of a sequential route, by kernel family.
@@ -93,9 +94,9 @@ class Route:
     the partitioned drivers of :mod:`repro.engine.partition`
     (``"blocks"`` / ``"sharded"``, always over the dict index their
     shard views are built on); ``offer_pool`` says the plan goes to the
-    session's worker pool first, with this route as the fallback when
-    the pool declines; ``workers`` is the driver's worker (and shard)
-    budget, 1 for sequential routes.
+    session's worker pool first — only ever on a partitioned driver —
+    with this route as the fallback when the pool declines; ``workers``
+    is the driver's worker (and shard) budget, 1 for sequential routes.
     """
 
     kernel: str
@@ -142,23 +143,20 @@ def _kernel(backend: str, num_nodes: int) -> str:
     return "compact" if resolve_backend(backend, num_nodes) else "dict"
 
 
-def route_point(
-    graph: "DataGraph",
-    policy: Optional["ExecutionPolicy"] = None,
-    offer_pool: bool = False,
-) -> Route:
+def route_point(graph: "DataGraph", policy: Optional["ExecutionPolicy"] = None) -> Route:
     """The O(1) part of a route: kernel by forced backend or graph size.
 
     Point queries (``targets`` / ``holds``) and bare engine calls resolve
     through here — a single-source frontier is exactly the shape the
     dict/compact kernels win, so no statistics, estimate or driver is
-    consulted (an explicit ``backend="sql"`` still runs seeded CTEs).
+    consulted (an explicit ``backend="sql"`` still runs seeded CTEs) and
+    no pool is offered.
     """
     backend = policy.backend if policy is not None else "auto"
     return Route(
         kernel=_kernel(backend, graph.num_nodes),
         driver="sequential",
-        offer_pool=offer_pool,
+        offer_pool=False,
         workers=1,
         reason="point query: kernel by graph size"
         if backend == "auto"
@@ -196,8 +194,8 @@ def route_query(
 
     *policy* contributes the forced overrides and the worker budget;
     *stats* sharpens the estimates; *pooled* marks a session with a
-    persistent shard-worker pool attached (the kinds it serves are
-    offered to it first).  Sessions pass their cached
+    persistent shard-worker pool attached (a parallel route of a kind it
+    serves is offered to it first).  Sessions pass their cached
     :class:`~repro.planner.planner.CrpqPlan` via *planned* so routing a
     CRPQ never re-plans it.
     """
@@ -236,7 +234,9 @@ def route_query(
         if kernel == "sql" and kind is QueryKind.DATA_RPQ:
             kernel = "dict"
             reason += "; register valuations have no SQL encoding, dict mask pass"
-        return Route(kernel, "sequential", offer_pool, 1, reason, estimate)
+        if offer_pool:
+            reason += "; sequential route: answered in-process, the pool serves parallel routes"
+        return Route(kernel, "sequential", False, 1, reason, estimate)
 
     # ------------------------------------------------------------------
     # Forced overrides: a driver, then a kernel; manual switches the cost

@@ -30,18 +30,19 @@ a client whose request finds both full gets an immediate ``busy`` error
 (backpressure) instead of an unbounded wait.  Each query gets a
 deadline: when ``future.result`` times out the daemon sets the query's
 cancel event — the shard-worker pool aborts at the next frontier-round
-boundary — and answers a ``timeout`` error.  (A query that fell back to
-in-process evaluation cannot be interrupted mid-kernel; it finishes on
-its executor thread and the answer is discarded.)
+boundary — and answers a ``timeout`` error.  (A query answered
+in-process cannot be interrupted mid-kernel; it finishes on its executor
+thread and the answer is discarded.)
 
 **Isolation.**  Every connection gets its own
 :class:`~repro.api.session.GraphSession` over the shared graph, so
 result caches, point caches and loaded snapshots are per-client; the
-compiled-automaton engine and the shard-worker pool are shared, which is
-the point of the daemon.  Sessions reach the pool through the
-``shard_runner`` seam — when the pool is busy the session transparently
-runs the plan's local cost route (and counts the decline), so answers
-never depend on pool availability.
+compiled-automaton engine and the shard-worker pool are shared.  Sessions
+reach the pool through the ``shard_runner`` seam, and only on a parallel
+route; everything else runs in-process on the session's bit rows, and a
+relation answer is encoded straight from them.  When the pool is busy the
+session transparently runs the plan's local route (and counts the
+decline), so answers never depend on pool availability.
 """
 
 from __future__ import annotations
@@ -108,7 +109,8 @@ class ServerConfig:
     served in-process per connection (forked product-BFS only pays for
     itself on large graphs — same wisdom as
     :data:`~repro.engine.partition.PROCESS_SHARDS_MIN_NODES`, the
-    default); ``0`` forces the pool on for any graph.
+    default); ``0`` attaches the pool to any graph — it still serves
+    parallel routes only (:func:`~repro.planner.router.route_query`).
     ``drain_grace`` bounds the graceful-shutdown drain: in-flight
     queries get up to this many seconds to finish (each still capped by
     its own deadline) before remaining connections are told
@@ -369,9 +371,10 @@ class ReproServer:
             raise EvaluationError("no graph loaded; send load_graph first")
         if connection.session is None or connection.generation != generation:
             runner = self._make_shard_runner(pool)
-            # With a pool the session offers it every plan it serves and
-            # routes the rest (and every decline) locally; without one
-            # (small graph, or no fork) the host picks the batch executor.
+            # With a pool the session offers it the parallel routes of the
+            # kinds it serves and runs the rest (and every decline)
+            # locally; without one (small graph, or no fork) the host
+            # picks the batch executor.
             policy = (
                 ExecutionPolicy(backend=self.config.backend)
                 if runner is not None
@@ -401,26 +404,18 @@ class ReproServer:
         if pool is None or not pool.available:
             return None
 
-        def runner(plan: Query, null_semantics: bool, sources=None, targets=None):
+        def runner(plan: Query, null_semantics: bool):
             cancel = getattr(self._cancel_local, "event", None)
             started = time.monotonic()
-            answer = pool.evaluate(
-                plan, null_semantics, cancel=cancel, sources=sources, targets=targets
-            )
+            answer = pool.evaluate(plan, null_semantics, cancel=cancel)
             if answer is None:
                 self.metrics.increment("pool_fallbacks")
             else:
                 self.metrics.record_pool_busy(time.monotonic() - started)
             return answer
 
-        # Advertise the seeded-round and target-mask protocols: sessions
-        # check these flags before offering point queries (``.targets``,
-        # ``.holds``) to the pool, so a plain 2-argument ShardRunner
-        # (tests, embedders) keeps working.  ``hash_join`` is the planner
-        # seam: the adaptive executor scatters big hash joins across the
-        # resident workers through it.
-        runner.supports_sources = True
-        runner.supports_targets = True
+        # ``hash_join`` is the planner seam: the adaptive executor scatters
+        # big hash joins across the resident workers through it.
         runner.hash_join = pool.hash_join
         return runner
 
@@ -621,7 +616,8 @@ class ReproServer:
 
             def job():
                 result = session.run(query, null_semantics=null_semantics)
-                return {"answers": wire.encode_answers(query, result._force())}
+                answers = result._force()
+                return {"answers": wire.encode_answers(query, answers, result._rows)}
 
         elif op == "run_many":
             documents = request.get("queries")
@@ -633,7 +629,7 @@ class ReproServer:
                 results = session.run_many(queries, null_semantics=null_semantics)
                 return {
                     "answers": [
-                        wire.encode_answers(query, result._force())
+                        wire.encode_answers(query, result._force(), result._rows)
                         for query, result in zip(queries, results)
                     ]
                 }

@@ -16,9 +16,8 @@ Per-query protocol (parent ↔ workers, over the fork-pool pipes):
     shards it owns (``shard_id % num_workers == worker_index``) and runs
     the first local fixpoint round; the reply is the round's outboxes,
     keyed by destination shard.  ``sources`` is ``None`` for the full
-    relation, or a frozenset of node ids restricting the seeds — a point
-    query then runs the same shard rounds from one node's frontier
-    instead of materialising the whole relation in the parent.
+    relation, or a frozenset of node ids restricting the seeds — the
+    same shard rounds then run from those nodes' frontier only.
 ``("round", (qid, {shard_id: inbox}))``
     One frontier-exchange round for the given shards; same reply shape.
 ``("decode", (qid, targets))``
@@ -26,9 +25,8 @@ Per-query protocol (parent ↔ workers, over the fork-pool pipes):
     query's state; the parent unions the partial answers.  ``targets``
     is ``None`` for the full relation, or a frozenset of node ids the
     worker builds a target mask from — decoded pairs are filtered
-    worker-side, so a point lookup ships at most its own pair over the
-    pipes instead of the full relation.  (A bare ``qid`` body is the
-    legacy spelling of ``targets=None``.)
+    worker-side, before the pipes.  (A bare ``qid`` body is the legacy
+    spelling of ``targets=None``.)
 ``("drop", qid)``
     Discard the query's state without decoding (cancellation path).
 ``("delta", graph_delta)``
@@ -563,13 +561,13 @@ class ShardWorkerPool:
         ``None`` when the pool cannot take the query right now (busy, or
         no ``fork`` on this platform) — the caller then evaluates
         in-process.  *sources* restricts the seeds to those node ids, so
-        a point query (``session.targets``) runs seeded shard rounds and
-        ships only its own frontier over the pipes instead of the whole
-        relation.  *targets* restricts the decoded answer to pairs whose
-        target id is in the set; the mask is applied worker-side, so a
-        point membership check ships at most one pair back to the
-        parent.  *cancel* is checked at every round boundary; a set
-        event drops the query's worker state and raises
+        a seeded round ships only its own frontier over the pipes instead
+        of the whole relation; *targets* restricts the decoded answer to
+        pairs whose target id is in the set, applied worker-side.  No
+        session offers seeded rounds (point queries run in-process); they
+        stay for source-block parallelism over the shared CSR, which
+        would reuse them.  *cancel* is checked at every round boundary;
+        a set event drops the query's worker state and raises
         :class:`QueryCancelled`.
         """
         if not fork_available():

@@ -5,15 +5,19 @@ from __future__ import annotations
 import json
 
 import pytest
+from conftest import REM_ASTS, regex_strategy, tricky_graphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import GraphSession, Query
+from repro.api import ExecutionPolicy, GraphSession, Query
 from repro.api import wire
 from repro.datagraph import GraphBuilder
 from repro.datagraph.node import Node
 from repro.datagraph.values import NULL
+from repro.datapaths.fragments import is_scoped, regex_to_rem
+from repro.engine import data as data_kernels
 from repro.exceptions import SerializationError
+from repro.query import DataRPQ, evaluate_data_rpq_naive, evaluate_rpq_naive, rpq
 
 QUERIES = [
     ("a.(b|c)*", "rpq"),
@@ -199,6 +203,80 @@ class TestAnswerSets:
         query = Query.parse("a|b")
         answers = GraphSession(valued_graph).run(query)._force()
         assert wire.encode_answers(query, answers) == wire.encode_answers(query, answers)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        graph=tricky_graphs(),
+        regex=regex_strategy(),
+        rem=REM_ASTS.filter(is_scoped),
+        null_semantics=st.booleans(),
+    )
+    def test_rows_document_equals_the_pairs_document(self, graph, regex, rem, null_semantics):
+        compact = graph.compact_index()
+        naive = {
+            regex_to_rem(regex): evaluate_rpq_naive(graph, rpq(regex)),
+            rem: evaluate_data_rpq_naive(graph, DataRPQ(rem), null_semantics),
+        }
+        for expression, answers in naive.items():
+            query = Query.of(DataRPQ(expression))
+            expected = json.dumps(wire.encode_answers(query, answers))
+            for index in (graph.label_index(), compact):
+                bits = data_kernels.ree_relation(index, expression, null_semantics)
+                # The rows path never reads the pairs: hand it none.
+                document = wire.encode_answers(query, frozenset(), (bits, compact))
+                assert json.dumps(document) == expected, (expression, type(index).__name__)
+
+    def test_session_rows_encode_like_their_pairs(self, valued_graph):
+        session = GraphSession(valued_graph, policy=ExecutionPolicy(backend="compact"))
+        for text in ("(a|b|c)+", "a.b", "zzz"):  # tuple ids, a null, the empty relation
+            query = Query.parse(text)
+            result = session.run(query)
+            answers = result._force()
+            assert result._rows is not None
+            assert wire.encode_answers(query, answers, result._rows) == wire.encode_answers(
+                query, answers
+            )
+        cross = Query.parse("!x.(a|b).!y.((a|b|c)[x!= && y=])+", dialect="rem")
+        plain = GraphSession(valued_graph, policy=ExecutionPolicy(backend="dict"))
+        for null_semantics in (False, True):
+            result = plain.run(cross, null_semantics=null_semantics)
+            answers = result._force()
+            assert result._rows is None  # no rows: the pair path
+            rows = session.run(cross, null_semantics=null_semantics)
+            assert wire.encode_answers(cross, answers) == wire.encode_answers(
+                cross, rows._force(), rows._rows
+            )
+
+    def test_repaired_rows_on_a_grown_ordering_and_rows_on_another(self):
+        builder = GraphBuilder(name="chain")
+        for i in range(12):
+            builder.node(("c", i), NULL if i % 3 else i)
+        for i in range(11):
+            builder.edge(("c", i), "a", ("c", i + 1))
+        graph = builder.build()
+        session = GraphSession(graph, policy=ExecutionPolicy(backend="compact"))
+        query = Query.parse("a+")
+        before = session.run(query)
+        old_answers = before._force()
+        old_bits = before._rows[0]
+        with graph.batch() as batch:  # an insert-only delta with a small touched closure
+            batch.add_node(("c", -1), NULL)
+            batch.add_edge(("c", -1), "a", ("c", 0))
+        after = session.run(query)
+        answers = after._force()
+        assert session.maintenance_stats()["repairs"] == 1
+        bits, grown = after._rows
+        assert len(grown.nodes) > len(old_bits.nodes) and bits.nodes is grown.nodes
+        assert wire.encode_answers(query, answers, after._rows) == wire.encode_answers(query, answers)
+        # Rows on a prefix of the snapshot's ordering encode through it ...
+        expected = wire.encode_answers(query, old_answers)
+        assert wire.encode_answers(query, frozenset(), (old_bits, grown)) == expected
+        # ... rows on another ordering keep the pair path.
+        with graph.batch() as batch:
+            batch.remove_node(("c", 0))
+        reordered = graph.compact_index()
+        assert reordered.nodes[: len(old_bits.nodes)] != old_bits.nodes
+        assert wire.encode_answers(query, old_answers, (old_bits, reordered)) == expected
 
 
 def relation_document(**changes):

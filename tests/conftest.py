@@ -9,7 +9,17 @@ import sys
 import pytest
 from hypothesis import strategies as st
 
-from repro.datagraph import DataGraph, GraphBuilder, values_differ, values_equal
+from repro.datagraph import NULL, DataGraph, GraphBuilder, values_differ, values_equal
+from repro.datapaths.conditions import And, Equal, NotEqual, Or
+from repro.datapaths.rem import (
+    RemBind,
+    RemConcat,
+    RemEpsilon,
+    RemLetter,
+    RemPlus,
+    RemTest,
+    RemUnion,
+)
 from repro.engine import forkpool
 from repro.gxpath.ast import (
     Axis,
@@ -103,6 +113,68 @@ def regex_strategy(draw, depth=3):
     if choice == 3:
         return star(draw(regex_strategy(depth=depth - 1)))
     return plus(draw(regex_strategy(depth=depth - 1)))
+
+
+# ----------------------------------------------------------------------
+# Tricky data values and REM ASTs (the compact-backend and wire suites)
+# ----------------------------------------------------------------------
+#: equal across types (1 == 1.0 == True), the SQL null and two distinct
+#: NaN objects (each equal to nothing, itself included)
+TRICKY_VALUES = [1, 1.0, True, 2, "1", NULL, float("nan"), float("nan")]
+
+
+@st.composite
+def tricky_graphs(draw):
+    size = draw(st.integers(min_value=1, max_value=9))
+    builder = GraphBuilder(name="tricky")
+    for i in range(size):
+        builder.node(f"n{i}", draw(st.sampled_from(TRICKY_VALUES)))
+    ends = st.integers(min_value=0, max_value=size - 1)
+    for source, label, target in draw(
+        st.lists(st.tuples(ends, st.sampled_from("ab"), ends), max_size=3 * size)
+    ):
+        builder.edge(f"n{source}", label, f"n{target}")
+    return builder.build()
+
+
+REGISTERS = ("x", "y", "z")
+
+
+@st.composite
+def rem_asts(draw, innermost=(), depth=4):
+    """Letters ``a``/``b``/``c`` and ε under every operator: 1–2-register
+    binds, ``∧``/``∨`` conditions, ``+``, nesting.  A test mostly reads
+    the registers of the bind around it (scoped), sometimes any of the
+    three (across a bind, after one closed, or never bound), and nested
+    binds draw their registers freely, so some re-bind an outer one."""
+    shape = draw(st.sampled_from(["leaf", "concat", "union", "plus", "test", "test", "bind"]))
+    if depth == 0 or shape == "leaf":
+        return draw(st.just(RemEpsilon()) | st.sampled_from("abc").map(RemLetter))
+    if shape == "test" and not innermost and draw(st.integers(0, 7)):
+        shape = "bind"  # outside every bind a test can only read the unbound
+    below = rem_asts(innermost, depth - 1)
+    if shape == "concat":
+        return RemConcat(draw(below), draw(below))
+    if shape == "union":
+        return RemUnion(draw(below), draw(below))
+    if shape == "plus":
+        return RemPlus(draw(below))
+    if shape == "bind":
+        bound = tuple(draw(st.lists(st.sampled_from(REGISTERS), min_size=1, max_size=2, unique=True)))
+        return RemBind(bound, draw(rem_asts(bound, depth - 1)))
+    readable = innermost if innermost and draw(st.integers(0, 7)) else REGISTERS
+    atoms = st.sampled_from(readable).map(Equal) | st.sampled_from(readable).map(NotEqual)
+    condition = draw(
+        st.recursive(
+            atoms,
+            lambda inner: st.builds(And, inner, inner) | st.builds(Or, inner, inner),
+            max_leaves=3,
+        )
+    )
+    return RemTest(draw(below), condition)
+
+
+REM_ASTS = rem_asts()
 
 
 # ----------------------------------------------------------------------

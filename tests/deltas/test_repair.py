@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.api import ExecutionPolicy, GraphSession, Query
+from repro.api import ExecutionPolicy, GraphSession, ParallelExecutor, Query
 from repro.datagraph import DataGraph
 from repro.datagraph.values import NULL
 from repro.deltas import repair as repair_module
@@ -466,7 +466,8 @@ class TestRepairFollowsTheRoute:
         graph = chain_graph()
         query = DIALECT_QUERIES["rpq"]
         session = GraphSession(graph, policy=ROUTE_POLICIES["compact"])
-        session.run_many([query])  # batch answers are cached without bit rows
+        # a fanned-out batch's answers are cached without bit rows
+        session.run_many([query], executor=ParallelExecutor(max_workers=2))
         assert session._results.peek((graph.version, query.key, False))[1] is None
         shortcut_batch(graph)
         assert session.run(query).rows() == fresh_rows(graph, query)

@@ -96,12 +96,10 @@ def declining_runner():
     """A worker-pool runner that is always busy, and says what it was offered."""
     offered = []
 
-    def runner(plan, null_semantics, sources=None, targets=None):
-        offered.append((plan.kind, sources, targets))
+    def runner(plan, null_semantics):
+        offered.append(plan.kind)
         return None
 
-    runner.supports_sources = True
-    runner.supports_targets = True
     runner.offered = offered
     return runner
 
@@ -252,16 +250,28 @@ class TestRouteChoices:
         route = route_query(DIALECTS["data_rpq"], graph, ExecutionPolicy(max_workers=1))
         assert route.driver == "sequential"
 
-    def test_pooled_sessions_offer_served_kinds_and_keep_the_local_route(self, graph):
-        policy = ExecutionPolicy.auto()
-        for name, query in DIALECTS.items():
-            route = route_query(query, graph, policy, pooled=True)
-            local = route_query(query, graph, policy)
-            assert route.offer_pool == (name in {"rpq", "data_rpq"}), name
-            assert (route.strategy, route.kernel, route.driver) == (
-                local.strategy, local.kernel, local.driver
-            )
-        assert "worker pool" in route_query(DIALECTS["rpq"], graph, policy, pooled=True).describe()
+    def test_pooled_sessions_offer_served_kinds_and_keep_the_local_route(self, graph, low_floors):
+        # Only a parallel route of a served kind is offered: by cost (the
+        # host shape decides whether the closure routes ``blocks``) or forced.
+        forced = ExecutionPolicy(intra_query="blocks", max_workers=2)
+        for policy in (ExecutionPolicy.auto(), forced):
+            for name, query in DIALECTS.items():
+                route = route_query(query, graph, policy, pooled=True)
+                local = route_query(query, graph, policy)
+                parallel = local.driver != "sequential"
+                assert route.offer_pool == (parallel and name in {"rpq", "data_rpq"}), name
+                assert (route.strategy, route.kernel, route.driver) == (
+                    local.strategy, local.kernel, local.driver
+                )
+        offered = route_query(DIALECTS["rpq"], graph, forced, pooled=True)
+        assert offered.offer_pool and "worker pool" in offered.describe()
+
+    def test_pooled_sequential_routes_are_not_offered(self, graph):
+        for name in ("rpq", "data_rpq"):
+            route = route_query(DIALECTS[name], graph, ExecutionPolicy(), pooled=True)
+            assert route.driver == "sequential" and not route.offer_pool, name
+            assert "answered in-process, the pool serves parallel routes" in route.reason
+        assert "in-process" not in route_query(DIALECTS["rpq"], graph).reason
 
     @pytest.mark.parametrize("driver", ["blocks", "sharded"])
     def test_forced_driver_is_forced_on_any_size(self, graph, driver):
@@ -387,7 +397,6 @@ class TestPointQueriesSkipTheRouter:
         assert (route.kernel, route.driver, route.offer_pool) == ("compact", "sequential", False)
         assert route_point(graph, ExecutionPolicy(backend="dict")).kernel == "dict"
         assert route_point(graph, ExecutionPolicy(backend="sql")).kernel == "sql"
-        assert route_point(graph, offer_pool=True).offer_pool
 
     def test_targets_and_holds_never_call_route_query(self, graph, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -466,32 +475,41 @@ class TestExplainIsWhatRan:
                     ), context
                     if query.kind is QueryKind.RPQ:
                         # one single-source BFS on the point route's kernel
-                        spy.assert_ran(point._point_route(query), context)
+                        spy.assert_ran(route_point(graph, CONFIGS[config]), context)
 
     def test_pool_declines_run_the_local_route_and_are_counted(self, graph, spy):
+        # A forced ``blocks`` driver is a parallel route on any host.
+        policy = ExecutionPolicy(intra_query="blocks", max_workers=2)
         for name, query in DIALECTS.items():
-            session = session_under("pooled", graph)
-            plain = GraphSession(graph)
+            session = GraphSession(graph, policy=policy, shard_runner=declining_runner())
+            route = session._route(query)
             spy.reset()
-            assert session.run(query).rows() == plain.run(query).rows()
-            # never the in-process sharded driver: the local cost route
-            assert not spy.drivers, name
+            assert session.run(query).rows() == GraphSession(graph).run(query).rows()
+            spy.assert_ran(route, name)  # the declined plan's own local route
             offered = session.shard_runner.offered
             declines = session.maintenance_stats()["pool_declines"]
             if name in {"rpq", "data_rpq"}:
-                assert [kind for kind, _, _ in offered] == [query.kind]
+                assert route.offer_pool and offered == [query.kind], name
                 assert declines == {"the pool declined (busy or gone)": 1}
             else:
-                assert offered == []
+                assert not route.offer_pool and offered == [], name
                 assert declines == {f"{query.kind.value} is not served by the pool": 1}
         assert GraphSession(graph).maintenance_stats()["pool_declines"] == {}
 
-    def test_pooled_point_queries_are_offered_with_their_seeds(self, graph):
-        session = session_under("pooled", graph)
-        source = next(iter(graph.node_ids))
+    def test_pooled_point_queries_are_never_offered(self, graph):
+        # Not even where the full relation's route would be.
+        policy = ExecutionPolicy(intra_query="blocks", max_workers=2)
+        session = GraphSession(graph, policy=policy, shard_runner=declining_runner())
         plain = GraphSession(graph)
-        assert session.targets(DIALECTS["rpq"], source) == plain.targets(DIALECTS["rpq"], source)
-        assert session.shard_runner.offered == [(QueryKind.RPQ, {source}, None)]
+        query = DIALECTS["rpq"]
+        assert session._route(query).offer_pool
+        for source in list(graph.node_ids)[:3]:
+            expected = plain.targets(query, source)
+            assert session.targets(query, source) == expected
+            for target in list(graph.node_ids)[:4]:
+                assert session.holds(query, source, target) == (graph.node(target) in expected)
+        assert session.shard_runner.offered == []
+        assert session.maintenance_stats()["pool_declines"] == {}
 
     @pytest.mark.parametrize("config", sorted(CONFIGS))
     def test_process_batches_agree_with_run(self, graph, config, low_floors):
@@ -523,6 +541,10 @@ class TestExplainShowsTheRoute:
         after = session.explain(query)
         assert "adaptive:" in after  # the recorded PlanTrace rides along
         assert "estimated" in after and "observed" in after
+
+    def test_pooled_explain_says_why_the_route_stays_in_process(self, graph):
+        header = session_under("pooled", graph).explain(DIALECTS["rpq"]).splitlines()[0]
+        assert header.endswith("sequential route: answered in-process, the pool serves parallel routes")
 
     def test_rpq_explain_keeps_nfa_section(self, graph):
         session = GraphSession(graph)

@@ -26,10 +26,12 @@ from repro.api import (
     ServerBusyError,
     ServerShuttingDownError,
     connect,
+    wire,
 )
 from repro.datagraph import GraphBuilder, generators
 from repro.engine.forkpool import fork_available
 from repro.exceptions import EvaluationError, UnknownNodeError
+from repro.planner import router as router_module
 from repro.server import ReproServer, ServerConfig
 from repro.server import daemon as daemon_module
 from repro.server.protocol import ProtocolError, recv_frame, send_frame
@@ -62,8 +64,9 @@ def make_graph():
 def served():
     """A running server over a fresh graph; yields ``(graph, address)``."""
     graph = make_graph()
-    # pool_min_nodes=0 forces the worker pool on for this small test
-    # graph (production default only pools graphs worth forking for).
+    # pool_min_nodes=0 attaches the worker pool to this small test graph
+    # (production default only pools graphs worth forking for); it still
+    # serves parallel routes only, which the graph is too small for.
     server = ReproServer(
         graph, ServerConfig(max_inflight=8, num_workers=2, num_shards=4, pool_min_nodes=0)
     )
@@ -156,12 +159,15 @@ class TestBackendConfig:
         finally:
             server.shutdown()
 
-    def test_daemon_runner_advertises_seeded_rounds(self, served):
-        _, _, server = served
+    def test_daemon_runner_serves_full_relations_and_joins(self, served):
+        graph, _, server = served
         pool = server._pool
         assert pool is not None
         runner = server._make_shard_runner(pool)
-        assert getattr(runner, "supports_sources", False) is True
+        assert runner.hash_join == pool.hash_join
+        query = Query.parse("a.(b|c)+")
+        answer = runner(query, False)
+        assert answer is None or answer == GraphSession(graph).run(query).pairs()
 
 
 class TestConcurrentClients:
@@ -205,7 +211,59 @@ class TestConcurrentClients:
             assert second.stats()["results"].size == 0
 
 
+class TestSequentialRoutesStayInProcess:
+    def test_the_pool_never_forks_for_sequential_routes(self, served):
+        graph, address, server = served
+        source = next(iter(graph.node_ids))
+        with connect(address) as session:
+            for text, dialect in QUERIES:
+                session.run(Query.parse(text, dialect=dialect))
+            session.run_many([Query.parse("(a|b)+"), Query.parse("c")])
+            session.targets("a.(b|c)+", source)
+            session.holds("a+", source, source)
+            assert session.metrics()["worker_pool"]["pids"] == []
+        counters = server.metrics.counters
+        assert counters["pool_queries"] == counters["pool_fallbacks"] == 0
+
+    def test_relations_after_another_connections_write_match_a_local_session(self, monkeypatch):
+        # Compact routes keep bit rows, so relations are encoded from them.
+        encoded = []
+        from_rows = wire._relation_from_rows
+        monkeypatch.setattr(
+            wire, "_relation_from_rows", lambda *rows: encoded.append(1) or from_rows(*rows)
+        )
+        graph = make_graph()
+        queries = [Query.parse("a.(b|c)+"), Query.parse("!x.((a|b)[x!=])+", dialect="rem")]
+        config = ServerConfig(num_workers=1, pool_min_nodes=0, backend="compact")
+        with ReproServer(graph, config) as server:
+            with connect(server.address) as writer, connect(server.address) as reader:
+                before = [result.rows() for result in reader.run_many(queries)]
+                anchor = next(iter(graph.node_ids))
+                writer.mutate([["add_node", "daemon-new", 7], ["add_edge", anchor, "b", "daemon-new"],
+                               ["add_edge", "daemon-new", "a", anchor]])
+                local = GraphSession(graph)
+                for query, old in zip(queries, before):
+                    expected = local.run(query)
+                    assert reader.run(query) == expected and expected.rows() != old, str(query)
+                batch = reader.run_many(queries)
+                assert [result.rows() for result in batch] == [
+                    local.run(query).rows() for query in queries
+                ]
+        assert len(encoded) == 3 * len(queries)
+
+
+@pytest.fixture
+def parallel_routes(monkeypatch):
+    """Route every RPQ / data-RPQ relation ``blocks`` — the only routes a
+    pooled session offers the pool — under a pinned two-worker budget,
+    whatever the host's core count."""
+    monkeypatch.setattr(router_module, "ROUTE_PARALLEL_MIN_NODES", 0)
+    monkeypatch.setattr(router_module, "ROUTE_PARALLEL_WORK_FACTOR", 0.0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
 @pytest.mark.skipif(not fork_available(), reason="needs os.fork")
+@pytest.mark.usefixtures("parallel_routes")
 class TestWorkerPoolThroughTheDaemon:
     def test_workers_persist_across_queries_and_clients(self, served):
         _, address, _ = served

@@ -107,28 +107,24 @@ class TestTargetMasks:
         assert pool.evaluate(Query.parse("a"), targets=set()) == frozenset()
 
 
-class TestSessionPointQueriesThroughPool:
-    def test_holds_uses_the_pool_fast_path(self, graph):
+class TestSessionPointQueriesStayInProcess:
+    def test_holds_never_offers_the_pool(self, graph):
         query = Query.parse("a.(b|c)+")
         baseline = GraphSession(graph)
         expected = baseline.run(query).pairs()
         with ShardWorkerPool(graph, num_workers=2, num_shards=4) as pool:
             calls = []
 
-            def runner(plan, null_semantics, sources=None, targets=None):
-                calls.append((sources, targets))
-                return pool.evaluate(
-                    plan, null_semantics, sources=sources, targets=targets
-                )
+            def runner(plan, null_semantics):
+                calls.append(plan)
+                return pool.evaluate(plan, null_semantics)
 
-            runner.supports_sources = True
-            runner.supports_targets = True
             runner.hash_join = pool.hash_join
             session = GraphSession(graph, shard_runner=runner)
-            positive = next(iter(expected))
-            absent_source = positive[0]
-            assert session.holds(query, absent_source.id, positive[1].id)
-            # at least one call carried a one-element target mask
-            assert any(
-                targets is not None and len(targets) == 1 for _, targets in calls
-            )
+            source, target = next(iter(expected))
+            assert session.holds(query, source.id, target.id)
+            # the single-target mask stays available on the pool itself
+            assert pool.evaluate(query, sources={source.id}, targets={target.id}) == {
+                (source, target)
+            }
+            assert calls == []

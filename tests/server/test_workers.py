@@ -12,7 +12,7 @@ import threading
 
 import pytest
 
-from repro.api import GraphSession, Query
+from repro.api import ExecutionPolicy, GraphSession, Query
 from repro.datagraph import GraphBuilder, generators
 from repro.engine.forkpool import fork_available
 from repro.exceptions import EvaluationError
@@ -364,7 +364,8 @@ class TestMemoryProbeDegradation:
 
 
 class TestSeededSources:
-    """Pool-side seeding: point queries run seeded shard rounds."""
+    """Pool-side seeding: a seeded round ships only its own frontier.
+    No session offers one — point queries run in-process."""
 
     @pytest.mark.parametrize("query", QUERIES, ids=[str(q.plan) for q in QUERIES])
     def test_sources_restrict_the_relation(self, pool, graph, query):
@@ -380,34 +381,20 @@ class TestSeededSources:
     def test_empty_sources_yield_empty_relation(self, pool):
         assert pool.evaluate(QUERIES[0], sources=frozenset()) == frozenset()
 
-    def test_session_targets_ride_the_pool(self, pool, graph):
-        query = QUERIES[0]
-        calls = []
-
-        def runner(plan, null_semantics, sources=None):
-            calls.append(sources)
-            return pool.evaluate(plan, null_semantics, sources=sources)
-
-        runner.supports_sources = True
-        session = GraphSession(graph, shard_runner=runner)
-        source = next(iter(graph.node_ids))
-        expected = GraphSession(graph).targets(query, source)
-        assert session.targets(query, source) == expected
-        assert calls and calls[-1] == {source}
-
-    def test_sessions_skip_runners_without_sources_support(self, graph):
+    def test_session_targets_stay_in_process_while_relations_ride_the_pool(self, pool, graph):
         query = QUERIES[0]
         offered = []
 
-        def legacy_runner(plan, null_semantics):
+        def runner(plan, null_semantics):
             offered.append(plan)
-            return None
+            return pool.evaluate(plan, null_semantics)
 
-        session = GraphSession(graph, shard_runner=legacy_runner)
-        source = next(iter(graph.node_ids))
-        expected = GraphSession(graph).targets(query, source)
-        assert session.targets(query, source) == expected  # 2-arg runner untouched
-        assert offered == []  # point path never offered a legacy runner
-        assert session.maintenance_stats()["pool_declines"] == {
-            "the runner has no seeded rounds": 1
-        }
+        # A forced ``blocks`` driver: the full relation's route is parallel.
+        policy = ExecutionPolicy(intra_query="blocks", max_workers=2)
+        session = GraphSession(graph, policy=policy, shard_runner=runner)
+        for source in list(graph.node_ids)[:3]:
+            seeded = pool.evaluate(query, sources={source})
+            assert session.targets(query, source) == frozenset(target for _, target in seeded)
+        assert offered == []
+        assert session.run(query).pairs() == GraphSession(graph).run(query).pairs()
+        assert offered == [query]
