@@ -1,6 +1,6 @@
 """Benchmark the compact CSR backend against the dict kernels.
 
-Five comparisons on multi-community scenario graphs:
+Four comparisons on multi-community scenario graphs:
 
 * **RPQ kernels** (gated) — the bit-row algebra
   (:func:`~repro.engine.data.ree_relation` on the regex as a
@@ -37,16 +37,6 @@ Five comparisons on multi-community scenario graphs:
   bit-row algebra, so CI gates GXPath at <= 1.3x the RPQ (measures
   ~1.0x; the pair-set evaluator it replaced measured 5.9x).  A
   single-core constant-factor claim.
-* **Shard-worker memory** — a mixed workload (one dense plain RPQ, one
-  data-RPQ) through a :class:`~repro.server.workers.ShardWorkerPool`
-  with and without the shared-memory CSR segment.  Each bench records
-  the mean per-worker private footprint (``Private_Clean +
-  Private_Dirty`` from ``smaps_rollup``, in kB) in ``extra_info``: the
-  shared pool's workers read one mapped CSR copy and keep int-keyed
-  mask state, the plain pool's workers dirty their inherited dict
-  indexes and hash tuple configurations, so their private columns come
-  out measurably heavier.  CI checks the shared column stays below the
-  plain one.
 
 Correctness is asserted *after* the timed region — holding a second
 large answer set alive while timing would poison the measurement with
@@ -59,8 +49,6 @@ from __future__ import annotations
 
 import gc
 
-import pytest
-
 from repro.api import GraphSession, Query
 from repro.api.executors import ExecutionPolicy
 from repro.datagraph import DataGraph
@@ -68,12 +56,10 @@ from repro.datapaths.fragments import regex_to_rem
 from repro.engine import compact as compact_kernels
 from repro.engine import data as data_kernels
 from repro.engine import default_engine
-from repro.engine.forkpool import fork_available
 from repro.gxpath import parse_gxpath_path
 from repro.gxpath.evaluation import evaluate_path
 from repro.planner.router import route_point
 from repro.regular import parse_regex
-from repro.server.workers import ShardWorkerPool
 from repro.workloads import multi_community_scenario
 
 #: Dense reachability with a sparse final label: the closure touches
@@ -233,42 +219,3 @@ def bench_gxpath_path_answer(benchmark):
 def bench_rpq_path_answer(benchmark):
     _bench_path_answer(benchmark, "rpq")
 
-
-# ----------------------------------------------------------------------
-# Shard-worker pools: one shared CSR copy vs per-worker indexes
-# ----------------------------------------------------------------------
-#: The pools' mixed workload: a dense plain RPQ (timed; runs on the
-#: shared CSR when available) and one data-RPQ (untimed; always the
-#: dict path, identical state in both pools) before the memory probe.
-POOL_RPQ = "knows.(knows|bridge)*"
-POOL_REM = "!x.(knows[x=])+"
-
-
-def _bench_pool(benchmark, use_shared_csr: bool):
-    if not fork_available():
-        pytest.skip("shard-worker pools need os.fork")
-    graph = multi_community_scenario(num_communities=8, community_size=40, rng=7).source
-    query = Query.parse(POOL_RPQ)
-    gc.collect()
-    with ShardWorkerPool(
-        graph, num_workers=4, num_shards=8, use_shared_csr=use_shared_csr
-    ) as pool:
-        pairs = benchmark.pedantic(lambda: pool.evaluate(query), rounds=1, iterations=1)
-        pool.evaluate(Query.parse(POOL_REM, dialect="rem"))
-        memory = pool.worker_memory() or {}
-        if memory:
-            per_worker = sum(memory.values()) / len(memory)
-            benchmark.extra_info["per_worker_private_kb"] = round(per_worker, 1)
-        benchmark.extra_info["shared_segment"] = pool.shared_segment or ""
-    expected = GraphSession(
-        graph, policy=ExecutionPolicy(cache_results=False, backend="dict")
-    ).run(POOL_RPQ).pairs()
-    assert pairs == expected
-
-
-def bench_worker_pool_shared_csr(benchmark):
-    _bench_pool(benchmark, use_shared_csr=True)
-
-
-def bench_worker_pool_private_indexes(benchmark):
-    _bench_pool(benchmark, use_shared_csr=False)

@@ -17,10 +17,7 @@ drops below 2× (see the bench-smoke gate in ci.yml).
 
 The random chains have existential interior variables, so the planner
 fuses each into one atom and runs no join at all — which is the point of
-that gate, but leaves the join seam unmeasured.  The distributed-join
-leg therefore runs the same chains with **every variable in the head**
-(nothing fuses, every join runs).  A second gate pins the elimination
-itself: a supplier-shaped 3-atom existential chain must cost at most 2×
+that gate.  A second gate pins the elimination itself: a supplier-shaped 3-atom existential chain must cost at most 2×
 its hand-fused RPQ (3.8× before existential-variable elimination).
 """
 
@@ -33,9 +30,7 @@ import pytest
 from repro.api import ExecutionPolicy, GraphSession, Query
 from repro.datagraph import DataGraph
 from repro.engine import default_engine
-from repro.engine.forkpool import fork_available
 from repro.planner import execute_plan, plan_crpq
-from repro.planner import execute as execute_module
 from repro.query.crpq import evaluate_crpq_naive
 from repro.workloads import multi_community_scenario, random_crpq
 
@@ -53,24 +48,20 @@ def community_graph():
     return graph
 
 
-def _chains(head_arity: int):
+@pytest.fixture(scope="module")
+def crpq_workload():
     return tuple(
         random_crpq(
             ("knows", "bridge"),
             shape="chain",
             num_atoms=3,
-            head_arity=head_arity,
+            head_arity=2,
             closure_prob=0.6,
             first_atom="bridge",
             rng=seed,
         )
         for seed in QUERY_SEEDS
     )
-
-
-@pytest.fixture(scope="module")
-def crpq_workload():
-    return _chains(head_arity=2)
 
 
 @pytest.fixture(scope="module")
@@ -108,49 +99,6 @@ def bench_crpq_planner_hash_join(benchmark, community_graph, crpq_workload, expe
 
     answers = benchmark.pedantic(run, rounds=1, iterations=1)
     assert answers == expected_answers
-
-
-def bench_crpq_planner_distributed_join(benchmark, community_graph):
-    """The same chains, every variable in the head so every join runs,
-    with the joins scattered over the shard-worker pool.
-
-    A comparison leg, not a gated one: on few cores the scatter/gather
-    IPC can cost more than the local hash join saves — the production
-    seam only offers joins above DISTRIBUTED_JOIN_MIN_ROWS for exactly
-    that reason.  The threshold is dropped to 0 here so every join takes
-    the distributed path and the leg measures the seam itself.
-    """
-    if not fork_available():
-        pytest.skip("distributed joins need os.fork")
-    from repro.server.workers import ShardWorkerPool
-
-    engine = default_engine()
-    index = community_graph.label_index()
-    join_workload = _chains(head_arity=4)
-    expected = tuple(
-        execute_plan(plan_crpq(query, index), community_graph, engine=engine)
-        for query in join_workload
-    )
-    threshold = execute_module.DISTRIBUTED_JOIN_MIN_ROWS
-    with ShardWorkerPool(community_graph, num_workers=2, num_shards=4) as pool:
-        execute_module.DISTRIBUTED_JOIN_MIN_ROWS = 0
-        try:
-
-            def run():
-                return tuple(
-                    execute_plan(
-                        plan_crpq(query, index),
-                        community_graph,
-                        engine=engine,
-                        join_runner=pool.hash_join,
-                    )
-                    for query in join_workload
-                )
-
-            answers = benchmark.pedantic(run, rounds=1, iterations=1)
-        finally:
-            execute_module.DISTRIBUTED_JOIN_MIN_ROWS = threshold
-    assert answers == expected
 
 
 # ----------------------------------------------------------------------

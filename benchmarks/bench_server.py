@@ -7,8 +7,7 @@ concurrency level the acceptance criteria name.  The REM point query
 dominates: answering it means materialising the full relation (then
 filtering to the source), while the answer itself is a handful of nodes
 — compute-bound traffic with cheap wire frames.  The daemon answers all
-of it in-process on each connection's session: its shard-worker pool is
-offered parallel routes only, and none of this traffic takes one.
+of it in-process on each connection's session.
 
 The baseline pushes the identical request list through local
 :class:`GraphSession` objects, one request at a time — one fresh session
@@ -123,16 +122,10 @@ def bench_server_sequential_baseline(benchmark, server_graph, requests, expected
 def bench_server_concurrent_throughput(benchmark, server_graph, requests, expected):
     """The same traffic as eight concurrent clients of one daemon.
 
-    ``pool_min_nodes=0`` attaches the shard-worker pool the way a
-    production-sized graph would; it serves parallel routes only, which
-    this small graph never takes, so it never forks.  Server start-up
-    happens outside the timer, but connection setup is timed: clients
-    pay it.
+    Server start-up happens outside the timer, but connection setup is
+    timed: clients pay it.
     """
-    server = ReproServer(
-        server_graph,
-        ServerConfig(max_inflight=NUM_CLIENTS, num_workers=2, num_shards=4, pool_min_nodes=0),
-    )
+    server = ReproServer(server_graph, ServerConfig(max_inflight=NUM_CLIENTS))
     address = server.start()
     # Warm the served graph's indexes outside the timer.
     with connect(address) as warmup:

@@ -189,9 +189,11 @@ class ExecutionPolicy:
         force the full-recompute executable spec.
     routing:
         ``"auto"`` (the default) lets the session's cost router
-        (:func:`repro.planner.route_query`) resolve dict / compact / SQL
-        kernels and the sequential / blocks driver per query from the
-        graph's statistics.  ``"manual"`` switches the cost model off:
+        (:func:`repro.planner.route_query`) resolve the dict / compact /
+        SQL kernels per query from the graph's statistics; the driver is
+        always ``sequential`` — no ``blocks`` or ``sharded`` driver is
+        resolved automatically, only ``intra_query`` forces one.
+        ``"manual"`` switches the cost model off:
         queries run sequentially on the ``backend`` kernels (``"auto"``
         then means by graph size only).
     backend:

@@ -71,7 +71,7 @@ class ServerBusyError(EvaluationError):
 
 
 class QueryTimeoutError(EvaluationError):
-    """The query exceeded its server-side deadline and was cancelled."""
+    """The query exceeded its server-side deadline; its answer is discarded."""
 
 
 class ServerShuttingDownError(EvaluationError):
@@ -82,7 +82,6 @@ class ServerShuttingDownError(EvaluationError):
 _ERROR_CLASSES = {
     "busy": ServerBusyError,
     "timeout": QueryTimeoutError,
-    "cancelled": QueryTimeoutError,
     "shutting_down": ServerShuttingDownError,
     "parse": ParseError,
     "unknown_node": UnknownNodeError,
@@ -311,7 +310,7 @@ class RemoteSession(SessionProtocol):
         return summary
 
     def metrics(self) -> Dict[str, Any]:
-        """The server's metrics snapshot (counters, latency, utilization)."""
+        """The server's metrics snapshot (counters, latency, in-flight queries)."""
         return dict(self._call("metrics").get("metrics") or {})
 
     # ------------------------------------------------------------------

@@ -48,20 +48,13 @@ from ..engine.bitrelation import BitRelation, CachedRelation
 from ..engine.cache import CacheStats, LRUCache
 from ..engine.engine import EvaluationEngine, default_engine
 from ..exceptions import EvaluationError
-from ..planner.router import pool_serves, route_point, route_query
+from ..planner.router import route_point, route_query
 from .executors import ExecutionPolicy, SequentialExecutor
 from .protocol import SessionProtocol
 from .query import Query, QueryKind, QueryLike
 from .result import Result
 
 __all__ = ["GraphSession"]
-
-#: A server-provided hook evaluating one full-relation plan over a
-#: persistent shard-worker pool: ``(plan, null_semantics) -> answers``,
-#: or ``None`` to decline (pool busy, pool gone), in which case the
-#: session runs the plan's local route.  Only parallel routes are offered
-#: (:func:`~repro.planner.router.route_query`); point queries never are.
-ShardRunner = Callable[[Query, bool], Optional[frozenset]]
 
 #: Shared default policy: sequential execution, 1024-entry result cache.
 _DEFAULT_POLICY = ExecutionPolicy()
@@ -86,14 +79,6 @@ class GraphSession(SessionProtocol):
     policy:
         The :class:`~repro.api.executors.ExecutionPolicy`; defaults to
         sequential execution with a 1024-entry result cache.
-    shard_runner:
-        Server hook: when set, a parallel route of a kind the pool serves
-        (full RPQ / data-RPQ relations) is offered to this callable
-        first — the :mod:`repro.server` daemon passes its
-        persistent shard-worker pool here so sessions share one pool
-        instead of forking their own.  A ``None`` return is counted as a
-        decline (:meth:`maintenance_stats`) and the plan runs its local
-        route; answers are identical either way.
 
     Examples
     --------
@@ -112,13 +97,11 @@ class GraphSession(SessionProtocol):
         graph: DataGraph,
         engine: Optional[EvaluationEngine] = None,
         policy: Optional[ExecutionPolicy] = None,
-        shard_runner: Optional[ShardRunner] = None,
         repair_listener: Optional[Callable[[str], None]] = None,
     ):
         self.graph = graph
         self.engine = engine if engine is not None else default_engine()
         self.policy = policy if policy is not None else _DEFAULT_POLICY
-        self.shard_runner = shard_runner
         # Observer hook for the delta-repair path: called with "repair"
         # or "recompute" whenever a cached answer survives (or fails to
         # survive) a mutation, and with "patched" whenever the new answer
@@ -154,15 +137,13 @@ class GraphSession(SessionProtocol):
         # the delta touched none of the plan's labels.
         self._crpq_plan_history: Dict[str, int] = {}
         # Last adaptive-execution trace per (plan key, null semantics):
-        # estimate-vs-observed join cardinalities, re-plan and
-        # distributed-join counters, surfaced by `explain`.
+        # estimate-vs-observed join cardinalities and re-plan counters,
+        # surfaced by `explain`.
         self._plan_traces: Dict[Tuple, object] = {}
         # "repair" / "recompute" / "patched" events and plans retained,
         # plus the recomputes by reason.
         self._maintenance: Counter = Counter()
         self._recompute_reasons: Counter = Counter()
-        # Plans a pooled session ran locally instead, by reason.
-        self._pool_declines: Counter = Counter()
         self._lineage: deque = deque(maxlen=32)
 
     # ------------------------------------------------------------------
@@ -646,15 +627,13 @@ class GraphSession(SessionProtocol):
         lineage"``, ``"base evicted"``), how many re-answers were
         ``patched`` (decoded by difference from the previous version's
         answer) and the most recent repair lineages ``(base → new, delta
-        digest)`` — and, for pooled sessions, how many plans ran their
-        local route instead of the worker pool, by reason."""
+        digest)``."""
         return {
             "repairs": self._maintenance["repair"],
             "recomputes": self._maintenance["recompute"],
             "patched": self._maintenance["patched"],
             "recompute_reasons": dict(self._recompute_reasons),
             "plans_retained": self._maintenance["plans_retained"],
-            "pool_declines": dict(self._pool_declines),
             "lineage": list(self._lineage),
         }
 
@@ -714,17 +693,16 @@ class GraphSession(SessionProtocol):
 
         return graph_statistics(self.graph)
 
-    def _route(self, plan: Query, policy: Optional[ExecutionPolicy] = None, pooled=None):
+    def _route(self, plan: Query, policy: Optional[ExecutionPolicy] = None):
         """The resolved :class:`~repro.planner.router.Route` of *plan*:
         the one decision :meth:`_execute` consumes and :meth:`explain`
-        prints (*policy* / *pooled* default to the session's own)."""
-        if policy is None:
-            policy = self.policy
-        if pooled is None:
-            pooled = self.shard_runner is not None
+        prints (*policy* defaults to the session's own)."""
         planned = self._crpq_plan(plan) if plan.kind is QueryKind.CRPQ else None
         return route_query(
-            plan, self.graph, policy=policy, stats=self._statistics(), pooled=pooled,
+            plan,
+            self.graph,
+            policy=policy if policy is not None else self.policy,
+            stats=self._statistics(),
             planned=planned,
         )
 
@@ -766,20 +744,10 @@ class GraphSession(SessionProtocol):
         *decode*, its bit rows when the plan ends on them: see
         :func:`~repro.planner.execute_plan`).
 
-        A route with ``offer_pool`` (a parallel route on a pooled session)
-        goes to the attached worker pool first; a decline is counted and
-        the plan runs the route's local kernel family and driver.  CRPQs
-        take the planner (the cached plan, the session's relation cache
-        and join runner, a recorded :class:`~repro.planner.PlanTrace`);
-        every other kind hands the route to its engine entry point.
+        CRPQs take the planner (the cached plan, the session's relation
+        cache, a recorded :class:`~repro.planner.PlanTrace`); every other
+        kind hands the route to its engine entry point.
         """
-        if route.offer_pool:
-            answer = self.shard_runner(plan, null_semantics)
-            if answer is not None:
-                return answer
-            self._pool_declines["the pool declined (busy or gone)"] += 1
-        elif self.shard_runner is not None and source is None and not pool_serves(plan):
-            self._pool_declines[f"{plan.kind.value} is not served by the pool"] += 1
         if source is not None:
             if plan.kind is QueryKind.RPQ:
                 return self.engine.evaluate_rpq_from(self.graph, plan.plan, source, route)
@@ -798,7 +766,6 @@ class GraphSession(SessionProtocol):
             null_semantics=null_semantics,
             route=route,
             relation_cache=self._cached_relation_lookup(null_semantics),
-            join_runner=getattr(self.shard_runner, "hash_join", None),
             trace=trace,
             decode=decode,
         )
@@ -813,17 +780,16 @@ class GraphSession(SessionProtocol):
         Routes are resolved here, in the calling thread, so statistics,
         CRPQ plans and indexes are built once and the workers only
         evaluate.  Under a parallel executor each query gets a one-worker
-        budget and no pool offer — the batch fan-out already owns the
-        cores, and forked workers must not share the pool's pipes — and
-        the compilation caches are warmed first, because they are not
-        safe for concurrent builds.
+        budget — the batch fan-out already owns the cores — and the
+        compilation caches are warmed first, because they are not safe
+        for concurrent builds.
         """
         if isinstance(executor, SequentialExecutor):
             routes = {plan.key: self._route(plan) for plan in plans}
             # In-process, so entries keep their bit rows as run()'s do.
             return lambda plan: self._full_entry(plan, routes[plan.key], null_semantics)
         solo = dataclasses.replace(self.policy, max_workers=1, intra_query="off")
-        routes = {plan.key: self._route(plan, solo, pooled=False) for plan in plans}
+        routes = {plan.key: self._route(plan, solo) for plan in plans}
         for plan in plans:
             plan._warm(self.engine)
         if any(route.kernel == "compact" for route in routes.values()):
@@ -868,7 +834,7 @@ class GraphSession(SessionProtocol):
             # rather than running a fresh traversal.
             relation = self._results.get_or_build(full_key, tuple)[0]
             return frozenset(target for start, target in relation if start.id == source)
-        # A point route never pays for statistics and is never pooled.
+        # A point route never pays for statistics.
         return self._execute(plan, route_point(self.graph, self.policy), null_semantics, source=source)
 
     def stats(self) -> Mapping[str, CacheStats]:

@@ -240,14 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve on a Unix-domain socket at PATH instead of TCP",
     )
     serve.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="shard-worker processes in the persistent pool (default: CPU count, capped at 8)",
-    )
-    serve.add_argument(
-        "--num-shards", type=int, default=None, metavar="N",
-        help="edge-cut shards the pool partitions the graph into (default: worker count)",
-    )
-    serve.add_argument(
         "--max-inflight", type=int, default=8, metavar="N",
         help="queries evaluated concurrently (default: 8)",
     )
@@ -260,11 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--query-timeout", type=float, default=None, metavar="SECONDS",
         help="default per-query deadline; also caps client-requested deadlines "
         "(default: none)",
-    )
-    serve.add_argument(
-        "--pool-min-nodes", type=int, default=None, metavar="N",
-        help="smallest graph given a shard-worker pool, which serves parallel routes "
-        "only; smaller graphs run in-process (default: the engine's forking threshold)",
     )
     serve.add_argument(
         "--drain-grace", type=float, default=5.0, metavar="SECONDS",
@@ -402,9 +389,6 @@ def _serve(arguments: argparse.Namespace) -> int:
         max_inflight=arguments.max_inflight,
         queue_depth=arguments.queue_depth,
         query_timeout=arguments.query_timeout,
-        num_workers=arguments.workers,
-        num_shards=arguments.num_shards,
-        pool_min_nodes=arguments.pool_min_nodes,
         drain_grace=arguments.drain_grace,
         backend=arguments.backend,
     )

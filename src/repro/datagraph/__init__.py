@@ -7,7 +7,7 @@ generators and (de)serialisation.
 """
 
 from .builder import GraphBuilder, chain_graph, cycle_graph, graph_from_edges
-from .compact import CompactLabelIndex, SharedCompactIndex
+from .compact import CompactLabelIndex
 from .graph import DataGraph, Edge
 from .index import LabelIndex
 from .morphisms import (
@@ -38,7 +38,6 @@ __all__ = [
     "Edge",
     "LabelIndex",
     "CompactLabelIndex",
-    "SharedCompactIndex",
     "Node",
     "NodeId",
     "make_node",

@@ -143,8 +143,8 @@ class DataGraph:
 
         If the delta declares a ``base_version`` it must match the
         graph's current version; a declared ``new_version`` is adopted as
-        the post-commit version (shard workers replay composed journal
-        deltas this way to stay in step with the parent's counter).
+        the post-commit version (a replica replaying composed journal
+        deltas this way stays in step with the source graph's counter).
         """
         if delta.base_version is not None and delta.base_version != self._version:
             raise GraphError(

@@ -3,8 +3,8 @@
 The write path for live graphs.  Instead of every mutation bumping
 ``graph.version`` and nuking all warm state, a batch of mutations
 commits as one :class:`GraphDelta`, journaled per graph, which lets the
-label index, session result caches, point-cache snapshots and the
-server's forked shard workers *patch* themselves instead of rebuilding:
+label index, session result caches, point-cache snapshots and the SQL
+store *patch* themselves instead of rebuilding:
 
 - :class:`GraphDelta` — the immutable net-change value object.
 - :class:`DeltaJournal` — bounded per-graph history with chain lookup.

@@ -6,11 +6,10 @@ added/removed nodes, added/removed edges, value changes and newly
 declared labels — together with the version lineage it connects
 (``base_version -> new_version``).  Deltas are produced by the batch
 mutation API (:meth:`DataGraph.batch` / :meth:`DataGraph.apply`),
-journaled per graph (:mod:`repro.deltas.journal`), shipped to shard
-workers over the pool pipes, and consumed by the repair machinery
-(:mod:`repro.deltas.repair`, ``LabelIndex.patched``,
-``GraphPartition.apply_delta``) to patch warm state in place instead of
-rebuilding it.
+journaled per graph (:mod:`repro.deltas.journal`), and consumed by the
+repair machinery (:mod:`repro.deltas.repair`, ``LabelIndex.patched``,
+``SqlStore.refresh``) to patch warm state in place instead of rebuilding
+it.
 
 The :class:`_NetChanges` recorder is the shared normalisation engine:
 both the batch context manager and :meth:`GraphDelta.compose` replay

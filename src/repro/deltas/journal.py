@@ -2,8 +2,8 @@
 
 Every committed mutation batch appends its :class:`GraphDelta` here,
 keyed by the version it was applied against.  Consumers — the session's
-result-repair path, the point-cache snapshot loader, the shard-worker
-pool — ask for the chain of deltas connecting two versions; if any hop
+result-repair path, the point-cache snapshot loader, plan retention,
+the SQL store — ask for the chain of deltas connecting two versions; if any hop
 is missing (evicted by the bound, or the graph was mutated through the
 single-op mutators which bypass the journal), the chain is reported as
 broken (``None``) and the caller falls back to a full recompute.

@@ -20,19 +20,11 @@ The per-state transition **plans** — ``plans[state]`` is a list of
 can read that actually has edges — are the compact analogue of binding
 ``space.successors`` to an adjacency: the inner loop is pure array
 indexing with no per-edge symbol lookup.
-
-The sharded entry points (:func:`nfa_shard_plans`,
-:func:`compact_shard_round`, :func:`decode_shard_masks`) mirror
-:func:`repro.engine.partition._shard_round`'s two-pass contract (local
-fixpoint, then cut-edge scan of the changed configurations) using the
-node→shard owner column instead of materialised shard views, so the
-server's forked workers can run rounds directly on the one shared CSR
-copy.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..datagraph.compact import CompactLabelIndex
 from ..datagraph.node import NodeId
@@ -47,12 +39,7 @@ __all__ = [
     "nfa_reachable_targets",
     "closure_relation",
     "register_relation",
-    "nfa_shard_plans",
-    "compact_shard_round",
-    "decode_shard_masks",
 ]
-
-Pair = Tuple[NodeId, NodeId]
 
 #: Below this many nodes the router stays on the dict label index (its
 #: product kernels' lower constant; RPQs, scoped data RPQs and GXPath run
@@ -482,107 +469,3 @@ def register_relation(
             rows[u] = rows.get(u, 0) | mask
     return _relation(compact, rows)
 
-
-# ----------------------------------------------------------------------
-# Sharded rounds over the owner column (the zero-copy worker path)
-# ----------------------------------------------------------------------
-def nfa_shard_plans(
-    compact: CompactLabelIndex, automaton: CompiledAutomaton
-) -> Tuple[int, Tuple[int, ...], FrozenSet[int], List]:
-    """Per-query state a shard worker builds once: ``(S, initial, accepting, plans)``."""
-    return (
-        automaton.num_states,
-        automaton.initial,
-        automaton.accepting,
-        _forward_plans(compact, automaton),
-    )
-
-
-def compact_shard_round(
-    plans: List,
-    S: int,
-    owner: Sequence[int],
-    shard_id: int,
-    masks: Dict[int, int],
-    seeds: Dict[int, int],
-) -> Dict[int, Dict[int, int]]:
-    """One shard-local fixpoint round plus the cut-edge scan.
-
-    Mirrors the dict driver's ``_shard_round``: merge the inbox *seeds*
-    into this shard's mask table, run the fixpoint following only edges
-    whose target the shard owns, then scan the changed configurations'
-    remaining (cut) edges into per-owner outboxes.  Configurations cross
-    the wire as plain ints, so the parent's routing loop is identical
-    for both backends.
-    """
-    changed: List[int] = []
-    is_changed: Set[int] = set()
-    pending: List[int] = []
-    in_queue: Set[int] = set()
-    for config, mask in seeds.items():
-        known = masks.get(config, 0)
-        merged = known | mask
-        if merged != known:
-            masks[config] = merged
-            if config not in is_changed:
-                is_changed.add(config)
-                changed.append(config)
-            if config not in in_queue:
-                in_queue.add(config)
-                pending.append(config)
-    head = 0
-    while head < len(pending):
-        config = pending[head]
-        head += 1
-        in_queue.discard(config)
-        mask = masks[config]
-        u, state = divmod(config, S)
-        for cursor_plan in plans[state]:
-            offsets, neighbors, next_states = cursor_plan
-            for v in neighbors[offsets[u] : offsets[u + 1]]:
-                if owner[v] != shard_id:
-                    continue  # cut edge: handled by the post-scan below
-                base = v * S
-                for next_state in next_states:
-                    successor = base + next_state
-                    known = masks.get(successor, 0)
-                    merged = known | mask
-                    if merged != known:
-                        masks[successor] = merged
-                        if successor not in is_changed:
-                            is_changed.add(successor)
-                            changed.append(successor)
-                        if successor not in in_queue:
-                            in_queue.add(successor)
-                            pending.append(successor)
-    outboxes: Dict[int, Dict[int, int]] = {}
-    for config in changed:
-        mask = masks[config]
-        u, state = divmod(config, S)
-        for offsets, neighbors, next_states in plans[state]:
-            for v in neighbors[offsets[u] : offsets[u + 1]]:
-                shard = owner[v]
-                if shard == shard_id:
-                    continue
-                base = v * S
-                outbox = outboxes.setdefault(shard, {})
-                for next_state in next_states:
-                    successor = base + next_state
-                    outbox[successor] = outbox.get(successor, 0) | mask
-    return outboxes
-
-
-def decode_shard_masks(
-    compact: CompactLabelIndex,
-    S: int,
-    accepting: FrozenSet[int],
-    masks: Dict[int, int],
-    targets: Optional[Iterable[NodeId]] = None,
-) -> FrozenSet[Pair]:
-    """Decode one shard's mask table into public node-id pairs (ending
-    at one of *targets*, when given)."""
-    rows = _accepting_rows(masks.items(), S, _state_flags(S, accepting))
-    relation = _relation(compact, rows)
-    if targets is not None:
-        relation = relation.restrict(targets=targets)
-    return relation.id_pairs()

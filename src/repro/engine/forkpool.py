@@ -18,8 +18,7 @@ subtle pattern, in two shapes:
   between rounds, and exchange only small picklable messages with the
   parent over pipes.  This is what lets the sharded driver keep its
   per-shard mask tables inside the workers across frontier-exchange
-  rounds instead of re-forking a fresh pool every round, and what the
-  server's persistent shard workers are built on.
+  rounds instead of re-forking a fresh pool every round.
 
 The module lock serialises the *fork moment* of every pool in the
 process: two concurrent forks would otherwise overwrite each other's

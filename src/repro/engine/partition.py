@@ -332,53 +332,6 @@ class GraphPartition:
         """The shard a node is assigned to."""
         return self.assignment[node]
 
-    def apply_delta(self, delta) -> None:
-        """Patch the partition in place for a delta without node removals.
-
-        New nodes are appended round-robin by their position in the
-        delta, so every process holding a copy of this partition (the
-        pool parent and each forked worker) computes the **same**
-        assignment independently — which is what lets an epoch message
-        ship just the delta instead of a rebuilt partition.  Added and
-        removed edges are spliced into the owning shard's local or cut
-        adjacency; node removals would need rebalancing and must rebuild.
-        """
-        if delta.removed_nodes:
-            raise EvaluationError("cannot patch a partition across node removals")
-        assignment = self.assignment
-        existing = len(assignment)
-        new_members: Dict[int, List[NodeId]] = {}
-        for offset, (node_id, _value) in enumerate(delta.added_nodes):
-            shard_id = (existing + offset) % self.num_shards
-            assignment[node_id] = shard_id
-            new_members.setdefault(shard_id, []).append(node_id)
-        for shard in self.shards:
-            added = new_members.get(shard.shard_id)
-            if added:
-                shard.nodes = shard.nodes + tuple(added)
-        for source, label, target in delta.removed_edges:
-            shard = self.shards[assignment[source]]
-            table = shard._succ if assignment[target] == shard.shard_id else shard._cut
-            by_source = table.get(label)
-            if by_source is None:
-                continue
-            remaining = tuple(other for other in by_source.get(source, ()) if other != target)
-            if remaining:
-                by_source[source] = remaining
-            elif source in by_source:
-                del by_source[source]
-                if not by_source:
-                    del table[label]
-        for source, label, target in delta.added_edges:
-            shard = self.shards[assignment[source]]
-            table = shard._succ if assignment[target] == shard.shard_id else shard._cut
-            by_source = table.setdefault(label, {})
-            current = by_source.get(source, ())
-            if target not in current:
-                by_source[source] = current + (target,)
-        if delta.new_version is not None:
-            self.version = delta.new_version
-
     @property
     def cut_edge_count(self) -> int:
         """Total number of edges crossing shard boundaries."""

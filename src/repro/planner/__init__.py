@@ -23,20 +23,15 @@ specification).
 * :mod:`repro.planner.execute` — :func:`execute_plan`, adaptive
   hash-join execution with semijoin pushdown into the seeded engine
   kernels (:func:`repro.engine.product.seeded_product_relation`),
-  mid-join re-planning on misestimates, cached-relation reuse and the
-  distributed partitioned hash join;
+  mid-join re-planning on misestimates and cached-relation reuse;
 * :mod:`repro.planner.router` — :func:`route_query`, the cost step that
-  picks sequential / blocks / sharded / compact / SQL execution for all
-  five dialects, demoting the policy knobs to overrides.
+  picks sequential / compact / SQL execution for all five dialects (a
+  ``blocks`` / ``sharded`` driver only when the policy forces one),
+  demoting the policy knobs to overrides.
 """
 
 from .cost import atom_estimate, regex_estimate
-from .execute import (
-    ADAPTIVE_REPLAN_RATIO,
-    DISTRIBUTED_JOIN_MIN_ROWS,
-    PlanTrace,
-    execute_plan,
-)
+from .execute import ADAPTIVE_REPLAN_RATIO, PlanTrace, execute_plan
 from .logical import (
     AtomScan,
     Filter,
@@ -66,7 +61,6 @@ __all__ = [
     "execute_plan",
     "PlanTrace",
     "ADAPTIVE_REPLAN_RATIO",
-    "DISTRIBUTED_JOIN_MIN_ROWS",
     "Route",
     "route_query",
     "GraphStatistics",

@@ -33,18 +33,11 @@ constructor — so answers stay bit-identical to the static plan.  A
 :class:`PlanTrace` passed via ``trace=`` records estimate-vs-observed
 per join for ``--explain``.
 
-Two further v2 hooks ride on the executor:
-
-* ``relation_cache`` — a callable answering an atom scan (the atom plus
-  its live seed bindings) from a previously materialised full relation
-  (the session's versioned result cache) as bit rows or id pairs, or
-  declining with ``None``; scans it answers do not re-walk the graph.
-* ``join_runner`` — a partitioned distributed hash join (the
-  :meth:`repro.server.workers.ShardWorkerPool.hash_join` seam).  Joins
-  whose combined input reaches :data:`DISTRIBUTED_JOIN_MIN_ROWS` rows
-  scatter build and probe sides by join-key hash across the persistent
-  shard workers and union the per-worker outputs; the runner returning
-  ``None`` (pool busy, fork unavailable) falls back to the local join.
+One further v2 hook rides on the executor: ``relation_cache``, a
+callable answering an atom scan (the atom plus its live seed bindings)
+from a previously materialised full relation (the session's versioned
+result cache) as bit rows or id pairs, or declining with ``None``; scans
+it answers do not re-walk the graph.
 """
 
 from __future__ import annotations
@@ -75,12 +68,7 @@ from .planner import CrpqPlan, _scan, reorder_remaining
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .router import Route
 
-__all__ = [
-    "execute_plan",
-    "PlanTrace",
-    "ADAPTIVE_REPLAN_RATIO",
-    "DISTRIBUTED_JOIN_MIN_ROWS",
-]
+__all__ = ["execute_plan", "PlanTrace", "ADAPTIVE_REPLAN_RATIO"]
 
 #: The rows of a relation: id tuples, or — for a two-column scan of a
 #: compact route that nothing has had to decode yet — the kernel's bit
@@ -99,19 +87,9 @@ RelationCache = Callable[
     [Atom, Optional[Set[NodeId]], Optional[Set[NodeId]]], Optional[Rows]
 ]
 
-#: A distributed hash-join runner:
-#: ``(left_rows, right_rows, left_key, right_key, right_only) -> rows``
-#: or ``None`` to decline (busy pool, no fork support).
-JoinRunner = Callable[..., Optional[Set[Tuple[NodeId, ...]]]]
-
 #: Re-plan the remaining joins when an intermediate cardinality differs
 #: from its estimate by at least this factor (in either direction).
 ADAPTIVE_REPLAN_RATIO = 8.0
-
-#: Minimum combined build+probe row count before a join is offered to
-#: the distributed ``join_runner``; below this the scatter/gather IPC
-#: costs more than the join.
-DISTRIBUTED_JOIN_MIN_ROWS = 4096
 
 
 class PlanTrace:
@@ -124,14 +102,13 @@ class PlanTrace:
     from the plan's whenever a mid-join re-plan fired.
     """
 
-    __slots__ = ("steps", "replans", "cache_hits", "distributed_joins", "atom_order")
+    __slots__ = ("steps", "replans", "cache_hits", "atom_order")
 
     def __init__(self) -> None:
         #: ``(atom index, estimated rows, observed rows, replanned after)``
         self.steps: List[Tuple[int, float, int, bool]] = []
         self.replans = 0
         self.cache_hits = 0
-        self.distributed_joins = 0
         self.atom_order: Tuple[int, ...] = ()
 
     def describe(self) -> str:
@@ -144,21 +121,16 @@ class PlanTrace:
                 f"{kind} atom #{index}: estimated ≈{estimate:.0f} rows, "
                 f"observed {observed}{note}"
             )
-        summary = (
-            f"adaptive: {self.replans} re-plan(s), {self.cache_hits} cached "
-            f"relation(s) reused, {self.distributed_joins} distributed join(s)"
+        lines.append(
+            f"adaptive: {self.replans} re-plan(s), {self.cache_hits} cached relation(s) reused"
         )
-        lines.append(summary)
         return "\n".join(lines)
 
 
 class _Context:
     """Everything one plan execution needs, bundled for the recursion."""
 
-    __slots__ = (
-        "graph", "engine", "null_semantics", "route", "relation_cache",
-        "join_runner", "trace",
-    )
+    __slots__ = ("graph", "engine", "null_semantics", "route", "relation_cache", "trace")
 
     def __init__(
         self,
@@ -167,7 +139,6 @@ class _Context:
         null_semantics: bool,
         route: "Route",
         relation_cache: Optional[RelationCache] = None,
-        join_runner: Optional[JoinRunner] = None,
         trace: Optional[PlanTrace] = None,
     ):
         self.graph = graph
@@ -175,7 +146,6 @@ class _Context:
         self.null_semantics = null_semantics
         self.route = route
         self.relation_cache = relation_cache
-        self.join_runner = join_runner
         self.trace = trace
 
     def fetch(
@@ -299,7 +269,6 @@ def _join_rows(
     left_relation: Relation,
     right_relation: Relation,
     keys: Tuple[str, ...],
-    context: _Context,
 ) -> Relation:
     """Join two materialised relations on *keys* (cartesian when empty).
 
@@ -335,17 +304,6 @@ def _join_rows(
 
     left_key = tuple(left_columns.index(k) for k in keys)
     right_key = tuple(right_columns.index(k) for k in keys)
-
-    runner = context.join_runner
-    if (
-        runner is not None
-        and len(left_rows) + len(right_rows) >= DISTRIBUTED_JOIN_MIN_ROWS
-    ):
-        joined = runner(left_rows, right_rows, left_key, right_key, right_only)
-        if joined is not None:
-            if context.trace is not None:
-                context.trace.distributed_joins += 1
-            return out_columns, joined
 
     # Build on the smaller side, probe with the larger one.
     rows: Set[Tuple[NodeId, ...]] = set()
@@ -393,7 +351,7 @@ def _hash_join(node: HashJoin, context: _Context) -> Relation:
         return node.columns, set()
     bindings = _seed_bindings(node.right, left_relation)
     right_relation = _evaluate(node.right, context, bindings)
-    return _join_rows(left_relation, right_relation, node.keys, context)
+    return _join_rows(left_relation, right_relation, node.keys)
 
 
 # ----------------------------------------------------------------------
@@ -463,7 +421,7 @@ def _execute_adaptive(plan: CrpqPlan, context: _Context) -> Relation:
         expected = running * estimates[index]
         for _ in keys:
             expected /= num_nodes
-        relation = _join_rows(relation, right_relation, keys, context)
+        relation = _join_rows(relation, right_relation, keys)
         observed = len(relation[1])
         bound.update({atom.source, atom.target})
         executed.append(index)
@@ -497,7 +455,6 @@ def execute_plan(
     *,
     adaptive: bool = True,
     relation_cache: Optional[RelationCache] = None,
-    join_runner: Optional[JoinRunner] = None,
     trace: Optional[PlanTrace] = None,
     decode: bool = True,
 ) -> Union[FrozenSet[Tuple[Node, ...]], BitRelation]:
@@ -524,8 +481,7 @@ def execute_plan(
     nothing to adapt) observes intermediate cardinalities and re-plans on
     misestimates;
     *relation_cache* answers scans from previously materialised full
-    relations; *join_runner* offers large joins to the distributed
-    partitioned hash join; *trace* collects the estimate-vs-observed
+    relations; *trace* collects the estimate-vs-observed
     record for ``--explain``.
     """
     if engine is None:
@@ -539,9 +495,7 @@ def execute_plan(
 
         rows = sql_backend.evaluate_plan_rows(plan.root, graph, engine, null_semantics)
         return _node_rows(rows, graph, route, decode)
-    context = _Context(
-        graph, engine, null_semantics, route, relation_cache, join_runner, trace
-    )
+    context = _Context(graph, engine, null_semantics, route, relation_cache, trace)
     if len(plan.atom_order) == 1:
         rows = _execute_single(plan, context)
     elif adaptive:

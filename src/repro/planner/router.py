@@ -5,10 +5,10 @@ so *how* a query runs is a pure cost decision — and it is made here,
 once per evaluation.  :func:`route_query` returns a fully resolved
 :class:`Route`: the kernel family (``dict`` / ``compact`` / ``sql``,
 never ``"auto"``), the driver (``sequential`` / ``blocks`` /
-``sharded``), whether the plan is offered to an attached worker pool
-first, and the worker budget.  Sessions, the engine facade, CRPQ atom
-scans and GXPath evaluations all *consume* that object; none of them asks
-the cost model again, so ``explain`` reports exactly what runs.
+``sharded``) and the worker budget.  Sessions, the engine facade, CRPQ
+atom scans and GXPath evaluations all *consume* that object; none of
+them asks the cost model again, so ``explain`` reports exactly what
+runs.
 
 GXPath has one route, decided before anything is estimated: the bit-row
 algebra, sequential, on the ``compact`` or ``dict`` index (a forced
@@ -24,21 +24,18 @@ routed"):
   selective enough to win (:func:`repro.sqlbackend.cost.rpq_pays` — the
   one shape where SQL still beats the compact kernels; CRPQs take
   ``sql`` only when the policy forces it);
-* the **blocks** driver when the graph is large, ``fork`` is available,
-  the budget has at least two workers and the estimated relation is a
-  multiple of the node count;
 * the **compact** CSR kernels when the graph clears their size floor
   (:func:`repro.engine.compact.resolve_backend`), else the **dict**
   kernels.
 
-A session with a persistent worker pool attached offers the pool exactly
-the *parallel* routes of the kinds it serves (:data:`POOL_KINDS`); a
-sequential route is answered in-process on its bit rows, and its reason
-says so.  Every plan the pool declines runs the local route above.
+Only a forced ``intra_query`` resolves a partitioned driver: ``auto``
+routing is always ``sequential`` (where the retired automatic rule
+picked ``blocks``, the sequential compact algebra answered faster:
+DESIGN.md §3.4).
 
 :func:`route_point` resolves only the O(1) part (kernel by graph size)
 for point queries and bare engine calls, which must not pay for
-statistics or estimates; a point route is never offered to the pool.
+statistics or estimates.
 """
 
 from __future__ import annotations
@@ -48,7 +45,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..engine.compact import COMPACT_AUTO_MIN_NODES, resolve_backend
-from ..engine.forkpool import fork_available
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api.executors import ExecutionPolicy
@@ -56,30 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..datagraph.graph import DataGraph
     from .stats import GraphStatistics
 
-__all__ = [
-    "Route",
-    "route_query",
-    "route_point",
-    "pool_serves",
-    "POOL_KINDS",
-    "ROUTE_PARALLEL_MIN_NODES",
-    "ROUTE_PARALLEL_WORK_FACTOR",
-]
-
-#: Below this many nodes auto-routing never picks an intra-query driver:
-#: forking a pool costs more than the whole query.  Deliberately higher
-#: than the drivers' own ``PROCESS_SHARDS_MIN_NODES`` floor — an
-#: *automatic* route must only fire where the win is robust.
-ROUTE_PARALLEL_MIN_NODES = 2048
-
-#: Auto-routing picks a parallel driver only when the estimated relation
-#: is at least this many times the node count — the closure-heavy regime
-#: where frontier work dwarfs the per-query pool setup.
-ROUTE_PARALLEL_WORK_FACTOR = 8.0
-
-#: The query kinds (``QueryKind.value``) a persistent shard-worker pool
-#: serves on parallel routes: full RPQ / data-RPQ relations.
-POOL_KINDS = frozenset({"rpq", "data_rpq"})
+__all__ = ["Route", "route_query", "route_point"]
 
 #: ``Route.strategy`` of a sequential route, by kernel family.
 _SEQUENTIAL_STRATEGY = {"dict": "sequential", "compact": "compact", "sql": "sql"}
@@ -93,15 +66,12 @@ class Route:
     ``"compact"`` or ``"sql"``); ``driver`` is ``"sequential"`` or one of
     the partitioned drivers of :mod:`repro.engine.partition`
     (``"blocks"`` / ``"sharded"``, always over the dict index their
-    shard views are built on); ``offer_pool`` says the plan goes to the
-    session's worker pool first — only ever on a partitioned driver —
-    with this route as the fallback when the pool declines; ``workers``
-    is the driver's worker (and shard) budget, 1 for sequential routes.
+    shard views are built on); ``workers`` is the driver's worker (and
+    shard) budget, 1 for sequential routes.
     """
 
     kernel: str
     driver: str
-    offer_pool: bool
     workers: int
     reason: str
     estimate: float
@@ -116,16 +86,7 @@ class Route:
 
     def describe(self) -> str:
         """The one-line route header of ``--explain``."""
-        offered = "; offered to the worker pool first" if self.offer_pool else ""
-        return (
-            f"route: {self.strategy} (est ≈{self.estimate:.0f} pairs) — "
-            f"{self.reason}{offered}"
-        )
-
-
-def pool_serves(query: "Query") -> bool:
-    """Whether a persistent worker pool serves *query*'s kind."""
-    return query.kind.value in POOL_KINDS
+        return f"route: {self.strategy} (est ≈{self.estimate:.0f} pairs) — {self.reason}"
 
 
 def _budget(policy: Optional["ExecutionPolicy"]) -> int:
@@ -149,14 +110,12 @@ def route_point(graph: "DataGraph", policy: Optional["ExecutionPolicy"] = None) 
     Point queries (``targets`` / ``holds``) and bare engine calls resolve
     through here — a single-source frontier is exactly the shape the
     dict/compact kernels win, so no statistics, estimate or driver is
-    consulted (an explicit ``backend="sql"`` still runs seeded CTEs) and
-    no pool is offered.
+    consulted (an explicit ``backend="sql"`` still runs seeded CTEs).
     """
     backend = policy.backend if policy is not None else "auto"
     return Route(
         kernel=_kernel(backend, graph.num_nodes),
         driver="sequential",
-        offer_pool=False,
         workers=1,
         reason="point query: kernel by graph size"
         if backend == "auto"
@@ -179,7 +138,7 @@ def _gxpath_route(num_nodes: int, policy: Optional["ExecutionPolicy"]) -> Route:
     if declined:
         reason += f"; {' and '.join(declined)} declined: GXPath runs on the bit-row algebra only"
     kernel = _kernel("auto" if backend == "sql" else backend, num_nodes)
-    return Route(kernel, "sequential", False, 1, reason, 0.0)
+    return Route(kernel, "sequential", 1, reason, 0.0)
 
 
 def route_query(
@@ -187,15 +146,12 @@ def route_query(
     graph: "DataGraph",
     policy: Optional["ExecutionPolicy"] = None,
     stats: Optional["GraphStatistics"] = None,
-    pooled: bool = False,
     planned=None,
 ) -> Route:
     """Resolve how *query* executes on *graph*, once.
 
     *policy* contributes the forced overrides and the worker budget;
-    *stats* sharpens the estimates; *pooled* marks a session with a
-    persistent shard-worker pool attached (a parallel route of a kind it
-    serves is offered to it first).  Sessions pass their cached
+    *stats* sharpens the estimates.  Sessions pass their cached
     :class:`~repro.planner.planner.CrpqPlan` via *planned* so routing a
     CRPQ never re-plans it.
     """
@@ -224,19 +180,11 @@ def route_query(
 
         estimate = atom_estimate(Atom("x", query.plan, "y"), index, stats)
 
-    workers = _budget(policy)
-    offer_pool = pooled and pool_serves(query)
-
-    def resolved(kernel: str, driver: str, reason: str) -> Route:
-        if driver != "sequential":
-            # Shard views and source blocks are cut from the dict index.
-            return Route("dict", driver, offer_pool, workers, reason, estimate)
+    def sequential(kernel: str, reason: str) -> Route:
         if kernel == "sql" and kind is QueryKind.DATA_RPQ:
             kernel = "dict"
             reason += "; register valuations have no SQL encoding, dict mask pass"
-        if offer_pool:
-            reason += "; sequential route: answered in-process, the pool serves parallel routes"
-        return Route(kernel, "sequential", False, 1, reason, estimate)
+        return Route(kernel, "sequential", 1, reason, estimate)
 
     # ------------------------------------------------------------------
     # Forced overrides: a driver, then a kernel; manual switches the cost
@@ -245,42 +193,27 @@ def route_query(
         manual = policy.routing == "manual"
         override = "manual routing policy" if manual else "policy override"
         if policy.intra_query != "off":
-            return resolved("dict", policy.intra_query, override)
+            # Shard views and source blocks are cut from the dict index.
+            return Route("dict", policy.intra_query, _budget(policy), override, estimate)
         if manual or policy.backend != "auto":
-            return resolved(_kernel(policy.backend, num_nodes), "sequential", override)
+            return sequential(_kernel(policy.backend, num_nodes), override)
 
     # ------------------------------------------------------------------
     # Cost decisions per dialect.
     if kind is QueryKind.RPQ and rpq_pays(query.plan.expression, index):
-        return resolved(
+        return sequential(
             "sql",
-            "sequential",
             "a selective pivot in front of a closure; the factored plan "
             "grows the closure from the pivot's endpoints inside the embedded engine",
         )
-    if (
-        num_nodes >= ROUTE_PARALLEL_MIN_NODES
-        and workers >= 2
-        and fork_available()
-        and estimate >= ROUTE_PARALLEL_WORK_FACTOR * num_nodes
-    ):
-        return resolved(
-            "dict",
-            "blocks",
-            f"estimated relation ≥ {ROUTE_PARALLEL_WORK_FACTOR:.0f}×|V| on a "
-            f"{num_nodes}-node graph; {workers} source-block workers amortise "
-            "the closure",
-        )
     if resolve_backend("auto", num_nodes):
-        return resolved(
+        return sequential(
             "compact",
-            "sequential",
             f"{kind.value} within sequential reach; "
             f"≥{COMPACT_AUTO_MIN_NODES} nodes favours the CSR kernels",
         )
-    return resolved(
+    return sequential(
         "dict",
-        "sequential",
         f"{kind.value} within sequential reach; "
         "small graph favours the dict kernels' constants",
     )

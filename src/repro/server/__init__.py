@@ -1,22 +1,20 @@
 """The query daemon: serve one graph to many clients over sockets.
 
 ``repro serve graph.json`` (or :class:`ReproServer` embedded) owns the
-graph and a persistent pool of forked shard workers; clients connect
-with :func:`repro.api.connect` and get the familiar session surface
-(``run`` / ``run_many`` / ``targets`` / ``explain`` / ``stats``) over a
-length-prefixed JSON protocol.  See DESIGN.md §4 for the architecture.
+graph and answers every query in-process on a bounded thread pool;
+clients connect with :func:`repro.api.connect` and get the familiar
+session surface (``run`` / ``run_many`` / ``targets`` / ``explain`` /
+``stats``) over a length-prefixed JSON protocol.  See DESIGN.md §4 for
+the architecture.
 """
 
 from .daemon import ReproServer, ServerConfig, graph_document
 from .metrics import LatencyHistogram, ServerMetrics
 from .protocol import MAX_FRAME_BYTES, ProtocolError, recv_frame, send_frame
-from .workers import QueryCancelled, ShardWorkerPool
 
 __all__ = [
     "ReproServer",
     "ServerConfig",
-    "ShardWorkerPool",
-    "QueryCancelled",
     "ServerMetrics",
     "LatencyHistogram",
     "ProtocolError",

@@ -1,24 +1,23 @@
-"""The query daemon: one graph, many clients, one persistent worker pool.
+"""The query daemon: one graph, many clients, one process.
 
-:class:`ReproServer` owns a :class:`~repro.datagraph.graph.DataGraph`, a
-:class:`~repro.server.workers.ShardWorkerPool` and a listening socket
-(TCP or Unix-domain, per :class:`ServerConfig`), and serves the
-length-prefixed JSON frames of :mod:`repro.server.protocol` to any
-number of concurrent clients:
+:class:`ReproServer` owns a :class:`~repro.datagraph.graph.DataGraph`
+and a listening socket (TCP or Unix-domain, per :class:`ServerConfig`),
+and serves the length-prefixed JSON frames of :mod:`repro.server.protocol`
+to any number of concurrent clients:
 
 ========== =========================================================
 op          semantics
 ========== =========================================================
 ping        liveness check
-load_graph  replace the served graph (invalidates pool + sessions)
+load_graph  replace the served graph (invalidates sessions)
 mutate      apply add/remove/set actions as one batch delta
 run         evaluate one query (admission control + timeout apply)
 run_many    evaluate a batch of queries
 targets     single-source answers of a binary query
 explain     the execution plan as text
-stats       the client session's + worker pool's cache counters
+stats       the client session's cache counters
 point_cache the session's point-cache snapshot payload
-metrics     server-wide counters, latency histogram, utilization
+metrics     server-wide counters, latency histogram, in-flight queries
 ========== =========================================================
 
 **Process model.**  The accept loop hands each connection to its own
@@ -28,21 +27,18 @@ bounded :class:`~concurrent.futures.ThreadPoolExecutor` —
 ``max_inflight`` workers plus a ``queue_depth``-bounded admission queue;
 a client whose request finds both full gets an immediate ``busy`` error
 (backpressure) instead of an unbounded wait.  Each query gets a
-deadline: when ``future.result`` times out the daemon sets the query's
-cancel event — the shard-worker pool aborts at the next frontier-round
-boundary — and answers a ``timeout`` error.  (A query answered
-in-process cannot be interrupted mid-kernel; it finishes on its executor
-thread and the answer is discarded.)
+deadline: when ``future.result`` times out the daemon answers a
+``timeout`` error; the query cannot be interrupted mid-kernel, so it
+finishes on its executor thread and the answer is discarded.
 
 **Isolation.**  Every connection gets its own
-:class:`~repro.api.session.GraphSession` over the shared graph, so
-result caches, point caches and loaded snapshots are per-client; the
-compiled-automaton engine and the shard-worker pool are shared.  Sessions
-reach the pool through the ``shard_runner`` seam, and only on a parallel
-route; everything else runs in-process on the session's bit rows, and a
-relation answer is encoded straight from them.  When the pool is busy the
-session transparently runs the plan's local route (and counts the
-decline), so answers never depend on pool availability.
+:class:`~repro.api.session.GraphSession` over the shared graph, with the
+``"local"`` policy preset (:data:`~repro.api.executors.POLICY_PRESETS`):
+result caches, point caches and loaded snapshots are per-client, the
+compiled-automaton engine is shared, and nothing forks — the daemon
+already multiplexes clients over its threads.  Queries run in-process on
+the session's bit rows, and a relation answer is encoded straight from
+them.
 """
 
 from __future__ import annotations
@@ -57,7 +53,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple, Union
 
 from ..api.executors import ExecutionPolicy
-from ..api.query import Query
 from ..api.session import GraphSession
 from ..api import wire
 from ..datagraph.graph import DataGraph
@@ -72,13 +67,11 @@ from ..exceptions import (
 )
 from .metrics import ServerMetrics, cache_stats_view
 from .protocol import MAX_FRAME_BYTES, ProtocolError, error_payload, recv_frame, send_frame
-from .workers import QueryCancelled, ShardWorkerPool
 
 __all__ = ["ServerConfig", "ReproServer"]
 
 #: Wire error-type tags by exception class (first match wins).
 _ERROR_TYPES = (
-    (QueryCancelled, "cancelled"),
     (ProtocolError, "protocol"),
     (ParseError, "parse"),
     (UnknownNodeError, "unknown_node"),
@@ -105,12 +98,6 @@ class ServerConfig:
     :attr:`ReproServer.address`).  ``query_timeout`` is the default
     per-query deadline in seconds (``None``: no deadline); a request may
     pass its own ``timeout``, capped by this value when both are set.
-    ``pool_min_nodes`` gates the shard-worker pool: graphs below it are
-    served in-process per connection (forked product-BFS only pays for
-    itself on large graphs — same wisdom as
-    :data:`~repro.engine.partition.PROCESS_SHARDS_MIN_NODES`, the
-    default); ``0`` attaches the pool to any graph — it still serves
-    parallel routes only (:func:`~repro.planner.router.route_query`).
     ``drain_grace`` bounds the graceful-shutdown drain: in-flight
     queries get up to this many seconds to finish (each still capped by
     its own deadline) before remaining connections are told
@@ -123,9 +110,6 @@ class ServerConfig:
     max_inflight: int = 8
     queue_depth: int = 16
     query_timeout: Optional[float] = None
-    num_workers: Optional[int] = None
-    num_shards: Optional[int] = None
-    pool_min_nodes: Optional[int] = None
     max_frame_bytes: int = MAX_FRAME_BYTES
     drain_grace: float = 5.0
     #: Storage/execution backend client sessions evaluate over
@@ -147,10 +131,6 @@ class ServerConfig:
             raise EvaluationError(f"queue_depth must be non-negative, got {self.queue_depth}")
         if self.query_timeout is not None and self.query_timeout <= 0:
             raise EvaluationError(f"query_timeout must be positive, got {self.query_timeout}")
-        if self.pool_min_nodes is not None and self.pool_min_nodes < 0:
-            raise EvaluationError(
-                f"pool_min_nodes must be non-negative, got {self.pool_min_nodes}"
-            )
         if self.drain_grace < 0:
             raise EvaluationError(f"drain_grace must be non-negative, got {self.drain_grace}")
 
@@ -182,9 +162,6 @@ class ReproServer:
         self._graph = graph
         self._generation = 0
         self._graph_lock = threading.Lock()
-        self._pool: Optional[ShardWorkerPool] = None
-        if graph is not None:
-            self._pool = self._build_pool(graph)
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
         self._executor = ThreadPoolExecutor(
@@ -195,7 +172,6 @@ class ReproServer:
         self._slots = threading.BoundedSemaphore(
             self.config.max_inflight + self.config.queue_depth
         )
-        self._cancel_local = threading.local()
         self._connections: Dict[int, _Connection] = {}
         self._connections_lock = threading.Lock()
         self._stopping = threading.Event()
@@ -282,7 +258,7 @@ class ReproServer:
                     signal.signal(signal.SIGTERM, previous)
 
     def shutdown(self) -> None:
-        """Drain in-flight queries, notify clients, reap the worker pool.
+        """Drain in-flight queries, notify clients, close the listener.
 
         New query operations are rejected with a ``shutting_down`` error
         the moment shutdown begins; requests already executing get up to
@@ -321,8 +297,6 @@ class ReproServer:
             with contextlib.suppress(OSError):
                 connection.sock.close()
         self._executor.shutdown(wait=False)
-        if self._pool is not None:
-            self._pool.close()
         if self.config.path is not None:
             with contextlib.suppress(OSError):
                 import os
@@ -340,50 +314,22 @@ class ReproServer:
     # ------------------------------------------------------------------
     # Graph + session plumbing
     # ------------------------------------------------------------------
-    def _build_pool(self, graph: DataGraph) -> Optional[ShardWorkerPool]:
-        """A worker pool for *graph*, or ``None`` when it would not pay."""
-        floor = self.config.pool_min_nodes
-        if floor is None:
-            from ..engine.partition import PROCESS_SHARDS_MIN_NODES
-
-            floor = PROCESS_SHARDS_MIN_NODES
-        if graph.num_nodes < floor:
-            return None
-        return ShardWorkerPool(
-            graph, num_workers=self.config.num_workers, num_shards=self.config.num_shards
-        )
-
     def _install_graph(self, graph: DataGraph) -> None:
-        """Swap the served graph: new pool, new client-session generation."""
+        """Swap the served graph: a new client-session generation."""
         with self._graph_lock:
-            old_pool = self._pool
             self._graph = graph
-            self._pool = self._build_pool(graph)
             self._generation += 1
-        if old_pool is not None:
-            old_pool.close()
 
     def _connection_session(self, connection: _Connection) -> GraphSession:
         """The connection's isolated session over the current graph."""
         with self._graph_lock:
-            graph, generation, pool = self._graph, self._generation, self._pool
+            graph, generation = self._graph, self._generation
         if graph is None:
             raise EvaluationError("no graph loaded; send load_graph first")
         if connection.session is None or connection.generation != generation:
-            runner = self._make_shard_runner(pool)
-            # With a pool the session offers it the parallel routes of the
-            # kinds it serves and runs the rest (and every decline)
-            # locally; without one (small graph, or no fork) the host
-            # picks the batch executor.
-            policy = (
-                ExecutionPolicy(backend=self.config.backend)
-                if runner is not None
-                else ExecutionPolicy.auto(backend=self.config.backend)
-            )
             connection.session = GraphSession(
                 graph,
-                policy=policy,
-                shard_runner=runner,
+                policy=ExecutionPolicy.preset("local", backend=self.config.backend),
                 repair_listener=self._record_repair,
             )
             connection.generation = generation
@@ -398,26 +344,6 @@ class ReproServer:
             self.metrics.increment("result_patched")
         else:
             self.metrics.increment("result_recomputes")
-
-    def _make_shard_runner(self, pool: Optional[ShardWorkerPool]):
-        """The session→pool seam, with per-query cancel + busy accounting."""
-        if pool is None or not pool.available:
-            return None
-
-        def runner(plan: Query, null_semantics: bool):
-            cancel = getattr(self._cancel_local, "event", None)
-            started = time.monotonic()
-            answer = pool.evaluate(plan, null_semantics, cancel=cancel)
-            if answer is None:
-                self.metrics.increment("pool_fallbacks")
-            else:
-                self.metrics.record_pool_busy(time.monotonic() - started)
-            return answer
-
-        # ``hash_join`` is the planner seam: the adaptive executor scatters
-        # big hash joins across the resident workers through it.
-        runner.hash_join = pool.hash_join
-        return runner
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -557,10 +483,9 @@ class ReproServer:
         if graph is None:
             raise EvaluationError("no graph loaded; send load_graph first")
         applied = 0
-        # One batch = one version bump + one journaled delta, so the next
-        # pool evaluate can patch the live workers in place (insert-only
-        # deltas) instead of respawning, and warm session caches can
-        # repair their cached answers instead of recomputing.
+        # One batch = one version bump + one journaled delta, so warm
+        # session caches can repair their cached answers instead of
+        # recomputing.
         with graph.batch() as batch:
             for action in actions:
                 if not isinstance(action, list) or not action:
@@ -666,17 +591,14 @@ class ReproServer:
                 f"server at capacity ({self.config.max_inflight} in flight, "
                 f"{self.config.queue_depth} queued); retry later",
             )
-        cancel = threading.Event()
         started = time.monotonic()
 
         def guarded():
-            self._cancel_local.event = cancel
             self.metrics.query_started()
             try:
                 return job()
             finally:
                 self.metrics.query_finished()
-                self._cancel_local.event = None
                 self._slots.release()
 
         try:
@@ -687,16 +609,12 @@ class ReproServer:
         try:
             payload = future.result(timeout=timeout)
         except FutureTimeout:
-            cancel.set()
             future.add_done_callback(lambda f: f.exception())  # discard the late answer
             self.metrics.increment("queries_timed_out")
             self.metrics.record_query(time.monotonic() - started, failed=True)
             return error_payload(
-                rid, "timeout", f"query exceeded its {timeout:g}s deadline and was cancelled"
+                rid, "timeout", f"query exceeded its {timeout:g}s deadline; its answer is discarded"
             )
-        except QueryCancelled as error:
-            self.metrics.record_query(time.monotonic() - started, failed=True)
-            return error_payload(rid, "cancelled", str(error))
         except ReproError as error:
             self.metrics.record_query(time.monotonic() - started, failed=True)
             return error_payload(rid, _error_type(error), str(error))
@@ -710,28 +628,13 @@ class ReproServer:
     # ------------------------------------------------------------------
     def _op_stats(self, connection: _Connection, rid) -> Dict[str, Any]:
         session = self._connection_session(connection)
-        pool = self._pool
-        worker_caches = pool.stats() if pool is not None else None
-        return {
-            "id": rid,
-            "ok": True,
-            "caches": cache_stats_view(session.stats()),
-            "worker_caches": worker_caches,
-        }
+        return {"id": rid, "ok": True, "caches": cache_stats_view(session.stats())}
 
     def _op_metrics(self, connection: _Connection, rid) -> Dict[str, Any]:
-        pool = self._pool
         caches: Dict[str, Any] = {}
         if connection.session is not None:
             caches["session"] = cache_stats_view(connection.session.stats())
-        if pool is not None:
-            caches["workers"] = pool.stats()  # None while the pool is busy
         snapshot = self.metrics.snapshot(cache_stats=caches)
-        if pool is not None:
-            snapshot["worker_pool"]["pids"] = list(pool.worker_pids())
-            snapshot["worker_pool"]["respawns"] = pool.respawns
-            snapshot["worker_pool"]["patched_epochs"] = pool.patched_epochs
-            snapshot["worker_pool"]["epoch"] = pool.epoch
         return {"id": rid, "ok": True, "metrics": snapshot}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

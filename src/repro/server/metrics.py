@@ -1,4 +1,4 @@
-"""Server metrics: counters, latency histograms, worker utilization.
+"""Server metrics: counters, latency histograms, in-flight queries.
 
 Everything the daemon's ``metrics`` operation reports is accumulated
 here, behind one lock, as plain numbers — no external metrics libraries.
@@ -7,10 +7,8 @@ the usual service-latency shape) and estimates percentiles by linear
 interpolation inside the winning bucket, which is exact enough for a
 p95 gate and keeps the state O(#buckets).
 
-Worker utilization is measured at the pool seam: the daemon times every
-interval the shard-worker pool spends busy and divides by wall-clock
-uptime.  Cache hit rates come straight from the sessions' and engines'
-:class:`~repro.engine.cache.CacheStats` snapshots, aggregated by the
+Cache hit rates come straight from the sessions' and engines'
+:class:`~repro.engine.cache.CacheStats` snapshots, rendered by the
 daemon.
 """
 
@@ -18,7 +16,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 __all__ = ["LatencyHistogram", "ServerMetrics"]
 
@@ -107,15 +105,11 @@ class ServerMetrics:
             "protocol_errors": 0,
             "disconnects_mid_query": 0,
             "unsendable_replies": 0,
-            "pool_queries": 0,
-            "pool_fallbacks": 0,
-            "pool_respawns": 0,
             "mutations_total": 0,
             "result_repairs": 0,
             "result_recomputes": 0,
             "result_patched": 0,
         }
-        self._pool_busy_seconds = 0.0
         self._inflight = 0
         self._inflight_peak = 0
 
@@ -141,11 +135,6 @@ class ServerMetrics:
         with self._lock:
             self._inflight -= 1
 
-    def record_pool_busy(self, seconds: float) -> None:
-        with self._lock:
-            self._pool_busy_seconds += seconds
-            self.counters["pool_queries"] += 1
-
     # ------------------------------------------------------------------
     def snapshot(self, cache_stats: Optional[Dict] = None) -> Dict:
         """A JSON-compatible view of every metric.
@@ -154,18 +143,12 @@ class ServerMetrics:
         cache), attached verbatim so the wire shape has one source.
         """
         with self._lock:
-            uptime = time.monotonic() - self._started
-            busy = self._pool_busy_seconds
             view = {
-                "uptime_seconds": uptime,
+                "uptime_seconds": time.monotonic() - self._started,
                 "counters": dict(self.counters),
                 "inflight": self._inflight,
                 "inflight_peak": self._inflight_peak,
                 "latency": self.queries.snapshot(),
-                "worker_pool": {
-                    "busy_seconds": busy,
-                    "utilization": (busy / uptime) if uptime > 0 else 0.0,
-                },
             }
         if cache_stats is not None:
             view["caches"] = cache_stats
@@ -186,21 +169,3 @@ def cache_stats_view(stats: Dict) -> Dict[str, Dict]:
         }
     return view
 
-
-def merge_cache_views(views: Sequence[Dict[str, Dict]]) -> Dict[str, Dict]:
-    """Sum several :func:`cache_stats_view` mappings cache-by-cache."""
-    merged: Dict[str, Dict] = {}
-    for view in views:
-        for name, stats in view.items():
-            slot = merged.setdefault(
-                name, {"hits": 0, "misses": 0, "evictions": 0, "size": 0, "maxsize": 0}
-            )
-            for key in ("hits", "misses", "evictions", "size", "maxsize"):
-                slot[key] += stats[key]
-    for slot in merged.values():
-        asked = slot["hits"] + slot["misses"]
-        slot["hit_rate"] = (slot["hits"] / asked) if asked else 0.0
-    return merged
-
-
-_UNUSED: List = []  # keep List import honest for typing-only consumers

@@ -30,8 +30,6 @@ from repro.engine import data as data_kernels
 from repro.engine import product as product_kernels
 from repro.engine.bitrelation import BitRelation
 from repro.engine.engine import EvaluationEngine
-from repro.engine.partition import GraphPartition
-from repro.exceptions import EvaluationError
 
 CHAINS = 10
 CHAIN_LENGTH = 12
@@ -762,57 +760,6 @@ def test_re_answers_after_random_batches_equal_a_fresh_session_and_the_spec(data
                 assert warm_bits.nodes == fresh_bits.nodes and warm_bits.rows == fresh_bits.rows
         if delta.value_changes or delta.removed_nodes:
             assert session.maintenance_stats()["patched"] == patched
-
-
-class TestPartitionPatching:
-    def _partition_edges(self, partition: GraphPartition):
-        edges = set()
-        for shard in partition.shards:
-            for table in (shard._succ, shard._cut):
-                for label, by_source in table.items():
-                    for source, targets in by_source.items():
-                        for target in targets:
-                            edges.add((source, label, target))
-        return edges
-
-    def test_patched_partition_matches_a_rebuild(self):
-        graph = chain_graph()
-        partition = GraphPartition.build(graph.label_index(), num_shards=3)
-        with graph.batch() as batch:
-            batch.add_node("px", 2)
-            batch.add_edge("px", "a", "k2n0")
-            batch.add_edge("k2n11", "b", "px")
-            batch.remove_edge("k2n0", "a", "k2n1")
-        partition.apply_delta(batch.delta)
-        assert partition.version == graph.version
-        assert set(partition.assignment) == set(graph.node_ids)
-        shard_nodes = [node for shard in partition.shards for node in shard.nodes]
-        assert sorted(shard_nodes, key=repr) == sorted(graph.node_ids, key=repr)
-        assert self._partition_edges(partition) == {
-            (source.id, label, target.id) for source, label, target in graph.edges
-        }
-
-    def test_every_process_computes_the_same_assignment(self):
-        # Round-robin placement is deterministic in the delta's node
-        # order — the property that lets pool parent and forked workers
-        # patch their own copies without exchanging assignments.
-        graph = chain_graph()
-        one = GraphPartition.build(graph.label_index(), num_shards=4)
-        two = GraphPartition.build(graph.label_index(), num_shards=4)
-        with graph.batch() as batch:
-            for i in range(5):
-                batch.add_node(f"rr{i}", i)
-        one.apply_delta(batch.delta)
-        two.apply_delta(batch.delta)
-        assert one.assignment == two.assignment
-
-    def test_node_removal_refuses_to_patch(self):
-        graph = chain_graph()
-        partition = GraphPartition.build(graph.label_index(), num_shards=3)
-        with graph.batch() as batch:
-            batch.remove_node("k0n11")
-        with pytest.raises(EvaluationError, match="node removals"):
-            partition.apply_delta(batch.delta)
 
 
 class TestPlanRetention:

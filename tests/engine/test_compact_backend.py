@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.api import ExecutionPolicy, GraphSession, Query
 from repro.datagraph import GraphBuilder, generators
-from repro.datagraph.compact import CompactLabelIndex, owner_column
+from repro.datagraph.compact import CompactLabelIndex
 from repro.datagraph.index import LabelIndex
 from repro.datapaths.fragments import is_scoped, regex_to_rem
 from repro.datapaths.ree import (
@@ -36,8 +36,7 @@ from repro.engine import compact as compact_kernels
 from repro.engine import data as data_kernels
 from repro.engine import default_engine
 from repro.engine.bitrelation import BitRelation
-from repro.engine.partition import GraphPartition, sharded_product_relation
-from repro.engine.spaces import NfaProductSpace
+from repro.engine.partition import sharded_product_relation
 from repro.exceptions import EvaluationError, UnboundVariableError
 from repro.planner.router import route_point
 from repro.query import (
@@ -754,26 +753,6 @@ class TestBitRelationEdges:
             ):
                 assert engine.relation_bits(graph, query.plan, route) is None
 
-    def test_shard_decode_honours_targets(self):
-        graph = random_graph_from(11, 30)
-        compact = graph.compact_index()
-        automaton = default_engine().compile_rpq(rpq("(a|b)+"))
-        S, initial, accepting, _plans = compact_kernels.nfa_shard_plans(compact, automaton)
-        # One "shard" holding the whole fixpoint: seed every node, no cut edges.
-        masks = {}
-        seeds = {
-            i * S + state: 1 << i for i in range(compact.num_nodes) for state in initial
-        }
-        compact_kernels.compact_shard_round(
-            _plans, S, [0] * compact.num_nodes, 0, masks, seeds
-        )
-        everything = compact_kernels.decode_shard_masks(compact, S, accepting, masks)
-        assert everything == compact_kernels.nfa_relation(compact, automaton).id_pairs()
-        wanted = frozenset(list(graph.node_ids)[:4]) | {"absent"}
-        assert compact_kernels.decode_shard_masks(
-            compact, S, accepting, masks, targets=wanted
-        ) == {pair for pair in everything if pair[1] in wanted}
-
 
 ROWS = st.dictionaries(
     st.integers(min_value=0, max_value=139),
@@ -880,80 +859,6 @@ def test_point_reachability_agrees(seed, size, query_index):
     )
     assert compact_targets == engine.evaluate_rpq_from(
         graph, query, source, forced_route(graph, "dict")
-    )
-
-
-# ----------------------------------------------------------------------
-# Sharded int-id driver loop (in-process twin of the worker-pool path)
-# ----------------------------------------------------------------------
-def compact_sharded_pairs(graph, text: str, partition: GraphPartition):
-    """Drive the compact shard kernels round-by-round, as the pool parent does."""
-    compact = graph.compact_index()
-    automaton = default_engine().compile_rpq(rpq(text))
-    owner = owner_column(partition.assignment, compact.nodes)
-    S, initial, accepting, plans = compact_kernels.nfa_shard_plans(compact, automaton)
-    position = compact.position
-    masks = {shard.shard_id: {} for shard in partition.shards}
-    pending = {}
-    for shard in partition.shards:
-        seeds = {}
-        for node in shard.nodes:
-            i = position[node]
-            bit = 1 << i
-            for state in initial:
-                config = i * S + state
-                seeds[config] = seeds.get(config, 0) | bit
-        if seeds:
-            pending[shard.shard_id] = seeds
-    while pending:
-        outboxes = {}
-        for shard_id, inbox in pending.items():
-            shard_outboxes = compact_kernels.compact_shard_round(
-                plans, S, owner, shard_id, masks[shard_id], inbox
-            )
-            for destination, messages in shard_outboxes.items():
-                box = outboxes.setdefault(destination, {})
-                for config, mask in messages.items():
-                    box[config] = box.get(config, 0) | mask
-        pending = {sid: box for sid, box in outboxes.items() if box}
-    pairs = set()
-    for shard_masks in masks.values():
-        pairs |= compact_kernels.decode_shard_masks(compact, S, accepting, shard_masks)
-    return pairs
-
-
-@settings(max_examples=15, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=10_000),
-    size=st.integers(min_value=1, max_value=30),
-    num_shards=st.integers(min_value=1, max_value=6),
-    query_index=st.integers(min_value=0, max_value=len(RPQ_POOL) - 1),
-)
-def test_compact_sharded_driver_matches_dict(seed, size, num_shards, query_index):
-    graph = random_graph_from(seed, size)
-    text = RPQ_POOL[query_index]
-    partition = GraphPartition.build(graph.label_index(), num_shards)
-    compact_pairs = compact_sharded_pairs(graph, text, partition)
-    space = NfaProductSpace(graph.label_index(), default_engine().compile_rpq(rpq(text)))
-    dict_pairs = sharded_product_relation(space, partition=partition, processes=False)
-    assert compact_pairs == dict_pairs
-
-
-@settings(max_examples=10, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=10_000),
-    size=st.integers(min_value=1, max_value=12),
-    query_index=st.integers(min_value=0, max_value=len(RPQ_POOL) - 1),
-)
-def test_single_node_shards(seed, size, query_index):
-    """One shard per node: every non-loop edge crosses the cut."""
-    graph = random_graph_from(seed, size)
-    text = RPQ_POOL[query_index]
-    partition = GraphPartition.build(graph.label_index(), graph.num_nodes)
-    compact_pairs = compact_sharded_pairs(graph, text, partition)
-    engine = default_engine()
-    assert compact_pairs == engine.evaluate_atom_ids(
-        graph, rpq(text), route=forced_route(graph, "dict")
     )
 
 

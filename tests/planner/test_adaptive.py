@@ -204,45 +204,3 @@ class TestSessionRelationReuse:
         assert session.run(anchor).rows() == evaluate_crpq_naive(graph, anchor.plan)
         assert "cached relation(s) reused" in session.explain(anchor)
         assert "0 cached relation(s) reused" not in session.explain(anchor)
-
-
-class TestDistributedJoinHook:
-    def test_join_runner_result_is_used(self, monkeypatch):
-        monkeypatch.setattr(execute_module, "DISTRIBUTED_JOIN_MIN_ROWS", 0)
-        graph = community(11)
-        query = random_crpq(LABELS, shape="chain", num_atoms=3, head_arity=4, rng=31)
-
-        calls = []
-
-        def runner(left_rows, right_rows, left_key, right_key, right_only):
-            calls.append((len(left_rows), len(right_rows)))
-            table = {}
-            for row in right_rows:
-                table.setdefault(tuple(row[i] for i in right_key), []).append(row)
-            return {
-                left + tuple(right[i] for i in right_only)
-                for left in left_rows
-                for right in table.get(tuple(left[i] for i in left_key), ())
-            }
-
-        trace = PlanTrace()
-        run_both(graph, query, join_runner=runner, trace=trace)
-        assert calls
-        assert trace.distributed_joins == len(calls)
-
-    def test_busy_runner_falls_back_to_local(self, monkeypatch):
-        monkeypatch.setattr(execute_module, "DISTRIBUTED_JOIN_MIN_ROWS", 0)
-        graph = community(12)
-        query = random_crpq(LABELS, shape="cycle", num_atoms=3, head_arity=3, rng=32)
-        trace = PlanTrace()
-        run_both(graph, query, join_runner=lambda *a: None, trace=trace)
-        assert trace.distributed_joins == 0
-
-    def test_small_joins_are_not_offered(self):
-        graph = community(13)
-        query = random_crpq(LABELS, shape="chain", num_atoms=2, head_arity=3, rng=33)
-
-        def exploding(*args):  # pragma: no cover - must never run
-            raise AssertionError("join below DISTRIBUTED_JOIN_MIN_ROWS was offered")
-
-        run_both(graph, query, join_runner=exploding)

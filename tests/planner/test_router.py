@@ -9,8 +9,8 @@ fires, answers equal the naive specification across all five dialects.
 
 The whole module runs under every host shape of the ``host_shape``
 fixture — (1 core), (N cores + fork), (N cores, no fork) — and the
-256 / 1,024 / 2,048-node floors are monkeypatched down so graphs on both
-sides of each floor stay small.
+256 / 1,024-node floors are monkeypatched down so graphs on both sides
+of each floor stay small.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from repro.engine import partition as partition_kernels
 from repro.engine import product as product_kernels
 from repro.gxpath import evaluation as gxpath_evaluation
 from repro.planner import Route, graph_statistics, route_query
-from repro.planner import router as router_module
 from repro.planner import stats as stats_module
 from repro.planner.router import route_point
 from repro.query import evaluate_crpq_naive, evaluate_data_rpq_naive, evaluate_rpq_naive
@@ -59,8 +58,7 @@ SPIED_DIALECTS = {
     "rem_cross": Query.parse("!x.(a|b).!y.((a|b)[x!= && y=])+", dialect="rem"),
 }
 
-#: The policy of every configuration the property sweeps; ``pooled``
-#: additionally attaches a worker-pool runner that always declines.
+#: The policy of every configuration the property sweeps.
 CONFIGS = {
     "default": ExecutionPolicy(),
     "dict": ExecutionPolicy(backend="dict"),
@@ -69,19 +67,16 @@ CONFIGS = {
     "blocks": ExecutionPolicy(intra_query="blocks", max_workers=2),
     "sharded": ExecutionPolicy(intra_query="sharded", max_workers=2),
     "manual": ExecutionPolicy(routing="manual"),
-    "pooled": ExecutionPolicy(),
 }
 
-#: The floors, patched down: compact at 8 nodes, SQL at 16, parallel at 24.
-COMPACT_FLOOR, SQL_FLOOR, PARALLEL_FLOOR = 8, 16, 24
+#: The floors, patched down: compact at 8 nodes, SQL at 16.
+COMPACT_FLOOR, SQL_FLOOR = 8, 16
 
 
 @pytest.fixture
 def low_floors(monkeypatch):
     monkeypatch.setattr(compact_kernels, "COMPACT_AUTO_MIN_NODES", COMPACT_FLOOR)
     monkeypatch.setattr(sql_cost, "SQL_AUTO_MIN_NODES", SQL_FLOOR)
-    monkeypatch.setattr(router_module, "ROUTE_PARALLEL_MIN_NODES", PARALLEL_FLOOR)
-    monkeypatch.setattr(router_module, "ROUTE_PARALLEL_WORK_FACTOR", 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -92,21 +87,8 @@ def graph():
     )
 
 
-def declining_runner():
-    """A worker-pool runner that is always busy, and says what it was offered."""
-    offered = []
-
-    def runner(plan, null_semantics):
-        offered.append(plan.kind)
-        return None
-
-    runner.offered = offered
-    return runner
-
-
 def session_under(config: str, graph) -> GraphSession:
-    runner = declining_runner() if config == "pooled" else None
-    return GraphSession(graph, policy=CONFIGS[config], shard_runner=runner)
+    return GraphSession(graph, policy=CONFIGS[config])
 
 
 def naive_rows(graph, query: Query):
@@ -227,7 +209,6 @@ class TestRouteChoices:
         assert route.driver == "sequential" and route.workers == 1
         assert route.kernel in {"dict", "compact", "sql"}  # never "auto"
         assert route.strategy in {"sequential", "compact", "sql"}
-        assert not route.offer_pool
         assert route.estimate >= 0.0
         assert route.describe().startswith("route: ")
 
@@ -235,43 +216,18 @@ class TestRouteChoices:
         route = route_query(Query.parse("a"), graph, ExecutionPolicy.auto())
         assert route.strategy == "sequential" and route.kernel == "dict"
 
-    def test_large_graph_closure_routes_by_host_shape(self, graph, host_shape, low_floors):
-        # auto() only picks the batch executor, so the router still decides
-        # — and decides the same way on every host of one shape.
-        # (A data RPQ: closure-heavy plain RPQs clear the SQL floor first.)
-        cores, fork = host_shape
-        route = route_query(DIALECTS["data_rpq"], graph, ExecutionPolicy.auto())
-        if cores >= 2 and fork:
-            assert (route.strategy, route.kernel, route.workers) == ("blocks", "dict", cores)
-        else:
-            assert route.strategy == "compact" and route.workers == 1
-
-    def test_worker_budget_gates_the_parallel_route(self, graph, low_floors):
-        route = route_query(DIALECTS["data_rpq"], graph, ExecutionPolicy(max_workers=1))
-        assert route.driver == "sequential"
-
-    def test_pooled_sessions_offer_served_kinds_and_keep_the_local_route(self, graph, low_floors):
-        # Only a parallel route of a served kind is offered: by cost (the
-        # host shape decides whether the closure routes ``blocks``) or forced.
-        forced = ExecutionPolicy(intra_query="blocks", max_workers=2)
-        for policy in (ExecutionPolicy.auto(), forced):
-            for name, query in DIALECTS.items():
-                route = route_query(query, graph, policy, pooled=True)
-                local = route_query(query, graph, policy)
-                parallel = local.driver != "sequential"
-                assert route.offer_pool == (parallel and name in {"rpq", "data_rpq"}), name
-                assert (route.strategy, route.kernel, route.driver) == (
-                    local.strategy, local.kernel, local.driver
-                )
-        offered = route_query(DIALECTS["rpq"], graph, forced, pooled=True)
-        assert offered.offer_pool and "worker pool" in offered.describe()
-
-    def test_pooled_sequential_routes_are_not_offered(self, graph):
-        for name in ("rpq", "data_rpq"):
-            route = route_query(DIALECTS[name], graph, ExecutionPolicy(), pooled=True)
-            assert route.driver == "sequential" and not route.offer_pool, name
-            assert "answered in-process, the pool serves parallel routes" in route.reason
-        assert "in-process" not in route_query(DIALECTS["rpq"], graph).reason
+    @pytest.mark.parametrize("shape", ["communities", "supplier", "chain", "random"])
+    def test_auto_never_parallelises(self, shape, low_floors):
+        # Whatever the graph, the estimate or the budget, ``auto`` resolves
+        # a sequential driver: only a forced ``intra_query`` forks.
+        graph = ROUTER_GRAPHS[shape]()
+        queries = [*DIALECTS.values(), Query.parse("(a|b)+"), Query.parse("(cites)*.tagged")]
+        for policy in (ExecutionPolicy.auto(max_workers=4), ExecutionPolicy(max_workers=8)):
+            for query in queries:
+                route = route_query(query, graph, policy, stats=graph_statistics(graph))
+                assert (route.driver, route.workers) == ("sequential", 1), (shape, str(query))
+                assert route.strategy in {"sequential", "compact", "sql"}
+                assert "pool" not in route.describe()
 
     @pytest.mark.parametrize("driver", ["blocks", "sharded"])
     def test_forced_driver_is_forced_on_any_size(self, graph, driver):
@@ -281,6 +237,13 @@ class TestRouteChoices:
             driver, driver, "dict", 3
         )
         assert "override" in route.reason
+        forced = GraphSession(graph, policy=ExecutionPolicy(intra_query=driver, max_workers=2))
+        default = GraphSession(graph)
+        for name in ("rpq", "data_rpq", "crpq"):
+            assert forced._route(DIALECTS[name]).driver == driver, name
+            assert default._route(DIALECTS[name]).driver == "sequential", name
+            rows = forced.run(DIALECTS[name]).rows()
+            assert rows == default.run(DIALECTS[name]).rows(), name
 
     def test_forced_backend_overrides_routing(self, graph):
         route = route_query(DIALECTS["rpq"], graph, ExecutionPolicy.auto(backend="dict"))
@@ -341,10 +304,25 @@ def citation_chain(length=1200, taps=8):
     return graph
 
 
+#: The router graphs of this module, by shape: the small community graph,
+#: the random supplier graph and citation chain above the SQL floor, and
+#: the 2,100-node random graph the concatenation case routes on.
+ROUTER_GRAPHS = {
+    "communities": lambda: generators.community_graph(
+        3, 12, intra_edges_per_node=2, bridges_per_community=2,
+        labels=("a",), bridge_label="b", rng=7, domain_size=4,
+    ),
+    "supplier": lambda: generators.random_graph(
+        1100, 2400, labels=("supplies_to", "alt_for"), rng=3
+    ),
+    "chain": lambda: citation_chain(),
+    "random": lambda: generators.random_graph(2100, 4400, labels=("a", "b"), rng=5),
+}
+
+
 class TestRouterSeesTheRegex:
     """The router unwraps ``RPQ.expression``: plain RPQs no longer estimate
-    |V|² ("no information"), so SQL is reported where it runs and the
-    parallel gate is no longer vacuously true."""
+    |V|² ("no information"), so SQL is reported where it runs."""
 
     #: Above the 1,024-node SQL floor, ``sql`` keeps only its measured
     #: regime: a selective pivot in front of a deep closure.
@@ -384,7 +362,7 @@ class TestRouterSeesTheRegex:
         assert session.run(query).rows() == expected
         spy.assert_ran(route, case)
 
-    def test_concatenation_on_a_large_graph_does_not_route_blocks(self, host_shape):
+    def test_concatenation_on_a_large_graph_routes_compact(self):
         graph = generators.random_graph(2100, 4400, labels=("a", "b"), rng=5)
         route = route_query(Query.parse("a.b.a"), graph, ExecutionPolicy.auto())
         assert route.estimate < 8 * graph.num_nodes
@@ -394,7 +372,7 @@ class TestRouterSeesTheRegex:
 class TestPointQueriesSkipTheRouter:
     def test_point_route_is_the_constant_time_part(self, graph, low_floors):
         route = route_point(graph)
-        assert (route.kernel, route.driver, route.offer_pool) == ("compact", "sequential", False)
+        assert (route.kernel, route.driver) == ("compact", "sequential")
         assert route_point(graph, ExecutionPolicy(backend="dict")).kernel == "dict"
         assert route_point(graph, ExecutionPolicy(backend="sql")).kernel == "sql"
 
@@ -477,40 +455,6 @@ class TestExplainIsWhatRan:
                         # one single-source BFS on the point route's kernel
                         spy.assert_ran(route_point(graph, CONFIGS[config]), context)
 
-    def test_pool_declines_run_the_local_route_and_are_counted(self, graph, spy):
-        # A forced ``blocks`` driver is a parallel route on any host.
-        policy = ExecutionPolicy(intra_query="blocks", max_workers=2)
-        for name, query in DIALECTS.items():
-            session = GraphSession(graph, policy=policy, shard_runner=declining_runner())
-            route = session._route(query)
-            spy.reset()
-            assert session.run(query).rows() == GraphSession(graph).run(query).rows()
-            spy.assert_ran(route, name)  # the declined plan's own local route
-            offered = session.shard_runner.offered
-            declines = session.maintenance_stats()["pool_declines"]
-            if name in {"rpq", "data_rpq"}:
-                assert route.offer_pool and offered == [query.kind], name
-                assert declines == {"the pool declined (busy or gone)": 1}
-            else:
-                assert not route.offer_pool and offered == [], name
-                assert declines == {f"{query.kind.value} is not served by the pool": 1}
-        assert GraphSession(graph).maintenance_stats()["pool_declines"] == {}
-
-    def test_pooled_point_queries_are_never_offered(self, graph):
-        # Not even where the full relation's route would be.
-        policy = ExecutionPolicy(intra_query="blocks", max_workers=2)
-        session = GraphSession(graph, policy=policy, shard_runner=declining_runner())
-        plain = GraphSession(graph)
-        query = DIALECTS["rpq"]
-        assert session._route(query).offer_pool
-        for source in list(graph.node_ids)[:3]:
-            expected = plain.targets(query, source)
-            assert session.targets(query, source) == expected
-            for target in list(graph.node_ids)[:4]:
-                assert session.holds(query, source, target) == (graph.node(target) in expected)
-        assert session.shard_runner.offered == []
-        assert session.maintenance_stats()["pool_declines"] == {}
-
     @pytest.mark.parametrize("config", sorted(CONFIGS))
     def test_process_batches_agree_with_run(self, graph, config, low_floors):
         queries = list(DIALECTS.values())
@@ -519,9 +463,6 @@ class TestExplainIsWhatRan:
         executor = ParallelExecutor(max_workers=2, backend="process")
         results = session.run_many(queries, executor=executor)
         assert [result.rows() for result in results] == expected
-        # a fanned-out batch never offers the pool from its forked workers
-        if config == "pooled":
-            assert session.shard_runner.offered == []
 
     def test_run_many_uses_the_session_plan_cache_and_trace(self, graph):
         session = GraphSession(graph)
@@ -541,10 +482,6 @@ class TestExplainShowsTheRoute:
         after = session.explain(query)
         assert "adaptive:" in after  # the recorded PlanTrace rides along
         assert "estimated" in after and "observed" in after
-
-    def test_pooled_explain_says_why_the_route_stays_in_process(self, graph):
-        header = session_under("pooled", graph).explain(DIALECTS["rpq"]).splitlines()[0]
-        assert header.endswith("sequential route: answered in-process, the pool serves parallel routes")
 
     def test_rpq_explain_keeps_nfa_section(self, graph):
         session = GraphSession(graph)

@@ -4,8 +4,8 @@ Everything here drives a real :class:`ReproServer` over real sockets via
 :func:`repro.api.connect` (or a raw socket for frame-corruption tests) —
 no transport mocking — so the tests pin exactly what the acceptance
 criteria name: concurrent clients with correct results, per-query
-timeouts, mid-query disconnects, admission backpressure, worker-pool
-persistence and epoch invalidation, and the metrics report.
+timeouts, mid-query disconnects, admission backpressure, a daemon that
+forks nothing, and the metrics report.
 """
 
 from __future__ import annotations
@@ -29,9 +29,7 @@ from repro.api import (
     wire,
 )
 from repro.datagraph import GraphBuilder, generators
-from repro.engine.forkpool import fork_available
 from repro.exceptions import EvaluationError, UnknownNodeError
-from repro.planner import router as router_module
 from repro.server import ReproServer, ServerConfig
 from repro.server import daemon as daemon_module
 from repro.server.protocol import ProtocolError, recv_frame, send_frame
@@ -64,12 +62,7 @@ def make_graph():
 def served():
     """A running server over a fresh graph; yields ``(graph, address)``."""
     graph = make_graph()
-    # pool_min_nodes=0 attaches the worker pool to this small test graph
-    # (production default only pools graphs worth forking for); it still
-    # serves parallel routes only, which the graph is too small for.
-    server = ReproServer(
-        graph, ServerConfig(max_inflight=8, num_workers=2, num_shards=4, pool_min_nodes=0)
-    )
+    server = ReproServer(graph, ServerConfig(max_inflight=8))
     address = server.start()
     yield graph, address, server
     server.shutdown()
@@ -146,7 +139,7 @@ class TestBackendConfig:
 
     def test_sql_backend_server_matches_local(self):
         graph = make_graph()
-        server = ReproServer(graph, ServerConfig(num_workers=1, backend="sql"))
+        server = ReproServer(graph, ServerConfig(backend="sql"))
         address = server.start()
         try:
             local = GraphSession(graph)
@@ -158,16 +151,6 @@ class TestBackendConfig:
                 assert session.targets("a+", source) == local.targets("a+", source)
         finally:
             server.shutdown()
-
-    def test_daemon_runner_serves_full_relations_and_joins(self, served):
-        graph, _, server = served
-        pool = server._pool
-        assert pool is not None
-        runner = server._make_shard_runner(pool)
-        assert runner.hash_join == pool.hash_join
-        query = Query.parse("a.(b|c)+")
-        answer = runner(query, False)
-        assert answer is None or answer == GraphSession(graph).run(query).pairs()
 
 
 class TestConcurrentClients:
@@ -211,31 +194,68 @@ class TestConcurrentClients:
             assert second.stats()["results"].size == 0
 
 
-class TestSequentialRoutesStayInProcess:
-    def test_the_pool_never_forks_for_sequential_routes(self, served):
-        graph, address, server = served
-        source = next(iter(graph.node_ids))
-        with connect(address) as session:
-            for text, dialect in QUERIES:
-                session.run(Query.parse(text, dialect=dialect))
-            session.run_many([Query.parse("(a|b)+"), Query.parse("c")])
-            session.targets("a.(b|c)+", source)
-            session.holds("a+", source, source)
-            assert session.metrics()["worker_pool"]["pids"] == []
-        counters = server.metrics.counters
-        assert counters["pool_queries"] == counters["pool_fallbacks"] == 0
+def _child_pids():
+    """This process's live children, or ``None`` where the kernel does not
+    list them (``/proc/<pid>/task/<tid>/children``)."""
+    children = set()
+    try:
+        for task in os.listdir(f"/proc/{os.getpid()}/task"):
+            with open(f"/proc/{os.getpid()}/task/{task}/children") as handle:
+                children.update(int(pid) for pid in handle.read().split())
+    except OSError:
+        return None
+    return children
 
-    def test_relations_after_another_connections_write_match_a_local_session(self, monkeypatch):
+
+@pytest.fixture
+def encodes(monkeypatch):
+    """Count relation answers the daemon encodes straight from bit rows."""
+    encoded = []
+    from_rows = wire._relation_from_rows
+    monkeypatch.setattr(
+        wire, "_relation_from_rows", lambda *rows: encoded.append(1) or from_rows(*rows)
+    )
+    return encoded
+
+
+class TestNothingForks:
+    def test_run_many_keeps_its_rows_and_the_daemon_forks_nothing(self, encodes, monkeypatch):
+        # The small served graph, default config but for compact routes:
+        # every session runs the "local" preset, so run_many is sequential
+        # and its answers keep their bit rows like run()'s do.
+        forks = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        graph = make_graph()
+        before = _child_pids()
+        queries = [Query.parse("a.(b|c)+"), Query.parse("!x.((a|b)[x!=])+", dialect="rem")]
+        crpq = Query.parse("x,y :- (x, a+, z), (z, b|c, y)", dialect="crpq")
+        local = GraphSession(graph)
+        with ReproServer(graph, ServerConfig(backend="compact")) as server:
+            with connect(server.address) as session:
+                batch = session.run_many(queries)
+                assert [result.rows() for result in batch] == [
+                    local.run(query).rows() for query in queries
+                ]
+                assert len(encodes) == len(queries)
+                assert session.run(crpq).rows() == local.run(crpq).rows()
+                assert session.run("(a|b)+").rows() == local.run("(a|b)+").rows()
+                source = next(iter(graph.node_ids))
+                assert session.targets("a.(b|c)+", source) == local.targets("a.(b|c)+", source)
+                assert session.holds("a+", source, source) == local.holds("a+", source, source)
+                metrics = session.metrics()
+                after = _child_pids()
+        assert forks == []
+        if before is not None:
+            assert after <= before, after - before
+        assert "worker_pool" not in metrics
+        assert not any(name.startswith("pool_") for name in metrics["counters"])
+
+    def test_relations_after_another_connections_write_match_a_local_session(self, encodes):
         # Compact routes keep bit rows, so relations are encoded from them.
-        encoded = []
-        from_rows = wire._relation_from_rows
-        monkeypatch.setattr(
-            wire, "_relation_from_rows", lambda *rows: encoded.append(1) or from_rows(*rows)
-        )
         graph = make_graph()
         queries = [Query.parse("a.(b|c)+"), Query.parse("!x.((a|b)[x!=])+", dialect="rem")]
-        config = ServerConfig(num_workers=1, pool_min_nodes=0, backend="compact")
-        with ReproServer(graph, config) as server:
+        with ReproServer(graph, ServerConfig(backend="compact")) as server:
             with connect(server.address) as writer, connect(server.address) as reader:
                 before = [result.rows() for result in reader.run_many(queries)]
                 anchor = next(iter(graph.node_ids))
@@ -249,84 +269,13 @@ class TestSequentialRoutesStayInProcess:
                 assert [result.rows() for result in batch] == [
                     local.run(query).rows() for query in queries
                 ]
-        assert len(encoded) == 3 * len(queries)
-
-
-@pytest.fixture
-def parallel_routes(monkeypatch):
-    """Route every RPQ / data-RPQ relation ``blocks`` — the only routes a
-    pooled session offers the pool — under a pinned two-worker budget,
-    whatever the host's core count."""
-    monkeypatch.setattr(router_module, "ROUTE_PARALLEL_MIN_NODES", 0)
-    monkeypatch.setattr(router_module, "ROUTE_PARALLEL_WORK_FACTOR", 0.0)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-
-
-@pytest.mark.skipif(not fork_available(), reason="needs os.fork")
-@pytest.mark.usefixtures("parallel_routes")
-class TestWorkerPoolThroughTheDaemon:
-    def test_workers_persist_across_queries_and_clients(self, served):
-        _, address, _ = served
-        with connect(address) as session:
-            session.run("a.(b|c)+")
-            pids = session.metrics()["worker_pool"]["pids"]
-            assert pids, "the first full-relation query must fork the pool"
-            session.run("(a|b)+")
-        with connect(address) as session:
-            session.run("a.(b|c)+")
-            after = session.metrics()["worker_pool"]
-            assert after["pids"] == pids  # same processes: no re-fork
-            assert after["respawns"] == 0
-
-    def test_insert_only_mutation_patches_workers_in_place(self, served):
-        graph, address, _ = served
-        query = Query.parse("a.(b|c)+")
-        with connect(address) as session:
-            before = session.run(query).rows()
-            assert before == GraphSession(graph).run(query).rows()
-            pids = session.metrics()["worker_pool"]["pids"]
-            assert pids
-            anchor = next(iter(graph.node_ids))
-            reply = session.mutate([["add_node", "daemon-new", 7],
-                                   ["add_edge", "daemon-new", "a", anchor]])
-            assert reply["version"] == graph.version
-            assert reply["delta"]["insert_only"] is True
-            assert reply["delta"]["summary"]["nodes_added"] == 1
-            assert reply["delta"]["summary"]["edges_added"] == 1
-            after = session.run(query).rows()
-            assert after == GraphSession(graph).run(query).rows()
-            # A cache-miss query forces the pool to sync with the new
-            # version: the journaled insert-only delta patches the live
-            # workers instead of respawning them.
-            assert session.run("(b|c).a").rows() == GraphSession(graph).run("(b|c).a").rows()
-            metrics = session.metrics()["worker_pool"]
-            assert metrics["pids"] == pids, "workers must survive an insert-only mutate"
-            assert metrics["respawns"] == 0
-            assert metrics["patched_epochs"] >= 1
-            assert metrics["epoch"] == graph.version
-
-    def test_removal_mutation_still_respawns_the_workers(self, served):
-        graph, address, _ = served
-        query = Query.parse("a.(b|c)+")
-        with connect(address) as session:
-            session.run(query)
-            pids = session.metrics()["worker_pool"]["pids"]
-            victim = next(iter(graph.node_ids))
-            reply = session.mutate([["remove_node", victim]])
-            assert reply["delta"]["insert_only"] is False
-            assert reply["delta"]["summary"]["nodes_removed"] == 1
-            after = session.run(query).rows()
-            assert after == GraphSession(graph).run(query).rows()
-            metrics = session.metrics()["worker_pool"]
-            assert metrics["pids"] != pids  # removals cannot patch in place
-            assert metrics["respawns"] == 1
-            assert metrics["epoch"] == graph.version
+        assert len(encodes) == 3 * len(queries)
 
 
 class TestGracefulDrain:
     def test_shutdown_sends_farewell_instead_of_hard_close(self):
         graph = make_graph()
-        server = ReproServer(graph, ServerConfig(num_workers=1, drain_grace=1.0))
+        server = ReproServer(graph, ServerConfig(drain_grace=1.0))
         address = server.start()
         session = connect(address)
         assert session.ping()
@@ -341,7 +290,7 @@ class TestGracefulDrain:
 
     def test_drain_lets_inflight_queries_finish(self, monkeypatch):
         graph = make_graph()
-        server = ReproServer(graph, ServerConfig(num_workers=1, drain_grace=5.0))
+        server = ReproServer(graph, ServerConfig(drain_grace=5.0))
         address = server.start()
         monkeypatch.setattr(daemon_module, "GraphSession", _SlowSession)
         monkeypatch.setattr(_SlowSession, "delay", 0.6)
@@ -368,7 +317,7 @@ class TestGracefulDrain:
 
     def test_draining_server_rejects_new_work_with_shutting_down(self, monkeypatch):
         graph = make_graph()
-        server = ReproServer(graph, ServerConfig(num_workers=1, drain_grace=5.0))
+        server = ReproServer(graph, ServerConfig(drain_grace=5.0))
         address = server.start()
         monkeypatch.setattr(daemon_module, "GraphSession", _SlowSession)
         monkeypatch.setattr(_SlowSession, "delay", 0.8)
@@ -398,7 +347,7 @@ class TestGracefulDrain:
 
     def test_sigterm_triggers_graceful_shutdown(self):
         graph = make_graph()
-        server = ReproServer(graph, ServerConfig(num_workers=1, drain_grace=0.5))
+        server = ReproServer(graph, ServerConfig(drain_grace=0.5))
         server.start()
         timer = threading.Timer(0.2, os.kill, (os.getpid(), signal.SIGTERM))
         timer.start()
@@ -410,7 +359,7 @@ class TestGracefulDrain:
         # safe to call from any thread (or signal context) and before
         # start(), so there is no accepting-but-not-yet-graceful window.
         graph = make_graph()
-        server = ReproServer(graph, ServerConfig(num_workers=1, drain_grace=0.5))
+        server = ReproServer(graph, ServerConfig(drain_grace=0.5))
         server.start()
         timer = threading.Timer(0.2, server.request_stop)
         timer.start()
@@ -526,7 +475,7 @@ class TestAdmissionAndTimeouts:
 
     def test_server_config_caps_client_timeouts(self, monkeypatch):
         graph = make_graph()
-        server = ReproServer(graph, ServerConfig(query_timeout=0.05, num_workers=1))
+        server = ReproServer(graph, ServerConfig(query_timeout=0.05))
         address = server.start()
         monkeypatch.setattr(daemon_module, "GraphSession", _SlowSession)
         try:
@@ -541,9 +490,7 @@ class TestAdmissionAndTimeouts:
 
     def test_backpressure_rejects_excess_queries(self, monkeypatch):
         graph = make_graph()
-        server = ReproServer(
-            graph, ServerConfig(max_inflight=1, queue_depth=0, num_workers=1)
-        )
+        server = ReproServer(graph, ServerConfig(max_inflight=1, queue_depth=0))
         address = server.start()
         monkeypatch.setattr(daemon_module, "GraphSession", _SlowSession)
         try:
@@ -583,7 +530,7 @@ class TestAdmissionAndTimeouts:
 
 
 class TestMetricsAndManagement:
-    def test_metrics_report_counters_latency_and_utilization(self, served):
+    def test_metrics_report_counters_and_latency(self, served):
         _, address, _ = served
         with connect(address) as session:
             for _ in range(4):
@@ -595,7 +542,6 @@ class TestMetricsAndManagement:
         latency = metrics["latency"]
         assert latency["count"] >= 4
         assert latency["p95_ms"] is not None and latency["p95_ms"] >= 0
-        assert 0.0 <= metrics["worker_pool"]["utilization"] <= 1.0
         assert metrics["uptime_seconds"] > 0
 
     def test_a_local_crpq_re_run_after_a_write_is_patched(self):
@@ -603,7 +549,7 @@ class TestMetricsAndManagement:
         plan ends on bit rows is re-answered after a mutation by decoding
         the difference, and the server counts it."""
         graph = make_graph()
-        server = ReproServer(graph, ServerConfig(num_workers=1, backend="compact"))
+        server = ReproServer(graph, ServerConfig(backend="compact"))
         address = server.start()
         query = Query.parse("x,y :- (x, a+, z), (z, b|c, y)", dialect="crpq")
         try:
@@ -616,6 +562,24 @@ class TestMetricsAndManagement:
         finally:
             server.shutdown()
         assert counters["result_patched"] == 1 and counters["result_recomputes"] == 1
+
+    def test_mutate_replies_carry_the_delta(self, served):
+        graph, address, _ = served
+        query = Query.parse("a.(b|c)+")
+        with connect(address) as session:
+            assert session.run(query).rows() == GraphSession(graph).run(query).rows()
+            anchor = next(iter(graph.node_ids))
+            reply = session.mutate([["add_node", "daemon-new", 7],
+                                   ["add_edge", "daemon-new", "a", anchor]])
+            assert reply["version"] == graph.version
+            assert reply["delta"]["insert_only"] is True
+            assert reply["delta"]["summary"]["nodes_added"] == 1
+            assert reply["delta"]["summary"]["edges_added"] == 1
+            assert session.run(query).rows() == GraphSession(graph).run(query).rows()
+            reply = session.mutate([["remove_node", anchor]])
+            assert reply["delta"]["insert_only"] is False
+            assert reply["delta"]["summary"]["nodes_removed"] == 1
+            assert session.run(query).rows() == GraphSession(graph).run(query).rows()
 
     def test_load_graph_swaps_the_served_graph(self, served):
         _, address, _ = served

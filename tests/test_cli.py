@@ -157,6 +157,11 @@ class TestInfoAndEvaluate:
         with pytest.raises(SystemExit):
             main(["evaluate", str(graph_file), "--rpq", "r", flag, "2"])
 
+    @pytest.mark.parametrize("flag", ["--workers", "--num-shards", "--pool-min-nodes"])
+    def test_removed_serve_flags_are_rejected(self, graph_file, flag):
+        with pytest.raises(SystemExit):
+            main(["serve", str(graph_file), "--port", "0", flag, "2"])
+
 
 class TestCertainAndExchange:
     def test_certain_answers(self, graph_file, mapping_file, capsys):
