@@ -36,7 +36,8 @@ from repro.engine import compact as compact_kernels
 from repro.engine import data as data_kernels
 from repro.engine import default_engine
 from repro.engine.bitrelation import BitRelation
-from repro.engine.partition import sharded_product_relation
+from repro.engine.partition import GraphPartition, sharded_product_relation
+from repro.engine.spaces import NfaProductSpace
 from repro.exceptions import EvaluationError, UnboundVariableError
 from repro.planner.router import route_point
 from repro.query import (
@@ -859,6 +860,49 @@ def test_point_reachability_agrees(seed, size, query_index):
     )
     assert compact_targets == engine.evaluate_rpq_from(
         graph, query, source, forced_route(graph, "dict")
+    )
+
+
+# ----------------------------------------------------------------------
+# The sharded driver (dict shard views) against the compact kernels
+# ----------------------------------------------------------------------
+def sharded_pairs(graph, text: str, partition: GraphPartition):
+    space = NfaProductSpace(graph.label_index(), default_engine().compile_rpq(rpq(text)))
+    return sharded_product_relation(space, partition=partition, processes=False)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    size=st.integers(min_value=1, max_value=30),
+    num_shards=st.integers(min_value=1, max_value=6),
+    query_index=st.integers(min_value=0, max_value=len(RPQ_POOL) - 1),
+)
+def test_sharded_driver_matches_compact(seed, size, num_shards, query_index):
+    graph = random_graph_from(seed, size)
+    text = RPQ_POOL[query_index]
+    partition = GraphPartition.build(graph.label_index(), num_shards)
+    compact = graph.compact_index()
+    automaton = default_engine().compile_rpq(rpq(text))
+    assert sharded_pairs(graph, text, partition) == (
+        compact_kernels.nfa_relation(compact, automaton).id_pairs()
+    )
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    size=st.integers(min_value=1, max_value=12),
+    query_index=st.integers(min_value=0, max_value=len(RPQ_POOL) - 1),
+)
+def test_single_node_shards(seed, size, query_index):
+    """One shard per node: every non-loop edge crosses the cut."""
+    graph = random_graph_from(seed, size)
+    text = RPQ_POOL[query_index]
+    partition = GraphPartition.build(graph.label_index(), graph.num_nodes)
+    engine = default_engine()
+    assert sharded_pairs(graph, text, partition) == engine.evaluate_atom_ids(
+        graph, rpq(text), route=forced_route(graph, "compact")
     )
 
 

@@ -146,6 +146,37 @@ class TestGraphPartition:
         with pytest.raises(EvaluationError):
             GraphPartition(index, {node: 9 for node in index.nodes}, 2)
 
+    def test_contiguous_assignment_is_deterministic(self):
+        graph = generators.community_graph(3, 8, rng=4)
+        one = GraphPartition.build(graph.label_index(), 4)
+        two = GraphPartition.build(graph.label_index(), 4)
+        assert one.assignment == two.assignment
+        assert [shard.nodes for shard in one.shards] == [shard.nodes for shard in two.shards]
+
+    def test_partition_after_a_batch_holds_every_edge(self):
+        # Partitions are never patched: a write means a rebuild, which
+        # must see exactly the batched graph's nodes and edges.
+        graph = generators.community_graph(3, 6, rng=9)
+        first = next(iter(graph.node_ids))
+        last = list(graph.node_ids)[-1]
+        with graph.batch() as batch:
+            batch.add_node("px", 2)
+            batch.add_edge("px", "a", first)
+            batch.add_edge(last, "a", "px")
+            batch.remove_node(list(graph.node_ids)[1])
+        partition = GraphPartition.build(graph.label_index(), 3)
+        assert partition.version == graph.version
+        assert set(partition.assignment) == set(graph.node_ids)
+        edges = {
+            (source, label, target)
+            for shard in partition.shards
+            for table in (shard._succ, shard._cut)
+            for label, by_source in table.items()
+            for source, targets in by_source.items()
+            for target in targets
+        }
+        assert edges == {(s.id, label, t.id) for s, label, t in graph.edges}
+
     def test_stale_partition_is_rejected(self):
         graph = generators.chain(3)
         partition = GraphPartition.build(graph.label_index(), 2)

@@ -1,9 +1,9 @@
-"""Adaptive execution: re-planning, cached relations, distributed joins.
+"""Adaptive execution: re-planning, cached relations, the local hash join.
 
 The invariant under test is the one the v2 planner is built on: the
-adaptive executor may change join *order* mid-flight, reuse cached
-relations as scan inputs and scatter joins across a worker pool, but
-answers stay bit-identical to :func:`repro.query.crpq.evaluate_crpq_naive`.
+adaptive executor may change join *order* mid-flight and reuse cached
+relations as scan inputs, but answers stay bit-identical to
+:func:`repro.query.crpq.evaluate_crpq_naive`.
 Hypothesis drives random queries through a forced-re-plan executor
 (`ADAPTIVE_REPLAN_RATIO` monkeypatched to 1.0 fires a re-plan after
 every join) to hit re-planning on every multi-join query, not just the
@@ -12,12 +12,16 @@ ones whose estimates happen to be bad.
 
 from __future__ import annotations
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import ExecutionPolicy, GraphSession, Query
 from repro.datagraph import generators
 from repro.engine import default_engine
+from repro.engine.bitrelation import BitRelation
 from repro.planner import PlanTrace, execute_plan, graph_statistics, plan_crpq
 from repro.planner import execute as execute_module
 from repro.query.crpq import evaluate_crpq_naive
@@ -204,3 +208,87 @@ class TestSessionRelationReuse:
         assert session.run(anchor).rows() == evaluate_crpq_naive(graph, anchor.plan)
         assert "cached relation(s) reused" in session.explain(anchor)
         assert "0 cached relation(s) reused" not in session.explain(anchor)
+
+
+def nested_loop_join(left, right):
+    """The join specification: every compatible pair of rows, with the
+    left columns first and then the right-only ones."""
+    (left_columns, left_rows), (right_columns, right_rows) = left, right
+    out = left_columns + tuple(c for c in right_columns if c not in left_columns)
+    rows = set()
+    for l_row in left_rows:
+        for r_row in right_rows:
+            bound = dict(zip(left_columns, l_row))
+            if all(bound.get(c, value) == value for c, value in zip(right_columns, r_row)):
+                bound.update(zip(right_columns, r_row))
+                rows.add(tuple(bound[c] for c in out))
+    return out, rows
+
+
+def random_rows(rng, arity, count, domain):
+    return {tuple(rng.randrange(domain) for _ in range(arity)) for _ in range(count)}
+
+
+class TestLocalHashJoin:
+    """``_join_rows``, the executor's one join: build on the smaller side,
+    probe with the larger, and treat an all-key side as a filter."""
+
+    @pytest.mark.parametrize(
+        "seed, left_size, right_size", [(0, 200, 150), (1, 40, 150), (2, 120, 120)]
+    )
+    def test_matches_a_nested_loop_join(self, seed, left_size, right_size):
+        rng = random.Random(seed)
+        left = (("x", "y"), random_rows(rng, 2, left_size, 30))
+        right = (("y", "z"), random_rows(rng, 2, right_size, 30))
+        assert execute_module._join_rows(left, right, ("y",)) == nested_loop_join(left, right)
+
+    def test_multi_column_keys(self):
+        rng = random.Random(99)
+        left = (("x", "y", "z"), random_rows(rng, 3, 120, 6))
+        right = (("z", "w", "x"), random_rows(rng, 3, 120, 6))
+        joined = execute_module._join_rows(left, right, ("x", "z"))
+        assert joined == nested_loop_join(left, right)
+        assert joined[0] == ("x", "y", "z", "w")
+
+    def test_disjoint_sides_join_empty(self):
+        left = (("x", "y"), {(1, 2), (3, 4)})
+        right = (("y", "z"), {(100, 200)})
+        assert execute_module._join_rows(left, right, ("y",)) == (("x", "y", "z"), set())
+
+    def test_no_keys_is_a_cartesian_product(self):
+        left = (("x",), {(1,), (2,)})
+        right = (("y", "z"), {(3, 4), (5, 6), (7, 8)})
+        joined = execute_module._join_rows(left, right, ())
+        assert joined == nested_loop_join(left, right)
+        assert len(joined[1]) == 6
+
+    @pytest.mark.parametrize("all_keys", ["left", "right"])
+    def test_an_all_key_side_filters_the_other(self, all_keys):
+        rng = random.Random(7)
+        wide = (("x", "y", "z"), random_rows(rng, 3, 150, 8))
+        narrow = (("z", "x"), random_rows(rng, 2, 20, 8))
+        left, right = (narrow, wide) if all_keys == "left" else (wide, narrow)
+        columns, rows = execute_module._join_rows(left, right, ("x", "z"))
+        assert columns == wide[0]  # the filtered side keeps its columns
+        expected = nested_loop_join(wide, narrow)[1]
+        assert rows == expected and rows <= wide[1]
+
+    @pytest.mark.parametrize("column", ["x", "y"])
+    def test_a_one_key_filter_keeps_bit_rows(self, column):
+        nodes = [f"n{i}" for i in range(12)]
+        position = {node: i for i, node in enumerate(nodes)}
+        rng = random.Random(5)
+        rows = {}
+        for target in range(12):
+            mask = rng.getrandbits(12)
+            if mask:
+                rows[target] = mask
+        bits = BitRelation(nodes, position, rows)
+        wanted = {nodes[i] for i in range(0, 12, 3)}
+        columns, filtered = execute_module._join_rows(
+            (("x", "y"), bits), ((column,), {(node,) for node in wanted}), (column,)
+        )
+        assert columns == ("x", "y")
+        assert isinstance(filtered, BitRelation)
+        at = ("x", "y").index(column)
+        assert filtered.id_pairs() == {pair for pair in bits.id_pairs() if pair[at] in wanted}

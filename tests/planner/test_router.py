@@ -245,6 +245,12 @@ class TestRouteChoices:
             rows = forced.run(DIALECTS[name]).rows()
             assert rows == default.run(DIALECTS[name]).rows(), name
 
+    def test_forced_driver_budget_defaults_to_the_host(self, graph, host_shape):
+        cores, _fork = host_shape
+        for driver in ("blocks", "sharded"):
+            route = route_query(DIALECTS["rpq"], graph, ExecutionPolicy(intra_query=driver))
+            assert (route.driver, route.workers) == (driver, min(cores, 8))
+
     def test_forced_backend_overrides_routing(self, graph):
         route = route_query(DIALECTS["rpq"], graph, ExecutionPolicy.auto(backend="dict"))
         assert (route.strategy, route.kernel, route.driver) == ("sequential", "dict", "sequential")
@@ -455,6 +461,35 @@ class TestExplainIsWhatRan:
                         # one single-source BFS on the point route's kernel
                         spy.assert_ran(route_point(graph, CONFIGS[config]), context)
 
+    @pytest.mark.parametrize("driver", ["blocks", "sharded"])
+    def test_forced_routes_run_what_they_report(self, graph, driver, spy):
+        # A forced driver is a partitioned route on any host shape; where
+        # the host forks, its mask passes run in the workers.
+        policy = ExecutionPolicy(intra_query=driver, max_workers=2)
+        for name in ("rpq", "data_rpq", "crpq"):
+            query = DIALECTS[name]
+            session = GraphSession(graph, policy=policy)
+            route = session._route(query)
+            assert route.driver == driver, name
+            spy.reset()
+            assert session.run(query).rows() == naive_rows(graph, query), name
+            spy.assert_ran(route, name)
+
+    def test_forced_point_queries_stay_sequential(self, graph, spy):
+        # Not even where the full relation's route is partitioned.
+        policy = ExecutionPolicy(intra_query="blocks", max_workers=2)
+        session = GraphSession(graph, policy=policy)
+        plain = GraphSession(graph)
+        query = DIALECTS["rpq"]
+        assert session._route(query).driver == "blocks"
+        spy.reset()
+        for source in list(graph.node_ids)[:3]:
+            expected = plain.targets(query, source)
+            assert session.targets(query, source) == expected
+            for target in list(graph.node_ids)[:4]:
+                assert session.holds(query, source, target) == (graph.node(target) in expected)
+        assert not spy.drivers
+
     @pytest.mark.parametrize("config", sorted(CONFIGS))
     def test_process_batches_agree_with_run(self, graph, config, low_floors):
         queries = list(DIALECTS.values())
@@ -482,6 +517,15 @@ class TestExplainShowsTheRoute:
         after = session.explain(query)
         assert "adaptive:" in after  # the recorded PlanTrace rides along
         assert "estimated" in after and "observed" in after
+
+    @pytest.mark.parametrize("driver", ["blocks", "sharded"])
+    def test_forced_explain_names_the_driver(self, graph, driver):
+        session = GraphSession(graph, policy=ExecutionPolicy(intra_query=driver, max_workers=2))
+        for name in ("rpq", "data_rpq", "crpq"):
+            header = session.explain(DIALECTS[name]).splitlines()[0]
+            assert header == session._route(DIALECTS[name]).describe(), name
+            assert header.startswith(f"route: {driver} "), name
+            assert header.endswith("policy override") and "pool" not in header, name
 
     def test_rpq_explain_keeps_nfa_section(self, graph):
         session = GraphSession(graph)

@@ -194,6 +194,39 @@ class TestConcurrentClients:
             assert second.stats()["results"].size == 0
 
 
+class TestAnswersThroughTheDaemon:
+    def test_full_relations_and_joins_match_a_local_session(self, served):
+        graph, address, _ = served
+        local = GraphSession(graph)
+        with connect(address) as session:
+            for text, dialect in QUERIES + EXTRA_QUERIES:
+                query = Query.parse(text, dialect=dialect)
+                assert session.run(query).rows() == local.run(query).rows(), text
+
+    def test_answers_persist_across_queries_and_clients(self, served):
+        graph, address, server = served
+        query = Query.parse("a.(b|c)+")
+        expected = GraphSession(graph).run(query).rows()
+        for _ in range(2):
+            with connect(address) as session:
+                assert session.run(query).rows() == expected
+                assert session.run("(a|b)+").rows() == GraphSession(graph).run("(a|b)+").rows()
+        counters = server.metrics.counters
+        assert counters["connections_total"] == 2
+        assert counters["queries_total"] >= 4 and counters["queries_failed"] == 0
+
+    def test_a_query_first_run_after_an_insert_matches_a_local_session(self, served):
+        graph, address, _ = served
+        with connect(address) as session:
+            session.run("a.(b|c)+")
+            anchor = next(iter(graph.node_ids))
+            session.mutate([["add_node", "daemon-new", 7], ["add_edge", "daemon-new", "a", anchor]])
+            assert session.run("(b|c).a").rows() == GraphSession(graph).run("(b|c).a").rows()
+            assert session.targets("a+", "daemon-new") == GraphSession(graph).targets(
+                "a+", "daemon-new"
+            )
+
+
 def _child_pids():
     """This process's live children, or ``None`` where the kernel does not
     list them (``/proc/<pid>/task/<tid>/children``)."""
