@@ -1,14 +1,15 @@
 """Benchmark delta repair of a cached full relation vs full recompute.
 
-The workload keeps the repair seed set local: disjoint ``knows`` chain
+The workload keeps the repair local: disjoint ``knows`` chain
 communities (no bridges), a warm ``(knows)*`` full relation in the
 session cache, then one small insert-only batch of shortcut edges inside
-a single community.  The backward closure of the touched nodes stays
-within that community — a small fraction of the graph — so the repair
-path (:func:`repro.deltas.repair.repair_full_relation`) re-runs the
-product kernel from a handful of seeds and unions into the cached
-answer, while the recompute path (``delta_repair=False``) pays the full
-product-BFS over every node again.
+a single community.  The repair path
+(:func:`repro.deltas.repair.repair_full_relation`) resumes the session's
+kept ``knows+`` rows from the new steps (the graph takes the compact
+kernels; on other routes it re-runs the kernel seeded at the touched
+nodes' backward closure, which stays within one community) and patches
+the cached answer, while the recompute path (``delta_repair=False``)
+evaluates the closure over every node again.
 
 Both paths must produce bit-identical answers (each is checked against a
 cache-free fresh evaluation); CI compares the means from BENCH_pr.json

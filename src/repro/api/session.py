@@ -46,6 +46,7 @@ from ..deltas.delta import GraphDelta
 from ..deltas.repair import decline_reason, patched_answer, repair_full_relation
 from ..engine.bitrelation import BitRelation, CachedRelation
 from ..engine.cache import CacheStats, LRUCache
+from ..engine.data import RowMemo
 from ..engine.engine import EvaluationEngine, default_engine
 from ..exceptions import EvaluationError
 from ..planner.router import route_point, route_query
@@ -115,6 +116,13 @@ class GraphSession(SessionProtocol):
         # "targets of u" questions neither recompute a BFS nor force the
         # full relation.
         self._points: LRUCache[frozenset] = LRUCache(self.policy.point_cache_size)
+        # The bit-row algebra's closed sub-expression rows, shared by every
+        # query of the session and carried across journaled deltas (only
+        # within one graph version when the policy disables delta repair).
+        self._rows = RowMemo(
+            self.graph.journal if self.policy.delta_repair else None,
+            self.policy.result_cache_size,
+        )
         # CRPQ logical plans, cached alongside the versioned result
         # cache and keyed the same way ((graph.version, query.key)):
         # replanning is cheap but not free, and a stable plan object
@@ -530,12 +538,14 @@ class GraphSession(SessionProtocol):
         and in full otherwise."""
         bits = None
         if plan.kind is QueryKind.CRPQ:
-            answer = self._execute(plan, route, null_semantics, decode=False)
+            answer = self._execute(plan, route, null_semantics, decode=False, memo=self._rows)
             if not isinstance(answer, BitRelation):
                 return answer, None
             bits = answer
         elif plan.kind in (QueryKind.RPQ, QueryKind.DATA_RPQ):
-            bits = self.engine.relation_bits(self.graph, plan.plan, route, null_semantics)
+            bits = self.engine.relation_bits(
+                self.graph, plan.plan, route, null_semantics, memo=self._rows
+            )
         if bits is None:
             return self._execute(plan, route, null_semantics), None
         objects = self.graph.compact_index().node_objects
@@ -591,7 +601,7 @@ class GraphSession(SessionProtocol):
         if route is None:
             route = self._route(plan)
         repaired = repair_full_relation(
-            self.engine, self.graph, plan, null_semantics, cached, composed, route
+            self.engine, self.graph, plan, null_semantics, cached, composed, route, memo=self._rows
         )
         if repaired is None:
             reason = decline_reason(plan, composed) or "seed fraction"
@@ -626,8 +636,12 @@ class GraphSession(SessionProtocol):
         change"``, ``"node removal"``, ``"seed fraction"``, ``"broken
         lineage"``, ``"base evicted"``), how many re-answers were
         ``patched`` (decoded by difference from the previous version's
-        answer) and the most recent repair lineages ``(base → new, delta
-        digest)``."""
+        answer), the most recent repair lineages ``(base → new, delta
+        digest)`` and, under ``rows``, how the bit-row algebra's
+        sub-expression rows were obtained: ``reused`` as kept, their
+        kept rows ``continued`` across an insert-only change, or
+        ``computed`` (see :class:`~repro.engine.data.RowMemo`)."""
+        counts = self._rows.counts
         return {
             "repairs": self._maintenance["repair"],
             "recomputes": self._maintenance["recompute"],
@@ -635,6 +649,7 @@ class GraphSession(SessionProtocol):
             "recompute_reasons": dict(self._recompute_reasons),
             "plans_retained": self._maintenance["plans_retained"],
             "lineage": list(self._lineage),
+            "rows": {outcome: counts[outcome] for outcome in ("reused", "continued", "computed")},
         }
 
     def _crpq_plan(self, plan: Query):
@@ -730,7 +745,13 @@ class GraphSession(SessionProtocol):
         return header + "\n" + plan.explain(self.graph)
 
     def _execute(
-        self, plan: Query, route, null_semantics: bool, source: Optional[NodeId] = None, decode=True
+        self,
+        plan: Query,
+        route,
+        null_semantics: bool,
+        source: Optional[NodeId] = None,
+        decode=True,
+        memo: Optional[RowMemo] = None,
     ):
         """Turn a ``(plan, route)`` pair into an answer.
 
@@ -746,7 +767,8 @@ class GraphSession(SessionProtocol):
 
         CRPQs take the planner (the cached plan, the session's relation
         cache, a recorded :class:`~repro.planner.PlanTrace`); every other
-        kind hands the route to its engine entry point.
+        kind hands the route to its engine entry point.  *memo* is the
+        session's row memo, for an in-process CRPQ's atom scans.
         """
         if source is not None:
             if plan.kind is QueryKind.RPQ:
@@ -768,6 +790,7 @@ class GraphSession(SessionProtocol):
             relation_cache=self._cached_relation_lookup(null_semantics),
             trace=trace,
             decode=decode,
+            memo=memo,
         )
         if len(self._plan_traces) >= 128:  # bounded like the LRU caches
             self._plan_traces.clear()
@@ -850,6 +873,7 @@ class GraphSession(SessionProtocol):
         engine)."""
         self._results.clear()
         self._points.clear()
+        self._rows.clear()
         self._crpq_plans.clear()
         self._point_snapshot = {}
         self._point_snapshot_version = None

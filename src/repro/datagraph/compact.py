@@ -26,6 +26,7 @@ from .node import Node, NodeId
 from .values import DataValue, value_classes
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from ..deltas.delta import GraphDelta
     from .index import LabelIndex
 
 __all__ = ["CompactLabelIndex"]
@@ -88,21 +89,49 @@ class CompactLabelIndex:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_label_index(cls, index: "LabelIndex") -> "CompactLabelIndex":
-        """Freeze a dict-backed :class:`LabelIndex` into CSR arrays."""
+    def from_label_index(
+        cls,
+        index: "LabelIndex",
+        previous: Optional["CompactLabelIndex"] = None,
+        delta: Optional["GraphDelta"] = None,
+    ) -> "CompactLabelIndex":
+        """Freeze a dict-backed :class:`LabelIndex` into CSR arrays.
+
+        Given *previous*, the snapshot the journaled *delta* led from to
+        *index*, what the delta left alone is carried over instead of
+        flattened again: the CSR rows of every label it touched no edge
+        of (offsets extended over appended nodes) and, when no value
+        changed, the ``Node`` column.  Unless *index*'s ordering extends
+        *previous*'s (a node was removed), everything is built afresh."""
         nodes = index.nodes
         position = index.position
         values = [index.values[node_id] for node_id in nodes]
+        if previous is not None and (
+            delta.removed_nodes or nodes[: len(previous.nodes)] != previous.nodes
+        ):
+            previous = None
+        carry = {} if previous is None else previous.forward
+        touched = () if previous is None else delta.touched_labels
+        appended = 0 if previous is None else len(nodes) - len(previous.nodes)
         forward: Dict[str, CsrRow] = {}
         backward: Dict[str, CsrRow] = {}
         counts: Dict[str, int] = {}
         for label in sorted(index.edge_labels()):
-            forward[label] = _csr_from_table(index.successors(label), position, len(nodes))
-            backward[label] = _csr_from_table(index.predecessors(label), position, len(nodes))
+            if label in carry and label not in touched:
+                forward[label] = _extended(carry[label], appended)
+                backward[label] = _extended(previous.backward[label], appended)
+            else:
+                forward[label] = _csr_from_table(index.successors(label), position, len(nodes))
+                backward[label] = _csr_from_table(index.predecessors(label), position, len(nodes))
             counts[label] = len(forward[label][1])
-        return cls(
+        snapshot = cls(
             index.version, nodes, position, values, index.labels, forward, backward, counts
         )
+        column = None if previous is None else previous._node_objects
+        if column is not None and not delta.value_changes:
+            fresh = tuple(map(Node, nodes[len(column) :], values[len(column) :]))
+            snapshot._node_objects = column + fresh
+        return snapshot
 
     # ------------------------------------------------------------------
     def csr(self, label: str) -> Optional[CsrRow]:
@@ -206,6 +235,15 @@ class CompactLabelIndex:
             f"<CompactLabelIndex v{self.version}: {self.num_nodes} nodes, {edges} edges, "
             f"{len(self.forward)} labels>"
         )
+
+
+def _extended(row: CsrRow, appended: int) -> CsrRow:
+    """A CSR row pair over *appended* more (edgeless) nodes; the arrays
+    are shared, never written, so an unchanged row is carried as is."""
+    if not appended:
+        return row
+    offsets, neighbors = row
+    return offsets + array("q", [offsets[-1]] * appended), neighbors
 
 
 def _csr_from_table(table, position: Dict[NodeId, int], num_nodes: int) -> CsrRow:

@@ -268,14 +268,22 @@ class DataGraph:
         Built lazily from :meth:`label_index` and cached beside it under
         the same version discipline: any mutation invalidates, and while
         a batch is open a throwaway snapshot over the pre-batch index is
-        served but not cached.  See
+        served but not cached.  After journaled batches the new snapshot
+        carries the previous one's rows for the labels they left alone
+        (:meth:`~repro.datagraph.compact.CompactLabelIndex.from_label_index`).  See
         :class:`repro.datagraph.compact.CompactLabelIndex`.
         """
         compact = self._compact
         if compact is None or compact.version != self._version:
             from .compact import CompactLabelIndex
 
-            compact = CompactLabelIndex.from_label_index(self.label_index())
+            index = self.label_index()
+            delta = None
+            if compact is not None and self._batch is None:
+                delta = self.journal.composed(compact.version, index.version)
+            compact = CompactLabelIndex.from_label_index(
+                index, compact if delta is not None else None, delta
+            )
             if self._batch is None and compact.version == self._version:
                 self._compact = compact
         return compact

@@ -74,6 +74,8 @@ class DeltaJournal:
         chain = self.path(base, new)
         if chain is None:
             return None
+        if len(chain) == 1:  # one committed delta is already net
+            return chain[0]
         return GraphDelta.compose(chain, base_version=base, new_version=new)
 
     def deltas(self) -> Tuple[GraphDelta, ...]:

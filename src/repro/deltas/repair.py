@@ -2,26 +2,32 @@
 
 For an **insert-only** delta on a reachability-shaped dialect, the new
 answer is a superset of the cached one, and every *new* pair's witness
-path must traverse at least one added edge or added node.  That means
-every new pair's source lies in the **backward closure** of the touched
-nodes — following predecessor edges on the *new* index, restricted to
-the labels the query mentions.  Re-running the
-product kernels seeded only from that closure (linear in the closure,
-not the graph) and unioning into the cached answer reproduces the fresh
-evaluation bit for bit.  The re-run is the seeded scan of the query's
-resolved route — the same ``EvaluationEngine.atom_bits`` dispatch that
-computed the cached answer, so a scoped data RPQ is repaired by the
-bit-row algebra and a cross-scope one by the register kernel; on the
-compact kernels the merge happens on bit rows and only the pairs the
-cached answer lacks are decoded.  The touched nodes are the added nodes
-and the endpoints of added edges whose label the query mentions: an
-edge it cannot read carries no witness path.
+path must traverse at least one added edge or added node.  The touched
+nodes are the added nodes and the endpoints of added edges whose label
+the query mentions: an edge it cannot read carries no witness path, and
+a delta touching nothing leaves the cached answer standing.
+
+On a sequential compact route whose session :class:`~repro.engine.data.RowMemo`
+still holds the expression's bit rows from the cached answer's version,
+the repair is the evaluation itself with that warm memo: sub-expressions
+the delta did not touch are reused, touched ones continue from what they
+gained — a closure resumes from its new steps — and the new answer is
+the cached one patched by the rows' difference.
+
+Elsewhere (dict / sql kernels, partitioned drivers, cross-scope REMs,
+an entry whose rows the memo no longer holds) every new pair's source
+lies in the **backward closure** of the touched nodes — following
+predecessor edges on the *new* index, restricted to the labels the
+query mentions — so the route's seeded scan from that closure (linear
+in the closure, not the graph), unioned into the cached answer,
+reproduces the fresh evaluation bit for bit.
 
 The repair declines (returns ``None``) whenever the argument does not
 hold or would not pay off: removals or value changes (non-monotone),
 dialects whose semantics are not per-source monotone under edge
 insertion (GXPath negation/inverses, CRPQ's existential side atoms), or
-a touched closure so large that seeding it approaches a full recompute.
+— for the seeded scan — a touched closure so large that seeding it
+approaches a full recompute.
 :func:`decline_reason` names the first kind of decline.
 
 Whether repaired or recomputed, a re-answer whose previous entry kept bit
@@ -41,6 +47,7 @@ from .delta import GraphDelta
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..datagraph.graph import DataGraph
+    from ..engine.data import RowMemo
     from ..engine.engine import EvaluationEngine
     from ..planner.router import Route
 
@@ -135,37 +142,51 @@ def repair_full_relation(
     delta: GraphDelta,
     route: "Route",
     max_seed_fraction: float = DEFAULT_MAX_SEED_FRACTION,
+    memo: Optional["RowMemo"] = None,
 ) -> Optional[CachedRelation]:
     """Union the delta's new pairs into a cached full-relation answer.
 
     *plan* is a ``Query`` (``plan.kind`` / ``plan.plan`` / ``plan.labels()``), *cached*
     the ``(rows, bit rows)`` entry of the delta's base version and
     *route* the query's route on the current graph, whose kernel family
-    re-derives the touched closure's pairs (sequentially: the closure is
-    small).  Returns the repaired entry — with bit rows, its answer
-    patched by their difference, when the cached one had them and the
-    delta only appended to its node ordering; *cached* itself when the
-    delta touches nothing the query reads — or ``None`` when the delta is
-    not repairable and the caller recomputes.
+    derives the new pairs: by the evaluation with a warm *memo* (the
+    session's) when that holds the expression's rows from the base
+    version, else by a sequential scan seeded at the touched closure.
+    Returns the repaired entry — with bit rows, its answer patched by
+    their difference, when the cached one had them and the delta only
+    appended to its node ordering; *cached* itself when the delta
+    touches nothing the query reads — or ``None`` when the delta is not
+    repairable and the caller recomputes.
     """
     if decline_reason(plan, delta) is not None:
         return None
     if delta.is_empty:
         return cached
-    index = graph.label_index()
     labels = plan.labels()  # the regex's letters, or the REM's / REE's labels
     touched = {node_id for node_id, _value in delta.added_nodes}
     for source, label, target in delta.added_edges:
         if label in labels:
             touched.update((source, target))
-    seeds = backward_touched_closure(index, touched, labels)
-    if not seeds:
+    if not touched:
         return cached
+    rows, bits = cached
+    if (
+        memo is not None
+        and bits is not None
+        and route.kernel == "compact"
+        and route.driver == "sequential"
+        and memo.holds(plan.plan.expression, null_semantics, delta.base_version)
+    ):
+        new = engine.atom_bits(graph, plan.plan, route, null_semantics=null_semantics, memo=memo)
+        objects = graph.compact_index().node_objects
+        answer = patched_answer(cached, delta, new, objects)
+        return (new.node_pairs(objects) if answer is None else answer), new
+    index = graph.label_index()
+    seeds = backward_touched_closure(index, touched, labels)
     total = len(index.nodes)
     if total and len(seeds) > max_seed_fraction * total:
         return None
     ordered = sorted(seeds, key=index.position.__getitem__)
-    rows, bits = cached
     if route.driver != "sequential":
         route = dataclasses.replace(route, driver="sequential", workers=1)
     new = engine.atom_bits(

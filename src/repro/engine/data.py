@@ -22,19 +22,43 @@ Two kernels, one per side of the syntactic fragment test
 Both hand back id-level relations; the engine translates to
 :class:`~repro.datagraph.node.Node` pairs at the boundary.  GXPath
 (:mod:`repro.gxpath.evaluation`) runs on the algebra's primitives.
+
+A :class:`RowMemo` (one per caching session) keeps the algebra's closed
+sub-expression rows across evaluations *and graph versions*: after a
+journaled batch, rows of a sub-expression reading no label the delta
+touched are reused as they are (positions only grow), and an insert-only
+delta continues a touched closure from the steps it gained instead of
+re-deriving it.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Dict, FrozenSet, Iterable, Optional, Set, Tuple, Union
+from collections import Counter, OrderedDict, deque
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 from ..datagraph.compact import CompactLabelIndex
 from ..datagraph.index import LabelIndex
 from ..datagraph.node import NodeId
 from ..datapaths import RegisterAutomaton, Valuation
 from ..datapaths.conditions import And, Condition, Equal, NotEqual, Or
-from ..datapaths.fragments import DataPathExpression, free_registers, ree_to_rem, scope_violation
+from ..datapaths.fragments import (
+    DataPathExpression,
+    free_registers,
+    ree_to_rem,
+    regex_to_rem,
+    scope_violation,
+)
 from ..datapaths.ree import RegexWithEquality
 from ..datapaths.rem import (
     RegexWithMemory,
@@ -51,7 +75,12 @@ from . import product
 from .bitrelation import BitRelation
 from .spaces import RegisterProductSpace
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..deltas.delta import GraphDelta
+    from ..deltas.journal import DeltaJournal
+
 __all__ = [
+    "RowMemo",
     "ree_relation",
     "register_automaton_relation",
     "register_automaton_relation_per_source",
@@ -72,19 +101,23 @@ def ree_relation(
     expression: DataPathExpression,
     null_semantics: bool = False,
     sources: Optional[Iterable[NodeId]] = None,
+    memo: Optional["RowMemo"] = None,
 ) -> BitRelation:
     """The relation of a scoped expression — an REE, or a REM passing
     :func:`~repro.datapaths.fragments.scope_violation` (a plain RPQ is
     one, through :func:`~repro.datapaths.fragments.regex_to_rem`) — on bit rows,
     over either index type; with *sources*, only the pairs starting at
-    one of them, exploring only what they reach.
+    one of them, exploring only what they reach.  An unseeded evaluation
+    given a *memo* takes its closed sub-expression rows from it, carried
+    across the graph's journaled deltas, and leaves its own there.
     """
     reason = scope_violation(expression)
     if reason is not None:
         raise EvaluationError(f"the bit-row algebra evaluates scoped expressions only: {reason}")
     if isinstance(expression, RegexWithEquality):
         expression = ree_to_rem(expression)
-    algebra = _OriginAlgebra(index, null_semantics, seeded=sources is not None)
+    seeded = sources is not None
+    algebra = _OriginAlgebra(index, null_semantics, seeded, None if seeded else memo)
     if sources is None:
         rows = algebra.closed(expression)
     else:
@@ -92,6 +125,76 @@ def ree_relation(
         seeds = {u: 1 << u for u in map(at, sources) if u is not None}
         rows = algebra.pusher(expression)(seeds)
     return BitRelation(index.nodes, index.position, rows)
+
+
+class _Kept(NamedTuple):
+    """A memoised sub-expression's rows at graph *version*, over the
+    index ordering *nodes*; when *since* is set, *gained* is what the
+    rows grew by since that version (an insert-only stretch)."""
+
+    version: int
+    nodes: Tuple[NodeId, ...]
+    rows: Rows
+    since: Optional[int]
+    gained: Optional[Rows]
+
+
+class RowMemo:
+    """Closed sub-expression rows that outlive an evaluation and a write.
+
+    Keyed by the structural sub-expression (and, when it reads values,
+    the null semantics), holding the rows of the latest graph version it
+    was evaluated at; bounded LRU, at most *maxsize* sub-expressions.
+    An evaluation at a later version composes the graph's *journal*
+    deltas since (without a journal, rows serve their own version only),
+    and per sub-expression either reuses the rows (the
+    delta touched none of its labels, and added no node it could match
+    the empty path at), continues them (an insert-only change it reads:
+    a closure resumes from the steps it gained) or recomputes them (a
+    removal or value change it reads, a broken lineage, a removed node).
+    ``counts`` tallies those outcomes as ``reused`` / ``continued`` /
+    ``computed``.  Not thread-safe, like the session caches beside it.
+    """
+
+    def __init__(self, journal: Optional["DeltaJournal"], maxsize: int):
+        self.journal = journal
+        self.maxsize = maxsize
+        self.counts: Counter = Counter()
+        self._entries: "OrderedDict[Tuple, _Kept]" = OrderedDict()
+
+    @staticmethod
+    def key(expr: RegexWithMemory, null_semantics: bool) -> Tuple:
+        return expr, null_semantics and _reads_values(expr)
+
+    def peek(self, key: Tuple) -> Optional[_Kept]:
+        return self._entries.get(key)
+
+    def keep(self, key: Tuple, kept: _Kept) -> None:
+        entries = self._entries
+        held = entries.get(key)
+        if held is not None and held.version > kept.version:
+            return  # an evaluation on an older snapshot never overwrites a newer one
+        entries[key] = kept
+        entries.move_to_end(key)
+        if len(entries) > self.maxsize:
+            entries.popitem(last=False)
+
+    def holds(self, expression, null_semantics: bool, version: int) -> bool:
+        """Whether the rows of *expression* (a regex, REE or REM) are kept
+        from exactly *version*: an evaluation now starts from them rather
+        than from nothing."""
+        if isinstance(expression, RegexWithEquality):
+            expression = ree_to_rem(expression)
+        elif not isinstance(expression, RegexWithMemory):
+            expression = regex_to_rem(expression)
+        kept = self._entries.get(self.key(expression, null_semantics))
+        return kept is not None and version in (kept.version, kept.since)
+
+    def clear(self) -> None:
+        self._entries.clear()
+
+    def __len__(self) -> int:
+        return len(self._entries)
 
 
 class _OriginAlgebra:
@@ -109,32 +212,152 @@ class _OriginAlgebra:
     origins the condition admits at that position.  Unseeded, a closed
     sub-expression met at the identity is its memoised relation; a seeded
     evaluation only ever pushes.
+
+    With a :class:`RowMemo`, a closed sub-expression's rows are first
+    looked up there (:meth:`_remembered`), possibly carried across the
+    graph's journaled deltas since they were kept.
     """
 
-    def __init__(self, index, null_semantics: bool, seeded: bool):
+    def __init__(self, index, null_semantics: bool, seeded: bool, memo: Optional[RowMemo] = None):
         self.index = index
         self.null_semantics = null_semantics
         self.positions = range(len(index.nodes))
         self.identity: Optional[Rows] = None if seeded else {v: 1 << v for v in self.positions}
         self.relations: Dict[RegexWithMemory, Rows] = {}
         self.pushers: Dict[RegexWithMemory, Pusher] = {}
+        self.successors: Dict[RegexWithMemory, Dict[int, Tuple[int, ...]]] = {}
+        self.memo = memo
+        self.deltas: Dict[int, Optional["GraphDelta"]] = {}
 
     def closed(self, expr: RegexWithMemory) -> Rows:
         rows = self.relations.get(expr)
-        if rows is not None:
-            return rows
-        if isinstance(expr, RemConcat):
-            rows = self.pusher(expr.right)(self.closed(expr.left))
-        elif isinstance(expr, RemUnion):
-            rows = _union(self.closed(expr.left), self.closed(expr.right))
-        elif isinstance(expr, RemBind):
-            rows = self.pusher(expr.inner)(self.identity)
-        elif isinstance(expr, RemTest):  # closed, so its condition reads nothing: ⊤
-            rows = self.closed(expr.inner)
-        else:  # ε, a letter, e⁺: pushed from the identity
-            rows = self._build(expr)(self.identity)
-        self.relations[expr] = rows
+        if rows is None:
+            rows = self._evaluate(expr) if self.memo is None else self._remembered(expr)
+            self.relations[expr] = rows
         return rows
+
+    def _evaluate(self, expr: RegexWithMemory) -> Rows:
+        if isinstance(expr, RemConcat):
+            return self.pusher(expr.right)(self.closed(expr.left))
+        if isinstance(expr, RemUnion):
+            return _union(self.closed(expr.left), self.closed(expr.right))
+        if isinstance(expr, RemBind):
+            return self.pusher(expr.inner)(self.identity)
+        if isinstance(expr, RemTest):  # closed, so its condition reads nothing: ⊤
+            return self.closed(expr.inner)
+        if isinstance(expr, RemPlus):
+            inner = expr.inner
+            return _closure(self.pusher(inner), self.closed(inner), self._successors(inner))
+        return self._build(expr)(self.identity)  # ε, a letter: pushed from the identity
+
+    # ------------------------------------------------------------------
+    # Rows carried across graph versions (a RowMemo)
+    # ------------------------------------------------------------------
+    def _remembered(self, expr: RegexWithMemory) -> Rows:
+        """*expr*'s closed rows, from the memo when its kept rows are
+        exact now, carried when a delta since left them exact or only
+        grew them, evaluated otherwise — and kept for the next time."""
+        memo, version = self.memo, self.index.version
+        key = memo.key(expr, self.null_semantics)
+        kept = memo.peek(key)
+        if kept is not None and kept.version == version:
+            memo.counts["reused"] += 1
+            return kept.rows
+        delta = None if kept is None else self._delta_since(kept)
+        rows = since = gained = None
+        if delta is not None:
+            change = _change(expr, delta)
+            if change is None:
+                memo.counts["reused"] += 1
+                rows, since, gained = kept.rows, kept.version, {}
+            elif change == "grows":
+                if not _reads_values(expr):
+                    rows = self._continued(expr, kept, delta)
+                if rows is not None:
+                    memo.counts["continued"] += 1
+                since = kept.version
+        if rows is None:
+            memo.counts["computed"] += 1
+            rows = self._evaluate(expr)
+        if since is not None and gained is None:
+            gained = _gained(rows, kept.rows)
+        memo.keep(key, _Kept(version, self.index.nodes, rows, since, gained))
+        return rows
+
+    def _delta_since(self, kept: _Kept) -> Optional["GraphDelta"]:
+        """The journal's composed delta from *kept*'s version to the
+        index's, when *kept*'s positions are still this index's: no node
+        removed, the ordering only appended to.  ``None`` otherwise."""
+        deltas = self.deltas
+        if kept.version not in deltas:
+            delta, journal = None, self.memo.journal
+            if journal is not None and kept.version < self.index.version:
+                delta = journal.composed(kept.version, self.index.version)
+            nodes = self.index.nodes
+            if delta is not None and (
+                delta.removed_nodes or nodes[: len(kept.nodes)] != kept.nodes
+            ):
+                delta = None
+            deltas[kept.version] = delta
+        return deltas[kept.version]
+
+    def _gains(self, expr: RegexWithMemory, base: int, lazily: bool = False) -> Optional[Rows]:
+        """The rows *expr*'s relation gained since version *base*, now
+        evaluated; ``None`` when the memo cannot say.  *lazily*: unless
+        they are in hand or kept, do not evaluate *expr* at all."""
+        key = self.memo.key(expr, self.null_semantics)
+        if lazily and expr not in self.relations:
+            kept = self.memo.peek(key)
+            if kept is None or base not in (kept.version, kept.since):
+                return None
+        self.closed(expr)
+        kept = self.memo.peek(key)
+        if kept is None or kept.version != self.index.version or kept.since != base:
+            return None
+        return kept.gained
+
+    def _continued(self, expr: RegexWithMemory, kept: _Kept, delta: "GraphDelta") -> Optional[Rows]:
+        """*expr*'s rows after an insert-only change to what it reads,
+        grown from *kept*'s by what its parts gained: a letter by its
+        added edges, ``e₁·e₂`` by ``Δe₁`` pushed through ``e₂`` and
+        ``e₁`` composed with ``Δe₂``, ``e⁺`` by resuming the closure
+        from ``Δe``'s steps.  ``None`` when a part's gain is unknown."""
+        base = kept.version
+        if isinstance(expr, RemLetter):
+            rows, at, symbol = dict(kept.rows), self.index.position, expr.symbol
+            for source, label, target in delta.added_edges:
+                if label == symbol:
+                    v = at[target]
+                    rows[v] = rows.get(v, 0) | 1 << at[source]
+            return rows
+        if isinstance(expr, RemPlus):
+            gained = self._gains(expr.inner, base)
+            if gained is None:
+                return None
+            if not gained:
+                return kept.rows
+            inner = expr.inner
+            return _closure(self.pusher(inner), gained, self._successors(inner), kept.rows)
+        if isinstance(expr, RemConcat):
+            left = self._gains(expr.left, base)
+            right = self._gains(expr.right, base, lazily=True) if _change(expr.right, delta) else {}
+            if left is None or right is None:
+                return None
+            rows = kept.rows
+            if left:
+                rows = _union(rows, self.pusher(expr.right)(left))
+            if right:
+                rows = _union(rows, _compose(self.closed(expr.left), right, self.positions))
+            return rows
+        return self._evaluate(expr)  # ε, e₁ + e₂: as cheap as their parts
+
+    def _successors(self, inner: RegexWithMemory) -> Optional[Dict[int, Tuple[int, ...]]]:
+        """A closure step's successor memo — shared by every closure over
+        *inner* in this evaluation — or ``None`` when *inner* reads a
+        register, so that its step filters per target."""
+        if free_registers(inner):
+            return None
+        return self.successors.setdefault(inner, {})
 
     def pusher(self, expr: RegexWithMemory) -> Pusher:
         """*expr* as a function from arrived rows to the rows after it."""
@@ -159,8 +382,7 @@ class _OriginAlgebra:
         if isinstance(expr, RemPlus):
             # An inner reading no register carries every mask alike: its
             # successors are a graph fact, memoised across this evaluation.
-            inner = self.pusher(expr.inner)
-            successors = None if free_registers(expr.inner) else {}
+            inner, successors = self.pusher(expr.inner), self._successors(expr.inner)
             return lambda arrived: _closure(inner, inner(arrived), successors)
         if isinstance(expr, RemTest):
             return _test_pusher(self.pusher(expr.inner), self._allowed(expr.condition))
@@ -260,7 +482,10 @@ def _test_pusher(inner: Pusher, allowed: Callable[[int], int]) -> Pusher:
 
 
 def _closure(
-    step: Pusher, first: Rows, successors: Optional[Dict[int, Tuple[int, ...]]]
+    step: Pusher,
+    first: Rows,
+    successors: Optional[Dict[int, Tuple[int, ...]]],
+    base: Optional[Rows] = None,
 ) -> Rows:
     """One or more *step*s, from the rows *first* reached: a worklist
     over positions, each pushing its row onwards when it grew since its
@@ -270,9 +495,22 @@ def _closure(
     against the ordering.  Given a *successors* memo (a step that reads
     no register), a position's successors are pushed once, on its first
     turn, and every later turn is pure ORs — a dense cycle revisits its
-    positions many times over."""
-    rows = dict(first)
-    waiting = set(rows)
+    positions many times over.
+
+    With *base* — the closure's rows before its step gained the pairs
+    *first* — the closure resumes from them: only the positions *first*
+    grew and the origins of its new steps start out waiting (every other
+    row was already pushed along every old step)."""
+    if base is None:
+        rows = dict(first)
+        waiting = set(rows)
+    else:
+        rows = _union(base, first)
+        waiting = {v for v, mask in first.items() if mask & ~base.get(v, 0)}
+        origins = 0
+        for mask in first.values():
+            origins |= mask
+        waiting.update(u for u in BitRelation.members(origins, range(origins.bit_length())) if u in rows)
     descending = False
     while waiting:
         for u in sorted(waiting, reverse=descending):
@@ -297,6 +535,56 @@ def _closure(
                     waiting.add(v)
         descending = not descending
     return rows
+
+
+def _gained(new: Rows, old: Rows) -> Rows:
+    """The bits *new* holds beyond *old*, row by row."""
+    gained: Rows = {}
+    for v, mask in new.items():
+        fresh = mask & ~old.get(v, 0)
+        if fresh:
+            gained[v] = fresh
+    return gained
+
+
+def _reads_values(expr: RegexWithMemory) -> bool:
+    """Whether *expr* stores or tests a data value anywhere."""
+    if isinstance(expr, (RemBind, RemTest)):
+        return True
+    if isinstance(expr, (RemConcat, RemUnion)):
+        return _reads_values(expr.left) or _reads_values(expr.right)
+    if isinstance(expr, RemPlus):
+        return _reads_values(expr.inner)
+    return False
+
+
+def _nullable(expr: RegexWithMemory) -> bool:
+    """Whether *expr* may match an empty path (a test on it: may)."""
+    if isinstance(expr, RemEpsilon):
+        return True
+    if isinstance(expr, RemConcat):
+        return _nullable(expr.left) and _nullable(expr.right)
+    if isinstance(expr, RemUnion):
+        return _nullable(expr.left) or _nullable(expr.right)
+    if isinstance(expr, (RemPlus, RemTest, RemBind)):
+        return _nullable(expr.inner)
+    return False
+
+
+def _change(expr: RegexWithMemory, delta: "GraphDelta") -> Optional[str]:
+    """What *delta* (no node removed) does to *expr*'s relation: ``None``
+    — nothing (it touches none of *expr*'s labels, changes no value it
+    reads and adds no node it could match the empty path at);
+    ``"grows"`` — it only adds pairs (an insert-only change to what it
+    reads); ``"other"`` — anything else."""
+    labels = expr.labels()
+    if delta.value_changes and _reads_values(expr):
+        return "other"
+    if any(label in labels for _source, label, _target in delta.removed_edges):
+        return "other"
+    if any(label in labels for _source, label, _target in delta.added_edges):
+        return "grows"
+    return "grows" if delta.added_nodes and _nullable(expr) else None
 
 
 def _union(left: Rows, right: Rows) -> Rows:

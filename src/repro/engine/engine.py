@@ -157,13 +157,18 @@ class EvaluationEngine:
         return graph.compact_index() if route.kernel == "compact" else graph.label_index()
 
     def relation_bits(
-        self, graph: DataGraph, query, route: "Route", null_semantics: bool = False
+        self,
+        graph: DataGraph,
+        query,
+        route: "Route",
+        null_semantics: bool = False,
+        memo: Optional[data_kernels.RowMemo] = None,
     ) -> Optional[BitRelation]:
         """The full relation of an RPQ / data RPQ as bit rows — :meth:`atom_bits`
         with nothing seeded, so ``None`` off a sequential compact route.
         Decode with ``node_pairs(graph.compact_index().node_objects)``.
         """
-        return self.atom_bits(graph, query, route, null_semantics=null_semantics)
+        return self.atom_bits(graph, query, route, null_semantics=null_semantics, memo=memo)
 
     def evaluate_rpq(
         self, graph: DataGraph, query: RPQLike, route: Optional["Route"] = None
@@ -387,11 +392,13 @@ class EvaluationEngine:
         sources: Optional[Iterable[NodeId]] = None,
         targets: Optional[Iterable[NodeId]] = None,
         null_semantics: bool = False,
+        memo: Optional[data_kernels.RowMemo] = None,
     ) -> Optional[BitRelation]:
         """A scoped expression's (seeded) relation by the bit-row algebra,
         over the index a sequential *route* names — the one place an RPQ
         or a data RPQ is sent to it; a plain regex goes as the REM with no
-        registers (:func:`~repro.datapaths.fragments.regex_to_rem`).
+        registers (:func:`~repro.datapaths.fragments.regex_to_rem`).  Its
+        closed sub-expression rows are carried in *memo* when one is given.
         ``None`` for anything else: a cross-scope REM, a partitioned
         driver."""
         if route.driver != "sequential":
@@ -402,7 +409,7 @@ class EvaluationEngine:
         elif scope_violation(expression) is not None:
             return None
         relation = data_kernels.ree_relation(
-            self._index(graph, route), expression, null_semantics, sources
+            self._index(graph, route), expression, null_semantics, sources, memo=memo
         )
         return relation if targets is None else relation.restrict(targets=targets)
 
@@ -414,18 +421,20 @@ class EvaluationEngine:
         sources: Optional[Iterable[NodeId]] = None,
         targets: Optional[Iterable[NodeId]] = None,
         null_semantics: bool = False,
+        memo: Optional[data_kernels.RowMemo] = None,
     ) -> Optional[BitRelation]:
         """One atom's (seeded) relation as the bit rows of *route*'s
         kernel — what :meth:`evaluate_atom_ids` decodes — or ``None`` when
         that route yields id pairs (dict / sql kernels, partitioned
         drivers).  CRPQ scans read live columns straight off the rows.
         An RPQ or scoped data expression takes the bit-row algebra —
-        bound *sources* seed it, bound *targets* select rows — and a
-        cross-scope REM the register kernel.
+        bound *sources* seed it, bound *targets* select rows, and an
+        unseeded run takes and leaves its sub-expression rows in *memo* —
+        and a cross-scope REM the register kernel.
         """
         if route.kernel != "compact" or route.driver != "sequential":
             return None
-        bits = self._scoped_bits(graph, query, route, sources, targets, null_semantics)
+        bits = self._scoped_bits(graph, query, route, sources, targets, null_semantics, memo)
         if bits is not None:
             return bits
         return compact_kernels.register_relation(

@@ -58,6 +58,7 @@ from typing import (
 from ..datagraph.graph import DataGraph
 from ..datagraph.node import Node, NodeId
 from ..engine.bitrelation import BitRelation
+from ..engine.data import RowMemo
 from ..engine.engine import EvaluationEngine, default_engine
 from ..exceptions import EvaluationError
 from ..query.crpq import Atom
@@ -130,7 +131,7 @@ class PlanTrace:
 class _Context:
     """Everything one plan execution needs, bundled for the recursion."""
 
-    __slots__ = ("graph", "engine", "null_semantics", "route", "relation_cache", "trace")
+    __slots__ = ("graph", "engine", "null_semantics", "route", "relation_cache", "trace", "memo")
 
     def __init__(
         self,
@@ -140,6 +141,7 @@ class _Context:
         route: "Route",
         relation_cache: Optional[RelationCache] = None,
         trace: Optional[PlanTrace] = None,
+        memo: Optional[RowMemo] = None,
     ):
         self.graph = graph
         self.engine = engine
@@ -147,6 +149,7 @@ class _Context:
         self.route = route
         self.relation_cache = relation_cache
         self.trace = trace
+        self.memo = memo
 
     def fetch(
         self,
@@ -165,7 +168,7 @@ class _Context:
                 return cached
         null_semantics = self.null_semantics if isinstance(atom.query, DataRPQ) else False
         bits = self.engine.atom_bits(
-            self.graph, atom.query, self.route, sources, targets, null_semantics
+            self.graph, atom.query, self.route, sources, targets, null_semantics, self.memo
         )
         if bits is not None:
             return bits
@@ -457,6 +460,7 @@ def execute_plan(
     relation_cache: Optional[RelationCache] = None,
     trace: Optional[PlanTrace] = None,
     decode: bool = True,
+    memo: Optional[RowMemo] = None,
 ) -> Union[FrozenSet[Tuple[Node, ...]], BitRelation]:
     """Evaluate a planned CRPQ on *graph*, returning head-variable tuples.
 
@@ -481,7 +485,9 @@ def execute_plan(
     nothing to adapt) observes intermediate cardinalities and re-plans on
     misestimates;
     *relation_cache* answers scans from previously materialised full
-    relations; *trace* collects the estimate-vs-observed
+    relations; *memo* (a session's :class:`~repro.engine.data.RowMemo`)
+    carries the algebra's sub-expression rows of unseeded scans across
+    runs and graph versions; *trace* collects the estimate-vs-observed
     record for ``--explain``.
     """
     if engine is None:
@@ -495,7 +501,7 @@ def execute_plan(
 
         rows = sql_backend.evaluate_plan_rows(plan.root, graph, engine, null_semantics)
         return _node_rows(rows, graph, route, decode)
-    context = _Context(graph, engine, null_semantics, route, relation_cache, trace)
+    context = _Context(graph, engine, null_semantics, route, relation_cache, trace, memo)
     if len(plan.atom_order) == 1:
         rows = _execute_single(plan, context)
     elif adaptive:

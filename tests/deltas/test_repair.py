@@ -232,9 +232,9 @@ class TestRepairedEqualsFresh:
 
     def test_edges_the_query_cannot_read_seed_nothing(self, monkeypatch):
         """An edge whose label the query never mentions carries no
-        witness path: a batch of them repairs with zero seeds — however
-        much of the graph its endpoints could reach — and the cached
-        entry stands, bit for bit the fresh one."""
+        witness path: a batch of them repairs without walking any closure
+        — however much of the graph its endpoints could reach — and the
+        cached entry stands, bit for bit the fresh one."""
         graph = chain_graph()
         query = DIALECT_QUERIES["rpq"]
         session = GraphSession(graph, policy=COMPACT)
@@ -254,7 +254,7 @@ class TestRepairedEqualsFresh:
                 batch.add_edge(f"k{c}n0", "alt_for", f"k{c}n{CHAIN_LENGTH - 1}")
         calls = KernelCalls(monkeypatch)
         served = session.run(query).rows()
-        assert closures == [0] and calls.compact == 0
+        assert closures == [] and calls.compact == 0 and not calls.algebra
         assert session._results.peek((graph.version, query.key, False)) is entry
         fresh = GraphSession(graph, policy=COMPACT)
         assert served == fresh.run(query).rows() == fresh_rows(graph, query)
@@ -264,10 +264,12 @@ class TestRepairedEqualsFresh:
 
     def test_a_closure_is_answered_and_repaired_without_an_automaton(self, monkeypatch):
         """run → insert → run → ``alt_for``-only batch → run on
-        ``supplies_to+``: the answer, the repair's seeds and the labels
-        that choose them all come from the query itself, so no automaton
-        is compiled; the repaired rows are a fresh session's, bit for
-        bit, and the ``alt_for`` batch repairs with zero seeds."""
+        ``supplies_to+``: the answer and the labels a repair reads come
+        from the query itself, so no automaton is compiled; the insert
+        continues the session's kept closure rows from its new step (no
+        backward closure is walked), the ``alt_for`` batch touches
+        nothing the query reads, and the repaired rows are a fresh
+        session's, bit for bit."""
         graph = supplier_graph()
         query = Query.parse("supplies_to+")
         compiled, closures = [], []
@@ -294,7 +296,7 @@ class TestRepairedEqualsFresh:
             batch.add_edge("t2s1", "alt_for", "t2s5")
         served = session.run(query).rows()
         assert compiled == []
-        assert closures[0] > 0 and closures[1] == 0
+        assert closures == []
         stats = session.maintenance_stats()
         assert (stats["repairs"], stats["recomputes"]) == (2, 0)
         fresh = GraphSession(graph, policy=COMPACT)
@@ -340,10 +342,10 @@ class KernelCalls:
         forward = product_kernels.forward_expand
         algebra = data_kernels.ree_relation
 
-        def ree_relation(index, expression, null_semantics=False, sources=None):
+        def ree_relation(index, expression, null_semantics=False, sources=None, memo=None):
             seeded = None if sources is None else len(sources)
             self.algebra.append((isinstance(index, CompactLabelIndex), seeded))
-            return algebra(index, expression, null_semantics, sources)
+            return algebra(index, expression, null_semantics, sources, memo)
 
         monkeypatch.setattr(data_kernels, "ree_relation", ree_relation)
 
@@ -379,13 +381,15 @@ class TestRepairFollowsTheRoute:
         stats = session.maintenance_stats()
         assert stats["repairs"] == 1 and stats["recomputes"] == 0
         # what explain names is what repaired: an RPQ or a scoped data RPQ
-        # by one seeded run of the algebra over the route's index (an RPQ
-        # on the sql route by its seeded CTE), never a product kernel
+        # by one run of the algebra over the route's index — on the compact
+        # route unseeded, continuing the session's kept rows, elsewhere
+        # seeded at the touched closure (an RPQ on the sql route by its
+        # seeded CTE), never a product kernel
         if dialect == "rpq" and route == "sql":
             assert not calls.algebra and calls.compact == 0 and calls.dict_forward == 0
         elif dialect in SCOPED:
             ((on_csr, seeded),) = calls.algebra
-            assert on_csr == (route == "compact") and seeded
+            assert on_csr == (route == "compact") and (seeded is None) == (route == "compact")
             assert calls.compact == 0 and calls.dict_forward == 0
         elif route == "compact":
             assert calls.compact == 1 and calls.dict_forward == 0 and not calls.algebra
@@ -424,10 +428,11 @@ class TestRepairFollowsTheRoute:
     @pytest.mark.parametrize("dialect", sorted(REPAIRING))
     def test_compact_repairs_keep_bit_rows_across_batches(self, dialect, monkeypatch):
         """An RPQ's or scoped data RPQ's rows come from the algebra run
-        unseeded, the pairs a repair merges into them from the same
-        algebra seeded at the touched closure (a cross-scope REM's: the
-        register kernel, both times): the union is still the fresh run's,
-        bit for bit, on a node ordering the first batch grows."""
+        unseeded, and a repair is the same run again, continuing the
+        session's kept sub-expression rows (a cross-scope REM's: the
+        register kernel, seeded at the touched closure): the repaired rows
+        are still the fresh run's, bit for bit, on a node ordering the
+        first batch grows."""
         graph = chain_graph()
         query = DIALECT_QUERIES[dialect]
         session = GraphSession(graph, policy=ROUTE_POLICIES["compact"])
@@ -451,12 +456,13 @@ class TestRepairFollowsTheRoute:
                 graph, query.plan, session._route(query), null_semantics=False
             )
             assert bits.rows == fresh.rows
-        assert session.maintenance_stats()["repairs"] == 3
-        # three repairs (seeded) and three `relation_bits` runs, each on the
-        # kernel explain names; the default-policy `fresh_rows` run dict-side
-        repairs = [on_csr for on_csr, seeded in calls.algebra if seeded]
+        stats = session.maintenance_stats()
+        assert stats["repairs"] == 3
+        # per batch: the repair and a fresh `relation_bits` run on the CSR
+        # index, the default-policy `fresh_rows` run dict-side — all unseeded
         if dialect in SCOPED:
-            assert repairs == [True] * 3 and calls.compact == 0
+            assert calls.algebra == [(True, None), (False, None), (True, None)] * 3
+            assert calls.compact == 0 and stats["rows"]["continued"] >= 3
         else:
             assert not calls.algebra and calls.compact == 6
 
@@ -678,6 +684,129 @@ class TestReAnswersDecodeByDifference:
         assert stats["recompute_reasons"] == ({} if lineage == "repair disabled" else {lineage: 1})
 
 
+def row_outcomes(session, act):
+    """The session's row-memo outcomes during *act*()."""
+    before = session.maintenance_stats()["rows"]
+    act()
+    after = session.maintenance_stats()["rows"]
+    return {outcome: after[outcome] - before[outcome] for outcome in after}
+
+
+class TestRowsOutliveAWrite:
+    """The session's row memo: sub-expression rows carried across
+    batches, continued from what an insert-only delta added."""
+
+    def test_a_closure_resumes_from_its_new_step_and_the_rows_reaching_it(self):
+        """A step from the end of chain 0 to the head of chain 1: every
+        source reaching ``k0n11`` must flow into chain 1, which only the
+        resumed closure's push of the step's origin row achieves."""
+        graph = chain_graph()
+        query = DIALECT_QUERIES["rpq"]
+        session = GraphSession(graph, policy=COMPACT)
+        session.run(query).rows()
+
+        def act():
+            with graph.batch() as batch:
+                batch.add_edge(f"k0n{CHAIN_LENGTH - 1}", "a", "k1n0")
+            assert session.run(query).rows() == fresh_rows(graph, query)
+
+        outcomes = row_outcomes(session, act)
+        # b is untouched; a, a|b and (a|b)+ grow
+        assert outcomes == {"reused": 1, "continued": 3, "computed": 0}
+        assert session.maintenance_stats()["repairs"] == 1
+
+    def test_a_concatenation_continues_through_its_touched_right_factor(self):
+        """``alt_for.supplies_to+`` after a ``supplies_to`` insert: the
+        closure is continued once (for both queries), ``alt_for`` reused
+        and the concatenation grown by ``alt_for`` composed with what the
+        closure gained — nothing is evaluated afresh."""
+        graph = supplier_graph()
+        queries = [Query.parse("supplies_to+"), Query.parse("alt_for.supplies_to+")]
+        session = GraphSession(graph, policy=COMPACT)
+        for query in queries:
+            session.run(query).rows()
+
+        def act():
+            with graph.batch() as batch:
+                batch.add_edge("t3s0", "supplies_to", "t4s4")
+            assert [session.run(q).rows() for q in queries] == [fresh_rows(graph, q) for q in queries]
+
+        outcomes = row_outcomes(session, act)
+        assert outcomes == {"reused": 2, "continued": 3, "computed": 0}
+
+    def test_an_insert_its_left_factor_reads_pushes_only_the_new_rows(self):
+        graph = supplier_graph()
+        query = Query.parse("alt_for.supplies_to+")
+        session = GraphSession(graph, policy=COMPACT)
+        session.run(query).rows()
+
+        def act():
+            with graph.batch() as batch:
+                batch.add_edge("t1s0", "alt_for", "t1s1")
+            assert session.run(query).rows() == fresh_rows(graph, query)
+
+        assert row_outcomes(session, act) == {"reused": 0, "continued": 2, "computed": 0}
+
+    def test_a_removal_recomputes_what_reads_its_label_and_reuses_the_rest(self):
+        """After a ``supplies_to`` removal, ``supplies_to`` and its
+        closure are recomputed, and so is the CRPQ's fused atom
+        ``alt_for·supplies_to+`` — by pushing ``alt_for``'s rows, which it
+        reuses, through the closure."""
+        graph = supplier_graph()
+        queries = [
+            Query.parse("supplies_to+"),
+            Query.parse("x, z :- (x, alt_for, y), (y, supplies_to+, z)", dialect="crpq"),
+        ]
+        session = GraphSession(graph, policy=COMPACT)
+        for query in queries:
+            session.run(query).rows()
+
+        def act():
+            with graph.batch() as batch:
+                batch.remove_edge("t1s0", "supplies_to", "t2s0")
+            assert [session.run(q).rows() for q in queries] == [fresh_rows(graph, q) for q in queries]
+
+        assert row_outcomes(session, act) == {"reused": 1, "continued": 0, "computed": 3}
+
+    def test_a_wide_insert_is_continued_where_seeding_would_decline(self):
+        """The batch of ``test_wide_delta_exceeds_the_seed_fraction_and_recomputes``
+        on the compact route: continuing the kept rows costs what the
+        insert adds, not the touched closure, so nothing declines."""
+        graph = chain_graph()
+        query = DIALECT_QUERIES["rpq"]
+        session = GraphSession(graph, policy=COMPACT)
+        session.run(query).rows()
+        with graph.batch() as batch:
+            for c in range(CHAINS):
+                batch.add_edge(f"k{c}n0", "a", f"k{c}n{CHAIN_LENGTH - 1}")
+        assert session.run(query).rows() == fresh_rows(graph, query)
+        stats = session.maintenance_stats()
+        assert (stats["repairs"], stats["recomputes"]) == (1, 0)
+        # the first run computed a, b, a|b and (a|b)+; the batch added a-edges only
+        assert stats["rows"] == {"reused": 1, "continued": 3, "computed": 4}
+
+    def test_without_delta_repair_rows_serve_one_version_only(self):
+        graph = chain_graph()
+        query = DIALECT_QUERIES["rpq"]
+        session = GraphSession(graph, policy=ExecutionPolicy(backend="compact", delta_repair=False))
+        session.run(query).rows()
+
+        def act():
+            shortcut_batch(graph)
+            assert session.run(query).rows() == fresh_rows(graph, query)
+
+        assert row_outcomes(session, act) == {"reused": 0, "continued": 0, "computed": 4}
+
+    def test_the_memo_is_bounded_by_the_result_cache_size(self):
+        graph = chain_graph()
+        session = GraphSession(graph, policy=ExecutionPolicy(backend="compact", result_cache_size=3))
+        for text in ("(a|b)+", "a.b.a", "b+.a*"):
+            session.run(text).rows()
+        assert len(session._rows) == 3
+        session.clear_cache()
+        assert len(session._rows) == 0
+
+
 def naive_answer(graph: DataGraph, query: Query, null_semantics: bool):
     """The executable specification of *query*'s answer."""
     if query.kind.value == "rpq":
@@ -687,10 +816,11 @@ def naive_answer(graph: DataGraph, query: Query, null_semantics: bool):
     return evaluate_crpq_naive(graph, query.plan, null_semantics)
 
 
-#: An RPQ, a scoped REM, an REE, a cross-scope REM, and a binary (ending
-#: on bit rows), a unary and a 3-ary CRPQ.
+#: Two RPQs, a scoped REM, an REE, a cross-scope REM, and a binary
+#: (ending on bit rows), a unary and a 3-ary CRPQ.
 PROPERTY_QUERIES = (
     Query.parse("a.(a|b)*"),
+    Query.parse("(a|b).b+.a"),
     DIALECT_QUERIES["rem"],
     Query.parse("((a|b)+)!=", dialect="ree"),
     DIALECT_QUERIES["rem-cross"],
@@ -729,8 +859,10 @@ def test_re_answers_after_random_batches_equal_a_fresh_session_and_the_spec(data
     """After every batch — edge inserts and removals, node adds, value
     changes, node removals — a warm session's answers equal a fresh
     session's and the naive spec's, its cached bit rows equal the fresh
-    rows, and a lineage that changed a value or removed a node is never
-    patched."""
+    rows, every sub-expression's rows its row memo carried or evaluated
+    equal a fresh algebra run's (and what they gained since the batch's
+    base, the difference), and a lineage that changed a value or
+    removed a node is never patched."""
     graph = DataGraph(name="random-batches")
     size = data.draw(st.integers(min_value=3, max_value=7))
     for i in range(size):
@@ -746,6 +878,7 @@ def test_re_answers_after_random_batches_equal_a_fresh_session_and_the_spec(data
     fresh_ids = (f"m{i}" for i in range(1000))
     for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
         base = graph.version
+        before = {key: kept.rows for key, kept in session._rows._entries.items() if kept.version == base}
         random_batch(graph, data, fresh_ids)
         delta = graph.journal.composed(base, graph.version)
         patched = session.maintenance_stats()["patched"]
@@ -758,6 +891,15 @@ def test_re_answers_after_random_batches_equal_a_fresh_session_and_the_spec(data
             assert (warm_bits is None) == (fresh_bits is None)
             if warm_bits is not None:
                 assert warm_bits.nodes == fresh_bits.nodes and warm_bits.rows == fresh_bits.rows
+        compact = graph.compact_index()
+        for (expression, null), kept in session._rows._entries.items():
+            if kept.version != graph.version:
+                continue
+            assert kept.rows == data_kernels.ree_relation(compact, expression, null).rows
+            if kept.since == base and (expression, null) in before:
+                new = BitRelation(compact.nodes, compact.position, kept.rows)
+                old = BitRelation(compact.nodes, compact.position, before[(expression, null)])
+                assert not old.minus(new) and kept.gained == new.minus(old).rows
         if delta.value_changes or delta.removed_nodes:
             assert session.maintenance_stats()["patched"] == patched
 

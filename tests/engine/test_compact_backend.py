@@ -255,6 +255,44 @@ def grown_index(graph):
     return dict_index
 
 
+@pytest.mark.parametrize("change", ["edge", "node", "value", "removal"])
+def test_a_batch_carries_the_csr_rows_it_left_alone(change):
+    """The snapshot after a journaled batch equals a fresh build, and
+    shares the previous snapshot's rows of every label the batch touched
+    no edge of — and, when no value changed, its ``Node`` objects."""
+    graph = (
+        GraphBuilder()
+        .node("n0", 1).node("n1", 2).node("n2", 1).node("n3", 3)
+        .edge("n0", "a", "n1").edge("n1", "a", "n2").edge("n2", "b", "n3").edge("n3", "b", "n0")
+        .build()
+    )
+    before = graph.compact_index()
+    column = before.node_objects
+    with graph.batch() as batch:
+        if change == "edge":
+            batch.add_edge("n0", "a", "n3")
+        elif change == "node":
+            batch.add_node("late", 4)
+            batch.add_edge("late", "a", "n0")
+        elif change == "value":
+            batch.set_value("n1", 9)
+        else:
+            batch.remove_node("n3")
+    after = graph.compact_index()
+    fresh = CompactLabelIndex.from_label_index(graph.label_index())
+    assert (after.nodes, after.values) == (fresh.nodes, fresh.values)
+    assert after.node_objects == fresh.node_objects
+    assert after.forward == fresh.forward and after.backward == fresh.backward
+    if change == "removal":  # the ordering changed: built afresh
+        assert after.forward["a"][1] is not before.forward["a"][1]
+        return
+    carried = "b" if change in ("edge", "node") else "a"
+    assert after.forward[carried][1] is before.forward[carried][1]
+    assert (after.forward[carried] is before.forward[carried]) == (change != "node")
+    shared = all(new is old for new, old in zip(after.node_objects, column))
+    assert shared == (change != "value")
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     graph=tricky_graphs(),

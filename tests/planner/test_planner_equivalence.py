@@ -182,9 +182,9 @@ class TestEliminationMatchesTheSpec:
         calls = []
         ree_relation = data_kernels.ree_relation
 
-        def counting(index, expression, null_semantics=False, sources=None):
+        def counting(index, expression, null_semantics=False, sources=None, memo=None):
             calls.append((index, expression, sources))
-            return ree_relation(index, expression, null_semantics, sources)
+            return ree_relation(index, expression, null_semantics, sources, memo)
 
         graph = community(12)
         query = parse_crpq(text)
