@@ -711,13 +711,13 @@ class GraphSession(SessionProtocol):
     def _route(self, plan: Query, policy: Optional[ExecutionPolicy] = None):
         """The resolved :class:`~repro.planner.router.Route` of *plan*:
         the one decision :meth:`_execute` consumes and :meth:`explain`
-        prints (*policy* defaults to the session's own)."""
+        prints (*policy* defaults to the session's own).  A CRPQ is
+        routed on its cached plan, so no dialect reads statistics here."""
         planned = self._crpq_plan(plan) if plan.kind is QueryKind.CRPQ else None
         return route_query(
             plan,
             self.graph,
             policy=policy if policy is not None else self.policy,
-            stats=self._statistics(),
             planned=planned,
         )
 

@@ -98,31 +98,53 @@ class CompactLabelIndex:
         """Freeze a dict-backed :class:`LabelIndex` into CSR arrays.
 
         Given *previous*, the snapshot the journaled *delta* led from to
-        *index*, what the delta left alone is carried over instead of
-        flattened again: the CSR rows of every label it touched no edge
-        of (offsets extended over appended nodes) and, when no value
-        changed, the ``Node`` column.  Unless *index*'s ordering extends
-        *previous*'s (a node was removed), everything is built afresh."""
+        *index*, a write costs what it touched: the CSR rows of every
+        label the delta left alone are carried (offsets extended over
+        appended nodes), and in a touched label only the forward rows of
+        the delta's sources and the backward rows of its targets are
+        taken from *index*'s patched rows, every other row slice-copied.
+        When no value changed, the ``values`` and ``Node`` columns are
+        carried and extended over appended nodes.  Unless *index*'s
+        ordering extends *previous*'s (a node was removed), everything is
+        built afresh."""
         nodes = index.nodes
         position = index.position
-        values = [index.values[node_id] for node_id in nodes]
         if previous is not None and (
             delta.removed_nodes or nodes[: len(previous.nodes)] != previous.nodes
         ):
             previous = None
-        carry = {} if previous is None else previous.forward
-        touched = () if previous is None else delta.touched_labels
-        appended = 0 if previous is None else len(nodes) - len(previous.nodes)
+        if previous is None or delta.value_changes:
+            values = [index.values[node_id] for node_id in nodes]
+        else:
+            values = previous.values
+            if len(nodes) > len(values):
+                values = values + [index.values[node_id] for node_id in nodes[len(values) :]]
         forward: Dict[str, CsrRow] = {}
         backward: Dict[str, CsrRow] = {}
         counts: Dict[str, int] = {}
+        carry = {} if previous is None else previous.forward
+        appended = 0 if previous is None else len(nodes) - len(previous.nodes)
+        sources: Dict[str, set] = {}
+        targets: Dict[str, set] = {}
+        if previous is not None:
+            for edges in (delta.added_edges, delta.removed_edges):
+                for source, label, target in edges:
+                    sources.setdefault(label, set()).add(source)
+                    targets.setdefault(label, set()).add(target)
         for label in sorted(index.edge_labels()):
-            if label in carry and label not in touched:
+            if label not in carry:
+                forward[label] = _csr_from_table(index.successors(label), position, len(nodes))
+                backward[label] = _csr_from_table(index.predecessors(label), position, len(nodes))
+            elif label not in sources:
                 forward[label] = _extended(carry[label], appended)
                 backward[label] = _extended(previous.backward[label], appended)
             else:
-                forward[label] = _csr_from_table(index.successors(label), position, len(nodes))
-                backward[label] = _csr_from_table(index.predecessors(label), position, len(nodes))
+                forward[label] = _spliced(
+                    _extended(carry[label], appended), sources[label], index.successors(label), position
+                )
+                backward[label] = _spliced(
+                    _extended(previous.backward[label], appended), targets[label], index.predecessors(label), position
+                )
             counts[label] = len(forward[label][1])
         snapshot = cls(
             index.version, nodes, position, values, index.labels, forward, backward, counts
@@ -244,6 +266,31 @@ def _extended(row: CsrRow, appended: int) -> CsrRow:
         return row
     offsets, neighbors = row
     return offsets + array("q", [offsets[-1]] * appended), neighbors
+
+
+def _spliced(row: CsrRow, touched, table, position: Dict[NodeId, int]) -> CsrRow:
+    """*row* with the rows of the *touched* node ids replaced by their
+    rows in *table* (a ``node id -> (node ids...)`` map): every run of
+    untouched rows between them is slice-copied, its offsets shifted by
+    what the touched rows before it grew or shrank."""
+    offsets, neighbors = row
+    spliced_offsets, spliced_neighbors = array("q"), array("q")
+    start = shift = 0
+    for u, node_id in sorted((position[node_id], node_id) for node_id in touched):
+        spliced_neighbors += neighbors[offsets[start] : offsets[u]]
+        spliced_offsets += _shifted(offsets[start:u], shift)
+        spliced_offsets.append(len(spliced_neighbors))
+        spliced_neighbors.extend(map(position.__getitem__, table.get(node_id, ())))
+        start = u + 1
+        shift = len(spliced_neighbors) - offsets[start]
+    spliced_neighbors += neighbors[offsets[start] :]
+    spliced_offsets += _shifted(offsets[start:], shift)
+    return spliced_offsets, spliced_neighbors
+
+
+def _shifted(offsets: array, shift: int) -> array:
+    """*offsets* with *shift* added to every entry."""
+    return array("q", map(shift.__add__, offsets)) if shift else offsets
 
 
 def _csr_from_table(table, position: Dict[NodeId, int], num_nodes: int) -> CsrRow:

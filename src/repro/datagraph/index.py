@@ -54,7 +54,8 @@ class LabelIndex:
     """
 
     __slots__ = (
-        "version", "nodes", "position", "values", "labels", "_succ", "_pred", "_value_classes"
+        "version", "nodes", "position", "values", "labels", "_succ", "_pred", "_counts",
+        "_value_classes",
     )
 
     def __init__(self, graph: "DataGraph"):
@@ -70,6 +71,7 @@ class LabelIndex:
         self._value_classes: Optional[Tuple[List[int], int]] = None
         self._succ: Dict[str, Dict[NodeId, Tuple[NodeId, ...]]] = {}
         self._pred: Dict[str, Dict[NodeId, Tuple[NodeId, ...]]] = {}
+        self._counts: Dict[str, int] = {}
         for label in sorted(graph.alphabet):
             forward = {
                 source: tuple(targets)
@@ -83,6 +85,7 @@ class LabelIndex:
             }
             if forward:
                 self._succ[label] = forward
+                self._counts[label] = sum(map(len, forward.values()))
             if backward:
                 self._pred[label] = backward
 
@@ -137,6 +140,14 @@ class LabelIndex:
 
         index._succ = cls._patched_table(base._succ, delta.touched_labels, added_forward, removed_forward)
         index._pred = cls._patched_table(base._pred, delta.touched_labels, added_backward, removed_backward)
+        counts = dict(base._counts)
+        for _source, label, _target in delta.added_edges:
+            counts[label] = counts.get(label, 0) + 1
+        for _source, label, _target in delta.removed_edges:
+            counts[label] -= 1
+            if not counts[label]:
+                del counts[label]
+        index._counts = counts
         return index
 
     @staticmethod
@@ -204,8 +215,9 @@ class LabelIndex:
 
     def edge_count(self, label: str) -> int:
         """Number of edges carrying *label* — the base statistic of the
-        CRPQ planner's cardinality estimates."""
-        return sum(len(targets) for targets in self._succ.get(label, _EMPTY_ADJACENCY).values())
+        CRPQ planner's cardinality estimates.  Kept per label, not summed
+        over its rows."""
+        return self._counts.get(label, 0)
 
     # ------------------------------------------------------------------
     def mask_of(self, node_ids: Iterable[NodeId]) -> int:
@@ -233,7 +245,7 @@ class LabelIndex:
         return self._value_classes
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        edges = sum(len(targets) for adj in self._succ.values() for targets in adj.values())
+        edges = sum(self._counts.values())
         return (
             f"<LabelIndex v{self.version}: {len(self.nodes)} nodes, {edges} edges, "
             f"{len(self._succ)} labels>"

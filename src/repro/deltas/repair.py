@@ -121,11 +121,14 @@ def patched_answer(
     *new* in full: *base* kept no bit rows, its ordering is not a prefix
     of *new*'s, or *delta* removed a node or changed a value (either one
     rewrites ``Node`` objects in pairs the difference does not name).
+    An insert-only *delta* loses no pair — every dialect patched here is
+    monotone under insertion — so its ``old ∖ new`` is never computed.
     """
     answer, bits = base
     if bits is None or delta.removed_nodes or delta.value_changes or not bits.extended_by(new):
         return None
-    lost, gained = bits.minus(new), new.minus(bits)
+    lost = None if delta.insert_only else bits.minus(new)
+    gained = new.minus(bits)
     if lost:
         answer = answer - lost.node_pairs(objects[: len(lost.nodes)])
     if gained:

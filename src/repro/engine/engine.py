@@ -87,9 +87,7 @@ def _bare_route(graph: DataGraph, expression: Optional[Regex] = None) -> "Route"
 
     if expression is None:
         return router.route_point(graph)
-    from ..planner.stats import graph_statistics
-
-    return router.route_query(expression, graph, stats=graph_statistics(graph))
+    return router.route_query(expression, graph)
 
 
 class EvaluationEngine:

@@ -67,14 +67,16 @@ class Route:
     the partitioned drivers of :mod:`repro.engine.partition`
     (``"blocks"`` / ``"sharded"``, always over the dict index their
     shard views are built on); ``workers`` is the driver's worker (and
-    shard) budget, 1 for sequential routes.
+    shard) budget, 1 for sequential routes.  ``estimate`` is the answer
+    size the planner priced, when it priced one: only a CRPQ's join plan
+    does (``None`` for every other dialect and for point routes).
     """
 
     kernel: str
     driver: str
     workers: int
     reason: str
-    estimate: float
+    estimate: Optional[float] = None
 
     @property
     def strategy(self) -> str:
@@ -85,8 +87,10 @@ class Route:
         return _SEQUENTIAL_STRATEGY[self.kernel]
 
     def describe(self) -> str:
-        """The one-line route header of ``--explain``."""
-        return f"route: {self.strategy} (est ≈{self.estimate:.0f} pairs) — {self.reason}"
+        """The one-line route header of ``--explain``; the estimate is
+        shown only when the planner produced one."""
+        estimate = "" if self.estimate is None else f" (est ≈{self.estimate:.0f} pairs)"
+        return f"route: {self.strategy}{estimate} — {self.reason}"
 
 
 def _budget(policy: Optional["ExecutionPolicy"]) -> int:
@@ -120,7 +124,6 @@ def route_point(graph: "DataGraph", policy: Optional["ExecutionPolicy"] = None) 
         reason="point query: kernel by graph size"
         if backend == "auto"
         else "policy override",
-        estimate=0.0,
     )
 
 
@@ -138,7 +141,7 @@ def _gxpath_route(num_nodes: int, policy: Optional["ExecutionPolicy"]) -> Route:
     if declined:
         reason += f"; {' and '.join(declined)} declined: GXPath runs on the bit-row algebra only"
     kernel = _kernel("auto" if backend == "sql" else backend, num_nodes)
-    return Route(kernel, "sequential", 1, reason, 0.0)
+    return Route(kernel, "sequential", 1, reason)
 
 
 def route_query(
@@ -151,13 +154,14 @@ def route_query(
     """Resolve how *query* executes on *graph*, once.
 
     *policy* contributes the forced overrides and the worker budget;
-    *stats* sharpens the estimates.  Sessions pass their cached
+    *stats* sharpens a CRPQ plan's estimates.  Sessions pass their cached
     :class:`~repro.planner.planner.CrpqPlan` via *planned* so routing a
-    CRPQ never re-plans it.
+    CRPQ never re-plans it.  No other dialect is estimated: no decision
+    below reads an estimate, and ``explain`` prints only what the
+    planner priced.
     """
     from ..api.query import Query, QueryKind
     from ..sqlbackend.cost import rpq_pays
-    from .cost import atom_estimate, regex_estimate
     from .planner import plan_crpq
 
     query = Query.of(query)
@@ -166,19 +170,11 @@ def route_query(
     if kind in (QueryKind.GXPATH_NODE, QueryKind.GXPATH_PATH):
         return _gxpath_route(num_nodes, policy)
     index = graph.label_index()
-
-    # ------------------------------------------------------------------
-    # Estimate the query's answer relation.
-    if kind is QueryKind.RPQ:
-        estimate = regex_estimate(query.plan.expression, index, stats)
-    elif kind is QueryKind.CRPQ:
+    estimate = None
+    if kind is QueryKind.CRPQ:
         if planned is None:
             planned = plan_crpq(query.plan, index, stats)
         estimate = max(planned.estimates) if planned.estimates else 0.0
-    else:
-        from ..query.crpq import Atom
-
-        estimate = atom_estimate(Atom("x", query.plan, "y"), index, stats)
 
     def sequential(kernel: str, reason: str) -> Route:
         if kernel == "sql" and kind is QueryKind.DATA_RPQ:

@@ -208,21 +208,48 @@ class GraphStatistics:
         """Statistics over *index* retaining *base*'s unaffected summaries.
 
         Label summaries survive unless the delta touched the label's
-        edges or changed any node value (equal-endpoint counts depend on
-        values); the collapsed value histogram survives any delta that
-        added no nodes, removed none and rewrote no values.
+        edges, removed a node or changed any node value (equal-endpoint
+        counts depend on values); the collapsed value histogram survives any delta that
+        added no nodes, removed none and rewrote no values.  After an
+        insert-only delta a touched label's summary is derived from its
+        base summary and the added edges (:func:`_inserted`), not
+        recounted.
         """
         stats = cls(index)
-        values_stable = not (
-            delta.added_nodes or delta.removed_nodes or delta.value_changes
-        )
-        if values_stable:
-            touched = delta.touched_labels
-            for label, entry in base._labels.items():
-                if label not in touched:
-                    stats._labels[label] = entry
+        if delta.removed_nodes or delta.value_changes:
+            return stats
+        touched = delta.touched_labels
+        for label, entry in base._labels.items():
+            if label not in touched:
+                stats._labels[label] = entry
+            elif delta.insert_only:
+                stats._labels[label] = _inserted(entry, index, label, delta.added_edges)
+        if not delta.added_nodes:
             stats._value_profile = base._value_profile
         return stats
+
+
+def _inserted(base: LabelStats, index: LabelIndex, label: str, added_edges) -> LabelStats:
+    """*label*'s summary over *index* after an insert-only delta whose
+    edges are *added_edges*, derived from its *base* summary: the counts
+    are the index's map sizes, the fanout peak is checked at the added
+    edges' sources only and the added edges with equal endpoint values
+    join ``eq_edges``."""
+    values = index.values
+    successors = index.successors(label)
+    max_fanout, eq_edges = base.max_fanout, base.eq_edges
+    for source, edge_label, target in added_edges:
+        if edge_label == label:
+            max_fanout = max(max_fanout, len(successors[source]))
+            if values.get(target) == values.get(source):
+                eq_edges += 1
+    return LabelStats(
+        edge_count=index.edge_count(label),
+        distinct_sources=len(successors),
+        distinct_targets=len(index.predecessors(label)),
+        max_fanout=max_fanout,
+        eq_edges=eq_edges,
+    )
 
 
 def graph_statistics(graph: "DataGraph") -> GraphStatistics:

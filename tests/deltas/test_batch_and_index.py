@@ -215,25 +215,56 @@ class TestNewNodeWithEdgesInOneBatch:
         assert patched.position["fresh-2"] == len(rebuilt.nodes) - 1
         assert patched.values["fresh-1"] == 7 and patched.values["fresh-2"] == 8
 
-    def test_compact_index_over_patched_base_matches_fresh(self):
+    #: One journaled batch per kind of change a touched label's CSR rows
+    #: are spliced for: the rows a batch names are rebuilt, every other
+    #: row is slice-copied from the previous snapshot.
+    SPLICED_BATCHES = {
+        "insert into an existing row": lambda batch: batch.add_edge("c0n0", "a", "c2n5"),
+        "insert on an appended node": lambda batch: (
+            batch.add_node("fresh-1", 7),
+            batch.add_edge("c0n0", "a", "fresh-1"),
+            batch.add_edge("fresh-1", "b", "c0n0"),
+        ),
+        "removal": lambda batch: batch.remove_edge("c1n3", "a", "c1n4"),
+        "mixed": lambda batch: (
+            batch.add_node("fresh-1", 7),
+            batch.remove_edge("c0n0", "a", "c0n1"),
+            batch.add_edge("c0n0", "a", "c2n7"),
+            batch.add_edge("c2n7", "a", "fresh-1"),
+            batch.remove_edge("c2n3", "a", "c2n4"),
+            batch.add_edge("fresh-1", "zz", "c1n1"),
+        ),
+    }
+
+    @pytest.mark.parametrize("change", sorted(SPLICED_BATCHES))
+    def test_compact_index_over_patched_base_matches_fresh(self, change):
         from repro.datagraph.compact import CompactLabelIndex
 
         graph = chain_graph()
-        graph.label_index()
+        before = graph.compact_index()  # cached: the batch's snapshot is carried from it
         with graph.batch() as batch:
-            batch.add_node("fresh-1", 7)
-            batch.add_edge("c0n0", "a", "fresh-1")
-            batch.add_edge("fresh-1", "b", "c0n0")
+            self.SPLICED_BATCHES[change](batch)
         via_patched = graph.compact_index()
         via_rebuild = CompactLabelIndex.from_label_index(LabelIndex(graph))
         assert via_patched.nodes == via_rebuild.nodes
         assert via_patched.values == via_rebuild.values
+        assert via_patched.node_objects == via_rebuild.node_objects
+        assert via_patched._counts == via_rebuild._counts
         assert via_patched.edge_labels() == via_rebuild.edge_labels()
         for label in via_patched.edge_labels():
+            for table in ("forward", "backward"):
+                offsets = getattr(via_patched, table)[label][0]
+                assert offsets == getattr(via_rebuild, table)[label][0], (table, label)
             for node_id in via_patched.nodes:
-                assert set(via_patched.targets(label, node_id)) == set(
+                assert sorted(via_patched.targets(label, node_id)) == sorted(
                     via_rebuild.targets(label, node_id)
                 ), (label, node_id)
-                assert set(via_patched.sources(label, node_id)) == set(
+                assert sorted(via_patched.sources(label, node_id)) == sorted(
                     via_rebuild.sources(label, node_id)
                 ), (label, node_id)
+        # A label the batch names no edge of is carried whole.
+        if "b" not in graph.journal.deltas()[-1].touched_labels:
+            assert via_patched.forward["b"][1] is before.forward["b"][1]
+        # No value changed and no node joined: the values column is carried.
+        if len(via_patched.nodes) == len(before.nodes):
+            assert via_patched.values is before.values

@@ -25,11 +25,13 @@ from repro.query.crpq import evaluate_crpq_naive
 from repro.query.data_rpq_eval import evaluate_data_rpq_naive
 from repro.query.rpq_eval import evaluate_rpq_naive
 from repro.datagraph.compact import CompactLabelIndex
+from repro.datagraph.index import LabelIndex
 from repro.engine import compact as compact_kernels
 from repro.engine import data as data_kernels
 from repro.engine import product as product_kernels
 from repro.engine.bitrelation import BitRelation
 from repro.engine.engine import EvaluationEngine
+from repro.planner.stats import _label_stats, graph_statistics
 
 CHAINS = 10
 CHAIN_LENGTH = 12
@@ -644,6 +646,34 @@ class TestReAnswersDecodeByDifference:
         assert session.run(query).rows() == fresh_rows(graph, query)
         assert events == ["repair", "patched"]
 
+    @pytest.mark.parametrize("dialect", ["rpq", "crpq"])
+    @pytest.mark.parametrize("change", ["insert", "removal"])
+    def test_only_a_removal_scans_for_lost_pairs(self, dialect, change, monkeypatch):
+        """An insert-only patch computes no ``old ∖ new``: every dialect
+        it patches is monotone under insertion.  A removal still does."""
+        graph = chain_graph()
+        query = DIALECT_QUERIES[dialect]
+        session = GraphSession(graph, policy=COMPACT)
+        session.run(query).rows()
+        old_bits = session._results.peek((graph.version, query.key, False))[1]
+        assert old_bits is not None
+        scans = []
+        minus = BitRelation.minus
+
+        def spied(self, other):
+            scans.append(self is old_bits)
+            return minus(self, other)
+
+        monkeypatch.setattr(BitRelation, "minus", spied)
+        if change == "insert":
+            shortcut_batch(graph)
+        else:
+            with graph.batch() as batch:
+                batch.remove_edge("k0n5", "b", "k0n6")
+        assert session.run(query).rows() == fresh_rows(graph, query)
+        assert session.maintenance_stats()["patched"] == 1
+        assert any(scans) == (change == "removal")
+
     @pytest.mark.parametrize(
         "lineage",
         ["value change", "node removal", "base evicted", "broken lineage", "repair disabled"],
@@ -853,6 +883,32 @@ def random_batch(graph: DataGraph, data, fresh_ids) -> None:
                 batch.remove_node(data.draw(st.sampled_from(ids)))
 
 
+def csr_rows(row):
+    """A CSR row pair as its offsets and each node's neighbors, sorted:
+    a row is a set, whose order follows the graph's adjacency sets."""
+    offsets, neighbors = row
+    return list(offsets), [sorted(neighbors[offsets[u] : offsets[u + 1]]) for u in range(len(offsets) - 1)]
+
+
+def assert_write_state_is_fresh(graph: DataGraph) -> None:
+    """The snapshots a write carries forward equal fresh ones: the CSR
+    index array for array, every label's statistics and edge count."""
+    index = graph.label_index()
+    carried, fresh = graph.compact_index(), CompactLabelIndex.from_label_index(LabelIndex(graph))
+    assert carried.nodes == fresh.nodes and carried.values == fresh.values
+    assert carried._counts == fresh._counts
+    assert carried.node_objects == fresh.node_objects
+    for table in ("forward", "backward"):
+        carried_rows, fresh_rows = getattr(carried, table), getattr(fresh, table)
+        assert carried_rows.keys() == fresh_rows.keys()
+        for label, row in fresh_rows.items():
+            assert csr_rows(carried_rows[label]) == csr_rows(row), (table, label)
+    stats = graph_statistics(graph)
+    for label in graph.alphabet | index.labels:
+        assert stats.label(label) == _label_stats(index, label), label
+        assert index.edge_count(label) == sum(map(len, index.successors(label).values())), label
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_re_answers_after_random_batches_equal_a_fresh_session_and_the_spec(data):
@@ -862,7 +918,8 @@ def test_re_answers_after_random_batches_equal_a_fresh_session_and_the_spec(data
     rows, every sub-expression's rows its row memo carried or evaluated
     equal a fresh algebra run's (and what they gained since the batch's
     base, the difference), and a lineage that changed a value or
-    removed a node is never patched."""
+    removed a node is never patched.  The CSR index, statistics and
+    edge counts the batch carried forward equal fresh ones."""
     graph = DataGraph(name="random-batches")
     size = data.draw(st.integers(min_value=3, max_value=7))
     for i in range(size):
@@ -879,7 +936,10 @@ def test_re_answers_after_random_batches_equal_a_fresh_session_and_the_spec(data
     for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
         base = graph.version
         before = {key: kept.rows for key, kept in session._rows._entries.items() if kept.version == base}
+        for label in graph.alphabet:
+            graph_statistics(graph).label(label)  # summaries the batch patches or derives
         random_batch(graph, data, fresh_ids)
+        assert_write_state_is_fresh(graph)
         delta = graph.journal.composed(base, graph.version)
         patched = session.maintenance_stats()["patched"]
         fresh = GraphSession(graph, policy=COMPACT)
