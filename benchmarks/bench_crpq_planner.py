@@ -23,6 +23,7 @@ its hand-fused RPQ (3.8× before existential-variable elimination).
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -140,6 +141,10 @@ def _fresh_session_run(benchmark, graph, query):
         return session.run(query).rows()
 
     run()  # compile the automaton; build nothing inside the timer
+    # A full suite leaves tens of thousands of live objects from earlier
+    # benchmarks: without this, the first timed round can pay a ~20 ms
+    # generation-2 pass over them (collecting nothing) and swing the gate.
+    gc.collect()
     return benchmark.pedantic(run, rounds=3, iterations=1)
 
 
