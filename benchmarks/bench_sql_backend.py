@@ -1,5 +1,5 @@
-"""Benchmark the SQL backend against the kernels ``auto`` would otherwise
-run, on the one shape the router still sends to SQL.
+"""Benchmark the forced SQL backend against the default compact route, on
+the one shape where SQL used to win.
 
 The workload is a citation-style graph: one long ``cites`` chain whose
 edges run *against* node-insertion order (papers cite older papers), plus
@@ -14,24 +14,24 @@ The SQL backend's factored plan
 grows the closure *backward from the pivot's endpoints* as a seeded
 recursive CTE, so its work is bounded by the answer's reachable
 neighbourhood.  That beat the NFA mask kernels 7-10x: a FIFO worklist
-against the edges' direction moves masks one hop per pass.  Now the
-compact and dict routes run the bit-row algebra, whose swept closure
-finishes the whole chain in two sweeps, and the answer comes 4-6x
-*faster* there than from the factored plan.
+against the edges' direction moves masks one hop per pass, and a cost
+rule routed this shape to SQL.  Now the compact and dict routes run the
+bit-row algebra, whose swept closure finishes the whole chain in two
+sweeps, and the answer comes 4-6x *faster* there than from the factored
+plan; the rule is gone and the default policy routes compact.
 
 All paths must produce bit-identical answers; CI compares the means
-from BENCH_pr.json and fails when compact falls below 1.5x faster than
-sql on the one shape ``auto`` still routes to ``sql`` (the dict ratio
-is printed for the record).  No ``BENCHMARK.json`` workload takes the
-``sql`` route.  The ratio is algorithmic — two sweeps over bit rows vs
-a relational fixpoint — so the gate holds on any core count.
+from BENCH_pr.json and fails when the default (compact) route falls
+below 1.5x faster than forced ``sql`` (the dict ratio is printed for the
+record).  The ratio is algorithmic — two sweeps over bit rows vs a
+relational fixpoint — so the gate holds on any core count.
 """
 
 from __future__ import annotations
 
 import gc
 
-from repro.api import ExecutionPolicy, GraphSession
+from repro.api import ExecutionPolicy, GraphSession, Query
 from repro.datagraph import DataGraph
 
 #: Chain length: comfortably past the ≥1k-node bar of the gate.
@@ -67,6 +67,7 @@ def _session(graph: DataGraph, backend: str) -> GraphSession:
 def _run(backend: str, benchmark):
     graph = _build_graph()
     session = _session(graph, backend)
+    assert session._route(Query.parse(QUERY)).kernel == ("compact" if backend == "auto" else backend)
     warm = session.run(QUERY).pairs()  # build the D_G store / label index
     gc.collect()  # the timer sees the route, not the previous bench's garbage
     pairs = benchmark.pedantic(
@@ -83,11 +84,11 @@ def bench_sql_rpq_closure_pushdown(benchmark):
 
 
 def bench_compact_rpq_closure_pushdown(benchmark):
-    _run("compact", benchmark)
+    _run("auto", benchmark)  # the default route: compact
 
 
 def bench_dict_rpq_closure_pushdown(benchmark):
     _run("dict", benchmark)
     # Every backend ran (definition order): the gate's ratio only means
     # anything if the answers are bit-identical.
-    assert _ANSWERS["sql"] == _ANSWERS["compact"] == _ANSWERS["dict"]
+    assert _ANSWERS["sql"] == _ANSWERS["auto"] == _ANSWERS["dict"]

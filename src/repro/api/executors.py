@@ -130,12 +130,11 @@ class ParallelExecutor:
 INTRA_QUERY_MODES = ("off", "blocks", "sharded")
 
 #: Valid ``ExecutionPolicy.backend`` values: ``"auto"`` leaves the kernel
-#: family to the router, the others force it.
+#: family to the router (compact), the others force it.
 STORAGE_BACKENDS = ("auto", "compact", "dict", "sql")
 
-#: Valid ``ExecutionPolicy.routing`` values: ``"auto"`` lets the cost
-#: router (:func:`repro.planner.route_query`) pick the execution
-#: strategy per query, ``"manual"`` switches the cost model off.
+#: Valid ``ExecutionPolicy.routing`` values; the router ignores both
+#: (:func:`repro.planner.route_query`).
 ROUTING_MODES = ("auto", "manual")
 
 #: The named policy presets of :meth:`ExecutionPolicy.preset`.  Each
@@ -155,9 +154,9 @@ class ExecutionPolicy:
     """How a :class:`GraphSession` executes and caches queries.
 
     Seven fields say what a user actually chooses — the batch executor,
-    the worker budget, the caches and whether the cost router is on —
-    and two (``backend``, ``intra_query``) force part of the route the
-    router would otherwise resolve::
+    the worker budget, the caches and the routing mode — and two
+    (``backend``, ``intra_query``) force part of the route the router
+    would otherwise resolve::
 
         ExecutionPolicy()                           # sequential, cached, routed
         ExecutionPolicy.auto()                      # batch executor for this host
@@ -182,20 +181,18 @@ class ExecutionPolicy:
         LRU bound on the session's single-source (point-workload) cache
         of :meth:`GraphSession.targets` answers.
     delta_repair:
-        Whether the session repairs cached full-relation answers across
-        insert-only journaled deltas (seeded re-expansion unioned into
-        the cached answer) instead of recomputing from scratch after
-        every mutation.  Answers are identical either way; disable to
-        force the full-recompute executable spec.
+        Whether the session re-answers a cached full relation from its
+        previous entry across journaled deltas
+        (:func:`repro.deltas.repair.repair_full_relation`) instead of
+        recomputing from scratch after every mutation.  Answers are
+        identical either way; disable to force the full-recompute
+        executable spec.
     routing:
-        ``"auto"`` (the default) lets the session's cost router
-        (:func:`repro.planner.route_query`) resolve the dict / compact /
-        SQL kernels per query from the graph's statistics; the driver is
-        always ``sequential`` — no ``blocks`` or ``sharded`` driver is
-        resolved automatically, only ``intra_query`` forces one.
-        ``"manual"`` switches the cost model off:
-        queries run sequentially on the ``backend`` kernels (``"auto"``
-        then means by graph size only).
+        ``"auto"`` (the default) or ``"manual"``.  Either way the router
+        (:func:`repro.planner.route_query`) resolves the ``compact``
+        kernels, sequentially, unless ``backend`` or ``intra_query``
+        force a route: the value is accepted and ignored.  Kept for
+        callers that pass it; due for retirement.
     backend:
         Forced kernel family: ``"dict"`` keeps the hash-table
         :class:`~repro.datagraph.index.LabelIndex` kernels,
@@ -203,8 +200,8 @@ class ExecutionPolicy:
         :class:`~repro.datagraph.compact.CompactLabelIndex`, ``"sql"``
         the compiled relational backend of :mod:`repro.sqlbackend`
         (recursive CTEs over the paper's ``D_G`` encoding in an embedded
-        sqlite/duckdb database).  ``"auto"`` (the default) leaves the
-        choice to the router.  Answers are bit-identical in every mode.
+        sqlite/duckdb database).  ``"auto"`` (the default) is
+        ``compact``.  Answers are bit-identical in every mode.
     intra_query:
         Forced driver for a *single* full-relation query: ``"blocks"``
         (the phase-3 source propagation fanned out over worker

@@ -22,7 +22,7 @@ age out of the LRU without any explicit invalidation hook.  A second,
 independent **point-workload cache** memoises single-source answers
 (:meth:`GraphSession.targets`) under the same versioning scheme.
 
-*How* a query runs is resolved once per evaluation by the cost router
+*How* a query runs is resolved once per evaluation by the router
 (:func:`repro.planner.route_query`) into a
 :class:`~repro.planner.router.Route`, and one dispatcher
 (:meth:`GraphSession._execute`) turns a ``(plan, route)`` pair into an
@@ -43,7 +43,7 @@ from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence,
 from ..datagraph.graph import DataGraph
 from ..datagraph.node import Node, NodeId
 from ..deltas.delta import GraphDelta
-from ..deltas.repair import decline_reason, patched_answer, repair_full_relation
+from ..deltas.repair import entry_stands, repair_full_relation
 from ..engine.bitrelation import BitRelation, CachedRelation
 from ..engine.cache import CacheStats, LRUCache
 from ..engine.data import RowMemo
@@ -103,11 +103,11 @@ class GraphSession(SessionProtocol):
         self.graph = graph
         self.engine = engine if engine is not None else default_engine()
         self.policy = policy if policy is not None else _DEFAULT_POLICY
-        # Observer hook for the delta-repair path: called with "repair"
-        # or "recompute" whenever a cached answer survives (or fails to
-        # survive) a mutation, and with "patched" whenever the new answer
-        # was decoded by difference from the old one; the server wires
-        # its metrics counters here.
+        # Observer hook for re-answers after a write: called with
+        # "repair" or "recompute" per re-answer (maintenance_stats), and
+        # with "patched" whenever the new answer was decoded by
+        # difference from the old one; the server wires its metrics
+        # counters here.
         self.repair_listener = repair_listener
         self._executor = self.policy.build_executor()
         self._results: LRUCache[CachedRelation] = LRUCache(self.policy.result_cache_size)
@@ -134,10 +134,10 @@ class GraphSession(SessionProtocol):
         # version, so a restarted service resumes warm.
         self._point_snapshot: Dict[str, Tuple[NodeId, ...]] = {}
         self._point_snapshot_version: Optional[int] = None
-        # Delta-repair lineage: the last graph version each (plan, null)
+        # Re-answer lineage: the last graph version each (plan, null)
         # pair was answered at, so a later miss can locate its
-        # previous-version cache entry and try to repair it across the
-        # journaled deltas instead of recomputing.
+        # previous-version cache entry and re-answer from it across the
+        # journaled deltas (_reanswer) instead of recomputing.
         self._result_history: Dict[Tuple, int] = {}
         # Plan-retention lineage: the graph version each CRPQ plan key
         # was last planned (or retained) at, so a plan-cache miss after
@@ -177,12 +177,17 @@ class GraphSession(SessionProtocol):
 
         Cache hits are resolved up front; only the distinct misses are
         handed to the executor (the policy's, unless *executor* overrides
-        it), so a warm cache short-circuits the fan-out entirely.  Batch
-        results are materialised eagerly — laziness would serialise the
-        parallel backends.
+        it), so a warm cache short-circuits the fan-out entirely.  A plan
+        with a lineage is re-answered here (:meth:`_reanswer`) when its
+        cached entry stands or the executor is sequential; under a
+        fanning-out executor any other lineage plan is a miss, evaluated
+        afresh in the fan-out and counted as a ``"batch fan-out"``
+        recompute.  Batch results are materialised eagerly — laziness
+        would serialise the parallel backends.
         """
         plans = [Query.of(query) for query in queries]
         chosen = executor if executor is not None else self._executor
+        inline = isinstance(chosen, SequentialExecutor)
         caching = self.policy.cache_results
         version = self.graph.version
 
@@ -196,10 +201,12 @@ class GraphSession(SessionProtocol):
                 answers[key] = self._results.get_or_build(key, tuple)  # recorded hit
                 continue
             lineage = self._lineage_base(plan, null_semantics, version) if caching else None
-            repaired = self._repaired_answer(plan, null_semantics, lineage) if lineage else None
-            if repaired is not None:
-                answers[key] = self._remember(plan, null_semantics, version, repaired)
+            if lineage is not None and (inline or entry_stands(plan, lineage[1])):
+                entry = self._reanswer(plan, self._route(plan), null_semantics, lineage)
+                answers[key] = self._remember(plan, null_semantics, version, entry)
             else:
+                if lineage is not None:
+                    self._record_maintenance("recompute", "batch fan-out")
                 answers[key] = None  # placeholder: scheduled for the executor
                 misses.append(plan)
         if misses:
@@ -493,9 +500,10 @@ class GraphSession(SessionProtocol):
             return answer, self._rows_at(bits, version)
         route = self._route(plan)
         lineage = self._lineage_base(plan, null_semantics, version)
-        entry = self._repaired_answer(plan, null_semantics, lineage, route) if lineage else None
-        if entry is None:
-            entry = self._full_entry(plan, route, null_semantics, lineage)
+        if lineage is None:
+            entry = self._full_entry(plan, route, null_semantics)
+        else:
+            entry = self._reanswer(plan, route, null_semantics, lineage)
         answer, bits = self._remember(plan, null_semantics, version, entry)
         return answer, self._rows_at(bits, version)
 
@@ -525,42 +533,37 @@ class GraphSession(SessionProtocol):
         key = (version, plan.key, null_semantics)
         return self._results.get_or_build(key, lambda: entry)
 
-    def _full_entry(self, plan: Query, route, null_semantics: bool, lineage=None) -> CachedRelation:
-        """*plan*'s full answer as a result-cache entry.  An RPQ / data
-        RPQ whose *route* computes bit rows in this process, or a binary
-        CRPQ whose plan ends on them, is decoded from them here and keeps
-        them (KBs beside MBs) for delta repair, CRPQ atom scans and the
-        next re-answer; everything else is :meth:`_execute`'s answer.
-
-        With the plan's *lineage* — the previous version's entry and the
-        composed delta since — the rows are decoded by difference when
-        :func:`~repro.deltas.repair.patched_answer` can do so exactly,
-        and in full otherwise."""
-        bits = None
+    def _evaluated(self, plan: Query, route, null_semantics: bool):
+        """*plan*'s full answer on *route*, with the session's row memo:
+        its bit rows where the route computes them in this process — an
+        RPQ / data RPQ on a sequential compact route, a binary CRPQ whose
+        plan ends on them — else :meth:`_execute`'s decoded answer."""
         if plan.kind is QueryKind.CRPQ:
-            answer = self._execute(plan, route, null_semantics, decode=False, memo=self._rows)
-            if not isinstance(answer, BitRelation):
-                return answer, None
-            bits = answer
-        elif plan.kind in (QueryKind.RPQ, QueryKind.DATA_RPQ):
+            return self._execute(plan, route, null_semantics, decode=False, memo=self._rows)
+        if plan.kind in (QueryKind.RPQ, QueryKind.DATA_RPQ):
             bits = self.engine.relation_bits(
                 self.graph, plan.plan, route, null_semantics, memo=self._rows
             )
-        if bits is None:
-            return self._execute(plan, route, null_semantics), None
-        objects = self.graph.compact_index().node_objects
-        answer = None if lineage is None else patched_answer(*lineage, bits, objects)
-        if answer is None:
-            return bits.node_pairs(objects), bits
-        self._record_maintenance("patched")
-        return answer, bits
+            if bits is not None:
+                return bits
+        return self._execute(plan, route, null_semantics)
+
+    def _full_entry(self, plan: Query, route, null_semantics: bool) -> CachedRelation:
+        """*plan*'s full answer as a result-cache entry: decoded from the
+        bit rows of :meth:`_evaluated`, which it keeps (KBs beside MBs)
+        for the next re-answer and CRPQ atom scans, or the decoded answer
+        of a route that yields none."""
+        answer = self._evaluated(plan, route, null_semantics)
+        if isinstance(answer, BitRelation):
+            return answer.node_pairs(self.graph.compact_index().node_objects), answer
+        return answer, None
 
     def _lineage_base(
         self, plan: Query, null_semantics: bool, version: int
     ) -> Optional[Tuple[CachedRelation, GraphDelta]]:
         """The previous version's cached entry for *plan* and the journal's
-        composed delta from that version to *version* — what a repair
-        merges into and a recompute patches its decode from — or ``None``.
+        composed delta from that version to *version* — what
+        :meth:`_reanswer` keeps or patches — or ``None``.
 
         There is a lineage when (a) the policy enables delta repair, (b)
         this plan was answered at an earlier version whose entry is still
@@ -584,32 +587,20 @@ class GraphSession(SessionProtocol):
             return None
         return cached, composed
 
-    def _repaired_answer(
-        self, plan: Query, null_semantics: bool, lineage, route=None
-    ) -> Optional[CachedRelation]:
-        """Repair the *lineage*'s cached entry across its composed delta,
-        or ``None`` when the session must evaluate afresh.
-
-        Repair applies when the composed delta is insert-only on a
-        per-source-monotone dialect with a small touched closure
-        (:func:`repro.deltas.repair.repair_full_relation`), re-derived on
-        the kernel family of *route* (the plan's, resolved here when the
-        caller has not).  A decline counts as a recompute, by reason; the
-        listener and counters let servers report repair effectiveness.
-        """
-        cached, composed = lineage
-        if route is None:
-            route = self._route(plan)
-        repaired = repair_full_relation(
-            self.engine, self.graph, plan, null_semantics, cached, composed, route, memo=self._rows
+    def _reanswer(self, plan: Query, route, null_semantics: bool, lineage) -> CachedRelation:
+        """*plan*'s entry re-answered on *route* from its *lineage* by the
+        one re-answer path, :func:`~repro.deltas.repair.repair_full_relation`,
+        and counted: a route without rows as a recompute, else a repair."""
+        entry, outcome = repair_full_relation(
+            self.graph, plan, lineage, lambda: self._evaluated(plan, route, null_semantics)
         )
-        if repaired is None:
-            reason = decline_reason(plan, composed) or "seed fraction"
-            self._record_maintenance("recompute", reason)
-            return None
+        if outcome == "no rows":
+            self._record_maintenance("recompute", outcome)
+            return entry
         self._record_maintenance("repair")
-        if repaired is not cached and repaired[1] is not None:
+        if outcome == "patched":
             self._record_maintenance("patched")
+        composed = lineage[1]
         kind_value, plan_text = plan.key
         self._lineage.append(
             {
@@ -620,7 +611,7 @@ class GraphSession(SessionProtocol):
                 "delta_size": composed.size,
             }
         )
-        return repaired
+        return entry
 
     def _record_maintenance(self, event: str, reason: Optional[str] = None) -> None:
         self._maintenance[event] += 1
@@ -631,13 +622,15 @@ class GraphSession(SessionProtocol):
             listener(event)
 
     def maintenance_stats(self) -> Dict:
-        """Delta-repair effectiveness — repair/recompute counts, the
-        recomputes by reason (``"query kind"``, ``"removal"``, ``"value
-        change"``, ``"node removal"``, ``"seed fraction"``, ``"broken
-        lineage"``, ``"base evicted"``), how many re-answers were
-        ``patched`` (decoded by difference from the previous version's
-        answer), the most recent repair lineages ``(base → new, delta
-        digest)`` and, under ``rows``, how the bit-row algebra's
+        """Re-answer effectiveness after writes.  ``repairs`` counts the
+        re-answers served from a lineage — the cached entry kept, or the
+        memo's evaluation decoded from its rows — and ``recomputes`` the
+        ones evaluated afresh, by reason (``"base evicted"``, ``"broken
+        lineage"``, ``"no rows"``: the route keeps no bit rows, or
+        ``"batch fan-out"``: a parallel :meth:`run_many` evaluated it);
+        ``patched`` counts the repairs decoded by difference from the
+        previous version's answer.  Also the most recent repair lineages
+        ``(base → new, delta digest)`` and, under ``rows``, how the bit-row algebra's
         sub-expression rows were obtained: ``reused`` as kept, their
         kept rows ``continued`` across an insert-only change, or
         ``computed`` (see :class:`~repro.engine.data.RowMemo`)."""
@@ -724,7 +717,7 @@ class GraphSession(SessionProtocol):
     def explain(self, query: QueryLike) -> str:
         """The execution plan of *query* on this session's graph.
 
-        The first line is the cost router's chosen route (strategy,
+        The first line is the router's chosen route (strategy,
         estimate, reason).  For CRPQs the body is the planner's
         cost-ordered join plan — the exact (cached) plan object
         :meth:`run` executes at the current graph version — followed,

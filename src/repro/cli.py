@@ -194,16 +194,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="storage/execution backend: 'dict' (hash-table kernels), 'compact' "
         "(int-id CSR kernels), 'sql' (recursive CTEs over the D_G database, "
         "e.g. repro evaluate graph.json --rpq 'knows*' --backend sql), or "
-        "'auto' (cost-based per query; default)",
+        "'auto' (the compact kernels; default)",
     )
     evaluate.add_argument(
         "--routing",
         default=None,
         choices=["auto", "manual"],
-        help="query routing: 'auto' (default) lets the cost router resolve "
-        "sequential/compact/sql/blocks per query, with --backend and "
-        "--intra-query as forced overrides; 'manual' switches the cost model "
-        "off (sequential, kernels by --backend or graph size)",
+        help="query routing: 'auto' (default) or 'manual'; either way a query "
+        "runs sequentially on the compact kernels unless --backend or "
+        "--intra-query force a route (the value is accepted and ignored)",
     )
     _add_query_arguments(evaluate)
 
@@ -261,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--backend", default="auto", choices=["auto", "compact", "dict", "sql"],
         help="storage/execution backend for every client session "
-        "(default: auto, cost-based per query)",
+        "(default: auto, the compact kernels)",
     )
 
     return parser

@@ -9,8 +9,9 @@ store *patch* themselves instead of rebuilding:
 - :class:`GraphDelta` — the immutable net-change value object.
 - :class:`DeltaJournal` — bounded per-graph history with chain lookup.
 - :class:`MutationBatch` — ``with graph.batch() as b`` context manager.
-- :func:`repair_full_relation` — seeded-kernel repair of cached
-  full-relation answers for insert-only deltas.
+- :func:`repair_full_relation` — the one re-answer of a cached full
+  relation after a delta: kept when the delta cannot change it, else
+  re-evaluated with the session's row memo and decoded by difference.
 """
 
 from .batch import MutationBatch

@@ -90,14 +90,6 @@ class BitRelation:
         mine = self.nodes
         return other.nodes is mine or other.nodes[: len(mine)] == mine
 
-    def union(self, other: "BitRelation") -> "BitRelation":
-        """Both relations' pairs, on *other*'s ordering (which must
-        extend this one: see :meth:`extended_by`)."""
-        rows = dict(self.rows)
-        for at, mask in other.rows.items():
-            rows[at] = rows.get(at, 0) | mask
-        return BitRelation(other.nodes, other.position, rows)
-
     def minus(self, other: "BitRelation") -> "BitRelation":
         """The pairs not in *other*, on this relation's ordering.
 

@@ -33,43 +33,11 @@ from .bitrelation import BitRelation
 from .compiled import CompiledAutomaton
 
 __all__ = [
-    "COMPACT_AUTO_MIN_NODES",
-    "resolve_backend",
     "nfa_relation",
     "nfa_reachable_targets",
     "closure_relation",
     "register_relation",
 ]
-
-#: Below this many nodes the router stays on the dict label index (its
-#: product kernels' lower constant; RPQs, scoped data RPQs and GXPath run
-#: the same bit-row algebra over either index); at and above it the int-id
-#: kernels' per-step savings dominate.  Deliberately small — the crossover on the bench
-#: graphs sits far lower — so routing goes compact wherever the
-#: difference could matter.
-COMPACT_AUTO_MIN_NODES = 256
-
-
-def resolve_backend(backend: str, num_nodes: int) -> bool:
-    """Whether a storage *backend* value names the compact kernels.
-
-    ``"compact"`` and ``"dict"`` force; ``"auto"`` switches on graph
-    size; ``"sql"`` resolves ``False`` (the SQL kernels are named by the
-    route itself).  Called by the router only
-    (:mod:`repro.planner.router`) — every evaluation entry point
-    consumes the resolved :class:`~repro.planner.router.Route` instead
-    of asking again.
-    """
-    if backend == "compact":
-        return True
-    if backend in ("dict", "sql"):
-        return False
-    if backend == "auto":
-        return num_nodes >= COMPACT_AUTO_MIN_NODES
-    raise ValueError(
-        f"unknown backend {backend!r}: expected 'auto', 'compact', 'dict' or 'sql'"
-    )
-
 
 # ----------------------------------------------------------------------
 # Plan construction: automaton moves bound to CSR rows

@@ -56,7 +56,6 @@ from ..datapaths.fragments import (
     DataPathExpression,
     free_registers,
     ree_to_rem,
-    regex_to_rem,
     scope_violation,
 )
 from ..datapaths.ree import RegexWithEquality
@@ -178,17 +177,6 @@ class RowMemo:
         entries.move_to_end(key)
         if len(entries) > self.maxsize:
             entries.popitem(last=False)
-
-    def holds(self, expression, null_semantics: bool, version: int) -> bool:
-        """Whether the rows of *expression* (a regex, REE or REM) are kept
-        from exactly *version*: an evaluation now starts from them rather
-        than from nothing."""
-        if isinstance(expression, RegexWithEquality):
-            expression = ree_to_rem(expression)
-        elif not isinstance(expression, RegexWithMemory):
-            expression = regex_to_rem(expression)
-        kept = self._entries.get(self.key(expression, null_semantics))
-        return kept is not None and version in (kept.version, kept.since)
 
     def clear(self) -> None:
         self._entries.clear()

@@ -77,17 +77,11 @@ RPQLike = Union["RPQ", Regex, str]
 NodePair = Tuple[Node, Node]
 
 
-def _bare_route(graph: DataGraph, expression: Optional[Regex] = None) -> "Route":
-    """The route of an engine call no session resolved one for.
-
-    Full plain-RPQ relations (*expression* given) take the router's cost
-    decision; point, seeded and data-RPQ calls take its O(1) part.
-    """
+def _bare_route(graph: DataGraph) -> "Route":
+    """The route of an engine call no session resolved one for."""
     from ..planner import router
 
-    if expression is None:
-        return router.route_point(graph)
-    return router.route_query(expression, graph)
+    return router.route_point(graph)
 
 
 class EvaluationEngine:
@@ -178,7 +172,7 @@ class EvaluationEngine:
         sql kernel and the partitioned drivers decode their id pairs.
         """
         if route is None:
-            route = _bare_route(graph, self._expression_of(query))
+            route = _bare_route(graph)
         if route.kernel != "sql":  # plain regexes have a recursive-CTE twin
             relation = self._scoped_bits(graph, query, route)
             if relation is not None:
@@ -195,7 +189,7 @@ class EvaluationEngine:
         """``e(G)`` as raw id pairs (no Node materialisation): the
         unseeded :meth:`evaluate_atom_ids`."""
         if route is None:
-            route = _bare_route(graph, self._expression_of(query))
+            route = _bare_route(graph)
         return self.evaluate_atom_ids(graph, query, route=route)
 
     def evaluate_rpq_from(

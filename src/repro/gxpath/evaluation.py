@@ -153,7 +153,7 @@ class _RowEvaluator:
 
 def _evaluator(graph: DataGraph, null_semantics: bool, route=None) -> _RowEvaluator:
     """An evaluator over the index *route* names (a bare call: the
-    router's O(1) part, kernel by graph size)."""
+    router's point rule, the CSR index unless forced)."""
     if route is None:
         from ..planner.router import route_point
 

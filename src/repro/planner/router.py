@@ -1,41 +1,28 @@
 """The one decision point for how a query executes.
 
 Every strategy in this library is bit-identical to the naive evaluators,
-so *how* a query runs is a pure cost decision — and it is made here,
-once per evaluation.  :func:`route_query` returns a fully resolved
+so *how* a query runs is a pure performance decision — and it is made
+here, once per evaluation.  :func:`route_query` returns a fully resolved
 :class:`Route`: the kernel family (``dict`` / ``compact`` / ``sql``,
 never ``"auto"``), the driver (``sequential`` / ``blocks`` /
 ``sharded``) and the worker budget.  Sessions, the engine facade, CRPQ
 atom scans and GXPath evaluations all *consume* that object; none of
-them asks the cost model again, so ``explain`` reports exactly what
-runs.
+them decides again, so ``explain`` reports exactly what runs.
 
-GXPath has one route, decided before anything is estimated: the bit-row
-algebra, sequential, on the ``compact`` or ``dict`` index (a forced
-backend, else the graph-size rule below); a forced ``sql`` backend or
-intra-query driver is declined and the route's reason says so.  For the
-other dialects the decision table, in order (DESIGN.md, "How a query is
-routed"):
+The one rule, shared by :func:`route_query` and :func:`route_point`
+(DESIGN.md §3.4, "How a query is routed"):
 
-* a forced ``ExecutionPolicy.intra_query`` driver, then a forced
-  ``backend`` (or ``routing="manual"``, which switches the cost model
-  off and keeps only the graph-size kernel rule);
-* the **SQL** backend for a plain RPQ whose factored plan has a pivot
-  selective enough to win (:func:`repro.sqlbackend.cost.rpq_pays` — the
-  one shape where SQL still beats the compact kernels; CRPQs take
-  ``sql`` only when the policy forces it);
-* the **compact** CSR kernels when the graph clears their size floor
-  (:func:`repro.engine.compact.resolve_backend`), else the **dict**
-  kernels.
+* a forced ``ExecutionPolicy.intra_query`` gives its driver (always over
+  the dict index its shard views and source blocks are cut from);
+* a forced ``backend`` gives that kernel family — ``sql`` on a data RPQ
+  resolves ``dict`` (register valuations have no SQL encoding), and
+  GXPath declines ``sql`` and the partitioned drivers, naming the
+  decline in the route's reason;
+* otherwise the route is ``compact``: the CSR index and the bit-row
+  algebra, sequentially, on every graph size.
 
-Only a forced ``intra_query`` resolves a partitioned driver: ``auto``
-routing is always ``sequential`` (where the retired automatic rule
-picked ``blocks``, the sequential compact algebra answered faster:
-DESIGN.md §3.4).
-
-:func:`route_point` resolves only the O(1) part (kernel by graph size)
-for point queries and bare engine calls, which must not pay for
-statistics or estimates.
+``ExecutionPolicy.routing`` is accepted and ignored.  Only a CRPQ's
+route carries an estimate — its join plan's.
 """
 
 from __future__ import annotations
@@ -43,8 +30,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
-
-from ..engine.compact import COMPACT_AUTO_MIN_NODES, resolve_backend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api.executors import ExecutionPolicy
@@ -100,47 +85,39 @@ def _budget(policy: Optional["ExecutionPolicy"]) -> int:
     return min(os.cpu_count() or 1, 8)
 
 
-def _kernel(backend: str, num_nodes: int) -> str:
-    """The kernel family a storage *backend* value names on this graph
-    (``"auto"`` resolves by graph size)."""
-    if backend == "sql":
-        return "sql"
-    return "compact" if resolve_backend(backend, num_nodes) else "dict"
+def _kernel(policy: Optional["ExecutionPolicy"]) -> str:
+    """The forced kernel family, else compact."""
+    backend = "auto" if policy is None else policy.backend
+    return "compact" if backend == "auto" else backend
+
+
+def _reason(policy: Optional["ExecutionPolicy"], default: str) -> str:
+    """*default*, unless the policy forces part of the route."""
+    if policy is not None and (policy.backend != "auto" or policy.intra_query != "off"):
+        return "policy override"
+    return default
 
 
 def route_point(graph: "DataGraph", policy: Optional["ExecutionPolicy"] = None) -> Route:
-    """The O(1) part of a route: kernel by forced backend or graph size.
-
-    Point queries (``targets`` / ``holds``) and bare engine calls resolve
-    through here — a single-source frontier is exactly the shape the
-    dict/compact kernels win, so no statistics, estimate or driver is
-    consulted (an explicit ``backend="sql"`` still runs seeded CTEs).
-    """
-    backend = policy.backend if policy is not None else "auto"
-    return Route(
-        kernel=_kernel(backend, graph.num_nodes),
-        driver="sequential",
-        workers=1,
-        reason="point query: kernel by graph size"
-        if backend == "auto"
-        else "policy override",
-    )
+    """The route of a point query (``targets`` / ``holds``) or a bare
+    engine call: the forced kernel, else compact — no statistics,
+    estimate or driver is consulted (an explicit ``backend="sql"`` still
+    runs seeded CTEs)."""
+    return Route(_kernel(policy), "sequential", 1, _reason(policy, "point query: the CSR kernels"))
 
 
-def _gxpath_route(num_nodes: int, policy: Optional["ExecutionPolicy"]) -> Route:
+def _gxpath_route(policy: Optional["ExecutionPolicy"]) -> Route:
     """GXPath's one route (module docstring); the reason names a decline."""
-    backend = "auto" if policy is None else policy.backend
-    reason, declined = "gxpath: the bit-row algebra, index by graph size", []
-    if policy is not None:
-        if backend == "sql":
-            declined.append(f"backend={backend!r}")
-        if policy.intra_query != "off":
-            declined.append(f"intra_query={policy.intra_query!r}")
-        if policy.routing == "manual" or backend != "auto" or declined:
-            reason = "manual routing policy" if policy.routing == "manual" else "policy override"
+    reason = _reason(policy, "gxpath: the bit-row algebra on the CSR index")
+    kernel = _kernel(policy)
+    declined = []
+    if kernel == "sql":
+        declined.append("backend='sql'")
+        kernel = "compact"
+    if policy is not None and policy.intra_query != "off":
+        declined.append(f"intra_query={policy.intra_query!r}")
     if declined:
         reason += f"; {' and '.join(declined)} declined: GXPath runs on the bit-row algebra only"
-    kernel = _kernel("auto" if backend == "sql" else backend, num_nodes)
     return Route(kernel, "sequential", 1, reason)
 
 
@@ -157,59 +134,27 @@ def route_query(
     *stats* sharpens a CRPQ plan's estimates.  Sessions pass their cached
     :class:`~repro.planner.planner.CrpqPlan` via *planned* so routing a
     CRPQ never re-plans it.  No other dialect is estimated: no decision
-    below reads an estimate, and ``explain`` prints only what the
-    planner priced.
+    reads an estimate, and ``explain`` prints only what the planner
+    priced.
     """
     from ..api.query import Query, QueryKind
-    from ..sqlbackend.cost import rpq_pays
     from .planner import plan_crpq
 
     query = Query.of(query)
-    num_nodes = graph.num_nodes
     kind = query.kind
     if kind in (QueryKind.GXPATH_NODE, QueryKind.GXPATH_PATH):
-        return _gxpath_route(num_nodes, policy)
-    index = graph.label_index()
+        return _gxpath_route(policy)
     estimate = None
     if kind is QueryKind.CRPQ:
         if planned is None:
-            planned = plan_crpq(query.plan, index, stats)
+            planned = plan_crpq(query.plan, graph.label_index(), stats)
         estimate = max(planned.estimates) if planned.estimates else 0.0
-
-    def sequential(kernel: str, reason: str) -> Route:
-        if kernel == "sql" and kind is QueryKind.DATA_RPQ:
-            kernel = "dict"
-            reason += "; register valuations have no SQL encoding, dict mask pass"
-        return Route(kernel, "sequential", 1, reason, estimate)
-
-    # ------------------------------------------------------------------
-    # Forced overrides: a driver, then a kernel; manual switches the cost
-    # model off and keeps only the graph-size kernel rule.
-    if policy is not None:
-        manual = policy.routing == "manual"
-        override = "manual routing policy" if manual else "policy override"
-        if policy.intra_query != "off":
-            # Shard views and source blocks are cut from the dict index.
-            return Route("dict", policy.intra_query, _budget(policy), override, estimate)
-        if manual or policy.backend != "auto":
-            return sequential(_kernel(policy.backend, num_nodes), override)
-
-    # ------------------------------------------------------------------
-    # Cost decisions per dialect.
-    if kind is QueryKind.RPQ and rpq_pays(query.plan.expression, index):
-        return sequential(
-            "sql",
-            "a selective pivot in front of a closure; the factored plan "
-            "grows the closure from the pivot's endpoints inside the embedded engine",
-        )
-    if resolve_backend("auto", num_nodes):
-        return sequential(
-            "compact",
-            f"{kind.value} within sequential reach; "
-            f"≥{COMPACT_AUTO_MIN_NODES} nodes favours the CSR kernels",
-        )
-    return sequential(
-        "dict",
-        f"{kind.value} within sequential reach; "
-        "small graph favours the dict kernels' constants",
-    )
+    reason = _reason(policy, f"{kind.value}: the CSR kernels")
+    if policy is not None and policy.intra_query != "off":
+        # Shard views and source blocks are cut from the dict index.
+        return Route("dict", policy.intra_query, _budget(policy), reason, estimate)
+    kernel = _kernel(policy)
+    if kernel == "sql" and kind is QueryKind.DATA_RPQ:
+        kernel = "dict"
+        reason += "; register valuations have no SQL encoding, dict mask pass"
+    return Route(kernel, "sequential", 1, reason, estimate)

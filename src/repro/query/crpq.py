@@ -220,19 +220,25 @@ def evaluate_crpq_naive(
     semantics the planner's equivalence tests check against.  Self-loop
     atoms ``(x, e, x)`` admit only pairs with ``source == target``
     (historically the target assignment silently overwrote the source,
-    admitting arbitrary pairs).
+    admitting arbitrary pairs).  Atoms are evaluated on the dict
+    kernels, independent of the compact route the default policy runs.
     """
+    from ..planner.router import Route
+
     if engine is None:
         from ..engine import default_engine
 
         engine = default_engine()
+    route = Route("dict", "sequential", 1, "the executable specification")
     # Evaluate every atom once.
     atom_relations: List[Tuple[Atom, FrozenSet[Tuple[Node, Node]]]] = []
     for atom in query.atoms:
         if isinstance(atom.query, DataRPQ):
-            relation = engine.evaluate_data_rpq(graph, atom.query, null_semantics=null_semantics)
+            relation = engine.evaluate_data_rpq(
+                graph, atom.query, null_semantics=null_semantics, route=route
+            )
         elif isinstance(atom.query, RPQ):
-            relation = engine.evaluate_rpq(graph, atom.query)
+            relation = engine.evaluate_rpq(graph, atom.query, route)
         else:  # pragma: no cover - defensive
             raise EvaluationError(f"unsupported atom query {atom.query!r}")
         atom_relations.append((atom, relation))

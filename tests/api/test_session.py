@@ -96,24 +96,21 @@ class TestResultShapes:
         payload = json.loads(GraphSession(graph).run(Query.rpq("r")).to_json())
         assert payload["rows"][0][0]["value"] is None
 
-    def test_laziness(self):
+    def test_laziness(self, monkeypatch):
         calls = []
         session = GraphSession(diamond_graph())
-        original = Query._evaluate
+        original = GraphSession._evaluated
 
-        def counting(self, engine, graph, null_semantics, route=None):
-            calls.append(self)
-            return original(self, engine, graph, null_semantics, route)
+        def counting(self, plan, route, null_semantics):
+            calls.append(plan)
+            return original(self, plan, route, null_semantics)
 
-        Query._evaluate = counting
-        try:
-            result = session.run(Query.rpq("r"))
-            assert not calls and not result.is_materialised
-            result.count()
-            result.pairs()
-            assert len(calls) == 1  # forced exactly once
-        finally:
-            Query._evaluate = original
+        monkeypatch.setattr(GraphSession, "_evaluated", counting)
+        result = session.run(Query.rpq("r"))
+        assert not calls and not result.is_materialised
+        result.count()
+        result.pairs()
+        assert len(calls) == 1  # forced exactly once
 
 
 class TestVersionedCache:

@@ -1,12 +1,12 @@
-"""Delta-driven repair of cached answers: repaired ≡ fresh, always.
+"""Re-answers of cached relations after a write: re-answered ≡ fresh, always.
 
 The contract under test is acceptance-level: after a batch on a warm
 session, the served answer must be bit-identical to a fresh evaluation —
-whether the session repaired the cached relation or fell back to a
-recompute, and whether the new answer was decoded in full or patched
-from the previous one by their bit-row difference.  The maintenance
-counters then distinguish the paths, so each test pins *which* path
-produced the (always-correct) answer.
+whether the session kept the cached entry, re-evaluated with its row
+memo and patched the previous answer by the bit-row difference, decoded
+the new rows in full, or (on a route without rows) evaluated afresh.
+The maintenance counters then distinguish the paths, so each test pins
+*which* path produced the (always-correct) answer.
 """
 
 from __future__ import annotations
@@ -47,15 +47,18 @@ DIALECT_QUERIES = {
     "gxpath-path": Query.parse("a.b", dialect="gxpath-path"),
 }
 
-#: Kinds whose full relation the session can repair in place; the rest
-#: must recompute (their semantics are not per-source monotone).
-REPAIRING = {"rpq", "ree", "rem", "rem-cross"}
+#: Kinds whose cached entries keep bit rows, so a re-answer is a repair;
+#: GXPath keeps none and is evaluated afresh.
+REPAIRING = {"rpq", "ree", "rem", "rem-cross", "crpq"}
+#: ... of which the RPQ and data RPQs, whose entry stands when a delta
+#: touches nothing they read.
+DATA = {"rpq", "ree", "rem", "rem-cross"}
 #: ... of which the scoped ones (an RPQ is the REM with no registers),
-#: answered and repaired by the bit-row algebra.
+#: answered and re-answered by the bit-row algebra.
 SCOPED = {"rpq", "ree", "rem"}
 
-#: The route whose cached entries keep bit rows on these small graphs
-#: (``auto`` takes the dict kernels below a few hundred nodes).
+#: The route whose cached entries keep bit rows: the default's, forced
+#: so that these tests pin it.
 COMPACT = ExecutionPolicy(backend="compact")
 
 
@@ -127,7 +130,7 @@ class TestRepairedEqualsFresh:
         assert served == fresh_rows(graph, query, null_semantics=True)
         assert session.maintenance_stats()["repairs"] == 1
 
-    def test_removal_batch_falls_back_to_recompute(self):
+    def test_removal_batch_is_patched(self):
         graph = chain_graph()
         query = DIALECT_QUERIES["rpq"]
         session = GraphSession(graph)
@@ -137,9 +140,9 @@ class TestRepairedEqualsFresh:
         served = session.run(query).rows()
         assert served == fresh_rows(graph, query)
         stats = session.maintenance_stats()
-        assert stats["repairs"] == 0 and stats["recomputes"] == 1
+        assert (stats["repairs"], stats["recomputes"], stats["patched"]) == (1, 0, 1)
 
-    def test_value_change_batch_falls_back_to_recompute(self):
+    def test_value_change_batch_decodes_in_full(self):
         graph = chain_graph()
         query = DIALECT_QUERIES["rem"]
         session = GraphSession(graph)
@@ -148,7 +151,8 @@ class TestRepairedEqualsFresh:
             batch.set_value("k0n4", 99)
         served = session.run(query).rows()
         assert served == fresh_rows(graph, query)
-        assert session.maintenance_stats()["recomputes"] == 1
+        stats = session.maintenance_stats()
+        assert (stats["repairs"], stats["recomputes"], stats["patched"]) == (1, 0, 0)
 
     def test_single_op_mutation_breaks_the_lineage(self):
         graph = chain_graph()
@@ -156,21 +160,6 @@ class TestRepairedEqualsFresh:
         session = GraphSession(graph)
         session.run(query).rows()
         graph.add_edge("k0n0", "a", "k0n2")  # bypasses the batch journal
-        served = session.run(query).rows()
-        assert served == fresh_rows(graph, query)
-        stats = session.maintenance_stats()
-        assert stats["repairs"] == 0 and stats["recomputes"] == 1
-
-    def test_wide_delta_exceeds_the_seed_fraction_and_recomputes(self):
-        graph = chain_graph()
-        query = DIALECT_QUERIES["rpq"]
-        session = GraphSession(graph)
-        session.run(query).rows()
-        # Touch the tail of every chain: the backward closure is the
-        # whole graph, so seeding it would cost a full recompute anyway.
-        with graph.batch() as batch:
-            for c in range(CHAINS):
-                batch.add_edge(f"k{c}n0", "a", f"k{c}n{CHAIN_LENGTH - 1}")
         served = session.run(query).rows()
         assert served == fresh_rows(graph, query)
         stats = session.maintenance_stats()
@@ -232,35 +221,34 @@ class TestRepairedEqualsFresh:
         assert entry["delta_digest"] == delta.digest
         assert entry["delta_size"] == delta.size
 
-    def test_edges_the_query_cannot_read_seed_nothing(self, monkeypatch):
-        """An edge whose label the query never mentions carries no
-        witness path: a batch of them repairs without walking any closure
-        — however much of the graph its endpoints could reach — and the
-        cached entry stands, bit for bit the fresh one."""
+    @pytest.mark.parametrize("dialect", sorted(DATA))
+    @pytest.mark.parametrize("change", ["insert", "removal"])
+    def test_edges_the_query_cannot_read_keep_the_entry(self, change, dialect, monkeypatch):
+        """An RPQ or data RPQ reads only the nodes, their values and the
+        edges of its labels: a batch adding or removing edges of another
+        label keeps the cached entry, bit for bit the fresh one, and runs
+        no kernel — however much of the graph its endpoints could reach."""
         graph = chain_graph()
-        query = DIALECT_QUERIES["rpq"]
+        for c in range(CHAINS):  # tail to head of every chain: all of them upstream
+            graph.add_edge(f"k{c}n0", "alt_for", f"k{c}n{CHAIN_LENGTH - 1}")
+        query = DIALECT_QUERIES[dialect]
         session = GraphSession(graph, policy=COMPACT)
         session.run(query).rows()
         entry = session._results.peek((graph.version, query.key, False))
-        closures = []
-        closure = repair_module.backward_touched_closure
-
-        def sized(index, touched, labels=None):
-            seeds = closure(index, touched, labels)
-            closures.append(len(seeds))
-            return seeds
-
-        monkeypatch.setattr(repair_module, "backward_touched_closure", sized)
-        with graph.batch() as batch:  # tail to head of every chain: all of them upstream
+        with graph.batch() as batch:
             for c in range(CHAINS):
-                batch.add_edge(f"k{c}n0", "alt_for", f"k{c}n{CHAIN_LENGTH - 1}")
+                if change == "insert":
+                    batch.add_edge(f"k{c}n1", "alt_for", f"k{c}n{CHAIN_LENGTH - 2}")
+                else:
+                    batch.remove_edge(f"k{c}n0", "alt_for", f"k{c}n{CHAIN_LENGTH - 1}")
         calls = KernelCalls(monkeypatch)
         served = session.run(query).rows()
-        assert closures == [] and calls.compact == 0 and not calls.algebra
+        assert calls.compact == 0 and calls.dict_forward == 0 and not calls.algebra
         assert session._results.peek((graph.version, query.key, False)) is entry
         fresh = GraphSession(graph, policy=COMPACT)
         assert served == fresh.run(query).rows() == fresh_rows(graph, query)
         assert entry[1].rows == fresh._results.peek((graph.version, query.key, False))[1].rows
+        assert entry[1].nodes == graph.compact_index().nodes  # what the wire encodes against
         stats = session.maintenance_stats()
         assert (stats["repairs"], stats["recomputes"], stats["patched"]) == (1, 0, 0)
 
@@ -268,27 +256,19 @@ class TestRepairedEqualsFresh:
         """run → insert → run → ``alt_for``-only batch → run on
         ``supplies_to+``: the answer and the labels a repair reads come
         from the query itself, so no automaton is compiled; the insert
-        continues the session's kept closure rows from its new step (no
-        backward closure is walked), the ``alt_for`` batch touches
-        nothing the query reads, and the repaired rows are a fresh
-        session's, bit for bit."""
+        continues the session's kept closure rows from its new step, the
+        ``alt_for`` batch touches nothing the query reads, and the
+        repaired rows are a fresh session's, bit for bit."""
         graph = supplier_graph()
         query = Query.parse("supplies_to+")
-        compiled, closures = [], []
+        compiled = []
         compile_rpq = EvaluationEngine.compile_rpq
-        closure = repair_module.backward_touched_closure
 
         def counting(engine, rpq):
             compiled.append(rpq)
             return compile_rpq(engine, rpq)
 
-        def sized(index, touched, labels=None):
-            seeds = closure(index, touched, labels)
-            closures.append(len(seeds))
-            return seeds
-
         monkeypatch.setattr(EvaluationEngine, "compile_rpq", counting)
-        monkeypatch.setattr(repair_module, "backward_touched_closure", sized)
         session = GraphSession(graph, policy=COMPACT)
         session.run(query).rows()
         with graph.batch() as batch:
@@ -298,7 +278,6 @@ class TestRepairedEqualsFresh:
             batch.add_edge("t2s1", "alt_for", "t2s5")
         served = session.run(query).rows()
         assert compiled == []
-        assert closures == []
         stats = session.maintenance_stats()
         assert (stats["repairs"], stats["recomputes"]) == (2, 0)
         fresh = GraphSession(graph, policy=COMPACT)
@@ -320,11 +299,40 @@ class TestRepairedEqualsFresh:
                 batch.add_edge(f"k{step}n1", "b", f"k{step}n7")
             served = [result.rows() for result in session.run_many(queries)]
             assert served == [fresh_rows(graph, query) for query in queries]
-        assert session.maintenance_stats()["recompute_reasons"] == {"removal": 4, "query kind": 2}
+        stats = session.maintenance_stats()
+        if executor == "sequential":  # re-answered in place, patched from the kept rows
+            assert (stats["repairs"], stats["patched"], stats["recompute_reasons"]) == (6, 6, {})
+        else:  # every answer changed: all of them evaluated afresh in the fan-out
+            assert (stats["repairs"], stats["recompute_reasons"]) == (0, {"batch fan-out": 6})
+
+    def test_a_fanned_out_batch_keeps_what_stands_and_fans_out_the_rest(self):
+        class CountingExecutor(ParallelExecutor):
+            def __init__(self):
+                super().__init__(max_workers=2)
+                self.batches = []
+
+            def execute_batch(self, evaluate, queries):
+                self.batches.append([query.key for query in queries])
+                return super().execute_batch(evaluate, queries)
+
+        graph = chain_graph()
+        only_a = Query.parse("a+")
+        queries = [only_a, DIALECT_QUERIES["rpq"], DIALECT_QUERIES["crpq"]]
+        session = GraphSession(graph, policy=COMPACT)
+        for query in queries:
+            session.run(query).rows()
+        with graph.batch() as batch:
+            batch.add_edge("k0n1", "b", "k0n7")  # a+ reads no b edge: its entry stands
+        executor = CountingExecutor()
+        served = [result.rows() for result in session.run_many(queries, executor=executor)]
+        assert served == [fresh_rows(graph, query) for query in queries]
+        assert executor.batches == [[query.key for query in queries[1:]]]
+        stats = session.maintenance_stats()
+        assert (stats["repairs"], stats["recompute_reasons"]) == (1, {"batch fan-out": 2})
 
 
-#: Forced routes a repair must follow: the kernel family re-derives the
-#: touched closure (partitioned drivers are cut from the dict index).
+#: Forced routes a re-answer must follow: only the compact route keeps
+#: bit rows (partitioned drivers are cut from the dict index).
 ROUTE_POLICIES = {
     "compact": COMPACT,
     "dict": ExecutionPolicy(backend="dict"),
@@ -368,9 +376,9 @@ class KernelCalls:
 
 
 class TestRepairFollowsTheRoute:
-    @pytest.mark.parametrize("dialect", sorted(REPAIRING))
+    @pytest.mark.parametrize("dialect", sorted(DATA))
     @pytest.mark.parametrize("route", sorted(ROUTE_POLICIES))
-    def test_repaired_equals_recomputed_on_every_route(self, route, dialect, monkeypatch):
+    def test_re_answered_equals_recomputed_on_every_route(self, route, dialect, monkeypatch):
         graph = chain_graph()
         query = DIALECT_QUERIES[dialect]
         session = GraphSession(graph, policy=ROUTE_POLICIES[route])
@@ -381,27 +389,33 @@ class TestRepairFollowsTheRoute:
         served = session.run(query).rows()
         assert served == expected
         stats = session.maintenance_stats()
-        assert stats["repairs"] == 1 and stats["recomputes"] == 0
-        # what explain names is what repaired: an RPQ or a scoped data RPQ
-        # by one run of the algebra over the route's index — on the compact
-        # route unseeded, continuing the session's kept rows, elsewhere
-        # seeded at the touched closure (an RPQ on the sql route by its
-        # seeded CTE), never a product kernel
+        # the compact route re-answers from its kept rows; a route that
+        # yields none is evaluated afresh, on its own kernels
+        if route == "compact":
+            assert (stats["repairs"], stats["recomputes"], stats["patched"]) == (1, 0, 1)
+        else:
+            assert (stats["repairs"], stats["recomputes"]) == (0, 1)
+            assert stats["recompute_reasons"] == {"no rows": 1}
+        # what explain names is what ran: an RPQ or a scoped data RPQ by
+        # one unseeded run of the algebra over the route's index (on the
+        # compact route continuing the session's kept rows), an RPQ on the
+        # sql route by its CTE — nothing is seeded, no product kernel runs
         if dialect == "rpq" and route == "sql":
             assert not calls.algebra and calls.compact == 0 and calls.dict_forward == 0
-        elif dialect in SCOPED:
-            ((on_csr, seeded),) = calls.algebra
-            assert on_csr == (route == "compact") and (seeded is None) == (route == "compact")
+        elif dialect in SCOPED and route != "blocks":
+            assert calls.algebra == [(route == "compact", None)]
             assert calls.compact == 0 and calls.dict_forward == 0
         elif route == "compact":
             assert calls.compact == 1 and calls.dict_forward == 0 and not calls.algebra
-        else:  # the register product, which does not prune
+        elif route == "blocks":  # the partition driver's pruning expands forward
+            assert calls.compact == 0 and not calls.algebra
+        else:  # the register product: no pruning, no algebra, no CSR kernel
             assert calls.compact == 0 and calls.dict_forward == 0 and not calls.algebra
 
-    @pytest.mark.parametrize("removal", [False, True], ids=["repair", "recompute"])
+    @pytest.mark.parametrize("removal", [False, True], ids=["insert", "removal"])
     def test_a_run_resolves_its_route_once(self, removal, monkeypatch):
-        """The route a repair follows is the one a declined repair's
-        recompute executes on — resolved once per run, not once each."""
+        """The route a re-answer evaluates on is the session's one
+        resolution — once per run, not once per path."""
         import repro.api.session as session_module
 
         graph = chain_graph()
@@ -425,14 +439,14 @@ class TestRepairFollowsTheRoute:
         assert [session.run(query).rows() for query in queries] == expected
         assert sorted(resolved) == ["crpq", "rpq"]
         stats = session.maintenance_stats()
-        assert (stats["repairs"], stats["recomputes"]) == ((0, 2) if removal else (1, 1))
+        assert (stats["repairs"], stats["recomputes"]) == (2, 0)
 
-    @pytest.mark.parametrize("dialect", sorted(REPAIRING))
+    @pytest.mark.parametrize("dialect", sorted(DATA))
     def test_compact_repairs_keep_bit_rows_across_batches(self, dialect, monkeypatch):
         """An RPQ's or scoped data RPQ's rows come from the algebra run
         unseeded, and a repair is the same run again, continuing the
         session's kept sub-expression rows (a cross-scope REM's: the
-        register kernel, seeded at the touched closure): the repaired rows
+        register kernel, run again in full): the repaired rows
         are still the fresh run's, bit for bit, on a node ordering the
         first batch grows."""
         graph = chain_graph()
@@ -460,13 +474,13 @@ class TestRepairFollowsTheRoute:
             assert bits.rows == fresh.rows
         stats = session.maintenance_stats()
         assert stats["repairs"] == 3
-        # per batch: the repair and a fresh `relation_bits` run on the CSR
-        # index, the default-policy `fresh_rows` run dict-side — all unseeded
+        # per batch: the repair, the default-policy `fresh_rows` and a fresh
+        # `relation_bits` run, all on the CSR index and unseeded
         if dialect in SCOPED:
-            assert calls.algebra == [(True, None), (False, None), (True, None)] * 3
+            assert calls.algebra == [(True, None)] * 9
             assert calls.compact == 0 and stats["rows"]["continued"] >= 3
         else:
-            assert not calls.algebra and calls.compact == 6
+            assert not calls.algebra and calls.compact == 9
 
     def test_an_entry_without_bit_rows_still_repairs(self):
         graph = chain_graph()
@@ -477,8 +491,9 @@ class TestRepairFollowsTheRoute:
         assert session._results.peek((graph.version, query.key, False))[1] is None
         shortcut_batch(graph)
         assert session.run(query).rows() == fresh_rows(graph, query)
-        assert session.maintenance_stats()["repairs"] == 1
-        assert session._results.peek((graph.version, query.key, False))[1] is None
+        stats = session.maintenance_stats()
+        assert (stats["repairs"], stats["patched"]) == (1, 0)  # nothing to patch from
+        assert session._results.peek((graph.version, query.key, False))[1] is not None
 
     def test_a_superseded_entry_is_dropped_not_kept_until_the_lru_fills(self):
         """Versions only grow, so the entry a repair (or a recompute, or a
@@ -492,7 +507,7 @@ class TestRepairFollowsTheRoute:
         for step in range(3):
             previous = graph.version
             if step == 1:
-                graph.remove_edge("k0n0", "a", "k0n1")  # a removal: recompute
+                graph.remove_edge("k0n0", "a", "k0n1")  # bypasses the journal: recompute
             else:
                 with graph.batch() as batch:
                     batch.add_edge(f"k{step}n1", "b", f"k{step}n7")
@@ -507,10 +522,10 @@ class TestRepairFollowsTheRoute:
         assert session.stats()["results"].evictions == 0
         assert len(served_first) == 660  # a handed-out answer outlives its entry
 
-    def test_bit_rows_on_another_ordering_are_dropped_not_merged(self):
-        """Bit rows only merge into an ordering that extends their own; a
-        cached relation that does not line up keeps its answer, repaired,
-        and loses the bit rows."""
+    def test_bit_rows_on_another_ordering_are_decoded_not_patched(self):
+        """Bit rows only patch an answer whose rows' ordering the new rows
+        extend; a cached relation that does not line up is re-answered by
+        decoding the new rows in full."""
         graph = chain_graph()
         query = DIALECT_QUERIES["rpq"]
         session = GraphSession(graph, policy=ROUTE_POLICIES["compact"])
@@ -521,21 +536,26 @@ class TestRepairFollowsTheRoute:
         delta = graph.journal.composed(previous, graph.version)
         route = session._route(query)
         expected = fresh_rows(graph, query)
+        objects = graph.compact_index().node_objects
 
-        repaired, merged = repair_full_relation(
-            session.engine, graph, query, False, (rows, bits), delta, route
+        def evaluate():
+            return session._evaluated(query, route, False)
+
+        (repaired, merged), outcome = repair_full_relation(
+            graph, query, ((rows, bits), delta), evaluate
         )
-        assert repaired == expected
-        assert merged.node_pairs(graph.compact_index().node_objects) == expected
+        assert outcome == "patched" and repaired == expected
+        assert merged.node_pairs(objects) == expected
 
         shuffled = tuple(reversed(bits.nodes))
         misaligned = BitRelation(
             shuffled, {node: at for at, node in enumerate(shuffled)}, dict(bits.rows)
         )
-        repaired, merged = repair_full_relation(
-            session.engine, graph, query, False, (rows, misaligned), delta, route
+        (repaired, merged), outcome = repair_full_relation(
+            graph, query, ((rows, misaligned), delta), evaluate
         )
-        assert repaired == expected and merged is None
+        assert outcome == "decoded" and repaired == expected
+        assert merged.node_pairs(objects) == expected
 
     def test_remove_and_re_add_keeps_the_snapshot_ordering_consistent(self):
         """A node removed and re-added in one batch nets out of the delta;
@@ -559,10 +579,10 @@ class TestRepairFollowsTheRoute:
             assert bits.node_pairs(compact.node_objects) == served
 
     def test_a_binary_crpq_re_answer_is_patched_from_its_plan_rows(self, monkeypatch):
-        """A CRPQ is never repaired, but a binary one whose plan ends on
-        bit rows keeps them: each re-answer runs the plan and decodes only
-        the pairs that changed — through a node append, a removal and
-        plain inserts — into the previous version's answer."""
+        """A binary CRPQ whose plan ends on bit rows keeps them: each
+        re-answer runs the plan and decodes only the pairs that changed —
+        through a node append, a removal and plain inserts — into the
+        previous version's answer."""
         graph = chain_graph()
         query = DIALECT_QUERIES["crpq"]
         session = GraphSession(graph, policy=ROUTE_POLICIES["compact"])
@@ -592,8 +612,7 @@ class TestRepairFollowsTheRoute:
             assert answer is served and bits.rows == fresh._results.peek(key)[1].rows
             previous = served
         stats = session.maintenance_stats()
-        assert (stats["patched"], stats["recomputes"]) == (3, 3)
-        assert stats["recompute_reasons"] == {"query kind": 3}
+        assert (stats["repairs"], stats["patched"], stats["recomputes"]) == (3, 3, 0)
 
 
 def decoded_sizes(monkeypatch):
@@ -611,10 +630,9 @@ def decoded_sizes(monkeypatch):
 
 
 class TestReAnswersDecodeByDifference:
-    """A recomputed re-answer decodes its rows' difference from the
-    previous version's — when the lineage's entry kept bit rows on a
-    prefix of the new ordering and no node changed — and the whole
-    relation otherwise."""
+    """A re-answer decodes its rows' difference from the previous
+    version's — when the lineage's entry kept bit rows on a prefix of the
+    new ordering and no node changed — and the whole relation otherwise."""
 
     @pytest.mark.parametrize("dialect", ["rpq", "rem", "crpq"])
     def test_a_removal_decodes_only_the_pairs_it_lost(self, dialect, monkeypatch):
@@ -631,10 +649,9 @@ class TestReAnswersDecodeByDifference:
         assert served == expected and served < before
         assert decoded == [len(before - served)]
         stats = session.maintenance_stats()
-        assert (stats["repairs"], stats["recomputes"], stats["patched"]) == (0, 1, 1)
-        reason = "query kind" if dialect == "crpq" else "removal"
-        assert stats["recompute_reasons"] == {reason: 1}
-        assert events == ["recompute", "patched"]
+        assert (stats["repairs"], stats["recomputes"], stats["patched"]) == (1, 0, 1)
+        assert stats["recompute_reasons"] == {}
+        assert events == ["repair", "patched"]
 
     def test_a_repair_is_patched_too(self):
         graph = chain_graph()
@@ -645,6 +662,30 @@ class TestReAnswersDecodeByDifference:
         shortcut_batch(graph)
         assert session.run(query).rows() == fresh_rows(graph, query)
         assert events == ["repair", "patched"]
+
+    def test_a_declined_patch_is_not_counted_as_patched(self, monkeypatch):
+        """When the patch declines, the re-answer decodes the new rows in
+        full — a repair, but not a patched one."""
+        graph = DataGraph(name="chain-300")
+        for i in range(300):
+            graph.add_node(f"n{i}", i % 3)
+        for i in range(299):
+            graph.add_edge(f"n{i}", "a", f"n{i + 1}")
+        query = Query.parse("a+")
+        events = []
+        session = GraphSession(graph, repair_listener=events.append)
+        session.run(query).rows()
+        monkeypatch.setattr(repair_module, "patched_answer", lambda *args: None)
+        with graph.batch() as batch:
+            batch.add_edge("n0", "a", "n5")  # a shortcut: no new pair
+        expected = fresh_rows(graph, query)
+        decoded = decoded_sizes(monkeypatch)
+        served = session.run(query).rows()
+        assert len(served) == 44_850 and served == expected
+        assert decoded == [44_850]
+        stats = session.maintenance_stats()
+        assert (stats["repairs"], stats["recomputes"], stats["patched"]) == (1, 0, 0)
+        assert events == ["repair"]
 
     @pytest.mark.parametrize("dialect", ["rpq", "crpq"])
     @pytest.mark.parametrize("change", ["insert", "removal"])
@@ -711,7 +752,8 @@ class TestReAnswersDecodeByDifference:
         assert served == expected and decoded == [len(served)]
         stats = session.maintenance_stats()
         assert stats["patched"] == 0
-        assert stats["recompute_reasons"] == ({} if lineage == "repair disabled" else {lineage: 1})
+        recomputed = lineage in ("base evicted", "broken lineage")  # no lineage to re-answer from
+        assert stats["recompute_reasons"] == ({lineage: 1} if recomputed else {})
 
 
 def row_outcomes(session, act):
@@ -798,10 +840,10 @@ class TestRowsOutliveAWrite:
 
         assert row_outcomes(session, act) == {"reused": 1, "continued": 0, "computed": 3}
 
-    def test_a_wide_insert_is_continued_where_seeding_would_decline(self):
-        """The batch of ``test_wide_delta_exceeds_the_seed_fraction_and_recomputes``
-        on the compact route: continuing the kept rows costs what the
-        insert adds, not the touched closure, so nothing declines."""
+    def test_a_wide_insert_is_continued(self):
+        """A batch whose backward closure is the whole graph: continuing
+        the kept rows costs what the insert adds, not the touched
+        closure."""
         graph = chain_graph()
         query = DIALECT_QUERIES["rpq"]
         session = GraphSession(graph, policy=COMPACT)
@@ -919,7 +961,9 @@ def test_re_answers_after_random_batches_equal_a_fresh_session_and_the_spec(data
     equal a fresh algebra run's (and what they gained since the batch's
     base, the difference), and a lineage that changed a value or
     removed a node is never patched.  The CSR index, statistics and
-    edge counts the batch carried forward equal fresh ones."""
+    edge counts the batch carried forward equal fresh ones.  Half the
+    runs drop the row memo after each batch: a re-answer then evaluates
+    from nothing and still patches the kept entries."""
     graph = DataGraph(name="random-batches")
     size = data.draw(st.integers(min_value=3, max_value=7))
     for i in range(size):
@@ -932,6 +976,7 @@ def test_re_answers_after_random_batches_equal_a_fresh_session_and_the_spec(data
     session = GraphSession(graph, policy=COMPACT)
     for query, null in cells:
         session.run(query, null).rows()
+    forget_rows = data.draw(st.booleans(), label="memo lost")
     fresh_ids = (f"m{i}" for i in range(1000))
     for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
         base = graph.version
@@ -940,6 +985,8 @@ def test_re_answers_after_random_batches_equal_a_fresh_session_and_the_spec(data
             graph_statistics(graph).label(label)  # summaries the batch patches or derives
         random_batch(graph, data, fresh_ids)
         assert_write_state_is_fresh(graph)
+        if forget_rows:
+            session._rows.clear()
         delta = graph.journal.composed(base, graph.version)
         patched = session.maintenance_stats()["patched"]
         fresh = GraphSession(graph, policy=COMPACT)

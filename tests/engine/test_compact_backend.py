@@ -803,8 +803,8 @@ ROWS = st.dictionaries(
 @settings(max_examples=60, deadline=None)
 @given(left=ROWS, right=ROWS, grown=st.integers(min_value=0, max_value=5), data=st.data())
 def test_bit_relation_algebra(left, right, grown, data):
-    """count / restrict / union / minus against plain set algebra on the
-    decoded pairs, with *right* on an ordering that extends *left*'s."""
+    """count / restrict / minus against plain set algebra on the decoded
+    pairs, with *right* on an ordering that extends *left*'s."""
     nodes = tuple(range(140))
     longer = nodes + tuple(f"new{i}" for i in range(grown))
     a = BitRelation(nodes, {n: i for i, n in enumerate(nodes)}, left)
@@ -813,16 +813,14 @@ def test_bit_relation_algebra(left, right, grown, data):
     assert b.extended_by(a) == (grown == 0)
     pairs_a, pairs_b = a.id_pairs(), b.id_pairs()
     assert a.count() == len(pairs_a) and pairs_a == bit_walk_pairs(a, nodes)
-    union = a.union(b)
-    assert union.nodes is longer and union.id_pairs() == pairs_a | pairs_b
     assert b.minus(a).id_pairs() == pairs_b - pairs_a
     lost = a.minus(b)  # the shorter ordering as the prefix works too
     assert lost.nodes is nodes and lost.id_pairs() == pairs_a - pairs_b
     assert a.rows == left and b.rows == right  # operands are never mutated
     picks = st.none() | st.sets(st.sampled_from(longer + ("absent",)), max_size=8)
     sources, targets = data.draw(picks), data.draw(picks)
-    assert union.restrict(sources, targets).id_pairs() == restricted(
-        union.id_pairs(), sources, targets
+    assert b.restrict(sources, targets).id_pairs() == restricted(
+        pairs_b, sources, targets
     )
 
 

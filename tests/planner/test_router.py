@@ -1,16 +1,16 @@
 """The one decision point: route choices, overrides, and "explain is what ran".
 
 Three invariants: (1) the :class:`Route` resolved for a query is the one
-the policy and the cost model say it should be — fully resolved, never
+the policy says it should be — fully resolved, never
 ``"auto"``; (2) what ``explain`` prints is what runs: the kernel family
 and driver observed at the kernel entry points equal ``route.strategy``
 for ``run``, ``run_many`` and ``targets`` alike; (3) whatever route
 fires, answers equal the naive specification across all five dialects.
 
 The whole module runs under every host shape of the ``host_shape``
-fixture — (1 core), (N cores + fork), (N cores, no fork) — and the
-256 / 1,024-node floors are monkeypatched down so graphs on both sides
-of each floor stay small.
+fixture — (1 core), (N cores + fork), (N cores, no fork).  Nothing is
+routed by graph size: the default policy resolves ``compact`` on every
+graph.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from repro.planner import stats as stats_module
 from repro.planner.router import route_point
 from repro.query import evaluate_crpq_naive, evaluate_data_rpq_naive, evaluate_rpq_naive
 from repro.sqlbackend import backend as sql_backend
-from repro.sqlbackend import cost as sql_cost
 
 pytestmark = pytest.mark.usefixtures("host_shape")
 
@@ -68,16 +67,6 @@ CONFIGS = {
     "sharded": ExecutionPolicy(intra_query="sharded", max_workers=2),
     "manual": ExecutionPolicy(routing="manual"),
 }
-
-#: The floors, patched down: compact at 8 nodes, SQL at 16.
-COMPACT_FLOOR, SQL_FLOOR = 8, 16
-
-
-@pytest.fixture
-def low_floors(monkeypatch):
-    monkeypatch.setattr(compact_kernels, "COMPACT_AUTO_MIN_NODES", COMPACT_FLOOR)
-    monkeypatch.setattr(sql_cost, "SQL_AUTO_MIN_NODES", SQL_FLOOR)
-
 
 @pytest.fixture(scope="module")
 def graph():
@@ -216,12 +205,16 @@ class TestRouteChoices:
             assert route.estimate is None and "(est ≈" not in route.describe()
         assert route.describe().startswith("route: ")
 
-    def test_small_graph_routes_sequential(self, graph):
-        route = route_query(Query.parse("a"), graph, ExecutionPolicy.auto())
-        assert route.strategy == "sequential" and route.kernel == "dict"
+    @pytest.mark.parametrize("name", sorted(DIALECTS))
+    def test_small_graph_routes_compact(self, graph, name):
+        # 36 nodes: no size rule sends the default policy to the dict kernels.
+        for policy in (None, ExecutionPolicy(), ExecutionPolicy.auto()):
+            route = route_query(DIALECTS[name], graph, policy)
+            assert (route.strategy, route.kernel) == ("compact", "compact"), (name, policy)
+        assert route_point(graph).kernel == "compact"
 
     @pytest.mark.parametrize("shape", ["communities", "supplier", "chain", "random"])
-    def test_auto_never_parallelises(self, shape, low_floors):
+    def test_auto_never_parallelises(self, shape):
         # Whatever the graph, the estimate or the budget, ``auto`` resolves
         # a sequential driver: only a forced ``intra_query`` forks.
         graph = ROUTER_GRAPHS[shape]()
@@ -283,10 +276,10 @@ class TestRouteChoices:
         assert GraphSession(graph, policy=policy).run(query).rows() == expected
         spy.assert_ran(route, (name, forced))
 
-    def test_manual_routing_switches_the_cost_model_off(self, graph, low_floors):
-        route = route_query(DIALECTS["rpq"], graph, ExecutionPolicy(routing="manual"))
-        assert route.driver == "sequential" and route.kernel == "compact"  # by size only
-        assert route.reason == "manual routing policy"
+    def test_manual_routing_is_ignored(self, graph):
+        for query in DIALECTS.values():
+            manual = route_query(query, graph, ExecutionPolicy(routing="manual"))
+            assert manual == route_query(query, graph, ExecutionPolicy())
         oracle = ExecutionPolicy(routing="manual", backend="dict")
         assert route_query(DIALECTS["rpq"], graph, oracle).strategy == "sequential"
 
@@ -315,7 +308,7 @@ def citation_chain(length=1200, taps=8):
 
 
 #: The router graphs of this module, by shape: the small community graph,
-#: the random supplier graph and citation chain above the SQL floor, and
+#: the 1,100-node random supplier graph and 1,208-node citation chain, and
 #: the 2,100-node random graph the concatenation case routes on.
 ROUTER_GRAPHS = {
     "communities": lambda: generators.community_graph(
@@ -331,38 +324,30 @@ ROUTER_GRAPHS = {
 
 
 class TestRouterSeesTheRegex:
-    """The router unwraps ``RPQ.expression``, so SQL is reported where it
-    runs; RPQ routes carry no estimate, CRPQ routes their plan's."""
+    """Above 1,024 nodes, where a cost rule used to send a selective pivot
+    in front of a deep closure to SQL, every shape routes compact; RPQ
+    routes carry no estimate, CRPQ routes their plan's."""
 
-    #: Above the 1,024-node SQL floor, ``sql`` keeps only its measured
-    #: regime: a selective pivot in front of a deep closure.
-    ABOVE_THE_SQL_FLOOR = {
-        "bare closure": ("supplier", Query.parse("supplies_to+"), "compact"),
+    LARGE_SHAPES = {
+        "bare closure": ("supplier", Query.parse("supplies_to+")),
         "closure CRPQ": (
             "supplier",
             Query.parse(
                 "x, z :- (x, alt_for, y), (y, supplies_to+, z), (z, alt_for, w)", dialect="crpq"
             ),
-            "compact",
         ),
-        "GXPath axis star": (
-            "supplier", Query.parse("supplies_to*.alt_for-", dialect="gxpath-path"), "compact",
-        ),
-        "pivot before a deep closure": ("chain", Query.parse("(cites)*.tagged"), "sql"),
+        "GXPath axis star": ("supplier", Query.parse("supplies_to*.alt_for-", dialect="gxpath-path")),
+        "pivot before a deep closure": ("chain", Query.parse("(cites)*.tagged")),
     }
 
-    @pytest.mark.parametrize("case", sorted(ABOVE_THE_SQL_FLOOR))
-    def test_sql_keeps_only_its_measured_regime(self, case, spy):
-        shape, query, strategy = self.ABOVE_THE_SQL_FLOOR[case]
-        if shape == "supplier":
-            graph = generators.random_graph(
-                1100, 2400, labels=("supplies_to", "alt_for"), rng=3
-            )
-        else:
-            graph = citation_chain()
-        assert graph.num_nodes >= sql_cost.SQL_AUTO_MIN_NODES
+    @pytest.mark.parametrize("case", sorted(LARGE_SHAPES))
+    def test_large_shapes_route_compact(self, case, spy):
+        shape, query = self.LARGE_SHAPES[case]
+        graph = ROUTER_GRAPHS[shape]()
+        assert graph.num_nodes >= 1024
         session = GraphSession(graph)
         route = session._route(query)
+        strategy = "compact"
         assert route.strategy == strategy
         if query.kind is QueryKind.CRPQ:
             assert 0 <= route.estimate < graph.num_nodes**2
@@ -384,7 +369,7 @@ class TestRouterSeesTheRegex:
 
 
 class TestPointQueriesSkipTheRouter:
-    def test_point_route_is_the_constant_time_part(self, graph, low_floors):
+    def test_point_route_is_the_constant_time_part(self, graph):
         route = route_point(graph)
         assert (route.kernel, route.driver) == ("compact", "sequential")
         assert route_point(graph, ExecutionPolicy(backend="dict")).kernel == "dict"
@@ -413,7 +398,7 @@ graphs = st.builds(
     lambda size, seed: generators.random_graph(
         size, size * 2, labels=("a", "b"), rng=seed, domain_size=3
     ),
-    # both sides of the (patched) 8 / 16 / 24-node floors
+    # small graphs, where a size rule used to pick the dict kernels
     size=st.sampled_from([5, 9, 18, 26]),
     seed=st.integers(min_value=0, max_value=10_000),
 )
@@ -426,7 +411,7 @@ class TestExplainIsWhatRan:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(graph=graphs)
-    def test_every_dialect_under_every_configuration(self, graph, low_floors, spy):
+    def test_every_dialect_under_every_configuration(self, graph, spy):
         for name, query in SPIED_DIALECTS.items():
             expected = naive_rows(graph, query)
             for config in CONFIGS:
@@ -499,7 +484,7 @@ class TestExplainIsWhatRan:
         assert not spy.drivers
 
     @pytest.mark.parametrize("config", sorted(CONFIGS))
-    def test_process_batches_agree_with_run(self, graph, config, low_floors):
+    def test_process_batches_agree_with_run(self, graph, config):
         queries = list(DIALECTS.values())
         expected = [session_under(config, graph).run(query).rows() for query in queries]
         session = session_under(config, graph)

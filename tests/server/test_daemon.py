@@ -594,7 +594,8 @@ class TestMetricsAndManagement:
                 counters = session.metrics()["counters"]
         finally:
             server.shutdown()
-        assert counters["result_patched"] == 1 and counters["result_recomputes"] == 1
+        assert (counters["result_repairs"], counters["result_patched"]) == (1, 1)
+        assert counters["result_recomputes"] == 0
 
     def test_mutate_replies_carry_the_delta(self, served):
         graph, address, _ = served
