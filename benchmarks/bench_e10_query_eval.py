@@ -3,8 +3,8 @@
 The speedup-gate pair (``bench_e10_rpq_evaluation`` vs its naive
 baseline) measures the engine evaluator itself, so it calls the engine
 facade directly — routing it through a caching session would benchmark
-the result cache instead.  Session-level behaviour (caching, batching,
-executors) is measured in ``bench_session_batch.py``.
+the result cache instead.  Session-level behaviour (caching, batching)
+is measured in ``bench_session_batch.py``.
 """
 
 from __future__ import annotations

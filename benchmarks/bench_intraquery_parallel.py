@@ -1,4 +1,4 @@
-"""Benchmark intra-query parallelism: one full-relation RPQ, three drivers.
+"""Benchmark intra-query parallelism: one full-relation RPQ, two drivers.
 
 The workload is the multi-community scenario
 (:func:`repro.workloads.multi_community_scenario`): dense ``knows``
@@ -9,11 +9,9 @@ dominates the runtime.  The same compiled automaton and label index feed
 * the sequential three-phase engine (``product.full_relation``),
 * the source-block parallel driver (``partition.parallel_full_relation``,
   phase 3 fanned out over forked workers; degrades to one block — i.e.
-  sequential evaluation plus no pool — on a single core), and
-* the sharded scatter/gather driver (``partition.sharded_full_relation``,
-  including the edge-cut planning cost).
+  sequential evaluation plus no pool — on a single core).
 
-All three must return identical pairs; CI compares the means from
+Both must return identical pairs; CI compares the means from
 BENCH_pr.json and fails when the source-block path falls below
 sequential on a multi-core runner (see the bench-smoke gate).
 """
@@ -64,14 +62,4 @@ def bench_intraquery_source_blocks(benchmark, community_index, compiled_query, e
         rounds=1,
         iterations=1,
     )
-    assert pairs == expected_pairs
-
-
-def bench_intraquery_sharded(benchmark, community_index, compiled_query, expected_pairs):
-    def run():
-        return partition.sharded_full_relation(
-            community_index, compiled_query, num_shards=NUM_COMMUNITIES
-        )
-
-    pairs = benchmark.pedantic(run, rounds=1, iterations=1)
     assert pairs == expected_pairs

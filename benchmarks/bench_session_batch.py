@@ -1,16 +1,10 @@
-"""Benchmark the GraphSession batch path: run_many sequential vs parallel.
+"""Benchmark the GraphSession batch path: run_many, uncached and cached.
 
 The batch is the e10 workload (:func:`repro.experiments.e10_query_eval
 .batch_queries`): a mix of RPQ, REE and REM plans whose REM members
-dominate the runtime, i.e. enough per-query work for a worker pool to
-amortise its startup.  Result caching is disabled for the executor
-benchmarks so every round measures genuine evaluation; the cached-rerun
+dominate the runtime.  Result caching is disabled for the first
+benchmark so every round measures genuine evaluation; the cached-rerun
 benchmark measures the versioned result cache instead.
-
-On a multi-core runner the process-backed parallel executor should beat
-sequential wall-clock; on a single core it degrades gracefully to
-roughly sequential speed plus pool overhead.  CI compares the two means
-from BENCH_pr.json (see the bench-smoke gate).
 """
 
 from __future__ import annotations
@@ -41,17 +35,8 @@ def _run_batch(graph, policy):
 
 
 def bench_session_run_many_sequential(benchmark, batch_graph, expected_rows):
-    policy = ExecutionPolicy(executor="sequential", cache_results=False)
-    gc.collect()  # a gen-2 pass over an earlier bench's garbage would decide the ratio
-    results = benchmark.pedantic(
-        _run_batch, args=(batch_graph, policy), rounds=1, iterations=1
-    )
-    assert [result.rows() for result in results] == expected_rows
-
-
-def bench_session_run_many_parallel(benchmark, batch_graph, expected_rows):
-    policy = ExecutionPolicy(executor="process", cache_results=False)
-    gc.collect()  # a gen-2 pass over an earlier bench's garbage would decide the ratio
+    policy = ExecutionPolicy(cache_results=False)
+    gc.collect()  # a gen-2 pass over an earlier bench's garbage would land in this round
     results = benchmark.pedantic(
         _run_batch, args=(batch_graph, policy), rounds=1, iterations=1
     )

@@ -11,10 +11,9 @@ of ``__all__``:
   :class:`DataPath`, :class:`GraphBuilder`, :class:`PropertyGraph`, the
   :data:`NULL` value and the JSON (de)serialisers);
 * the unified execution API (:class:`Query`, :class:`QueryKind`,
-  :class:`GraphSession`, :class:`Result`, :class:`ExecutionPolicy`,
-  :class:`SequentialExecutor`, :class:`ParallelExecutor`) — every
-  query language evaluated through one session with a versioned result
-  cache and pluggable executors;
+  :class:`GraphSession`, :class:`Result`, :class:`ExecutionPolicy`) —
+  every query language evaluated through one session with a versioned
+  result cache;
 * query construction for each language (RPQs via :func:`rpq` and
   friends, data RPQs via :func:`equality_rpq` / :func:`memory_rpq` /
   :func:`data_path_query`, regular-expression parsing via
@@ -36,15 +35,7 @@ from __future__ import annotations
 
 __version__ = "2.0.0"
 
-from .api import (
-    ExecutionPolicy,
-    GraphSession,
-    ParallelExecutor,
-    Query,
-    QueryKind,
-    Result,
-    SequentialExecutor,
-)
+from .api import ExecutionPolicy, GraphSession, Query, QueryKind, Result
 from .core import (
     DataExchangeEngine,
     GraphSchemaMapping,
@@ -118,8 +109,6 @@ __all__ = [
     "GraphSession",
     "Result",
     "ExecutionPolicy",
-    "SequentialExecutor",
-    "ParallelExecutor",
     # query construction per language
     "RPQ",
     "DataRPQ",

@@ -1,4 +1,4 @@
-"""The unified public execution API: query IR, sessions, executors.
+"""The unified public execution API: query IR, sessions, policies.
 
 This sub-package is the one front door to query evaluation.  Every
 language of the paper — RPQs, data RPQs (REE/REM), conjunctive RPQs and
@@ -17,8 +17,8 @@ an :class:`ExecutionPolicy`:
     session.run(Query.gxpath("<a.[<b>]>")).nodes()
 
     batch = [Query.rpq(text) for text in workload]
-    parallel = GraphSession(graph, policy=ExecutionPolicy.preset("parallel"))
-    results = parallel.run_many(batch)          # worker-pool fan-out
+    results = session.run_many(batch)           # in order, each plan once
+    forced = GraphSession(graph, policy=ExecutionPolicy(backend="sql"))
 
 Sessions memoise answers keyed on the graph's mutation counter
 (``graph.version``), so results are never stale and mutations never need
@@ -37,7 +37,7 @@ against the protocol runs unchanged in-process or against a server:
         session.run("knows.knows").count()
 """
 
-from .executors import POLICY_PRESETS, ExecutionPolicy, ParallelExecutor, SequentialExecutor
+from .executors import ExecutionPolicy
 from .protocol import SessionProtocol
 from .query import Query, QueryKind, QueryLike
 from .remote import (
@@ -63,7 +63,4 @@ __all__ = [
     "QueryTimeoutError",
     "ServerShuttingDownError",
     "ExecutionPolicy",
-    "POLICY_PRESETS",
-    "SequentialExecutor",
-    "ParallelExecutor",
 ]

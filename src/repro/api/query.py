@@ -347,24 +347,3 @@ class Query:
         if kind is QueryKind.GXPATH_PATH:
             return gxpath_evaluation.evaluate_path(graph, self.plan, null_semantics, route=route)
         raise EvaluationError(f"unknown query kind {kind!r}")  # pragma: no cover - defensive
-
-    def _warm(self, engine: "EvaluationEngine") -> None:
-        """Compile the plan's automata into *engine*'s caches.
-
-        Called sequentially before a parallel fan-out so worker threads
-        race neither the LRU caches nor each other on compilation.
-        """
-        kind = self.kind
-        if kind is QueryKind.RPQ:
-            engine.compile_rpq(self.plan)
-        elif kind is QueryKind.DATA_RPQ:
-            if isinstance(self.plan.expression, RegexWithMemory):
-                engine.compile_data_rpq(self.plan.expression)
-        elif kind is QueryKind.CRPQ:
-            for atom in self.plan.atoms:
-                if isinstance(atom.query, RPQ):
-                    engine.compile_rpq(atom.query)
-                elif isinstance(atom.query.expression, RegexWithMemory):
-                    engine.compile_data_rpq(atom.query.expression)
-        # GXPath plans have no compiled artefacts: each evaluation builds
-        # its own bit rows over the index its route names.

@@ -6,13 +6,14 @@ binds together
 * a :class:`~repro.datagraph.graph.DataGraph`,
 * an :class:`~repro.engine.engine.EvaluationEngine` (shared compiled-
   automaton caches; defaults to the process-wide engine), and
-* an :class:`~repro.api.executors.ExecutionPolicy` (executor choice and
-  result-cache behaviour),
+* an :class:`~repro.api.executors.ExecutionPolicy` (result-cache
+  behaviour and the forced-route overrides),
 
 and evaluates :class:`~repro.api.query.Query` plans of *every* language
 through one pair of entry points: :meth:`GraphSession.run` for a single
-query and :meth:`GraphSession.run_many` for a batch.  Both return uniform
-lazy :class:`~repro.api.result.Result` objects.
+query and :meth:`GraphSession.run_many` for a batch, which runs in
+order on the calling thread through the same path as ``run``.  Both
+return uniform lazy :class:`~repro.api.result.Result` objects.
 
 The session owns a **versioned result cache**: answers are keyed on
 ``(graph.version, query.key, null_semantics)``, and since every
@@ -26,14 +27,13 @@ independent **point-workload cache** memoises single-source answers
 (:func:`repro.planner.route_query`) into a
 :class:`~repro.planner.router.Route`, and one dispatcher
 (:meth:`GraphSession._execute`) turns a ``(plan, route)`` pair into an
-answer — for ``run``, ``run_many`` under every executor, ``targets``
-and ``holds`` alike.  Every route returns the same answers, so they
-share cache entries and :class:`Result` objects.
+answer — for ``run``, ``run_many``, ``targets`` and ``holds`` alike.
+Every route returns the same answers, so they share cache entries and
+:class:`Result` objects.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from collections import Counter, deque
@@ -43,14 +43,14 @@ from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence,
 from ..datagraph.graph import DataGraph
 from ..datagraph.node import Node, NodeId
 from ..deltas.delta import GraphDelta
-from ..deltas.repair import entry_stands, repair_full_relation
+from ..deltas.repair import repair_full_relation
 from ..engine.bitrelation import BitRelation, CachedRelation
 from ..engine.cache import CacheStats, LRUCache
 from ..engine.data import RowMemo
 from ..engine.engine import EvaluationEngine, default_engine
 from ..exceptions import EvaluationError
 from ..planner.router import route_point, route_query
-from .executors import ExecutionPolicy, SequentialExecutor
+from .executors import ExecutionPolicy
 from .protocol import SessionProtocol
 from .query import Query, QueryKind, QueryLike
 from .result import Result
@@ -109,7 +109,6 @@ class GraphSession(SessionProtocol):
         # difference from the old one; the server wires its metrics
         # counters here.
         self.repair_listener = repair_listener
-        self._executor = self.policy.build_executor()
         self._results: LRUCache[CachedRelation] = LRUCache(self.policy.result_cache_size)
         # Point-workload cache: single-source answers keyed on
         # (graph.version, query.key, source, null_semantics), so repeated
@@ -167,62 +166,21 @@ class GraphSession(SessionProtocol):
         plan = Query.of(query)
         return Result(plan, self.graph, lambda: self._answers(plan, null_semantics))
 
-    def run_many(
-        self,
-        queries: Sequence[QueryLike],
-        null_semantics: bool = False,
-        executor=None,
-    ) -> List[Result]:
+    def run_many(self, queries: Sequence[QueryLike], null_semantics: bool = False) -> List[Result]:
         """Evaluate a batch of queries, one :class:`Result` per query.
 
-        Cache hits are resolved up front; only the distinct misses are
-        handed to the executor (the policy's, unless *executor* overrides
-        it), so a warm cache short-circuits the fan-out entirely.  A plan
-        with a lineage is re-answered here (:meth:`_reanswer`) when its
-        cached entry stands or the executor is sequential; under a
-        fanning-out executor any other lineage plan is a miss, evaluated
-        afresh in the fan-out and counted as a ``"batch fan-out"``
-        recompute.  Batch results are materialised eagerly — laziness
-        would serialise the parallel backends.
+        The batch runs in order on the calling thread, each distinct plan
+        once, through the same :meth:`_answers` as :meth:`run` — a cache
+        hit, a re-answer from its lineage (:meth:`_reanswer`) or a fresh
+        evaluation.  Batch results are materialised eagerly.
         """
-        plans = [Query.of(query) for query in queries]
-        chosen = executor if executor is not None else self._executor
-        inline = isinstance(chosen, SequentialExecutor)
-        caching = self.policy.cache_results
-        version = self.graph.version
-
-        answers: Dict[Tuple, CachedRelation] = {}
-        misses: List[Query] = []
-        for plan in plans:
-            key = (version, plan.key, null_semantics)
-            if key in answers:
-                continue
-            if caching and key in self._results:
-                answers[key] = self._results.get_or_build(key, tuple)  # recorded hit
-                continue
-            lineage = self._lineage_base(plan, null_semantics, version) if caching else None
-            if lineage is not None and (inline or entry_stands(plan, lineage[1])):
-                entry = self._reanswer(plan, self._route(plan), null_semantics, lineage)
-                answers[key] = self._remember(plan, null_semantics, version, entry)
-            else:
-                if lineage is not None:
-                    self._record_maintenance("recompute", "batch fan-out")
-                answers[key] = None  # placeholder: scheduled for the executor
-                misses.append(plan)
-        if misses:
-            computed = chosen.execute_batch(
-                self._batch_evaluator(misses, null_semantics, chosen), misses
-            )
-            for plan, entry in zip(misses, computed):
-                key = (version, plan.key, null_semantics)
-                if caching:
-                    entry = self._remember(plan, null_semantics, version, entry)
-                answers[key] = entry
-
+        answers: Dict[Tuple, Tuple] = {}
         results: List[Result] = []
-        for plan in plans:
-            answer, bits = answers[(version, plan.key, null_semantics)]
-            readable = (answer, self._rows_at(bits, version))
+        for query in queries:
+            plan = Query.of(query)
+            readable = answers.get(plan.key)
+            if readable is None:
+                readable = answers[plan.key] = self._answers(plan, null_semantics)
             result = Result(plan, self.graph, lambda readable=readable: readable)
             result._force()  # already computed; materialise eagerly
             results.append(result)
@@ -626,8 +584,7 @@ class GraphSession(SessionProtocol):
         re-answers served from a lineage — the cached entry kept, or the
         memo's evaluation decoded from its rows — and ``recomputes`` the
         ones evaluated afresh, by reason (``"base evicted"``, ``"broken
-        lineage"``, ``"no rows"``: the route keeps no bit rows, or
-        ``"batch fan-out"``: a parallel :meth:`run_many` evaluated it);
+        lineage"`` or ``"no rows"``: the route keeps no bit rows);
         ``patched`` counts the repairs decoded by difference from the
         previous version's answer.  Also the most recent repair lineages
         ``(base → new, delta digest)`` and, under ``rows``, how the bit-row algebra's
@@ -701,18 +658,13 @@ class GraphSession(SessionProtocol):
 
         return graph_statistics(self.graph)
 
-    def _route(self, plan: Query, policy: Optional[ExecutionPolicy] = None):
+    def _route(self, plan: Query):
         """The resolved :class:`~repro.planner.router.Route` of *plan*:
         the one decision :meth:`_execute` consumes and :meth:`explain`
-        prints (*policy* defaults to the session's own).  A CRPQ is
-        routed on its cached plan, so no dialect reads statistics here."""
+        prints.  A CRPQ is routed on its cached plan, so no dialect reads
+        statistics here."""
         planned = self._crpq_plan(plan) if plan.kind is QueryKind.CRPQ else None
-        return route_query(
-            plan,
-            self.graph,
-            policy=policy if policy is not None else self.policy,
-            planned=planned,
-        )
+        return route_query(plan, self.graph, policy=self.policy, planned=planned)
 
     def explain(self, query: QueryLike) -> str:
         """The execution plan of *query* on this session's graph.
@@ -749,10 +701,10 @@ class GraphSession(SessionProtocol):
         """Turn a ``(plan, route)`` pair into an answer.
 
         The one path from the session to the kernels: ``run``,
-        ``run_many`` (under every executor), ``targets`` and ``holds``
-        all end here (a cached ``run`` and an in-process batch through
-        :meth:`_full_entry`, which keeps a local bit-row route's rows),
-        and nothing below re-decides what *route* resolved.  With
+        ``run_many``, ``targets`` and ``holds`` all end here (a cached
+        answer through :meth:`_full_entry`, which keeps a local bit-row
+        route's rows), and nothing below re-decides what *route*
+        resolved.  With
         *source* given the answer is the point form — the targets of
         *source* — else the plan's full answer set (for a CRPQ without
         *decode*, its bit rows when the plan ends on them: see
@@ -789,29 +741,6 @@ class GraphSession(SessionProtocol):
             self._plan_traces.clear()
         self._plan_traces[(plan.key, null_semantics)] = trace
         return answer
-
-    def _batch_evaluator(self, plans: Sequence[Query], null_semantics: bool, executor):
-        """The per-query callable an executor fans a batch out over.
-
-        Routes are resolved here, in the calling thread, so statistics,
-        CRPQ plans and indexes are built once and the workers only
-        evaluate.  Under a parallel executor each query gets a one-worker
-        budget — the batch fan-out already owns the cores — and the
-        compilation caches are warmed first, because they are not safe
-        for concurrent builds.
-        """
-        if isinstance(executor, SequentialExecutor):
-            routes = {plan.key: self._route(plan) for plan in plans}
-            # In-process, so entries keep their bit rows as run()'s do.
-            return lambda plan: self._full_entry(plan, routes[plan.key], null_semantics)
-        solo = dataclasses.replace(self.policy, max_workers=1, intra_query="off")
-        routes = {plan.key: self._route(plan, solo) for plan in plans}
-        for plan in plans:
-            plan._warm(self.engine)
-        if any(route.kernel == "compact" for route in routes.values()):
-            self.graph.compact_index()
-        # Answers may come back from forked workers: cached without bit rows.
-        return lambda plan: (self._execute(plan, routes[plan.key], null_semantics), None)
 
     def _cached_relation_lookup(self, null_semantics: bool):
         """A relation-cache hook for the adaptive executor: answer a CRPQ
@@ -878,6 +807,6 @@ class GraphSession(SessionProtocol):
         snapshot = self._results.stats()
         return (
             f"<GraphSession graph={self.graph.name or id(self.graph):} "
-            f"version={self.graph.version} executor={self._executor.name} "
+            f"version={self.graph.version} "
             f"results={snapshot.size}/{snapshot.maxsize} ({snapshot.hits} hits)>"
         )

@@ -77,18 +77,12 @@ def _parse_query(arguments: argparse.Namespace) -> Query:
 
 def _execution_policy(arguments: argparse.Namespace) -> ExecutionPolicy:
     """Map the evaluate sub-command's policy flags onto an ExecutionPolicy."""
-    policy = getattr(arguments, "policy", "sequential")
     workers = getattr(arguments, "workers", None)
-    intra_query = getattr(arguments, "intra_query", None)
     if workers is not None and workers < 1:
         raise ReproError(f"--workers must be positive, got {workers}")
-    if policy == "intra-query":
-        # The intra-query policy forces a driver (blocks unless named).
-        policy, intra_query = "sequential", intra_query or "blocks"
     return ExecutionPolicy(
-        executor=policy,
         max_workers=workers,
-        intra_query=intra_query or "off",
+        intra_query=getattr(arguments, "intra_query", None) or "off",
         backend=getattr(arguments, "backend", None) or "auto",
         routing=getattr(arguments, "routing", None) or "auto",
     )
@@ -162,30 +156,19 @@ def build_parser() -> argparse.ArgumentParser:
         "planner's cost-ordered join plan with seeded scans and estimates)",
     )
     evaluate.add_argument(
-        "--policy",
-        default="sequential",
-        choices=["sequential", "thread", "process", "intra-query"],
-        help="execution policy for the session: 'intra-query' parallelises this "
-        "query's full-relation pass across source blocks; 'thread'/'process' "
-        "configure the batch (run_many) pool and evaluate a single query "
-        "sequentially (default: sequential)",
-    )
-    evaluate.add_argument(
         "--workers",
         type=int,
         default=None,
         metavar="N",
-        help="the one worker budget: pool size of the thread/process policies, "
-        "worker and shard count of the intra-query drivers "
+        help="worker count of the forced --intra-query driver "
         "(default: CPU count, capped at 8)",
     )
     evaluate.add_argument(
         "--intra-query",
-        choices=["blocks", "sharded"],
+        choices=["blocks"],
         default=None,
         help="force the intra-query driver on any graph size: 'blocks' fans the "
-        "source propagation out over forked workers, 'sharded' runs the edge-cut "
-        "scatter/gather driver (default under --policy intra-query: blocks)",
+        "source propagation out over forked workers",
     )
     evaluate.add_argument(
         "--backend",

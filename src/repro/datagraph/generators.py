@@ -244,10 +244,9 @@ def community_graph(
     over *labels* and ``bridges_per_community`` sparse ``bridge_label``
     edges from each community into the next (wrapping around), so every
     pair of communities is connected but only through a thin cut.  Nodes
-    are added community by community, which means the contiguous
-    partition strategy of :class:`repro.engine.partition.GraphPartition`
-    recovers the communities and the bridge edges become exactly the
-    cross-shard frontier.
+    are added community by community, so contiguous source blocks
+    (:func:`repro.engine.partition.split_blocks`) recover the
+    communities.
     """
     if num_communities < 1 or community_size < 1:
         raise WorkloadError("community_graph needs at least one community and one node each")

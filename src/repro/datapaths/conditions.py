@@ -250,9 +250,7 @@ class Valuation:
 
     def __reduce__(self):
         # Rebuild from the plain dict: the cached hash must not travel
-        # (string hashes differ between interpreter processes), and
-        # register-product configurations cross process boundaries in
-        # the sharded multiprocess driver.
+        # (string hashes differ between interpreter processes).
         return (Valuation, (dict(self._assignment),))
 
     def __repr__(self) -> str:

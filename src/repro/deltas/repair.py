@@ -5,7 +5,7 @@ on a bit-row route, its :class:`~repro.engine.bitrelation.BitRelation`)
 of an earlier version plus the journal's composed delta since — through
 one call, :func:`repair_full_relation`:
 
-* the **cached entry stands** (:func:`entry_stands`) when the query is
+* the **cached entry stands** (:func:`_entry_stands`) when the query is
   an RPQ or data RPQ and the delta adds or removes no node, changes no
   value and adds or removes no edge with a label the query reads;
 * otherwise the query is **evaluated with the session's**
@@ -13,8 +13,11 @@ one call, :func:`repair_full_relation`:
   difference** from the entry's (:func:`patched_answer`), or in full
   when that patch would not be exact;
 * a route that yields **no rows** (forced ``dict`` / ``sql``, the
-  partitioned drivers, GXPath, a CRPQ whose plan does not end on rows)
-  is re-evaluated in full.
+  forced ``blocks`` driver, GXPath, a CRPQ whose plan does not end on
+  rows) is re-evaluated in full.
+
+A :meth:`~repro.api.GraphSession.run_many` batch re-answers each plan
+with a lineage in place, through the same call as ``run``.
 
 :func:`backward_touched_closure` serves the point-cache snapshot's
 survival check (:meth:`repro.api.GraphSession.load_point_cache`).
@@ -34,7 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "backward_touched_closure",
-    "entry_stands",
     "patched_answer",
     "repair_full_relation",
     "REPAIRABLE_KINDS",
@@ -102,7 +104,7 @@ def patched_answer(
     return answer
 
 
-def entry_stands(plan, delta: GraphDelta) -> bool:
+def _entry_stands(plan, delta: GraphDelta) -> bool:
     """Whether *plan*'s (a ``Query``) answer is unchanged by *delta*: an
     RPQ or data RPQ reads only the nodes, their values and the edges of
     its labels, and *delta* adds or removes no node, changes no value
@@ -128,7 +130,7 @@ def repair_full_relation(
     not be exact) or ``"no rows"`` (the module docstring's three cases).
     """
     cached, delta = lineage
-    if entry_stands(plan, delta):
+    if _entry_stands(plan, delta):
         return cached, "kept"
     new = evaluate()
     if not isinstance(new, BitRelation):

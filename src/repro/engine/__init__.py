@@ -21,11 +21,9 @@ It provides:
   :class:`~repro.datagraph.index.LabelIndex`, all handing their answer
   over as a :class:`BitRelation` (:mod:`repro.engine.bitrelation`) —
   per-target source bitmasks, decoded exactly once by the one decoder;
-* the partitioned evaluation layer (:mod:`repro.engine.partition`) —
-  edge-cut :class:`GraphPartition` plans with shard-local views, the
-  sharded scatter/gather driver (shard rounds in forked worker
-  processes when the platform allows) and the source-block parallel
-  driver, both generic over any product space.
+* the forced ``blocks`` driver (:mod:`repro.engine.partition`) — the
+  source-block parallel pass over forked workers, generic over any
+  product space.
 
 Quickstart::
 
@@ -41,15 +39,7 @@ from .bitrelation import BitRelation
 from .cache import CacheStats, LRUCache
 from .compiled import CompiledAutomaton, compile_nfa
 from .engine import EvaluationEngine, default_engine, set_default_engine
-from .partition import (
-    GraphPartition,
-    ShardView,
-    parallel_full_relation,
-    parallel_product_relation,
-    sharded_full_relation,
-    sharded_product_relation,
-    split_blocks,
-)
+from .partition import parallel_full_relation, parallel_product_relation, split_blocks
 from .spaces import NfaProductSpace, ProductSpace, RegisterProductSpace
 
 __all__ = [
@@ -64,11 +54,7 @@ __all__ = [
     "ProductSpace",
     "NfaProductSpace",
     "RegisterProductSpace",
-    "GraphPartition",
-    "ShardView",
     "split_blocks",
     "parallel_full_relation",
     "parallel_product_relation",
-    "sharded_full_relation",
-    "sharded_product_relation",
 ]

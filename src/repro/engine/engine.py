@@ -10,8 +10,8 @@ routes through.  It owns:
   :class:`~repro.datagraph.index.LabelIndex` (or its CSR twin): the
   bit-row algebra of :mod:`repro.engine.data` answers every sequential
   full or seeded RPQ and scoped data RPQ; the NFA and register products
-  of :mod:`repro.engine.product` keep point queries, partitioned drivers
-  and cross-scope REMs;
+  of :mod:`repro.engine.product` keep point queries, the forced ``blocks``
+  driver and cross-scope REMs;
 * **batched entry points** (:meth:`evaluate_many`, :meth:`holds_many`)
   that amortise compilation and index construction across a workload.
 
@@ -169,7 +169,7 @@ class EvaluationEngine:
 
         A sequential route's bit rows (the algebra's, see
         :meth:`_scoped_bits`) are decoded straight to ``Node`` pairs; the
-        sql kernel and the partitioned drivers decode their id pairs.
+        sql kernel and the ``blocks`` driver decode their id pairs.
         """
         if route is None:
             route = _bare_route(graph)
@@ -315,7 +315,7 @@ class EvaluationEngine:
         ``Node`` pairs as in :meth:`evaluate_rpq`.  ``engine="algebraic"``
         refuses a cross-scope expression (naming the violation),
         ``"automaton"`` forces the register product on any; the
-        partitioned drivers run the register product.
+        ``blocks`` driver runs the register product.
         """
         expression = query.expression
         if engine not in {"auto", "algebraic", "automaton"}:
@@ -391,7 +391,7 @@ class EvaluationEngine:
         or a data RPQ is sent to it; a plain regex goes as the REM with no
         registers (:func:`~repro.datapaths.fragments.regex_to_rem`).  Its
         closed sub-expression rows are carried in *memo* when one is given.
-        ``None`` for anything else: a cross-scope REM, a partitioned
+        ``None`` for anything else: a cross-scope REM, the ``blocks``
         driver."""
         if route.driver != "sequential":
             return None
@@ -417,8 +417,8 @@ class EvaluationEngine:
     ) -> Optional[BitRelation]:
         """One atom's (seeded) relation as the bit rows of *route*'s
         kernel — what :meth:`evaluate_atom_ids` decodes — or ``None`` when
-        that route yields id pairs (dict / sql kernels, partitioned
-        drivers).  CRPQ scans read live columns straight off the rows.
+        that route yields id pairs (dict / sql kernels, the ``blocks``
+        driver).  CRPQ scans read live columns straight off the rows.
         An RPQ or scoped data expression takes the bit-row algebra —
         bound *sources* seed it, bound *targets* select rows, and an
         unseeded run takes and leaves its sub-expression rows in *memo* —
@@ -456,8 +456,8 @@ class EvaluationEngine:
         unrestricted), so a later atom is evaluated only from the
         bindings that can still contribute to the join.  *route* names
         the kernel family and the driver — the sequential phases, or the
-        ``blocks`` / ``sharded`` drivers of :mod:`repro.engine.partition`
-        seeded the same way.  Answers are identical on every route.
+        forced ``blocks`` driver of :mod:`repro.engine.partition` seeded
+        the same way.  Answers are identical on every route.
         """
         if route is None:
             route = _bare_route(graph)
@@ -495,12 +495,7 @@ class EvaluationEngine:
             )
         return frozenset(
             partition_kernels.partitioned_product_relation(
-                space,
-                route.driver,
-                workers=route.workers,
-                num_shards=route.workers,
-                sources=sources,
-                targets=targets,
+                space, route.driver, workers=route.workers, sources=sources, targets=targets
             )
         )
 

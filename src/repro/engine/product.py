@@ -28,15 +28,12 @@ iff bit ``u`` is set on some accepting configuration sitting at ``v``
 (:func:`decode_pairs` folds those masks per target node into a
 :class:`~repro.engine.bitrelation.BitRelation` and decodes it once).
 
-Each phase is exposed as a standalone kernel so the partitioned drivers
-in :mod:`repro.engine.partition` can recompose them: the propagation
-fixpoint is *linear* in its seeds (the mask reaching a configuration is
-the union of the contributions of the individual sources), so phase 3
-can be split into independent source blocks (:func:`source_block_relation`)
-and fanned out across worker pools, or run shard-locally with
-cross-shard frontier exchange.  The kernels take the adjacency to expand
-over as a parameter (defaulting to the space's full label index), which
-shard-local index views also implement.
+Each phase is exposed as a standalone kernel so the forced ``blocks``
+driver in :mod:`repro.engine.partition` can recompose them: the
+propagation fixpoint is *linear* in its seeds (the mask reaching a
+configuration is the union of the contributions of the individual
+sources), so phase 3 can be split into independent source blocks
+(:func:`source_block_relation`) and fanned out across worker pools.
 
 :func:`full_relation` keeps the historical ``(index, automaton)``
 signature for plain RPQs; :func:`product_relation` is the dialect-generic
@@ -155,10 +152,10 @@ def seed_masks(
     """Initial ``config -> source bitmask`` seeds for phase 3.
 
     Bits are assigned under the *global* node ordering of the space's
-    index, so masks produced from different source blocks (or different
-    shards of a partition) can be OR-merged directly.  With *sources*
-    given, only that block of source nodes contributes seed bits; with
-    *useful* given, seeds at pruned configurations are dropped.
+    index, so masks produced from different source blocks can be
+    OR-merged directly.  With *sources* given, only that block of source
+    nodes contributes seed bits; with *useful* given, seeds at pruned
+    configurations are dropped.
     """
     position = space.index.position
     seed_configs = space.seed_configs
@@ -172,53 +169,29 @@ def seed_masks(
     return seeds
 
 
-def propagate_masks(
-    space: ProductSpace,
-    seeds: Dict,
-    useful: Optional[Set] = None,
-    masks: Optional[Dict] = None,
-    adjacency=None,
-) -> Tuple[Dict, Set]:
+def propagate_masks(space: ProductSpace, seeds: Dict, useful: Optional[Set] = None) -> Dict:
     """Phase 3: propagate source bitmasks to a fixpoint.
 
-    Merges *seeds* into *masks* (a fresh table when ``None``) and runs
-    the worklist until no mask grows.  Restricting propagation to the
-    *useful* set skips dead configurations; shard-local adjacency views
-    pass ``useful=None`` and simply stop at their boundary (their
-    ``targets`` return only local edges).
-
-    Returns the mask table and the set of configurations whose mask
-    changed — the sharded driver scans the changed configurations'
-    cut edges to build the next cross-shard frontier.
+    Starts from *seeds* and runs the worklist until no mask grows;
+    restricting propagation to the *useful* set skips dead
+    configurations.  Returns the ``config -> source bitmask`` table.
     """
-    if adjacency is None:
-        adjacency = space.index
+    index = space.index
     successors = space.successors
-    if masks is None:
-        masks = {}
-    changed: Set = set()
-    pending: deque = deque()
-    enqueued: Set = set()
+    masks = dict(seeds)
+    pending: deque = deque(masks)
+    enqueued: Set = set(masks)
     # A configuration re-enters the worklist every time its mask grows;
     # memoising its successor list keeps re-pops to pure mask ORs (the
     # register product's expansion recomputes silent closures otherwise).
     expansions: Dict = {}
-    for config, mask in seeds.items():
-        known = masks.get(config, 0)
-        merged = known | mask
-        if merged != known:
-            masks[config] = merged
-            changed.add(config)
-            if config not in enqueued:
-                enqueued.add(config)
-                pending.append(config)
     while pending:
         config = pending.popleft()
         enqueued.discard(config)
         mask = masks[config]
         expanded = expansions.get(config)
         if expanded is None:
-            expanded = expansions[config] = tuple(successors(adjacency, config))
+            expanded = expansions[config] = tuple(successors(index, config))
         for successor in expanded:
             if useful is not None and successor not in useful:
                 continue
@@ -226,11 +199,10 @@ def propagate_masks(
             merged = known | mask
             if merged != known:
                 masks[successor] = merged
-                changed.add(successor)
                 if successor not in enqueued:
                     enqueued.add(successor)
                     pending.append(successor)
-    return masks, changed
+    return masks
 
 
 def decode_pairs(
@@ -276,7 +248,7 @@ def source_block_relation(
     spaces already folded it into *useful*).
     """
     seeds = seed_masks(space, useful=useful, sources=block)
-    masks, _ = propagate_masks(space, seeds, useful=useful)
+    masks = propagate_masks(space, seeds, useful=useful)
     return decode_pairs(space, masks, targets=targets)
 
 
@@ -322,7 +294,7 @@ def seeded_product_relation(
         if not useful:
             return frozenset()
     seeds = seed_masks(space, useful=useful, sources=sources)
-    masks, _ = propagate_masks(space, seeds, useful=useful)
+    masks = propagate_masks(space, seeds, useful=useful)
     return decode_pairs(space, masks, targets=targets)
 
 

@@ -14,9 +14,8 @@ here as the **ProductSpace protocol**:
     identity"): the product states reachable before reading any edge.
 ``successors(adjacency, config)``
     One-step expansion of *config* along the edges served by
-    *adjacency* — anything with the ``targets(label, node)`` interface:
-    the full :class:`~repro.datagraph.index.LabelIndex`, a shard-local
-    :class:`~repro.engine.partition.ShardView`, or a cut-edge view.
+    *adjacency* — anything with the ``targets(label, node)`` interface,
+    in practice the space's :class:`~repro.datagraph.index.LabelIndex`.
 ``predecessors(adjacency, config)``
     One-step reverse expansion (only when :attr:`prune` is true;
     *adjacency* must serve ``sources(label, node)``).
@@ -24,11 +23,6 @@ here as the **ProductSpace protocol**:
     The acceptance test, and the graph node a configuration sits at —
     together they let :func:`~repro.engine.product.decode_pairs` read
     ``(source, node_of(config))`` off every accepting mask bit.
-
-Because the kernels take the adjacency as a parameter, every space
-shards for free: the partition drivers in :mod:`repro.engine.partition`
-run the same space against shard-local views and exchange frontier
-configurations over the cut edges, whatever the dialect.
 
 The same five operations also give every space **seeded** evaluation
 (:func:`~repro.engine.product.seeded_product_relation`, the CRPQ
@@ -74,8 +68,8 @@ class ProductSpace:
 
     Subclasses hold the global :class:`LabelIndex` (node ordering, data
     values) but take the *adjacency* each expansion runs over as a call
-    parameter, so one space instance serves the sequential kernels, the
-    source-block workers and every shard of a partition.  Configurations
+    parameter, so one space instance serves the sequential kernels and
+    every source-block worker.  Configurations
     are opaque hashable values; only the space interprets them.
 
     :attr:`prune` declares whether the space supports backward expansion

@@ -81,10 +81,10 @@ def run(sizes: Sequence[int] = (20, 50, 100, 200), seed: int = 29) -> Experiment
 
 
 def batch_queries() -> list:
-    """The e10 query batch used by the ``run_many`` executor benchmarks.
+    """The e10 query batch used by the ``run_many`` benchmarks.
 
     A mix of RPQ, REE and REM plans over the ``{a, b}`` alphabet, heavy
-    enough that a worker pool has something to chew on per query.
+    enough that each query costs more than the batch bookkeeping.
     """
     return [
         Query.rpq("(a|b)*.a.(a|b)*"),

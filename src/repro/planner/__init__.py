@@ -26,7 +26,7 @@ specification).
   mid-join re-planning on misestimates and cached-relation reuse;
 * :mod:`repro.planner.router` — :func:`route_query`, the cost step that
   picks sequential / compact / SQL execution for all five dialects (a
-  ``blocks`` / ``sharded`` driver only when the policy forces one),
+  ``blocks`` driver only when the policy forces it),
   demoting the policy knobs to overrides.
 """
 

@@ -4,19 +4,19 @@ Every strategy in this library is bit-identical to the naive evaluators,
 so *how* a query runs is a pure performance decision — and it is made
 here, once per evaluation.  :func:`route_query` returns a fully resolved
 :class:`Route`: the kernel family (``dict`` / ``compact`` / ``sql``,
-never ``"auto"``), the driver (``sequential`` / ``blocks`` /
-``sharded``) and the worker budget.  Sessions, the engine facade, CRPQ
+never ``"auto"``), the driver (``sequential`` or the forced
+``blocks``) and the worker budget.  Sessions, the engine facade, CRPQ
 atom scans and GXPath evaluations all *consume* that object; none of
 them decides again, so ``explain`` reports exactly what runs.
 
 The one rule, shared by :func:`route_query` and :func:`route_point`
 (DESIGN.md §3.4, "How a query is routed"):
 
-* a forced ``ExecutionPolicy.intra_query`` gives its driver (always over
-  the dict index its shard views and source blocks are cut from);
+* a forced ``ExecutionPolicy.intra_query`` gives the ``blocks`` driver
+  (always over the dict index its source blocks are cut from);
 * a forced ``backend`` gives that kernel family — ``sql`` on a data RPQ
   resolves ``dict`` (register valuations have no SQL encoding), and
-  GXPath declines ``sql`` and the partitioned drivers, naming the
+  GXPath declines ``sql`` and the ``blocks`` driver, naming the
   decline in the route's reason;
 * otherwise the route is ``compact``: the CSR index and the bit-row
   algebra, sequentially, on every graph size.
@@ -48,11 +48,10 @@ class Route:
     """One resolved physical decision: how a query executes, and why.
 
     ``kernel`` is the kernel family that walks the graph (``"dict"``,
-    ``"compact"`` or ``"sql"``); ``driver`` is ``"sequential"`` or one of
-    the partitioned drivers of :mod:`repro.engine.partition`
-    (``"blocks"`` / ``"sharded"``, always over the dict index their
-    shard views are built on); ``workers`` is the driver's worker (and
-    shard) budget, 1 for sequential routes.  ``estimate`` is the answer
+    ``"compact"`` or ``"sql"``); ``driver`` is ``"sequential"`` or the
+    forced ``"blocks"`` driver of :mod:`repro.engine.partition` (always
+    over the dict index its source blocks are cut from); ``workers`` is
+    the driver's worker budget, 1 for sequential routes.  ``estimate`` is the answer
     size the planner priced, when it priced one: only a CRPQ's join plan
     does (``None`` for every other dialect and for point routes).
     """
@@ -66,7 +65,7 @@ class Route:
     @property
     def strategy(self) -> str:
         """The headline shown by ``--explain``: ``sequential`` /
-        ``compact`` / ``sql`` / ``blocks`` / ``sharded``."""
+        ``compact`` / ``sql`` / ``blocks``."""
         if self.driver != "sequential":
             return self.driver
         return _SEQUENTIAL_STRATEGY[self.kernel]
@@ -151,7 +150,7 @@ def route_query(
         estimate = max(planned.estimates) if planned.estimates else 0.0
     reason = _reason(policy, f"{kind.value}: the CSR kernels")
     if policy is not None and policy.intra_query != "off":
-        # Shard views and source blocks are cut from the dict index.
+        # Source blocks are cut from the dict index.
         return Route("dict", policy.intra_query, _budget(policy), reason, estimate)
     kernel = _kernel(policy)
     if kernel == "sql" and kind is QueryKind.DATA_RPQ:

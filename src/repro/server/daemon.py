@@ -33,10 +33,12 @@ finishes on its executor thread and the answer is discarded.
 
 **Isolation.**  Every connection gets its own
 :class:`~repro.api.session.GraphSession` over the shared graph, with the
-``"local"`` policy preset (:data:`~repro.api.executors.POLICY_PRESETS`):
-result caches, point caches and loaded snapshots are per-client, the
-compiled-automaton engine is shared, and nothing forks — the daemon
-already multiplexes clients over its threads.  Queries run in-process on
+default :class:`~repro.api.executors.ExecutionPolicy` (only the
+configured ``backend`` is threaded in): result caches, point caches and
+loaded snapshots are per-client, the compiled-automaton engine is
+shared, and nothing forks — a ``run_many`` batch runs in order on its
+connection's thread, and the daemon already multiplexes clients over
+its threads.  Queries run in-process on
 the session's bit rows, and a relation answer is encoded straight from
 them.
 """
@@ -329,7 +331,7 @@ class ReproServer:
         if connection.session is None or connection.generation != generation:
             connection.session = GraphSession(
                 graph,
-                policy=ExecutionPolicy.preset("local", backend=self.config.backend),
+                policy=ExecutionPolicy(backend=self.config.backend),
                 repair_listener=self._record_repair,
             )
             connection.generation = generation

@@ -215,13 +215,13 @@ def multi_community_scenario(
 
     The source is a :func:`repro.datagraph.generators.community_graph`:
     dense ``knows`` clusters (one per regional community) joined by thin
-    ``bridge`` edges, i.e. exactly the shape an edge-cut
-    :class:`~repro.engine.partition.GraphPartition` splits well.  The
+    ``bridge`` edges, i.e. a shape contiguous source blocks
+    (:func:`~repro.engine.partition.split_blocks`) split well.  The
     mapping replicates the source vocabulary unchanged (each region
     publishes its slice verbatim), so the bundled queries run both on the
     source graph — how the intra-query benchmarks use them — and as
     target queries.  The queries are full-relation reachability shapes
-    whose product fixpoint is heavy enough for the intra-query drivers to
+    whose product fixpoint is heavy enough for the ``blocks`` driver to
     amortise their fan-out: global reachability, cross-community
     friendship and a same-value (equality) variant.
     """

@@ -1,13 +1,13 @@
 """Forced intra-query drivers and the point-workload cache.
 
-A session under every forced ``intra_query`` driver (off /
-source-block parallel / sharded) returns exactly the answers of the
-naive spec evaluators across all five dialects and random graphs.  RPQs
-ride the NFA product and data RPQs the register product, so the
-agreement properties here drive both through the partitioned drivers,
-including REM register valuations crossing shard boundaries; GXPath
-declines every driver (it runs on bit rows, sequentially) and must
-still answer the same.
+A session under every ``intra_query`` mode (off / the forced
+source-block driver) returns exactly the answers of the naive spec
+evaluators across all five dialects and random graphs.  RPQs ride the
+NFA product and data RPQs the register product, so the agreement
+properties here drive both through the ``blocks`` driver, including REM
+register valuations with one source per block; GXPath declines the
+driver (it runs on bit rows, sequentially) and must still answer the
+same.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.api import ExecutionPolicy, GraphSession, Query
 from repro.datagraph import DataGraph, generators
-from repro.engine.partition import sharded_product_relation
 from repro.exceptions import EvaluationError, UnknownNodeError
 from repro.query import (
     equality_rpq,
@@ -43,7 +42,6 @@ DIALECT_TEXTS = {
 MODES = [
     ExecutionPolicy(),
     ExecutionPolicy(intra_query="blocks", max_workers=2),
-    ExecutionPolicy(intra_query="sharded", max_workers=3),
 ]
 
 graphs = st.builds(
@@ -101,17 +99,16 @@ class TestModeAgreement:
         graph = generators.random_graph(10, 20, labels=("a", "b"), rng=4)
         plan = Query.rpq("a.(a|b)*")
         routed = GraphSession(graph)
-        forced = GraphSession(graph, policy=ExecutionPolicy(intra_query="sharded"))
-        # the router's own floors gate the automatic drivers
+        forced = GraphSession(graph, policy=ExecutionPolicy(intra_query="blocks"))
         assert routed._route(plan).driver == "sequential"
-        assert forced._route(plan).driver == "sharded"
+        assert forced._route(plan).driver == "blocks"
         assert forced.run(plan).pairs() == routed.run(plan).pairs()
 
     def test_partitioned_answers_share_the_result_cache(self):
         graph = generators.random_graph(80, 200, labels=("a", "b"), rng=9)
         session = GraphSession(
             graph,
-            policy=ExecutionPolicy(intra_query="sharded"),
+            policy=ExecutionPolicy(intra_query="blocks"),
         )
         first = session.run("a.(a|b)*.b").pairs()
         assert session.run("a.(a|b)*.b").pairs() == first
@@ -122,9 +119,9 @@ class TestModeAgreement:
             ExecutionPolicy(intra_query="quantum")
 
 
-class TestCrossShardBoundaries:
-    """The sharded mode is correct even when every answer path crosses
-    shard boundaries — for register valuations, not just plain RPQs."""
+class TestOneSourcePerBlock:
+    """The ``blocks`` driver is correct with one source per block — for
+    register valuations, not just plain RPQs."""
 
     def chain_with_values(self, values):
         graph = DataGraph(alphabet={"a"})
@@ -134,13 +131,11 @@ class TestCrossShardBoundaries:
             graph.add_edge(f"n{position}", "a", f"n{position + 1}")
         return graph
 
-    def test_rem_valuations_cross_shard_boundaries(self):
-        # One node per shard: every hop of the REM walk is a cut edge and
-        # the bound register value travels in the frontier messages.
+    def test_rem_valuations_with_one_source_per_block(self):
         graph = self.chain_with_values([1, 2, 1, 3, 1, 2])
         spec = memory_rpq("!x.(a[x!=])+")
         expected = evaluate_data_rpq_naive(graph, spec)
-        policy = ExecutionPolicy(intra_query="sharded", max_workers=graph.num_nodes)
+        policy = ExecutionPolicy(intra_query="blocks", max_workers=graph.num_nodes)
         session = GraphSession(graph, policy=policy)
         answers = session.run(Query.data_rpq(spec.expression)).pairs()
         assert answers == expected
@@ -148,25 +143,16 @@ class TestCrossShardBoundaries:
         ids = {(u.id, v.id) for u, v in answers}
         assert ("n0", "n1") in ids and ("n0", "n2") not in ids
 
-    def test_gxpath_declines_the_sharded_driver(self):
+    def test_gxpath_declines_the_blocks_driver(self):
         graph = self.chain_with_values([1] * 7)
         plan = Query.parse("a*", "gxpath-path")
         expected = GraphSession(graph).run(plan).rows()
-        policy = ExecutionPolicy(intra_query="sharded", max_workers=graph.num_nodes)
+        policy = ExecutionPolicy(intra_query="blocks", max_workers=graph.num_nodes)
         session = GraphSession(graph, policy=policy)
         route = session._route(plan)
         assert route.driver == "sequential"
-        assert "intra_query='sharded' declined" in route.reason
+        assert "intra_query='blocks' declined" in route.reason
         assert session.run(plan).rows() == expected
-
-    def test_sharded_driver_agrees_in_process_and_forked(self):
-        graph = generators.community_graph(3, 10, rng=8, domain_size=3)
-        plan = Query.parse("!x.((knows|bridge)[x!=])+", "rem")
-        session = GraphSession(graph)
-        baseline = {(u.id, v.id) for u, v in session.run(plan).pairs()}
-        space = session.engine.space_for_atom(graph, plan.plan)
-        for processes in (False, True):
-            assert sharded_product_relation(space, num_shards=3, processes=processes) == baseline
 
 
 class TestPointCache:

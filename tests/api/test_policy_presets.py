@@ -1,18 +1,21 @@
-"""ExecutionPolicy: nine plain fields, presets and host auto-selection.
+"""ExecutionPolicy: eight plain fields, each validated where it is set.
 
 Runs under every host shape of the ``host_shape`` fixture — (1 core),
-(N cores + fork), (N cores, no fork) — so the verdicts never depend on
-the machine the suite happens to run on.
+(N cores + fork), (N cores, no fork) — so no verdict depends on the
+machine the suite happens to run on: a worker budget is checked at
+construction, never resolved against the host's CPU count first.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import pytest
 
-from repro.api import POLICY_PRESETS, ExecutionPolicy, GraphSession
+from repro.api import ExecutionPolicy, GraphSession, Query
 from repro.exceptions import EvaluationError
+from repro.planner import route_query
 
 pytestmark = [
     pytest.mark.filterwarnings("error::DeprecationWarning"),
@@ -21,77 +24,72 @@ pytestmark = [
 
 
 class TestFields:
-    def test_nine_plain_fields(self):
+    def test_eight_plain_fields(self):
         assert [field.name for field in dataclasses.fields(ExecutionPolicy)] == [
-            "executor", "max_workers", "cache_results", "result_cache_size",
-            "point_cache_size", "delta_repair", "routing", "backend", "intra_query",
+            "max_workers", "cache_results", "result_cache_size", "point_cache_size",
+            "delta_repair", "routing", "backend", "intra_query",
         ]
 
     def test_every_field_is_a_plain_constructor_argument(self):
         policy = ExecutionPolicy(
-            executor="thread", max_workers=2, cache_results=False,
-            result_cache_size=16, point_cache_size=8, delta_repair=False,
-            routing="manual", backend="dict", intra_query="blocks",
+            max_workers=2, cache_results=False, result_cache_size=16,
+            point_cache_size=8, delta_repair=False, routing="manual",
+            backend="dict", intra_query="blocks",
         )
-        assert policy.executor == "thread" and policy.result_cache_size == 16
+        assert policy.max_workers == 2 and policy.result_cache_size == 16
         assert policy.intra_query == "blocks" and policy.backend == "dict"
         assert dataclasses.replace(policy, intra_query="off").intra_query == "off"
 
     @pytest.mark.parametrize(
         "field, value",
-        [("executor", "quantum"), ("routing", "psychic"), ("backend", "gpu"),
-         ("intra_query", "quantum")],
+        [("routing", "psychic"), ("backend", "gpu"), ("intra_query", "quantum"),
+         ("intra_query", "sharded"), ("max_workers", 0), ("max_workers", -2),
+         ("max_workers", 2.5), ("max_workers", "4"), ("max_workers", True)],
     )
     def test_invalid_values_rejected_at_construction(self, field, value):
-        with pytest.raises(EvaluationError, match=value):
-            ExecutionPolicy(**{field: value})
+        # Under a forced driver, where a bad worker budget used to surface
+        # only at query time (or never).
+        with pytest.raises(EvaluationError, match=re.escape(repr(value))):
+            ExecutionPolicy(**{"intra_query": "blocks", field: value})
+
+    @pytest.mark.parametrize("workers", [None, 1, 2, 8])
+    def test_valid_budgets_are_accepted(self, workers):
+        assert ExecutionPolicy(intra_query="blocks", max_workers=workers).max_workers == workers
+
+    def test_replace_validates_again(self):
+        policy = ExecutionPolicy(intra_query="blocks", max_workers=2)
+        for field, value in (("max_workers", 0), ("intra_query", "sharded")):
+            with pytest.raises(EvaluationError, match=re.escape(repr(value))):
+                dataclasses.replace(policy, **{field: value})
 
     def test_removed_knobs_are_gone(self):
-        for knob in ("intra_query_threshold", "num_shards", "sharded_processes"):
+        for knob in ("executor", "intra_query_threshold", "num_shards", "sharded_processes"):
             with pytest.raises(TypeError):
                 ExecutionPolicy(**{knob: 1})
+        assert not hasattr(ExecutionPolicy, "preset") and not hasattr(ExecutionPolicy, "auto")
 
 
-class TestPresets:
-    def test_local_is_the_default_policy(self):
-        assert ExecutionPolicy.preset("local") == ExecutionPolicy()
+class TestDefaults:
+    def test_the_default_policy_forces_nothing(self):
+        policy = ExecutionPolicy()
+        assert policy.intra_query == "off" and policy.backend == "auto"
+        assert policy.routing == "auto" and policy.max_workers is None
+        assert policy.cache_results and policy.delta_repair
 
-    def test_no_preset_forces_a_route(self):
-        for name in POLICY_PRESETS:
-            policy = ExecutionPolicy.preset(name)
-            assert policy.intra_query == "off" and policy.backend == "auto"
-            assert policy.routing == "auto"
+    def test_the_default_route_is_sequential(self, toy_graph):
+        for policy in (ExecutionPolicy(), ExecutionPolicy(max_workers=4)):
+            route = route_query(Query.parse("knows.knows"), toy_graph, policy)
+            assert (route.driver, route.workers) == ("sequential", 1)
 
-    def test_parallel_preset_picks_the_batch_executor_only(self):
-        assert ExecutionPolicy.preset("parallel") == ExecutionPolicy(executor="process")
+    def test_a_forced_budget_is_the_route_budget(self, toy_graph, host_shape):
+        cores, _fork = host_shape
+        query = Query.parse("knows.knows")
+        for workers, expected in ((None, min(cores, 8)), (1, 1), (3, 3)):
+            policy = ExecutionPolicy(intra_query="blocks", max_workers=workers)
+            route = route_query(query, toy_graph, policy)
+            assert (route.driver, route.workers) == ("blocks", expected), workers
 
-    def test_presets_accept_overrides(self):
-        policy = ExecutionPolicy.preset("parallel", executor="thread", max_workers=2)
-        assert policy.executor == "thread" and policy.max_workers == 2
-
-    def test_unknown_preset_rejected(self):
-        with pytest.raises(EvaluationError, match="unknown policy preset"):
-            ExecutionPolicy.preset("quantum")
-
-    def test_invalid_override_still_validates(self):
-        with pytest.raises(EvaluationError):
-            ExecutionPolicy.preset("local", intra_query="quantum")
-
-
-class TestAuto:
-    def test_auto_follows_the_host_shape(self, host_shape):
-        cores, fork = host_shape
-        expected = "parallel" if cores >= 2 and fork else "local"
-        assert ExecutionPolicy.auto() == ExecutionPolicy.preset(expected)
-
-    def test_auto_leaves_routing_to_the_router(self):
-        policy = ExecutionPolicy.auto()
-        assert policy.intra_query == "off" and policy.routing == "auto"
-
-    def test_auto_accepts_overrides(self):
-        assert ExecutionPolicy.auto(max_workers=2).max_workers == 2
-
-    def test_auto_sessions_run_queries(self, toy_graph):
-        sequential = GraphSession(toy_graph).run("knows.knows").rows()
-        session = GraphSession(toy_graph, policy=ExecutionPolicy.auto())
-        assert session.run("knows.knows").rows() == sequential
+    def test_default_and_forced_sessions_run_queries(self, toy_graph):
+        expected = GraphSession(toy_graph).run("knows.knows").rows()
+        for policy in (ExecutionPolicy(), ExecutionPolicy(intra_query="blocks", max_workers=2)):
+            assert GraphSession(toy_graph, policy=policy).run("knows.knows").rows() == expected

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import ExecutionPolicy, GraphSession, Query, SequentialExecutor
-from repro.datagraph import GraphBuilder
+from repro.api import ExecutionPolicy, GraphSession, Query
+from repro.datagraph import DataGraph, GraphBuilder, generators
+from repro.datagraph.values import NULL
 from repro.exceptions import EvaluationError
+from repro.experiments.e10_query_eval import batch_queries
 
 pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
 
@@ -204,23 +206,101 @@ class TestRunMany:
         session.run(self.BATCH[0]).rows()
         assert session.stats()["results"].hits == before + 1
 
-    def test_executor_override(self):
-        class CountingExecutor(SequentialExecutor):
-            def __init__(self):
-                self.batches = []
+    def test_one_in_order_path(self, monkeypatch):
+        """A batch holding a duplicate plan, a cache hit and a lineage plan
+        after a removal runs through ``run``'s path: each distinct miss is
+        evaluated once, the lineage plan is re-answered in place, and the
+        rows equal ``run()``'s — with or without the result cache."""
+        evaluated, executed = [], []
+        for name, calls in (("_evaluated", evaluated), ("_execute", executed)):
+            real = getattr(GraphSession, name)
 
-            def execute_batch(self, evaluate, queries):
-                self.batches.append(list(queries))
-                return super().execute_batch(evaluate, queries)
+            def spy(self, plan, *args, real=real, calls=calls, **kwargs):
+                calls.append(plan.key)
+                return real(self, plan, *args, **kwargs)
 
-        session = GraphSession(diamond_graph())
-        counter = CountingExecutor()
-        session.run_many(self.BATCH, executor=counter)
-        # the duplicate plan must have been deduplicated before the executor
-        assert len(counter.batches) == 1 and len(counter.batches[0]) == len(self.BATCH) - 1
-        # a second batch over the unchanged graph is served from cache
-        session.run_many(self.BATCH, executor=counter)
-        assert len(counter.batches) == 1
+            monkeypatch.setattr(GraphSession, name, spy)
+        graph = diamond_graph()
+        session = GraphSession(graph)
+        miss, hit, lineage = Query.parse("(r)=", "ree"), Query.rpq("r"), Query.rpq("r.s")
+        assert session.run(lineage).count() == 1
+        with graph.batch() as batch:
+            batch.remove_edge("b", "s", "d")
+            batch.remove_edge("c", "s", "d")
+        session.run(hit).rows()  # cached at the new version
+        evaluated.clear()
+        hits = session.stats()["results"].hits
+        queries = [miss, hit, lineage, miss]
+        results = session.run_many(queries)
+
+        assert evaluated == [miss.key, lineage.key]
+        assert session.stats()["results"].hits == hits + 1
+        stats = session.maintenance_stats()
+        assert (stats["repairs"], stats["patched"], stats["recomputes"]) == (1, 1, 0)
+        expected = [GraphSession(graph).run(query).rows() for query in queries]
+        assert [result.rows() for result in results] == expected
+        assert results[2].count() == 0  # both witnesses of r.s were removed
+
+        uncached = GraphSession(graph, policy=ExecutionPolicy(cache_results=False))
+        executed.clear()
+        results = uncached.run_many(queries)
+        assert executed == [miss.key, hit.key, lineage.key]
+        assert [result.rows() for result in results] == expected
+
+
+
+class TestRunManyWorkload:
+    """``run_many`` over the e10 benchmark batch answers query-for-query
+    what ``run`` does, under every policy a session can hold."""
+
+    POLICIES = {
+        "default": ExecutionPolicy(),
+        "uncached": ExecutionPolicy(cache_results=False),
+        "dict": ExecutionPolicy(backend="dict"),
+        "compact": ExecutionPolicy(backend="compact"),
+        "sql": ExecutionPolicy(backend="sql"),
+        "blocks": ExecutionPolicy(intra_query="blocks", max_workers=2),
+    }
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return generators.random_graph(40, 80, labels=("a", "b"), rng=11, domain_size=6)
+
+    @pytest.fixture(scope="class")
+    def expected(self, graph):
+        return [GraphSession(graph).run(query).rows() for query in batch_queries()]
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_batch_equals_run(self, graph, expected, policy):
+        session = GraphSession(graph, policy=self.POLICIES[policy])
+        results = session.run_many(batch_queries())
+        assert [result.rows() for result in results] == expected
+
+    def test_order_is_preserved(self, graph, expected):
+        session = GraphSession(graph, policy=ExecutionPolicy(cache_results=False))
+        results = session.run_many(list(reversed(batch_queries())))
+        assert [result.rows() for result in results] == list(reversed(expected))
+
+    @pytest.mark.parametrize("cache_results", [True, False], ids=["cached", "uncached"])
+    def test_null_semantics_reaches_every_plan(self, cache_results):
+        graph = DataGraph(alphabet={"a", "b"})
+        values = [1, NULL, NULL, 1, NULL, 2, NULL]
+        for position, value in enumerate(values):
+            graph.add_node(f"n{position}", value)
+        for position in range(len(values) - 1):
+            graph.add_edge(f"n{position}", "ab"[position % 2], f"n{position + 1}")
+        graph.add_edge("n6", "a", "n1")
+        queries = [Query.parse("((a|b)+)=", "ree"), Query.parse("!x.((a|b)[x=])+", "rem")]
+        policy = ExecutionPolicy(cache_results=cache_results)
+        plain = GraphSession(graph, policy=policy)
+        expected = [plain.run(query, null_semantics=True).rows() for query in queries]
+        # Under null semantics NULL never equals NULL: fewer answers.
+        assert [len(rows) for rows in expected] == [3, 0]
+        batch = GraphSession(graph, policy=policy).run_many(queries, null_semantics=True)
+        assert [result.rows() for result in batch] == expected
+
+    def test_an_empty_batch_answers_nothing(self, graph):
+        assert GraphSession(graph).run_many([]) == []
 
 
 class TestHoldsShortcut:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.api import ExecutionPolicy, GraphSession, ParallelExecutor, Query
+from repro.api import ExecutionPolicy, GraphSession, Query
 from repro.datagraph import DataGraph
 from repro.datagraph.values import NULL
 from repro.deltas import repair as repair_module
@@ -285,12 +285,10 @@ class TestRepairedEqualsFresh:
         key = (graph.version, query.key, False)
         assert session._results.peek(key)[1].rows == fresh._results.peek(key)[1].rows
 
-    @pytest.mark.parametrize("executor", ["sequential", "thread"])
-    def test_run_many_after_a_removal_serves_the_fresh_answers(self, executor):
+    def test_run_many_after_a_removal_serves_the_fresh_answers(self):
         graph = chain_graph()
         queries = [DIALECT_QUERIES[dialect] for dialect in ("rpq", "rem", "crpq")]
-        policy = ExecutionPolicy(backend="compact", executor=executor, max_workers=2)
-        session = GraphSession(graph, policy=policy)
+        session = GraphSession(graph, policy=COMPACT)
         for query in queries:
             session.run(query).rows()  # warm, with bit rows
         for step in range(2):
@@ -300,21 +298,23 @@ class TestRepairedEqualsFresh:
             served = [result.rows() for result in session.run_many(queries)]
             assert served == [fresh_rows(graph, query) for query in queries]
         stats = session.maintenance_stats()
-        if executor == "sequential":  # re-answered in place, patched from the kept rows
-            assert (stats["repairs"], stats["patched"], stats["recompute_reasons"]) == (6, 6, {})
-        else:  # every answer changed: all of them evaluated afresh in the fan-out
-            assert (stats["repairs"], stats["recompute_reasons"]) == (0, {"batch fan-out": 6})
+        # re-answered in place, patched from the kept rows
+        assert (stats["repairs"], stats["patched"], stats["recompute_reasons"]) == (6, 6, {})
 
-    def test_a_fanned_out_batch_keeps_what_stands_and_fans_out_the_rest(self):
-        class CountingExecutor(ParallelExecutor):
-            def __init__(self):
-                super().__init__(max_workers=2)
-                self.batches = []
+    def test_run_many_after_an_insert_serves_the_fresh_answers(self):
+        graph = chain_graph()
+        queries = [DIALECT_QUERIES[dialect] for dialect in ("rpq", "rem", "crpq")]
+        session = GraphSession(graph, policy=COMPACT)
+        for query in queries:
+            session.run(query).rows()
+        shortcut_batch(graph)
+        served = [result.rows() for result in session.run_many(queries)]
+        assert served == [fresh_rows(graph, query) for query in queries]
+        stats = session.maintenance_stats()
+        assert (stats["repairs"], stats["patched"], stats["recompute_reasons"]) == (3, 3, {})
+        assert stats["rows"]["continued"] > 0  # the insert continued the kept rows
 
-            def execute_batch(self, evaluate, queries):
-                self.batches.append([query.key for query in queries])
-                return super().execute_batch(evaluate, queries)
-
+    def test_a_batch_keeps_what_stands_and_reanswers_the_rest(self, monkeypatch):
         graph = chain_graph()
         only_a = Query.parse("a+")
         queries = [only_a, DIALECT_QUERIES["rpq"], DIALECT_QUERIES["crpq"]]
@@ -323,16 +323,23 @@ class TestRepairedEqualsFresh:
             session.run(query).rows()
         with graph.batch() as batch:
             batch.add_edge("k0n1", "b", "k0n7")  # a+ reads no b edge: its entry stands
-        executor = CountingExecutor()
-        served = [result.rows() for result in session.run_many(queries, executor=executor)]
+        evaluated = []
+        real = GraphSession._evaluated
+
+        def spy(self, plan, *args, **kwargs):
+            evaluated.append(plan.key)
+            return real(self, plan, *args, **kwargs)
+
+        monkeypatch.setattr(GraphSession, "_evaluated", spy)
+        served = [result.rows() for result in session.run_many(queries)]
         assert served == [fresh_rows(graph, query) for query in queries]
-        assert executor.batches == [[query.key for query in queries[1:]]]
+        assert evaluated == [query.key for query in queries[1:]]
         stats = session.maintenance_stats()
-        assert (stats["repairs"], stats["recompute_reasons"]) == (1, {"batch fan-out": 2})
+        assert (stats["repairs"], stats["patched"], stats["recompute_reasons"]) == (3, 2, {})
 
 
 #: Forced routes a re-answer must follow: only the compact route keeps
-#: bit rows (partitioned drivers are cut from the dict index).
+#: bit rows (the ``blocks`` driver is cut from the dict index).
 ROUTE_POLICIES = {
     "compact": COMPACT,
     "dict": ExecutionPolicy(backend="dict"),
@@ -486,9 +493,12 @@ class TestRepairFollowsTheRoute:
         graph = chain_graph()
         query = DIALECT_QUERIES["rpq"]
         session = GraphSession(graph, policy=ROUTE_POLICIES["compact"])
-        # a fanned-out batch's answers are cached without bit rows
-        session.run_many([query], executor=ParallelExecutor(max_workers=2))
-        assert session._results.peek((graph.version, query.key, False))[1] is None
+        # a dict route's entry carries no bit rows
+        rowless = GraphSession(graph, policy=ROUTE_POLICIES["dict"])
+        rowless.run(query).rows()
+        entry = rowless._results.peek((graph.version, query.key, False))
+        assert entry[1] is None
+        session._remember(query, False, graph.version, entry)
         shortcut_batch(graph)
         assert session.run(query).rows() == fresh_rows(graph, query)
         stats = session.maintenance_stats()

@@ -4,8 +4,8 @@ For random graphs and pools of queries in every dialect, evaluation over
 the :class:`~repro.datagraph.compact.CompactLabelIndex` must return
 byte-identical answers to the dict-backed kernels — and, where a naive
 executable specification exists, to that as well.  Seeded (semijoin)
-evaluation, the sharded int-id driver loop, empty graphs and
-one-node-per-shard partitions are covered explicitly: the compact
+evaluation, the forked ``blocks`` driver, empty graphs and
+one-source-per-block splits are covered explicitly: the compact
 backend is an *optimisation*, so any divergence anywhere is a bug.
 """
 
@@ -36,7 +36,7 @@ from repro.engine import compact as compact_kernels
 from repro.engine import data as data_kernels
 from repro.engine import default_engine
 from repro.engine.bitrelation import BitRelation
-from repro.engine.partition import GraphPartition, sharded_product_relation
+from repro.engine.partition import parallel_product_relation
 from repro.engine.spaces import NfaProductSpace
 from repro.exceptions import EvaluationError, UnboundVariableError
 from repro.planner.router import route_point
@@ -426,14 +426,14 @@ def test_ree_memo_is_structural(monkeypatch):
     query_index=st.integers(min_value=0, max_value=len(REGISTER_POOL) - 1),
     null_semantics=st.booleans(),
 )
-def test_register_product_on_forked_shard_workers(seed, query_index, null_semantics):
-    """Valuations cross the pipe pickled: each worker re-interns what it receives."""
+def test_register_product_on_forked_block_workers(seed, query_index, null_semantics):
+    """Each forked worker runs the register product over its own source block."""
     graph = random_graph_from(seed, 24)
     text, dialect = REGISTER_POOL[query_index]
     query = Query.parse(text, dialect=dialect)
     space = default_engine().space_for_atom(graph, query.plan, null_semantics)
     expected = evaluate_data_rpq_naive(graph, query.plan, null_semantics)
-    forked = sharded_product_relation(space, num_shards=3, processes=True)
+    forked = parallel_product_relation(space, num_blocks=3, backend="fork")
     assert forked == {(source.id, target.id) for source, target in expected}
 
 
@@ -443,9 +443,9 @@ def test_register_product_on_forked_shard_workers(seed, query_index, null_semant
         ExecutionPolicy(backend="compact"),
         ExecutionPolicy(backend="dict"),
         ExecutionPolicy(intra_query="blocks", max_workers=2),
-        ExecutionPolicy(intra_query="sharded", max_workers=2),
+        ExecutionPolicy(intra_query="blocks", max_workers=5),
     ],
-    ids=["compact", "dict", "blocks", "sharded"],
+    ids=["compact", "dict", "blocks", "blocks-5"],
 )
 def test_unbound_register_raises_on_every_route(policy):
     """The memo must neither swallow nor cache the error: it surfaces on
@@ -900,27 +900,26 @@ def test_point_reachability_agrees(seed, size, query_index):
 
 
 # ----------------------------------------------------------------------
-# The sharded driver (dict shard views) against the compact kernels
+# The blocks driver (dict source blocks) against the compact kernels
 # ----------------------------------------------------------------------
-def sharded_pairs(graph, text: str, partition: GraphPartition):
+def block_pairs(graph, text: str, num_blocks: int):
     space = NfaProductSpace(graph.label_index(), default_engine().compile_rpq(rpq(text)))
-    return sharded_product_relation(space, partition=partition, processes=False)
+    return parallel_product_relation(space, num_blocks=num_blocks, backend="thread")
 
 
 @settings(max_examples=15, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
     size=st.integers(min_value=1, max_value=30),
-    num_shards=st.integers(min_value=1, max_value=6),
+    num_blocks=st.integers(min_value=1, max_value=6),
     query_index=st.integers(min_value=0, max_value=len(RPQ_POOL) - 1),
 )
-def test_sharded_driver_matches_compact(seed, size, num_shards, query_index):
+def test_blocks_driver_matches_compact(seed, size, num_blocks, query_index):
     graph = random_graph_from(seed, size)
     text = RPQ_POOL[query_index]
-    partition = GraphPartition.build(graph.label_index(), num_shards)
     compact = graph.compact_index()
     automaton = default_engine().compile_rpq(rpq(text))
-    assert sharded_pairs(graph, text, partition) == (
+    assert block_pairs(graph, text, num_blocks) == (
         compact_kernels.nfa_relation(compact, automaton).id_pairs()
     )
 
@@ -931,13 +930,12 @@ def test_sharded_driver_matches_compact(seed, size, num_shards, query_index):
     size=st.integers(min_value=1, max_value=12),
     query_index=st.integers(min_value=0, max_value=len(RPQ_POOL) - 1),
 )
-def test_single_node_shards(seed, size, query_index):
-    """One shard per node: every non-loop edge crosses the cut."""
+def test_single_source_blocks(seed, size, query_index):
+    """One block per source node."""
     graph = random_graph_from(seed, size)
     text = RPQ_POOL[query_index]
-    partition = GraphPartition.build(graph.label_index(), graph.num_nodes)
     engine = default_engine()
-    assert sharded_pairs(graph, text, partition) == engine.evaluate_atom_ids(
+    assert block_pairs(graph, text, graph.num_nodes) == engine.evaluate_atom_ids(
         graph, rpq(text), route=forced_route(graph, "compact")
     )
 

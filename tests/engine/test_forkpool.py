@@ -1,43 +1,35 @@
-"""Direct coverage for the shared fork-pool helper.
+"""Direct coverage for the fork fan-out helper.
 
-:mod:`repro.engine.forkpool` backs every process fan-out in the project
-(batch executor, source-block driver, sharded shard rounds), so its edge
-cases — worker exceptions, platforms without ``fork``, empty fan-outs —
-are pinned here rather than discovered through the drivers.
+:mod:`repro.engine.forkpool` backs the one process fan-out in the
+project (the forced ``blocks`` driver), so its edge cases — worker
+exceptions, platforms without ``fork``, empty fan-outs — are pinned here
+rather than discovered through the driver.
 """
 
 from __future__ import annotations
 
-import pytest
+import threading
 
-import os
+import pytest
 
 from repro.datagraph import generators
 from repro.engine import default_engine, forkpool, partition
-from repro.engine.forkpool import ForkPool, fork_available, run_forked
-from repro.exceptions import EvaluationError
+from repro.engine.forkpool import fork_available, run_forked
 
 
 def _double(payload, index):
     return payload * index
 
 
+def _scaled(payload, index):
+    _lock, factor = payload
+    return factor * index
+
+
 def _explode(payload, index):
     if index == 1:
         raise ValueError(f"worker {index} exploded on purpose")
     return index
-
-
-#: Per-process accumulator used to prove pooled workers keep state
-#: between message rounds (each forked child owns a private copy).
-_TALLY = []
-
-
-def _pool_tally(payload, index, message):
-    if message == "explode":
-        raise ValueError(f"pool worker {index} exploded on purpose")
-    _TALLY.append(message)
-    return (os.getpid(), payload + sum(_TALLY))
 
 
 needs_fork = pytest.mark.skipif(not fork_available(), reason="platform has no fork")
@@ -47,6 +39,21 @@ class TestRunForked:
     @needs_fork
     def test_results_come_back_in_task_order(self):
         assert run_forked(3, _double, 4) == [0, 3, 6, 9]
+
+    @needs_fork
+    def test_more_tasks_than_cores_still_come_back_in_order(self):
+        assert run_forked(1, _double, 9) == list(range(9))
+
+    @needs_fork
+    def test_payload_reaches_workers_by_fork_not_by_pickle(self):
+        # A lock cannot be pickled: the payload must travel by the fork.
+        payload = (threading.Lock(), 4)
+        assert run_forked(payload, _scaled, 3) == [0, 4, 8]
+
+    @needs_fork
+    def test_state_is_cleared_after_a_fan_out(self):
+        assert run_forked(2, _double, 2) == [0, 2]
+        assert forkpool._STATE is None
 
     @needs_fork
     def test_worker_exception_propagates_to_the_caller(self):
@@ -59,76 +66,26 @@ class TestRunForked:
             run_forked(None, _explode, 3)
         assert forkpool._STATE is None
 
+    @needs_fork
+    def test_concurrent_fan_outs_do_not_cross_wires(self):
+        # Two threads forking at once: the lock keeps each pool on its
+        # own payload.
+        outcomes = {}
+
+        def fan_out(payload):
+            outcomes[payload] = run_forked(payload, _double, 3)
+
+        threads = [threading.Thread(target=fan_out, args=(payload,)) for payload in (2, 5)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert outcomes == {2: [0, 2, 4], 5: [0, 5, 10]}
+
     def test_empty_task_list_short_circuits(self):
         # No pool (ProcessPoolExecutor would reject max_workers=0) and no
         # fork needed: an empty fan-out must work on every platform.
         assert run_forked(None, _explode, 0) == []
-
-    @needs_fork
-    def test_max_workers_bound_is_honoured(self):
-        assert run_forked(2, _double, 5, max_workers=2) == [0, 2, 4, 6, 8]
-
-
-class TestForkPool:
-    """The persistent pool: one fork, many message rounds, state kept."""
-
-    @needs_fork
-    def test_workers_persist_and_keep_state_across_rounds(self):
-        with ForkPool(10, _pool_tally, 2) as pool:
-            first = pool.run({0: 1, 1: 2})
-            second = pool.run({0: 3, 1: 4})
-        # Same worker process answered both rounds...
-        assert first[0][0] == second[0][0]
-        assert first[1][0] == second[1][0]
-        # ...and the second answer includes state from the first round.
-        assert first[0][1] == 11 and second[0][1] == 14  # 10+1, then 10+1+3
-        assert first[1][1] == 12 and second[1][1] == 16  # 10+2, then 10+2+4
-        # The parent's copy of the accumulator is untouched.
-        assert _TALLY == []
-
-    @needs_fork
-    def test_pids_are_stable_and_distinct_from_the_parent(self):
-        with ForkPool(0, _pool_tally, 3) as pool:
-            pids = pool.pids()
-            assert len(set(pids)) == 3 and os.getpid() not in pids
-            replies = pool.broadcast(5)
-            assert sorted(pid for pid, _ in replies) == sorted(pids)
-            assert pool.pids() == pids
-
-    @needs_fork
-    def test_run_addresses_only_the_given_workers(self):
-        with ForkPool(0, _pool_tally, 3) as pool:
-            replies = pool.run({1: 7})
-            assert set(replies) == {1}
-            assert replies[1][1] == 7
-
-    @needs_fork
-    def test_worker_exception_reraises_and_pool_stays_usable(self):
-        with ForkPool(0, _pool_tally, 2) as pool:
-            with pytest.raises(ValueError, match="exploded on purpose"):
-                pool.run({0: 1, 1: "explode"})
-            # The failed round drained both pipes; the pool still answers.
-            assert pool.run({1: 2})[1][1] == 2
-
-    @needs_fork
-    def test_close_is_idempotent_and_reaps_workers(self):
-        pool = ForkPool(0, _pool_tally, 2)
-        procs = list(pool._procs)
-        pool.close()
-        pool.close()
-        assert pool.closed and all(not proc.is_alive() for proc in procs)
-        with pytest.raises(EvaluationError, match="closed"):
-            pool.run({0: 1})
-
-    @needs_fork
-    def test_rejects_empty_pools(self):
-        with pytest.raises(EvaluationError, match="at least one worker"):
-            ForkPool(0, _pool_tally, 0)
-
-    @needs_fork
-    def test_fork_state_global_is_cleared_after_the_fork_moment(self):
-        with ForkPool(0, _pool_tally, 1):
-            assert forkpool._STATE is None
 
 
 class TestForkUnavailableFallbacks:
@@ -148,29 +105,3 @@ class TestForkUnavailableFallbacks:
             partition, "run_forked", lambda *a, **k: pytest.fail("forked despite no fork")
         )
         assert partition.parallel_full_relation(index, automaton, num_blocks=3) == expected
-
-    def test_sharded_driver_processes_degrade_to_in_process_rounds(self, monkeypatch):
-        index, automaton = self._relation()
-        expected = partition.product.full_relation(index, automaton)
-        monkeypatch.setattr(partition, "fork_available", lambda: False)
-        monkeypatch.setattr(
-            partition, "run_forked", lambda *a, **k: pytest.fail("forked despite no fork")
-        )
-        assert (
-            partition.sharded_full_relation(index, automaton, num_shards=3, processes=True)
-            == expected
-        )
-
-    def test_batch_executor_process_backend_degrades_to_threads(self, monkeypatch):
-        from repro.api import GraphSession, Query, executors
-
-        graph = generators.random_graph(15, 40, labels=("a", "b"), rng=3)
-        expected = GraphSession(graph).run("a.(a|b)*").pairs()
-        monkeypatch.setattr(executors, "fork_available", lambda: False)
-        monkeypatch.setattr(
-            executors, "run_forked", lambda *a, **k: pytest.fail("forked despite no fork")
-        )
-        pool = executors.ParallelExecutor(max_workers=2, backend="process")
-        session = GraphSession(graph)
-        results = session.run_many([Query.rpq("a.(a|b)*"), Query.rpq("b*")], executor=pool)
-        assert results[0].pairs() == expected

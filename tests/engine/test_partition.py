@@ -1,30 +1,20 @@
-"""The partitioned evaluation layer: kernels, partitions, drivers.
+"""The forced ``blocks`` driver: phase kernels, source blocks, backends.
 
-Acceptance property (ISSUE 3): ``full_relation`` evaluated via
-source-block parallel kernels and via the sharded scatter/gather driver
-must return results identical to the sequential engine on randomized
-graphs — including the partition-boundary edge cases (paths that only
-exist across shards, empty shards, single-node shards).
+Acceptance property: ``full_relation`` evaluated via the source-block
+parallel kernels must return results identical to the sequential engine
+on randomized graphs.
 """
 
 from __future__ import annotations
-
-import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datagraph import DataGraph, generators
-from repro.engine import (
-    GraphPartition,
-    NfaProductSpace,
-    default_engine,
-    parallel_full_relation,
-    sharded_full_relation,
-    split_blocks,
-)
+from repro.engine import NfaProductSpace, default_engine, parallel_full_relation, split_blocks
 from repro.engine import product
+from repro.engine.partition import partitioned_product_relation
 from repro.exceptions import EvaluationError
 
 RPQ_POOL = [
@@ -82,128 +72,11 @@ class TestKernels:
             union |= product.source_block_relation(space, useful, block)
         assert union == product.product_relation(space)
 
-    def test_propagate_masks_reports_changed_configs(self):
-        graph = generators.chain(3, labels=("a",))
-        index = graph.label_index()
-        space = NfaProductSpace(index, compile_query("a*"))
-        seeds = product.seed_masks(space, sources=("n0",))
-        masks, changed = product.propagate_masks(space, seeds)
-        assert changed == set(masks)
-        # a second propagation from the same seeds is a fixpoint: no change
-        _, changed_again = product.propagate_masks(space, seeds, masks=masks)
-        assert changed_again == set()
-
-
-# ----------------------------------------------------------------------
-# Partition construction
-# ----------------------------------------------------------------------
-class TestGraphPartition:
-    def test_every_node_lands_in_exactly_one_shard(self):
-        graph = generators.random_graph(20, 50, labels=("a", "b"), rng=3)
-        index = graph.label_index()
-        for strategy in ("contiguous", "hash"):
-            partition = GraphPartition.build(index, 4, strategy)
-            seen = [node for shard in partition.shards for node in shard.nodes]
-            assert sorted(map(str, seen)) == sorted(map(str, index.nodes))
-            for shard in partition.shards:
-                assert all(partition.owner(node) == shard.shard_id for node in shard.nodes)
-
-    def test_cut_edges_are_exactly_the_cross_shard_edges(self):
-        graph = generators.community_graph(3, 5, rng=1)
-        index = graph.label_index()
-        partition = GraphPartition.build(index, 3)
-        crossing = 0
-        for label in index.edge_labels():
-            for source, target in index.pairs(label):
-                if partition.owner(source) != partition.owner(target):
-                    crossing += 1
-                    assert target in partition.shards[partition.owner(source)].cut_targets(
-                        label, source
-                    )
-                else:
-                    assert target in partition.shards[partition.owner(source)].targets(
-                        label, source
-                    )
-        assert partition.cut_edge_count == crossing
-
-    def test_contiguous_partition_recovers_communities(self):
-        graph = generators.community_graph(4, 6, bridges_per_community=1, rng=2)
-        partition = GraphPartition.build(graph.label_index(), 4)
-        for shard in partition.shards:
-            communities = {str(node).split("n")[0] for node in shard.nodes}
-            assert len(communities) == 1
-        # only the thin bridge edges cross the cut
-        assert partition.cut_edge_count == 4
-
-    def test_partition_validation(self):
-        index = generators.chain(2).label_index()
-        with pytest.raises(EvaluationError):
-            GraphPartition.build(index, 0)
-        with pytest.raises(EvaluationError):
-            GraphPartition.build(index, 2, strategy="metis")
-        with pytest.raises(EvaluationError):
-            GraphPartition(index, {}, 2)  # nodes missing from the assignment
-        with pytest.raises(EvaluationError):
-            GraphPartition(index, {node: 9 for node in index.nodes}, 2)
-
-    def test_contiguous_assignment_is_deterministic(self):
-        graph = generators.community_graph(3, 8, rng=4)
-        one = GraphPartition.build(graph.label_index(), 4)
-        two = GraphPartition.build(graph.label_index(), 4)
-        assert one.assignment == two.assignment
-        assert [shard.nodes for shard in one.shards] == [shard.nodes for shard in two.shards]
-
-    def test_partition_after_a_batch_holds_every_edge(self):
-        # Partitions are never patched: a write means a rebuild, which
-        # must see exactly the batched graph's nodes and edges.
-        graph = generators.community_graph(3, 6, rng=9)
-        first = next(iter(graph.node_ids))
-        last = list(graph.node_ids)[-1]
-        with graph.batch() as batch:
-            batch.add_node("px", 2)
-            batch.add_edge("px", "a", first)
-            batch.add_edge(last, "a", "px")
-            batch.remove_node(list(graph.node_ids)[1])
-        partition = GraphPartition.build(graph.label_index(), 3)
-        assert partition.version == graph.version
-        assert set(partition.assignment) == set(graph.node_ids)
-        edges = {
-            (source, label, target)
-            for shard in partition.shards
-            for table in (shard._succ, shard._cut)
-            for label, by_source in table.items()
-            for source, targets in by_source.items()
-            for target in targets
-        }
-        assert edges == {(s.id, label, t.id) for s, label, t in graph.edges}
-
-    def test_stale_partition_is_rejected(self):
-        graph = generators.chain(3)
-        partition = GraphPartition.build(graph.label_index(), 2)
-        graph.add_node("fresh", 1)
-        with pytest.raises(EvaluationError):
-            sharded_full_relation(graph.label_index(), compile_query("a"), partition)
-
 
 # ----------------------------------------------------------------------
 # Driver equivalence (acceptance property)
 # ----------------------------------------------------------------------
 class TestDriverEquivalence:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        graph=graphs,
-        text=st.sampled_from(RPQ_POOL),
-        num_shards=st.integers(min_value=1, max_value=6),
-        strategy=st.sampled_from(["contiguous", "hash"]),
-    )
-    def test_sharded_equals_sequential(self, graph, text, num_shards, strategy):
-        index = graph.label_index()
-        automaton = compile_query(text)
-        partition = GraphPartition.build(index, num_shards, strategy)
-        assert sharded_full_relation(index, automaton, partition) == product.full_relation(
-            index, automaton
-        )
-
     @settings(max_examples=30, deadline=None)
     @given(
         graph=graphs,
@@ -218,12 +91,21 @@ class TestDriverEquivalence:
         )
         assert parallel == product.full_relation(index, automaton)
 
-    def test_fork_backend_equals_sequential(self):
+    @pytest.mark.parametrize("text", RPQ_POOL)
+    def test_fork_backend_equals_sequential(self, text):
         graph = generators.random_graph(50, 120, labels=("a", "b"), rng=13)
         index = graph.label_index()
-        automaton = compile_query("(a|b)*.a")
+        automaton = compile_query(text)
         forked = parallel_full_relation(index, automaton, num_blocks=3, backend="fork")
         assert forked == product.full_relation(index, automaton)
+
+    def test_only_the_blocks_mode_is_dispatched(self):
+        space = NfaProductSpace(generators.chain(3).label_index(), compile_query("a"))
+        expected = product.product_relation(space)
+        assert partitioned_product_relation(space, "blocks", workers=2) == expected
+        for mode in ("sharded", "off"):
+            with pytest.raises(EvaluationError, match="unknown partitioned mode"):
+                partitioned_product_relation(space, mode, workers=2)
 
     def test_unknown_backend_rejected(self):
         index = generators.chain(2).label_index()
@@ -232,75 +114,56 @@ class TestDriverEquivalence:
 
 
 class TestBoundaryEdgeCases:
-    def test_cross_shard_only_paths(self):
-        """A chain split into single-node shards: every answer path is
-        made purely of cut edges and needs one exchange round per hop."""
-        graph = generators.chain(6, labels=("a",))
-        index = graph.label_index()
-        automaton = compile_query("a*")
-        partition = GraphPartition.build(index, len(index.nodes))
-        assert all(len(shard.nodes) == 1 for shard in partition.shards)
-        assert sharded_full_relation(index, automaton, partition) == product.full_relation(
-            index, automaton
-        )
-
-    def test_more_shards_than_nodes_leaves_empty_shards(self):
-        graph = generators.cycle(3, labels=("a",))
-        index = graph.label_index()
-        assignment = {node: position for position, node in enumerate(index.nodes)}
-        partition = GraphPartition(index, assignment, num_shards=7)
-        assert sum(1 for shard in partition.shards if not shard.nodes) == 4
-        assert sharded_full_relation(index, compile_query("a+"), partition) == (
-            product.full_relation(index, compile_query("a+"))
-        )
-
-    def test_single_shard_is_the_sequential_engine(self):
-        graph = generators.random_graph(15, 40, labels=("a", "b"), rng=5)
-        index = graph.label_index()
-        automaton = compile_query("a.(a|b)*.b")
-        partition = GraphPartition.build(index, 1)
-        assert partition.cut_edge_count == 0
-        assert sharded_full_relation(index, automaton, partition) == product.full_relation(
-            index, automaton
-        )
-
     def test_empty_graph(self):
         index = DataGraph().label_index()
-        automaton = compile_query("a")
-        assert sharded_full_relation(index, automaton, num_shards=4) == set()
-        assert parallel_full_relation(index, automaton) == set()
+        assert parallel_full_relation(index, compile_query("a")) == set()
 
-    def test_disconnected_shards_keep_local_answers(self):
-        """Two components in different shards with no cut edges at all."""
-        graph = DataGraph(alphabet={"a"})
-        for name in ("u0", "u1", "v0", "v1"):
-            graph.add_node(name, name)
-        graph.add_edge("u0", "a", "u1")
-        graph.add_edge("v0", "a", "v1")
+    def test_single_block_is_the_sequential_engine(self):
+        graph = generators.random_graph(20, 50, labels=("a", "b"), rng=3)
         index = graph.label_index()
-        partition = GraphPartition(
-            index, {"u0": 0, "u1": 0, "v0": 1, "v1": 1}, num_shards=2
-        )
-        assert partition.cut_edge_count == 0
-        assert sharded_full_relation(index, compile_query("a"), partition) == {
-            ("u0", "u1"),
-            ("v0", "v1"),
-        }
+        automaton = compile_query("a.(a|b)*")
+        expected = product.full_relation(index, automaton)
+        for backend in ("thread", "fork"):
+            assert parallel_full_relation(index, automaton, 1, backend) == expected
 
-    def test_randomised_assignments_agree(self):
-        """Arbitrary (adversarial) shard assignments, not just the built-ins."""
-        rng = random.Random(23)
-        for _ in range(10):
-            graph = generators.random_graph(
-                rng.randrange(2, 25), rng.randrange(0, 60), labels=("a", "b"),
-                rng=rng.randrange(10_000),
-            )
-            index = graph.label_index()
-            num_shards = rng.randrange(1, 6)
-            assignment = {node: rng.randrange(num_shards) for node in index.nodes}
-            partition = GraphPartition(index, assignment, num_shards)
-            for text in ("(a|b)*", "a.(a|b)*.b"):
-                automaton = compile_query(text)
-                assert sharded_full_relation(index, automaton, partition) == (
-                    product.full_relation(index, automaton)
-                )
+    def test_more_blocks_than_nodes_caps_at_one_source_each(self):
+        graph = generators.chain(4)
+        index = graph.label_index()
+        automaton = compile_query("a*")
+        expected = product.full_relation(index, automaton)
+        assert len(split_blocks(index.nodes, 9)) == graph.num_nodes
+        for backend in ("thread", "fork"):
+            assert parallel_full_relation(index, automaton, 9, backend) == expected
+
+    def test_disconnected_components_keep_local_answers(self):
+        graph = DataGraph(alphabet={"a"})
+        for component in range(3):
+            for position in range(4):
+                graph.add_node(f"c{component}n{position}", component)
+            for position in range(3):
+                graph.add_edge(f"c{component}n{position}", "a", f"c{component}n{position + 1}")
+        index = graph.label_index()
+        relation = parallel_full_relation(index, compile_query("a+"), num_blocks=3)
+        assert relation == product.full_relation(index, compile_query("a+"))
+        assert all(u[:2] == v[:2] for u, v in relation)
+        assert len(relation) == 3 * 6
+
+    def test_paths_cross_every_block_boundary(self):
+        # One source per block on a chain: every answer path leaves its
+        # block, yet each block still walks the whole graph.
+        graph = generators.chain(6)
+        index = graph.label_index()
+        automaton = compile_query("a.a*")
+        relation = parallel_full_relation(index, automaton, num_blocks=graph.num_nodes)
+        assert relation == product.full_relation(index, automaton)
+        count = graph.num_nodes
+        assert len(relation) == count * (count - 1) // 2
+
+    @pytest.mark.parametrize("text", RPQ_POOL)
+    def test_randomised_block_counts_agree(self, text):
+        graph = generators.random_graph(30, 70, labels=("a", "b"), rng=17)
+        index = graph.label_index()
+        automaton = compile_query(text)
+        expected = product.full_relation(index, automaton)
+        for num_blocks in (2, 3, 7, 30):
+            assert parallel_full_relation(index, automaton, num_blocks, "thread") == expected

@@ -3,8 +3,8 @@
 ``seeded_product_relation(space, sources, targets)`` must equal the full
 ``product_relation`` filtered to the given endpoint sets — for every
 space kind (NFA product, register product) and through every
-driver (sequential, source blocks, sharded scatter/gather), since the
-CRPQ planner leans on all of them interchangeably.
+driver (sequential, source blocks), since the CRPQ planner leans on both
+interchangeably.
 """
 
 from __future__ import annotations
@@ -15,11 +15,7 @@ from repro.api import ExecutionPolicy
 from repro.datagraph import generators
 from repro.datapaths import parse_rem
 from repro.engine import default_engine
-from repro.engine.partition import (
-    GraphPartition,
-    parallel_product_relation,
-    sharded_product_relation,
-)
+from repro.engine.partition import parallel_product_relation
 from repro.engine.product import product_relation, seeded_product_relation
 from repro.engine.spaces import NfaProductSpace, RegisterProductSpace
 from repro.planner import route_query
@@ -63,22 +59,14 @@ class TestSeededEqualsFilteredFull:
             (u, v) for u, v in full if v in targets
         }
 
+    @pytest.mark.parametrize("backend", ["fork", "thread"])
     @pytest.mark.parametrize("which", [0, 1], ids=["nfa", "register"])
-    def test_source_block_driver(self, graph, which):
+    def test_source_block_driver(self, graph, which, backend):
         space = list(spaces_under_test(graph))[which]
         full, sources, targets = restrictions(space)
         expected = {(u, v) for u, v in full if u in set(sources) and v in targets}
-        got = parallel_product_relation(space, num_blocks=3, sources=sources, targets=targets)
-        assert got == expected
-
-    @pytest.mark.parametrize("which", [0, 1], ids=["nfa", "register"])
-    def test_sharded_driver(self, graph, which):
-        space = list(spaces_under_test(graph))[which]
-        full, sources, targets = restrictions(space)
-        expected = {(u, v) for u, v in full if u in set(sources) and v in targets}
-        partition = GraphPartition.build(space.index, 3)
-        got = sharded_product_relation(
-            space, partition=partition, processes=False, sources=sources, targets=targets
+        got = parallel_product_relation(
+            space, num_blocks=3, backend=backend, sources=sources, targets=targets
         )
         assert got == expected
 
@@ -87,7 +75,6 @@ class TestSeededEqualsFilteredFull:
         assert seeded_product_relation(space, sources=()) == set()
         assert seeded_product_relation(space, targets=set()) == set()
         assert parallel_product_relation(space, sources=()) == set()
-        assert sharded_product_relation(space, num_shards=2, sources=()) == set()
 
     def test_unrestricted_seeded_is_the_full_relation(self, graph):
         for space in spaces_under_test(graph):
@@ -105,12 +92,8 @@ class TestEngineAtomEntryPoint:
         # Sources arrive as an unordered set with a foreign id mixed in.
         got = engine.evaluate_atom_ids(graph, rpq("a*.b"), sources=set(some) | {"no-such"})
         assert got == expected
-        for driver in ("blocks", "sharded"):
-            route = route_query(rpq("a*.b"), graph, ExecutionPolicy(intra_query=driver))
-            assert (
-                engine.evaluate_atom_ids(graph, rpq("a*.b"), sources=some, route=route)
-                == expected
-            )
+        route = route_query(rpq("a*.b"), graph, ExecutionPolicy(intra_query="blocks"))
+        assert engine.evaluate_atom_ids(graph, rpq("a*.b"), sources=some, route=route) == expected
 
     def test_evaluate_atom_ids_data_dialect(self, graph):
         from repro.query import equality_rpq

@@ -1,9 +1,9 @@
 """The ProductSpace protocol: every dialect through one kernel stack.
 
-The generic phase kernels and both partition drivers must agree with
-the dialect's executable spec for every space — the NFA product (plain
+The generic phase kernels and the ``blocks`` driver must agree with the
+dialect's executable spec for every space — the NFA product (plain
 RPQs) and the register product (REE/REM data RPQs, including valuations
-crossing shard boundaries).  GXPath's ``a*`` / ``a-*`` (the bit-row
+with one source per block).  GXPath's ``a*`` / ``a-*`` (the bit-row
 algebra's closure, on either index) is held to the per-start BFS spec
 here too.
 """
@@ -20,12 +20,10 @@ from repro.api import ExecutionPolicy
 from repro.datagraph import DataGraph, generators
 from repro.datapaths import compile_rem, parse_ree, parse_rem, ree_to_rem
 from repro.engine import (
-    GraphPartition,
     NfaProductSpace,
     RegisterProductSpace,
     default_engine,
     parallel_product_relation,
-    sharded_product_relation,
 )
 from repro.engine import product
 from repro.engine.data import (
@@ -101,22 +99,6 @@ class TestRegisterProductSpace:
             index, automaton
         ) == register_automaton_relation_per_source(index, automaton)
 
-    @settings(max_examples=15, deadline=None)
-    @given(
-        graph=graphs,
-        text=st.sampled_from(REM_POOL),
-        num_shards=st.integers(min_value=1, max_value=5),
-        strategy=st.sampled_from(["contiguous", "hash"]),
-    )
-    def test_sharded_driver_agrees_on_the_register_space(
-        self, graph, text, num_shards, strategy
-    ):
-        index = graph.label_index()
-        space = rem_space(index, text)
-        partition = GraphPartition.build(index, num_shards, strategy)
-        expected = set(register_automaton_relation_per_source(index, space.automaton))
-        assert sharded_product_relation(space, partition=partition) == expected
-
     @settings(max_examples=10, deadline=None)
     @given(
         graph=graphs,
@@ -132,9 +114,20 @@ class TestRegisterProductSpace:
             == expected
         )
 
-    def test_valuations_cross_shard_boundaries(self):
-        """A chain split into single-node shards: the bound register value
-        must travel with the frontier messages through every cut edge."""
+    @pytest.mark.parametrize("nulls", [False, True], ids=["plain", "nulls"])
+    @pytest.mark.parametrize("text", REM_POOL)
+    def test_forked_blocks_agree_on_the_register_space(self, text, nulls):
+        # Each forked worker inherits the register space (interned
+        # valuations included) by copy-on-write and walks its own block.
+        graph = generators.random_graph(16, 40, labels=("a", "b"), rng=29, domain_size=3)
+        index = graph.label_index()
+        space = rem_space(index, text, nulls)
+        expected = set(register_automaton_relation_per_source(index, space.automaton, nulls))
+        assert parallel_product_relation(space, num_blocks=3, backend="fork") == expected
+
+    def test_valuations_with_one_source_per_block(self):
+        """A chain split into single-source blocks: each block's register
+        walk must still see every node past its source."""
         graph = DataGraph(alphabet={"a"})
         values = [1, 2, 1, 3, 1, 2]
         for position, value in enumerate(values):
@@ -143,23 +136,13 @@ class TestRegisterProductSpace:
             graph.add_edge(f"n{position}", "a", f"n{position + 1}")
         index = graph.label_index()
         space = rem_space(index, "!x.(a[x!=])+")
-        partition = GraphPartition.build(index, len(index.nodes))
-        assert all(len(shard.nodes) == 1 for shard in partition.shards)
         expected = set(
             register_automaton_relation_per_source(index, space.automaton)
         )
         # sanity: the expected relation really does depend on the register
         assert ("n0", "n1") in expected and ("n0", "n2") not in expected
-        assert sharded_product_relation(space, partition=partition) == expected
-
-    def test_forked_shard_rounds_agree_with_in_process(self):
-        graph = generators.community_graph(3, 8, rng=5, domain_size=3)
-        index = graph.label_index()
-        space = rem_space(index, "!x.((knows|bridge)[x!=])+")
-        partition = GraphPartition.build(index, 3)
-        in_process = sharded_product_relation(space, partition=partition, processes=False)
-        forked = sharded_product_relation(space, partition=partition, processes=True)
-        assert forked == in_process
+        blocks = len(index.nodes)
+        assert parallel_product_relation(space, num_blocks=blocks, backend="thread") == expected
 
 
 # ----------------------------------------------------------------------
@@ -208,7 +191,6 @@ class TestNfaSpaceGenericComposition:
             RegisterProductSpace(index, rem),
         ):
             assert product.product_relation(space) == set()
-            assert sharded_product_relation(space, num_shards=3) == set()
             assert parallel_product_relation(space, backend="thread") == set()
 
     def test_rejects_unknown_backend_before_running(self):

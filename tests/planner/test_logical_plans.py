@@ -223,6 +223,5 @@ class TestExecutionPolicyIntegration:
     def test_intra_query_modes_share_cache_shape(self, skewed_graph):
         query = Query.parse("x, z :- (x, b, y), (y, a+, z)", dialect="crpq")
         sequential = GraphSession(skewed_graph).run(query).rows()
-        for mode in ("blocks", "sharded"):
-            policy = ExecutionPolicy(intra_query=mode)
-            assert GraphSession(skewed_graph, policy=policy).run(query).rows() == sequential
+        policy = ExecutionPolicy(intra_query="blocks")
+        assert GraphSession(skewed_graph, policy=policy).run(query).rows() == sequential

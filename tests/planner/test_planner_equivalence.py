@@ -7,7 +7,7 @@ disjoint cartesian components), mixing RPQ and data-RPQ atoms, Boolean
 heads and self-loop atoms, and evaluated on random community graphs.
 The planner (cost-ordered hash joins over seeded kernels) must agree
 with :func:`repro.query.crpq.evaluate_crpq_naive` everywhere, and the
-``blocks`` / ``sharded`` intra-query session modes must agree with the
+forced ``blocks`` intra-query session mode must agree with the
 sequential plans.
 
 The planner eliminates existential path variables before it plans
@@ -30,7 +30,7 @@ from repro.datagraph.compact import CompactLabelIndex
 from repro.datapaths.ree import RegexWithEquality
 from repro.engine import data as data_kernels
 from repro.engine import default_engine
-from repro.engine.partition import sharded_product_relation
+from repro.engine.partition import parallel_product_relation
 from repro.engine.product import seeded_product_relation
 from repro.planner import AtomScan, execute_plan, plan_crpq
 from repro.query import parse_crpq
@@ -295,9 +295,9 @@ class TestEliminationShapes:
 
 
 class TestIntraQueryModesAgree:
-    @pytest.mark.parametrize("mode", ["blocks", "sharded"])
+    @pytest.mark.parametrize("workers", [3, 5], ids=["blocks", "blocks-5"])
     @pytest.mark.parametrize("seed", range(3))
-    def test_modes_match_sequential_plans(self, mode, seed):
+    def test_modes_match_sequential_plans(self, workers, seed):
         graph = community(seed + 5, num_nodes=30)
         query = Query.crpq(
             random_crpq(
@@ -311,17 +311,17 @@ class TestIntraQueryModesAgree:
             )
         )
         sequential = GraphSession(graph).run(query).rows()
-        policy = ExecutionPolicy(intra_query=mode, max_workers=3)
+        policy = ExecutionPolicy(intra_query="blocks", max_workers=workers)
         assert GraphSession(graph, policy=policy).run(query).rows() == sequential
 
-    def test_sharded_scans_agree_forked_and_in_process(self):
+    def test_block_scans_agree_forked_and_threaded(self):
         graph = community(41, num_nodes=30)
         space = default_engine().space_for_atom(graph, "a.(a|b)*")
         sources = graph.label_index().nodes[:10]
         expected = seeded_product_relation(space, sources=sources)
-        for processes in (False, True):
-            assert sharded_product_relation(
-                space, num_shards=2, processes=processes, sources=sources
+        for backend in ("thread", "fork"):
+            assert parallel_product_relation(
+                space, num_blocks=2, backend=backend, sources=sources
             ) == expected
 
 

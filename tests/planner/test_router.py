@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_node, reference_path
-from repro.api import ExecutionPolicy, GraphSession, ParallelExecutor, Query, QueryKind
+from repro.api import ExecutionPolicy, GraphSession, Query, QueryKind
 from repro.datagraph import DataGraph, generators
 from repro.datagraph.compact import CompactLabelIndex
 from repro.datapaths.fragments import is_scoped
@@ -64,9 +64,12 @@ CONFIGS = {
     "compact": ExecutionPolicy(backend="compact"),
     "sql": ExecutionPolicy(backend="sql"),
     "blocks": ExecutionPolicy(intra_query="blocks", max_workers=2),
-    "sharded": ExecutionPolicy(intra_query="sharded", max_workers=2),
     "manual": ExecutionPolicy(routing="manual"),
 }
+
+#: The forced ``blocks`` driver at two worker budgets: even blocks, and
+#: more (uneven) blocks than the host has cores.
+FORCED_BUDGETS = {"blocks": 2, "blocks-5": 5}
 
 @pytest.fixture(scope="module")
 def graph():
@@ -102,7 +105,7 @@ class KernelSpy:
     the SQL backend's ``evaluate_*``, ``partitioned_product_relation``,
     the bit-row algebra and the GXPath row evaluator — and counts calls
     by family (``dict`` / ``compact`` / ``sql``) and by driver
-    (``blocks`` / ``sharded``).  The algebra, the GXPath evaluator and
+    (``blocks``).  The algebra, the GXPath evaluator and
     the point BFS run over either index, so their family is read off the
     index they were handed; ``algebra`` counts the algebra's calls on
     their own.
@@ -176,7 +179,7 @@ class KernelSpy:
             assert not self.drivers, (context, dict(self.drivers))
             assert set(self.families) == {route.kernel}, (context, dict(self.families))
         else:
-            # Source blocks and shard rounds run the dict mask pass (in
+            # Source blocks run the dict mask pass (in
             # forked workers where the host forks, so it may go unseen).
             assert set(self.drivers) == {route.driver}, (context, dict(self.drivers))
             assert set(self.families) <= {"dict"}, (context, dict(self.families))
@@ -193,7 +196,7 @@ def spy(monkeypatch):
 class TestRouteChoices:
     @pytest.mark.parametrize("name", sorted(DIALECTS))
     def test_default_routes_are_resolved_and_local(self, graph, name):
-        route = route_query(DIALECTS[name], graph, ExecutionPolicy.auto())
+        route = route_query(DIALECTS[name], graph, ExecutionPolicy())
         assert isinstance(route, Route)
         assert route.driver == "sequential" and route.workers == 1
         assert route.kernel in {"dict", "compact", "sql"}  # never "auto"
@@ -208,7 +211,7 @@ class TestRouteChoices:
     @pytest.mark.parametrize("name", sorted(DIALECTS))
     def test_small_graph_routes_compact(self, graph, name):
         # 36 nodes: no size rule sends the default policy to the dict kernels.
-        for policy in (None, ExecutionPolicy(), ExecutionPolicy.auto()):
+        for policy in (None, ExecutionPolicy()):
             route = route_query(DIALECTS[name], graph, policy)
             assert (route.strategy, route.kernel) == ("compact", "compact"), (name, policy)
         assert route_point(graph).kernel == "compact"
@@ -219,37 +222,37 @@ class TestRouteChoices:
         # a sequential driver: only a forced ``intra_query`` forks.
         graph = ROUTER_GRAPHS[shape]()
         queries = [*DIALECTS.values(), Query.parse("(a|b)+"), Query.parse("(cites)*.tagged")]
-        for policy in (ExecutionPolicy.auto(max_workers=4), ExecutionPolicy(max_workers=8)):
+        for policy in (ExecutionPolicy(max_workers=4), ExecutionPolicy(max_workers=8)):
             for query in queries:
                 route = route_query(query, graph, policy, stats=graph_statistics(graph))
                 assert (route.driver, route.workers) == ("sequential", 1), (shape, str(query))
                 assert route.strategy in {"sequential", "compact", "sql"}
                 assert "pool" not in route.describe()
 
-    @pytest.mark.parametrize("driver", ["blocks", "sharded"])
-    def test_forced_driver_is_forced_on_any_size(self, graph, driver):
-        policy = ExecutionPolicy(intra_query=driver, max_workers=3)
+    @pytest.mark.parametrize("budget", sorted(FORCED_BUDGETS))
+    def test_forced_driver_is_forced_on_any_size(self, graph, budget):
+        workers = FORCED_BUDGETS[budget]
+        policy = ExecutionPolicy(intra_query="blocks", max_workers=workers)
         route = route_query(DIALECTS["crpq"], graph, policy)
         assert (route.strategy, route.driver, route.kernel, route.workers) == (
-            driver, driver, "dict", 3
+            "blocks", "blocks", "dict", workers
         )
         assert "override" in route.reason
-        forced = GraphSession(graph, policy=ExecutionPolicy(intra_query=driver, max_workers=2))
+        forced = GraphSession(graph, policy=policy)
         default = GraphSession(graph)
         for name in ("rpq", "data_rpq", "crpq"):
-            assert forced._route(DIALECTS[name]).driver == driver, name
+            assert forced._route(DIALECTS[name]).driver == "blocks", name
             assert default._route(DIALECTS[name]).driver == "sequential", name
             rows = forced.run(DIALECTS[name]).rows()
             assert rows == default.run(DIALECTS[name]).rows(), name
 
     def test_forced_driver_budget_defaults_to_the_host(self, graph, host_shape):
         cores, _fork = host_shape
-        for driver in ("blocks", "sharded"):
-            route = route_query(DIALECTS["rpq"], graph, ExecutionPolicy(intra_query=driver))
-            assert (route.driver, route.workers) == (driver, min(cores, 8))
+        route = route_query(DIALECTS["rpq"], graph, ExecutionPolicy(intra_query="blocks"))
+        assert (route.driver, route.workers) == ("blocks", min(cores, 8))
 
     def test_forced_backend_overrides_routing(self, graph):
-        route = route_query(DIALECTS["rpq"], graph, ExecutionPolicy.auto(backend="dict"))
+        route = route_query(DIALECTS["rpq"], graph, ExecutionPolicy(backend="dict"))
         assert (route.strategy, route.kernel, route.driver) == ("sequential", "dict", "sequential")
         route = route_query(DIALECTS["rpq"], graph, ExecutionPolicy(backend="sql"))
         assert route.strategy == "sql"
@@ -259,13 +262,15 @@ class TestRouteChoices:
         assert route.kernel == "dict" and route.strategy == "sequential"
         assert "no SQL encoding" in route.reason
 
-    @pytest.mark.parametrize("forced", ["sql", "blocks", "sharded"])
+    @pytest.mark.parametrize("forced", ["sql", *sorted(FORCED_BUDGETS)])
     @pytest.mark.parametrize("name", ["gxpath_node", "gxpath_path"])
     def test_gxpath_declines_sql_and_the_partitioned_drivers(self, graph, name, forced, spy):
         if forced == "sql":
             policy, declined = ExecutionPolicy(backend="sql"), "backend='sql'"
         else:
-            policy, declined = ExecutionPolicy(intra_query=forced, max_workers=2), repr(forced)
+            workers = FORCED_BUDGETS[forced]
+            policy = ExecutionPolicy(intra_query="blocks", max_workers=workers)
+            declined = "intra_query='blocks'"
         query = DIALECTS[name]
         route = route_query(query, graph, policy)
         default = route_query(query, graph)
@@ -285,9 +290,9 @@ class TestRouteChoices:
 
     def test_stats_sharpen_the_estimate(self, graph):
         with_stats = route_query(
-            DIALECTS["crpq"], graph, ExecutionPolicy.auto(), stats=graph_statistics(graph)
+            DIALECTS["crpq"], graph, ExecutionPolicy(), stats=graph_statistics(graph)
         )
-        without = route_query(DIALECTS["crpq"], graph, ExecutionPolicy.auto())
+        without = route_query(DIALECTS["crpq"], graph, ExecutionPolicy())
         # Stats only ever sharpen (shrink data-atom / widen closure
         # numbers); both must be valid local routes on this small graph.
         assert with_stats.driver == without.driver == "sequential"
@@ -362,7 +367,7 @@ class TestRouterSeesTheRegex:
 
     def test_concatenation_on_a_large_graph_routes_compact(self):
         graph = generators.random_graph(2100, 4400, labels=("a", "b"), rng=5)
-        route = route_query(Query.parse("a.b.a"), graph, ExecutionPolicy.auto())
+        route = route_query(Query.parse("a.b.a"), graph, ExecutionPolicy())
         assert route.estimate is None
         assert route.describe().startswith("route: compact — ")
         assert route.strategy == "compact"
@@ -454,16 +459,16 @@ class TestExplainIsWhatRan:
                         # one single-source BFS on the point route's kernel
                         spy.assert_ran(route_point(graph, CONFIGS[config]), context)
 
-    @pytest.mark.parametrize("driver", ["blocks", "sharded"])
-    def test_forced_routes_run_what_they_report(self, graph, driver, spy):
+    @pytest.mark.parametrize("budget", sorted(FORCED_BUDGETS))
+    def test_forced_routes_run_what_they_report(self, graph, budget, spy):
         # A forced driver is a partitioned route on any host shape; where
         # the host forks, its mask passes run in the workers.
-        policy = ExecutionPolicy(intra_query=driver, max_workers=2)
+        policy = ExecutionPolicy(intra_query="blocks", max_workers=FORCED_BUDGETS[budget])
         for name in ("rpq", "data_rpq", "crpq"):
             query = DIALECTS[name]
             session = GraphSession(graph, policy=policy)
             route = session._route(query)
-            assert route.driver == driver, name
+            assert (route.driver, route.workers) == ("blocks", FORCED_BUDGETS[budget]), name
             spy.reset()
             assert session.run(query).rows() == naive_rows(graph, query), name
             spy.assert_ran(route, name)
@@ -484,13 +489,14 @@ class TestExplainIsWhatRan:
         assert not spy.drivers
 
     @pytest.mark.parametrize("config", sorted(CONFIGS))
-    def test_process_batches_agree_with_run(self, graph, config):
-        queries = list(DIALECTS.values())
+    def test_batches_agree_with_run(self, graph, config):
+        # One batch of every dialect, a duplicate included: the in-order
+        # loop answers each plan as ``run`` does under the same policy.
+        queries = [*DIALECTS.values(), DIALECTS["rpq"]]
         expected = [session_under(config, graph).run(query).rows() for query in queries]
-        session = session_under(config, graph)
-        executor = ParallelExecutor(max_workers=2, backend="process")
-        results = session.run_many(queries, executor=executor)
+        results = session_under(config, graph).run_many(queries)
         assert [result.rows() for result in results] == expected
+        assert [result.query for result in results] == queries
 
     def test_run_many_uses_the_session_plan_cache_and_trace(self, graph):
         session = GraphSession(graph)
@@ -502,7 +508,7 @@ class TestExplainIsWhatRan:
 
 class TestExplainShowsTheRoute:
     def test_route_header_and_trace(self, graph):
-        session = GraphSession(graph, policy=ExecutionPolicy.auto())
+        session = GraphSession(graph, policy=ExecutionPolicy())
         query = DIALECTS["crpq"]
         before = session.explain(query)
         assert before.startswith("route: ")
@@ -511,13 +517,15 @@ class TestExplainShowsTheRoute:
         assert "adaptive:" in after  # the recorded PlanTrace rides along
         assert "estimated" in after and "observed" in after
 
-    @pytest.mark.parametrize("driver", ["blocks", "sharded"])
-    def test_forced_explain_names_the_driver(self, graph, driver):
-        session = GraphSession(graph, policy=ExecutionPolicy(intra_query=driver, max_workers=2))
+    @pytest.mark.parametrize("budget", sorted(FORCED_BUDGETS))
+    def test_forced_explain_names_the_driver(self, graph, budget):
+        workers = FORCED_BUDGETS[budget]
+        policy = ExecutionPolicy(intra_query="blocks", max_workers=workers)
+        session = GraphSession(graph, policy=policy)
         for name in ("rpq", "data_rpq", "crpq"):
             header = session.explain(DIALECTS[name]).splitlines()[0]
             assert header == session._route(DIALECTS[name]).describe(), name
-            assert header.startswith(f"route: {driver} "), name
+            assert header.startswith("route: blocks "), name
             assert header.endswith("policy override") and "pool" not in header, name
 
     def test_rpq_explain_keeps_nfa_section(self, graph):

@@ -254,7 +254,7 @@ def encodes(monkeypatch):
 class TestNothingForks:
     def test_run_many_keeps_its_rows_and_the_daemon_forks_nothing(self, encodes, monkeypatch):
         # The small served graph, default config but for compact routes:
-        # every session runs the "local" preset, so run_many is sequential
+        # every session runs the default policy: run_many is one in-order loop
         # and its answers keep their bit rows like run()'s do.
         forks = []
         real_fork = os.fork

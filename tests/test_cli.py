@@ -114,48 +114,44 @@ class TestInfoAndEvaluate:
         with pytest.raises(SystemExit):
             main(["certain", str(graph_file), str(mapping_file), "--crpq", ":- (x, t, y)"])
 
-    @pytest.mark.parametrize("policy", ["sequential", "thread", "process", "intra-query"])
-    def test_evaluate_policies_agree(self, graph_file, capsys, policy):
-        """Every --policy returns the sequential answers (possibly reordered pools)."""
-        assert main(["evaluate", str(graph_file), "--rpq", "r.r"]) == 0
-        expected = capsys.readouterr().out
-        assert main([
-            "evaluate", str(graph_file), "--rpq", "r.r", "--policy", policy, "--workers", "2",
-        ]) == 0
-        assert capsys.readouterr().out == expected
-
     def test_evaluate_rejects_bad_workers(self, graph_file, capsys):
         assert main([
-            "evaluate", str(graph_file), "--rpq", "r", "--policy", "intra-query",
+            "evaluate", str(graph_file), "--rpq", "r", "--intra-query", "blocks",
             "--workers", "0",
         ]) == 1
         error = capsys.readouterr().err
         assert "--workers must be positive" in error and "error" in error
 
-    @pytest.mark.parametrize("mode", ["blocks", "sharded"])
-    def test_intra_query_modes_agree(self, graph_file, capsys, mode):
+    @pytest.mark.parametrize("workers", ["1", "2", "5"])
+    def test_intra_query_modes_agree(self, graph_file, capsys, workers):
         """--intra-query selects the driver (and implies the policy) for
-        every dialect, sequential answers either way."""
+        every dialect, sequential answers at any --workers budget."""
         for flag, text in (("--rpq", "r.r"), ("--rem", "!x.(r[x!=])+"), ("--gxpath-path", "r*")):
             assert main(["evaluate", str(graph_file), flag, text]) == 0
             expected = capsys.readouterr().out
             assert main([
                 "evaluate", str(graph_file), flag, text,
-                "--intra-query", mode, "--workers", "2",
+                "--intra-query", "blocks", "--workers", workers,
             ]) == 0
             assert capsys.readouterr().out == expected
 
     def test_forced_driver_shows_in_explain(self, graph_file, capsys):
         assert main([
             "evaluate", str(graph_file), "--rpq", "r.r", "--explain",
-            "--intra-query", "sharded", "--workers", "2",
+            "--intra-query", "blocks", "--workers", "2",
         ]) == 0
-        assert capsys.readouterr().out.startswith("route: sharded ")
+        assert capsys.readouterr().out.startswith("route: blocks ")
 
-    @pytest.mark.parametrize("flag", ["--num-shards", "--intra-query-threshold"])
-    def test_removed_knob_flags_are_rejected(self, graph_file, flag):
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--num-shards", "2"), ("--intra-query-threshold", "2"),
+         ("--policy", "intra-query"), ("--intra-query", "sharded")],
+        ids=["--num-shards", "--intra-query-threshold", "--policy", "--intra-query"],
+    )
+    def test_removed_knob_flags_are_rejected(self, graph_file, flag, value):
+        # --intra-query blocks is the one forcing flag.
         with pytest.raises(SystemExit):
-            main(["evaluate", str(graph_file), "--rpq", "r", flag, "2"])
+            main(["evaluate", str(graph_file), "--rpq", "r", flag, value])
 
     @pytest.mark.parametrize("flag", ["--workers", "--num-shards", "--pool-min-nodes"])
     def test_removed_serve_flags_are_rejected(self, graph_file, flag):

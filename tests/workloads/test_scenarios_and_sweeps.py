@@ -58,15 +58,14 @@ class TestScenarios:
         with pytest.raises(WorkloadError):
             multi_community_scenario(num_communities=1)
 
-    def test_multi_community_scenario_is_shardable(self):
-        """The bundled graph's contiguous partition recovers the communities."""
-        from repro.engine import GraphPartition
+    def test_multi_community_scenario_splits_into_community_blocks(self):
+        """The bundled graph's contiguous source blocks recover the communities."""
+        from repro.engine import split_blocks
 
         scenario = multi_community_scenario(num_communities=4, community_size=5, rng=3)
-        partition = GraphPartition.build(scenario.source.label_index(), 4)
-        for shard in partition.shards:
-            assert len({str(node).split("n")[0] for node in shard.nodes}) == 1
-        assert 0 < partition.cut_edge_count < scenario.source.num_edges
+        blocks = split_blocks(scenario.source.label_index().nodes, 4)
+        for block in blocks:
+            assert len({str(node).split("n")[0] for node in block}) == 1
 
 
 class TestRandomWorkloads:
