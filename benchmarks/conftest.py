@@ -1,10 +1,11 @@
 """Shared configuration for the benchmark suite.
 
 Each ``bench_e*.py`` file regenerates one experiment of the reproduction
-(see DESIGN.md §3 and EXPERIMENTS.md).  Experiments are wrapped with
-``benchmark.pedantic(..., rounds=1)`` because a single run already
-aggregates many internal measurements; the micro-benchmarks in
-``bench_micro_operations.py`` use the default calibration instead.
+(see DESIGN.md §9; ``python -m repro experiment <name>`` runs one).
+Experiments are wrapped with ``benchmark.pedantic(..., rounds=1)``
+because a single run already aggregates many internal measurements; the
+micro-benchmarks in ``bench_micro_operations.py`` use the default
+calibration instead.
 
 Run with::
 

@@ -3,9 +3,9 @@
 
 This is the presentation-sized reproduction driver: each experiment in
 ``repro.experiments`` validates one of the paper's claims (see DESIGN.md
-for the index and EXPERIMENTS.md for recorded observations).  With the
-default parameters the whole run takes a few minutes on a laptop; pass
-``--quick`` to use the reduced parameters the test suite uses.
+§9 for the index; ``python -m repro experiment <name>`` runs one).  With
+the default parameters the whole run takes a few minutes on a laptop;
+pass ``--quick`` to use the reduced parameters the test suite uses.
 
 Run with::
 

@@ -269,20 +269,21 @@ class Query:
 
         For CRPQs this is the planner's chosen plan — join order,
         seeded scans, hash joins and cardinality estimates — costed
-        against *graph*'s label-index statistics when a graph is given
-        (without one, estimates collapse and the plan follows the
-        written atom order).  The other kinds have a fixed execution
-        strategy and explain to a one-line description.  Sessions expose
-        the same text (with plan caching) via
+        against *graph*'s statistics catalogue, as a session plans it,
+        when a graph is given (without one, estimates collapse and the
+        plan follows the written atom order).  The other kinds have a
+        fixed execution strategy and explain to a one-line description.
+        Sessions expose the same text (with plan caching) via
         :meth:`~repro.api.session.GraphSession.explain`; the CLI prints
         it under ``--explain``.
         """
         kind = self.kind
         if kind is QueryKind.CRPQ:
-            from ..planner import plan_crpq
+            from ..planner import graph_statistics, plan_crpq
 
-            index = graph.label_index() if graph is not None else None
-            return plan_crpq(self.plan, index).explain()
+            if graph is None:
+                return plan_crpq(self.plan).explain()
+            return plan_crpq(self.plan, graph.label_index(), graph_statistics(graph)).explain()
         if kind is QueryKind.RPQ:
             return (
                 "rpq: bit-row algebra, the regex as a register-free REM (concatenations "

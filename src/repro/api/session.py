@@ -499,8 +499,8 @@ class GraphSession(SessionProtocol):
         if plan.kind is QueryKind.CRPQ:
             return self._execute(plan, route, null_semantics, decode=False, memo=self._rows)
         if plan.kind in (QueryKind.RPQ, QueryKind.DATA_RPQ):
-            bits = self.engine.relation_bits(
-                self.graph, plan.plan, route, null_semantics, memo=self._rows
+            bits = self.engine.atom_bits(
+                self.graph, plan.plan, route, null_semantics=null_semantics, memo=self._rows
             )
             if bits is not None:
                 return bits

@@ -56,8 +56,6 @@ __all__ = [
     "decode_value",
     "encode_node",
     "decode_node",
-    "encode_delta",
-    "decode_delta",
 ]
 
 #: Every plan-AST class a wire document may instantiate.  Class names are
@@ -364,85 +362,6 @@ def decode_answers(query: Query, doc: Any) -> FrozenSet:
     if len(answers) != count:
         raise SerializationError(f"{shape!r} answers document repeats a node or an answer")
     return answers
-
-
-# ----------------------------------------------------------------------
-# Graph deltas
-# ----------------------------------------------------------------------
-#: Wire tag for delta documents; bump on incompatible shape changes.
-DELTA_FORMAT = "repro-delta/1"
-
-
-def encode_delta(delta) -> Dict[str, Any]:
-    """One :class:`~repro.deltas.delta.GraphDelta` as a JSON document.
-
-    Node ids and values go through :func:`encode_value`, so a decoded
-    delta replays to the same graph state on the other end.
-    """
-    return {
-        "format": DELTA_FORMAT,
-        "base_version": delta.base_version,
-        "new_version": delta.new_version,
-        "added_nodes": [[encode_value(i), encode_value(v)] for i, v in delta.added_nodes],
-        "removed_nodes": [[encode_value(i), encode_value(v)] for i, v in delta.removed_nodes],
-        "added_edges": [
-            [encode_value(s), label, encode_value(t)] for s, label, t in delta.added_edges
-        ],
-        "removed_edges": [
-            [encode_value(s), label, encode_value(t)] for s, label, t in delta.removed_edges
-        ],
-        "value_changes": [
-            [encode_value(i), encode_value(old), encode_value(new)]
-            for i, old, new in delta.value_changes
-        ],
-        "added_labels": list(delta.added_labels),
-    }
-
-
-def decode_delta(doc: Any):
-    """The inverse of :func:`encode_delta`."""
-    from ..deltas.delta import GraphDelta
-
-    if not isinstance(doc, dict) or doc.get("format") != DELTA_FORMAT:
-        raise SerializationError(f"malformed delta document {doc!r}")
-
-    def pairs(key):
-        rows = doc.get(key)
-        if not isinstance(rows, list):
-            raise SerializationError(f"malformed delta field {key!r} in {doc!r}")
-        return tuple(
-            (decode_value(row[0]), decode_value(row[1]))
-            for row in rows
-            if isinstance(row, list) and len(row) == 2
-        )
-
-    def triples(key, labelled: bool):
-        rows = doc.get(key)
-        if not isinstance(rows, list):
-            raise SerializationError(f"malformed delta field {key!r} in {doc!r}")
-        out = []
-        for row in rows:
-            if not isinstance(row, list) or len(row) != 3:
-                raise SerializationError(f"malformed delta row {row!r}")
-            if labelled:
-                out.append((decode_value(row[0]), str(row[1]), decode_value(row[2])))
-            else:
-                out.append((decode_value(row[0]), decode_value(row[1]), decode_value(row[2])))
-        return tuple(out)
-
-    labels = doc.get("added_labels")
-    if not isinstance(labels, list):
-        raise SerializationError(f"malformed delta field 'added_labels' in {doc!r}")
-    return GraphDelta(
-        added_nodes=pairs("added_nodes"),
-        removed_nodes=pairs("removed_nodes"),
-        added_edges=triples("added_edges", labelled=True),
-        removed_edges=triples("removed_edges", labelled=True),
-        value_changes=triples("value_changes", labelled=False),
-        added_labels=tuple(str(label) for label in labels),
-        base_version=doc.get("base_version"),
-        new_version=doc.get("new_version"),
-    )
 
 
 def decode_nodes(doc: Any) -> FrozenSet[Node]:

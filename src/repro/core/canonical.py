@@ -22,7 +22,7 @@ from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..datagraph.graph import DataGraph
 from ..datagraph.node import Node
-from ..datagraph.values import NULL, DataValue
+from ..datagraph.values import DataValue
 from ..exceptions import SolutionError, UnsupportedQueryError
 from .gsm import GraphSchemaMapping, MappingRule
 from .solutions import mapping_domain, source_requirements

@@ -18,7 +18,7 @@ from .morphisms import (
     is_isomorphism,
     is_null_homomorphism,
 )
-from .node import Node, NodeId, make_node, null_node
+from .node import Node, NodeId
 from .paths import DataPath, Path, enumerate_paths, path_from_ids
 from .property_graph import PropertyEdge, PropertyGraph, PropertyNode, property_graph_to_data_graph
 from .serialization import graph_from_dict, graph_from_json, graph_to_dict, graph_to_json
@@ -27,7 +27,6 @@ from .values import (
     DataValue,
     FreshValueFactory,
     NullType,
-    fresh_value_factory,
     is_null,
     values_differ,
     values_equal,
@@ -40,8 +39,6 @@ __all__ = [
     "CompactLabelIndex",
     "Node",
     "NodeId",
-    "make_node",
-    "null_node",
     "Path",
     "DataPath",
     "enumerate_paths",
@@ -65,7 +62,6 @@ __all__ = [
     "values_equal",
     "values_differ",
     "FreshValueFactory",
-    "fresh_value_factory",
     "is_homomorphism",
     "is_null_homomorphism",
     "find_homomorphism",

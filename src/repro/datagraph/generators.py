@@ -8,13 +8,9 @@ reproducible run-to-run.
 
 Shapes provided:
 
-* chains, cycles, trees and grids — the structured shapes used in the
-  paper's gadgets and in complexity sweeps;
+* chains and cycles — the structured shapes used in complexity sweeps;
 * uniform random graphs with a controllable edge density and value skew;
-* "scale-free-ish" preferential-attachment graphs approximating the
-  degree skew of social-network workloads (the paper's motivating
-  application area);
-* layered DAGs used by the data-exchange scenarios.
+* multi-community graphs with thin cuts between dense clusters.
 """
 
 from __future__ import annotations
@@ -31,12 +27,7 @@ __all__ = [
     "random_data_values",
     "chain",
     "cycle",
-    "complete_graph",
     "community_graph",
-    "grid",
-    "random_tree",
-    "preferential_attachment",
-    "layered_dag",
 ]
 
 
@@ -99,89 +90,6 @@ def cycle(
         graph.add_node(f"n{i}", values[i])
     for i in range(length):
         graph.add_edge(f"n{i}", labels[i % len(labels)], f"n{(i + 1) % length}")
-    return graph
-
-
-def complete_graph(
-    size: int,
-    label: str = "e",
-    value_of: Optional[Callable[[int], DataValue]] = None,
-    include_loops: bool = False,
-) -> DataGraph:
-    """The complete directed graph on *size* nodes (used by the 3-colouring gadget tests)."""
-    graph = DataGraph(alphabet={label}, name=f"K{size}")
-    for i in range(size):
-        graph.add_node(f"n{i}", value_of(i) if value_of else i)
-    for i in range(size):
-        for j in range(size):
-            if i != j or include_loops:
-                graph.add_edge(f"n{i}", label, f"n{j}")
-    return graph
-
-
-def grid(
-    rows: int,
-    cols: int,
-    right_label: str = "right",
-    down_label: str = "down",
-    value_of: Optional[Callable[[int, int], DataValue]] = None,
-) -> DataGraph:
-    """A rows×cols grid with `right` and `down` edges."""
-    graph = DataGraph(alphabet={right_label, down_label}, name=f"grid-{rows}x{cols}")
-    for r in range(rows):
-        for c in range(cols):
-            value = value_of(r, c) if value_of else f"{r},{c}"
-            graph.add_node((r, c), value)
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                graph.add_edge((r, c), right_label, (r, c + 1))
-            if r + 1 < rows:
-                graph.add_edge((r, c), down_label, (r + 1, c))
-    return graph
-
-
-def random_tree(
-    size: int,
-    labels: Sequence[str] = ("child",),
-    rng: Optional[int | random.Random] = None,
-    domain_size: Optional[int] = None,
-    non_repeating: bool = False,
-) -> DataGraph:
-    """A random rooted tree with *size* nodes and edges pointing away from the root.
-
-    With ``non_repeating=True`` no two children of a node share an edge
-    label (the *non-repeating property* used by Lemma 2); in that case
-    ``size`` children per node are capped by ``len(labels)``.
-    """
-    if size < 1:
-        raise WorkloadError("a tree needs at least one node")
-    generator = _rng(rng)
-    graph = DataGraph(alphabet=set(labels), name=f"tree-{size}")
-    values = _make_values(size, None, domain_size, generator)
-    graph.add_node("t0", values[0])
-    used_labels: dict = {"t0": set()}
-    for i in range(1, size):
-        if non_repeating:
-            options = [
-                (f"t{j}", label)
-                for j in range(i)
-                for label in labels
-                if label not in used_labels[f"t{j}"]
-            ]
-            if not options:
-                raise WorkloadError(
-                    "cannot build a non-repeating tree of this size with this label set"
-                )
-            parent, label = options[generator.randrange(len(options))]
-        else:
-            parent = f"t{generator.randrange(i)}"
-            label = labels[generator.randrange(len(labels))]
-        node_id = f"t{i}"
-        graph.add_node(node_id, values[i])
-        graph.add_edge(parent, label, node_id)
-        used_labels.setdefault(node_id, set())
-        used_labels[parent].add(label)
     return graph
 
 
@@ -277,61 +185,6 @@ def community_graph(
                 graph.add_edge(
                     f"c{community}n{source}", bridge_label, f"c{neighbour}n{target}"
                 )
-    return graph
-
-
-def preferential_attachment(
-    num_nodes: int,
-    edges_per_node: int = 2,
-    labels: Sequence[str] = ("knows",),
-    rng: Optional[int | random.Random] = None,
-    domain_size: Optional[int] = None,
-) -> DataGraph:
-    """A preferential-attachment graph approximating social-network degree skew."""
-    if num_nodes < 2:
-        raise WorkloadError("preferential attachment needs at least two nodes")
-    generator = _rng(rng)
-    graph = DataGraph(alphabet=set(labels), name=f"pa-{num_nodes}")
-    values = _make_values(num_nodes, None, domain_size, generator)
-    targets: List[int] = [0]
-    graph.add_node("n0", values[0])
-    for i in range(1, num_nodes):
-        graph.add_node(f"n{i}", values[i])
-        chosen = set()
-        for _ in range(min(edges_per_node, i)):
-            pick = targets[generator.randrange(len(targets))]
-            chosen.add(pick)
-        for pick in chosen:
-            label = labels[generator.randrange(len(labels))]
-            graph.add_edge(f"n{i}", label, f"n{pick}")
-            targets.append(pick)
-        targets.append(i)
-    return graph
-
-
-def layered_dag(
-    layers: int,
-    width: int,
-    labels: Sequence[str] = ("next",),
-    rng: Optional[int | random.Random] = None,
-    domain_size: Optional[int] = None,
-    density: float = 0.5,
-) -> DataGraph:
-    """A layered DAG: *layers* layers of *width* nodes with forward edges only."""
-    if layers < 1 or width < 1:
-        raise WorkloadError("layered_dag needs at least one layer and one node per layer")
-    generator = _rng(rng)
-    graph = DataGraph(alphabet=set(labels), name=f"dag-{layers}x{width}")
-    values = _make_values(layers * width, None, domain_size, generator)
-    for layer in range(layers):
-        for pos in range(width):
-            graph.add_node((layer, pos), values[layer * width + pos])
-    for layer in range(layers - 1):
-        for pos in range(width):
-            for nxt in range(width):
-                if generator.random() < density:
-                    label = labels[generator.randrange(len(labels))]
-                    graph.add_edge((layer, pos), label, (layer + 1, nxt))
     return graph
 
 

@@ -30,7 +30,7 @@ from typing import (
     Tuple,
 )
 
-from ..exceptions import DuplicateNodeError, GraphError, InvalidEdgeError, UnknownNodeError
+from ..exceptions import DuplicateNodeError, InvalidEdgeError, UnknownNodeError
 from .node import Node, NodeId
 from .values import NULL, DataValue, is_null
 
@@ -138,35 +138,6 @@ class DataGraph:
 
         return MutationBatch(self)
 
-    def apply(self, delta: "GraphDelta") -> "GraphDelta":
-        """Apply a delta as one batch and return the committed net delta.
-
-        If the delta declares a ``base_version`` it must match the
-        graph's current version; a declared ``new_version`` is adopted as
-        the post-commit version (a replica replaying composed journal
-        deltas this way stays in step with the source graph's counter).
-        """
-        if delta.base_version is not None and delta.base_version != self._version:
-            raise GraphError(
-                f"delta was recorded against version {delta.base_version}, "
-                f"but the graph is at version {self._version}"
-            )
-        with self.batch() as batch:
-            batch._target_version = delta.new_version
-            for source, label, target in delta.removed_edges:
-                self.remove_edge(source, label, target)
-            for node_id, _value in delta.removed_nodes:
-                self.remove_node(node_id)
-            for node_id, value in delta.added_nodes:
-                self.add_node(node_id, value)
-            for node_id, _old, new in delta.value_changes:
-                self.set_value(node_id, new)
-            for source, label, target in delta.added_edges:
-                self.add_edge(source, label, target)
-            if delta.added_labels:
-                self.declare_labels(delta.added_labels)
-        return batch.delta
-
     @property
     def journal(self) -> "DeltaJournal":
         """The bounded journal of committed batch deltas (built lazily).
@@ -183,18 +154,12 @@ class DataGraph:
             self._journal = journal
         return journal
 
-    def _commit_batch(
-        self, net: "_NetChanges", target_version: Optional[int] = None
-    ) -> "GraphDelta":
+    def _commit_batch(self, net: "_NetChanges") -> "GraphDelta":
         """Commit a batch's net changes: one version bump, patched index."""
         base = self._version
         if net.is_empty:
             return net.to_delta(base, base)
-        new = base + 1 if target_version is None else target_version
-        if new <= base:
-            raise GraphError(
-                f"batch target version {new} must exceed the base version {base}"
-            )
+        new = base + 1
         delta = net.to_delta(base, new)
         self._version = new
         index = self._index
@@ -313,10 +278,6 @@ class DataGraph:
         self._mutated(("node+", node_id, node.value))
         return node
 
-    def add_node_object(self, node: Node) -> Node:
-        """Add an existing :class:`Node` object (id/value pair)."""
-        return self.add_node(node.id, node.value)
-
     def remove_node(self, node_id: NodeId) -> None:
         """Remove a node and every edge incident to it.
 
@@ -382,10 +343,6 @@ class DataGraph:
     def null_nodes(self) -> Tuple[Node, ...]:
         """All nodes whose data value is the SQL null."""
         return tuple(node for node in self._nodes.values() if node.is_null)
-
-    def data_values(self) -> Set[DataValue]:
-        """The set of (non-null and null) data values carried by nodes."""
-        return {node.value for node in self._nodes.values()}
 
     # ------------------------------------------------------------------
     # Edge management
@@ -579,24 +536,6 @@ class DataGraph:
             merged.add_edge(source.id, label, target.id)
         return merged
 
-    def rename_nodes(self, renaming: Mapping[NodeId, NodeId]) -> "DataGraph":
-        """Return a copy with node ids renamed according to *renaming*.
-
-        Ids not mentioned in the mapping are kept.  The renaming must be
-        injective on the node set, otherwise two nodes would collapse.
-        """
-        targets = [renaming.get(node_id, node_id) for node_id in self._nodes]
-        if len(set(targets)) != len(targets):
-            raise DuplicateNodeError("node renaming is not injective on this graph")
-        renamed = DataGraph(alphabet=self._alphabet, name=self.name)
-        for node in self._nodes.values():
-            renamed.add_node(renaming.get(node.id, node.id), node.value)
-        for source, label, target in self.edges:
-            renamed.add_edge(
-                renaming.get(source.id, source.id), label, renaming.get(target.id, target.id)
-            )
-        return renamed
-
     def map_values(self, transform: Callable[[Node], DataValue]) -> "DataGraph":
         """Return a copy whose node values are replaced by ``transform(node)``."""
         mapped = DataGraph(alphabet=self._alphabet, name=self.name)
@@ -642,14 +581,6 @@ class DataGraph:
                         seen.add(nxt)
                         frontier.append(nxt)
         return seen
-
-    def reachability_pairs(self, labels: Optional[Iterable[str]] = None) -> Set[Tuple[Node, Node]]:
-        """All pairs ``(v, v')`` such that ``v'`` is reachable from ``v``."""
-        pairs: Set[Tuple[Node, Node]] = set()
-        for node_id in self._nodes:
-            for reachable in self.reachable_from(node_id, labels):
-                pairs.add((self._nodes[node_id], self._nodes[reachable]))
-        return pairs
 
     # ------------------------------------------------------------------
     # Comparison and display

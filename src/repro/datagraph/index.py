@@ -220,22 +220,6 @@ class LabelIndex:
         return self._counts.get(label, 0)
 
     # ------------------------------------------------------------------
-    def mask_of(self, node_ids: Iterable[NodeId]) -> int:
-        """Bitmask of the given node ids under this index's node ordering."""
-        position = self.position
-        mask = 0
-        for node_id in node_ids:
-            mask |= 1 << position[node_id]
-        return mask
-
-    def nodes_of(self, mask: int) -> Iterator[NodeId]:
-        """Node ids whose bits are set in *mask* (inverse of :meth:`mask_of`)."""
-        nodes = self.nodes
-        while mask:
-            low = mask & -mask
-            yield nodes[low.bit_length() - 1]
-            mask ^= low
-
     @property
     def value_classes(self) -> Tuple[List[int], int]:
         """:func:`~repro.datagraph.values.value_classes` of the values in

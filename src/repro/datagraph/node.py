@@ -15,7 +15,7 @@ from typing import Collection, Dict, Hashable, Iterable, List, Tuple
 
 from .values import NULL, DataValue, is_null
 
-__all__ = ["NodeId", "Node", "make_node", "null_node", "sorted_column", "index_rows"]
+__all__ = ["NodeId", "Node", "sorted_column", "index_rows"]
 
 #: Type alias for node identifiers: any hashable object.
 NodeId = Hashable
@@ -81,10 +81,6 @@ class Node(_HashSlot):
         """Return a copy of this node carrying *value* instead."""
         return Node(self.id, value)
 
-    def with_id(self, node_id: NodeId) -> "Node":
-        """Return a copy of this node with a different id but the same value."""
-        return Node(node_id, self.value)
-
     __hash__ = _HashSlot.__dict__["__hash__"]  # calls the slot's C callable
 
     def __reduce__(self):
@@ -135,12 +131,3 @@ def index_rows(
         return column, sorted(rows)  # the empty tuple, or nothing
     return column, sorted(zip(*[map(index.__getitem__, flat)] * arity))
 
-
-def make_node(node_id: NodeId, value: DataValue = NULL) -> Node:
-    """Create a :class:`Node`; convenience wrapper used by builders."""
-    return Node(node_id, value)
-
-
-def null_node(node_id: NodeId) -> Node:
-    """Create a *null node* (a node whose data value is the SQL null)."""
-    return Node(node_id, NULL)

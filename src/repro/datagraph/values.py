@@ -25,7 +25,6 @@ __all__ = [
     "values_equal",
     "values_differ",
     "value_classes",
-    "fresh_value_factory",
     "FreshValueFactory",
 ]
 
@@ -147,12 +146,3 @@ class FreshValueFactory:
     def __iter__(self) -> Iterator[DataValue]:
         while True:
             yield self()
-
-    def reserve(self, values: Iterable[DataValue]) -> None:
-        """Mark additional *values* as used so they are never produced."""
-        self._used.update(values)
-
-
-def fresh_value_factory(used: Iterable[DataValue] = ()) -> FreshValueFactory:
-    """Convenience constructor for :class:`FreshValueFactory`."""
-    return FreshValueFactory(used)

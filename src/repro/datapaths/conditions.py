@@ -222,14 +222,6 @@ class Valuation:
             updated[variable] = value
         return Valuation(updated)
 
-    def as_dict(self) -> Dict[str, DataValue]:
-        """A plain-dict copy of the assignment."""
-        return dict(self._assignment)
-
-    def support(self) -> FrozenSet[str]:
-        """The set of bound variables."""
-        return frozenset(self._assignment)
-
     def restrict(self, variables: Iterable[str]) -> "Valuation":
         """The valuation restricted to the given variables."""
         keep = set(variables)

@@ -39,13 +39,12 @@ class MutationBatch:
     ``with`` block, :attr:`delta` holds the committed net delta.
     """
 
-    __slots__ = ("graph", "delta", "_net", "_target_version", "_active")
+    __slots__ = ("graph", "delta", "_net", "_active")
 
     def __init__(self, graph: "DataGraph"):
         self.graph = graph
         self.delta: Optional[GraphDelta] = None
         self._net = _NetChanges()
-        self._target_version: Optional[int] = None
         self._active = False
 
     # ------------------------------------------------------------------
@@ -67,7 +66,7 @@ class MutationBatch:
         if exc_type is not None:
             graph._rollback_batch(self._net)
             return False
-        self.delta = graph._commit_batch(self._net, self._target_version)
+        self.delta = graph._commit_batch(self._net)
         return False
 
     def _record(self, event: Tuple) -> None:

@@ -5,7 +5,7 @@ batch of mutations on a :class:`~repro.datagraph.graph.DataGraph` —
 added/removed nodes, added/removed edges, value changes and newly
 declared labels — together with the version lineage it connects
 (``base_version -> new_version``).  Deltas are produced by the batch
-mutation API (:meth:`DataGraph.batch` / :meth:`DataGraph.apply`),
+mutation API (:meth:`DataGraph.batch`),
 journaled per graph (:mod:`repro.deltas.journal`), and consumed by the
 repair machinery (:mod:`repro.deltas.repair`, ``LabelIndex.patched``,
 ``SqlStore.refresh``) to patch warm state in place instead of rebuilding
@@ -262,7 +262,7 @@ class _NetChanges:
             raise ValueError(f"unknown mutation event kind {kind!r}")
 
     def replay(self, delta: GraphDelta) -> None:
-        """Fold a whole delta, in the same order :meth:`DataGraph.apply` uses."""
+        """Fold a whole delta: removals, then additions, value changes and labels."""
         for source, label, target in delta.removed_edges:
             self.record(("edge-", source, label, target))
         for node_id, value in delta.removed_nodes:

@@ -6,10 +6,11 @@ It provides:
 
 * :class:`EvaluationEngine` — the facade every evaluator routes through,
   owning LRU-bounded caches of parsed regexes and compiled automata plus
-  batched entry points (``evaluate_many`` / ``holds_many``);
-* :func:`default_engine` — the process-wide instance used by the
-  module-level functions in :mod:`repro.query` and by the certain-answer
-  algorithms, so all call sites share one compilation cache;
+  a batched entry point (``evaluate_many``);
+* :func:`default_engine` — the process-wide instance used by sessions
+  without an engine of their own, :func:`repro.query.witness_path_labels`
+  and the certain-answer algorithms, so all call sites share one
+  compilation cache;
 * :class:`CompiledAutomaton` — ε-free tabular automata built once per
   query;
 * the bit-row algebra (:mod:`repro.engine.data`) behind every
@@ -37,18 +38,16 @@ Quickstart::
 
 from .bitrelation import BitRelation
 from .cache import CacheStats, LRUCache
-from .compiled import CompiledAutomaton, compile_nfa
-from .engine import EvaluationEngine, default_engine, set_default_engine
+from .compiled import CompiledAutomaton
+from .engine import EvaluationEngine, default_engine
 from .partition import parallel_full_relation, parallel_product_relation, split_blocks
 from .spaces import NfaProductSpace, ProductSpace, RegisterProductSpace
 
 __all__ = [
     "EvaluationEngine",
     "default_engine",
-    "set_default_engine",
     "BitRelation",
     "CompiledAutomaton",
-    "compile_nfa",
     "CacheStats",
     "LRUCache",
     "ProductSpace",

@@ -23,7 +23,7 @@ from typing import Dict, FrozenSet, List, Set, Tuple
 
 from ..regular import NFA
 
-__all__ = ["CompiledAutomaton", "compile_nfa"]
+__all__ = ["CompiledAutomaton"]
 
 #: ``moves`` entry: (symbol, tuple of ε-closed successor states).
 SymbolMoves = Tuple[Tuple[str, Tuple[int, ...]], ...]
@@ -77,25 +77,6 @@ class CompiledAutomaton:
         )
 
     # ------------------------------------------------------------------
-    def step_targets(self, state: int, symbol: str) -> Tuple[int, ...]:
-        """ε-closed successor states of one state on one symbol."""
-        for move_symbol, targets in self.moves[state]:
-            if move_symbol == symbol:
-                return targets
-        return ()
-
-    def accepts_word(self, word: Tuple[str, ...]) -> bool:
-        """Word membership on the compiled tables (used by tests)."""
-        current: Set[int] = set(self.initial)
-        for symbol in word:
-            nxt: Set[int] = set()
-            for state in current:
-                nxt.update(self.step_targets(state, symbol))
-            if not nxt:
-                return False
-            current = nxt
-        return bool(current & self.accepting)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<CompiledAutomaton: {self.num_states} states, "
@@ -116,7 +97,3 @@ def _all_epsilon_closures(nfa: NFA) -> Tuple[FrozenSet[int], ...]:
 
     return tuple(closure(state) for state in range(nfa.num_states))
 
-
-def compile_nfa(nfa: NFA) -> CompiledAutomaton:
-    """Compile an NFA into its tabular product-evaluation form."""
-    return CompiledAutomaton(nfa)

@@ -12,8 +12,8 @@ routes through.  It owns:
   full or seeded RPQ and scoped data RPQ; the NFA and register products
   of :mod:`repro.engine.product` keep point queries, the forced ``blocks``
   driver and cross-scope REMs;
-* **batched entry points** (:meth:`evaluate_many`, :meth:`holds_many`)
-  that amortise compilation and index construction across a workload.
+* **a batched entry point** (:meth:`evaluate_many`) that amortises
+  compilation and index construction across a workload.
 
 Every evaluation entry point takes the resolved
 :class:`~repro.planner.router.Route` of its query and merely *consumes*
@@ -37,7 +37,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
@@ -68,7 +67,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only; avoids a query<->engine cyc
     from ..query.data_rpq import DataRPQ
     from ..query.rpq import RPQ
 
-__all__ = ["EvaluationEngine", "default_engine", "set_default_engine"]
+__all__ = ["EvaluationEngine", "default_engine"]
 
 #: Queries are accepted as RPQ wrappers, regex ASTs, or textual expressions.
 #: (The RPQ type is only referenced structurally — via its ``expression``
@@ -148,20 +147,6 @@ class EvaluationEngine:
         ``compact``, else the dict label index."""
         return graph.compact_index() if route.kernel == "compact" else graph.label_index()
 
-    def relation_bits(
-        self,
-        graph: DataGraph,
-        query,
-        route: "Route",
-        null_semantics: bool = False,
-        memo: Optional[data_kernels.RowMemo] = None,
-    ) -> Optional[BitRelation]:
-        """The full relation of an RPQ / data RPQ as bit rows — :meth:`atom_bits`
-        with nothing seeded, so ``None`` off a sequential compact route.
-        Decode with ``node_pairs(graph.compact_index().node_objects)``.
-        """
-        return self.atom_bits(graph, query, route, null_semantics=null_semantics, memo=memo)
-
     def evaluate_rpq(
         self, graph: DataGraph, query: RPQLike, route: Optional["Route"] = None
     ) -> FrozenSet[NodePair]:
@@ -220,15 +205,6 @@ class EvaluationEngine:
         )
         return frozenset(graph.node(target) for target in targets)
 
-    def rpq_holds(
-        self, graph: DataGraph, query: RPQLike, source: NodeId, target: NodeId
-    ) -> bool:
-        """Whether ``(source, target) ∈ e(G)``."""
-        graph.node(source)
-        return product.pair_holds(
-            self._index(graph, _bare_route(graph)), self.compile_rpq(query), source, target
-        )
-
     def witness_path_labels(
         self, graph: DataGraph, query: RPQLike, source: NodeId, target: NodeId
     ) -> Optional[Tuple[str, ...]]:
@@ -258,40 +234,6 @@ class EvaluationEngine:
                 answer = memo[expression] = self.evaluate_rpq(graph, expression)
             results.append(answer)
         return tuple(results)
-
-    def holds_many(
-        self,
-        graph: DataGraph,
-        query: RPQLike,
-        pairs: Iterable[Tuple[NodeId, NodeId]],
-    ) -> Dict[Tuple[NodeId, NodeId], bool]:
-        """Decide membership of many pairs at once.
-
-        Pairs are grouped by source so each distinct source runs one
-        product BFS; when the workload asks about most of the graph, the
-        engine answers from the full relation's bit rows instead.
-        """
-        wanted: Dict[NodeId, Set[NodeId]] = {}
-        ordered: List[Tuple[NodeId, NodeId]] = []
-        for source, target in pairs:
-            graph.node(source)  # raise UnknownNodeError, matching rpq_holds
-            graph.node(target)
-            ordered.append((source, target))
-            wanted.setdefault(source, set()).add(target)
-        if not ordered:
-            return {}
-        route = _bare_route(graph)
-        if len(wanted) > max(4, graph.num_nodes // 4):
-            relation = self._scoped_bits(graph, query, route).id_pairs()
-            return {pair: pair in relation for pair in ordered}
-        compiled = self.compile_rpq(query)
-        index = self._index(graph, route)
-        verdicts: Dict[Tuple[NodeId, NodeId], bool] = {}
-        for source, targets in wanted.items():
-            reachable = product.reachable_targets(index, compiled, source)
-            for target in targets:
-                verdicts[(source, target)] = target in reachable
-        return {pair: verdicts[pair] for pair in ordered}
 
     # ------------------------------------------------------------------
     # Data RPQ evaluation
@@ -499,26 +441,6 @@ class EvaluationEngine:
             )
         )
 
-    def data_rpq_holds(
-        self,
-        graph: DataGraph,
-        query: DataRPQ,
-        source: NodeId,
-        target: NodeId,
-        null_semantics: bool = False,
-    ) -> bool:
-        """Whether ``(source, target)`` belongs to the data RPQ answer.
-
-        One scan seeded at *source* and restricted to *target*, on the
-        route a bare engine call resolves — never the full relation.
-        """
-        graph.node(source)  # raise UnknownNodeError early, mirroring rpq_holds
-        graph.node(target)
-        pairs = self.evaluate_atom_ids(
-            graph, query, sources=(source,), targets={target}, null_semantics=null_semantics
-        )
-        return bool(pairs)
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -545,7 +467,7 @@ class EvaluationEngine:
         return f"<EvaluationEngine {parts}>"
 
 
-#: The process-wide engine behind the module-level evaluation functions.
+#: The process-wide engine behind sessions built without one.
 _DEFAULT_ENGINE = EvaluationEngine()
 
 
@@ -553,10 +475,3 @@ def default_engine() -> EvaluationEngine:
     """The process-wide shared engine instance."""
     return _DEFAULT_ENGINE
 
-
-def set_default_engine(engine: EvaluationEngine) -> EvaluationEngine:
-    """Replace the process-wide engine (returns the previous one)."""
-    global _DEFAULT_ENGINE
-    previous = _DEFAULT_ENGINE
-    _DEFAULT_ENGINE = engine
-    return previous

@@ -37,9 +37,9 @@ sources), so phase 3 can be split into independent source blocks
 
 :func:`full_relation` keeps the historical ``(index, automaton)``
 signature for plain RPQs; :func:`product_relation` is the dialect-generic
-composition.  Single-source and single-pair RPQ questions use a direct
-BFS (:func:`reachable_targets` / :func:`pair_holds`, with early exit),
-which is still automaton-compiled and index-driven.
+composition.  Single-source RPQ questions use a direct BFS
+(:func:`reachable_targets`), which is still automaton-compiled and
+index-driven.
 
 **Seeded evaluation** (:func:`seeded_product_relation`) is the semijoin
 contract the CRPQ planner relies on: the same phases, but seeded only
@@ -71,7 +71,6 @@ __all__ = [
     "product_relation",
     "seeded_product_relation",
     "reachable_targets",
-    "pair_holds",
     "witness_labels",
     "initial_configs",
     "forward_expand",
@@ -351,13 +350,6 @@ def reachable_targets(
                             return targets
                     queue.append(config)
     return targets
-
-
-def pair_holds(
-    index: LabelIndex, automaton: CompiledAutomaton, source: NodeId, target: NodeId
-) -> bool:
-    """Whether ``(source, target)`` is in the relation (early-exit BFS)."""
-    return target in reachable_targets(index, automaton, source, stop_at=target)
 
 
 def witness_labels(

@@ -1,8 +1,9 @@
 """The experiment suite: one module per validated claim of the paper.
 
 Each ``eN_*`` module exposes a ``run(...)`` function returning an
-:class:`~repro.experiments.harness.ExperimentResult`; see DESIGN.md for
-the experiment index and EXPERIMENTS.md for recorded observations.
+:class:`~repro.experiments.harness.ExperimentResult`; see DESIGN.md §9
+for the experiment index, and ``python -m repro experiment <name>`` to
+print one experiment's observations.
 :func:`run_all` executes every experiment with its default (small)
 parameters — this is what ``examples/reproduce_paper_claims.py`` and the
 benchmark suite build on.

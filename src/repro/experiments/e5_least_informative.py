@@ -27,11 +27,18 @@ _EQUALITY_QUERIES = {
 
 
 def run(
-    small_people: int = 5,
+    small_people: int = 4,
     scaling_people: Sequence[int] = (20, 50, 100),
     seed: int = 17,
 ) -> ExperimentResult:
-    """Run E5 on social-network workloads."""
+    """Run E5 on social-network workloads.
+
+    *small_people* sizes the agreement phase, whose exact side is the
+    adversarial enumeration :func:`certain_answers_naive`: at 5 people
+    its counter-solutions exceed ``DEFAULT_NAIVE_BUDGET`` and it raises
+    :class:`~repro.exceptions.CertainAnswerError`, so the default stays
+    at 4.
+    """
     result = ExperimentResult(
         experiment="E5",
         claim="least informative solutions compute exact certain answers for equality-only queries",

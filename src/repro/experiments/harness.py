@@ -3,8 +3,9 @@
 Every experiment module exposes a ``run(...)`` function returning an
 :class:`ExperimentResult`; the benchmarks call those functions with small
 parameters, the examples with presentation-sized ones, and
-``EXPERIMENTS.md`` records the observations.  The harness keeps the
-format uniform: a result is a list of row dictionaries plus metadata, and
+``python -m repro experiment <name>`` prints the observations.  The
+harness keeps the format uniform: a result is a list of row dictionaries
+plus metadata, and
 :func:`render_table` pretty-prints it the way the claims are summarised
 in the documentation.
 """

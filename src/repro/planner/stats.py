@@ -30,7 +30,7 @@ node values alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Optional
 
 from ..datagraph.index import LabelIndex
 
@@ -113,19 +113,19 @@ class GraphStatistics:
     """Lazily built statistics catalogue over one :class:`LabelIndex`.
 
     Per-label entries are computed on first use and memoised; the value
-    histogram is collapsed once to ``(match probability, distinct count)``
-    the first time any value selectivity is asked for.  Instances carry
+    histogram is collapsed once to its match probability the first time
+    any value selectivity is asked for.  Instances carry
     the index ``version`` they describe, like the index itself.
     """
 
-    __slots__ = ("version", "num_nodes", "_index", "_labels", "_value_profile")
+    __slots__ = ("version", "num_nodes", "_index", "_labels", "_value_match")
 
     def __init__(self, index: LabelIndex):
         self.version: int = index.version
         self.num_nodes: int = len(index.nodes)
         self._index = index
         self._labels: Dict[str, LabelStats] = {}
-        self._value_profile: Optional[Tuple[float, int]] = None
+        self._value_match: Optional[float] = None
 
     # ------------------------------------------------------------------
     def label(self, label: str) -> LabelStats:
@@ -136,21 +136,6 @@ class GraphStatistics:
             self._labels[label] = stats
         return stats
 
-    def _profile(self) -> Tuple[float, int]:
-        profile = self._value_profile
-        if profile is None:
-            histogram: Dict[object, int] = {}
-            for value in self._index.values.values():
-                histogram[value] = histogram.get(value, 0) + 1
-            total = sum(histogram.values())
-            if total:
-                match = sum(count * count for count in histogram.values()) / (total * total)
-                profile = (match, len(histogram))
-            else:
-                profile = (1.0, 0)
-            self._value_profile = profile
-        return profile
-
     @property
     def value_match_probability(self) -> float:
         """Probability that two independently drawn nodes share a value.
@@ -160,12 +145,16 @@ class GraphStatistics:
         self-join selectivity of the value column, and the multiplier a
         multi-step equality test applies to its underlying path relation.
         """
-        return max(self._profile()[0], MIN_SELECTIVITY)
-
-    @property
-    def distinct_values(self) -> int:
-        """Number of distinct data values in the graph."""
-        return self._profile()[1]
+        match = self._value_match
+        if match is None:
+            histogram: Dict[object, int] = {}
+            for value in self._index.values.values():
+                histogram[value] = histogram.get(value, 0) + 1
+            total = sum(histogram.values())
+            squares = sum(count * count for count in histogram.values())
+            match = squares / (total * total) if total else 1.0
+            self._value_match = match
+        return max(match, MIN_SELECTIVITY)
 
     # ------------------------------------------------------------------
     def eq_selectivity(self, labels: Iterable[str]) -> float:
@@ -225,7 +214,7 @@ class GraphStatistics:
             elif delta.insert_only:
                 stats._labels[label] = _inserted(entry, index, label, delta.added_edges)
         if not delta.added_nodes:
-            stats._value_profile = base._value_profile
+            stats._value_match = base._value_match
         return stats
 
 

@@ -15,21 +15,10 @@ from .crpq import (
     parse_crpq,
 )
 from .data_rpq import DataRPQ, data_path_query, data_rpq, equality_rpq, memory_rpq
-from .data_rpq_eval import (
-    data_rpq_holds,
-    evaluate_data_rpq_naive,
-    evaluate_ree_algebraic,
-    evaluate_via_register_automaton,
-)
+from .data_rpq_eval import evaluate_data_rpq_naive
 from .homomorphism_closure import is_preserved_on, violates_homomorphism_preservation
 from .rpq import RPQ, atomic_rpq, reachability_rpq, rpq, word_rpq
-from .rpq_eval import (
-    evaluate_rpq_from,
-    evaluate_rpq_naive,
-    evaluate_word,
-    rpq_holds,
-    witness_path_labels,
-)
+from .rpq_eval import evaluate_rpq_naive, witness_path_labels
 
 __all__ = [
     "RPQ",
@@ -37,10 +26,7 @@ __all__ = [
     "atomic_rpq",
     "word_rpq",
     "reachability_rpq",
-    "evaluate_rpq_from",
     "evaluate_rpq_naive",
-    "rpq_holds",
-    "evaluate_word",
     "witness_path_labels",
     "DataRPQ",
     "data_rpq",
@@ -48,9 +34,6 @@ __all__ = [
     "memory_rpq",
     "data_path_query",
     "evaluate_data_rpq_naive",
-    "evaluate_ree_algebraic",
-    "evaluate_via_register_automaton",
-    "data_rpq_holds",
     "Atom",
     "ConjunctiveRPQ",
     "parse_crpq",

@@ -23,13 +23,10 @@ Two engines are provided:
 Both engines accept the SQL-null semantics flag of Section 7, under which
 no comparison involving a null node's value is true.
 
-The public functions route through the shared
-:class:`~repro.engine.engine.EvaluationEngine`: register automata are
-compiled once per query (LRU-cached on the expression AST) and both
-strategies run over the index the router picks for the graph (the dict
-label index, or its CSR twin on larger graphs).  The seed evaluators are
-kept as :func:`evaluate_data_rpq_naive` for equivalence testing and
-benchmarking.
+Queries are answered through :class:`repro.api.GraphSession`, whose
+route picks the engine (:meth:`~repro.engine.engine.EvaluationEngine.evaluate_data_rpq`).
+The seed evaluator is kept here as :func:`evaluate_data_rpq_naive` for
+equivalence testing and benchmarking.
 """
 
 from __future__ import annotations
@@ -41,59 +38,16 @@ from ..datagraph.graph import DataGraph
 from ..datagraph.node import Node, NodeId
 from ..datapaths import (
     RegexWithEquality,
-    RegexWithMemory,
     RegisterAutomaton,
     Valuation,
     compile_rem,
     ree_to_rem,
 )
-from ..engine import default_engine
 from .data_rpq import DataRPQ
 
-__all__ = [
-    "evaluate_ree_algebraic",
-    "evaluate_via_register_automaton",
-    "data_rpq_holds",
-    "evaluate_data_rpq_naive",
-]
+__all__ = ["evaluate_data_rpq_naive"]
 
 NodePair = Tuple[Node, Node]
-
-
-def data_rpq_holds(
-    graph: DataGraph,
-    query: DataRPQ,
-    source: NodeId,
-    target: NodeId,
-    null_semantics: bool = False,
-) -> bool:
-    """Whether ``(source, target)`` belongs to the query answer."""
-    return default_engine().data_rpq_holds(graph, query, source, target, null_semantics)
-
-
-def evaluate_ree_algebraic(
-    graph: DataGraph, expression: RegexWithEquality, null_semantics: bool = False
-) -> FrozenSet[NodePair]:
-    """Evaluate an equality RPQ by bottom-up relation construction."""
-    return default_engine().evaluate_data_rpq(
-        graph, DataRPQ(expression), null_semantics, engine="algebraic"
-    )
-
-
-def evaluate_via_register_automaton(
-    graph: DataGraph,
-    expression: RegexWithMemory | RegisterAutomaton,
-    null_semantics: bool = False,
-) -> FrozenSet[NodePair]:
-    """Evaluate a memory RPQ by product reachability with its register automaton."""
-    from ..engine.data import register_automaton_relation
-
-    if isinstance(expression, RegisterAutomaton):
-        automaton = expression
-    else:
-        automaton = default_engine().compile_data_rpq(expression)
-    id_pairs = register_automaton_relation(graph.label_index(), automaton, null_semantics)
-    return frozenset((graph.node(source), graph.node(target)) for source, target in id_pairs)
 
 
 # ----------------------------------------------------------------------

@@ -6,13 +6,10 @@ and an automaton state) and compute reachability.  ``e(G)`` is the set of
 pairs ``(v, v')`` such that some accepting product state ``(v', q_f)`` is
 reachable from an initial product state ``(v, q_0)``.
 
-The public functions here delegate to the shared
+Queries are answered through :class:`repro.api.GraphSession`;
+:func:`witness_path_labels` delegates to the shared
 :class:`~repro.engine.engine.EvaluationEngine`, which caches one compiled
-ε-free automaton per query across *all* entry points
-(``evaluate_rpq_from``, ``rpq_holds``, ``witness_path_labels``; full
-relations run through :class:`repro.api.GraphSession`) and runs a
-single multi-source product pass over the graph's label index instead of
-one BFS per source node.  The seed per-source evaluator is kept as
+ε-free automaton per query.  The seed per-source evaluator is kept as
 :func:`evaluate_rpq_naive`: it is the executable specification the engine
 is validated against, and the baseline the benchmark suite measures
 speedups over.
@@ -21,7 +18,7 @@ speedups over.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Optional, Set, Tuple
 
 from ..datagraph.graph import DataGraph
 from ..datagraph.node import Node, NodeId
@@ -30,22 +27,9 @@ from ..regular import NFA, Regex, to_nfa
 from .rpq import RPQ
 
 __all__ = [
-    "evaluate_rpq_from",
-    "rpq_holds",
-    "evaluate_word",
     "witness_path_labels",
     "evaluate_rpq_naive",
 ]
-
-
-def evaluate_rpq_from(graph: DataGraph, query: RPQ | Regex | str, source: NodeId) -> FrozenSet[Node]:
-    """All nodes ``v'`` with ``(source, v') ∈ e(G)``."""
-    return default_engine().evaluate_rpq_from(graph, query, source)
-
-
-def rpq_holds(graph: DataGraph, query: RPQ | Regex | str, source: NodeId, target: NodeId) -> bool:
-    """Whether ``(source, target) ∈ e(G)``."""
-    return default_engine().rpq_holds(graph, query, source, target)
 
 
 def witness_path_labels(
@@ -57,37 +41,6 @@ def witness_path_labels(
     that the product construction found a genuine path.
     """
     return default_engine().witness_path_labels(graph, query, source, target)
-
-
-def evaluate_word(graph: DataGraph, labels: Sequence[str]) -> FrozenSet[Tuple[Node, Node]]:
-    """Evaluate a word RPQ directly by composing edge relations.
-
-    This avoids the automaton machinery for the common case of relational
-    mapping rules (right-hand sides are words, Definition 3).
-    """
-    labels = tuple(labels)
-    if not labels:
-        return frozenset((node, node) for node in graph.nodes)
-    index = graph.label_index()
-    # frontier maps: for each start node, the set of nodes reached so far
-    reached: Dict[NodeId, Set[NodeId]] = {node_id: {node_id} for node_id in index.nodes}
-    for label in labels:
-        successors = index.successors(label)
-        next_reached: Dict[NodeId, Set[NodeId]] = {}
-        for start, current in reached.items():
-            bucket: Set[NodeId] = set()
-            for node_id in current:
-                bucket.update(successors.get(node_id, ()))
-            if bucket:
-                next_reached[start] = bucket
-        reached = next_reached
-        if not reached:
-            return frozenset()
-    pairs: Set[Tuple[Node, Node]] = set()
-    for start, finals in reached.items():
-        for final in finals:
-            pairs.add((graph.node(start), graph.node(final)))
-    return frozenset(pairs)
 
 
 # ----------------------------------------------------------------------

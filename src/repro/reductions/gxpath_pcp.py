@@ -27,8 +27,8 @@ The executable pieces implemented here:
   solution section is malformed in one of the checked ways, and fails at
   the root of the well-formed extension produced by
   :func:`solution_extension`.  (The complete φ of the proof is only
-  sketched in the paper's appendix; EXPERIMENTS.md records the precise
-  scope of what is validated.)
+  sketched in the paper's appendix; ``python -m repro experiment E9``
+  shows what is validated, and DESIGN.md §9 indexes the experiments.)
 """
 
 from __future__ import annotations

@@ -54,7 +54,6 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterable, Set, Tuple
 
-from ..core.certain_answers import certain_answers_naive
 from ..core.gsm import GraphSchemaMapping, lav_mapping
 from ..core.solutions import is_solution
 from ..datagraph.graph import DataGraph

@@ -10,7 +10,6 @@ from .random_workloads import (
 )
 from .scenarios import (
     Scenario,
-    movie_catalog_scenario,
     multi_community_scenario,
     provenance_scenario,
     social_network_scenario,
@@ -19,7 +18,6 @@ from .scenarios import (
 __all__ = [
     "Scenario",
     "social_network_scenario",
-    "movie_catalog_scenario",
     "provenance_scenario",
     "multi_community_scenario",
     "RandomWorkload",

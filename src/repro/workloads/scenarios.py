@@ -23,7 +23,6 @@ from ..query.rpq import RPQ, rpq
 __all__ = [
     "Scenario",
     "social_network_scenario",
-    "movie_catalog_scenario",
     "provenance_scenario",
     "multi_community_scenario",
 ]
@@ -111,50 +110,6 @@ def social_network_scenario(
         "city-repeats-on-circle": equality_rpq("knows* . (knows+)= . knows*"),
     }
     return Scenario("social-network", source, mapping, navigational, data)
-
-
-def movie_catalog_scenario(
-    num_movies: int = 12,
-    num_directors: int = 5,
-    rng: Optional[int | random.Random] = None,
-) -> Scenario:
-    """A movie-catalogue exchange scenario.
-
-    The source lists movies valued by their release decade and
-    ``directedBy`` / ``sequelOf`` edges; the mapping republishes direction
-    through an invented credit node and keeps sequels; queries include
-    same-decade sequels and directors with two movies in the same decade.
-    """
-    if num_movies < 2:
-        raise WorkloadError("movie_catalog_scenario needs at least two movies")
-    generator = _rng(rng)
-    source = DataGraph(alphabet={"directedBy", "sequelOf"}, name=f"movies-{num_movies}")
-    decades = ["1980s", "1990s", "2000s", "2010s"]
-    for index in range(num_directors):
-        source.add_node(f"dir{index}", f"director{index}")
-    for index in range(num_movies):
-        source.add_node(f"m{index}", decades[generator.randrange(len(decades))])
-        source.add_edge(f"m{index}", "directedBy", f"dir{generator.randrange(num_directors)}")
-        if index > 0 and generator.random() < 0.5:
-            source.add_edge(f"m{index}", "sequelOf", f"m{generator.randrange(index)}")
-
-    mapping = GraphSchemaMapping(
-        [
-            ("directedBy", "credit.creditedTo"),
-            ("sequelOf", "follows"),
-        ],
-        name="catalog-to-graph",
-    )
-    navigational = {
-        "franchise-depth-2": rpq("follows.follows"),
-        "credited": rpq("credit.creditedTo"),
-    }
-    data = {
-        "same-decade-sequel": equality_rpq("(follows)="),
-        "same-decade-franchise": equality_rpq("follows* . (follows+)= . follows*"),
-        "credit-value-mismatch": equality_rpq("(credit.creditedTo)!="),
-    }
-    return Scenario("movie-catalog", source, mapping, navigational, data)
 
 
 def provenance_scenario(

@@ -15,8 +15,6 @@ assert:
 
 from __future__ import annotations
 
-import random
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -75,13 +75,6 @@ class TestNodeManagement:
         g.add_node("b")
         assert [n.id for n in g.null_nodes()] == ["b"]
 
-    def test_data_values(self):
-        g = DataGraph()
-        g.add_node("a", 1)
-        g.add_node("b", 1)
-        g.add_node("c", 2)
-        assert g.data_values() == {1, 2}
-
 
 class TestEdgeManagement:
     def test_add_edge_requires_existing_nodes(self):
@@ -197,17 +190,6 @@ class TestGraphOperations:
         with pytest.raises(DuplicateNodeError):
             g1.union(g2)
 
-    def test_rename_nodes(self, toy_graph):
-        renamed = toy_graph.rename_nodes({"alice": "alice2"})
-        assert renamed.has_node("alice2")
-        assert not renamed.has_node("alice")
-        assert renamed.has_edge("alice2", "knows", "bob")
-        assert renamed.value_of("alice2") == "Edinburgh"
-
-    def test_rename_nodes_must_be_injective(self, toy_graph):
-        with pytest.raises(DuplicateNodeError):
-            toy_graph.rename_nodes({"alice": "bob"})
-
     def test_map_values(self, toy_graph):
         upper = toy_graph.map_values(lambda node: str(node.value).upper())
         assert upper.value_of("alice") == "EDINBURGH"
@@ -257,14 +239,6 @@ class TestReachability:
     def test_reachable_respects_labels(self, toy_graph):
         reachable = toy_graph.reachable_from("alice", labels={"worksAt"})
         assert reachable == {"alice", "uni"}
-
-    def test_reachability_pairs(self, chain_graph_10):
-        pairs = chain_graph_10.reachability_pairs()
-        ids = {(source.id, target.id) for source, target in pairs}
-        assert ("c0", "c10") in ids
-        assert ("c10", "c0") not in ids
-        # chain of 11 nodes: 11 * 12 / 2 = 66 ordered reachable pairs
-        assert len(pairs) == 66
 
 
 @st.composite

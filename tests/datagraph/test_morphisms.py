@@ -16,13 +16,13 @@ from repro.datagraph import (
 )
 
 
-def _triangle(values=(1, 2, 3)) -> DataGraph:
+def _triangle(values=(1, 2, 3), prefix="t") -> DataGraph:
     g = DataGraph()
     for index, value in enumerate(values):
-        g.add_node(f"t{index}", value)
-    g.add_edge("t0", "e", "t1")
-    g.add_edge("t1", "e", "t2")
-    g.add_edge("t2", "e", "t0")
+        g.add_node(f"{prefix}{index}", value)
+    g.add_edge(f"{prefix}0", "e", f"{prefix}1")
+    g.add_edge(f"{prefix}1", "e", f"{prefix}2")
+    g.add_edge(f"{prefix}2", "e", f"{prefix}0")
     return g
 
 
@@ -161,7 +161,7 @@ class TestFindHomomorphism:
 class TestIsomorphism:
     def test_isomorphic_up_to_renaming(self):
         left = _triangle()
-        right = left.rename_nodes({"t0": "u0", "t1": "u1", "t2": "u2"})
+        right = _triangle(prefix="u")
         mapping = find_isomorphism(left, right)
         assert mapping is not None
         assert is_isomorphism(mapping, left, right)

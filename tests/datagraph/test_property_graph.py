@@ -93,7 +93,7 @@ class TestDataGraphEncoding:
         """The conversion must not lose any data value from the property graph."""
         pg = _social_pg()
         dg = pg.to_data_graph()
-        dg_values = dg.data_values()
+        dg_values = {node.value for node in dg.nodes}
         for node in pg.nodes:
             for value in node.properties.values():
                 assert value in dg_values

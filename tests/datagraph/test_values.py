@@ -19,7 +19,6 @@ from repro.datagraph.values import (
     NULL,
     FreshValueFactory,
     NullType,
-    fresh_value_factory,
     is_null,
     values_differ,
     values_equal,
@@ -94,13 +93,8 @@ class TestFreshValueFactory:
         assert len(set(produced)) == 50
 
     def test_avoids_seed_values(self):
-        factory = fresh_value_factory(["_fresh:0", "_fresh:1"])
+        factory = FreshValueFactory(["_fresh:0", "_fresh:1"])
         assert factory() == "_fresh:2"
-
-    def test_reserve(self):
-        factory = FreshValueFactory()
-        factory.reserve(["_fresh:0"])
-        assert factory() == "_fresh:1"
 
     def test_iteration(self):
         factory = FreshValueFactory()
@@ -168,7 +162,6 @@ class TestNodeHashing:
         assert repr(node) == "Node(('t', 3), 'v')" and str(node) == "(('t', 3):v)"
         assert node.data == "v" and not node.is_null and Node("n").is_null
         assert node.with_value(7) == Node(("t", 3), 7)
-        assert node.with_id("u") == Node("u", "v")
         assert node.sort_key() == ("('t', 3)", "'v'")
         with pytest.raises(dataclasses.FrozenInstanceError):
             node.id = "other"

@@ -32,7 +32,6 @@ class TestValuation:
     def test_empty_valuation(self):
         assert not EMPTY_VALUATION.is_bound("x")
         assert EMPTY_VALUATION.get("x") is None
-        assert EMPTY_VALUATION.support() == frozenset()
 
     def test_bind_is_persistent(self):
         v1 = EMPTY_VALUATION.bind("x", 1)
@@ -83,12 +82,6 @@ class TestValuation:
     def test_restrict(self):
         v = Valuation({"x": 1, "y": 2})
         assert v.restrict(["x"]) == Valuation({"x": 1})
-
-    def test_as_dict_copy(self):
-        v = Valuation({"x": 1})
-        d = v.as_dict()
-        d["x"] = 99
-        assert v.get("x") == 1
 
     def test_repr(self):
         assert "x=1" in repr(Valuation({"x": 1}))

@@ -115,27 +115,6 @@ class TestBatchSemantics:
         after = graph.label_index()
         assert "mid" in after.position
 
-    def test_apply_replays_a_delta_onto_an_equal_graph(self):
-        graph = chain_graph()
-        twin = chain_graph()
-        with graph.batch() as batch:
-            batch.add_node("x", 5)
-            batch.add_edge("x", "b", "c0n3")
-            batch.remove_edge("c0n0", "a", "c0n1")
-        applied = twin.apply(batch.delta)
-        assert applied == batch.delta
-        assert twin.version == graph.version  # lands on the declared new_version
-        assert set(twin.edge_set()) == set(graph.edge_set())
-
-    def test_apply_rejects_a_mismatched_base_version(self):
-        graph = chain_graph()
-        twin = chain_graph()
-        twin.add_node("drift", 1)  # version moved past the delta's base
-        with graph.batch() as batch:
-            batch.add_node("x", 5)
-        with pytest.raises(GraphError, match="version"):
-            twin.apply(batch.delta)
-
 
 class TestPatchedIndex:
     def test_patched_equals_rebuilt_for_inserts(self):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import wire
 from repro.deltas import DeltaJournal, GraphDelta
 from repro.deltas.delta import _NetChanges
 from repro.exceptions import GraphError
@@ -67,33 +66,6 @@ class TestGraphDelta:
         net = GraphDelta.compose([first, second], base_version=1, new_version=3)
         assert net.is_empty
         assert net.base_version == 1 and net.new_version == 3
-
-    def test_wire_round_trip(self):
-        from repro.datagraph import NULL
-
-        delta = GraphDelta(
-            added_nodes=(("x", 1), (("pg", 2), NULL)),
-            removed_nodes=(("y", "v"),),
-            added_edges=(("x", "a", ("pg", 2)),),
-            removed_edges=(("y", "b", "x"),),
-            value_changes=(("z", 1, 2),),
-            added_labels=("a",),
-            base_version=4,
-            new_version=5,
-        )
-        document = wire.encode_delta(delta)
-        decoded = wire.decode_delta(document)
-        assert decoded == delta
-        assert decoded.base_version == 4 and decoded.new_version == 5
-        assert decoded.digest == delta.digest
-
-    def test_wire_rejects_malformed_documents(self):
-        from repro.exceptions import SerializationError
-
-        with pytest.raises(SerializationError, match="malformed delta"):
-            wire.decode_delta({"format": "not-a-delta"})
-        with pytest.raises(SerializationError):
-            wire.decode_delta({"format": wire.DELTA_FORMAT, "added_nodes": "nope"})
 
 
 class TestNetChanges:

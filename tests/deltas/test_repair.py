@@ -475,14 +475,12 @@ class TestRepairFollowsTheRoute:
             assert bits.nodes == graph.compact_index().nodes
             assert bits.node_pairs(graph.compact_index().node_objects) == served
             assert bits.count() == len(served)
-            fresh = default_engine().relation_bits(
-                graph, query.plan, session._route(query), null_semantics=False
-            )
+            fresh = default_engine().atom_bits(graph, query.plan, session._route(query))
             assert bits.rows == fresh.rows
         stats = session.maintenance_stats()
         assert stats["repairs"] == 3
         # per batch: the repair, the default-policy `fresh_rows` and a fresh
-        # `relation_bits` run, all on the CSR index and unseeded
+        # `atom_bits` run, all on the CSR index and unseeded
         if dialect in SCOPED:
             assert calls.algebra == [(True, None)] * 9
             assert calls.compact == 0 and stats["rows"]["continued"] >= 3

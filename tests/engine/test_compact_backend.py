@@ -42,7 +42,6 @@ from repro.exceptions import EvaluationError, UnboundVariableError
 from repro.planner.router import route_point
 from repro.query import (
     DataRPQ,
-    data_rpq_holds,
     evaluate_crpq_naive,
     evaluate_data_rpq_naive,
     evaluate_rpq_naive,
@@ -213,9 +212,10 @@ def test_register_product_on_tricky_values(graph, query_index, null_semantics, d
                     null_semantics=null_semantics, route=forced_route(graph, backend),
                 ), (backend, bound_sources, bound_targets)
     source, target = data.draw(st.sampled_from(ids)), data.draw(st.sampled_from(ids))
-    assert data_rpq_holds(graph, query.plan, source, target, null_semantics) == (
-        (source, target) in expected_ids
+    one_pair = engine.evaluate_atom_ids(
+        graph, query.plan, sources=(source,), targets={target}, null_semantics=null_semantics
     )
+    assert bool(one_pair) == ((source, target) in expected_ids)
 
 
 # ----------------------------------------------------------------------
@@ -765,8 +765,8 @@ class TestBitRelationEdges:
                 compact.node_objects[:-1]
             )
 
-    def test_relation_bits_is_what_the_entry_points_decode(self):
-        # The engine's one bit-row entry point: rows on a sequential
+    def test_atom_bits_is_what_the_entry_points_decode(self):
+        # The engine's one bit-row entry point, unseeded: rows on a sequential
         # compact route (an REE's from the bottom-up algebra), ``None`` on
         # every other route; a caching session keeps exactly those rows.
         graph = random_graph_from(9, 30)
@@ -778,7 +778,9 @@ class TestBitRelationEdges:
         session = GraphSession(graph, policy=ExecutionPolicy(backend="compact"))
         for query in queries:
             for null_semantics in (False, True):
-                bits = engine.relation_bits(graph, query.plan, compact_route, null_semantics)
+                bits = engine.atom_bits(
+                    graph, query.plan, compact_route, null_semantics=null_semantics
+                )
                 expected = query._evaluate(engine, graph, null_semantics, compact_route)
                 answer = session.run(query, null_semantics=null_semantics).pairs()
                 assert answer == expected
@@ -790,7 +792,7 @@ class TestBitRelationEdges:
                 forced_route(graph, "sql"),
                 dataclasses.replace(compact_route, driver="blocks", workers=2),
             ):
-                assert engine.relation_bits(graph, query.plan, route) is None
+                assert engine.atom_bits(graph, query.plan, route) is None
 
 
 ROWS = st.dictionaries(

@@ -1,10 +1,10 @@
 """Regression tests for the engine's compiled-automaton caches.
 
-The seed evaluators recompiled the NFA on every call to ``evaluate_rpq``
-(now ``GraphSession.run``) / ``rpq_holds`` / ``evaluate_rpq_from``.  These tests pin the fix: all
-point entry points share one compiled automaton per query, keyed on the
-structural AST, behind an LRU bound.  Full relations compile none: the
-bit-row algebra runs the regex itself.
+The seed evaluators recompiled the NFA on every call.  These tests pin
+the fix: all point entry points (``GraphSession.targets`` / ``holds``,
+``EvaluationEngine.evaluate_rpq_from``, witnesses) share one compiled
+automaton per query, keyed on the structural AST, behind an LRU bound.
+Full relations compile none: the bit-row algebra runs the regex itself.
 """
 
 from __future__ import annotations
@@ -14,13 +14,7 @@ import pytest
 from repro.api import GraphSession
 from repro.datagraph import GraphBuilder
 from repro.engine import CompiledAutomaton, EvaluationEngine, LRUCache, default_engine
-from repro.query import (
-    equality_rpq,
-    evaluate_rpq_from,
-    rpq,
-    rpq_holds,
-    witness_path_labels,
-)
+from repro.query import equality_rpq, rpq, witness_path_labels
 from repro.regular import parse_regex
 
 
@@ -54,13 +48,12 @@ def test_all_entry_points_share_one_compiled_automaton(small_graph):
     engine.evaluate_rpq(small_graph, query)
     engine.evaluate_many(small_graph, [query, query])
     assert engine.stats()["automata"].misses == 0  # full relations: the algebra
-    engine.rpq_holds(small_graph, query, "u", "w")
     engine.evaluate_rpq_from(small_graph, query, "u")
+    engine.evaluate_rpq_from(small_graph, query, "v")
     engine.witness_path_labels(small_graph, query, "u", "w")
-    engine.holds_many(small_graph, query, [("u", "w")])
     stats = engine.stats()["automata"]
     assert stats.misses == 1
-    assert stats.hits >= 3
+    assert stats.hits == 2
 
 
 def test_equivalent_query_spellings_share_one_entry(small_graph):
@@ -74,14 +67,14 @@ def test_equivalent_query_spellings_share_one_entry(small_graph):
     assert stats.hits == 2
 
 
-def test_public_module_functions_reuse_the_default_engine_cache(small_graph):
+def test_sessions_reuse_the_default_engine_cache(small_graph):
     """The seed recompiled per call; the public API must not (regression)."""
     before = default_engine().stats()["automata"]
     GraphSession(small_graph).run("a.b.a").pairs()
-    rpq_holds(small_graph, "a.b.a", "u", "u")
-    evaluate_rpq_from(small_graph, "a.b.a", "u")
+    GraphSession(small_graph).holds("a.b.a", "u", "u")
+    GraphSession(small_graph).targets("a.b.a", "u")
     witness_path_labels(small_graph, "a.b.a", "u", "u")
-    evaluate_rpq_from(small_graph, "a.b.a", "v")
+    GraphSession(small_graph).targets("a.b.a", "v")
     after = default_engine().stats()["automata"]
     assert after.misses - before.misses <= 1
     assert after.hits - before.hits >= 3
@@ -138,8 +131,21 @@ def test_compiled_automaton_tables_match_nfa_language():
     expression = parse_regex("a.(a|b)*.b")
     nfa = thompson(expression)
     compiled = CompiledAutomaton(nfa)
+
+    def accepts(word):
+        current = set(compiled.initial)
+        for symbol in word:
+            current = {
+                target
+                for state in current
+                for move_symbol, targets in compiled.moves[state]
+                if move_symbol == symbol
+                for target in targets
+            }
+        return bool(current & compiled.accepting)
+
     for word in [(), ("a",), ("a", "b"), ("a", "a", "b"), ("b",), ("a", "b", "a")]:
-        assert compiled.accepts_word(word) == nfa.accepts(word), word
+        assert accepts(word) == nfa.accepts(word), word
     assert compiled.symbols == {"a", "b"}
     assert not compiled.accepts_empty_word
 
@@ -155,16 +161,16 @@ def test_evaluate_rpq_ids_returns_frozen_id_pairs(small_graph):
     assert id_pairs == node_pairs
 
 
-def test_holds_many_rejects_unknown_node_ids_like_rpq_holds(small_graph):
+def test_point_entry_points_reject_unknown_node_ids(small_graph):
     from repro.exceptions import UnknownNodeError
 
-    engine = EvaluationEngine()
+    session = GraphSession(small_graph)
     with pytest.raises(UnknownNodeError):
-        engine.rpq_holds(small_graph, "a", "typo", "v")
+        session.holds("a", "typo", "v")
     with pytest.raises(UnknownNodeError):
-        engine.holds_many(small_graph, "a", [("typo", "v")])
+        session.holds("a", "u", "typo")
     with pytest.raises(UnknownNodeError):
-        engine.holds_many(small_graph, "a", [("u", "typo")])
+        EvaluationEngine().evaluate_rpq_from(small_graph, "a", "typo")
 
 
 def test_evaluate_many_stays_correct_across_cache_eviction(small_graph):
@@ -179,10 +185,10 @@ def test_evaluate_many_stays_correct_across_cache_eviction(small_graph):
 
 def test_clear_caches_resets_entries_but_keeps_counters(small_graph):
     engine = EvaluationEngine()
-    engine.rpq_holds(small_graph, "a.b", "u", "w")
+    engine.evaluate_rpq_from(small_graph, "a.b", "u")
     engine.clear_caches()
     stats = engine.stats()["automata"]
     assert stats.size == 0
     assert stats.misses == 1
-    engine.rpq_holds(small_graph, "a.b", "u", "w")
+    engine.evaluate_rpq_from(small_graph, "a.b", "u")
     assert engine.stats()["automata"].misses == 2

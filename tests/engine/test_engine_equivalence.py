@@ -90,11 +90,10 @@ def test_rpq_batched_and_point_entry_points_agree(seed, size):
     engine = EvaluationEngine()
     queries = [RPQ_POOL[seed % len(RPQ_POOL)], RPQ_POOL[(seed + 3) % len(RPQ_POOL)]]
     batched = engine.evaluate_many(graph, queries)
+    session = GraphSession(graph, engine=engine)
     for query, answer in zip(queries, batched):
         assert answer == evaluate_rpq_naive(graph, query)
-        pairs = [(source.id, target.id) for source, target in answer]
-        verdicts = engine.holds_many(graph, query, pairs)
-        assert all(verdicts.values())
+        assert all(session.holds(query, source.id, target.id) for source, target in answer)
         # spot-check some non-answers too
         node_ids = graph.node_ids
         non_answers = [
@@ -103,8 +102,7 @@ def test_rpq_batched_and_point_entry_points_agree(seed, size):
             for j in range(len(node_ids))
             if (graph.node(node_ids[i]), graph.node(node_ids[j])) not in answer
         ][:10]
-        negative = engine.holds_many(graph, query, non_answers)
-        assert not any(negative.values())
+        assert not any(session.holds(query, source, target) for source, target in non_answers)
 
 
 # ----------------------------------------------------------------------

@@ -94,16 +94,6 @@ def test_index_adjacency_matches_graph():
     assert forward == backward == graph.edge_set()
 
 
-def test_bitmask_round_trip():
-    graph = build_graph()
-    index = graph.label_index()
-    subset = ["p", "r"]
-    mask = index.mask_of(subset)
-    assert sorted(index.nodes_of(mask)) == sorted(subset)
-    assert index.mask_of([]) == 0
-    assert list(index.nodes_of(0)) == []
-
-
 def test_stale_index_is_rebuilt_not_served():
     graph = build_graph()
     index = graph.label_index()

@@ -1,9 +1,9 @@
 """Smoke + claim tests for the experiment modules (small parameters).
 
 Each experiment is run with reduced parameters and its *claim columns*
-are asserted — the same invariants EXPERIMENTS.md reports for the full
-runs.  This keeps the experiments themselves under test, not just the
-library they exercise.
+are asserted — the same invariants ``python -m repro experiment <name>``
+reports for the full runs (DESIGN.md §9 indexes them).  This keeps the
+experiments themselves under test, not just the library they exercise.
 """
 
 from __future__ import annotations
@@ -70,7 +70,9 @@ class TestE4:
 
 class TestE5:
     def test_claims(self):
-        result = e5_least_informative.run(small_people=4, scaling_people=(10,))
+        # The default `small_people`: an agreement phase over the naive
+        # budget fails here rather than under `python -m repro experiment E5`.
+        result = e5_least_informative.run(scaling_people=(10,))
         agreement = [row for row in result.rows if row["phase"] == "agreement"]
         assert agreement
         assert all(row["agree"] for row in agreement)

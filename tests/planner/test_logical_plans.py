@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.api import ExecutionPolicy, GraphSession, Query
-from repro.datagraph import GraphBuilder
+from repro.datagraph import GraphBuilder, generators
 from repro.exceptions import ParseError
 from repro.planner import (
     AtomScan,
@@ -177,6 +179,32 @@ class TestExplain:
         stale = session._crpq_plan(query)
         skewed_graph.add_node("fresh", 0)
         assert session._crpq_plan(query) is not stale
+
+    def test_query_explain_prints_the_plan_the_session_runs(self):
+        # Dense `knows` communities plus a hub-skewed `likes` relation: the
+        # statistics catalogue reorders the joins, so a plan priced on
+        # edge counts alone would print a different order.
+        graph = generators.community_graph(
+            6, 48, labels=("knows",), bridge_label="bridge", rng=23, domain_size=24
+        )
+        rng = random.Random(97)
+        nodes = [node.id for node in graph.nodes]
+        hubs = rng.sample(nodes, 40)
+        hub_set = set(hubs)
+        spokes = [node for node in nodes if node not in hub_set]
+        for hub in hubs:
+            for _ in range(160):
+                graph.add_edge(hub, "likes", rng.choice(spokes))
+        for spoke in spokes:
+            if rng.random() < 0.3:
+                graph.add_edge(spoke, "likes", rng.choice(spokes))
+        query = Query.parse(
+            "x, y, z :- (x, knows+, y), (y, ree:(likes.likes)=, z), (z, knows+, x)",
+            dialect="crpq",
+        )
+        header, body = GraphSession(graph).explain(query).split("\n", 1)
+        assert header.startswith("route: compact")
+        assert query.explain(graph) == body
 
     def test_non_crpq_kinds_explain_their_fixed_strategy(self, skewed_graph):
         rpq_text = Query.parse("a.b").explain(skewed_graph)

@@ -59,7 +59,6 @@ class TestLabelStats:
         stats = graph_statistics(small_graph())
         # values: {1: 2, 2: 1, 3: 1} over 4 nodes -> (4 + 1 + 1) / 16
         assert stats.value_match_probability == pytest.approx(6 / 16)
-        assert stats.distinct_values == 3
 
     def test_eq_selectivity_single_vs_multi_label(self):
         stats = graph_statistics(small_graph())

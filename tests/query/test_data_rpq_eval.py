@@ -6,18 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import GraphSession
+from repro.api import ExecutionPolicy, GraphSession
 from repro.datagraph import NULL, DataGraph, GraphBuilder, enumerate_paths, generators
-from repro.datapaths import compile_rem, parse_ree, parse_rem, ree_matches, rem_matches
+from repro.datapaths import parse_ree, parse_rem, ree_matches, rem_matches
 from repro.engine import default_engine
-from repro.exceptions import EvaluationError, UnknownNodeError
+from repro.exceptions import EvaluationError
+from repro.planner.router import route_point
 from repro.query import (
     data_path_query,
-    data_rpq_holds,
     equality_rpq,
     evaluate_data_rpq_naive,
-    evaluate_ree_algebraic,
-    evaluate_via_register_automaton,
     memory_rpq,
 )
 
@@ -156,25 +154,22 @@ class TestMemoryRPQEvaluation:
             automaton = _ids(default_engine().evaluate_data_rpq(value_graph, query, engine="automaton"))
             assert algebraic == automaton, text
 
-    def test_public_wrappers_agree_with_naive(self, value_graph):
-        # The module-level evaluators: the REE algebra, and the register
-        # product from an expression or from an automaton built elsewhere.
-        ree = parse_ree("((a|b)+)=")
-        assert evaluate_ree_algebraic(value_graph, ree) == evaluate_data_rpq_naive(
-            value_graph, equality_rpq(ree)
-        )
-        rem = parse_rem("!x.(a[x!=])+")
-        naive = evaluate_data_rpq_naive(value_graph, memory_rpq(rem))
-        assert evaluate_via_register_automaton(value_graph, rem) == naive
-        assert evaluate_via_register_automaton(value_graph, compile_rem(rem)) == naive
+    def test_register_product_on_the_dict_index_agrees_with_naive(self, value_graph):
+        query = memory_rpq(parse_rem("!x.(a[x!=])+"))
+        dict_route = route_point(value_graph, ExecutionPolicy(backend="dict"))
+        assert default_engine().evaluate_data_rpq(
+            value_graph, query, engine="automaton", route=dict_route
+        ) == evaluate_data_rpq_naive(value_graph, query)
 
-    def test_holds_helper(self, value_graph):
-        assert data_rpq_holds(value_graph, equality_rpq("(a.a)="), "n0", "n2")
-        assert not data_rpq_holds(value_graph, equality_rpq("(a.a)!="), "n0", "n2")
+    def test_session_holds(self, value_graph):
+        session = GraphSession(value_graph)
+        assert session.holds(equality_rpq("(a.a)="), "n0", "n2")
+        assert not session.holds(equality_rpq("(a.a)!="), "n0", "n2")
 
 
-class TestHoldsIsASeededScan:
-    """``data_rpq_holds`` answers one pair from one seeded scan."""
+class TestSeededScan:
+    """One pair answered by one scan seeded at its source and restricted
+    to its target (``EvaluationEngine.evaluate_atom_ids``)."""
 
     QUERIES = [
         equality_rpq("(a.a)="),
@@ -182,6 +177,14 @@ class TestHoldsIsASeededScan:
         memory_rpq("!x.(a[x!=])+"),
         memory_rpq("!x.((a|b)+[x=])"),
     ]
+
+    @staticmethod
+    def _holds(graph, query, source, target, null_semantics=False):
+        return bool(
+            default_engine().evaluate_atom_ids(
+                graph, query, sources=(source,), targets={target}, null_semantics=null_semantics
+            )
+        )
 
     @pytest.mark.parametrize("query", QUERIES, ids=str)
     @pytest.mark.parametrize("null_semantics", [False, True])
@@ -195,7 +198,7 @@ class TestHoldsIsASeededScan:
         expected = _ids(evaluate_data_rpq_naive(graph, query, null_semantics))
         for source in graph.node_ids:
             for target in graph.node_ids:
-                assert data_rpq_holds(graph, query, source, target, null_semantics) == (
+                assert self._holds(graph, query, source, target, null_semantics) == (
                     (source, target) in expected
                 ), (source, target)
 
@@ -204,14 +207,7 @@ class TestHoldsIsASeededScan:
         monkeypatch.setattr(
             engine, "evaluate_data_rpq", lambda *a, **k: pytest.fail("full relation evaluated")
         )
-        assert data_rpq_holds(value_graph, memory_rpq("!x.(a.a)[x=]"), "n0", "n2")
-
-    def test_unknown_nodes_raise(self, value_graph):
-        query = memory_rpq("!x.(a[x!=])+")
-        with pytest.raises(UnknownNodeError):
-            data_rpq_holds(value_graph, query, "nowhere", "n0")
-        with pytest.raises(UnknownNodeError):
-            data_rpq_holds(value_graph, query, "n0", "nowhere")
+        assert self._holds(value_graph, memory_rpq("!x.(a.a)[x=]"), "n0", "n2")
 
 
 class TestAgainstPathEnumeration:

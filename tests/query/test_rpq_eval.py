@@ -9,13 +9,9 @@ from repro.api import GraphSession
 from repro.datagraph import GraphBuilder
 from repro.datagraph import generators
 from repro.query import (
-    RPQ,
     atomic_rpq,
-    evaluate_rpq_from,
-    evaluate_word,
     reachability_rpq,
     rpq,
-    rpq_holds,
     witness_path_labels,
     word_rpq,
 )
@@ -80,13 +76,14 @@ class TestEvaluation:
         assert ("alice", "uni") in answers
         assert ("alice", "bob") not in answers
 
-    def test_evaluate_from_source(self, toy_graph):
-        nodes = {node.id for node in evaluate_rpq_from(toy_graph, rpq("knows+"), "alice")}
+    def test_targets_of_a_source(self, toy_graph):
+        nodes = {node.id for node in GraphSession(toy_graph).targets(rpq("knows+"), "alice")}
         assert nodes == {"bob", "carol", "dave", "alice"}
 
-    def test_rpq_holds(self, toy_graph):
-        assert rpq_holds(toy_graph, rpq("knows.knows"), "alice", "carol")
-        assert not rpq_holds(toy_graph, rpq("knows"), "alice", "carol")
+    def test_holds(self, toy_graph):
+        session = GraphSession(toy_graph)
+        assert session.holds(rpq("knows.knows"), "alice", "carol")
+        assert not session.holds(rpq("knows"), "alice", "carol")
 
     def test_empty_graph_portions(self):
         g = GraphBuilder().node("isolated", 1).build()
@@ -97,25 +94,6 @@ class TestEvaluation:
         answers = _ids(GraphSession(chain_graph_10).run(word_rpq(["a"] * 10)).pairs())
         assert answers == {("c0", "c10")}
         assert _ids(GraphSession(chain_graph_10).run(word_rpq(["a"] * 11)).pairs()) == set()
-
-
-class TestEvaluateWordFastPath:
-    def test_agrees_with_automaton_on_words(self, toy_graph):
-        for labels in (["knows"], ["knows", "knows"], ["knows", "worksAt"], ["worksAt", "knows"]):
-            direct = _ids(evaluate_word(toy_graph, labels))
-            automaton = _ids(GraphSession(toy_graph).run(word_rpq(labels)).pairs())
-            assert direct == automaton
-
-    def test_empty_word(self, toy_graph):
-        answers = _ids(evaluate_word(toy_graph, []))
-        assert answers == {(node, node) for node in toy_graph.node_ids}
-
-    @given(st.integers(min_value=0, max_value=4), st.integers(min_value=1, max_value=30))
-    @settings(max_examples=30, deadline=None)
-    def test_random_graphs(self, word_length, seed):
-        graph = generators.random_graph(6, 12, labels=("a", "b"), rng=seed)
-        labels = ["a" if i % 2 == 0 else "b" for i in range(word_length)]
-        assert _ids(evaluate_word(graph, labels)) == _ids(GraphSession(graph).run(word_rpq(labels)).pairs())
 
 
 class TestWitnessPaths:

@@ -8,6 +8,7 @@ the library API and the documentation-level code users copy from.
 from __future__ import annotations
 
 import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -22,8 +23,17 @@ class TestPublicApi:
         assert repro.__version__ == "2.0.0"
 
     def test_all_exports_resolve(self):
-        for name in repro.__all__:
-            assert hasattr(repro, name), name
+        # Every module of the package, so a deletion that leaves a stale
+        # `__all__` string behind fails here (`__main__` would run the CLI).
+        modules = [repro] + [
+            importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")
+            if not info.name.endswith(".__main__")
+        ]
+        assert len(modules) > 100
+        for module in modules:
+            for name in getattr(module, "__all__", ()):
+                assert hasattr(module, name), f"{module.__name__}.{name}"
 
     def test_minimal_workflow_through_top_level_api(self):
         source = (

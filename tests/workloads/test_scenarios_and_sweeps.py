@@ -8,7 +8,6 @@ from repro.core import is_solution, universal_solution
 from repro.exceptions import WorkloadError
 from repro.workloads import (
     CRPQ_SHAPES,
-    movie_catalog_scenario,
     multi_community_scenario,
     provenance_scenario,
     random_crpq,
@@ -24,7 +23,6 @@ class TestScenarios:
         "builder,kwargs",
         [
             (social_network_scenario, {"num_people": 8, "rng": 1}),
-            (movie_catalog_scenario, {"num_movies": 6, "rng": 1}),
             (provenance_scenario, {"chain_length": 4, "num_chains": 2, "rng": 1}),
             (multi_community_scenario, {"num_communities": 3, "community_size": 4, "rng": 1}),
         ],
@@ -51,8 +49,6 @@ class TestScenarios:
     def test_parameter_validation(self):
         with pytest.raises(WorkloadError):
             social_network_scenario(num_people=1)
-        with pytest.raises(WorkloadError):
-            movie_catalog_scenario(num_movies=1)
         with pytest.raises(WorkloadError):
             provenance_scenario(chain_length=1)
         with pytest.raises(WorkloadError):
