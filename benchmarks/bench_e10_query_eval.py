@@ -13,13 +13,7 @@ import pytest
 
 from repro.datagraph import generators
 from repro.engine import default_engine
-from repro.experiments import e10_query_eval
 from repro.query import equality_rpq, evaluate_rpq_naive, memory_rpq, rpq
-
-
-def bench_e10_scaling_experiment(run_once):
-    result = run_once(e10_query_eval.run, sizes=(20, 50, 100))
-    assert all(row["engines_agree"] for row in result.rows)
 
 
 @pytest.fixture(scope="module")

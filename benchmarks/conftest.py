@@ -1,27 +1,11 @@
-"""Shared configuration for the benchmark suite.
+"""The benchmark suite: pytest-benchmark timings behind the CI gates.
 
-Each ``bench_e*.py`` file regenerates one experiment of the reproduction
-(see DESIGN.md §9; ``python -m repro experiment <name>`` runs one).
-Experiments are wrapped with ``benchmark.pedantic(..., rounds=1)``
-because a single run already aggregates many internal measurements; the
-micro-benchmarks in ``bench_micro_operations.py`` use the default
-calibration instead.
+Each file times one layer of the engine; the gate steps of
+``.github/workflows/ci.yml`` read ratios of those timings.  The paper's
+experiments are not re-run here: ``python -m repro experiment all
+--quick`` prints them and ``EXPERIMENTS.md`` records them (DESIGN.md §9).
 
 Run with::
 
-    pytest benchmarks/ --benchmark-only
+    pytest benchmarks -o python_files='bench_*.py' -o python_functions='bench_*'
 """
-
-from __future__ import annotations
-
-import pytest
-
-
-@pytest.fixture
-def run_once(benchmark):
-    """Run an experiment exactly once under the benchmark timer and return its result."""
-
-    def runner(function, *args, **kwargs):
-        return benchmark.pedantic(function, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-    return runner

@@ -16,6 +16,7 @@ makes the common reproduction tasks scriptable without writing Python:
     python -m repro certain graph.json mapping.json --ree "(knows)=" --method auto
     python -m repro exchange graph.json mapping.json --policy nulls -o target.json
     python -m repro experiment E5
+    python -m repro experiment all --quick > EXPERIMENTS.md
     python -m repro serve graph.json --port 7464
     python -m repro evaluate --server 127.0.0.1:7464 --rpq "knows.knows"
 """
@@ -206,8 +207,16 @@ def build_parser() -> argparse.ArgumentParser:
     exchange.add_argument("--policy", default="nulls", choices=["nulls", "fresh"])
     exchange.add_argument("-o", "--output", help="write the target graph JSON here (default: stdout)")
 
-    experiment = commands.add_parser("experiment", help="run one of the reproduction experiments")
-    experiment.add_argument("name", help="experiment name, e.g. E5 (see DESIGN.md)")
+    experiment = commands.add_parser(
+        "experiment", help="run reproduction experiments and print their tables as markdown"
+    )
+    experiment.add_argument(
+        "names", nargs="+", metavar="NAME", help="experiment names, e.g. E5 E8, or 'all' (see DESIGN.md)"
+    )
+    experiment.add_argument(
+        "--quick", action="store_true",
+        help="use each experiment's quick parameters (the ones EXPERIMENTS.md records)",
+    )
 
     serve = commands.add_parser(
         "serve", help="run the query daemon: one graph, many concurrent clients"
@@ -313,15 +322,19 @@ def _dispatch(arguments: argparse.Namespace) -> int:
         return 0
 
     if arguments.command == "experiment":
-        from .experiments import EXPERIMENTS
+        from .experiments import refuted, run_all
+        from .experiments.harness import host_line
 
-        name = arguments.name.upper()
-        if name not in EXPERIMENTS:
-            print(f"error: unknown experiment {name}; available: {', '.join(EXPERIMENTS)}",
-                  file=sys.stderr)
+        results = run_all(arguments.names, quick=arguments.quick)
+        print(host_line())
+        failed = []
+        for result in results:
+            print()
+            print(result.to_table())
+            failed += [f"{result.experiment}.{column}" for column in refuted(result)]
+        if failed:
+            print(f"error: verdict columns read 'no': {', '.join(failed)}", file=sys.stderr)
             return 1
-        result = EXPERIMENTS[name]()
-        print(result.to_table())
         return 0
 
     if arguments.command == "serve":

@@ -1,22 +1,23 @@
 """Experiment harness: timing, result rows and table rendering.
 
 Every experiment module exposes a ``run(...)`` function returning an
-:class:`ExperimentResult`; the benchmarks call those functions with small
-parameters, the examples with presentation-sized ones, and
-``python -m repro experiment <name>`` prints the observations.  The
-harness keeps the format uniform: a result is a list of row dictionaries
-plus metadata, and
-:func:`render_table` pretty-prints it the way the claims are summarised
-in the documentation.
+:class:`ExperimentResult`; :func:`repro.experiments.run_all` calls it
+with its defaults or its quick parameters, and
+``python -m repro experiment <name>… [--quick]`` prints the results.  A
+result is a list of row dictionaries plus metadata, and
+:func:`render_table` renders it as a GitHub-markdown pipe table, so the
+CLI's output is itself the committed record (``EXPERIMENTS.md``).
 """
 
 from __future__ import annotations
 
+import os
+import platform
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
-__all__ = ["ExperimentResult", "timed", "render_table", "geometric_slowdown"]
+__all__ = ["ExperimentResult", "timed", "render_table", "host_line", "geometric_slowdown"]
 
 
 @dataclass
@@ -60,11 +61,14 @@ def render_table(
     title: Optional[str] = None,
     notes: Iterable[str] = (),
 ) -> str:
-    """Render a list of dictionaries as an aligned, pipe-separated table."""
+    """Render a list of dictionaries as an aligned GitHub-markdown pipe table.
+
+    The title becomes a ``###`` heading and each note a ``- note:`` list
+    item after the table.
+    """
     lines: List[str] = []
     if title:
-        lines.append(title)
-        lines.append("=" * len(title))
+        lines += [f"### {title}", ""]
     if not rows:
         lines.append("(no rows)")
     else:
@@ -74,18 +78,23 @@ def render_table(
                 if key not in columns:
                     columns.append(key)
         rendered = [[_format(row.get(column)) for column in columns] for row in rows]
-        widths = [
-            max(len(column), *(len(line[index]) for line in rendered))
+        widths = [  # a delimiter cell of three or more hyphens renders everywhere
+            max(3, len(column), *(len(line[index]) for line in rendered))
             for index, column in enumerate(columns)
         ]
-        header = " | ".join(column.ljust(width) for column, width in zip(columns, widths))
-        lines.append(header)
-        lines.append("-+-".join("-" * width for width in widths))
-        for line in rendered:
-            lines.append(" | ".join(cell.ljust(width) for cell, width in zip(line, widths)))
-    for note in notes:
-        lines.append(f"note: {note}")
+        for cells in [columns, ["-" * width for width in widths], *rendered]:
+            lines.append(
+                "| " + " | ".join(cell.ljust(width) for cell, width in zip(cells, widths)) + " |"
+            )
+    items = [f"- note: {note}" for note in notes]
+    if items:
+        lines += ["", *items]
     return "\n".join(lines)
+
+
+def host_line() -> str:
+    """One line naming the host an experiment record was measured on."""
+    return f"host: {platform.system()}, {os.cpu_count()} CPUs, Python {platform.python_version()}"
 
 
 def _format(value: Any) -> str:

@@ -383,6 +383,10 @@ class ReproServer:
                     with contextlib.suppress(OSError, ProtocolError):
                         self._reply(connection, error_payload(None, "protocol", str(error)))
                     break
+                except OSError:
+                    # A peer that closed with a reply still unread resets
+                    # the connection: end it like a clean EOF.
+                    break
                 if request is None:
                     break  # clean EOF
                 if not isinstance(request, dict):

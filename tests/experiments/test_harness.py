@@ -27,6 +27,17 @@ class TestExperimentResult:
         assert "note: just a note" in table
         assert str(result) == table
 
+    def test_tables_are_github_markdown(self):
+        table = render_table([{"size": 1, "ok": True}, {"size": 10, "ok": False}], title="EX: t")
+        assert table.splitlines() == [
+            "### EX: t",
+            "",
+            "| size | ok  |",
+            "| ---- | --- |",
+            "| 1    | yes |",
+            "| 10   | no  |",
+        ]
+
     def test_empty_table(self):
         assert "(no rows)" in render_table([], title="empty")
 

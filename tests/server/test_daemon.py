@@ -482,6 +482,27 @@ class TestProtocolAbuse:
         with connect(address) as session:
             assert session.run("a").rows() == GraphSession(graph).run("a").rows()
 
+    def test_a_reset_after_an_unread_reply_ends_the_connection_quietly(
+        self, served, monkeypatch
+    ):
+        graph, address, server = served
+        escaped = []
+        monkeypatch.setattr(threading, "excepthook", escaped.append)
+        before = set(threading.enumerate())
+        for _ in range(5):
+            sock = socket.create_connection(address)
+            send_frame(sock, {"id": 1, "op": "run", "query": wire.encode_query(Query.parse("a"))})
+            sock.recv(1, socket.MSG_PEEK)  # the reply has arrived ...
+            sock.close()  # ... and closing with it unread resets the connection
+        for thread in set(threading.enumerate()) - before:
+            if thread.name.startswith("repro-client-"):
+                thread.join(timeout=5)
+                assert not thread.is_alive()
+        assert [args.exc_type for args in escaped] == []
+        assert server.metrics.counters["connections_active"] == 0
+        with connect(address) as session:
+            assert session.run("a").rows() == GraphSession(graph).run("a").rows()
+
 
 class _SlowSession(GraphSession):
     """A session whose runs block long enough to hold an executor slot."""

@@ -9,6 +9,7 @@ import pytest
 from repro import GraphBuilder, graph_to_json
 from repro.cli import main
 from repro.datagraph import graph_from_json
+from repro.experiments import EXPERIMENTS, Experiment, ExperimentResult
 
 
 @pytest.fixture
@@ -195,11 +196,52 @@ class TestCertainAndExchange:
 
 
 class TestExperimentCommand:
+    @pytest.fixture
+    def stub_runs(self, monkeypatch):
+        """Replace every registry entry with a one-row stub; returns the call log."""
+        calls = []
+
+        def stub(name):
+            def run():
+                calls.append(name)
+                result = ExperimentResult(experiment=name, claim="stub")
+                result.add_row(holds=name != "E7")
+                return result
+
+            return run
+
+        for name in list(EXPERIMENTS):
+            monkeypatch.setitem(EXPERIMENTS, name, Experiment(stub(name), {}, ("holds",)))
+        return calls
+
     def test_runs_a_small_experiment(self, capsys):
         assert main(["experiment", "e8"]) == 0
         output = capsys.readouterr().out
-        assert "E8" in output and "agree" in output
+        assert output.startswith("host: ")
+        assert "### E8" in output and "agree" in output
+
+    def test_quick_runs_each_named_experiment_in_order(self, capsys):
+        assert main(["experiment", "e8", "e3", "--quick"]) == 0
+        output = capsys.readouterr().out
+        assert output.index("### E8") < output.index("### E3")
+        e8, e3 = output.split("### E3")
+        # Data rows: every pipe line but the header and its separator.
+        assert e8.count("\n| ") - 2 == 2  # sizes (3, 4)
+        assert e3.count("\n| ") - 2 == 3  # two agreement rows, one scaling row
 
     def test_unknown_experiment(self, capsys):
         assert main(["experiment", "E99"]) == 1
         assert "unknown experiment" in capsys.readouterr().err
+
+    def test_an_unknown_name_stops_the_run_before_it_starts(self, stub_runs, capsys):
+        assert main(["experiment", "E8", "E99"]) == 1
+        captured = capsys.readouterr()
+        assert stub_runs == [] and captured.out == ""
+        assert "unknown experiment E99;" in captured.err
+
+    def test_all_expands_to_the_registry(self, stub_runs, capsys):
+        assert main(["experiment", "all"]) == 1
+        assert stub_runs == [f"E{index}" for index in range(1, 11)]
+        captured = capsys.readouterr()
+        assert captured.out.count("### E") == 10
+        assert "verdict columns read 'no': E7.holds" in captured.err

@@ -90,15 +90,3 @@ class TestExamples:
         module.main()
         output = capsys.readouterr().out
         assert expected_fragment in output
-
-    def test_reproduce_paper_claims_single_experiment(self, capsys):
-        module = _load_example("reproduce_paper_claims")
-        exit_code = module.main(["--quick", "--only", "E8"])
-        assert exit_code == 0
-        output = capsys.readouterr().out
-        assert "E8" in output and "agree" in output
-
-    def test_reproduce_paper_claims_rejects_unknown_experiment(self, capsys):
-        module = _load_example("reproduce_paper_claims")
-        with pytest.raises(SystemExit):
-            module.main(["--only", "E99"])
