@@ -191,24 +191,20 @@ class GraphSession(SessionProtocol):
 
         For binary RPQs whose full relation is not already cached, the
         question is answered from the point-workload cache (one
-        single-source BFS) instead of materialising the whole relation.
+        single-source BFS) instead of materialising the whole relation;
+        any other binary plan is one bit test on its entry's rows
+        (membership in the decoded answer for a route without rows).
         """
         plan = Query.of(query)
-        if plan.kind is QueryKind.RPQ and len(nodes) == 2:
-            full_key = (self.graph.version, plan.key, null_semantics)
-            if not (self.policy.cache_results and full_key in self._results):
-                source, target = nodes
-                source_node = source if isinstance(source, Node) else self.graph.node(source)
-                target_node = target if isinstance(target, Node) else self.graph.node(target)
-                if (
-                    self.graph.get_node(source_node.id) != source_node
-                    or self.graph.get_node(target_node.id) != target_node
-                ):
-                    return False
-                return target_node in self.targets(
-                    plan, source_node.id, null_semantics=null_semantics
-                )
-        return self.run(plan, null_semantics=null_semantics).holds(*nodes)
+        if plan.arity != 2 or len(nodes) != 2:
+            return self.run(plan, null_semantics=null_semantics).holds(*nodes)
+        graph = self.graph
+        source, target = (node if isinstance(node, Node) else graph.node(node) for node in nodes)
+        if graph.get_node(source.id) != source or graph.get_node(target.id) != target:
+            return False
+        if plan.kind is QueryKind.RPQ and not self._is_cached(plan, null_semantics):
+            return target in self.targets(plan, source.id, null_semantics=null_semantics)
+        return self._entry(plan, null_semantics).holds(source, target)
 
     def targets(
         self, query: QueryLike, source: NodeId, null_semantics: bool = False
@@ -218,9 +214,13 @@ class GraphSession(SessionProtocol):
         The point-workload entry point: answers are memoised in their own
         LRU keyed on ``(graph.version, query.key, source)``, so
         single-source questions neither recompute per call nor piggyback
-        on (and pay for) full-relation entries.  RPQs run one indexed
-        product BFS from *source*; other binary plans filter their
-        (session-cached) full relation.
+        on (and pay for) full-relation entries.  An RPQ whose full
+        relation is not cached runs one indexed product BFS from
+        *source*; any other point reads *source*'s bit across its
+        entry's rows (:meth:`BitRelation.targets_of
+        <repro.engine.bitrelation.BitRelation.targets_of>`) without
+        decoding the relation — only a route without rows (GXPath, the
+        forced ``dict`` / ``sql`` / ``blocks`` routes) scans its pairs.
         """
         plan = Query.of(query)
         if plan.arity != 2:
@@ -448,22 +448,35 @@ class GraphSession(SessionProtocol):
     # ------------------------------------------------------------------
     def _answers(self, plan: Query, null_semantics: bool) -> Tuple[frozenset, Optional[Tuple]]:
         """*plan*'s answer set and its :meth:`_rows_at` — what a
-        :class:`Result` materialises."""
+        :class:`Result` materialises (the entry's decode, on its first
+        read)."""
+        version = self.graph.version
+        entry = self._entry(plan, null_semantics)
+        return entry.pairs(), self._rows_at(entry.bits, version)
+
+    def _is_cached(self, plan: Query, null_semantics: bool) -> bool:
+        """Whether *plan*'s full relation is cached at the current version."""
+        key = (self.graph.version, plan.key, null_semantics)
+        return self.policy.cache_results and key in self._results
+
+    def _entry(self, plan: Query, null_semantics: bool) -> CachedRelation:
+        """*plan*'s full relation at the current version as a result-cache
+        entry, rows first: a recorded hit, a re-answer from its lineage or
+        a fresh evaluation.  A policy that caches no results evaluates
+        afresh and stores nothing."""
         if not self.policy.cache_results:
-            return self._execute(plan, self._route(plan), null_semantics), None
+            return self._full_entry(plan, self._route(plan), null_semantics)
         version = self.graph.version
         key = (version, plan.key, null_semantics)
         if key in self._results:
-            answer, bits = self._results.get_or_build(key, tuple)  # recorded hit
-            return answer, self._rows_at(bits, version)
+            return self._results.get_or_build(key, CachedRelation)  # recorded hit
         route = self._route(plan)
         lineage = self._lineage_base(plan, null_semantics, version)
         if lineage is None:
             entry = self._full_entry(plan, route, null_semantics)
         else:
             entry = self._reanswer(plan, route, null_semantics, lineage)
-        answer, bits = self._remember(plan, null_semantics, version, entry)
-        return answer, self._rows_at(bits, version)
+        return self._remember(plan, null_semantics, version, entry)
 
     def _rows_at(self, bits: Optional[BitRelation], version: int) -> Optional[Tuple]:
         """An entry's *bits* beside the CSR snapshot they index — what the
@@ -492,29 +505,31 @@ class GraphSession(SessionProtocol):
         return self._results.get_or_build(key, lambda: entry)
 
     def _evaluated(self, plan: Query, route, null_semantics: bool):
-        """*plan*'s full answer on *route*, with the session's row memo:
-        its bit rows where the route computes them in this process — an
-        RPQ / data RPQ on a sequential compact route, a binary CRPQ whose
-        plan ends on them — else :meth:`_execute`'s decoded answer."""
+        """*plan*'s full answer on *route*, with the session's row memo
+        (none when the policy caches no results): its bit rows where the
+        route computes them in this process — an RPQ / data RPQ on a
+        sequential compact route, a binary CRPQ whose plan ends on them —
+        else :meth:`_execute`'s decoded answer."""
+        memo = self._rows if self.policy.cache_results else None
         if plan.kind is QueryKind.CRPQ:
-            return self._execute(plan, route, null_semantics, decode=False, memo=self._rows)
+            return self._execute(plan, route, null_semantics, decode=False, memo=memo)
         if plan.kind in (QueryKind.RPQ, QueryKind.DATA_RPQ):
             bits = self.engine.atom_bits(
-                self.graph, plan.plan, route, null_semantics=null_semantics, memo=self._rows
+                self.graph, plan.plan, route, null_semantics=null_semantics, memo=memo
             )
             if bits is not None:
                 return bits
         return self._execute(plan, route, null_semantics)
 
     def _full_entry(self, plan: Query, route, null_semantics: bool) -> CachedRelation:
-        """*plan*'s full answer as a result-cache entry: decoded from the
-        bit rows of :meth:`_evaluated`, which it keeps (KBs beside MBs)
-        for the next re-answer and CRPQ atom scans, or the decoded answer
-        of a route that yields none."""
+        """*plan*'s full answer as a result-cache entry: the bit rows of
+        :meth:`_evaluated` beside the ``Node`` column of the snapshot they
+        were computed on — decoded only when a read asks for pairs — or
+        the decoded answer of a route that yields none."""
         answer = self._evaluated(plan, route, null_semantics)
         if isinstance(answer, BitRelation):
-            return answer.node_pairs(self.graph.compact_index().node_objects), answer
-        return answer, None
+            return CachedRelation(answer, self.graph.compact_index().node_objects)
+        return CachedRelation(answer=answer)
 
     def _lineage_base(
         self, plan: Query, null_semantics: bool, version: int
@@ -703,12 +718,13 @@ class GraphSession(SessionProtocol):
         The one path from the session to the kernels: ``run``,
         ``run_many``, ``targets`` and ``holds`` all end here (a cached
         answer through :meth:`_full_entry`, which keeps a local bit-row
-        route's rows), and nothing below re-decides what *route*
-        resolved.  With
-        *source* given the answer is the point form — the targets of
-        *source* — else the plan's full answer set (for a CRPQ without
-        *decode*, its bit rows when the plan ends on them: see
-        :func:`~repro.planner.execute_plan`).
+        route's rows undecoded), and nothing below re-decides what
+        *route* resolved.  With *source* given (an RPQ whose full
+        relation is not cached) the answer is the point form — the
+        targets of *source*, one seeded BFS; every other point reads its
+        entry's rows (:meth:`_targets_of`) — else the plan's full answer
+        set (for a CRPQ without *decode*, its bit rows when the plan ends
+        on them: see :func:`~repro.planner.execute_plan`).
 
         CRPQs take the planner (the cached plan, the session's relation
         cache, a recorded :class:`~repro.planner.PlanTrace`); every other
@@ -716,11 +732,7 @@ class GraphSession(SessionProtocol):
         session's row memo, for an in-process CRPQ's atom scans.
         """
         if source is not None:
-            if plan.kind is QueryKind.RPQ:
-                return self.engine.evaluate_rpq_from(self.graph, plan.plan, source, route)
-            # No single-source kernel: filter the (cached) full relation.
-            answers = self._answers(plan, null_semantics)[0]
-            return frozenset(target for start, target in answers if start.id == source)
+            return self.engine.evaluate_rpq_from(self.graph, plan.plan, source, route)
         if plan.kind is not QueryKind.CRPQ:
             return plan._evaluate(self.engine, self.graph, null_semantics, route)
         from ..planner import PlanTrace, execute_plan
@@ -763,24 +775,21 @@ class GraphSession(SessionProtocol):
             cached = self._results.peek((version, query.key, null))
             if cached is None:
                 return None
-            answer, bits = cached
-            if bits is not None:
-                return bits.restrict(sources, targets)
+            if cached.bits is not None:
+                return cached.bits.restrict(sources, targets)
             if sources is None and targets is None:
-                return {(source.id, target.id) for source, target in answer}
+                return {(source.id, target.id) for source, target in cached.answer}
             return None
 
         return lookup
 
     def _targets_of(self, plan: Query, source: NodeId, null_semantics: bool) -> frozenset:
-        full_key = (self.graph.version, plan.key, null_semantics)
-        if self.policy.cache_results and full_key in self._results:
-            # The full relation is already materialised — filter it
-            # rather than running a fresh traversal.
-            relation = self._results.get_or_build(full_key, tuple)[0]
-            return frozenset(target for start, target in relation if start.id == source)
-        # A point route never pays for statistics.
-        return self._execute(plan, route_point(self.graph, self.policy), null_semantics, source=source)
+        if plan.kind is QueryKind.RPQ and not self._is_cached(plan, null_semantics):
+            # A point route never pays for statistics.
+            return self._execute(
+                plan, route_point(self.graph, self.policy), null_semantics, source=source
+            )
+        return self._entry(plan, null_semantics).targets_of(source)
 
     def stats(self) -> Mapping[str, CacheStats]:
         """Cache snapshots: the session's ``results`` and ``points`` caches

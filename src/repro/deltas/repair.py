@@ -1,17 +1,20 @@
 """Re-answering a cached full relation after a journaled delta.
 
-A session re-answers a query from its *lineage* — the entry (answer and,
-on a bit-row route, its :class:`~repro.engine.bitrelation.BitRelation`)
-of an earlier version plus the journal's composed delta since — through
-one call, :func:`repair_full_relation`:
+A session re-answers a query from its *lineage* — the entry (a
+:class:`~repro.engine.bitrelation.CachedRelation`: on a bit-row route its
+:class:`~repro.engine.bitrelation.BitRelation`, and its decoded answer
+once a read asked for one) of an earlier version plus the journal's
+composed delta since — through one call, :func:`repair_full_relation`:
 
 * the **cached entry stands** (:func:`_entry_stands`) when the query is
   an RPQ or data RPQ and the delta adds or removes no node, changes no
   value and adds or removes no edge with a label the query reads;
 * otherwise the query is **evaluated with the session's**
-  :class:`~repro.engine.data.RowMemo` and the new rows are **decoded by
-  difference** from the entry's (:func:`patched_answer`), or in full
-  when that patch would not be exact;
+  :class:`~repro.engine.data.RowMemo`; when the entry holds a decoded
+  answer the new rows' answer is **patched by difference** from it
+  (:func:`patched_answer`), else the new entry holds the rows alone and
+  is decoded on its first read — a base nobody read gives an entry
+  nothing decodes until somebody does;
 * a route that yields **no rows** (forced ``dict`` / ``sql``, the
   forced ``blocks`` driver, GXPath, a CRPQ whose plan does not end on
   rows) is re-evaluated in full.
@@ -85,15 +88,22 @@ def patched_answer(
     minus ``decode(old ∖ new)`` plus ``decode(new ∖ old)``, where
     *objects* is the ``Node`` column aligned with *new*'s ordering.
 
-    ``None`` when the patch would not be exact and the caller decodes
-    *new* in full: *base* kept no bit rows, its ordering is not a prefix
-    of *new*'s, or *delta* removed a node or changed a value (either one
-    rewrites ``Node`` objects in pairs the difference does not name).
-    An insert-only *delta* loses no pair — every dialect patched here is
+    ``None`` when there is nothing exact to patch and the new entry keeps
+    *new*'s rows undecoded: *base* holds no decoded answer (nobody read
+    it) or no bit rows, its ordering is not a prefix of *new*'s, or
+    *delta* removed a node or changed a value (either one rewrites
+    ``Node`` objects in pairs the difference does not name).  An
+    insert-only *delta* loses no pair — every dialect patched here is
     monotone under insertion — so its ``old ∖ new`` is never computed.
     """
-    answer, bits = base
-    if bits is None or delta.removed_nodes or delta.value_changes or not bits.extended_by(new):
+    answer, bits = base.answer, base.bits
+    if (
+        answer is None
+        or bits is None
+        or delta.removed_nodes
+        or delta.value_changes
+        or not bits.extended_by(new)
+    ):
         return None
     lost = None if delta.insert_only else bits.minus(new)
     gained = new.minus(bits)
@@ -123,20 +133,19 @@ def repair_full_relation(
     evaluate: Callable[[], Union[BitRelation, frozenset]],
 ) -> Tuple[CachedRelation, str]:
     """Re-answer *plan* (a ``Query``) from its *lineage* — the cached
-    ``(answer, bit rows)`` entry and the composed delta since — as
-    ``(entry, outcome)``.  *evaluate* runs the plan with the session's
-    row memo: the new bit rows, or a route's decoded answer.  The outcome
-    is ``"kept"``, ``"patched"``, ``"decoded"`` (in full: the patch would
-    not be exact) or ``"no rows"`` (the module docstring's three cases).
+    entry and the composed delta since — as ``(entry, outcome)``.
+    *evaluate* runs the plan with the session's row memo: the new bit
+    rows, or a route's decoded answer.  The outcome is ``"kept"``,
+    ``"patched"``, ``"rows"`` (the new rows, decoded on their first
+    read: there was nothing exact to patch) or ``"no rows"`` (the module
+    docstring's three cases).
     """
     cached, delta = lineage
     if _entry_stands(plan, delta):
         return cached, "kept"
     new = evaluate()
     if not isinstance(new, BitRelation):
-        return (new, None), "no rows"
+        return CachedRelation(answer=new), "no rows"
     objects = graph.compact_index().node_objects
     answer = patched_answer(cached, delta, new, objects)
-    if answer is None:
-        return (new.node_pairs(objects), new), "decoded"
-    return (answer, new), "patched"
+    return CachedRelation(new, objects, answer), "rows" if answer is None else "patched"

@@ -10,7 +10,9 @@ consumers need and **the** decoder behind every answer set: a mask is
 expanded to its members once per distinct value — at C speed
 (``bin`` → ``translate`` → :func:`itertools.compress`) unless it is so
 sparse that hopping between its set digits is cheaper — and the pairs
-stream straight into one ``frozenset``.
+stream straight into one ``frozenset``.  A point question reads the rows
+instead: one source's targets are one bit across them, a pair one bit.
+:class:`CachedRelation` is the session's result-cache entry over them.
 """
 
 from __future__ import annotations
@@ -139,15 +141,34 @@ class BitRelation:
         """The relation as public ``(source id, target id)`` pairs."""
         return frozenset(chain.from_iterable(self._row_pairs(self.nodes)))
 
-    def node_pairs(self, objects: Sequence) -> FrozenSet[Tuple]:
-        """The relation as pairs of *objects*, a column aligned with this
-        relation's ordering (the snapshot's ``Node`` objects)."""
+    def _aligned(self, objects: Sequence) -> Sequence:
         if len(objects) != len(self.nodes):
             raise ValueError(
                 f"cannot decode a relation over an ordering of {len(self.nodes)} nodes "
                 f"against a column of {len(objects)}"
             )
-        return frozenset(chain.from_iterable(self._row_pairs(objects)))
+        return objects
+
+    def node_pairs(self, objects: Sequence) -> FrozenSet[Tuple]:
+        """The relation as pairs of *objects*, a column aligned with this
+        relation's ordering (the snapshot's ``Node`` objects)."""
+        return frozenset(chain.from_iterable(self._row_pairs(self._aligned(objects))))
+
+    def targets_of(self, source: NodeId, objects: Sequence) -> FrozenSet:
+        """The *objects* of the targets ``v`` whose row mask has the bit
+        ``position[source]`` — a point answer read across the rows; no
+        pair is built (an id outside the ordering has no targets)."""
+        objects = self._aligned(objects)
+        at = self.position.get(source)
+        if at is None:
+            return frozenset()
+        return frozenset([objects[v] for v, mask in self.rows.items() if mask >> at & 1])
+
+    def holds(self, source: NodeId, target: NodeId) -> bool:
+        """Whether ``(source, target)`` is a pair: one bit of one row."""
+        position = self.position
+        at, origin = position.get(target), position.get(source)
+        return at is not None and origin is not None and self.rows.get(at, 0) >> origin & 1 == 1
 
     def source_ids(self) -> Sequence[NodeId]:
         """The distinct sources (the OR of the row masks), each once."""
@@ -164,10 +185,50 @@ class BitRelation:
         return f"<BitRelation {self.count()} pairs over {len(self.rows)} targets>"
 
 
-#: A cached full-relation answer: its decoded ``(Node, Node)`` rows and,
-#: when a sequential compact route computed it in this process (a mask
-#: kernel, the bit-row algebra, or a binary CRPQ plan ending on bit rows),
-#: the same relation's bit rows — what delta repair merges into, CRPQ
-#: atom scans restrict instead of re-deriving ids from the ``Node`` pairs,
-#: and the next version's answer is patched from by their difference.
-CachedRelation = Tuple[frozenset, Optional[BitRelation]]
+class CachedRelation:
+    """A result-cache entry, rows first.
+
+    ``bits`` are the full relation's bit rows when a sequential compact
+    route computed them in this process (a mask kernel, the bit-row
+    algebra, or a binary CRPQ plan ending on bit rows) — what delta
+    repair merges into, CRPQ atom scans restrict, points read
+    (:meth:`targets_of`) and the next version's answer is patched from
+    by their difference.  ``objects`` is the ``Node`` column of the
+    snapshot those rows were computed on.  The decoded ``(Node, Node)``
+    answer exists only once a read asked for pairs (:meth:`pairs`); a
+    route without rows stores only its answer.
+    """
+
+    __slots__ = ("bits", "objects", "answer")
+
+    def __init__(
+        self,
+        bits: Optional[BitRelation] = None,
+        objects: Optional[Sequence] = None,
+        answer: Optional[frozenset] = None,
+    ):
+        self.bits = bits
+        self.objects = objects
+        self.answer = answer
+
+    def pairs(self) -> frozenset:
+        """The decoded answer: decoded from the rows on the first call,
+        against their own snapshot's column, and kept."""
+        answer = self.answer
+        if answer is None:
+            answer = self.answer = self.bits.node_pairs(self.objects)
+        return answer
+
+    def targets_of(self, source: NodeId) -> frozenset:
+        """The targets of *source*: read across the rows, or — for an
+        entry without them — scanned from the answer's pairs."""
+        if self.bits is not None:
+            return self.bits.targets_of(source, self.objects)
+        return frozenset(target for start, target in self.answer if start.id == source)
+
+    def holds(self, source, target) -> bool:
+        """Whether the pair of *source* and *target* (current ``Node``
+        objects) is an answer: one bit test, or set membership."""
+        if self.bits is not None:
+            return self.bits.holds(source.id, target.id)
+        return (source, target) in self.answer

@@ -29,7 +29,7 @@ from repro.datagraph.index import LabelIndex
 from repro.engine import compact as compact_kernels
 from repro.engine import data as data_kernels
 from repro.engine import product as product_kernels
-from repro.engine.bitrelation import BitRelation
+from repro.engine.bitrelation import BitRelation, CachedRelation
 from repro.engine.engine import EvaluationEngine
 from repro.planner.stats import _label_stats, graph_statistics
 
@@ -247,8 +247,8 @@ class TestRepairedEqualsFresh:
         assert session._results.peek((graph.version, query.key, False)) is entry
         fresh = GraphSession(graph, policy=COMPACT)
         assert served == fresh.run(query).rows() == fresh_rows(graph, query)
-        assert entry[1].rows == fresh._results.peek((graph.version, query.key, False))[1].rows
-        assert entry[1].nodes == graph.compact_index().nodes  # what the wire encodes against
+        assert entry.bits.rows == fresh._results.peek((graph.version, query.key, False)).bits.rows
+        assert entry.bits.nodes == graph.compact_index().nodes  # what the wire encodes against
         stats = session.maintenance_stats()
         assert (stats["repairs"], stats["recomputes"], stats["patched"]) == (1, 0, 0)
 
@@ -283,7 +283,7 @@ class TestRepairedEqualsFresh:
         fresh = GraphSession(graph, policy=COMPACT)
         assert served == fresh.run(query).rows()
         key = (graph.version, query.key, False)
-        assert session._results.peek(key)[1].rows == fresh._results.peek(key)[1].rows
+        assert session._results.peek(key).bits.rows == fresh._results.peek(key).bits.rows
 
     def test_run_many_after_a_removal_serves_the_fresh_answers(self):
         graph = chain_graph()
@@ -327,7 +327,8 @@ class TestRepairedEqualsFresh:
         real = GraphSession._evaluated
 
         def spy(self, plan, *args, **kwargs):
-            evaluated.append(plan.key)
+            if self is session:
+                evaluated.append(plan.key)
             return real(self, plan, *args, **kwargs)
 
         monkeypatch.setattr(GraphSession, "_evaluated", spy)
@@ -460,7 +461,7 @@ class TestRepairFollowsTheRoute:
         query = DIALECT_QUERIES[dialect]
         session = GraphSession(graph, policy=ROUTE_POLICIES["compact"])
         session.run(query).rows()
-        assert session._results.peek((graph.version, query.key, False))[1] is not None
+        assert session._results.peek((graph.version, query.key, False)).bits is not None
         calls = KernelCalls(monkeypatch)
         for step in range(3):  # the first batch appends a node, all add edges
             with graph.batch() as batch:
@@ -470,8 +471,9 @@ class TestRepairFollowsTheRoute:
                 batch.add_edge(f"k{step}n1", "b", f"k{step}n7")
             served = session.run(query).rows()
             assert served == fresh_rows(graph, query)
-            answer, bits = session._results.peek((graph.version, query.key, False))
-            assert answer is served and bits is not None
+            entry = session._results.peek((graph.version, query.key, False))
+            bits = entry.bits
+            assert entry.answer is served and bits is not None
             assert bits.nodes == graph.compact_index().nodes
             assert bits.node_pairs(graph.compact_index().node_objects) == served
             assert bits.count() == len(served)
@@ -495,13 +497,13 @@ class TestRepairFollowsTheRoute:
         rowless = GraphSession(graph, policy=ROUTE_POLICIES["dict"])
         rowless.run(query).rows()
         entry = rowless._results.peek((graph.version, query.key, False))
-        assert entry[1] is None
+        assert entry.bits is None
         session._remember(query, False, graph.version, entry)
         shortcut_batch(graph)
         assert session.run(query).rows() == fresh_rows(graph, query)
         stats = session.maintenance_stats()
         assert (stats["repairs"], stats["patched"]) == (1, 0)  # nothing to patch from
-        assert session._results.peek((graph.version, query.key, False))[1] is not None
+        assert session._results.peek((graph.version, query.key, False)).bits is not None
 
     def test_a_superseded_entry_is_dropped_not_kept_until_the_lru_fills(self):
         """Versions only grow, so the entry a repair (or a recompute, or a
@@ -533,12 +535,13 @@ class TestRepairFollowsTheRoute:
     def test_bit_rows_on_another_ordering_are_decoded_not_patched(self):
         """Bit rows only patch an answer whose rows' ordering the new rows
         extend; a cached relation that does not line up is re-answered by
-        decoding the new rows in full."""
+        its new rows alone, decoded in full on their first read."""
         graph = chain_graph()
         query = DIALECT_QUERIES["rpq"]
         session = GraphSession(graph, policy=ROUTE_POLICIES["compact"])
         rows = session.run(query).rows()
-        _answer, bits = session._results.peek((graph.version, query.key, False))
+        bits = session._results.peek((graph.version, query.key, False)).bits
+        base_objects = graph.compact_index().node_objects
         previous = graph.version
         shortcut_batch(graph)
         delta = graph.journal.composed(previous, graph.version)
@@ -549,21 +552,21 @@ class TestRepairFollowsTheRoute:
         def evaluate():
             return session._evaluated(query, route, False)
 
-        (repaired, merged), outcome = repair_full_relation(
-            graph, query, ((rows, bits), delta), evaluate
+        entry, outcome = repair_full_relation(
+            graph, query, (CachedRelation(bits, base_objects, rows), delta), evaluate
         )
-        assert outcome == "patched" and repaired == expected
-        assert merged.node_pairs(objects) == expected
+        assert outcome == "patched" and entry.answer == expected
+        assert entry.bits.node_pairs(objects) == expected
 
         shuffled = tuple(reversed(bits.nodes))
         misaligned = BitRelation(
             shuffled, {node: at for at, node in enumerate(shuffled)}, dict(bits.rows)
         )
-        (repaired, merged), outcome = repair_full_relation(
-            graph, query, ((rows, misaligned), delta), evaluate
+        entry, outcome = repair_full_relation(
+            graph, query, (CachedRelation(misaligned, base_objects, rows), delta), evaluate
         )
-        assert outcome == "decoded" and repaired == expected
-        assert merged.node_pairs(objects) == expected
+        assert outcome == "rows" and entry.answer is None
+        assert entry.pairs() == entry.bits.node_pairs(objects) == expected
 
     def test_remove_and_re_add_keeps_the_snapshot_ordering_consistent(self):
         """A node removed and re-added in one batch nets out of the delta;
@@ -580,7 +583,7 @@ class TestRepairFollowsTheRoute:
             batch.add_edge("k0n1", "b", "k0n7")
         served = session.run(query).rows()
         assert served == fresh_rows(graph, query)
-        _answer, bits = session._results.peek((graph.version, query.key, False))
+        bits = session._results.peek((graph.version, query.key, False)).bits
         if bits is not None:
             compact = graph.compact_index()
             assert bits.nodes == compact.nodes
@@ -595,7 +598,7 @@ class TestRepairFollowsTheRoute:
         query = DIALECT_QUERIES["crpq"]
         session = GraphSession(graph, policy=ROUTE_POLICIES["compact"])
         previous = session.run(query).rows()
-        assert session._results.peek((graph.version, query.key, False))[1] is not None
+        assert session._results.peek((graph.version, query.key, False)).bits is not None
         decoded = decoded_sizes(monkeypatch)
         for step in range(3):
             with graph.batch() as batch:
@@ -616,8 +619,8 @@ class TestRepairFollowsTheRoute:
             served = session.run(query).rows()
             assert served == expected
             assert sum(decoded) == len(previous ^ served) < len(served)
-            answer, bits = session._results.peek(key)
-            assert answer is served and bits.rows == fresh._results.peek(key)[1].rows
+            entry = session._results.peek(key)
+            assert entry.answer is served and entry.bits.rows == fresh._results.peek(key).bits.rows
             previous = served
         stats = session.maintenance_stats()
         assert (stats["repairs"], stats["patched"], stats["recomputes"]) == (3, 3, 0)
@@ -704,7 +707,7 @@ class TestReAnswersDecodeByDifference:
         query = DIALECT_QUERIES[dialect]
         session = GraphSession(graph, policy=COMPACT)
         session.run(query).rows()
-        old_bits = session._results.peek((graph.version, query.key, False))[1]
+        old_bits = session._results.peek((graph.version, query.key, False)).bits
         assert old_bits is not None
         scans = []
         minus = BitRelation.minus
@@ -762,6 +765,107 @@ class TestReAnswersDecodeByDifference:
         assert stats["patched"] == 0
         recomputed = lineage in ("base evicted", "broken lineage")  # no lineage to re-answer from
         assert stats["recompute_reasons"] == ({lineage: 1} if recomputed else {})
+
+
+class TestDecodeOnFirstRead:
+    """A result-cache entry is rows first: a point reads the rows, the
+    decode runs once, on the first read of pairs, against the ``Node``
+    column of the snapshot the rows were computed on, and a re-answer from
+    an entry nobody read decodes nothing until somebody does."""
+
+    REM = Query.parse("!x.(supplies_to[x!=])+", dialect="rem")
+
+    def expected(self, graph):
+        return evaluate_data_rpq_naive(graph, self.REM.plan)
+
+    def rows_only_entry(self, session):
+        graph = session.graph
+        source = "t0s0"
+        assert {node.id for node in session.targets(self.REM, source)} == {
+            target.id for start, target in self.expected(graph) if start.id == source
+        }
+        entry = session._results.peek((graph.version, self.REM.key, False))
+        assert entry.bits is not None and entry.answer is None
+        return entry
+
+    def test_a_point_decodes_nothing_and_reads_the_cache_once(self, monkeypatch):
+        graph = supplier_graph()
+        session = GraphSession(graph)
+        decoded = decoded_sizes(monkeypatch)
+        expected = self.expected(graph)
+        for source in graph.node_ids:
+            assert session.targets(self.REM, source) == {
+                target for start, target in expected if start.id == source
+            }
+            for target in ("t4s0", "t2s3"):
+                assert session.holds(self.REM, source, target) == (
+                    (graph.node(source), graph.node(target)) in expected
+                )
+        assert decoded == []
+        stats = session.stats()["results"]  # the first point misses, every later one hits
+        assert (stats.misses, stats.hits) == (1, len(graph) * 3 - 1)
+
+    def test_two_reads_decode_once(self, monkeypatch):
+        graph = supplier_graph()
+        session = GraphSession(graph)
+        decoded = decoded_sizes(monkeypatch)
+        first = session.run(self.REM).pairs()
+        assert session.run(self.REM).pairs() is first
+        assert first == self.expected(graph)
+        assert decoded == [len(first)]
+
+    def test_a_repair_from_a_rows_only_base_decodes_nothing_until_a_read(self, monkeypatch):
+        graph = supplier_graph()
+        session = GraphSession(graph)
+        self.rows_only_entry(session)
+        decoded = decoded_sizes(monkeypatch)
+        with graph.batch() as batch:
+            batch.add_edge("t3s0", "supplies_to", "t1s2")
+        self.rows_only_entry(session)
+        stats = session.maintenance_stats()
+        assert (stats["repairs"], stats["patched"], stats["recomputes"]) == (1, 0, 0)
+        assert decoded == []
+        pairs = session.run(self.REM).pairs()
+        assert pairs == self.expected(graph)
+        assert decoded == [len(pairs)]
+
+    def test_a_standing_rows_only_entry_reads_exactly(self):
+        graph = supplier_graph()
+        session = GraphSession(graph)
+        entry = self.rows_only_entry(session)
+        with graph.batch() as batch:  # no supplies_to edge: the entry stands
+            batch.add_edge("t1s1", "alt_for", "t1s2")
+            batch.remove_edge("t2s0", "alt_for", "t2s3")
+        assert session.run(self.REM).pairs() == self.expected(graph)
+        assert session._results.peek((graph.version, self.REM.key, False)) is entry
+        stats = session.maintenance_stats()
+        assert (stats["repairs"], stats["patched"], stats["recomputes"]) == (1, 0, 0)
+
+    def test_a_value_change_after_a_rows_only_entry_is_not_patched(self):
+        graph = supplier_graph()
+        session = GraphSession(graph)
+        self.rows_only_entry(session)
+        with graph.batch() as batch:
+            batch.set_value("t1s1", 7)
+        pairs = session.run(self.REM).pairs()
+        assert pairs == self.expected(graph)
+        assert graph.node("t1s1") in {target for _source, target in pairs}
+        assert all(node.value == 7 for pair in pairs for node in pair if node.id == "t1s1")
+        stats = session.maintenance_stats()
+        assert (stats["repairs"], stats["patched"], stats["recomputes"]) == (1, 0, 0)
+
+    def test_a_write_before_the_first_read_decodes_against_the_rows_own_column(self):
+        graph = supplier_graph()
+        session = GraphSession(graph)
+        before = self.expected(graph)
+        entry = self.rows_only_entry(session)
+        with graph.batch() as batch:  # a longer column, and a value it rewrites
+            batch.add_node("t5s0", 2)
+            batch.add_edge("t4s0", "supplies_to", "t5s0")
+            batch.set_value("t0s0", 9)
+        assert len(graph.compact_index().node_objects) != len(entry.objects)
+        assert entry.pairs() == before  # the base's own snapshot, never the graph's
+        assert session.run(self.REM).pairs() == self.expected(graph)
 
 
 def row_outcomes(session, act):
@@ -1002,7 +1106,7 @@ def test_re_answers_after_random_batches_equal_a_fresh_session_and_the_spec(data
             served = session.run(query, null).rows()
             assert served == fresh.run(query, null).rows() == naive_answer(graph, query, null)
             key = (graph.version, query.key, null)
-            warm_bits, fresh_bits = session._results.peek(key)[1], fresh._results.peek(key)[1]
+            warm_bits, fresh_bits = session._results.peek(key).bits, fresh._results.peek(key).bits
             assert (warm_bits is None) == (fresh_bits is None)
             if warm_bits is not None:
                 assert warm_bits.nodes == fresh_bits.nodes and warm_bits.rows == fresh_bits.rows

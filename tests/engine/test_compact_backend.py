@@ -784,7 +784,7 @@ class TestBitRelationEdges:
                 expected = query._evaluate(engine, graph, null_semantics, compact_route)
                 answer = session.run(query, null_semantics=null_semantics).pairs()
                 assert answer == expected
-                _cached, kept = session._results.peek((graph.version, query.key, null_semantics))
+                kept = session._results.peek((graph.version, query.key, null_semantics)).bits
                 assert bits.node_pairs(objects) == expected
                 assert kept.rows == bits.rows
             for route in (

@@ -182,9 +182,9 @@ class TestSessionRelationReuse:
         session = GraphSession(graph, policy=ExecutionPolicy(backend=backend))
         answer = session.run(self.CLOSURE).pairs()
         key = (graph.version, self.CLOSURE.key, False)
-        _answer, bits = session._results.peek(key)
-        session._results._entries[key] = (_NeverIterated(answer), bits)
-        return graph, session, bits
+        entry = session._results.peek(key)
+        entry.answer = _NeverIterated(answer)
+        return graph, session, entry.bits
 
     def test_seeded_scan_is_served_from_the_bit_rows(self):
         graph, session, bits = self._warm("compact")
