@@ -287,17 +287,14 @@ class Query:
         if kind is QueryKind.RPQ:
             return (
                 "rpq: bit-row algebra, the regex as a register-free REM (concatenations "
-                "push their left factor's rows; point queries and partitioned drivers "
-                "run the compiled ε-free NFA × graph product)"
+                "push their left factor's rows; point queries run the compiled "
+                "ε-free NFA × graph product)"
             )
         if kind is QueryKind.DATA_RPQ:
             # The fragment test the engine dispatches on, so this is what runs.
             violation = scope_violation(self.plan.expression)
             if violation is None:
-                return (
-                    "data_rpq: bit-row algebra, registers as origin masks "
-                    "(a partitioned driver runs the register product)"
-                )
+                return "data_rpq: bit-row algebra, registers as origin masks"
             return (
                 "data_rpq: register product (register-automaton × graph, one full-relation "
                 f"mask pass) — outside the scoped fragment: {violation}"

@@ -220,7 +220,7 @@ class GraphSession(SessionProtocol):
         entry's rows (:meth:`BitRelation.targets_of
         <repro.engine.bitrelation.BitRelation.targets_of>`) without
         decoding the relation — only a route without rows (GXPath, the
-        forced ``dict`` / ``sql`` / ``blocks`` routes) scans its pairs.
+        forced ``dict`` / ``sql`` routes) scans its pairs.
         """
         plan = Query.of(query)
         if plan.arity != 2:
@@ -508,7 +508,7 @@ class GraphSession(SessionProtocol):
         """*plan*'s full answer on *route*, with the session's row memo
         (none when the policy caches no results): its bit rows where the
         route computes them in this process — an RPQ / data RPQ on a
-        sequential compact route, a binary CRPQ whose plan ends on them —
+        compact route, a binary CRPQ whose plan ends on them —
         else :meth:`_execute`'s decoded answer."""
         memo = self._rows if self.policy.cache_results else None
         if plan.kind is QueryKind.CRPQ:

@@ -76,19 +76,6 @@ def _parse_query(arguments: argparse.Namespace) -> Query:
     raise ReproError("provide a query with --rpq, --ree, --rem, --gxpath-node or --gxpath-path")
 
 
-def _execution_policy(arguments: argparse.Namespace) -> ExecutionPolicy:
-    """Map the evaluate sub-command's policy flags onto an ExecutionPolicy."""
-    workers = getattr(arguments, "workers", None)
-    if workers is not None and workers < 1:
-        raise ReproError(f"--workers must be positive, got {workers}")
-    return ExecutionPolicy(
-        max_workers=workers,
-        intra_query=getattr(arguments, "intra_query", None) or "off",
-        backend=getattr(arguments, "backend", None) or "auto",
-        routing=getattr(arguments, "routing", None) or "auto",
-    )
-
-
 def _parse_address(text: str):
     """A ``--server`` address: ``host:port`` for TCP, anything else a path."""
     if ":" in text and "/" not in text:
@@ -157,36 +144,14 @@ def build_parser() -> argparse.ArgumentParser:
         "planner's cost-ordered join plan with seeded scans and estimates)",
     )
     evaluate.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker count of the forced --intra-query driver "
-        "(default: CPU count, capped at 8)",
-    )
-    evaluate.add_argument(
-        "--intra-query",
-        choices=["blocks"],
-        default=None,
-        help="force the intra-query driver on any graph size: 'blocks' fans the "
-        "source propagation out over forked workers",
-    )
-    evaluate.add_argument(
         "--backend",
         default=None,
         choices=["auto", "compact", "dict", "sql"],
         help="storage/execution backend: 'dict' (hash-table kernels), 'compact' "
         "(int-id CSR kernels), 'sql' (recursive CTEs over the D_G database, "
         "e.g. repro evaluate graph.json --rpq 'knows*' --backend sql), or "
-        "'auto' (the compact kernels; default)",
-    )
-    evaluate.add_argument(
-        "--routing",
-        default=None,
-        choices=["auto", "manual"],
-        help="query routing: 'auto' (default) or 'manual'; either way a query "
-        "runs sequentially on the compact kernels unless --backend or "
-        "--intra-query force a route (the value is accepted and ignored)",
+        "'auto' (the compact kernels; default); local only — a --server "
+        "daemon's is set by 'repro serve --backend'",
     )
     _add_query_arguments(evaluate)
 
@@ -279,6 +244,11 @@ def _dispatch(arguments: argparse.Namespace) -> int:
 
     if arguments.command == "evaluate":
         if arguments.server is not None:
+            if arguments.backend is not None:
+                raise ReproError(
+                    "--backend sets the local session's policy; with --server the "
+                    "daemon's 'repro serve --backend' applies"
+                )
             return _evaluate_remote(arguments)
         if arguments.timeout is not None:
             raise ReproError("--timeout is enforced server-side; it needs --server")
@@ -286,7 +256,7 @@ def _dispatch(arguments: argparse.Namespace) -> int:
             raise ReproError("evaluate needs a graph JSON file (or --server ADDR)")
         graph = _load_graph(arguments.graph)
         query = _parse_query(arguments)
-        session = GraphSession(graph, policy=_execution_policy(arguments))
+        session = GraphSession(graph, policy=ExecutionPolicy(backend=arguments.backend or "auto"))
         if arguments.explain:
             if arguments.json:
                 raise ReproError("--explain prints a plan, not answers; drop --json")

@@ -145,15 +145,14 @@ def community_graph(
     rng: Optional[int | random.Random] = None,
     domain_size: Optional[int] = None,
 ) -> DataGraph:
-    """A multi-community graph sized for partitioned evaluation.
+    """A multi-community graph: dense clusters joined by a thin cut.
 
     ``num_communities`` dense clusters of ``community_size`` nodes each,
     with ``intra_edges_per_node`` random intra-community edges per node
     over *labels* and ``bridges_per_community`` sparse ``bridge_label``
     edges from each community into the next (wrapping around), so every
     pair of communities is connected but only through a thin cut.  Nodes
-    are added community by community, so contiguous source blocks
-    (:func:`repro.engine.partition.split_blocks`) recover the
+    are added community by community, so contiguous id ranges recover the
     communities.
     """
     if num_communities < 1 or community_size < 1:

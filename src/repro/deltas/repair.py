@@ -15,9 +15,8 @@ composed delta since — through one call, :func:`repair_full_relation`:
   (:func:`patched_answer`), else the new entry holds the rows alone and
   is decoded on its first read — a base nobody read gives an entry
   nothing decodes until somebody does;
-* a route that yields **no rows** (forced ``dict`` / ``sql``, the
-  forced ``blocks`` driver, GXPath, a CRPQ whose plan does not end on
-  rows) is re-evaluated in full.
+* a route that yields **no rows** (forced ``dict`` / ``sql``, GXPath,
+  a CRPQ whose plan does not end on rows) is re-evaluated in full.
 
 A :meth:`~repro.api.GraphSession.run_many` batch re-answers each plan
 with a lineage in place, through the same call as ``run``.

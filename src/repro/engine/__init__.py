@@ -21,10 +21,11 @@ It provides:
   (:mod:`repro.engine.product`) over each graph's lazily built
   :class:`~repro.datagraph.index.LabelIndex`, all handing their answer
   over as a :class:`BitRelation` (:mod:`repro.engine.bitrelation`) —
-  per-target source bitmasks, decoded exactly once by the one decoder;
-* the forced ``blocks`` driver (:mod:`repro.engine.partition`) — the
-  source-block parallel pass over forked workers, generic over any
-  product space.
+  per-target source bitmasks, decoded exactly once by the one decoder.
+
+Every query runs sequentially.  :mod:`repro.engine.partition` (a
+source-block pass over forked workers) is imported by nothing here; see
+its docstring for why it is kept.
 
 Quickstart::
 
@@ -40,7 +41,6 @@ from .bitrelation import BitRelation
 from .cache import CacheStats, LRUCache
 from .compiled import CompiledAutomaton
 from .engine import EvaluationEngine, default_engine
-from .partition import parallel_full_relation, parallel_product_relation, split_blocks
 from .spaces import NfaProductSpace, ProductSpace, RegisterProductSpace
 
 __all__ = [
@@ -53,7 +53,4 @@ __all__ = [
     "ProductSpace",
     "NfaProductSpace",
     "RegisterProductSpace",
-    "split_blocks",
-    "parallel_full_relation",
-    "parallel_product_relation",
 ]

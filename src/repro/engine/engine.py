@@ -8,16 +8,16 @@ routes through.  It owns:
   and register automata for memory RPQs;
 * **the kernels**, driven by each graph's lazily built
   :class:`~repro.datagraph.index.LabelIndex` (or its CSR twin): the
-  bit-row algebra of :mod:`repro.engine.data` answers every sequential
-  full or seeded RPQ and scoped data RPQ; the NFA and register products
-  of :mod:`repro.engine.product` keep point queries, the forced ``blocks``
-  driver and cross-scope REMs;
+  bit-row algebra of :mod:`repro.engine.data` answers every full or
+  seeded RPQ and scoped data RPQ; the NFA and register products
+  of :mod:`repro.engine.product` keep point queries and cross-scope
+  REMs;
 * **a batched entry point** (:meth:`evaluate_many`) that amortises
   compilation and index construction across a workload.
 
 Every evaluation entry point takes the resolved
 :class:`~repro.planner.router.Route` of its query and merely *consumes*
-it (kernel family, driver, worker budget); a bare call that passes none
+it (the kernel family); a bare call that passes none
 gets its route from the same router function sessions use, so there is
 no second copy of the selection rule here.
 
@@ -55,7 +55,6 @@ from ..exceptions import EvaluationError
 from ..regular import Regex, parse_regex, thompson
 from . import compact as compact_kernels
 from . import data as data_kernels
-from . import partition as partition_kernels
 from . import product
 from . import spaces
 from .bitrelation import BitRelation
@@ -152,9 +151,8 @@ class EvaluationEngine:
     ) -> FrozenSet[NodePair]:
         """The full binary relation ``e(G)`` of an RPQ on a data graph.
 
-        A sequential route's bit rows (the algebra's, see
-        :meth:`_scoped_bits`) are decoded straight to ``Node`` pairs; the
-        sql kernel and the ``blocks`` driver decode their id pairs.
+        The algebra's bit rows (see :meth:`_scoped_bits`) are decoded
+        straight to ``Node`` pairs; the sql kernel decodes its id pairs.
         """
         if route is None:
             route = _bare_route(graph)
@@ -256,38 +254,31 @@ class EvaluationEngine:
         pass has an int-id CSR twin — and rows are decoded straight to
         ``Node`` pairs as in :meth:`evaluate_rpq`.  ``engine="algebraic"``
         refuses a cross-scope expression (naming the violation),
-        ``"automaton"`` forces the register product on any; the
-        ``blocks`` driver runs the register product.
+        ``"automaton"`` forces the register product on any.
         """
         expression = query.expression
         if engine not in {"auto", "algebraic", "automaton"}:
             raise EvaluationError(f"unknown data RPQ engine {engine!r}")
         if route is None:
             route = _bare_route(graph)
-        node = graph.node
         relation = None
         if engine != "automaton":
             relation = self._scoped_bits(graph, expression, route, null_semantics=null_semantics)
         if relation is not None:
             return self._node_pairs(graph, relation, route)
-        if route.driver != "sequential":
-            id_pairs = self.evaluate_atom_ids(
-                graph, query, null_semantics=null_semantics, route=route
-            )
-        elif engine == "algebraic":
+        if engine == "algebraic":
             raise EvaluationError(
                 f"the algebraic engine declines this expression: {scope_violation(expression)}"
             )
-        elif route.kernel == "compact":
+        automaton = self.compile_data_rpq(expression)
+        if route.kernel == "compact":
             compact = graph.compact_index()
-            relation = compact_kernels.register_relation(
-                compact, self.compile_data_rpq(expression), null_semantics
-            )
+            relation = compact_kernels.register_relation(compact, automaton, null_semantics)
             return relation.node_pairs(compact.node_objects)
-        else:
-            id_pairs = data_kernels.register_automaton_relation(
-                graph.label_index(), self.compile_data_rpq(expression), null_semantics
-            )
+        id_pairs = data_kernels.register_automaton_relation(
+            graph.label_index(), automaton, null_semantics
+        )
+        node = graph.node
         return frozenset((node(source), node(target)) for source, target in id_pairs)
 
     # ------------------------------------------------------------------
@@ -329,14 +320,11 @@ class EvaluationEngine:
         memo: Optional[data_kernels.RowMemo] = None,
     ) -> Optional[BitRelation]:
         """A scoped expression's (seeded) relation by the bit-row algebra,
-        over the index a sequential *route* names — the one place an RPQ
+        over the index *route* names — the one place an RPQ
         or a data RPQ is sent to it; a plain regex goes as the REM with no
         registers (:func:`~repro.datapaths.fragments.regex_to_rem`).  Its
         closed sub-expression rows are carried in *memo* when one is given.
-        ``None`` for anything else: a cross-scope REM, the ``blocks``
-        driver."""
-        if route.driver != "sequential":
-            return None
+        ``None`` for a cross-scope REM."""
         expression = getattr(query, "expression", query)
         if not isinstance(expression, (RegexWithEquality, RegexWithMemory)):
             expression = regex_to_rem(self._expression_of(expression))
@@ -359,14 +347,14 @@ class EvaluationEngine:
     ) -> Optional[BitRelation]:
         """One atom's (seeded) relation as the bit rows of *route*'s
         kernel — what :meth:`evaluate_atom_ids` decodes — or ``None`` when
-        that route yields id pairs (dict / sql kernels, the ``blocks``
-        driver).  CRPQ scans read live columns straight off the rows.
+        that route yields id pairs (dict / sql kernels).  CRPQ scans read
+        live columns straight off the rows.
         An RPQ or scoped data expression takes the bit-row algebra —
         bound *sources* seed it, bound *targets* select rows, and an
         unseeded run takes and leaves its sub-expression rows in *memo* —
         and a cross-scope REM the register kernel.
         """
-        if route.kernel != "compact" or route.driver != "sequential":
+        if route.kernel != "compact":
             return None
         bits = self._scoped_bits(graph, query, route, sources, targets, null_semantics, memo)
         if bits is not None:
@@ -391,15 +379,13 @@ class EvaluationEngine:
         """One atom's relation as raw id pairs, optionally seeded.
 
         This is the entry point the planner's scans call — the bit-row
-        algebra on a sequential route (:meth:`_scoped_bits`), else the
-        product spaces (plain regexes over the NFA product, REE/REM
-        expressions over the register product): *sources* / *targets* restrict the relation
-        to the node sets already bound by earlier joins (``None`` means
-        unrestricted), so a later atom is evaluated only from the
-        bindings that can still contribute to the join.  *route* names
-        the kernel family and the driver — the sequential phases, or the
-        forced ``blocks`` driver of :mod:`repro.engine.partition` seeded
-        the same way.  Answers are identical on every route.
+        algebra for a scoped expression (:meth:`_scoped_bits`), else the
+        seeded register product of a cross-scope REM: *sources* /
+        *targets* restrict the relation to the node sets already bound
+        by earlier joins (``None`` means unrestricted), so a later atom
+        is evaluated only from the bindings that can still contribute to
+        the join.  *route* names the kernel family.  Answers are
+        identical on every route.
         """
         if route is None:
             route = _bare_route(graph)
@@ -422,7 +408,7 @@ class EvaluationEngine:
         space = self.space_for_atom(graph, query, null_semantics)
         index = space.index
         if sources is not None:
-            # Deterministic seed order (and block splits) regardless of
+            # Deterministic seed order regardless of
             # the set iteration order the bindings arrived in; ids the
             # index does not know contribute nothing and are dropped.
             position = index.position
@@ -431,15 +417,7 @@ class EvaluationEngine:
             )
         if targets is not None and not isinstance(targets, set):
             targets = set(targets)
-        if route.driver == "sequential":
-            return frozenset(
-                product.seeded_product_relation(space, sources=sources, targets=targets)
-            )
-        return frozenset(
-            partition_kernels.partitioned_product_relation(
-                space, route.driver, workers=route.workers, sources=sources, targets=targets
-            )
-        )
+        return frozenset(product.seeded_product_relation(space, sources=sources, targets=targets))
 
     # ------------------------------------------------------------------
     # Introspection

@@ -1,33 +1,31 @@
-"""Partitioned evaluation: the forced source-block driver.
+"""Partitioned evaluation: the source-block driver, reached by no route.
 
 :func:`parallel_product_relation` splits one product-relation pass
 across worker processes, built from the phase kernels of
-:mod:`repro.engine.product` and **generic over any**
-:class:`~repro.engine.spaces.ProductSpace` — plain RPQs and
-register-automaton data RPQs ride the same driver (GXPath runs on bit
-rows, sequentially, and declines it).  It keeps one copy of the graph but
-splits the phase-3 bitmask propagation fixpoint — which dominates
-full-relation evaluation — into independent blocks of source nodes.  For
-pruning spaces, phases 1–2 (forward reachability + backward prune) run
-once in the caller; each worker then propagates only its block's seed
-bits and the per-block answer pairs are unioned.  The ``"fork"`` backend
-ships the space (graph index, compiled control) to workers by
-copy-on-write through :func:`~repro.engine.forkpool.run_forked`, which is
-what actually buys CPU parallelism under the GIL; the ``"thread"``
-backend exists for platforms without ``fork``.
+:mod:`repro.engine.product` and generic over any
+:class:`~repro.engine.spaces.ProductSpace`.  It keeps one copy of the
+graph but splits the phase-3 bitmask propagation fixpoint into
+independent blocks of source nodes.  For pruning spaces, phases 1–2
+(forward reachability + backward prune) run once in the caller; each
+worker then propagates only its block's seed bits and the per-block
+answer pairs are unioned.  The ``"fork"`` backend ships the space to
+workers by copy-on-write through :func:`~repro.engine.forkpool.run_forked`;
+the ``"thread"`` backend exists for platforms without ``fork``.  The
+driver also runs seeded (``sources`` / ``targets`` restricted)
+evaluation — see :func:`repro.engine.product.seeded_product_relation`.
 
-The driver also runs **seeded** (``sources`` / ``targets`` restricted)
-evaluation — see :func:`repro.engine.product.seeded_product_relation` —
-which is how the CRPQ planner's per-atom semijoin scans inherit it
-without any planner-specific driver code.
-
-Only a forced ``ExecutionPolicy(intra_query="blocks")`` reaches this
-module, through :func:`partitioned_product_relation`.
-:func:`parallel_full_relation` keeps the ``(index, automaton)`` signature
-for plain RPQs.  Equivalence across dialects is pinned by
-``tests/engine/test_partition.py`` / ``tests/engine/test_spaces.py``, and
-the ``bench_intraquery_parallel`` CI gate measures the driver against
-sequential.
+Nothing else in the package imports this module or
+:mod:`repro.engine.forkpool`: every query runs sequentially, and no
+policy or route reaches this driver (on 2 cores it measured 0.47–0.49×
+the sequential pass).  The two modules stay only because the end-to-end
+benchmark's tracer resolves
+``repro.engine.partition.partitioned_product_relation`` and its
+self-test fails when a traced name stops resolving; they go when that
+tracer row is retired.  Their behaviour is pinned by
+``tests/engine/test_partition.py``, ``tests/engine/test_forkpool.py``
+and the direct :func:`parallel_product_relation` cases of
+``tests/engine/test_spaces.py`` / ``test_seeded.py`` /
+``test_compact_backend.py``.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ iff bit ``u`` is set on some accepting configuration sitting at ``v``
 (:func:`decode_pairs` folds those masks per target node into a
 :class:`~repro.engine.bitrelation.BitRelation` and decodes it once).
 
-Each phase is exposed as a standalone kernel so the forced ``blocks``
+Each phase is exposed as a standalone kernel so the source-block
 driver in :mod:`repro.engine.partition` can recompose them: the
 propagation fixpoint is *linear* in its seeds (the mask reaching a
 configuration is the union of the contributions of the individual

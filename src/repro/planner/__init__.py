@@ -24,10 +24,9 @@ specification).
   hash-join execution with semijoin pushdown into the seeded engine
   kernels (:func:`repro.engine.product.seeded_product_relation`),
   mid-join re-planning on misestimates and cached-relation reuse;
-* :mod:`repro.planner.router` — :func:`route_query`, the cost step that
-  picks sequential / compact / SQL execution for all five dialects (a
-  ``blocks`` driver only when the policy forces it),
-  demoting the policy knobs to overrides.
+* :mod:`repro.planner.router` — :func:`route_query`, the one step that
+  resolves the kernel family (compact, unless the policy forces dict or
+  SQL) for all five dialects.
 """
 
 from .cost import atom_estimate, regex_estimate

@@ -4,8 +4,8 @@ Relations flow between operators as ``(columns, rows)`` pairs in raw
 node-id space — :class:`~repro.datagraph.node.Node` objects are only
 materialised once, by the final projection.  Scans run with the plan's
 one resolved :class:`~repro.planner.router.Route`, so every atom runs on
-the kernel family and driver the router chose for the whole query: a
-sequential compact route hands back the kernel's bit rows
+the kernel family the router chose for the whole query: a compact
+route hands back the kernel's bit rows
 (:meth:`repro.engine.engine.EvaluationEngine.atom_bits`) and the scan
 reads its live columns straight off them — both endpoints decode to id
 pairs, one endpoint is the OR of the row masks or the row keys, none is
@@ -474,7 +474,7 @@ def execute_plan(
     is the query's resolved :class:`~repro.planner.router.Route`
     (sessions pass theirs; a bare call asks
     :func:`~repro.planner.router.route_query`): every atom scan runs on
-    its kernel family and driver.
+    its kernel family.
 
     A ``sql`` route lowers the **whole plan** — scans, semijoin
     pushdown, joins, filters and the projection — into one SQL statement

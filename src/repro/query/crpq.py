@@ -229,7 +229,7 @@ def evaluate_crpq_naive(
         from ..engine import default_engine
 
         engine = default_engine()
-    route = Route("dict", "sequential", 1, "the executable specification")
+    route = Route("dict", "the executable specification")
     # Evaluate every atom once.
     atom_relations: List[Tuple[Atom, FrozenSet[Tuple[Node, Node]]]] = []
     for atom in query.atoms:

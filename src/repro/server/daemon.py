@@ -167,7 +167,7 @@ class ReproServer:
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
         self._executor = ThreadPoolExecutor(
-            max_workers=self.config.max_inflight, thread_name_prefix="repro-query"
+            self.config.max_inflight, thread_name_prefix="repro-query"
         )
         # Admission: max_inflight running + queue_depth waiting; a request
         # that cannot take a slot without blocking is rejected outright.

@@ -166,19 +166,16 @@ def multi_community_scenario(
     bridges_per_community: int = 2,
     rng: Optional[int | random.Random] = None,
 ) -> Scenario:
-    """A federated social network sized for partitioned evaluation.
+    """A federated social network: dense regions joined by thin bridges.
 
     The source is a :func:`repro.datagraph.generators.community_graph`:
     dense ``knows`` clusters (one per regional community) joined by thin
-    ``bridge`` edges, i.e. a shape contiguous source blocks
-    (:func:`~repro.engine.partition.split_blocks`) split well.  The
-    mapping replicates the source vocabulary unchanged (each region
-    publishes its slice verbatim), so the bundled queries run both on the
-    source graph — how the intra-query benchmarks use them — and as
-    target queries.  The queries are full-relation reachability shapes
-    whose product fixpoint is heavy enough for the ``blocks`` driver to
-    amortise their fan-out: global reachability, cross-community
-    friendship and a same-value (equality) variant.
+    ``bridge`` edges.  The mapping replicates the source vocabulary
+    unchanged (each region publishes its slice verbatim), so the bundled
+    queries run both on the source graph and as target queries.  The
+    queries are full-relation reachability shapes with a heavy product
+    fixpoint: global reachability, cross-community friendship and a
+    same-value (equality) variant.
     """
     if num_communities < 2:
         raise WorkloadError("multi_community_scenario needs at least two communities")

@@ -13,6 +13,13 @@ from repro.datagraph import DataGraph, GraphBuilder, generators
 from repro.datagraph.values import NULL
 from repro.exceptions import EvaluationError
 from repro.experiments.e10_query_eval import batch_queries
+from repro.query import (
+    equality_rpq,
+    evaluate_data_rpq_naive,
+    evaluate_rpq_naive,
+    memory_rpq,
+    rpq,
+)
 
 pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
 
@@ -258,7 +265,6 @@ class TestRunManyWorkload:
         "dict": ExecutionPolicy(backend="dict"),
         "compact": ExecutionPolicy(backend="compact"),
         "sql": ExecutionPolicy(backend="sql"),
-        "blocks": ExecutionPolicy(intra_query="blocks", max_workers=2),
     }
 
     @pytest.fixture(scope="class")
@@ -300,6 +306,98 @@ class TestRunManyWorkload:
 
     def test_an_empty_batch_answers_nothing(self, graph):
         assert GraphSession(graph).run_many([]) == []
+
+
+small_graphs = st.builds(
+    lambda size, seed: generators.random_graph(
+        size, size * 2, labels=("a", "b"), rng=seed, domain_size=3
+    ),
+    size=st.integers(min_value=2, max_value=14),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+
+
+#: Every ``ExecutionPolicy.backend`` value: the kernel family each forces.
+BACKENDS = ["auto", "compact", "dict", "sql"]
+
+
+class TestEveryBackendMatchesTheSpec:
+    """A session on every kernel family returns exactly the naive
+    spec evaluators' answers, on random graphs and on register
+    valuations that depend on the data."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @settings(max_examples=10, deadline=None)
+    @given(graph=small_graphs)
+    def test_rpq_matches_naive(self, backend, graph):
+        text = "a.(a|b)*.b"
+        session = GraphSession(graph, policy=ExecutionPolicy(backend=backend))
+        assert session.run(Query.rpq(text)).pairs() == evaluate_rpq_naive(graph, rpq(text))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @settings(max_examples=8, deadline=None)
+    @given(graph=small_graphs)
+    def test_ree_and_rem_match_naive(self, backend, graph):
+        session = GraphSession(graph, policy=ExecutionPolicy(backend=backend))
+        for dialect, text, spec in (
+            ("ree", "(a|b)* . ((a|b)+)= . (a|b)*", equality_rpq),
+            ("rem", "!x.((a|b)[x!=])+", memory_rpq),
+        ):
+            expected = evaluate_data_rpq_naive(graph, spec(text))
+            assert session.run(Query.parse(text, dialect)).pairs() == expected, dialect
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_rem_valuations_on_a_chain(self, backend):
+        graph = DataGraph(alphabet={"a"})
+        for position, value in enumerate([1, 2, 1, 3, 1, 2]):
+            graph.add_node(f"n{position}", value)
+        for position in range(5):
+            graph.add_edge(f"n{position}", "a", f"n{position + 1}")
+        spec = memory_rpq("!x.(a[x!=])+")
+        session = GraphSession(graph, policy=ExecutionPolicy(backend=backend))
+        answers = session.run(Query.data_rpq(spec.expression)).pairs()
+        assert answers == evaluate_data_rpq_naive(graph, spec)
+        # the relation genuinely depends on the register contents
+        ids = {(u.id, v.id) for u, v in answers}
+        assert ("n0", "n1") in ids and ("n0", "n2") not in ids
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_repeat_answers_share_the_result_cache(self, backend):
+        graph = generators.random_graph(80, 200, labels=("a", "b"), rng=9)
+        session = GraphSession(graph, policy=ExecutionPolicy(backend=backend))
+        first = session.run("a.(a|b)*.b").pairs()
+        assert session.run("a.(a|b)*.b").pairs() == first
+        assert session.stats()["results"].hits == 1
+
+
+class TestGXPathOnEitherIndex:
+    """GXPath runs on the bit-row algebra over either in-process index."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(graph=small_graphs)
+    def test_gxpath_and_crpq_agree_on_both_kernel_families(self, graph):
+        plans = [
+            Query.parse("<a.[<b>]>", "gxpath-node"),
+            Query.parse("a* . (b)!=", "gxpath-path"),
+            Query.crpq(("x", "y"), [("x", "a.(a|b)*", "z"), ("z", "b", "y")]),
+        ]
+        compact = GraphSession(graph)
+        dict_kernels = GraphSession(graph, policy=ExecutionPolicy(backend="dict"))
+        for plan in plans:
+            assert dict_kernels.run(plan).rows() == compact.run(plan).rows(), str(plan)
+
+    @pytest.mark.parametrize("backend", ["compact", "dict"])
+    def test_star_on_a_chain(self, backend):
+        graph = DataGraph(alphabet={"a"})
+        for position in range(7):
+            graph.add_node(f"n{position}", 1)
+        for position in range(6):
+            graph.add_edge(f"n{position}", "a", f"n{position + 1}")
+        session = GraphSession(graph, policy=ExecutionPolicy(backend=backend))
+        rows = session.run(Query.parse("a*", "gxpath-path")).rows()
+        assert {(u.id, v.id) for u, v in rows} == {
+            (f"n{i}", f"n{j}") for i in range(7) for j in range(i, 7)
+        }
 
 
 class TestHoldsShortcut:

@@ -37,14 +37,15 @@ from repro.gxpath.ast import (
 )
 from repro.regular import EPSILON, concat, letter, plus, star, union
 
-#: The host shapes the router / policy suites run under: ``(cores, fork)``.
+#: The host shapes a suite can run under: ``(cores, fork)``.
 HOST_SHAPES = {"1-core": (1, True), "n-core-fork": (4, True), "n-core-no-fork": (4, False)}
 
 
 @pytest.fixture(params=sorted(HOST_SHAPES))
 def host_shape(request, monkeypatch):
-    """Pin ``os.cpu_count()`` and fork availability, so routing and policy
-    tests give the same verdict on every host.  Returns ``(cores, fork)``."""
+    """Pin ``os.cpu_count()`` and fork availability, so a suite shows it
+    gives the same verdict on every host: no route or policy may depend
+    on the host's cores or on ``fork``.  Returns ``(cores, fork)``."""
     cores, fork = HOST_SHAPES[request.param]
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
     real = forkpool.fork_available

@@ -340,12 +340,11 @@ class TestRepairedEqualsFresh:
 
 
 #: Forced routes a re-answer must follow: only the compact route keeps
-#: bit rows (the ``blocks`` driver is cut from the dict index).
+#: bit rows.
 ROUTE_POLICIES = {
     "compact": COMPACT,
     "dict": ExecutionPolicy(backend="dict"),
     "sql": ExecutionPolicy(backend="sql"),
-    "blocks": ExecutionPolicy(intra_query="blocks", max_workers=2),
 }
 
 
@@ -410,13 +409,11 @@ class TestRepairFollowsTheRoute:
         # sql route by its CTE — nothing is seeded, no product kernel runs
         if dialect == "rpq" and route == "sql":
             assert not calls.algebra and calls.compact == 0 and calls.dict_forward == 0
-        elif dialect in SCOPED and route != "blocks":
+        elif dialect in SCOPED:
             assert calls.algebra == [(route == "compact", None)]
             assert calls.compact == 0 and calls.dict_forward == 0
         elif route == "compact":
             assert calls.compact == 1 and calls.dict_forward == 0 and not calls.algebra
-        elif route == "blocks":  # the partition driver's pruning expands forward
-            assert calls.compact == 0 and not calls.algebra
         else:  # the register product: no pruning, no algebra, no CSR kernel
             assert calls.compact == 0 and calls.dict_forward == 0 and not calls.algebra
 

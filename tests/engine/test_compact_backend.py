@@ -11,8 +11,6 @@ backend is an *optimisation*, so any divergence anywhere is a bug.
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 from conftest import REM_ASTS, regex_strategy, tricky_graphs
 from hypothesis import given, settings
@@ -442,10 +440,8 @@ def test_register_product_on_forked_block_workers(seed, query_index, null_semant
     [
         ExecutionPolicy(backend="compact"),
         ExecutionPolicy(backend="dict"),
-        ExecutionPolicy(intra_query="blocks", max_workers=2),
-        ExecutionPolicy(intra_query="blocks", max_workers=5),
     ],
-    ids=["compact", "dict", "blocks", "blocks-5"],
+    ids=["compact", "dict"],
 )
 def test_unbound_register_raises_on_every_route(policy):
     """The memo must neither swallow nor cache the error: it surfaces on
@@ -766,7 +762,7 @@ class TestBitRelationEdges:
             )
 
     def test_atom_bits_is_what_the_entry_points_decode(self):
-        # The engine's one bit-row entry point, unseeded: rows on a sequential
+        # The engine's one bit-row entry point, unseeded: rows on the
         # compact route (an REE's from the bottom-up algebra), ``None`` on
         # every other route; a caching session keeps exactly those rows.
         graph = random_graph_from(9, 30)
@@ -787,11 +783,7 @@ class TestBitRelationEdges:
                 kept = session._results.peek((graph.version, query.key, null_semantics)).bits
                 assert bits.node_pairs(objects) == expected
                 assert kept.rows == bits.rows
-            for route in (
-                forced_route(graph, "dict"),
-                forced_route(graph, "sql"),
-                dataclasses.replace(compact_route, driver="blocks", workers=2),
-            ):
+            for route in (forced_route(graph, "dict"), forced_route(graph, "sql")):
                 assert engine.atom_bits(graph, query.plan, route) is None
 
 

@@ -1,24 +1,31 @@
-"""The forced ``blocks`` driver answers exactly as the default route.
+"""The source-block driver, called directly, answers as the sequential pass.
 
-Only ``ExecutionPolicy.intra_query`` resolves it, so this is the route
-that still forks: ``blocks`` fans source blocks out over forked workers.
-Every answer here is compared with a default (sequential) session or with the
-unrestricted relation filtered after the fact — seeded evaluation only
-changes *where* the restriction happens, never what comes back.
+No route reaches :mod:`repro.engine.partition` any more (its docstring
+says why it is kept); these cases pin it by calling it.  Every answer
+here is compared with a default session's, with the sequential
+product relation or with the unrestricted relation filtered after the
+fact — seeded evaluation only changes *where* the restriction happens,
+never what comes back.
 """
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import pytest
 
-from repro.api import ExecutionPolicy, GraphSession, Query
+from repro.api import GraphSession, Query
 from repro.datagraph import generators
 from repro.engine import NfaProductSpace, default_engine, product
-from repro.engine.partition import parallel_product_relation, partitioned_product_relation
-from repro.query.crpq import evaluate_crpq_naive
+from repro.engine.partition import (
+    parallel_product_relation,
+    partitioned_product_relation,
+    split_blocks,
+)
 
-#: The ``blocks`` driver's worker budgets: even blocks, and more (uneven)
-#: blocks than a small host has cores.
+#: The driver's worker budgets: even blocks, and more (uneven) blocks
+#: than a small host has cores.
 BUDGETS = {"blocks": 2, "blocks-5": 5}
 
 QUERIES = [
@@ -28,7 +35,7 @@ QUERIES = [
     Query.parse("!x.((a|b)[x!=])+", dialect="rem"),
 ]
 
-#: Plain RPQs for the engine-level seeded drivers.
+#: Plain RPQs for the seeded driver.
 RPQS = ["a.(b|c)+", "(a|b)*", "(a|c)+", "c.a*"]
 
 
@@ -44,87 +51,76 @@ def graph():
     return make_graph()
 
 
-def forced(graph, budget: str) -> GraphSession:
-    policy = ExecutionPolicy(intra_query="blocks", max_workers=BUDGETS[budget])
-    return GraphSession(graph, policy=policy)
-
-
 def space_of(graph, text: str) -> NfaProductSpace:
     return NfaProductSpace(graph.label_index(), default_engine().compile_rpq(text))
 
 
-class TestSessionsOnForcedDrivers:
+def driver_pairs(graph, query, budget, null_semantics=False, sources=None):
+    """*query*'s relation from the driver, as ``Node`` pairs."""
+    space = default_engine().space_for_atom(graph, query.plan, null_semantics=null_semantics)
+    pairs = partitioned_product_relation(space, "blocks", workers=BUDGETS[budget], sources=sources)
+    return frozenset((graph.node(u), graph.node(v)) for u, v in pairs)
+
+
+class TestDriverMatchesTheSession:
+    """The driver's relation, over the NFA or the register product, is
+    the session's answer on its one (sequential) route."""
+
     @pytest.mark.parametrize("budget", sorted(BUDGETS))
     @pytest.mark.parametrize("query", QUERIES, ids=[str(q.plan) for q in QUERIES])
     def test_matches_the_default_route(self, graph, budget, query):
-        session = forced(graph, budget)
-        assert session._route(query).driver == "blocks"
-        assert session._route(query).workers == BUDGETS[budget]
-        assert session.run(query).pairs() == GraphSession(graph).run(query).pairs()
+        assert driver_pairs(graph, query, budget) == GraphSession(graph).run(query).pairs()
 
     @pytest.mark.parametrize("budget", sorted(BUDGETS))
     def test_null_semantics_reaches_the_driver(self, graph, budget):
         query = Query.parse("((a|b|c)+)=", dialect="ree")
         for null_semantics in (False, True):
             expected = GraphSession(graph).run(query, null_semantics=null_semantics).pairs()
-            actual = forced(graph, budget).run(query, null_semantics=null_semantics).pairs()
-            assert actual == expected, null_semantics
+            assert driver_pairs(graph, query, budget, null_semantics) == expected, null_semantics
 
     @pytest.mark.parametrize("budget", sorted(BUDGETS))
     def test_empty_relation(self, graph, budget):
-        assert forced(graph, budget).run(Query.parse("nolabel")).pairs() == frozenset()
+        assert driver_pairs(graph, Query.parse("nolabel"), budget) == frozenset()
 
     @pytest.mark.parametrize("budget", sorted(BUDGETS))
-    def test_point_queries_agree_with_the_relation(self, graph, budget):
-        # Point queries take the sequential point route even under a
-        # forced driver; their answers are the relation's slices.
+    def test_one_source_is_a_point_query(self, graph, budget):
+        # Seeded with one source, the driver answers ``targets``.
         query = QUERIES[0]
-        session = forced(graph, budget)
-        full = session.run(query).pairs()
+        session = GraphSession(graph)
         for source in list(graph.node_ids)[:4]:
-            expected = frozenset(v for u, v in full if u.id == source)
-            assert session.targets(query, source) == expected
-            for target in list(graph.node_ids)[:5]:
-                assert session.holds(query, source, target) == (graph.node(target) in expected)
-
-    @pytest.mark.parametrize("budget", sorted(BUDGETS))
-    @pytest.mark.parametrize("shape", ["chain", "cycle", "star"])
-    def test_crpq_seeded_scans_match_the_spec(self, graph, budget, shape):
-        texts = {
-            "chain": "x, y :- (x, a+, z), (z, c, w), (w, b, y)",
-            "cycle": "x, y :- (x, a, y), (y, b+, z), (z, a|c, x)",
-            "star": "x, y, w :- (x, c, z), (y, a, z), (w, b+, z)",
-        }
-        query = Query.parse(texts[shape], dialect="crpq")
-        assert forced(graph, budget).run(query).rows() == evaluate_crpq_naive(graph, query.plan)
+            seeded = driver_pairs(graph, query, budget, sources=[source])
+            assert frozenset(v for _, v in seeded) == session.targets(query, source)
 
 
-class TestWritesBetweenForcedQueries:
+class TestDriverAfterWrites:
+    """After a batch of writes, the driver on the new graph answers as a
+    session that repaired its cached relation across the batch."""
+
     @pytest.mark.parametrize("budget", sorted(BUDGETS))
     def test_insert_only_batch(self, budget):
         graph = make_graph()
-        session = forced(graph, budget)
+        session = GraphSession(graph)
         query = QUERIES[0]
-        assert session.run(query).pairs() == GraphSession(graph).run(query).pairs()
+        assert session.run(query).pairs() == driver_pairs(graph, query, budget)
         with graph.batch() as batch:
             batch.add_node("patched-node", 99)
             batch.add_edge("patched-node", "a", next(iter(graph.node_ids)))
-        assert session.run(query).pairs() == GraphSession(graph).run(query).pairs()
+        assert session.run(query).pairs() == driver_pairs(graph, query, budget)
 
     @pytest.mark.parametrize("budget", sorted(BUDGETS))
     def test_removal_batch(self, budget):
         graph = make_graph()
-        session = forced(graph, budget)
+        session = GraphSession(graph)
         query = QUERIES[1]
         session.run(query).pairs()
         with graph.batch() as batch:
             batch.remove_node(next(iter(graph.node_ids)))
-        assert session.run(query).pairs() == GraphSession(graph).run(query).pairs()
+        assert session.run(query).pairs() == driver_pairs(graph, query, budget)
 
     @pytest.mark.parametrize("budget", sorted(BUDGETS))
     def test_consecutive_batches(self, budget):
         graph = make_graph()
-        session = forced(graph, budget)
+        session = GraphSession(graph)
         query = QUERIES[0]
         session.run(query).pairs()
         anchor = next(iter(graph.node_ids))
@@ -134,12 +130,12 @@ class TestWritesBetweenForcedQueries:
         with graph.batch() as batch:
             batch.add_node("compose-2", 6)
             batch.add_edge("compose-2", "b", "compose-1")
-        assert session.run(query).pairs() == GraphSession(graph).run(query).pairs()
+        assert session.run(query).pairs() == driver_pairs(graph, query, budget)
 
 
 class TestSeededDrivers:
     """``partitioned_product_relation`` with *sources* / *targets*: the
-    per-atom semijoin form the CRPQ planner's seeded scans use."""
+    per-atom semijoin form of a seeded scan."""
 
     @pytest.mark.parametrize("budget", sorted(BUDGETS))
     @pytest.mark.parametrize("text", RPQS)
@@ -193,3 +189,48 @@ class TestSeededDrivers:
         threaded = parallel_product_relation(space, num_blocks=4, backend="thread")
         forked = parallel_product_relation(space, num_blocks=4, backend="fork")
         assert forked == threaded == product.product_relation(space)
+
+
+def test_default_budget_and_backend_follow_the_host(graph, host_shape, monkeypatch):
+    """Without a budget the driver cuts one block per core (at most 8);
+    ``"auto"`` forks where ``fork`` is available, else it threads."""
+    cores, fork = host_shape
+    from repro.engine import partition
+
+    seen = {}
+
+    def spy_split(nodes, num_blocks):
+        seen["blocks"] = num_blocks
+        return split_blocks(nodes, num_blocks)
+
+    real_forked = partition.run_forked
+
+    def spy_forked(*args, **kwargs):
+        seen["forked"] = True
+        return real_forked(*args, **kwargs)
+
+    monkeypatch.setattr(partition, "split_blocks", spy_split)
+    monkeypatch.setattr(partition, "run_forked", spy_forked)
+    space = space_of(graph, "(a|b)*")
+    assert parallel_product_relation(space) == product.product_relation(space)
+    assert seen["blocks"] == cores
+    assert seen.get("forked", False) == (cores > 1 and fork and partition.fork_available())
+
+
+def test_no_other_module_imports_the_driver():
+    """Every ``repro`` module but the driver's own two imports cleanly
+    without loading them: no route can reach the driver."""
+    script = (
+        "import importlib, pkgutil, sys, repro\n"
+        "skip = {'repro.__main__', 'repro.engine.partition', 'repro.engine.forkpool'}\n"
+        "for info in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+        "    if info.name not in skip:\n"
+        "        importlib.import_module(info.name)\n"
+        "loaded = sorted(n for n in ('repro.engine.partition', 'repro.engine.forkpool')"
+        " if n in sys.modules)\n"
+        "print(len(sys.modules), loaded)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True, timeout=120
+    )
+    assert done.stdout.split()[-1] == "[]", done.stdout

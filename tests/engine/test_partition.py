@@ -1,8 +1,11 @@
-"""The forced ``blocks`` driver: phase kernels, source blocks, backends.
+"""The source-block driver: phase kernels, source blocks, backends.
 
 Acceptance property: ``full_relation`` evaluated via the source-block
 parallel kernels must return results identical to the sequential engine
-on randomized graphs.
+on randomized graphs.  The driver's default budget reads the host's
+cores and its ``"auto"`` backend forks only where ``fork`` is
+available, so the whole module runs under every host shape of the
+``host_shape`` fixture — (1 core), (N cores + fork), (N cores, no fork).
 """
 
 from __future__ import annotations
@@ -12,10 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datagraph import DataGraph, generators
-from repro.engine import NfaProductSpace, default_engine, parallel_full_relation, split_blocks
-from repro.engine import product
-from repro.engine.partition import partitioned_product_relation
+from repro.engine import NfaProductSpace, default_engine, product
+from repro.engine.partition import (
+    parallel_full_relation,
+    partitioned_product_relation,
+    split_blocks,
+)
 from repro.exceptions import EvaluationError
+
+pytestmark = pytest.mark.usefixtures("host_shape")
 
 RPQ_POOL = [
     "a",

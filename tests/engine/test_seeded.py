@@ -92,8 +92,10 @@ class TestEngineAtomEntryPoint:
         # Sources arrive as an unordered set with a foreign id mixed in.
         got = engine.evaluate_atom_ids(graph, rpq("a*.b"), sources=set(some) | {"no-such"})
         assert got == expected
-        route = route_query(rpq("a*.b"), graph, ExecutionPolicy(intra_query="blocks"))
-        assert engine.evaluate_atom_ids(graph, rpq("a*.b"), sources=some, route=route) == expected
+        route = route_query(rpq("a*.b"), graph, ExecutionPolicy(backend="dict"))
+        assert engine.evaluate_atom_ids(
+            graph, rpq("a*.b"), sources=set(some) | {"no-such"}, route=route
+        ) == expected
 
     def test_evaluate_atom_ids_data_dialect(self, graph):
         from repro.query import equality_rpq

@@ -19,17 +19,12 @@ from hypothesis import strategies as st
 from repro.api import ExecutionPolicy
 from repro.datagraph import DataGraph, generators
 from repro.datapaths import compile_rem, parse_ree, parse_rem, ree_to_rem
-from repro.engine import (
-    NfaProductSpace,
-    RegisterProductSpace,
-    default_engine,
-    parallel_product_relation,
-)
-from repro.engine import product
+from repro.engine import NfaProductSpace, RegisterProductSpace, default_engine, product
 from repro.engine.data import (
     register_automaton_relation,
     register_automaton_relation_per_source,
 )
+from repro.engine.partition import parallel_product_relation
 from repro.gxpath.ast import AxisStar
 from repro.gxpath.evaluation import evaluate_path
 from repro.planner.router import route_point

@@ -209,7 +209,7 @@ class TestExplain:
     def test_non_crpq_kinds_explain_their_fixed_strategy(self, skewed_graph):
         rpq_text = Query.parse("a.b").explain(skewed_graph)
         assert rpq_text.startswith("rpq: bit-row algebra")
-        assert "point queries and partitioned drivers run the compiled ε-free NFA" in rpq_text
+        assert "point queries run the compiled ε-free NFA" in rpq_text
         assert "register" in Query.parse("(a)=", dialect="ree").explain()
         for text, dialect in (("a*.b-", "gxpath-path"), ("<a*.b>", "gxpath-node")):
             gxpath_text = Query.parse(text, dialect=dialect).explain(skewed_graph)
@@ -248,8 +248,11 @@ class TestExecutionPolicyIntegration:
         assert session.run(query).rows() == before
         assert session.stats()["results"].hits == hits_before + 1
 
-    def test_intra_query_modes_share_cache_shape(self, skewed_graph):
+    @pytest.mark.parametrize("backend", ["dict", "sql"])
+    def test_forced_backends_share_cache_shape(self, skewed_graph, backend):
         query = Query.parse("x, z :- (x, b, y), (y, a+, z)", dialect="crpq")
-        sequential = GraphSession(skewed_graph).run(query).rows()
-        policy = ExecutionPolicy(intra_query="blocks")
-        assert GraphSession(skewed_graph, policy=policy).run(query).rows() == sequential
+        expected = GraphSession(skewed_graph).run(query).rows()
+        session = GraphSession(skewed_graph, policy=ExecutionPolicy(backend=backend))
+        assert session.run(query).rows() == expected
+        assert session.run(query).rows() == expected
+        assert session.stats()["results"].hits == 1

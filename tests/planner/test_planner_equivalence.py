@@ -6,9 +6,7 @@ generator knows (chains, stars with repeated variables, cycles,
 disjoint cartesian components), mixing RPQ and data-RPQ atoms, Boolean
 heads and self-loop atoms, and evaluated on random community graphs.
 The planner (cost-ordered hash joins over seeded kernels) must agree
-with :func:`repro.query.crpq.evaluate_crpq_naive` everywhere, and the
-forced ``blocks`` intra-query session mode must agree with the
-sequential plans.
+with :func:`repro.query.crpq.evaluate_crpq_naive` everywhere.
 
 The planner eliminates existential path variables before it plans
 (chain fusion, live columns); ``evaluate_crpq_naive`` never does, so the
@@ -294,10 +292,10 @@ class TestEliminationShapes:
         assert {index for index, *_ in trace.steps} <= set(range(count))
 
 
-class TestIntraQueryModesAgree:
-    @pytest.mark.parametrize("workers", [3, 5], ids=["blocks", "blocks-5"])
+class TestForcedBackendsAgree:
+    @pytest.mark.parametrize("backend", ["dict", "sql"])
     @pytest.mark.parametrize("seed", range(3))
-    def test_modes_match_sequential_plans(self, workers, seed):
+    def test_backends_match_default_plans(self, backend, seed):
         graph = community(seed + 5, num_nodes=30)
         query = Query.crpq(
             random_crpq(
@@ -310,9 +308,13 @@ class TestIntraQueryModesAgree:
                 rng=seed + 900,
             )
         )
-        sequential = GraphSession(graph).run(query).rows()
-        policy = ExecutionPolicy(intra_query="blocks", max_workers=workers)
-        assert GraphSession(graph, policy=policy).run(query).rows() == sequential
+        expected = GraphSession(graph).run(query).rows()
+        policy = ExecutionPolicy(backend=backend)
+        assert GraphSession(graph, policy=policy).run(query).rows() == expected
+
+
+class TestSourceBlockScans:
+    """The source-block driver, which no route reaches, called directly."""
 
     def test_block_scans_agree_forked_and_threaded(self):
         graph = community(41, num_nodes=30)

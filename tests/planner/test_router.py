@@ -3,18 +3,19 @@
 Three invariants: (1) the :class:`Route` resolved for a query is the one
 the policy says it should be — fully resolved, never
 ``"auto"``; (2) what ``explain`` prints is what runs: the kernel family
-and driver observed at the kernel entry points equal ``route.strategy``
-for ``run``, ``run_many`` and ``targets`` alike; (3) whatever route
-fires, answers equal the naive specification across all five dialects.
+observed at the kernel entry points equals ``route.kernel`` for
+``run``, ``run_many`` and ``targets`` alike; (3) whatever route fires,
+answers equal the naive specification across all five dialects.
 
 The whole module runs under every host shape of the ``host_shape``
-fixture — (1 core), (N cores + fork), (N cores, no fork).  Nothing is
-routed by graph size: the default policy resolves ``compact`` on every
-graph.
+fixture — (1 core), (N cores + fork), (N cores, no fork) — since no
+route may depend on the host.  Nothing is routed by graph size: the
+default policy resolves ``compact`` on every graph.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -28,7 +29,6 @@ from repro.datagraph.compact import CompactLabelIndex
 from repro.datapaths.fragments import is_scoped
 from repro.engine import compact as compact_kernels
 from repro.engine import data as data_kernels
-from repro.engine import partition as partition_kernels
 from repro.engine import product as product_kernels
 from repro.gxpath import evaluation as gxpath_evaluation
 from repro.planner import Route, graph_statistics, route_query
@@ -63,13 +63,9 @@ CONFIGS = {
     "dict": ExecutionPolicy(backend="dict"),
     "compact": ExecutionPolicy(backend="compact"),
     "sql": ExecutionPolicy(backend="sql"),
-    "blocks": ExecutionPolicy(intra_query="blocks", max_workers=2),
     "manual": ExecutionPolicy(routing="manual"),
 }
 
-#: The forced ``blocks`` driver at two worker budgets: even blocks, and
-#: more (uneven) blocks than the host has cores.
-FORCED_BUDGETS = {"blocks": 2, "blocks-5": 5}
 
 @pytest.fixture(scope="module")
 def graph():
@@ -98,14 +94,13 @@ def naive_rows(graph, query: Query):
 
 
 class KernelSpy:
-    """Record which kernel family and driver actually ran.
+    """Record which kernel family actually ran.
 
     Wraps the kernel entry points — the compact ``*_relation`` kernels,
     the dict forward expansion, mask pass and point BFS of ``product``,
-    the SQL backend's ``evaluate_*``, ``partitioned_product_relation``,
-    the bit-row algebra and the GXPath row evaluator — and counts calls
-    by family (``dict`` / ``compact`` / ``sql``) and by driver
-    (``blocks``).  The algebra, the GXPath evaluator and
+    the SQL backend's ``evaluate_*``, the bit-row algebra and the GXPath
+    row evaluator — and counts calls by family (``dict`` / ``compact`` /
+    ``sql``).  The algebra, the GXPath evaluator and
     the point BFS run over either index, so their family is read off the
     index they were handed; ``algebra`` counts the algebra's calls on
     their own.
@@ -123,7 +118,6 @@ class KernelSpy:
 
     def __init__(self, monkeypatch):
         self.families: Counter = Counter()
-        self.drivers: Counter = Counter()
         self.algebra = 0
         for module, name, family in self.FAMILIES:
             monkeypatch.setattr(module, name, self._counting(getattr(module, name), family))
@@ -150,15 +144,6 @@ class KernelSpy:
             return rows(index, *args, **kwargs)
 
         monkeypatch.setattr(gxpath_evaluation, "_RowEvaluator", row_evaluator)
-        partitioned = partition_kernels.partitioned_product_relation
-
-        def partitioned_product_relation(space, mode, *args, **kwargs):
-            self.drivers[mode] += 1
-            return partitioned(space, mode, *args, **kwargs)
-
-        monkeypatch.setattr(
-            partition_kernels, "partitioned_product_relation", partitioned_product_relation
-        )
 
     def _counting(self, function, family):
         def counted(*args, **kwargs):
@@ -169,20 +154,12 @@ class KernelSpy:
 
     def reset(self):
         self.families.clear()
-        self.drivers.clear()
         self.algebra = 0
 
     def assert_ran(self, route: Route, context):
-        """What ran is what *route* says: its kernel family and driver,
-        and nothing else."""
-        if route.driver == "sequential":
-            assert not self.drivers, (context, dict(self.drivers))
-            assert set(self.families) == {route.kernel}, (context, dict(self.families))
-        else:
-            # Source blocks run the dict mask pass (in
-            # forked workers where the host forks, so it may go unseen).
-            assert set(self.drivers) == {route.driver}, (context, dict(self.drivers))
-            assert set(self.families) <= {"dict"}, (context, dict(self.families))
+        """What ran is what *route* says: its kernel family, and nothing
+        else."""
+        assert set(self.families) == {route.kernel}, (context, dict(self.families))
 
 
 @pytest.fixture
@@ -194,11 +171,18 @@ def spy(monkeypatch):
 # Route choices
 # ----------------------------------------------------------------------
 class TestRouteChoices:
+    def test_a_route_is_a_kernel_a_reason_and_an_estimate(self):
+        assert [field.name for field in dataclasses.fields(Route)] == [
+            "kernel", "reason", "estimate",
+        ]
+        assert [Route(kernel, "why").strategy for kernel in ("dict", "compact", "sql")] == [
+            "sequential", "compact", "sql",
+        ]
+
     @pytest.mark.parametrize("name", sorted(DIALECTS))
     def test_default_routes_are_resolved_and_local(self, graph, name):
         route = route_query(DIALECTS[name], graph, ExecutionPolicy())
         assert isinstance(route, Route)
-        assert route.driver == "sequential" and route.workers == 1
         assert route.kernel in {"dict", "compact", "sql"}  # never "auto"
         assert route.strategy in {"sequential", "compact", "sql"}
         # Only a CRPQ's join plan prices an answer size.
@@ -217,43 +201,20 @@ class TestRouteChoices:
         assert route_point(graph).kernel == "compact"
 
     @pytest.mark.parametrize("shape", ["communities", "supplier", "chain", "random"])
-    def test_auto_never_parallelises(self, shape):
-        # Whatever the graph, the estimate or the budget, ``auto`` resolves
-        # a sequential driver: only a forced ``intra_query`` forks.
+    def test_auto_resolves_compact_on_every_shape(self, shape):
+        # Whatever the graph or the estimate, ``auto`` resolves the
+        # compact kernels.
         graph = ROUTER_GRAPHS[shape]()
         queries = [*DIALECTS.values(), Query.parse("(a|b)+"), Query.parse("(cites)*.tagged")]
-        for policy in (ExecutionPolicy(max_workers=4), ExecutionPolicy(max_workers=8)):
-            for query in queries:
-                route = route_query(query, graph, policy, stats=graph_statistics(graph))
-                assert (route.driver, route.workers) == ("sequential", 1), (shape, str(query))
-                assert route.strategy in {"sequential", "compact", "sql"}
-                assert "pool" not in route.describe()
-
-    @pytest.mark.parametrize("budget", sorted(FORCED_BUDGETS))
-    def test_forced_driver_is_forced_on_any_size(self, graph, budget):
-        workers = FORCED_BUDGETS[budget]
-        policy = ExecutionPolicy(intra_query="blocks", max_workers=workers)
-        route = route_query(DIALECTS["crpq"], graph, policy)
-        assert (route.strategy, route.driver, route.kernel, route.workers) == (
-            "blocks", "blocks", "dict", workers
-        )
-        assert "override" in route.reason
-        forced = GraphSession(graph, policy=policy)
-        default = GraphSession(graph)
-        for name in ("rpq", "data_rpq", "crpq"):
-            assert forced._route(DIALECTS[name]).driver == "blocks", name
-            assert default._route(DIALECTS[name]).driver == "sequential", name
-            rows = forced.run(DIALECTS[name]).rows()
-            assert rows == default.run(DIALECTS[name]).rows(), name
-
-    def test_forced_driver_budget_defaults_to_the_host(self, graph, host_shape):
-        cores, _fork = host_shape
-        route = route_query(DIALECTS["rpq"], graph, ExecutionPolicy(intra_query="blocks"))
-        assert (route.driver, route.workers) == ("blocks", min(cores, 8))
+        for query in queries:
+            route = route_query(query, graph, ExecutionPolicy(), stats=graph_statistics(graph))
+            assert route.strategy == "compact", (shape, str(query))
+            assert "pool" not in route.describe()
 
     def test_forced_backend_overrides_routing(self, graph):
         route = route_query(DIALECTS["rpq"], graph, ExecutionPolicy(backend="dict"))
-        assert (route.strategy, route.kernel, route.driver) == ("sequential", "dict", "sequential")
+        assert (route.strategy, route.kernel) == ("sequential", "dict")
+        assert route.reason == "policy override"
         route = route_query(DIALECTS["rpq"], graph, ExecutionPolicy(backend="sql"))
         assert route.strategy == "sql"
 
@@ -262,24 +223,17 @@ class TestRouteChoices:
         assert route.kernel == "dict" and route.strategy == "sequential"
         assert "no SQL encoding" in route.reason
 
-    @pytest.mark.parametrize("forced", ["sql", *sorted(FORCED_BUDGETS)])
     @pytest.mark.parametrize("name", ["gxpath_node", "gxpath_path"])
-    def test_gxpath_declines_sql_and_the_partitioned_drivers(self, graph, name, forced, spy):
-        if forced == "sql":
-            policy, declined = ExecutionPolicy(backend="sql"), "backend='sql'"
-        else:
-            workers = FORCED_BUDGETS[forced]
-            policy = ExecutionPolicy(intra_query="blocks", max_workers=workers)
-            declined = "intra_query='blocks'"
+    def test_gxpath_declines_sql(self, graph, name, spy):
+        policy = ExecutionPolicy(backend="sql")
         query = DIALECTS[name]
         route = route_query(query, graph, policy)
-        default = route_query(query, graph)
-        assert (route.kernel, route.driver, route.workers) == (default.kernel, "sequential", 1)
-        assert declined in route.reason and "declined" in route.reason
+        assert route.kernel == route_query(query, graph).kernel == "compact"
+        assert "backend='sql' declined" in route.reason
         expected = GraphSession(graph).run(query).rows()
         spy.reset()
         assert GraphSession(graph, policy=policy).run(query).rows() == expected
-        spy.assert_ran(route, (name, forced))
+        spy.assert_ran(route, name)
 
     def test_manual_routing_is_ignored(self, graph):
         for query in DIALECTS.values():
@@ -294,8 +248,9 @@ class TestRouteChoices:
         )
         without = route_query(DIALECTS["crpq"], graph, ExecutionPolicy())
         # Stats only ever sharpen (shrink data-atom / widen closure
-        # numbers); both must be valid local routes on this small graph.
-        assert with_stats.driver == without.driver == "sequential"
+        # numbers); neither changes the kernel.
+        assert with_stats.kernel == without.kernel == "compact"
+        assert with_stats.estimate >= 0.0 and without.estimate >= 0.0
 
 
 def citation_chain(length=1200, taps=8):
@@ -376,7 +331,7 @@ class TestRouterSeesTheRegex:
 class TestPointQueriesSkipTheRouter:
     def test_point_route_is_the_constant_time_part(self, graph):
         route = route_point(graph)
-        assert (route.kernel, route.driver) == ("compact", "sequential")
+        assert (route.kernel, route.estimate) == ("compact", None)
         assert route_point(graph, ExecutionPolicy(backend="dict")).kernel == "dict"
         assert route_point(graph, ExecutionPolicy(backend="sql")).kernel == "sql"
 
@@ -435,8 +390,7 @@ class TestExplainIsWhatRan:
                     body = session.explain(query).splitlines()[1]
                     assert ("bit-row algebra" in body) == scoped, context
                     assert ("reads register 'x' across ↓y" in body) == (not scoped), context
-                    if route.driver == "sequential":
-                        assert spy.algebra == (1 if scoped else 0), context
+                    assert spy.algebra == (1 if scoped else 0), context
 
                 # run_many takes the same dispatcher, plan cache and trace
                 spy.reset()
@@ -458,35 +412,6 @@ class TestExplainIsWhatRan:
                     if query.kind is QueryKind.RPQ:
                         # one single-source BFS on the point route's kernel
                         spy.assert_ran(route_point(graph, CONFIGS[config]), context)
-
-    @pytest.mark.parametrize("budget", sorted(FORCED_BUDGETS))
-    def test_forced_routes_run_what_they_report(self, graph, budget, spy):
-        # A forced driver is a partitioned route on any host shape; where
-        # the host forks, its mask passes run in the workers.
-        policy = ExecutionPolicy(intra_query="blocks", max_workers=FORCED_BUDGETS[budget])
-        for name in ("rpq", "data_rpq", "crpq"):
-            query = DIALECTS[name]
-            session = GraphSession(graph, policy=policy)
-            route = session._route(query)
-            assert (route.driver, route.workers) == ("blocks", FORCED_BUDGETS[budget]), name
-            spy.reset()
-            assert session.run(query).rows() == naive_rows(graph, query), name
-            spy.assert_ran(route, name)
-
-    def test_forced_point_queries_stay_sequential(self, graph, spy):
-        # Not even where the full relation's route is partitioned.
-        policy = ExecutionPolicy(intra_query="blocks", max_workers=2)
-        session = GraphSession(graph, policy=policy)
-        plain = GraphSession(graph)
-        query = DIALECTS["rpq"]
-        assert session._route(query).driver == "blocks"
-        spy.reset()
-        for source in list(graph.node_ids)[:3]:
-            expected = plain.targets(query, source)
-            assert session.targets(query, source) == expected
-            for target in list(graph.node_ids)[:4]:
-                assert session.holds(query, source, target) == (graph.node(target) in expected)
-        assert not spy.drivers
 
     @pytest.mark.parametrize("config", sorted(CONFIGS))
     def test_batches_agree_with_run(self, graph, config):
@@ -516,17 +441,6 @@ class TestExplainShowsTheRoute:
         after = session.explain(query)
         assert "adaptive:" in after  # the recorded PlanTrace rides along
         assert "estimated" in after and "observed" in after
-
-    @pytest.mark.parametrize("budget", sorted(FORCED_BUDGETS))
-    def test_forced_explain_names_the_driver(self, graph, budget):
-        workers = FORCED_BUDGETS[budget]
-        policy = ExecutionPolicy(intra_query="blocks", max_workers=workers)
-        session = GraphSession(graph, policy=policy)
-        for name in ("rpq", "data_rpq", "crpq"):
-            header = session.explain(DIALECTS[name]).splitlines()[0]
-            assert header == session._route(DIALECTS[name]).describe(), name
-            assert header.startswith("route: blocks "), name
-            assert header.endswith("policy override") and "pool" not in header, name
 
     def test_rpq_explain_keeps_nfa_section(self, graph):
         session = GraphSession(graph)

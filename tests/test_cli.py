@@ -10,6 +10,7 @@ from repro import GraphBuilder, graph_to_json
 from repro.cli import main
 from repro.datagraph import graph_from_json
 from repro.experiments import EXPERIMENTS, Experiment, ExperimentResult
+from repro.server import ReproServer, ServerConfig
 
 
 @pytest.fixture
@@ -115,42 +116,27 @@ class TestInfoAndEvaluate:
         with pytest.raises(SystemExit):
             main(["certain", str(graph_file), str(mapping_file), "--crpq", ":- (x, t, y)"])
 
-    def test_evaluate_rejects_bad_workers(self, graph_file, capsys):
-        assert main([
-            "evaluate", str(graph_file), "--rpq", "r", "--intra-query", "blocks",
-            "--workers", "0",
-        ]) == 1
-        error = capsys.readouterr().err
-        assert "--workers must be positive" in error and "error" in error
-
-    @pytest.mark.parametrize("workers", ["1", "2", "5"])
-    def test_intra_query_modes_agree(self, graph_file, capsys, workers):
-        """--intra-query selects the driver (and implies the policy) for
-        every dialect, sequential answers at any --workers budget."""
+    def test_backend_flag_forces_the_kernel_family(self, graph_file, capsys):
         for flag, text in (("--rpq", "r.r"), ("--rem", "!x.(r[x!=])+"), ("--gxpath-path", "r*")):
             assert main(["evaluate", str(graph_file), flag, text]) == 0
             expected = capsys.readouterr().out
-            assert main([
-                "evaluate", str(graph_file), flag, text,
-                "--intra-query", "blocks", "--workers", workers,
-            ]) == 0
-            assert capsys.readouterr().out == expected
-
-    def test_forced_driver_shows_in_explain(self, graph_file, capsys):
-        assert main([
-            "evaluate", str(graph_file), "--rpq", "r.r", "--explain",
-            "--intra-query", "blocks", "--workers", "2",
-        ]) == 0
-        assert capsys.readouterr().out.startswith("route: blocks ")
+            for backend in ("dict", "compact", "sql"):
+                assert main(["evaluate", str(graph_file), flag, text, "--backend", backend]) == 0
+                assert capsys.readouterr().out == expected, (text, backend)
+        assert main(["evaluate", str(graph_file), "--rpq", "r.r", "--explain",
+                     "--backend", "dict"]) == 0
+        assert capsys.readouterr().out.startswith("route: sequential — policy override")
 
     @pytest.mark.parametrize(
         "flag, value",
         [("--num-shards", "2"), ("--intra-query-threshold", "2"),
-         ("--policy", "intra-query"), ("--intra-query", "sharded")],
-        ids=["--num-shards", "--intra-query-threshold", "--policy", "--intra-query"],
+         ("--policy", "intra-query"), ("--intra-query", "blocks"), ("--workers", "2"),
+         ("--routing", "manual")],
+        ids=["--num-shards", "--intra-query-threshold", "--policy", "--intra-query",
+             "--workers", "--routing"],
     )
     def test_removed_knob_flags_are_rejected(self, graph_file, flag, value):
-        # --intra-query blocks is the one forcing flag.
+        # --backend is the one forcing flag.
         with pytest.raises(SystemExit):
             main(["evaluate", str(graph_file), "--rpq", "r", flag, value])
 
@@ -158,6 +144,32 @@ class TestInfoAndEvaluate:
     def test_removed_serve_flags_are_rejected(self, graph_file, flag):
         with pytest.raises(SystemExit):
             main(["serve", str(graph_file), "--port", "0", flag, "2"])
+
+
+class TestRemoteEvaluate:
+    @pytest.fixture
+    def server(self, graph_file):
+        graph = graph_from_json(graph_file.read_text(encoding="utf-8"))
+        with ReproServer(graph, ServerConfig()) as server:
+            yield "{}:{}".format(*server.address)
+
+    def test_answers_as_a_local_session(self, graph_file, server, capsys):
+        assert main(["evaluate", str(graph_file), "--rpq", "r.r"]) == 0
+        expected = capsys.readouterr().out
+        assert main(["evaluate", "--server", server, "--rpq", "r.r"]) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("backend", ["auto", "compact", "dict", "sql"])
+    def test_a_local_policy_flag_is_rejected(self, server, capsys, backend):
+        # The daemon runs its own policy: a local --backend would be ignored.
+        assert main(["evaluate", "--server", server, "--rpq", "r.r", "--backend", backend]) == 1
+        captured = capsys.readouterr()
+        assert "--backend" in captured.err and "repro serve --backend" in captured.err
+        assert captured.out == ""
+
+    def test_timeout_needs_a_server(self, graph_file, capsys):
+        assert main(["evaluate", str(graph_file), "--rpq", "r", "--timeout", "1"]) == 1
+        assert "needs --server" in capsys.readouterr().err
 
 
 class TestCertainAndExchange:

@@ -55,12 +55,12 @@ class TestScenarios:
             multi_community_scenario(num_communities=1)
 
     def test_multi_community_scenario_splits_into_community_blocks(self):
-        """The bundled graph's contiguous source blocks recover the communities."""
-        from repro.engine import split_blocks
-
+        """The bundled graph's contiguous id ranges recover the communities."""
         scenario = multi_community_scenario(num_communities=4, community_size=5, rng=3)
-        blocks = split_blocks(scenario.source.label_index().nodes, 4)
-        for block in blocks:
+        nodes = scenario.source.label_index().nodes
+        assert len(nodes) == 20
+        for start in range(0, 20, 5):
+            block = nodes[start:start + 5]
             assert len({str(node).split("n")[0] for node in block}) == 1
 
 
