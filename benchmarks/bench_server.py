@@ -30,9 +30,10 @@ at ≤ 5× the local decode (measures ≈ 3×; the per-pair document it
 replaced was ≈ 36×).
 
 **Encoding from bit rows vs from pairs** (gated) — the daemon encodes a
-cached relation answer from the session's bit rows instead of regrouping
-its decoded pairs; CI holds the rows path at ≥ 2× faster on the same
-closure.  Both build the identical document on one thread.
+cached relation answer from its result-cache entry's bit rows
+(``encode_entry``) instead of regrouping its decoded pairs; CI holds the
+rows path at ≥ 2× faster on the same closure.  Both build the identical
+document on one thread.
 """
 
 from __future__ import annotations
@@ -198,13 +199,15 @@ def bench_wire_answers_local_decode(benchmark, closure_graph):
 
 
 def _closure_answer(closure_graph):
-    """The closure's cached answer and the rows a session keeps beside it,
-    with the snapshot's rank column derived (once per graph version)."""
-    result = GraphSession(closure_graph, policy=ExecutionPolicy(backend="compact")).run(CLOSURE)
-    answers = result._force()
-    result._rows[1].sort_ranks
+    """The closure's result-cache entry in a session — its bit rows beside
+    the snapshot they were computed on, with the snapshot's rank column
+    derived (once per graph version) — and its decoded answer."""
+    session = GraphSession(closure_graph, policy=ExecutionPolicy(backend="compact"))
+    entry = session.run(CLOSURE)._entry()
+    entry.snapshot.sort_ranks
+    answers = entry.bits.node_pairs(entry.snapshot.node_objects)
     gc.collect()
-    return answers, result._rows
+    return answers, entry
 
 
 def bench_wire_encode_from_pairs(benchmark, closure_graph):
@@ -215,8 +218,9 @@ def bench_wire_encode_from_pairs(benchmark, closure_graph):
 
 
 def bench_wire_encode_from_rows(benchmark, closure_graph):
-    answers, rows = _closure_answer(closure_graph)
+    answers, entry = _closure_answer(closure_graph)
     document = benchmark.pedantic(
-        lambda: wire.encode_answers(CLOSURE, answers, rows), rounds=5, iterations=1
+        lambda: wire.encode_entry(CLOSURE, entry), rounds=5, iterations=1
     )
+    assert entry.answer is None  # the rows path decoded nothing
     assert document == wire.encode_answers(CLOSURE, answers)

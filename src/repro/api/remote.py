@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..datagraph.node import Node, NodeId
+from ..engine.bitrelation import CachedRelation
 from ..engine.cache import CacheStats
 from ..exceptions import (
     EvaluationError,
@@ -190,9 +191,9 @@ class RemoteSession(SessionProtocol):
             null_semantics=null_semantics or None,
             timeout=self._query_timeout(timeout),
         )
-        answers = wire.decode_answers(plan, response.get("answers"))
-        result = Result(plan, None, lambda: (answers, None))
-        result._force()
+        entry = CachedRelation(answer=wire.decode_answers(plan, response.get("answers")))
+        result = Result(plan, None, lambda: entry)
+        result._entry()
         return result
 
     def run_many(
@@ -214,9 +215,9 @@ class RemoteSession(SessionProtocol):
             raise ProtocolError(f"run_many answered {documents!r} for {len(plans)} queries")
         results: List[Result] = []
         for plan, document in zip(plans, documents):
-            answers = wire.decode_answers(plan, document)
-            result = Result(plan, None, lambda answers=answers: (answers, None))
-            result._force()
+            entry = CachedRelation(answer=wire.decode_answers(plan, document))
+            result = Result(plan, None, lambda entry=entry: entry)
+            result._entry()
             results.append(result)
         return results
 

@@ -13,11 +13,14 @@ behind one small accessor surface:
 * :meth:`Result.count` / ``len`` / ``bool`` / iteration;
 * :meth:`Result.to_json` — a deterministic JSON document.
 
-Results are **lazy**: the evaluation thunk passed by the session runs on
-first access and is forced at most once, so ``session.run(q)`` is free
-until an accessor is called, and a result forced twice never recomputes.
-The thunk returns the answer set and the session's bit rows for it (or
-``None``), which the daemon encodes the answer from; they are no API.
+Results are **lazy** twice over.  The evaluation thunk passed by the
+session runs on first access and at most once: it returns the session's
+result-cache entry (a :class:`~repro.engine.bitrelation.CachedRelation`:
+bit rows, or the answer of a route without them), so ``session.run(q)``
+is free until something needs the answer.  The answer set is decoded
+from that entry only when an accessor reads it, once per entry — the
+daemon sends the entry's wire document and decodes nothing
+(:meth:`GraphSession._document <repro.api.session.GraphSession._document>`).
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from typing import TYPE_CHECKING, Callable, FrozenSet, Iterator, Optional, Tuple
 
 from ..datagraph.node import Node, index_rows
 from ..datagraph.values import is_null
+from ..engine.bitrelation import CachedRelation
 from ..exceptions import EvaluationError
 from .query import Query, QueryKind
 
@@ -54,37 +58,41 @@ class Result:
     not constructed directly by users.
     """
 
-    __slots__ = ("query", "graph", "_materialise", "_answers", "_rows", "_by_id")
+    __slots__ = ("query", "graph", "_evaluate", "_relation", "_by_id")
 
     def __init__(
         self,
         query: Query,
         graph: Optional["DataGraph"],
-        materialise: Callable[[], Tuple[frozenset, object]],
+        evaluate: Callable[[], CachedRelation],
     ):
         self.query = query
         self.graph = graph
-        self._materialise = materialise
-        self._answers: Optional[frozenset] = None
-        self._rows = None
+        self._evaluate = evaluate
+        self._relation: Optional[CachedRelation] = None
         # Lazily-built id → Node table for graph-less (remote) results,
         # so .holds() can resolve bare node ids without a graph.
         self._by_id: Optional[dict] = None
 
     # ------------------------------------------------------------------
-    # Materialisation
+    # Evaluation and decoding
     # ------------------------------------------------------------------
+    def _entry(self) -> CachedRelation:
+        """The evaluated answer: the thunk runs once, on the first call."""
+        relation = self._relation
+        if relation is None:
+            relation = self._relation = self._evaluate()
+        return relation
+
     def _force(self) -> frozenset:
-        answers = self._answers
-        if answers is None:
-            answers, self._rows = self._materialise()
-            self._answers = answers
-        return answers
+        """The answer set, decoded from the entry on the first read."""
+        return self._entry().pairs()
 
     @property
     def is_materialised(self) -> bool:
-        """Whether the answers have been computed yet (forcing is one-shot)."""
-        return self._answers is not None
+        """Whether the answers have been computed yet (evaluation is
+        one-shot; decoding waits for the first read)."""
+        return self._relation is not None
 
     # ------------------------------------------------------------------
     # Accessors
@@ -202,5 +210,9 @@ class Result:
         return hash((self.query, self._force()))
 
     def __repr__(self) -> str:
-        state = f"{self.count()} answers" if self.is_materialised else "lazy"
+        relation = self._relation
+        if relation is None:
+            state = "lazy"
+        else:  # a repr never decodes
+            state = "evaluated" if relation.answer is None else f"{len(relation.answer)} answers"
         return f"<Result {self.query} ({state})>"

@@ -50,6 +50,7 @@ from ..engine.data import RowMemo
 from ..engine.engine import EvaluationEngine, default_engine
 from ..exceptions import EvaluationError
 from ..planner.router import route_point, route_query
+from . import wire
 from .executors import ExecutionPolicy
 from .protocol import SessionProtocol
 from .query import Query, QueryKind, QueryLike
@@ -159,30 +160,32 @@ class GraphSession(SessionProtocol):
     def run(self, query: QueryLike, null_semantics: bool = False) -> Result:
         """Evaluate one query, returning a lazy :class:`Result`.
 
-        The answer set is computed on first access of the result (and at
-        most once per result); it is served from the session cache when
-        the same plan was already evaluated at the current graph version.
+        The query is evaluated on first access of the result (and at most
+        once per result) — served from the session cache when the same
+        plan was already evaluated at the current graph version — and its
+        answer set is decoded only once something reads it.
         """
         plan = Query.of(query)
-        return Result(plan, self.graph, lambda: self._answers(plan, null_semantics))
+        return Result(plan, self.graph, lambda: self._entry(plan, null_semantics))
 
     def run_many(self, queries: Sequence[QueryLike], null_semantics: bool = False) -> List[Result]:
         """Evaluate a batch of queries, one :class:`Result` per query.
 
         The batch runs in order on the calling thread, each distinct plan
-        once, through the same :meth:`_answers` as :meth:`run` — a cache
+        once, through the same :meth:`_entry` as :meth:`run` — a cache
         hit, a re-answer from its lineage (:meth:`_reanswer`) or a fresh
-        evaluation.  Batch results are materialised eagerly.
+        evaluation.  Batch results are evaluated eagerly; each answer set
+        is decoded only once something reads it.
         """
-        answers: Dict[Tuple, Tuple] = {}
+        entries: Dict[Tuple, CachedRelation] = {}
         results: List[Result] = []
         for query in queries:
             plan = Query.of(query)
-            readable = answers.get(plan.key)
-            if readable is None:
-                readable = answers[plan.key] = self._answers(plan, null_semantics)
-            result = Result(plan, self.graph, lambda readable=readable: readable)
-            result._force()  # already computed; materialise eagerly
+            entry = entries.get(plan.key)
+            if entry is None:
+                entry = entries[plan.key] = self._entry(plan, null_semantics)
+            result = Result(plan, self.graph, lambda entry=entry: entry)
+            result._entry()  # already evaluated; attach it now
             results.append(result)
         return results
 
@@ -446,13 +449,16 @@ class GraphSession(SessionProtocol):
     # ------------------------------------------------------------------
     # Cache plumbing
     # ------------------------------------------------------------------
-    def _answers(self, plan: Query, null_semantics: bool) -> Tuple[frozenset, Optional[Tuple]]:
-        """*plan*'s answer set and its :meth:`_rows_at` — what a
-        :class:`Result` materialises (the entry's decode, on its first
-        read)."""
-        version = self.graph.version
-        entry = self._entry(plan, null_semantics)
-        return entry.pairs(), self._rows_at(entry.bits, version)
+    def _document(self, result: Result) -> Dict:
+        """*result*'s answer as its wire document
+        (:func:`repro.api.wire.encode_entry`): encoded from the entry's bit
+        rows on its first serve, without decoding them, and kept in the
+        entry — what the daemon sends for every later run of it."""
+        entry = result._entry()
+        document = entry.document
+        if document is None:
+            document = entry.document = wire.encode_entry(result.query, entry)
+        return document
 
     def _is_cached(self, plan: Query, null_semantics: bool) -> bool:
         """Whether *plan*'s full relation is cached at the current version."""
@@ -477,15 +483,6 @@ class GraphSession(SessionProtocol):
         else:
             entry = self._reanswer(plan, route, null_semantics, lineage)
         return self._remember(plan, null_semantics, version, entry)
-
-    def _rows_at(self, bits: Optional[BitRelation], version: int) -> Optional[Tuple]:
-        """An entry's *bits* beside the CSR snapshot they index — what the
-        daemon encodes the answer from (:func:`repro.api.wire.encode_answers`)
-        — or ``None``: no rows, or a write moved the graph past *version*."""
-        if bits is None:
-            return None
-        compact = self.graph.compact_index()
-        return (bits, compact) if compact.version == version else None
 
     def _remember(
         self, plan: Query, null_semantics: bool, version: int, entry: CachedRelation
@@ -523,12 +520,12 @@ class GraphSession(SessionProtocol):
 
     def _full_entry(self, plan: Query, route, null_semantics: bool) -> CachedRelation:
         """*plan*'s full answer as a result-cache entry: the bit rows of
-        :meth:`_evaluated` beside the ``Node`` column of the snapshot they
-        were computed on — decoded only when a read asks for pairs — or
-        the decoded answer of a route that yields none."""
+        :meth:`_evaluated` beside the snapshot they were computed on —
+        decoded only when a read asks for pairs — or the decoded answer
+        of a route that yields none."""
         answer = self._evaluated(plan, route, null_semantics)
         if isinstance(answer, BitRelation):
-            return CachedRelation(answer, self.graph.compact_index().node_objects)
+            return CachedRelation(answer, self.graph.compact_index())
         return CachedRelation(answer=answer)
 
     def _lineage_base(

@@ -22,7 +22,9 @@ Answer sets travel as **rows over one node column** — the distinct nodes
 of the answer, each ``[id, value]`` once, plus integer index rows into
 that column (:func:`encode_answers`) — so a reply is O(answer) bytes, the
 same bytes for the same answer, and the decoder builds each
-:class:`~repro.datagraph.node.Node` once; a remote
+:class:`~repro.datagraph.node.Node` once.  The daemon encodes a session's
+cached relation straight from its bit rows (:func:`encode_entry`) into
+those same bytes, once per cache entry; a remote
 :class:`~repro.api.result.Result` behaves exactly like a local one.
 """
 
@@ -38,7 +40,7 @@ from ..datagraph.values import NULL, is_null
 from ..datapaths import conditions as _conditions
 from ..datapaths import ree as _ree
 from ..datapaths import rem as _rem
-from ..engine.bitrelation import BitRelation
+from ..engine.bitrelation import BitRelation, CachedRelation
 from ..exceptions import SerializationError
 from ..gxpath import ast as _gxpath
 from ..query.crpq import Atom, ConjunctiveRPQ
@@ -51,6 +53,7 @@ __all__ = [
     "encode_query",
     "decode_query",
     "encode_answers",
+    "encode_entry",
     "decode_answers",
     "encode_value",
     "decode_value",
@@ -248,7 +251,7 @@ def _answer_shape(query: Query) -> str:
     return "relation" if query.arity == 2 else "tuples"
 
 
-def encode_answers(query: Query, answers: frozenset, rows=None) -> Dict[str, Any]:
+def encode_answers(query: Query, answers: frozenset) -> Dict[str, Any]:
     """One query's raw answer set as index rows over its node column.
 
     ``nodes`` is the column: the distinct nodes of *answers*, sorted.
@@ -256,11 +259,6 @@ def encode_answers(query: Query, answers: frozenset, rows=None) -> Dict[str, Any
     and, aligned with it, ``rows``: each target's sources, ascending;
     ``tuples`` (any other arity) adds ``rows``, the answers as sorted index
     tuples; for ``nodes`` (GXPath node expressions) the column is the answer.
-
-    *rows* — a session's ``(bit rows, CSR snapshot)`` of a relation
-    answer — builds the same document from the row masks, never touching
-    the pairs, when the rows sit on the snapshot's ordering or a prefix of
-    it; otherwise the pairs are regrouped.
     """
     shape = _answer_shape(query)
     if shape == "nodes":
@@ -268,8 +266,6 @@ def encode_answers(query: Query, answers: frozenset, rows=None) -> Dict[str, Any
     elif shape == "tuples":
         column, indexed = index_rows(answers, query.arity)
         document = {"rows": indexed}
-    elif rows is not None and rows[1].nodes[: len(rows[0].nodes)] == rows[0].nodes:
-        column, document = _relation_from_rows(*rows)
     else:
         flat = list(chain.from_iterable(answers))
         column, index = sorted_column(flat)
@@ -282,10 +278,26 @@ def encode_answers(query: Query, answers: frozenset, rows=None) -> Dict[str, Any
     return {"shape": shape, "nodes": [encode_node(node) for node in column], **document}
 
 
+def encode_entry(query: Query, entry: CachedRelation) -> Dict[str, Any]:
+    """A session's result-cache *entry* for *query* as the document
+    :func:`encode_answers` builds from its answer.
+
+    A relation entry with bit rows is encoded from the row masks against
+    the snapshot they were computed on (``entry.snapshot``), never
+    touching — or decoding — its pairs; any other entry from its decoded
+    answer.
+    """
+    if entry.bits is None or _answer_shape(query) != "relation":
+        return encode_answers(query, entry.pairs())
+    column, document = _relation_from_rows(entry.bits, entry.snapshot)
+    return {"shape": "relation", "nodes": [encode_node(node) for node in column], **document}
+
+
 def _relation_from_rows(bits: BitRelation, compact) -> Tuple[List[Node], Dict[str, Any]]:
-    """:func:`encode_answers`' relation column and document from *bits*:
-    the used positions (the rows' OR plus their targets) in sort-key rank,
-    then each row's members as ascending column indices."""
+    """:func:`encode_answers`' relation column and document from *bits*
+    over *compact*'s ordering (or a prefix of it): the used positions (the
+    rows' OR plus their targets) in sort-key rank, then each row's members
+    as ascending column indices."""
     rows, used = bits.rows, 0
     for at, mask in rows.items():
         used |= mask | (1 << at)

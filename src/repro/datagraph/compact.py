@@ -207,8 +207,9 @@ class CompactLabelIndex:
     @property
     def sort_ranks(self) -> List[int]:
         """``sort_ranks[u]`` is int node ``u``'s place in :meth:`Node.sort_key`
-        order — the order an answer's node column is written in
-        (:func:`repro.api.wire.encode_answers`).  Derived from
+        order — the order an answer's node column is written in, and
+        what :func:`repro.api.wire.encode_entry` sorts a cached
+        relation's column by.  Derived from
         :attr:`node_objects` on first use, like it; never serialised."""
         column = self._sort_ranks
         if column is None:

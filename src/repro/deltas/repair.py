@@ -145,6 +145,6 @@ def repair_full_relation(
     new = evaluate()
     if not isinstance(new, BitRelation):
         return CachedRelation(answer=new), "no rows"
-    objects = graph.compact_index().node_objects
-    answer = patched_answer(cached, delta, new, objects)
-    return CachedRelation(new, objects, answer), "rows" if answer is None else "patched"
+    snapshot = graph.compact_index()
+    answer = patched_answer(cached, delta, new, snapshot.node_objects)
+    return CachedRelation(new, snapshot, answer), "rows" if answer is None else "patched"

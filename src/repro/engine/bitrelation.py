@@ -18,9 +18,12 @@ instead: one source's targets are one bit across them, a pair one bit.
 from __future__ import annotations
 
 from itertools import chain, compress, repeat
-from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple
 
 from ..datagraph.node import NodeId
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..datagraph.compact import CompactLabelIndex
 
 __all__ = ["BitRelation", "CachedRelation"]
 
@@ -193,37 +196,43 @@ class CachedRelation:
     algebra, or a binary CRPQ plan ending on bit rows) — what delta
     repair merges into, CRPQ atom scans restrict, points read
     (:meth:`targets_of`) and the next version's answer is patched from
-    by their difference.  ``objects`` is the ``Node`` column of the
-    snapshot those rows were computed on.  The decoded ``(Node, Node)``
-    answer exists only once a read asked for pairs (:meth:`pairs`); a
-    route without rows stores only its answer.
+    by their difference.  ``snapshot`` is the
+    :class:`~repro.datagraph.compact.CompactLabelIndex` those rows were
+    computed on: its ``Node`` column decodes them, its sort ranks order
+    their wire document.  The decoded ``(Node, Node)`` answer exists only
+    once a read asked for pairs (:meth:`pairs`); a route without rows
+    stores only its answer.  ``document`` is the wire document the daemon
+    first encoded for the entry (:func:`repro.api.wire.encode_entry`),
+    sent again for every later run of it: an entry means one answer over
+    one snapshot's nodes and values, so its document never changes.
     """
 
-    __slots__ = ("bits", "objects", "answer")
+    __slots__ = ("bits", "snapshot", "answer", "document")
 
     def __init__(
         self,
         bits: Optional[BitRelation] = None,
-        objects: Optional[Sequence] = None,
+        snapshot: Optional["CompactLabelIndex"] = None,
         answer: Optional[frozenset] = None,
     ):
         self.bits = bits
-        self.objects = objects
+        self.snapshot = snapshot
         self.answer = answer
+        self.document: Optional[dict] = None
 
     def pairs(self) -> frozenset:
         """The decoded answer: decoded from the rows on the first call,
         against their own snapshot's column, and kept."""
         answer = self.answer
         if answer is None:
-            answer = self.answer = self.bits.node_pairs(self.objects)
+            answer = self.answer = self.bits.node_pairs(self.snapshot.node_objects)
         return answer
 
     def targets_of(self, source: NodeId) -> frozenset:
         """The targets of *source*: read across the rows, or — for an
         entry without them — scanned from the answer's pairs."""
         if self.bits is not None:
-            return self.bits.targets_of(source, self.objects)
+            return self.bits.targets_of(source, self.snapshot.node_objects)
         return frozenset(target for start, target in self.answer if start.id == source)
 
     def holds(self, source, target) -> bool:

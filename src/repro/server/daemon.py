@@ -40,7 +40,8 @@ shared, and nothing forks — a ``run_many`` batch runs in order on its
 connection's thread, and the daemon already multiplexes clients over
 its threads.  Queries run in-process on
 the session's bit rows, and a relation answer is encoded straight from
-them.
+them, never decoded: once per result-cache entry, whose document every
+later run of it sends again (``GraphSession._document``).
 """
 
 from __future__ import annotations
@@ -547,8 +548,7 @@ class ReproServer:
 
             def job():
                 result = session.run(query, null_semantics=null_semantics)
-                answers = result._force()
-                return {"answers": wire.encode_answers(query, answers, result._rows)}
+                return {"answers": session._document(result)}
 
         elif op == "run_many":
             documents = request.get("queries")
@@ -558,12 +558,7 @@ class ReproServer:
 
             def job():
                 results = session.run_many(queries, null_semantics=null_semantics)
-                return {
-                    "answers": [
-                        wire.encode_answers(query, result._force(), result._rows)
-                        for query, result in zip(queries, results)
-                    ]
-                }
+                return {"answers": [session._document(result) for result in results]}
 
         else:  # targets
             query = wire.decode_query(request.get("query"))

@@ -16,6 +16,7 @@ from repro.datagraph.node import Node
 from repro.datagraph.values import NULL
 from repro.datapaths.fragments import is_scoped, regex_to_rem
 from repro.engine import data as data_kernels
+from repro.engine.bitrelation import CachedRelation
 from repro.exceptions import SerializationError
 from repro.query import DataRPQ, evaluate_data_rpq_naive, evaluate_rpq_naive, rpq
 
@@ -221,33 +222,31 @@ class TestAnswerSets:
             query = Query.of(DataRPQ(expression))
             expected = json.dumps(wire.encode_answers(query, answers))
             for index in (graph.label_index(), compact):
-                bits = data_kernels.ree_relation(index, expression, null_semantics)
-                # The rows path never reads the pairs: hand it none.
-                document = wire.encode_answers(query, frozenset(), (bits, compact))
+                entry = CachedRelation(data_kernels.ree_relation(index, expression, null_semantics), compact)
+                document = wire.encode_entry(query, entry)
                 assert json.dumps(document) == expected, (expression, type(index).__name__)
+                assert entry.answer is None  # the rows path decodes nothing
 
     def test_session_rows_encode_like_their_pairs(self, valued_graph):
         session = GraphSession(valued_graph, policy=ExecutionPolicy(backend="compact"))
         for text in ("(a|b|c)+", "a.b", "zzz"):  # tuple ids, a null, the empty relation
             query = Query.parse(text)
             result = session.run(query)
-            answers = result._force()
-            assert result._rows is not None
-            assert wire.encode_answers(query, answers, result._rows) == wire.encode_answers(
-                query, answers
-            )
+            entry = result._entry()
+            assert entry.bits is not None
+            document = wire.encode_entry(query, entry)
+            assert entry.answer is None
+            assert document == wire.encode_answers(query, result._force())
         cross = Query.parse("!x.(a|b).!y.((a|b|c)[x!= && y=])+", dialect="rem")
         plain = GraphSession(valued_graph, policy=ExecutionPolicy(backend="dict"))
         for null_semantics in (False, True):
             result = plain.run(cross, null_semantics=null_semantics)
-            answers = result._force()
-            assert result._rows is None  # no rows: the pair path
-            rows = session.run(cross, null_semantics=null_semantics)
-            assert wire.encode_answers(cross, answers) == wire.encode_answers(
-                cross, rows._force(), rows._rows
-            )
+            assert result._entry().bits is None  # no rows: the pair path
+            rows = session.run(cross, null_semantics=null_semantics)._entry()
+            assert wire.encode_entry(cross, result._entry()) == wire.encode_entry(cross, rows)
+            assert wire.encode_entry(cross, rows) == wire.encode_answers(cross, result._force())
 
-    def test_repaired_rows_on_a_grown_ordering_and_rows_on_another(self):
+    def test_entries_encode_against_the_snapshot_their_rows_were_computed_on(self):
         builder = GraphBuilder(name="chain")
         for i in range(12):
             builder.node(("c", i), NULL if i % 3 else i)
@@ -257,26 +256,27 @@ class TestAnswerSets:
         session = GraphSession(graph, policy=ExecutionPolicy(backend="compact"))
         query = Query.parse("a+")
         before = session.run(query)
-        old_answers = before._force()
-        old_bits = before._rows[0]
+        old = before._entry()
+        expected = wire.encode_answers(query, before._force())
         with graph.batch() as batch:  # an insert-only delta with a small touched closure
             batch.add_node(("c", -1), NULL)
             batch.add_edge(("c", -1), "a", ("c", 0))
         after = session.run(query)
-        answers = after._force()
+        entry = after._entry()
         assert session.maintenance_stats()["repairs"] == 1
-        bits, grown = after._rows
-        assert len(grown.nodes) > len(old_bits.nodes) and bits.nodes is grown.nodes
-        assert wire.encode_answers(query, answers, after._rows) == wire.encode_answers(query, answers)
-        # Rows on a prefix of the snapshot's ordering encode through it ...
-        expected = wire.encode_answers(query, old_answers)
-        assert wire.encode_answers(query, frozenset(), (old_bits, grown)) == expected
-        # ... rows on another ordering keep the pair path.
+        grown = entry.snapshot
+        assert len(grown.nodes) > len(old.bits.nodes) and entry.bits.nodes is grown.nodes
+        assert wire.encode_entry(query, entry) == wire.encode_answers(query, after._force())
+        # Rows on a prefix of a snapshot's ordering encode through it ...
+        assert wire.encode_entry(query, CachedRelation(old.bits, grown)) == expected
+        # ... and an entry encodes against its own snapshot after a write
+        # reordered the graph's, without decoding its rows.
         with graph.batch() as batch:
             batch.remove_node(("c", 0))
-        reordered = graph.compact_index()
-        assert reordered.nodes[: len(old_bits.nodes)] != old_bits.nodes
-        assert wire.encode_answers(query, old_answers, (old_bits, reordered)) == expected
+            batch.set_value(("c", 3), "rewritten")
+        assert graph.compact_index().nodes[: len(old.bits.nodes)] != old.bits.nodes
+        unread = CachedRelation(old.bits, old.snapshot)
+        assert wire.encode_entry(query, unread) == expected and unread.answer is None
 
 
 def relation_document(**changes):

@@ -538,7 +538,7 @@ class TestRepairFollowsTheRoute:
         session = GraphSession(graph, policy=ROUTE_POLICIES["compact"])
         rows = session.run(query).rows()
         bits = session._results.peek((graph.version, query.key, False)).bits
-        base_objects = graph.compact_index().node_objects
+        base = graph.compact_index()
         previous = graph.version
         shortcut_batch(graph)
         delta = graph.journal.composed(previous, graph.version)
@@ -550,7 +550,7 @@ class TestRepairFollowsTheRoute:
             return session._evaluated(query, route, False)
 
         entry, outcome = repair_full_relation(
-            graph, query, (CachedRelation(bits, base_objects, rows), delta), evaluate
+            graph, query, (CachedRelation(bits, base, rows), delta), evaluate
         )
         assert outcome == "patched" and entry.answer == expected
         assert entry.bits.node_pairs(objects) == expected
@@ -560,7 +560,7 @@ class TestRepairFollowsTheRoute:
             shuffled, {node: at for at, node in enumerate(shuffled)}, dict(bits.rows)
         )
         entry, outcome = repair_full_relation(
-            graph, query, (CachedRelation(misaligned, base_objects, rows), delta), evaluate
+            graph, query, (CachedRelation(misaligned, base, rows), delta), evaluate
         )
         assert outcome == "rows" and entry.answer is None
         assert entry.pairs() == entry.bits.node_pairs(objects) == expected
@@ -860,7 +860,7 @@ class TestDecodeOnFirstRead:
             batch.add_node("t5s0", 2)
             batch.add_edge("t4s0", "supplies_to", "t5s0")
             batch.set_value("t0s0", 9)
-        assert len(graph.compact_index().node_objects) != len(entry.objects)
+        assert len(graph.compact_index().node_objects) != len(entry.snapshot.node_objects)
         assert entry.pairs() == before  # the base's own snapshot, never the graph's
         assert session.run(self.REM).pairs() == self.expected(graph)
 

@@ -10,6 +10,7 @@ forks nothing, and the metrics report.
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import socket
@@ -18,10 +19,12 @@ import threading
 import time
 
 import pytest
+from conftest import reference_node, reference_path
 
 from repro.api import (
     GraphSession,
     Query,
+    QueryKind,
     QueryTimeoutError,
     ServerBusyError,
     ServerShuttingDownError,
@@ -30,6 +33,8 @@ from repro.api import (
 )
 from repro.datagraph import GraphBuilder, generators
 from repro.exceptions import EvaluationError, UnknownNodeError
+from repro.query import evaluate_data_rpq_naive, evaluate_rpq_naive
+from repro.query.crpq import evaluate_crpq_naive
 from repro.server import ReproServer, ServerConfig
 from repro.server import daemon as daemon_module
 from repro.server.protocol import ProtocolError, recv_frame, send_frame
@@ -226,6 +231,126 @@ class TestAnswersThroughTheDaemon:
                 "a+", "daemon-new"
             )
 
+    @pytest.mark.parametrize("null_semantics", [False, True])
+    def test_every_write_kind_answers_like_the_naive_spec_in_the_same_bytes(
+        self, served, null_semantics
+    ):
+        graph, address, server = served
+        queries = [Query.parse(text, dialect=dialect) for text, dialect in QUERIES + EXTRA_QUERIES]
+        stands = [query for query in queries if query.kind.value in ("rpq", "data_rpq")]
+
+        def entries():
+            results = served_session(server)._results
+            return [results.peek((graph.version, q.key, null_semantics)) for q in stands]
+
+        with connect(address) as session:
+            for write, actions in [(None, None), *WRITES]:
+                if actions is not None:
+                    kept = entries()
+                    session.mutate(actions)
+                documents = [
+                    document(session, "run", query, null_semantics) for query in queries
+                ]
+                if write == "alt_for insert":  # no query reads alt_for: the entries stand
+                    assert None not in kept and entries() == kept
+                assert document(session, "run_many", queries, null_semantics) == documents
+                for query, sent in zip(queries, documents):
+                    expected = naive_answers(graph, query, null_semantics)
+                    assert session.run(query, null_semantics=null_semantics) == expected, (
+                        write, str(query),
+                    )
+                    assert sent == json.dumps(wire.encode_answers(query, expected)), (
+                        write, str(query),
+                    )
+
+    def test_a_repeated_run_or_batch_sends_the_stored_document(
+        self, served, encodes, monkeypatch
+    ):
+        _, address, _ = served
+        encoded = []
+        encode_answers = wire.encode_answers
+        monkeypatch.setattr(
+            wire, "encode_answers", lambda *args: encoded.append(1) or encode_answers(*args)
+        )
+        queries = [Query.parse(text, dialect=dialect) for text, dialect in QUERIES + EXTRA_QUERIES]
+        with connect(address) as session:
+            first = [document(session, "run", query) for query in queries]
+            counts = (len(encodes), len(encoded))
+            assert all(counts)  # both paths encoded the first runs
+            for _ in range(2):
+                assert [document(session, "run", query) for query in queries] == first
+                assert document(session, "run_many", queries) == first
+            assert (len(encodes), len(encoded)) == counts
+
+    def test_a_served_relation_is_never_decoded(self, served):
+        graph, address, server = served
+        queries = [
+            Query.parse(text, dialect=dialect)
+            for text, dialect in QUERIES + EXTRA_QUERIES
+            if dialect in ("rpq", "ree", "rem", "crpq")
+        ]
+        with connect(address) as session:
+            for query in queries:
+                session.run(query).rows()
+                session.run_many([query, query])
+            results = served_session(server)._results
+            for query in queries:
+                entry = results.peek((graph.version, query.key, False))
+                if query.arity == 2:  # a compact route keeps a relation's rows
+                    assert entry.bits is not None and entry.answer is None, str(query)
+                    assert entry.document is not None
+                else:
+                    assert entry.bits is None and entry.answer is not None, str(query)
+
+
+#: One write of each kind the daemon's ``mutate`` applies, in order.
+WRITES = [
+    ("insert", [["add_edge", "c0n0", "a", "c1n5"], ["add_edge", "c1n5", "b", "c2n7"]]),
+    ("alt_for insert", [["add_edge", "c0n1", "alt_for", "c2n3"]]),
+    ("removal", [["remove_edge", "c0n0", "a", "c0n29"]]),
+    ("set_value", [["set_value", "c0n29", None], ["set_value", "c1n5", "d0"]]),
+    ("add_node", [["add_node", "fresh", "d1"], ["add_edge", "fresh", "a", "c0n0"],
+                  ["add_edge", "c2n7", "c", "fresh"]]),
+    ("remove_node", [["remove_node", "c1n5"]]),
+]
+
+
+def naive_answers(graph, query, null_semantics=False):
+    """*query*'s raw answer set by its naive specification."""
+    kind, plan = query.kind, query.plan
+    if kind is QueryKind.RPQ:
+        return evaluate_rpq_naive(graph, plan)
+    if kind is QueryKind.DATA_RPQ:
+        return evaluate_data_rpq_naive(graph, plan, null_semantics)
+    if kind is QueryKind.CRPQ:
+        return evaluate_crpq_naive(graph, plan, null_semantics)
+    node = graph.node
+    if kind is QueryKind.GXPATH_PATH:
+        pairs = reference_path(graph, plan, null_semantics)
+        return frozenset((node(source), node(target)) for source, target in pairs)
+    return frozenset(map(node, reference_node(graph, plan, null_semantics)))
+
+
+def document(session, op, queries, null_semantics=False):
+    """The answer documents of one ``run`` (one query) or ``run_many``
+    reply, as the JSON text the server wrote them in."""
+    if op == "run":
+        fields = {"query": wire.encode_query(queries)}
+    else:
+        fields = {"queries": [wire.encode_query(query) for query in queries]}
+    answers = session._call(op, null_semantics=null_semantics or None, **fields)["answers"]
+    return json.dumps(answers) if op == "run" else list(map(json.dumps, answers))
+
+
+def served_session(server):
+    """The server-side session of the one connection that ran a query."""
+    (session,) = [
+        connection.session
+        for connection in server._connections.values()
+        if connection.session is not None
+    ]
+    return session
+
 
 def _child_pids():
     """This process's live children, or ``None`` where the kernel does not
@@ -302,7 +427,9 @@ class TestNothingForks:
                 assert [result.rows() for result in batch] == [
                     local.run(query).rows() for query in queries
                 ]
-        assert len(encodes) == 3 * len(queries)
+        # Once per entry: before the write and after it; the unchanged
+        # last batch sends the documents the re-answers stored.
+        assert len(encodes) == 2 * len(queries)
 
 
 class TestGracefulDrain:
@@ -598,10 +725,12 @@ class TestMetricsAndManagement:
         assert latency["p95_ms"] is not None and latency["p95_ms"] >= 0
         assert metrics["uptime_seconds"] > 0
 
-    def test_a_local_crpq_re_run_after_a_write_is_patched(self):
+    def test_a_local_crpq_re_run_after_a_write_is_a_rows_repair(self):
         """CRPQs run on the connection's own session: a binary one whose
-        plan ends on bit rows is re-answered after a mutation by decoding
-        the difference, and the server counts it."""
+        plan ends on bit rows is re-answered after a mutation from the
+        memo's rows, and the server counts it.  The daemon never decoded
+        the base entry, so there is no answer to patch: the new rows are
+        encoded as they are."""
         graph = make_graph()
         server = ReproServer(graph, ServerConfig(backend="compact"))
         address = server.start()
@@ -615,7 +744,7 @@ class TestMetricsAndManagement:
                 counters = session.metrics()["counters"]
         finally:
             server.shutdown()
-        assert (counters["result_repairs"], counters["result_patched"]) == (1, 1)
+        assert (counters["result_repairs"], counters["result_patched"]) == (1, 0)
         assert counters["result_recomputes"] == 0
 
     def test_mutate_replies_carry_the_delta(self, served):
