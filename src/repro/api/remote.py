@@ -121,7 +121,10 @@ class RemoteSession(SessionProtocol):
 
     Built by :func:`connect`; not constructed directly.  ``close`` (or
     the context manager) releases the socket; every method raises
-    :class:`~repro.exceptions.EvaluationError` once closed.
+    :class:`~repro.exceptions.EvaluationError` once closed.  Replies are
+    decoded through one node table kept for the life of the connection
+    (:func:`repro.api.wire.decode_answers`), so each node is built once
+    per connection, not once per reply.
     """
 
     def __init__(
@@ -134,6 +137,7 @@ class RemoteSession(SessionProtocol):
         self.address = address
         self.default_timeout = default_timeout
         self._request_ids = itertools.count(1)
+        self._nodes: wire.NodeTable = {}
 
     # ------------------------------------------------------------------
     # Protocol plumbing
@@ -191,7 +195,7 @@ class RemoteSession(SessionProtocol):
             null_semantics=null_semantics or None,
             timeout=self._query_timeout(timeout),
         )
-        entry = CachedRelation(answer=wire.decode_answers(plan, response.get("answers")))
+        entry = CachedRelation(answer=wire.decode_answers(plan, response.get("answers"), self._nodes))
         result = Result(plan, None, lambda: entry)
         result._entry()
         return result
@@ -215,7 +219,7 @@ class RemoteSession(SessionProtocol):
             raise ProtocolError(f"run_many answered {documents!r} for {len(plans)} queries")
         results: List[Result] = []
         for plan, document in zip(plans, documents):
-            entry = CachedRelation(answer=wire.decode_answers(plan, document))
+            entry = CachedRelation(answer=wire.decode_answers(plan, document, self._nodes))
             result = Result(plan, None, lambda entry=entry: entry)
             result._entry()
             results.append(result)
@@ -237,7 +241,7 @@ class RemoteSession(SessionProtocol):
             null_semantics=null_semantics or None,
             timeout=self._query_timeout(timeout),
         )
-        return wire.decode_nodes(response.get("nodes"))
+        return wire.decode_nodes(response.get("nodes"), self._nodes)
 
     def explain(self, query: QueryLike) -> str:
         """The server-side execution plan as text."""

@@ -22,7 +22,8 @@ Answer sets travel as **rows over one node column** — the distinct nodes
 of the answer, each ``[id, value]`` once, plus integer index rows into
 that column (:func:`encode_answers`) — so a reply is O(answer) bytes, the
 same bytes for the same answer, and the decoder builds each
-:class:`~repro.datagraph.node.Node` once.  The daemon encodes a session's
+:class:`~repro.datagraph.node.Node` once — once per connection when the
+caller keeps a node table (:func:`decode_answers`).  The daemon encodes a session's
 cached relation straight from its bit rows (:func:`encode_entry`) into
 those same bytes, once per cache entry; a remote
 :class:`~repro.api.result.Result` behaves exactly like a local one.
@@ -33,7 +34,7 @@ from __future__ import annotations
 import dataclasses
 from collections import defaultdict
 from itertools import chain, repeat
-from typing import Any, Dict, FrozenSet, List, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from ..datagraph.node import Node, index_rows, sorted_column
 from ..datagraph.values import NULL, is_null
@@ -240,9 +241,43 @@ def encode_node(node: Node) -> Any:
 
 
 def decode_node(doc: Any) -> Node:
-    if not isinstance(doc, list) or len(doc) != 2:
-        raise SerializationError(f"malformed node document {doc!r}")
-    return Node(decode_value(doc[0]), decode_value(doc[1]))
+    return _decoded_column([doc])[0]
+
+
+#: A client's node table: an ``[id, value]`` entry's id spelling → its
+#: value spelling and the :class:`Node` decoded from the two.
+NodeTable = Dict[Any, Tuple[Any, Node]]
+
+
+def _decoded_column(docs: List, table: Optional[NodeTable] = None) -> List[Node]:
+    """The :class:`Node` of every ``[id, value]`` entry of *docs*, each
+    taken from *table* (a fresh one when omitted) when it holds that id
+    with that value, else decoded and stored there in place of the id's
+    previous entry.
+
+    A spelling is the JSON scalar itself for a string (and for an ``int``
+    value), else the 1-tuple of its ``repr``: ``1``, ``1.0`` and ``True``
+    are one dict key but three spellings, a NaN always spells ``'nan'``
+    and a tuple document spells every item's type.  Equal spellings
+    decode to identical ids and values, so a node from the table is the
+    node a fresh decode builds, and the table holds one entry per id
+    spelling."""
+    if table is None:
+        table = {}
+    column: List[Node] = []
+    append, get = column.append, table.get
+    for doc in docs:
+        if not isinstance(doc, list) or len(doc) != 2:
+            raise SerializationError(f"malformed node document {doc!r}")
+        id_doc, value_doc = doc
+        key = id_doc if id_doc.__class__ is str else (repr(id_doc),)
+        kind = value_doc.__class__
+        spelling = value_doc if kind is str or kind is int else (repr(value_doc),)
+        entry = get(key)
+        if entry is None or entry[0] != spelling:
+            entry = table[key] = (spelling, Node(decode_value(id_doc), decode_value(value_doc)))
+        append(entry[1])
+    return column
 
 
 def _answer_shape(query: Query) -> str:
@@ -328,7 +363,7 @@ def _checked_indices(indices: List, size: int) -> List:
     return indices
 
 
-def decode_answers(query: Query, doc: Any) -> FrozenSet:
+def decode_answers(query: Query, doc: Any, table: Optional[NodeTable] = None) -> FrozenSet:
     """Rebuild the raw answer set :func:`encode_answers` described.
 
     The shape is driven by *query*, so the result is exactly what a local
@@ -336,6 +371,8 @@ def decode_answers(query: Query, doc: Any) -> FrozenSet:
     :class:`~repro.exceptions.SerializationError`: another shape, a
     missing or non-list field, an index that is no integer inside the
     column, a wrong-arity, empty or repeated row, a repeated answer.
+    Column nodes come from *table* (a fresh one when omitted), which a
+    caller keeps across replies to build each node once.
     """
     shape = _answer_shape(query)
     if not isinstance(doc, dict) or doc.get("shape") != shape:
@@ -344,7 +381,7 @@ def decode_answers(query: Query, doc: Any) -> FrozenSet:
     nodes = doc.get("nodes")
     if not isinstance(nodes, list):
         raise SerializationError(f"{shape!r} answers document has no node column")
-    column = list(map(decode_node, nodes))
+    column = _decoded_column(nodes, table)
     pick = column.__getitem__
     rows = doc.get("rows")
     try:
@@ -376,11 +413,15 @@ def decode_answers(query: Query, doc: Any) -> FrozenSet:
     return answers
 
 
-def decode_nodes(doc: Any) -> FrozenSet[Node]:
-    """A bare node set (the ``targets`` reply shape)."""
+def decode_nodes(doc: Any, table: Optional[NodeTable] = None) -> FrozenSet[Node]:
+    """A bare node set (the ``targets`` reply shape), its nodes taken from
+    *table* as :func:`decode_answers` takes them; a repeated node raises."""
     if not isinstance(doc, list):
         raise SerializationError(f"malformed node list {doc!r}")
-    return frozenset(decode_node(node) for node in doc)
+    nodes = frozenset(_decoded_column(doc, table))
+    if len(nodes) != len(doc):
+        raise SerializationError("node list repeats a node")
+    return nodes
 
 
 def encode_nodes(nodes: FrozenSet[Node]) -> Tuple[Any, ...]:

@@ -104,7 +104,8 @@ class CompactLabelIndex:
         the delta's sources and the backward rows of its targets are
         taken from *index*'s patched rows, every other row slice-copied.
         When no value changed, the ``values`` and ``Node`` columns are
-        carried and extended over appended nodes.  Unless *index*'s
+        carried and extended over appended nodes, and when no node was
+        appended either, so are the sort ranks.  Unless *index*'s
         ordering extends *previous*'s (a node was removed), everything is
         built afresh."""
         nodes = index.nodes
@@ -153,6 +154,8 @@ class CompactLabelIndex:
         if column is not None and not delta.value_changes:
             fresh = tuple(map(Node, nodes[len(column) :], values[len(column) :]))
             snapshot._node_objects = column + fresh
+            if not fresh:
+                snapshot._sort_ranks = previous._sort_ranks
         return snapshot
 
     # ------------------------------------------------------------------

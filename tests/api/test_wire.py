@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from itertools import product
 
 import pytest
 from conftest import REM_ASTS, regex_strategy, tricky_graphs
@@ -128,6 +129,15 @@ TRICKY_NODES = [
 ]
 
 
+#: Nodes that share an id with a :data:`TRICKY_NODES` node but carry
+#: another value (or the same value spelled as another type, or a NaN
+#: again), and ids that are one dict key with another node's id.
+REVALUED = [
+    Node("n0", 1.0), Node("n0", True), Node("n1", 1), Node("n5", 0), Node(6, 6.0),
+    Node(6, NAN), Node(6.0, NAN), Node(True, "1"), Node(("person", 3), (2, 2.0)),
+]
+
+
 def hop(document):
     """A real JSON hop: tuples become lists, NaN stays NaN."""
     return json.loads(json.dumps(document))
@@ -187,10 +197,13 @@ class TestAnswerSets:
     def test_round_trip_on_tricky_nodes(self, shape, picks, data):
         text, dialect, _, arity = shape
         query = Query.parse(text, dialect=dialect)
-        if dialect == "gxpath-node":
-            answers = frozenset(row[0] for row in picks)
-        else:
-            answers = frozenset(tuple(row[:arity]) for row in picks)
+
+        def answers_of(rows):
+            if dialect == "gxpath-node":
+                return frozenset(row[0] for row in rows)
+            return frozenset(tuple(row[:arity]) for row in rows)
+
+        answers = answers_of(picks)
         sent = json.dumps(wire.encode_answers(query, answers))
         decoded = wire.decode_answers(query, json.loads(sent))
         assert spelled(decoded) == spelled(answers) and len(decoded) == len(answers)
@@ -199,6 +212,32 @@ class TestAnswerSets:
         # The same answer built in another order is the same bytes.
         again = frozenset(data.draw(st.permutations(sorted(answers, key=repr))))
         assert again == answers and json.dumps(wire.encode_answers(query, again)) == sent
+        # Through one node table, a sequence of replies whose ids come back
+        # with other values decodes exactly as each reply does fresh.
+        table = {}
+        rows = st.lists(st.sampled_from(TRICKY_NODES + REVALUED), min_size=3, max_size=3)
+        for more in [picks, *data.draw(st.lists(st.lists(rows, max_size=12), max_size=5))]:
+            document = hop(wire.encode_answers(query, answers_of(more)))
+            decoded = wire.decode_answers(query, document, table)
+            assert spelled(decoded) == spelled(wire.decode_answers(query, document))
+            assert len(decoded) == len(wire.decode_answers(query, document))
+        assert len(table) <= len({repr(node.id) for node in TRICKY_NODES + REVALUED})
+
+    def test_a_node_table_keeps_one_entry_per_id(self):
+        table = {}
+        for value in (NAN, NAN, float("nan"), 1, 1.0, True, "1", NULL, ("t", 1), ("t", 1.0)):
+            document = hop(wire.encode_nodes(frozenset({Node("n1", value)})))
+            (node,) = wire.decode_nodes(document, table)
+            assert node.sort_key() == Node("n1", value).sort_key() and len(table) == 1
+        # Without a JSON hop, two NaN objects spell the same value.
+        (seen,) = wire.decode_nodes([["n2", float("nan")]], table)
+        (node,) = wire.decode_nodes([["n2", float("nan")]], table)
+        assert node is seen and len(table) == 2
+        # A node seen before is the object the table built for it.
+        document = hop(wire.encode_nodes(frozenset({Node("n1", ("t", 1.0))})))
+        (kept,) = wire.decode_nodes(document, table)
+        (again,) = wire.decode_nodes(document, table)
+        assert again is kept and type(again.value[1]) is float and len(table) == 2
 
     def test_encoding_is_deterministic(self, valued_graph):
         query = Query.parse("a|b")
@@ -300,6 +339,14 @@ class TestHostileAnswerDocuments:
     TRIPLES = Query.parse("x,y,z :- (x, a, y), (y, b, z)", dialect="crpq")
     NODES = Query.parse("<a>", dialect="gxpath-node")
 
+    def tables(self):
+        """No table (a fresh decode), and a node table already holding
+        every node the documents below name: neither accepts them."""
+        warm = {}
+        wire.decode_answers(self.RELATION, relation_document(), warm)
+        wire.decode_nodes([["n1", 2], ["n1", 1], ["n4", None]], warm)
+        return None, warm
+
     def test_the_valid_documents_decode(self):
         n1, n2, n3 = Node("n1", 1), Node("n2", "two"), Node("n3", NULL)
         assert wire.decode_answers(self.RELATION, relation_document()) == {
@@ -348,8 +395,9 @@ class TestHostileAnswerDocuments:
         ids=repr,
     )
     def test_malformed_relation_rejected(self, changes):
-        with pytest.raises(SerializationError):
-            wire.decode_answers(self.RELATION, relation_document(**changes))
+        for table in self.tables():
+            with pytest.raises(SerializationError):
+                wire.decode_answers(self.RELATION, relation_document(**changes), table)
 
     @pytest.mark.parametrize(
         "rows",
@@ -371,15 +419,16 @@ class TestHostileAnswerDocuments:
     )
     def test_malformed_tuples_rejected(self, rows):
         document = relation_document(shape="tuples", targets=..., rows=rows)
-        with pytest.raises(SerializationError):
-            wire.decode_answers(self.TRIPLES, document)
+        for table in self.tables():
+            with pytest.raises(SerializationError):
+                wire.decode_answers(self.TRIPLES, document, table)
 
     def test_a_boolean_answer_is_the_empty_tuple_at_most_once(self):
         boolean = Query.parse(":- (x, a, y)", dialect="crpq")
         assert wire.decode_answers(boolean, {"shape": "tuples", "nodes": [], "rows": [[]]}) == {()}
-        for rows in ([[], []], [[0]], [0]):
+        for rows, table in product(([[], []], [[0]], [0]), self.tables()):
             with pytest.raises(SerializationError):
-                wire.decode_answers(boolean, {"shape": "tuples", "nodes": [], "rows": rows})
+                wire.decode_answers(boolean, {"shape": "tuples", "nodes": [], "rows": rows}, table)
 
     @pytest.mark.parametrize(
         "document",
@@ -396,11 +445,30 @@ class TestHostileAnswerDocuments:
         ids=repr,
     )
     def test_malformed_node_sets_rejected(self, document):
-        with pytest.raises(SerializationError):
-            wire.decode_answers(self.NODES, document)
+        for table in self.tables():
+            with pytest.raises(SerializationError):
+                wire.decode_answers(self.NODES, document, table)
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            None,
+            "nodes",
+            {"0": ["n1", 1]},
+            [["n1"]],
+            [["n1", 1], ["n2", [2]]],  # a list is no value
+            [["n1", 1], ["n1", 1]],  # a targets reply repeats a node
+            [["n1", 1], ["n2", "two"], ["n1", 1]],
+        ],
+        ids=repr,
+    )
+    def test_malformed_node_lists_rejected(self, document):
+        for table in self.tables():
+            with pytest.raises(SerializationError):
+                wire.decode_nodes(document, table)
 
     def test_the_per_pair_rows_document_is_gone(self):
         per_pair = {"shape": "rows", "rows": [[["n1", 1], ["n2", "two"]]]}
-        for query in (self.RELATION, self.TRIPLES, self.NODES):
+        for query, table in product((self.RELATION, self.TRIPLES, self.NODES), self.tables()):
             with pytest.raises(SerializationError):
-                wire.decode_answers(query, per_pair)
+                wire.decode_answers(query, per_pair, table)

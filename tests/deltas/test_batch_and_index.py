@@ -221,6 +221,7 @@ class TestNewNodeWithEdgesInOneBatch:
 
         graph = chain_graph()
         before = graph.compact_index()  # cached: the batch's snapshot is carried from it
+        ranks = before.sort_ranks
         with graph.batch() as batch:
             self.SPLICED_BATCHES[change](batch)
         via_patched = graph.compact_index()
@@ -228,6 +229,7 @@ class TestNewNodeWithEdgesInOneBatch:
         assert via_patched.nodes == via_rebuild.nodes
         assert via_patched.values == via_rebuild.values
         assert via_patched.node_objects == via_rebuild.node_objects
+        assert via_patched.sort_ranks == via_rebuild.sort_ranks
         assert via_patched._counts == via_rebuild._counts
         assert via_patched.edge_labels() == via_rebuild.edge_labels()
         for label in via_patched.edge_labels():
@@ -244,6 +246,8 @@ class TestNewNodeWithEdgesInOneBatch:
         # A label the batch names no edge of is carried whole.
         if "b" not in graph.journal.deltas()[-1].touched_labels:
             assert via_patched.forward["b"][1] is before.forward["b"][1]
-        # No value changed and no node joined: the values column is carried.
+        # No value changed and no node joined: the values column and the
+        # sort ranks are carried.
         if len(via_patched.nodes) == len(before.nodes):
             assert via_patched.values is before.values
+            assert via_patched._sort_ranks is ranks

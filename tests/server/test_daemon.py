@@ -32,6 +32,7 @@ from repro.api import (
     wire,
 )
 from repro.datagraph import GraphBuilder, generators
+from repro.datagraph.node import Node
 from repro.exceptions import EvaluationError, UnknownNodeError
 from repro.query import evaluate_data_rpq_naive, evaluate_rpq_naive
 from repro.query.crpq import evaluate_crpq_naive
@@ -262,6 +263,25 @@ class TestAnswersThroughTheDaemon:
                     assert sent == json.dumps(wire.encode_answers(query, expected)), (
                         write, str(query),
                     )
+
+    def test_another_connections_set_value_reaches_a_warm_node_table(self, served):
+        graph, address, _ = served
+        closure, step, source = Query.parse("(a|b)+"), Query.parse("a|b"), "c0n0"
+        with connect(address) as writer, connect(address) as reader:
+            reader.run(closure)
+            (node, *_) = sorted(reader.targets(step, source), key=Node.sort_key)
+            size = len(reader._nodes)
+            assert reader._nodes[node.id][1] is node  # the reader decoded it
+            writer.mutate([["set_value", node.id, "rewritten"]])
+            expected = frozenset(
+                target for start, target in naive_answers(graph, step) if start.id == source
+            )
+            targets = reader.targets(step, source)
+            assert targets == expected and Node(node.id, "rewritten") in targets
+            answers = reader.run(closure)
+            assert answers == naive_answers(graph, closure)
+            assert Node(node.id, "rewritten") in {target for _, target in answers.pairs()}
+            assert len(reader._nodes) == size  # the new value replaced the old entry
 
     def test_a_repeated_run_or_batch_sends_the_stored_document(
         self, served, encodes, monkeypatch
