@@ -51,22 +51,22 @@ from .core import (
     is_solution,
     lav_mapping,
     least_informative_solution,
-    mapping_domain,
     universal_solution,
 )
+from .core.solutions import mapping_domain
 from .datagraph import (
     NULL,
     DataGraph,
     DataPath,
     GraphBuilder,
     Node,
-    Path,
     PropertyGraph,
     graph_from_dict,
     graph_from_json,
     graph_to_dict,
     graph_to_json,
 )
+from .datagraph.paths import Path
 from .deltas import DeltaJournal, GraphDelta, MutationBatch
 from .engine import EvaluationEngine, default_engine
 from .gxpath import parse_gxpath_node, parse_gxpath_path

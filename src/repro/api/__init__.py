@@ -26,7 +26,7 @@ explicit invalidation.
 
 The same surface is served remotely: :func:`connect` dials a
 ``repro serve`` daemon and returns a :class:`RemoteSession` — the other
-implementation of :class:`SessionProtocol`, so library code written
+implementation of :class:`~repro.api.protocol.SessionProtocol`, so library code written
 against the protocol runs unchanged in-process or against a server:
 
 .. code-block:: python
@@ -38,29 +38,17 @@ against the protocol runs unchanged in-process or against a server:
 """
 
 from .executors import ExecutionPolicy
-from .protocol import SessionProtocol
-from .query import Query, QueryKind, QueryLike
-from .remote import (
-    QueryTimeoutError,
-    RemoteSession,
-    ServerBusyError,
-    ServerShuttingDownError,
-    connect,
-)
+from .query import Query, QueryKind
+from .remote import RemoteSession, connect
 from .result import Result
 from .session import GraphSession
 
 __all__ = [
     "Query",
     "QueryKind",
-    "QueryLike",
     "Result",
-    "SessionProtocol",
     "GraphSession",
     "RemoteSession",
     "connect",
-    "ServerBusyError",
-    "QueryTimeoutError",
-    "ServerShuttingDownError",
     "ExecutionPolicy",
 ]

@@ -8,9 +8,7 @@ encoding, the Proposition 5 mapping simplification, and end-to-end data
 exchange / virtual integration façades.
 """
 
-from .canonical import Requirement, Skeleton, build_skeleton, materialise
 from .certain_answers import (
-    DEFAULT_NAIVE_BUDGET,
     certain_answers,
     certain_answers_data_path,
     certain_answers_equality_only,
@@ -19,16 +17,12 @@ from .certain_answers import (
     is_certain_answer,
     simplify_mapping_for_data_path_query,
 )
-from .exchange import DataExchangeEngine, ExchangeResult
+from .exchange import DataExchangeEngine
 from .gsm import GraphSchemaMapping, MappingRule, copy_mapping, gav_mapping, lav_mapping
-from .integration import SourceRelation, VirtualIntegrationSystem
-from .least_informative import least_informative_solution, least_informative_solution_from_skeleton
-from .solutions import RuleViolation, is_solution, mapping_domain, source_requirements, violations
-from .universal import (
-    homomorphism_to_solution,
-    universal_solution,
-    universal_solution_from_skeleton,
-)
+from .integration import VirtualIntegrationSystem
+from .least_informative import least_informative_solution
+from .solutions import is_solution
+from .universal import homomorphism_to_solution, universal_solution
 
 __all__ = [
     "GraphSchemaMapping",
@@ -37,19 +31,9 @@ __all__ = [
     "gav_mapping",
     "copy_mapping",
     "is_solution",
-    "violations",
-    "RuleViolation",
-    "mapping_domain",
-    "source_requirements",
-    "Skeleton",
-    "Requirement",
-    "build_skeleton",
-    "materialise",
     "universal_solution",
-    "universal_solution_from_skeleton",
     "homomorphism_to_solution",
     "least_informative_solution",
-    "least_informative_solution_from_skeleton",
     "certain_answers",
     "certain_answers_naive",
     "certain_answers_with_nulls",
@@ -57,9 +41,6 @@ __all__ = [
     "certain_answers_data_path",
     "simplify_mapping_for_data_path_query",
     "is_certain_answer",
-    "DEFAULT_NAIVE_BUDGET",
     "DataExchangeEngine",
-    "ExchangeResult",
     "VirtualIntegrationSystem",
-    "SourceRelation",
 ]

@@ -6,27 +6,19 @@ relational view ``D_G``, homomorphisms (plain and null-aware), synthetic
 generators and (de)serialisation.
 """
 
-from .builder import GraphBuilder, chain_graph, cycle_graph, graph_from_edges
+from .builder import GraphBuilder
 from .compact import CompactLabelIndex
 from .graph import DataGraph, Edge
 from .index import LabelIndex
-from .morphisms import (
-    apply_homomorphism,
-    find_homomorphism,
-    find_isomorphism,
-    is_homomorphism,
-    is_isomorphism,
-    is_null_homomorphism,
-)
+from .morphisms import find_homomorphism, find_isomorphism, is_homomorphism, is_null_homomorphism
 from .node import Node, NodeId
-from .paths import DataPath, Path, enumerate_paths, path_from_ids
-from .property_graph import PropertyEdge, PropertyGraph, PropertyNode, property_graph_to_data_graph
+from .paths import DataPath
+from .property_graph import PropertyGraph
 from .serialization import graph_from_dict, graph_from_json, graph_to_dict, graph_to_json
 from .values import (
     NULL,
     DataValue,
     FreshValueFactory,
-    NullType,
     is_null,
     values_differ,
     values_equal,
@@ -39,24 +31,14 @@ __all__ = [
     "CompactLabelIndex",
     "Node",
     "NodeId",
-    "Path",
     "DataPath",
-    "enumerate_paths",
-    "path_from_ids",
     "GraphBuilder",
-    "graph_from_edges",
-    "chain_graph",
-    "cycle_graph",
     "PropertyGraph",
-    "PropertyNode",
-    "PropertyEdge",
-    "property_graph_to_data_graph",
     "graph_to_dict",
     "graph_from_dict",
     "graph_to_json",
     "graph_from_json",
     "NULL",
-    "NullType",
     "DataValue",
     "is_null",
     "values_equal",
@@ -65,7 +47,5 @@ __all__ = [
     "is_homomorphism",
     "is_null_homomorphism",
     "find_homomorphism",
-    "apply_homomorphism",
-    "is_isomorphism",
     "find_isomorphism",
 ]

@@ -15,7 +15,7 @@ from .graph import DataGraph
 from .node import NodeId
 from .values import NULL, DataValue
 
-__all__ = ["GraphBuilder", "graph_from_edges", "chain_graph", "cycle_graph"]
+__all__ = ["GraphBuilder"]
 
 
 class GraphBuilder:
@@ -103,48 +103,3 @@ class GraphBuilder:
     def build(self) -> DataGraph:
         """Return the constructed graph."""
         return self._graph
-
-
-def graph_from_edges(
-    edges: Iterable[Tuple[NodeId, str, NodeId]],
-    values: Optional[dict] = None,
-    name: str = "",
-) -> DataGraph:
-    """Build a graph from an edge list, assigning node values from *values*.
-
-    Node ids appearing only in *edges* get the SQL null value unless they
-    appear in the *values* mapping.
-    """
-    graph = DataGraph(name=name)
-    values = values or {}
-    for source, label, target in edges:
-        for endpoint in (source, target):
-            if not graph.has_node(endpoint):
-                graph.add_node(endpoint, values.get(endpoint, NULL))
-        graph.add_edge(source, label, target)
-    for node_id, value in values.items():
-        if not graph.has_node(node_id):
-            graph.add_node(node_id, value)
-    return graph
-
-
-def chain_graph(length: int, label: str = "a", value_of=lambda i: i, name: str = "chain") -> DataGraph:
-    """A simple chain ``v0 -a-> v1 -a-> ... -a-> v(length)`` with data values ``value_of(i)``."""
-    graph = DataGraph(alphabet={label}, name=name)
-    for i in range(length + 1):
-        graph.add_node(f"v{i}", value_of(i))
-    for i in range(length):
-        graph.add_edge(f"v{i}", label, f"v{i + 1}")
-    return graph
-
-
-def cycle_graph(length: int, label: str = "a", value_of=lambda i: i, name: str = "cycle") -> DataGraph:
-    """A directed cycle of *length* nodes with data values ``value_of(i)``."""
-    if length < 1:
-        raise PathError("a cycle needs at least one node")
-    graph = DataGraph(alphabet={label}, name=name)
-    for i in range(length):
-        graph.add_node(f"v{i}", value_of(i))
-    for i in range(length):
-        graph.add_edge(f"v{i}", label, f"v{(i + 1) % length}")
-    return graph

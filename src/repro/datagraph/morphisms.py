@@ -32,7 +32,6 @@ __all__ = [
     "is_homomorphism",
     "is_null_homomorphism",
     "find_homomorphism",
-    "apply_homomorphism",
     "is_isomorphism",
     "find_isomorphism",
 ]
@@ -78,21 +77,6 @@ def _check_homomorphism(
         if not target.has_edge(mapping[edge_source.id], label, mapping[edge_target.id]):
             return False
     return True
-
-
-def apply_homomorphism(mapping: Mapping[NodeId, NodeId], graph: DataGraph, target: DataGraph) -> DataGraph:
-    """The homomorphic image of *graph* inside *target* under *mapping*.
-
-    Returns the subgraph of *target* induced by the images of *graph*'s
-    nodes, restricted to images of *graph*'s edges.
-    """
-    image = DataGraph(alphabet=target.alphabet, name=f"h({graph.name})" if graph.name else "")
-    for node in graph.nodes:
-        target_node = target.node(mapping[node.id])
-        image.add_node(target_node.id, target_node.value)
-    for edge_source, label, edge_target in graph.edges:
-        image.add_edge(mapping[edge_source.id], label, mapping[edge_target.id])
-    return image
 
 
 def find_homomorphism(

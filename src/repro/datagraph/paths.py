@@ -11,14 +11,14 @@ value; they are the inputs of data RPQ expressions (REM / REE).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from ..exceptions import PathError
 from .graph import DataGraph
-from .node import Node, NodeId
+from .node import Node
 from .values import DataValue
 
-__all__ = ["Path", "DataPath", "enumerate_paths", "path_from_ids"]
+__all__ = ["Path", "DataPath"]
 
 
 @dataclass(frozen=True)
@@ -207,63 +207,3 @@ class DataPath:
 
     def __str__(self) -> str:
         return " ".join(str(item) for item in self.items())
-
-
-def path_from_ids(graph: DataGraph, node_ids: Sequence[NodeId], labels: Sequence[str]) -> Path:
-    """Build a :class:`Path` from node ids and labels, validating against *graph*."""
-    nodes = tuple(graph.node(node_id) for node_id in node_ids)
-    path = Path(nodes, tuple(labels))
-    for source, label, target in path.steps():
-        if not graph.has_edge(source.id, label, target.id):
-            raise PathError(f"({source.id!r}, {label!r}, {target.id!r}) is not an edge of the graph")
-    return path
-
-
-def enumerate_paths(
-    graph: DataGraph,
-    source: NodeId,
-    max_length: int,
-    target: Optional[NodeId] = None,
-    labels: Optional[Iterable[str]] = None,
-) -> Iterator[Path]:
-    """Enumerate paths of length at most *max_length* starting at *source*.
-
-    Parameters
-    ----------
-    graph:
-        The data graph to walk.
-    source:
-        Id of the start node.
-    max_length:
-        Maximum number of edges of the produced paths.
-    target:
-        If given, only paths ending at this node id are produced.
-    labels:
-        If given, only edges with these labels are followed.
-
-    Notes
-    -----
-    The number of paths can grow exponentially with *max_length*; this
-    generator is intended for tests, small gadgets and the bounded
-    procedures of the certain-answer algorithms, not for production query
-    evaluation (which uses product automata instead).
-    """
-    allowed = set(labels) if labels is not None else None
-    start = graph.node(source)
-
-    def _extend(path_nodes: List[Node], path_labels: List[str]) -> Iterator[Path]:
-        current = path_nodes[-1]
-        if target is None or current.id == target:
-            yield Path(tuple(path_nodes), tuple(path_labels))
-        if len(path_labels) >= max_length:
-            return
-        for label, nxt in graph.successors(current.id):
-            if allowed is not None and label not in allowed:
-                continue
-            path_nodes.append(nxt)
-            path_labels.append(label)
-            yield from _extend(path_nodes, path_labels)
-            path_nodes.pop()
-            path_labels.pop()
-
-    yield from _extend([start], [])

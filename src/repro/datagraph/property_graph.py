@@ -30,7 +30,7 @@ from .graph import DataGraph
 from .node import NodeId
 from .values import NULL, DataValue
 
-__all__ = ["PropertyNode", "PropertyEdge", "PropertyGraph", "property_graph_to_data_graph"]
+__all__ = ["PropertyNode", "PropertyEdge", "PropertyGraph"]
 
 PROPERTY_EDGE_PREFIX = "prop:"
 EDGE_OUT_SUFFIX = ":out"
@@ -116,55 +116,38 @@ class PropertyGraph:
             raise UnknownNodeError(f"unknown property-graph node {node_id!r}") from None
 
     def to_data_graph(self, primary_property: str = "name") -> DataGraph:
-        """Convert to a :class:`~repro.datagraph.graph.DataGraph`.
+        """Encode this property graph as a data graph.
 
-        See :func:`property_graph_to_data_graph` for the encoding rules.
-        """
-        return property_graph_to_data_graph(self, primary_property=primary_property)
-
-
-def property_graph_to_data_graph(pg: PropertyGraph, primary_property: str = "name") -> DataGraph:
-    """Encode a property graph as a data graph.
-
-    Parameters
-    ----------
-    pg:
-        The property graph to convert.
-    primary_property:
-        The property whose value becomes the data value of the original
-        node; nodes lacking it get the SQL null value.
-
-    Returns
-    -------
-    DataGraph
-        A data graph whose node ids are the original ids for original
+        *primary_property* is the property whose value becomes the data
+        value of the original node; nodes lacking it get the SQL null
+        value.  The result's node ids are the original ids for original
         nodes, ``(node_id, "prop", key)`` for property nodes, and
         ``("edge", index)`` for intermediate edge nodes.
-    """
-    dg = DataGraph(name=pg.name or "property-graph")
-    for node in pg.nodes:
-        primary = node.properties.get(primary_property, NULL)
-        dg.add_node(node.id, primary)
-        for key, value in sorted(node.properties.items(), key=lambda kv: kv[0]):
-            if key == primary_property:
+        """
+        dg = DataGraph(name=self.name or "property-graph")
+        for node in self.nodes:
+            primary = node.properties.get(primary_property, NULL)
+            dg.add_node(node.id, primary)
+            for key, value in sorted(node.properties.items(), key=lambda kv: kv[0]):
+                if key == primary_property:
+                    continue
+                prop_id: Hashable = (node.id, "prop", key)
+                dg.add_node(prop_id, value)
+                dg.add_edge(node.id, f"{PROPERTY_EDGE_PREFIX}{key}", prop_id)
+            for label in node.labels:
+                label_id: Hashable = (node.id, "label", label)
+                dg.add_node(label_id, label)
+                dg.add_edge(node.id, f"{PROPERTY_EDGE_PREFIX}label", label_id)
+        for index, edge in enumerate(self.edges):
+            if not edge.properties:
+                dg.add_edge(edge.source, edge.label, edge.target)
                 continue
-            prop_id: Hashable = (node.id, "prop", key)
-            dg.add_node(prop_id, value)
-            dg.add_edge(node.id, f"{PROPERTY_EDGE_PREFIX}{key}", prop_id)
-        for label in node.labels:
-            label_id: Hashable = (node.id, "label", label)
-            dg.add_node(label_id, label)
-            dg.add_edge(node.id, f"{PROPERTY_EDGE_PREFIX}label", label_id)
-    for index, edge in enumerate(pg.edges):
-        if not edge.properties:
-            dg.add_edge(edge.source, edge.label, edge.target)
-            continue
-        edge_id: Hashable = ("edge", index)
-        dg.add_node(edge_id, NULL)
-        dg.add_edge(edge.source, edge.label, edge_id)
-        dg.add_edge(edge_id, f"{edge.label}{EDGE_OUT_SUFFIX}", edge.target)
-        for key, value in sorted(edge.properties.items(), key=lambda kv: kv[0]):
-            prop_id = ("edge", index, "prop", key)
-            dg.add_node(prop_id, value)
-            dg.add_edge(edge_id, f"{PROPERTY_EDGE_PREFIX}{key}", prop_id)
-    return dg
+            edge_id: Hashable = ("edge", index)
+            dg.add_node(edge_id, NULL)
+            dg.add_edge(edge.source, edge.label, edge_id)
+            dg.add_edge(edge_id, f"{edge.label}{EDGE_OUT_SUFFIX}", edge.target)
+            for key, value in sorted(edge.properties.items(), key=lambda kv: kv[0]):
+                prop_id = ("edge", index, "prop", key)
+                dg.add_node(prop_id, value)
+                dg.add_edge(edge_id, f"{PROPERTY_EDGE_PREFIX}{key}", prop_id)
+        return dg

@@ -8,7 +8,6 @@ with tests) used by the algorithms of Sections 6–8.
 """
 
 from .conditions import (
-    EMPTY_VALUATION,
     And,
     Condition,
     Equal,
@@ -19,25 +18,17 @@ from .conditions import (
     conj,
     disj,
     equal,
-    evaluate_condition,
     negate,
     not_equal,
 )
-from .fragments import Fragment, classify, is_equality_only, ree_to_rem
-from .path_tests import (
-    equality_subexpressions,
-    inequality_subexpressions,
-    is_path_with_tests,
-    path_length,
-)
+from .fragments import Fragment, classify, ree_to_rem
+from .path_tests import equality_subexpressions, is_path_with_tests, path_length
 from .ree import (
     RegexWithEquality,
-    count_inequality_tests,
     ree_any_of,
     ree_concat,
     ree_epsilon,
     ree_equal,
-    ree_labels,
     ree_letter,
     ree_matches,
     ree_not_equal,
@@ -45,28 +36,23 @@ from .ree import (
     ree_star,
     ree_union,
     ree_universal,
-    ree_uses_inequality,
     ree_word,
 )
 from .ree_parser import parse_ree
-from .register_automata import RegisterAutomaton, Transition, compile_rem, ra_accepts, ra_is_empty
+from .register_automata import RegisterAutomaton, compile_rem, ra_accepts, ra_is_empty
 from .rem import (
     RegexWithMemory,
-    derive,
     rem_bind,
     rem_concat,
     rem_epsilon,
-    rem_labels,
     rem_letter,
     rem_matches,
     rem_plus,
     rem_star,
     rem_test,
     rem_union,
-    rem_variables,
-    uses_inequality,
 )
-from .rem_parser import parse_condition, parse_rem
+from .rem_parser import parse_rem
 
 __all__ = [
     # conditions
@@ -77,13 +63,11 @@ __all__ = [
     "Or",
     "TrueCondition",
     "Valuation",
-    "EMPTY_VALUATION",
     "equal",
     "not_equal",
     "conj",
     "disj",
     "negate",
-    "evaluate_condition",
     # REM
     "RegexWithMemory",
     "rem_epsilon",
@@ -94,13 +78,8 @@ __all__ = [
     "rem_star",
     "rem_test",
     "rem_bind",
-    "derive",
     "rem_matches",
-    "uses_inequality",
-    "rem_variables",
-    "rem_labels",
     "parse_rem",
-    "parse_condition",
     # REE
     "RegexWithEquality",
     "ree_epsilon",
@@ -115,22 +94,16 @@ __all__ = [
     "ree_any_of",
     "ree_universal",
     "ree_matches",
-    "ree_uses_inequality",
-    "ree_labels",
-    "count_inequality_tests",
     "parse_ree",
     # paths with tests / fragments
     "is_path_with_tests",
     "path_length",
-    "inequality_subexpressions",
     "equality_subexpressions",
     "Fragment",
     "classify",
-    "is_equality_only",
     "ree_to_rem",
     # register automata
     "RegisterAutomaton",
-    "Transition",
     "compile_rem",
     "ra_accepts",
     "ra_is_empty",

@@ -56,7 +56,6 @@ from .ree import (
 __all__ = [
     "Fragment",
     "classify",
-    "is_equality_only",
     "ree_to_rem",
     "regex_to_rem",
     "free_registers",
@@ -96,13 +95,6 @@ def classify(expression: DataPathExpression) -> Fragment:
         if expression.uses_inequality():
             return Fragment.REM
         return Fragment.REM_EQUALITY_ONLY
-    raise TypeError(f"not a data RPQ expression: {expression!r}")
-
-
-def is_equality_only(expression: DataPathExpression) -> bool:
-    """Whether the expression avoids all inequality comparisons (Section 8)."""
-    if isinstance(expression, (RegexWithEquality, RegexWithMemory)):
-        return not expression.uses_inequality()
     raise TypeError(f"not a data RPQ expression: {expression!r}")
 
 

@@ -38,7 +38,6 @@ from .ree import (
 __all__ = [
     "is_path_with_tests",
     "path_length",
-    "inequality_subexpressions",
     "equality_subexpressions",
 ]
 
@@ -80,11 +79,6 @@ def _length(expression: RegexWithEquality) -> int:
     if isinstance(expression, (ReeEqualTest, ReeNotEqualTest)):
         return _length(expression.inner)
     raise AssertionError("not a path with tests")  # pragma: no cover - guarded by caller
-
-
-def inequality_subexpressions(expression: RegexWithEquality) -> int:
-    """Number of ``e≠`` annotations in the expression (Proposition 4)."""
-    return expression.inequality_count()
 
 
 def equality_subexpressions(expression: RegexWithEquality) -> int:

@@ -48,9 +48,6 @@ __all__ = [
     "ree_any_of",
     "ree_universal",
     "ree_matches",
-    "ree_uses_inequality",
-    "ree_labels",
-    "count_inequality_tests",
 ]
 
 
@@ -290,21 +287,6 @@ def ree_matches(
 ) -> bool:
     """Whether the data path belongs to ``L(e)``."""
     return _Matcher(data_path, null_semantics).run(expression, 0, len(data_path))
-
-
-def ree_uses_inequality(expression: RegexWithEquality) -> bool:
-    """Whether the expression lies outside the REE= fragment (Section 8)."""
-    return expression.uses_inequality()
-
-
-def ree_labels(expression: RegexWithEquality) -> FrozenSet[str]:
-    """All edge labels mentioned by the expression."""
-    return expression.labels()
-
-
-def count_inequality_tests(expression: RegexWithEquality) -> int:
-    """Number of ``e≠`` subscripts in the expression (Proposition 4)."""
-    return expression.inequality_count()
 
 
 class _Matcher:

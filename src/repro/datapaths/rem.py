@@ -55,9 +55,6 @@ __all__ = [
     "rem_bind",
     "derive",
     "rem_matches",
-    "uses_inequality",
-    "rem_variables",
-    "rem_labels",
 ]
 
 
@@ -317,21 +314,6 @@ def rem_matches(
 ) -> bool:
     """Whether ``w ∈ L(e)`` (starting from the given valuation, default ⊥)."""
     return bool(derive(expression, data_path, valuation, null_semantics))
-
-
-def uses_inequality(expression: RegexWithMemory) -> bool:
-    """Whether the expression lies outside the REM= fragment (Section 8)."""
-    return expression.uses_inequality()
-
-
-def rem_variables(expression: RegexWithMemory) -> FrozenSet[str]:
-    """All registers mentioned by the expression."""
-    return expression.variables()
-
-
-def rem_labels(expression: RegexWithMemory) -> FrozenSet[str]:
-    """All edge labels mentioned by the expression."""
-    return expression.labels()
 
 
 class _Derivation:

@@ -15,8 +15,8 @@ It provides:
   query;
 * the bit-row algebra (:mod:`repro.engine.data`) behind every
   sequential RPQ, scoped data RPQ and GXPath expression, and the
-  :class:`ProductSpace` protocol (:mod:`repro.engine.spaces`) —
-  :class:`NfaProductSpace` for plain RPQs, :class:`RegisterProductSpace`
+  ``ProductSpace`` protocol (:mod:`repro.engine.spaces`) —
+  ``NfaProductSpace`` for plain RPQs, ``RegisterProductSpace``
   for data RPQs — evaluated by the phase kernels
   (:mod:`repro.engine.product`) over each graph's lazily built
   :class:`~repro.datagraph.index.LabelIndex`, all handing their answer
@@ -41,7 +41,6 @@ from .bitrelation import BitRelation
 from .cache import CacheStats, LRUCache
 from .compiled import CompiledAutomaton
 from .engine import EvaluationEngine, default_engine
-from .spaces import NfaProductSpace, ProductSpace, RegisterProductSpace
 
 __all__ = [
     "EvaluationEngine",
@@ -50,7 +49,4 @@ __all__ = [
     "CompiledAutomaton",
     "CacheStats",
     "LRUCache",
-    "ProductSpace",
-    "NfaProductSpace",
-    "RegisterProductSpace",
 ]

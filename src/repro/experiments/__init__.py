@@ -27,9 +27,9 @@ from . import (
     e9_gxpath_gadget,
     e10_query_eval,
 )
-from .harness import ExperimentResult, render_table
+from .harness import ExperimentResult
 
-__all__ = ["EXPERIMENTS", "Experiment", "run_all", "refuted", "ExperimentResult", "render_table"]
+__all__ = ["run_all", "refuted"]
 
 
 class Experiment(NamedTuple):

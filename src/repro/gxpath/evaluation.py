@@ -46,7 +46,7 @@ from .ast import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..planner.router import Route
 
-__all__ = ["evaluate_path", "evaluate_node", "node_holds", "path_holds"]
+__all__ = ["evaluate_path", "evaluate_node", "node_holds"]
 
 
 class _RowEvaluator:
@@ -204,16 +204,3 @@ def node_holds(
     evaluator = _evaluator(graph, null_semantics)
     at = evaluator.index.position.get(node_id)
     return at is not None and bool(evaluator.node(expression) >> at & 1)
-
-
-def path_holds(
-    graph: DataGraph,
-    expression: PathExpression,
-    source: NodeId,
-    target: NodeId,
-    null_semantics: bool = False,
-) -> bool:
-    """Whether ``(source, target) ∈ [[α]]_G``."""
-    evaluator = _evaluator(graph, null_semantics)
-    u, v = map(evaluator.index.position.get, (source, target))
-    return u is not None and v is not None and bool(evaluator.path(expression).get(v, 0) >> u & 1)

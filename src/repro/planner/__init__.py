@@ -12,14 +12,14 @@ specification).
   ``SeededScan``, ``HashJoin``, ``Filter``, ``Project``) and the
   ``render_plan`` explain text;
 * :mod:`repro.planner.stats` — per-label degree summaries and the value
-  histogram (:class:`GraphStatistics`), cached on the graph and
+  histogram (``GraphStatistics``), cached on the graph and
   invalidated per touched label from the delta journal;
 * :mod:`repro.planner.cost` — cardinality estimates from label-index
   edge counts, sharpened by the statistics catalogue when present;
 * :mod:`repro.planner.planner` — :func:`plan_crpq`: existential-variable
   elimination (chain fusion, live columns), then the greedy
   cost-ordered join-order search producing a cacheable
-  :class:`CrpqPlan`;
+  ``CrpqPlan``;
 * :mod:`repro.planner.execute` — :func:`execute_plan`, adaptive
   hash-join execution with semijoin pushdown into the seeded engine
   kernels (:func:`repro.engine.product.seeded_product_relation`),
@@ -29,20 +29,11 @@ specification).
   SQL) for all five dialects.
 """
 
-from .cost import atom_estimate, regex_estimate
-from .execute import ADAPTIVE_REPLAN_RATIO, PlanTrace, execute_plan
-from .logical import (
-    AtomScan,
-    Filter,
-    HashJoin,
-    PlanNode,
-    Project,
-    SeededScan,
-    render_plan,
-)
-from .planner import CrpqPlan, plan_crpq, reorder_remaining
+from .execute import PlanTrace, execute_plan
+from .logical import AtomScan, Filter, HashJoin, Project, SeededScan
+from .planner import plan_crpq
 from .router import Route, route_query
-from .stats import GraphStatistics, LabelStats, graph_statistics
+from .stats import graph_statistics
 
 __all__ = [
     "AtomScan",
@@ -50,19 +41,10 @@ __all__ = [
     "HashJoin",
     "Filter",
     "Project",
-    "PlanNode",
-    "render_plan",
-    "atom_estimate",
-    "regex_estimate",
-    "CrpqPlan",
     "plan_crpq",
-    "reorder_remaining",
     "execute_plan",
     "PlanTrace",
-    "ADAPTIVE_REPLAN_RATIO",
     "Route",
     "route_query",
-    "GraphStatistics",
-    "LabelStats",
     "graph_statistics",
 ]

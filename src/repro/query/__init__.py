@@ -14,7 +14,7 @@ from .crpq import (
     evaluate_crpq_with_engine,
     parse_crpq,
 )
-from .data_rpq import DataRPQ, data_path_query, data_rpq, equality_rpq, memory_rpq
+from .data_rpq import DataRPQ, data_path_query, equality_rpq, memory_rpq
 from .data_rpq_eval import evaluate_data_rpq_naive
 from .homomorphism_closure import is_preserved_on, violates_homomorphism_preservation
 from .rpq import RPQ, atomic_rpq, reachability_rpq, rpq, word_rpq
@@ -29,7 +29,6 @@ __all__ = [
     "evaluate_rpq_naive",
     "witness_path_labels",
     "DataRPQ",
-    "data_rpq",
     "equality_rpq",
     "memory_rpq",
     "data_path_query",

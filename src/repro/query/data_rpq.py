@@ -26,7 +26,7 @@ from ..datapaths import (
     path_length,
 )
 
-__all__ = ["DataRPQ", "data_rpq", "equality_rpq", "memory_rpq", "data_path_query"]
+__all__ = ["DataRPQ", "equality_rpq", "memory_rpq", "data_path_query"]
 
 DataExpression = Union[RegexWithMemory, RegexWithEquality]
 
@@ -81,11 +81,6 @@ class DataRPQ:
 
     def __str__(self) -> str:
         return str(self.expression)
-
-
-def data_rpq(expression: DataExpression) -> DataRPQ:
-    """Wrap an already-built REM/REE expression as a data RPQ."""
-    return DataRPQ(expression)
 
 
 def equality_rpq(text_or_expression: str | RegexWithEquality) -> DataRPQ:

@@ -17,7 +17,6 @@ their structure can be validated on bounded instances:
 """
 
 from .gxpath_pcp import (
-    THEOREM6_ALPHABET,
     pcp_tree_encoding,
     solution_extension,
     structure_error_formula,
@@ -28,10 +27,8 @@ from .pcp import (
     UNSOLVABLE_EXAMPLES,
     PCPInstance,
     solve_pcp_bounded,
-    verify_pcp_solution,
 )
 from .pcp_mapping import (
-    THEOREM1_ALPHABET,
     decode_witness,
     pcp_source_graph,
     repetition_error_query,
@@ -53,10 +50,8 @@ from .three_coloring import (
 __all__ = [
     "PCPInstance",
     "solve_pcp_bounded",
-    "verify_pcp_solution",
     "SOLVABLE_EXAMPLES",
     "UNSOLVABLE_EXAMPLES",
-    "THEOREM1_ALPHABET",
     "pcp_source_graph",
     "theorem1_mapping",
     "solution_witness_graph",
@@ -71,7 +66,6 @@ __all__ = [
     "complete_graph_k4",
     "odd_cycle",
     "petersen_fragment",
-    "THEOREM6_ALPHABET",
     "pcp_tree_encoding",
     "theorem6_mapping",
     "solution_extension",

@@ -1,10 +1,9 @@
 """Classical regular expressions and finite automata over edge labels.
 
 This sub-package supplies the purely navigational layer the paper's RPQs
-are built on: regex ASTs and a parser, Thompson NFAs, DFAs with
-complementation and minimisation, language operations, and utilities for
-recognising word RPQs and reachability expressions (used by the mapping
-classifier of Definition 3).
+are built on: regex ASTs and a parser, Thompson NFAs, and the syntactic
+recognition of word RPQs, finite unions and reachability expressions
+(used by the mapping classifier of Definition 3).
 """
 
 from .ast import (
@@ -25,31 +24,9 @@ from .ast import (
     universal,
     word,
 )
-from .dfa import DFA, determinize, minimize
-from .nfa import NFA, thompson
-from .operations import (
-    complement_dfa,
-    contains,
-    enumerate_language,
-    equivalent,
-    intersect_nfa,
-    intersection_empty,
-    is_empty,
-    matches,
-    shortest_word,
-    to_dfa,
-    to_nfa,
-)
-from .parser import parse_regex, tokenize_regex
-from .word_language import (
-    as_finite_language,
-    as_word,
-    is_finite_union_rpq,
-    is_reachability,
-    is_word_rpq,
-    max_rule_word_length,
-    word_expression,
-)
+from .nfa import NFA, thompson, to_nfa
+from .parser import parse_regex
+from .word_language import as_finite_language, as_word, is_reachability
 
 __all__ = [
     "Regex",
@@ -69,28 +46,10 @@ __all__ = [
     "any_of",
     "universal",
     "parse_regex",
-    "tokenize_regex",
     "NFA",
     "thompson",
-    "DFA",
-    "determinize",
-    "minimize",
     "to_nfa",
-    "to_dfa",
-    "matches",
-    "is_empty",
-    "intersect_nfa",
-    "intersection_empty",
-    "contains",
-    "equivalent",
-    "complement_dfa",
-    "enumerate_language",
-    "shortest_word",
     "as_word",
-    "is_word_rpq",
     "as_finite_language",
-    "is_finite_union_rpq",
-    "max_rule_word_length",
-    "word_expression",
     "is_reachability",
 ]

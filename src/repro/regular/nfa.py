@@ -12,14 +12,12 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
 
 from .ast import Concat, Epsilon, Letter, Plus, Regex, Star, Union
+from .parser import parse_regex
 
-__all__ = ["NFA", "thompson", "EPSILON_SYMBOL"]
-
-#: Symbol used internally for ε transitions.
-EPSILON_SYMBOL: Optional[str] = None
+__all__ = ["NFA", "thompson", "to_nfa", "matches"]
 
 
 @dataclass
@@ -43,19 +41,6 @@ class NFA:
     initial: Set[int]
     accepting: Set[int]
     transitions: Dict[int, Dict[Optional[str], Set[int]]] = field(default_factory=dict)
-
-    def add_transition(self, source: int, symbol: Optional[str], target: int) -> None:
-        """Add a transition (``symbol=None`` for ε)."""
-        self.transitions.setdefault(source, {}).setdefault(symbol, set()).add(target)
-
-    def symbols(self) -> FrozenSet[str]:
-        """Alphabet symbols actually used by transitions (excluding ε)."""
-        result: Set[str] = set()
-        for by_symbol in self.transitions.values():
-            for symbol in by_symbol:
-                if symbol is not None:
-                    result.add(symbol)
-        return frozenset(result)
 
     def epsilon_closure(self, states: Iterable[int]) -> FrozenSet[int]:
         """The ε-closure of a set of states."""
@@ -88,68 +73,6 @@ class NFA:
             if not current:
                 return False
         return bool(current & self.accepting)
-
-    def is_empty(self) -> bool:
-        """Whether the accepted language is empty (no accepting state reachable)."""
-        reachable = set(self.initial_closure())
-        queue = deque(reachable)
-        while queue:
-            state = queue.popleft()
-            for targets in self.transitions.get(state, {}).values():
-                for nxt in targets:
-                    if nxt not in reachable:
-                        reachable.add(nxt)
-                        queue.append(nxt)
-        return not (reachable & self.accepting)
-
-    def accepted_words(self, max_length: int) -> Iterator[Tuple[str, ...]]:
-        """Enumerate accepted words of length at most *max_length* (for tests)."""
-        seen: Set[Tuple[Tuple[str, ...], FrozenSet[int]]] = set()
-        start = self.initial_closure()
-        queue: deque = deque([((), start)])
-        while queue:
-            word, states = queue.popleft()
-            if states & self.accepting:
-                yield word
-            if len(word) >= max_length:
-                continue
-            for symbol in sorted(self.symbols()):
-                nxt = self.step(states, symbol)
-                if not nxt:
-                    continue
-                key = (word + (symbol,), nxt)
-                if key in seen:
-                    continue
-                seen.add(key)
-                queue.append((word + (symbol,), nxt))
-
-    def shortest_accepted_word(self) -> Optional[Tuple[str, ...]]:
-        """A shortest accepted word, or ``None`` if the language is empty."""
-        start = self.initial_closure()
-        if start & self.accepting:
-            return ()
-        visited: Set[FrozenSet[int]] = {start}
-        queue: deque = deque([(start, ())])
-        while queue:
-            states, word = queue.popleft()
-            for symbol in sorted(self.symbols()):
-                nxt = self.step(states, symbol)
-                if not nxt or nxt in visited:
-                    continue
-                if nxt & self.accepting:
-                    return word + (symbol,)
-                visited.add(nxt)
-                queue.append((nxt, word + (symbol,)))
-        return None
-
-    def reversed(self) -> "NFA":
-        """The reverse automaton (accepts the mirror language)."""
-        reverse = NFA(self.num_states, set(self.accepting), set(self.initial))
-        for source, by_symbol in self.transitions.items():
-            for symbol, targets in by_symbol.items():
-                for target in targets:
-                    reverse.add_transition(target, symbol, source)
-        return reverse
 
 
 class _Builder:
@@ -217,3 +140,15 @@ def thompson(expression: Regex) -> NFA:
 
     initial, accepting = _compile(expression)
     return builder.build(initial, accepting)
+
+
+def to_nfa(expression: Regex | str) -> NFA:
+    """Compile an expression (or its textual form) into an ε-NFA."""
+    if isinstance(expression, str):
+        expression = parse_regex(expression)
+    return thompson(expression)
+
+
+def matches(expression: Regex | str, word: Sequence[str]) -> bool:
+    """Whether *word* (a sequence of labels) belongs to the language of *expression*."""
+    return to_nfa(expression).accepts(tuple(word))

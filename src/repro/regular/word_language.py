@@ -12,18 +12,10 @@ from __future__ import annotations
 
 from typing import FrozenSet, Optional, Sequence, Tuple
 
-from .ast import Regex, Star, word
+from .ast import Regex, Star
 from .parser import parse_regex
 
-__all__ = [
-    "as_word",
-    "is_word_rpq",
-    "as_finite_language",
-    "is_finite_union_rpq",
-    "max_rule_word_length",
-    "word_expression",
-    "is_reachability",
-]
+__all__ = ["as_word", "as_finite_language", "is_reachability"]
 
 #: Safety cap on the number of words extracted from a "finite" expression.
 _FINITE_LIMIT = 4096
@@ -41,38 +33,9 @@ def as_word(expression: Regex | str) -> Optional[Tuple[str, ...]]:
     return _coerce(expression).word()
 
 
-def is_word_rpq(expression: Regex | str) -> bool:
-    """Whether the expression is a word RPQ (denotes exactly one word)."""
-    return as_word(expression) is not None
-
-
 def as_finite_language(expression: Regex | str) -> Optional[FrozenSet[Tuple[str, ...]]]:
     """The finite language denoted by the expression, or ``None`` if infinite/too large."""
     return _coerce(expression).finite_language(_FINITE_LIMIT)
-
-
-def is_finite_union_rpq(expression: Regex | str) -> bool:
-    """Whether the expression denotes a finite language (``w1 + ... + wm``)."""
-    return as_finite_language(expression) is not None
-
-
-def max_rule_word_length(expression: Regex | str) -> Optional[int]:
-    """Length of the longest word denoted, or ``None`` when unbounded.
-
-    This is the quantity ``k`` in the bounded-solution argument of
-    Proposition 2 (``L(q') ⊆ Σ_t^k``).
-    """
-    language = as_finite_language(expression)
-    if language is None:
-        return None
-    if not language:
-        return 0
-    return max(len(item) for item in language)
-
-
-def word_expression(letters: Sequence[str]) -> Regex:
-    """The word RPQ denoting exactly the given label sequence."""
-    return word(tuple(letters))
 
 
 def is_reachability(expression: Regex | str, alphabet: Optional[Sequence[str]] = None) -> bool:

@@ -3,16 +3,16 @@
 Section 6 of the paper relates relational graph schema mappings to
 classical relational mappings over the encoding ``D_G`` of data graphs
 (Proposition 1).  This sub-package provides the classical side: relation
-schemas and instances, marked nulls, conjunctive queries, st-tgds / target
+schemas and instances, marked nulls, atom patterns, st-tgds / target
 tgds / egds and the standard chase.  The graph-side encoding lives in
 :mod:`repro.datagraph.relational_view`; the Proposition 1 translation of
 a relational GSM into dependencies lives in
 :mod:`repro.core.relational_encoding`.
 """
 
-from .chase import chase, chase_step_egd, chase_step_tgd, solution_satisfies
-from .conjunctive import AtomPattern, ConjunctiveQuery, Variable, evaluate_cq, homomorphisms
-from .schema import Instance, MarkedNull, RelationSchema, Schema, fresh_null_factory
+from .chase import chase, solution_satisfies
+from .conjunctive import AtomPattern, Variable
+from .schema import Instance, MarkedNull, RelationSchema, Schema
 from .tgds import EGD, TGD
 
 __all__ = [
@@ -20,16 +20,10 @@ __all__ = [
     "RelationSchema",
     "Instance",
     "MarkedNull",
-    "fresh_null_factory",
     "Variable",
     "AtomPattern",
-    "ConjunctiveQuery",
-    "evaluate_cq",
-    "homomorphisms",
     "TGD",
     "EGD",
     "chase",
-    "chase_step_tgd",
-    "chase_step_egd",
     "solution_satisfies",
 ]

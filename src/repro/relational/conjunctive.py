@@ -1,11 +1,11 @@
-"""Conjunctive queries over relational instances.
+"""Atom patterns and their homomorphisms into relational instances.
 
 Relational schema mappings (Section 6) express the right-hand sides of
-st-tgds as conjunctive queries over the target schema; the chase and the
-mapping-satisfaction checks both need conjunctive-query evaluation.  The
-implementation is the standard backtracking homomorphism search over the
-query atoms, with variables and constants distinguished by the
-:class:`Variable` wrapper.
+st-tgds as conjunctions of atoms over the target schema; the chase and
+the mapping-satisfaction checks both search for the homomorphisms of
+such a conjunction into an instance.  The search extends partial
+assignments atom by atom, with variables and constants distinguished by
+the :class:`Variable` wrapper.
 """
 
 from __future__ import annotations
@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, Iterator, List, Optional, Sequence, Tuple
 
-from ..exceptions import ReproError
 from .schema import Instance
 
-__all__ = ["Variable", "AtomPattern", "ConjunctiveQuery", "evaluate_cq"]
+__all__ = ["Variable", "AtomPattern", "homomorphisms"]
 
 
 @dataclass(frozen=True)
@@ -42,46 +41,6 @@ class AtomPattern:
     def variables(self) -> FrozenSet[Variable]:
         """The variables occurring in the atom."""
         return frozenset(term for term in self.terms if isinstance(term, Variable))
-
-
-@dataclass(frozen=True)
-class ConjunctiveQuery:
-    """A conjunctive query ``Q(x̄) :- atom1, ..., atomk``.
-
-    Attributes
-    ----------
-    head:
-        The free (output) variables.
-    atoms:
-        The body atoms; every head variable must occur in the body.
-    """
-
-    head: Tuple[Variable, ...]
-    atoms: Tuple[AtomPattern, ...]
-
-    def __post_init__(self) -> None:
-        if not self.atoms:
-            raise ReproError("a conjunctive query needs at least one atom")
-        body_variables = self.variables()
-        for variable in self.head:
-            if variable not in body_variables:
-                raise ReproError(f"head variable {variable!r} does not occur in the body")
-
-    def variables(self) -> FrozenSet[Variable]:
-        """All variables of the query body."""
-        result: set = set()
-        for atom in self.atoms:
-            result |= atom.variables()
-        return frozenset(result)
-
-    def existential_variables(self) -> FrozenSet[Variable]:
-        """Body variables that are not in the head."""
-        return self.variables() - frozenset(self.head)
-
-    @property
-    def arity(self) -> int:
-        """Number of output variables."""
-        return len(self.head)
 
 
 def _match_atom(
@@ -119,11 +78,3 @@ def homomorphisms(
         if not assignments:
             return
     yield from assignments
-
-
-def evaluate_cq(instance: Instance, query: ConjunctiveQuery) -> FrozenSet[Tuple[Hashable, ...]]:
-    """Evaluate a conjunctive query, returning the set of head-variable tuples."""
-    answers = set()
-    for assignment in homomorphisms(instance, query.atoms):
-        answers.add(tuple(assignment[variable] for variable in query.head))
-    return frozenset(answers)

@@ -9,14 +9,11 @@ the architecture.
 """
 
 from .daemon import ReproServer, ServerConfig, graph_document
-from .metrics import LatencyHistogram, ServerMetrics
 from .protocol import MAX_FRAME_BYTES, ProtocolError, recv_frame, send_frame
 
 __all__ = [
     "ReproServer",
     "ServerConfig",
-    "ServerMetrics",
-    "LatencyHistogram",
     "ProtocolError",
     "MAX_FRAME_BYTES",
     "send_frame",

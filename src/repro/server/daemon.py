@@ -92,6 +92,21 @@ def _error_type(error: BaseException) -> str:
     return "internal"
 
 
+def _seconds(value, name: str, error: type, allow_zero: bool = False) -> float:
+    """*value* as a wait every stdlib timeout accepts, else raise *error*.
+
+    The wait must be a real number, positive (or zero with *allow_zero*)
+    and at most ``threading.TIMEOUT_MAX``: NaN fails both bounds, and a
+    longer wait (``inf`` included) overflows ``Future.result``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise error(f"malformed {name} {value!r}")
+    if not ((value >= 0 if allow_zero else value > 0) and value <= threading.TIMEOUT_MAX):
+        sign = "non-negative" if allow_zero else "positive"
+        raise error(f"{name} must be {sign} and at most {threading.TIMEOUT_MAX:g}s, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ServerConfig:
     """Daemon tuning knobs; every field has a serviceable default.
@@ -132,10 +147,9 @@ class ServerConfig:
             raise EvaluationError(f"max_inflight must be positive, got {self.max_inflight}")
         if self.queue_depth < 0:
             raise EvaluationError(f"queue_depth must be non-negative, got {self.queue_depth}")
-        if self.query_timeout is not None and self.query_timeout <= 0:
-            raise EvaluationError(f"query_timeout must be positive, got {self.query_timeout}")
-        if self.drain_grace < 0:
-            raise EvaluationError(f"drain_grace must be non-negative, got {self.drain_grace}")
+        if self.query_timeout is not None:
+            _seconds(self.query_timeout, "query_timeout", EvaluationError)
+        _seconds(self.drain_grace, "drain_grace", EvaluationError, allow_zero=True)
 
 
 class _Connection:
@@ -456,7 +470,14 @@ class ReproServer:
                 return self._op_stats(connection, rid)
             if op == "point_cache":
                 session = self._connection_session(connection)
-                payload = session.point_cache_payload(max_entries=request.get("max_entries"))
+                max_entries = request.get("max_entries")
+                if max_entries is not None and (
+                    isinstance(max_entries, bool) or not isinstance(max_entries, int) or max_entries < 0
+                ):
+                    raise SerializationError(
+                        f"max_entries must be a non-negative integer, got {max_entries!r}"
+                    )
+                payload = session.point_cache_payload(max_entries=max_entries)
                 return {"id": rid, "ok": True, "payload": payload}
             if op == "metrics":
                 return self._op_metrics(connection, rid)
@@ -540,7 +561,9 @@ class ReproServer:
         self, connection: _Connection, rid, op: str, request: Dict[str, Any]
     ) -> Dict[str, Any]:
         session = self._connection_session(connection)
-        null_semantics = bool(request.get("null_semantics", False))
+        null_semantics = request.get("null_semantics", False)
+        if not isinstance(null_semantics, bool):
+            raise SerializationError(f"null_semantics must be a boolean, got {null_semantics!r}")
         timeout = self._effective_timeout(request.get("timeout"))
 
         if op == "run":
@@ -574,12 +597,7 @@ class ReproServer:
         configured = self.config.query_timeout
         if requested is None:
             return configured
-        try:
-            requested = float(requested)
-        except (TypeError, ValueError):
-            raise SerializationError(f"malformed timeout {requested!r}") from None
-        if requested <= 0:
-            raise SerializationError(f"timeout must be positive, got {requested}")
+        requested = _seconds(requested, "timeout", SerializationError)
         return min(requested, configured) if configured is not None else requested
 
     def _admit(self, rid, job, timeout: Optional[float]) -> Dict[str, Any]:

@@ -25,7 +25,6 @@ from repro.gxpath import evaluation as gxpath_evaluation
 from repro.query import (
     Atom,
     ConjunctiveRPQ,
-    data_rpq,
     equality_rpq,
     evaluate_data_rpq_naive,
     evaluate_rpq_naive,
@@ -110,7 +109,7 @@ def test_crpq_roundtrip_matches_bruteforce(graph, shape, with_data_atom):
     head, triples = shape
     atoms = [Atom(source, rpq(text), target) for source, text, target in triples]
     if with_data_atom:
-        atoms.append(Atom("x", data_rpq(equality_rpq("((a|b)+)=").expression), "y"))
+        atoms.append(Atom("x", equality_rpq("((a|b)+)="), "y"))
     query = ConjunctiveRPQ(tuple(head), tuple(atoms))
     via_session = GraphSession(graph).run(Query.crpq(query)).rows()
     assert via_session == _crpq_spec(graph, query)

@@ -13,7 +13,7 @@ from repro.api import Query, QueryKind
 from repro.datapaths import RegexWithEquality, RegexWithMemory, parse_ree, parse_rem
 from repro.exceptions import ParseError, UnsupportedQueryError
 from repro.gxpath import parse_gxpath_node, parse_gxpath_path
-from repro.query import Atom, ConjunctiveRPQ, data_rpq, equality_rpq, memory_rpq, rpq
+from repro.query import Atom, ConjunctiveRPQ, DataRPQ, equality_rpq, memory_rpq, rpq
 from repro.regular import parse_regex
 
 pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
@@ -106,7 +106,7 @@ class TestOf:
         assert Query.of(equality_rpq("(a)=")).kind is QueryKind.DATA_RPQ
         assert Query.of(parse_ree("(a)=")).kind is QueryKind.DATA_RPQ
         assert Query.of(parse_rem("!x.(a[x=])")).kind is QueryKind.DATA_RPQ
-        assert Query.of(data_rpq(parse_ree("(a)="))).kind is QueryKind.DATA_RPQ
+        assert Query.of(DataRPQ(parse_ree("(a)="))).kind is QueryKind.DATA_RPQ
         assert Query.of(parse_gxpath_node("<a>")).kind is QueryKind.GXPATH_NODE
         assert Query.of(parse_gxpath_path("a.b")).kind is QueryKind.GXPATH_PATH
 

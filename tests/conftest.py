@@ -10,6 +10,7 @@ import pytest
 from hypothesis import strategies as st
 
 from repro.datagraph import NULL, DataGraph, GraphBuilder, values_differ, values_equal
+from repro.datagraph.paths import Path
 from repro.datapaths.conditions import And, Equal, NotEqual, Or
 from repro.datapaths.rem import (
     RemBind,
@@ -181,6 +182,22 @@ REM_ASTS = rem_asts()
 # ----------------------------------------------------------------------
 # GXPath's executable specification (Figure 1), written on the graph API
 # ----------------------------------------------------------------------
+def enumerate_paths(graph, source, max_length, target=None, labels=None):
+    """Every path of at most *max_length* edges from *source* (ending at
+    *target* and following only *labels*, when given): the brute-force
+    oracle the path-level semantics are checked against."""
+
+    def extend(nodes, path_labels):
+        if target is None or nodes[-1].id == target:
+            yield Path(tuple(nodes), tuple(path_labels))
+        if len(path_labels) < max_length:
+            for label, nxt in graph.successors(nodes[-1].id):
+                if labels is None or label in labels:
+                    yield from extend(nodes + [nxt], path_labels + [label])
+
+    yield from extend([graph.node(source)], [])
+
+
 def reference_path(graph, expression, null_semantics=False):
     """``[[α]]_G`` as id pairs, case by case from Figure 1 of the paper."""
     if isinstance(expression, PathEpsilon):

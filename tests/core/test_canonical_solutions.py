@@ -6,13 +6,13 @@ import pytest
 
 from repro.core import (
     GraphSchemaMapping,
-    build_skeleton,
     homomorphism_to_solution,
     is_solution,
     least_informative_solution,
-    mapping_domain,
     universal_solution,
 )
+from repro.core.canonical import build_skeleton
+from repro.core.solutions import mapping_domain
 from repro.datagraph import GraphBuilder, find_isomorphism, is_null_homomorphism
 from repro.exceptions import SolutionError, UnsupportedQueryError
 

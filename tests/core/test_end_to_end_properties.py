@@ -27,9 +27,9 @@ from repro.core import (
     homomorphism_to_solution,
     is_solution,
     least_informative_solution,
-    mapping_domain,
     universal_solution,
 )
+from repro.core.solutions import mapping_domain
 from repro.datagraph import DataGraph, is_null_homomorphism
 from repro.query import equality_rpq
 

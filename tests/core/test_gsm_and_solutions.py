@@ -11,10 +11,8 @@ from repro.core import (
     gav_mapping,
     is_solution,
     lav_mapping,
-    mapping_domain,
-    source_requirements,
-    violations,
 )
+from repro.core.solutions import mapping_domain, source_requirements, violations
 from repro.datagraph import GraphBuilder
 from repro.exceptions import InvalidMappingError
 from repro.query import atomic_rpq, reachability_rpq, word_rpq

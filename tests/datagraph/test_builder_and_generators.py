@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.datagraph import GraphBuilder, chain_graph, cycle_graph, graph_from_edges
+from repro.datagraph import GraphBuilder
 from repro.datagraph import generators
 from repro.exceptions import PathError, WorkloadError
 
@@ -44,22 +44,6 @@ class TestGraphBuilder:
     def test_declare_labels(self):
         g = GraphBuilder().declare_labels(["x", "y"]).build()
         assert g.alphabet == frozenset({"x", "y"})
-
-    def test_graph_from_edges(self):
-        g = graph_from_edges([("a", "r", "b")], values={"a": 1, "c": 3})
-        assert g.value_of("a") == 1
-        assert g.node("b").is_null
-        assert g.has_node("c")
-
-    def test_chain_and_cycle_helpers(self):
-        chain = chain_graph(3)
-        assert chain.num_nodes == 4
-        assert chain.num_edges == 3
-        cyc = cycle_graph(3)
-        assert cyc.num_edges == 3
-        assert cyc.has_edge("v2", "a", "v0")
-        with pytest.raises(PathError):
-            cycle_graph(0)
 
 
 class TestGenerators:

@@ -7,13 +7,12 @@ from repro.datagraph import (
     NULL,
     DataGraph,
     GraphBuilder,
-    apply_homomorphism,
     find_homomorphism,
     find_isomorphism,
     is_homomorphism,
-    is_isomorphism,
     is_null_homomorphism,
 )
+from repro.datagraph.morphisms import is_isomorphism
 
 
 def _triangle(values=(1, 2, 3), prefix="t") -> DataGraph:
@@ -145,17 +144,6 @@ class TestFindHomomorphism:
         for i in range(3):
             target.add_edge(f"p{i}", "e", f"p{i+1}")
         assert find_homomorphism(source, target) is None
-
-    def test_apply_homomorphism(self):
-        source = GraphBuilder().node("a", 1).node("b", 2).edge("a", "r", "b").build()
-        target = GraphBuilder().node("x", 1).node("y", 2).node("z", 9).edge("x", "r", "y").edge(
-            "y", "r", "z"
-        ).build()
-        h = {"a": "x", "b": "y"}
-        image = apply_homomorphism(h, source, target)
-        assert image.num_nodes == 2
-        assert image.has_edge("x", "r", "y")
-        assert not image.has_node("z")
 
 
 class TestIsomorphism:

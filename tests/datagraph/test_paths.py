@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from conftest import enumerate_paths
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datagraph import DataPath, Node, Path, enumerate_paths, path_from_ids
+from repro.datagraph import DataPath, Node
+from repro.datagraph.paths import Path
 from repro.exceptions import PathError
 
 
@@ -127,16 +129,7 @@ class TestDataPath:
             assert left.concat(right) == dp
 
 
-class TestGraphPathHelpers:
-    def test_path_from_ids(self, toy_graph):
-        path = path_from_ids(toy_graph, ["alice", "bob", "carol"], ["knows", "knows"])
-        assert path.source.id == "alice"
-        assert path.target.id == "carol"
-
-    def test_path_from_ids_invalid_edge(self, toy_graph):
-        with pytest.raises(PathError):
-            path_from_ids(toy_graph, ["alice", "carol"], ["knows"])
-
+class TestPathEnumerationOracle:
     def test_enumerate_paths_bounded(self, toy_graph):
         paths = list(enumerate_paths(toy_graph, "alice", max_length=2))
         # length 0 path always included

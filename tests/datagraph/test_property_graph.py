@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.datagraph import PropertyGraph, property_graph_to_data_graph
+from repro.datagraph import PropertyGraph
 from repro.exceptions import GraphError, UnknownNodeError
 
 
@@ -84,10 +84,6 @@ class TestDataGraphEncoding:
         prop_node = ("edge", 0, "prop", "since")
         assert dg.value_of(prop_node) == 2010
         assert dg.has_edge(edge_node, "prop:since", prop_node)
-
-    def test_function_and_method_agree(self):
-        pg = _social_pg()
-        assert property_graph_to_data_graph(pg) == pg.to_data_graph()
 
     def test_every_property_value_is_reachable(self):
         """The conversion must not lose any data value from the property graph."""

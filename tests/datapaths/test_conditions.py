@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro.datagraph import NULL
 from repro.datapaths import (
-    EMPTY_VALUATION,
     And,
     Equal,
     NotEqual,
@@ -20,11 +19,11 @@ from repro.datapaths import (
     conj,
     disj,
     equal,
-    evaluate_condition,
     negate,
     not_equal,
-    parse_condition,
 )
+from repro.datapaths.conditions import EMPTY_VALUATION, evaluate_condition
+from repro.datapaths.rem_parser import parse_condition
 from repro.exceptions import UnboundVariableError
 
 

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from repro.datagraph import NULL, DataPath
 from repro.datapaths import (
-    count_inequality_tests,
     equality_subexpressions,
-    inequality_subexpressions,
     is_path_with_tests,
     parse_ree,
     path_length,
@@ -18,7 +16,6 @@ from repro.datapaths import (
     ree_concat,
     ree_epsilon,
     ree_equal,
-    ree_labels,
     ree_letter,
     ree_matches,
     ree_not_equal,
@@ -26,7 +23,6 @@ from repro.datapaths import (
     ree_star,
     ree_union,
     ree_universal,
-    ree_uses_inequality,
     ree_word,
 )
 from repro.exceptions import ParseError
@@ -54,15 +50,15 @@ class TestReeConstructors:
 
     def test_labels(self):
         expr = ree_equal(ree_concat(ree_letter("a"), ree_letter("b")))
-        assert ree_labels(expr) == frozenset({"a", "b"})
+        assert expr.labels() == frozenset({"a", "b"})
 
     def test_inequality_flags(self):
         eq = ree_equal(ree_word(["a", "b"]))
         neq = ree_not_equal(ree_word(["a"]))
-        assert not ree_uses_inequality(eq)
-        assert ree_uses_inequality(neq)
-        assert count_inequality_tests(ree_concat(neq, neq)) == 2
-        assert count_inequality_tests(eq) == 0
+        assert not eq.uses_inequality()
+        assert neq.uses_inequality()
+        assert ree_concat(neq, neq).inequality_count() == 2
+        assert eq.inequality_count() == 0
 
     def test_operators(self):
         expr = ree_letter("a") + ree_letter("b")
@@ -170,7 +166,7 @@ class TestPathsWithTests:
 
     def test_test_counting(self):
         expr = parse_ree("((a)=.(b)!=)!=")
-        assert inequality_subexpressions(expr) == 2
+        assert expr.inequality_count() == 2
         assert equality_subexpressions(expr) == 1
         assert equality_subexpressions(parse_ree("a|b")) == 0
         assert equality_subexpressions(parse_ree("(a+)=")) == 1

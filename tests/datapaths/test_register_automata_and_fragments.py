@@ -15,12 +15,10 @@ from repro.datapaths import (
     Fragment,
     NotEqual,
     RegisterAutomaton,
-    Transition,
     TrueCondition,
     Valuation,
     classify,
     compile_rem,
-    is_equality_only,
     parse_ree,
     parse_rem,
     ra_accepts,
@@ -29,6 +27,7 @@ from repro.datapaths import (
     ree_to_rem,
     rem_matches,
 )
+from repro.datapaths.register_automata import Transition
 from repro.datapaths.fragments import free_registers, is_scoped, scope_violation
 from repro.datapaths.register_automata import RegisterStepper
 
@@ -248,13 +247,11 @@ class TestFragments:
         with pytest.raises(TypeError):
             classify("a.b")
 
-    def test_is_equality_only(self):
-        assert is_equality_only(parse_ree("(a+)="))
-        assert not is_equality_only(parse_ree("(a+)!="))
-        assert is_equality_only(parse_rem("!x.a[x=]"))
-        assert not is_equality_only(parse_rem("!x.a[x!=]"))
-        with pytest.raises(TypeError):
-            is_equality_only(42)
+    def test_uses_inequality(self):
+        assert not parse_ree("(a+)=").uses_inequality()
+        assert parse_ree("(a+)!=").uses_inequality()
+        assert not parse_rem("!x.a[x=]").uses_inequality()
+        assert parse_rem("!x.a[x!=]").uses_inequality()
 
 
 class TestScopedFragment:

@@ -11,21 +11,18 @@ from repro.datapaths import (
     Equal,
     NotEqual,
     Valuation,
-    derive,
     parse_rem,
     rem_bind,
     rem_concat,
     rem_epsilon,
-    rem_labels,
     rem_letter,
     rem_matches,
     rem_plus,
     rem_star,
     rem_test,
     rem_union,
-    rem_variables,
-    uses_inequality,
 )
+from repro.datapaths.rem import derive
 from repro.exceptions import ParseError
 
 
@@ -58,14 +55,14 @@ class TestRemConstructors:
 
     def test_variables_and_labels(self):
         expr = rem_bind("x", rem_test(rem_plus(rem_letter("a")), Equal("x")))
-        assert rem_variables(expr) == frozenset({"x"})
-        assert rem_labels(expr) == frozenset({"a"})
+        assert expr.variables() == frozenset({"x"})
+        assert expr.labels() == frozenset({"a"})
 
     def test_uses_inequality(self):
         eq_only = rem_bind("x", rem_test(rem_letter("a"), Equal("x")))
-        assert not uses_inequality(eq_only)
+        assert not eq_only.uses_inequality()
         with_neq = rem_bind("x", rem_test(rem_letter("a"), NotEqual("x")))
-        assert uses_inequality(with_neq)
+        assert with_neq.uses_inequality()
 
     def test_str_forms(self):
         expr = rem_bind("x", rem_test(rem_plus(rem_letter("a")), Equal("x")))

@@ -17,12 +17,13 @@ import pytest
 
 from repro.api import GraphSession, Query
 from repro.datagraph import generators
-from repro.engine import NfaProductSpace, default_engine, product
+from repro.engine import default_engine, product
 from repro.engine.partition import (
     parallel_product_relation,
     partitioned_product_relation,
     split_blocks,
 )
+from repro.engine.spaces import NfaProductSpace
 
 #: The driver's worker budgets: even blocks, and more (uneven) blocks
 #: than a small host has cores.

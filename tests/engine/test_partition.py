@@ -15,12 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datagraph import DataGraph, generators
-from repro.engine import NfaProductSpace, default_engine, product
+from repro.engine import default_engine, product
 from repro.engine.partition import (
     parallel_full_relation,
     partitioned_product_relation,
     split_blocks,
 )
+from repro.engine.spaces import NfaProductSpace
 from repro.exceptions import EvaluationError
 
 pytestmark = pytest.mark.usefixtures("host_shape")

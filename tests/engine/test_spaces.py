@@ -19,12 +19,13 @@ from hypothesis import strategies as st
 from repro.api import ExecutionPolicy
 from repro.datagraph import DataGraph, generators
 from repro.datapaths import compile_rem, parse_ree, parse_rem, ree_to_rem
-from repro.engine import NfaProductSpace, RegisterProductSpace, default_engine, product
+from repro.engine import default_engine, product
 from repro.engine.data import (
     register_automaton_relation,
     register_automaton_relation_per_source,
 )
 from repro.engine.partition import parallel_product_relation
+from repro.engine.spaces import NfaProductSpace, RegisterProductSpace
 from repro.gxpath.ast import AxisStar
 from repro.gxpath.evaluation import evaluate_path
 from repro.planner.router import route_point

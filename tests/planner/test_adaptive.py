@@ -25,7 +25,8 @@ from repro.engine.bitrelation import BitRelation
 from repro.planner import PlanTrace, execute_plan, graph_statistics, plan_crpq
 from repro.planner import execute as execute_module
 from repro.query.crpq import evaluate_crpq_naive
-from repro.workloads import CRPQ_SHAPES, random_crpq
+from repro.workloads import random_crpq
+from repro.workloads.random_workloads import CRPQ_SHAPES
 
 # No DeprecationWarning-as-error mark here: hypothesis pulls in
 # mypy_extensions, whose import warns under some interpreter versions.

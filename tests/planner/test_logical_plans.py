@@ -9,17 +9,9 @@ import pytest
 from repro.api import ExecutionPolicy, GraphSession, Query
 from repro.datagraph import GraphBuilder, generators
 from repro.exceptions import ParseError
-from repro.planner import (
-    AtomScan,
-    CrpqPlan,
-    Filter,
-    HashJoin,
-    Project,
-    SeededScan,
-    atom_estimate,
-    plan_crpq,
-    regex_estimate,
-)
+from repro.planner import AtomScan, Filter, HashJoin, Project, SeededScan, plan_crpq
+from repro.planner.cost import atom_estimate, regex_estimate
+from repro.planner.planner import CrpqPlan
 from repro.query import Atom, ConjunctiveRPQ, equality_rpq, parse_crpq, rpq
 from repro.regular import parse_regex
 

@@ -33,7 +33,8 @@ from repro.engine.product import seeded_product_relation
 from repro.planner import AtomScan, execute_plan, plan_crpq
 from repro.query import parse_crpq
 from repro.query.crpq import evaluate_crpq_naive
-from repro.workloads import CRPQ_SHAPES, random_crpq
+from repro.workloads import random_crpq
+from repro.workloads.random_workloads import CRPQ_SHAPES
 
 pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 import pytest
 
 from repro.datagraph import DataGraph, GraphBuilder
-from repro.planner import GraphStatistics, graph_statistics
+from repro.planner import graph_statistics
 from repro.planner.cost import CLOSURE_GROWTH, atom_estimate
-from repro.planner.stats import MAX_CLOSURE_GROWTH, MIN_SELECTIVITY
+from repro.planner.stats import MAX_CLOSURE_GROWTH, MIN_SELECTIVITY, GraphStatistics
 from repro.query import Atom
 from repro.query.data_rpq import DataRPQ
 from repro.datapaths import parse_ree

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from conftest import enumerate_paths
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import ExecutionPolicy, GraphSession
-from repro.datagraph import NULL, DataGraph, GraphBuilder, enumerate_paths, generators
+from repro.datagraph import NULL, DataGraph, GraphBuilder, generators
 from repro.datapaths import parse_ree, parse_rem, ree_matches, rem_matches
 from repro.engine import default_engine
 from repro.exceptions import EvaluationError

@@ -108,7 +108,7 @@ class TestWitnessPaths:
         assert witness_path_labels(toy_graph, rpq("worksAt"), "carol", "uni") is None
 
     def test_witness_is_accepted_by_query(self, toy_graph):
-        from repro.regular import matches
+        from repro.regular.nfa import matches
 
         labels = witness_path_labels(toy_graph, rpq("knows.knows|knows.worksAt"), "dave", "uni")
         assert labels is not None
@@ -121,8 +121,8 @@ class TestEvaluationOnRandomGraphs:
     @given(st.integers(min_value=1, max_value=40))
     @settings(max_examples=25, deadline=None)
     def test_against_bounded_enumeration(self, seed):
-        from repro.datagraph import enumerate_paths
-        from repro.regular import matches
+        from conftest import enumerate_paths
+        from repro.regular.nfa import matches
 
         graph = generators.random_graph(5, 8, labels=("a", "b"), rng=seed)
         expression = "a.(a|b)*.b"

@@ -12,8 +12,8 @@ from repro.reductions import (
     UNSOLVABLE_EXAMPLES,
     PCPInstance,
     solve_pcp_bounded,
-    verify_pcp_solution,
 )
+from repro.reductions.pcp import verify_pcp_solution
 
 
 class TestPCPInstance:

@@ -10,7 +10,6 @@ from repro.exceptions import ReductionError
 from repro.query import rpq
 from repro.reductions import (
     SOLVABLE_EXAMPLES,
-    THEOREM1_ALPHABET,
     decode_witness,
     pcp_source_graph,
     repetition_error_query,
@@ -19,6 +18,7 @@ from repro.reductions import (
     structural_error_query,
     theorem1_mapping,
 )
+from repro.reductions.pcp_mapping import THEOREM1_ALPHABET
 
 
 @pytest.fixture(scope="module")

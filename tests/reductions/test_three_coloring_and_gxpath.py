@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core import certain_answers_naive, is_solution
-from repro.datapaths import count_inequality_tests
 from repro.exceptions import ReductionError
 from repro.gxpath import has_non_repeating_property, node_holds, tree_root
 from repro.reductions import (
@@ -47,7 +46,7 @@ class TestThreeColoringGadget:
         source, mapping, query, (start, finish) = three_coloring_gadget(triangle())
         assert mapping.is_lav()
         assert mapping.is_relational()
-        assert count_inequality_tests(query.expression) == 3
+        assert query.expression.inequality_count() == 3
         assert source.has_node(start) and source.has_node(finish)
 
     def test_colored_target_is_solution(self):

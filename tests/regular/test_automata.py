@@ -1,4 +1,4 @@
-"""Tests for NFAs, DFAs and language operations."""
+"""Tests for Thompson NFAs: word membership, also against brute force."""
 
 from __future__ import annotations
 
@@ -6,20 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.regular import (
-    complement_dfa,
-    contains,
-    determinize,
-    enumerate_language,
-    equivalent,
-    intersect_nfa,
-    intersection_empty,
-    matches,
-    minimize,
-    shortest_word,
-    to_dfa,
-    to_nfa,
-)
+from repro.regular.nfa import matches
 
 
 class TestThompsonNFA:
@@ -53,101 +40,6 @@ class TestThompsonNFA:
         assert matches("knows.worksAt", ["knows", "worksAt"])
         assert not matches("knows.worksAt", ["knows", "knows"])
 
-    def test_is_empty_false_for_ordinary_expressions(self):
-        assert not to_nfa("a|b").is_empty()
-
-    def test_accepted_words_enumeration(self):
-        words = set(to_nfa("(a|b).c").accepted_words(3))
-        assert words == {("a", "c"), ("b", "c")}
-
-    def test_shortest_word(self):
-        assert shortest_word("a.a.a|b") == ("b",)
-        assert shortest_word("a*") == ()
-
-    def test_reversed(self):
-        reverse = to_nfa("a.b").reversed()
-        assert reverse.accepts(("b", "a"))
-        assert not reverse.accepts(("a", "b"))
-
-
-class TestDFA:
-    def test_determinize_preserves_language(self):
-        expr = "(a|b)*.a.b"
-        nfa = to_nfa(expr)
-        dfa = determinize(nfa)
-        for word in nfa.accepted_words(4):
-            assert dfa.accepts(word)
-        assert not dfa.accepts(("b",))
-
-    def test_minimize_preserves_language(self):
-        expr = "(a.b)+|(a.b)"
-        dfa = to_dfa(expr)
-        assert dfa.accepts(("a", "b"))
-        assert dfa.accepts(("a", "b", "a", "b"))
-        assert not dfa.accepts(("a",))
-
-    def test_minimize_reduces_states(self):
-        # a|a should minimise to the 2-state automaton plus a sink.
-        dfa = minimize(determinize(to_nfa("a|a|a"), {"a"}))
-        assert dfa.num_states <= 3
-
-    def test_complement(self):
-        comp = complement_dfa("a", ["a", "b"])
-        assert not comp.accepts(("a",))
-        assert comp.accepts(())
-        assert comp.accepts(("b",))
-        assert comp.accepts(("a", "a"))
-
-    def test_complement_of_universal_is_empty(self):
-        comp = complement_dfa("(a|b)*", ["a", "b"])
-        assert comp.is_empty()
-
-    def test_completed_idempotent(self):
-        dfa = to_dfa("a", ["a"]).completed()
-        assert dfa.completed() is dfa
-
-    def test_to_nfa_round_trip(self):
-        dfa = to_dfa("a.b|a.c")
-        nfa = dfa.to_nfa()
-        assert nfa.accepts(("a", "b"))
-        assert nfa.accepts(("a", "c"))
-        assert not nfa.accepts(("a",))
-
-    def test_dfa_accepted_words(self):
-        words = set(to_dfa("a.(b|c)").accepted_words(2))
-        assert words == {("a", "b"), ("a", "c")}
-
-
-class TestLanguageOperations:
-    def test_intersection(self):
-        product = intersect_nfa(to_nfa("(a|b)*.a"), to_nfa("a.(a|b)*"))
-        assert product.accepts(("a",))
-        assert product.accepts(("a", "b", "a"))
-        assert not product.accepts(("b", "a", "b"))
-
-    def test_intersection_empty(self):
-        assert intersection_empty("a.a", "a.a.a")
-        assert not intersection_empty("a*", "a.a")
-
-    def test_containment(self):
-        assert contains("(a|b)*", "a.b")
-        assert not contains("a.b", "(a|b)*")
-        assert contains("a+", "a.a.a")
-        assert not contains("a+", "eps")
-
-    def test_equivalence(self):
-        assert equivalent("a.a*", "a+")
-        assert equivalent("(a|b)*", "(b|a)*")
-        assert not equivalent("a*", "a+")
-
-    def test_containment_with_explicit_alphabet(self):
-        assert contains("a*", "a.a", alphabet=["a", "b"])
-        assert not contains("a*", "b", alphabet=["a", "b"])
-
-    def test_enumerate_language(self):
-        words = set(enumerate_language("a|b.b", 2))
-        assert words == {("a",), ("b", "b")}
-
 
 class TestAgainstBruteForce:
     """Cross-validate the automata pipeline against direct word enumeration."""
@@ -170,10 +62,3 @@ class TestAgainstBruteForce:
                 return brute(w[2:])
             return False
         assert matches(expr, word) is brute(word)
-
-    @given(st.lists(st.sampled_from(["a", "b"]), max_size=5))
-    @settings(max_examples=40)
-    def test_complement_agrees(self, word):
-        dfa = complement_dfa("a.(a|b)*", ["a", "b"])
-        direct = matches("a.(a|b)*", word)
-        assert dfa.accepts(word) is (not direct)

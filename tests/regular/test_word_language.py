@@ -6,54 +6,36 @@ from __future__ import annotations
 from repro.regular import (
     as_finite_language,
     as_word,
-    is_finite_union_rpq,
     is_reachability,
-    is_word_rpq,
-    max_rule_word_length,
     parse_regex,
-    word_expression,
 )
 
 
 class TestWordRecognition:
     def test_single_letter_is_word(self):
         assert as_word("a") == ("a",)
-        assert is_word_rpq("a")
 
     def test_concatenation_is_word(self):
         assert as_word("a.b.c") == ("a", "b", "c")
 
     def test_epsilon_is_empty_word(self):
         assert as_word("eps") == ()
-        assert is_word_rpq("eps")
 
     def test_star_is_not_word(self):
         assert as_word("a*") is None
-        assert not is_word_rpq("a*")
 
     def test_union_of_distinct_words_not_word(self):
         assert as_word("a|b") is None
-
-    def test_word_expression_builder(self):
-        assert as_word(word_expression(["x", "y"])) == ("x", "y")
-        assert as_word(word_expression([])) == ()
 
 
 class TestFiniteLanguages:
     def test_finite_union(self):
         language = as_finite_language("a.b|c")
         assert language == frozenset({("a", "b"), ("c",)})
-        assert is_finite_union_rpq("a.b|c")
 
     def test_infinite_language(self):
         assert as_finite_language("a+.b") is None
-        assert not is_finite_union_rpq("a*")
-
-    def test_max_rule_word_length(self):
-        assert max_rule_word_length("a.b.c") == 3
-        assert max_rule_word_length("a|b.c") == 2
-        assert max_rule_word_length("eps") == 0
-        assert max_rule_word_length("a*") is None
+        assert as_finite_language("a*") is None
 
 
 class TestReachabilityRecognition:

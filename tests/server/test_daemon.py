@@ -21,19 +21,11 @@ import time
 import pytest
 from conftest import reference_node, reference_path
 
-from repro.api import (
-    GraphSession,
-    Query,
-    QueryKind,
-    QueryTimeoutError,
-    ServerBusyError,
-    ServerShuttingDownError,
-    connect,
-    wire,
-)
+from repro.api import GraphSession, Query, QueryKind, connect, wire
+from repro.api.remote import QueryTimeoutError, ServerBusyError, ServerShuttingDownError
 from repro.datagraph import GraphBuilder, generators
 from repro.datagraph.node import Node
-from repro.exceptions import EvaluationError, UnknownNodeError
+from repro.exceptions import EvaluationError, SerializationError, UnknownNodeError
 from repro.query import evaluate_data_rpq_naive, evaluate_rpq_naive
 from repro.query.crpq import evaluate_crpq_naive
 from repro.server import ReproServer, ServerConfig
@@ -550,6 +542,17 @@ class TestGracefulDrain:
         with pytest.raises(EvaluationError, match="drain_grace"):
             ServerConfig(drain_grace=-1.0)
 
+    @pytest.mark.parametrize("field", ["query_timeout", "drain_grace"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 1e10, "5"])
+    def test_durations_must_be_waits_a_thread_can_make(self, field, value):
+        # NaN passed ``<= 0`` / ``< 0``; inf and 1e10 overflow Future.result.
+        with pytest.raises(EvaluationError, match=field):
+            ServerConfig(**{field: value})
+
+    def test_the_largest_wait_and_a_zero_grace_are_accepted(self):
+        config = ServerConfig(query_timeout=threading.TIMEOUT_MAX, drain_grace=0)
+        assert (config.query_timeout, config.drain_grace) == (threading.TIMEOUT_MAX, 0)
+
 
 class TestProtocolAbuse:
     def test_malformed_frame_gets_error_then_disconnect(self, served):
@@ -728,6 +731,40 @@ class TestAdmissionAndTimeouts:
         monkeypatch.undo()
         with connect(address) as session:
             assert session.run("a").rows() == GraphSession(graph).run("a").rows()
+
+
+class TestRequestValidation:
+    """A request's numbers and flags are checked before any work is
+    admitted: a bad one is a ``serialization`` error, not a deadline that
+    fires at once, an ``internal`` crash or a truthy string."""
+
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 1e10, 0, -1.0, "5", True])
+    def test_a_bad_timeout_is_rejected_before_the_query_runs(self, served, monkeypatch, timeout):
+        _, address, server = served
+        monkeypatch.setattr(daemon_module, "GraphSession", _SlowSession)
+        with connect(address) as session:
+            started = time.monotonic()
+            with pytest.raises(SerializationError, match="timeout"):
+                session.run("a", timeout=timeout)
+            assert time.monotonic() - started < _SlowSession.delay
+            assert session.ping()
+        assert server.metrics.counters["queries_timed_out"] == 0
+
+    @pytest.mark.parametrize("flag", ["false", 1, [True]])
+    def test_null_semantics_must_be_a_boolean(self, served, flag):
+        _, address, _ = served
+        with connect(address) as session:
+            with pytest.raises(SerializationError, match="null_semantics"):
+                session.run("a", null_semantics=flag)
+            assert session.run("a", null_semantics=True).rows()
+
+    @pytest.mark.parametrize("max_entries", ["2", 1.5, True, -1])
+    def test_point_cache_max_entries_must_be_a_count(self, served, tmp_path, max_entries):
+        _, address, _ = served
+        with connect(address) as session:
+            with pytest.raises(SerializationError, match="max_entries"):
+                session.save_point_cache(tmp_path / "points.json", max_entries=max_entries)
+            assert session.save_point_cache(tmp_path / "points.json", max_entries=2) >= 0
 
 
 class TestMetricsAndManagement:

@@ -9,7 +9,8 @@ import pytest
 from repro import GraphBuilder, graph_to_json
 from repro.cli import main
 from repro.datagraph import graph_from_json
-from repro.experiments import EXPERIMENTS, Experiment, ExperimentResult
+from repro.experiments import EXPERIMENTS, Experiment
+from repro.experiments.harness import ExperimentResult
 from repro.server import ReproServer, ServerConfig
 
 

@@ -7,14 +7,16 @@ import pytest
 from repro.core import is_solution, universal_solution
 from repro.exceptions import WorkloadError
 from repro.workloads import (
-    CRPQ_SHAPES,
     multi_community_scenario,
     provenance_scenario,
     random_crpq,
-    random_equality_query,
-    random_relational_mapping,
     social_network_scenario,
     workload_sweep,
+)
+from repro.workloads.random_workloads import (
+    CRPQ_SHAPES,
+    random_equality_query,
+    random_relational_mapping,
 )
 
 
