@@ -143,10 +143,12 @@ class ServerConfig:
                 f"unknown backend {self.backend!r}; "
                 f"expected one of {', '.join(STORAGE_BACKENDS)}"
             )
-        if self.max_inflight < 1:
-            raise EvaluationError(f"max_inflight must be positive, got {self.max_inflight}")
-        if self.queue_depth < 0:
-            raise EvaluationError(f"queue_depth must be non-negative, got {self.queue_depth}")
+        # A zero max_frame_bytes would reject every request as oversized.
+        for name, least in (("max_inflight", 1), ("queue_depth", 0), ("max_frame_bytes", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                sign = "positive" if least else "non-negative"
+                raise EvaluationError(f"{name} must be a {sign} integer, got {value!r}")
         if self.query_timeout is not None:
             _seconds(self.query_timeout, "query_timeout", EvaluationError)
         _seconds(self.drain_grace, "drain_grace", EvaluationError, allow_zero=True)

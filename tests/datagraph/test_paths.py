@@ -129,7 +129,7 @@ class TestDataPath:
             assert left.concat(right) == dp
 
 
-class TestPathEnumerationOracle:
+class TestGraphPathHelpers:
     def test_enumerate_paths_bounded(self, toy_graph):
         paths = list(enumerate_paths(toy_graph, "alice", max_length=2))
         # length 0 path always included

@@ -247,7 +247,7 @@ class TestFragments:
         with pytest.raises(TypeError):
             classify("a.b")
 
-    def test_uses_inequality(self):
+    def test_is_equality_only(self):
         assert not parse_ree("(a+)=").uses_inequality()
         assert parse_ree("(a+)!=").uses_inequality()
         assert not parse_rem("!x.a[x=]").uses_inequality()

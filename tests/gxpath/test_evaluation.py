@@ -114,7 +114,7 @@ class TestPathSemantics:
         expression = path_concat(axis("a"), node_test(exists(axis("b"))))
         assert _ids(evaluate_path(gx_graph, expression)) == {("s", "t")}
 
-    def test_star_and_missing_pairs(self, gx_graph):
+    def test_path_holds(self, gx_graph):
         assert ("r", "t") in _ids(evaluate_path(gx_graph, axis_star("a")))
         assert ("s", "u") not in _ids(evaluate_path(gx_graph, axis("b")))
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.regular.nfa import matches
+from repro.regular import parse_regex
+from repro.regular.nfa import matches, to_nfa
 
 
 class TestThompsonNFA:
@@ -39,6 +40,17 @@ class TestThompsonNFA:
     def test_multichar_labels(self):
         assert matches("knows.worksAt", ["knows", "worksAt"])
         assert not matches("knows.worksAt", ["knows", "knows"])
+
+    @pytest.mark.parametrize("expression,nodes", [("a", 1), ("a.b", 3), ("(a|b)*", 4), ("eps|a+", 4)])
+    def test_thompson_shape(self, expression, nodes):
+        # One initial and one accepting state, two states per syntax node.
+        nfa = to_nfa(expression)
+        assert len(nfa.initial) == len(nfa.accepting) == 1
+        assert nfa.num_states == 2 * nodes
+
+    def test_parsed_and_textual_expressions_agree(self):
+        word = ("a", "b", "a")
+        assert to_nfa(parse_regex("(a.b)*.a")).accepts(word) is to_nfa("(a.b)*.a").accepts(word) is True
 
 
 class TestAgainstBruteForce:

@@ -118,7 +118,7 @@ def _answers(instance, head, atoms):
     return {tuple(match[v] for v in head) for match in homomorphisms(instance, atoms)}
 
 
-class TestHomomorphisms:
+class TestConjunctiveQueries:
     def test_single_atom(self, people_instance):
         x, y = Variable("x"), Variable("y")
         assert _answers(people_instance, (x, y), [AtomPattern("knows", (x, y))]) == {

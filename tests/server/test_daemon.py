@@ -549,6 +549,18 @@ class TestGracefulDrain:
         with pytest.raises(EvaluationError, match=field):
             ServerConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["max_inflight", "queue_depth", "max_frame_bytes"])
+    @pytest.mark.parametrize("value", [-1, 1.5, True, "8"])
+    def test_sizes_must_be_integers_in_range(self, field, value):
+        with pytest.raises(EvaluationError, match=field):
+            ServerConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["max_inflight", "max_frame_bytes"])
+    def test_zero_capacity_is_rejected(self, field):
+        # max_frame_bytes=0 would start a server that resets every connection.
+        with pytest.raises(EvaluationError, match=field):
+            ServerConfig(**{field: 0})
+
     def test_the_largest_wait_and_a_zero_grace_are_accepted(self):
         config = ServerConfig(query_timeout=threading.TIMEOUT_MAX, drain_grace=0)
         assert (config.query_timeout, config.drain_grace) == (threading.TIMEOUT_MAX, 0)

@@ -137,6 +137,21 @@ class TestPublicApi:
         answers = repro.certain_answers(mapping, source, repro.rpq("t.t"))
         assert {(left.id, right.id) for left, right in answers} == {("a", "b")}
 
+    def test_subpackages_importable(self):
+        for module in (
+            "repro.datagraph",
+            "repro.regular",
+            "repro.datapaths",
+            "repro.query",
+            "repro.gxpath",
+            "repro.relational",
+            "repro.core",
+            "repro.reductions",
+            "repro.workloads",
+            "repro.experiments",
+        ):
+            assert importlib.import_module(module) is not None
+
 
 def _load_example(name: str):
     """Import an example script as a module (examples are not a package)."""
