@@ -201,7 +201,7 @@ def _bench_path_answer(benchmark, dialect: str):
     route = route_point(graph, ExecutionPolicy(backend="compact"))
     path, regex = parse_gxpath_path(TWIN_QUERY), parse_regex(TWIN_QUERY)
     runs = {
-        "gxpath": lambda: evaluate_path(graph, path, route=route),
+        "gxpath": lambda: evaluate_path(graph, path),
         "rpq": lambda: default_engine().evaluate_rpq(graph, regex, route),
     }
     graph.compact_index().node_objects  # the decode column, built untimed

@@ -287,8 +287,7 @@ class Query:
         if kind is QueryKind.RPQ:
             return (
                 "rpq: bit-row algebra, the regex as a register-free REM (concatenations "
-                "push their left factor's rows; point queries run the compiled "
-                "ε-free NFA × graph product)"
+                "push their left factor's rows; a point query seeds it at its source)"
             )
         if kind is QueryKind.DATA_RPQ:
             # The fragment test the engine dispatches on, so this is what runs.
@@ -300,7 +299,7 @@ class Query:
                 f"mask pass) — outside the scoped fragment: {violation}"
             )
         return (
-            f"{kind.value}: bit-row algebra over the route's index (axes push rows along "
+            f"{kind.value}: bit-row algebra over the CSR index (axes push rows along "
             "forward or transposed edges, a* is the swept closure, concatenations push "
             "their left factor's rows; node expressions are position masks)"
         )
@@ -341,7 +340,7 @@ class Query:
         from ..gxpath import evaluation as gxpath_evaluation
 
         if kind is QueryKind.GXPATH_NODE:
-            return gxpath_evaluation.evaluate_node(graph, self.plan, null_semantics, route=route)
+            return gxpath_evaluation.evaluate_node(graph, self.plan, null_semantics)
         if kind is QueryKind.GXPATH_PATH:
-            return gxpath_evaluation.evaluate_path(graph, self.plan, null_semantics, route=route)
+            return gxpath_evaluation.evaluate_path(graph, self.plan, null_semantics)
         raise EvaluationError(f"unknown query kind {kind!r}")  # pragma: no cover - defensive

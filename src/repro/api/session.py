@@ -25,9 +25,11 @@ independent **point-workload cache** memoises single-source answers
 
 *How* a query runs is resolved once per evaluation by the router
 (:func:`repro.planner.route_query`) into a
-:class:`~repro.planner.router.Route`, and one dispatcher
-(:meth:`GraphSession._execute`) turns a ``(plan, route)`` pair into an
-answer — for ``run``, ``run_many``, ``targets`` and ``holds`` alike.
+:class:`~repro.planner.router.Route`, and one method
+(:meth:`GraphSession._evaluated`) turns a ``(plan, route)`` pair into an
+entry's answer — its bit rows wherever the route computes them —
+for ``run``, ``run_many``, ``targets`` and ``holds`` alike; an RPQ point
+whose relation is not cached seeds the same algebra at its source.
 Every route returns the same answers, so they share cache entries and
 :class:`Result` objects.
 """
@@ -49,6 +51,7 @@ from ..engine.cache import CacheStats, LRUCache
 from ..engine.data import RowMemo
 from ..engine.engine import EvaluationEngine, default_engine
 from ..exceptions import EvaluationError
+from ..gxpath.evaluation import evaluate_path
 from ..planner.router import route_point, route_query
 from . import wire
 from .executors import ExecutionPolicy
@@ -193,10 +196,10 @@ class GraphSession(SessionProtocol):
         """Membership shortcut: ``session.run(query).holds(*nodes)``.
 
         For binary RPQs whose full relation is not already cached, the
-        question is answered from the point-workload cache (one
-        single-source BFS) instead of materialising the whole relation;
-        any other binary plan is one bit test on its entry's rows
-        (membership in the decoded answer for a route without rows).
+        question is answered from the point-workload cache (the algebra
+        seeded at the source) instead of materialising the whole
+        relation; any other binary plan is one bit test on its entry's
+        rows (membership in the decoded answer for a route without rows).
         """
         plan = Query.of(query)
         if plan.arity != 2 or len(nodes) != 2:
@@ -218,12 +221,14 @@ class GraphSession(SessionProtocol):
         LRU keyed on ``(graph.version, query.key, source)``, so
         single-source questions neither recompute per call nor piggyback
         on (and pay for) full-relation entries.  An RPQ whose full
-        relation is not cached runs one indexed product BFS from
-        *source*; any other point reads *source*'s bit across its
-        entry's rows (:meth:`BitRelation.targets_of
+        relation is not cached runs the bit-row algebra seeded at
+        *source* (:meth:`EvaluationEngine.evaluate_rpq_from
+        <repro.engine.engine.EvaluationEngine.evaluate_rpq_from>`); any
+        other point reads *source*'s bit across its entry's rows
+        (:meth:`BitRelation.targets_of
         <repro.engine.bitrelation.BitRelation.targets_of>`) without
-        decoding the relation — only a route without rows (GXPath, the
-        forced ``dict`` / ``sql`` routes) scans its pairs.
+        decoding the relation — only a route without rows (the forced
+        ``dict`` / ``sql`` routes) scans its pairs.
         """
         plan = Query.of(query)
         if plan.arity != 2:
@@ -505,11 +510,13 @@ class GraphSession(SessionProtocol):
         """*plan*'s full answer on *route*, with the session's row memo
         (none when the policy caches no results): its bit rows where the
         route computes them in this process — an RPQ / data RPQ on a
-        compact route, a binary CRPQ whose plan ends on them —
-        else :meth:`_execute`'s decoded answer."""
+        compact route, a GXPath path, a binary CRPQ whose plan ends on
+        them — else :meth:`_execute`'s decoded answer."""
         memo = self._rows if self.policy.cache_results else None
         if plan.kind is QueryKind.CRPQ:
             return self._execute(plan, route, null_semantics, decode=False, memo=memo)
+        if plan.kind is QueryKind.GXPATH_PATH:
+            return evaluate_path(self.graph, plan.plan, null_semantics, decode=False)
         if plan.kind in (QueryKind.RPQ, QueryKind.DATA_RPQ):
             bits = self.engine.atom_bits(
                 self.graph, plan.plan, route, null_semantics=null_semantics, memo=memo
@@ -706,30 +713,27 @@ class GraphSession(SessionProtocol):
         plan: Query,
         route,
         null_semantics: bool,
-        source: Optional[NodeId] = None,
         decode=True,
         memo: Optional[RowMemo] = None,
     ):
-        """Turn a ``(plan, route)`` pair into an answer.
+        """Turn a ``(plan, route)`` pair into the plan's full answer set
+        (for a CRPQ without *decode*, its bit rows when the plan ends on
+        them: see :func:`~repro.planner.execute_plan`).
 
-        The one path from the session to the kernels: ``run``,
-        ``run_many``, ``targets`` and ``holds`` all end here (a cached
-        answer through :meth:`_full_entry`, which keeps a local bit-row
-        route's rows undecoded), and nothing below re-decides what
-        *route* resolved.  With *source* given (an RPQ whose full
-        relation is not cached) the answer is the point form — the
-        targets of *source*, one seeded BFS; every other point reads its
-        entry's rows (:meth:`_targets_of`) — else the plan's full answer
-        set (for a CRPQ without *decode*, its bit rows when the plan ends
-        on them: see :func:`~repro.planner.execute_plan`).
+        The one path from the session to the kernels for an answer
+        without rows of its own: :meth:`_evaluated` keeps a local bit-row
+        route's rows undecoded and sends everything else here, and
+        nothing below re-decides what *route* resolved.  An RPQ point
+        whose full relation is not cached goes straight to
+        :meth:`EvaluationEngine.evaluate_rpq_from
+        <repro.engine.engine.EvaluationEngine.evaluate_rpq_from>`
+        (:meth:`_targets_of`); every other point reads its entry's rows.
 
         CRPQs take the planner (the cached plan, the session's relation
         cache, a recorded :class:`~repro.planner.PlanTrace`); every other
         kind hands the route to its engine entry point.  *memo* is the
         session's row memo, for an in-process CRPQ's atom scans.
         """
-        if source is not None:
-            return self.engine.evaluate_rpq_from(self.graph, plan.plan, source, route)
         if plan.kind is not QueryKind.CRPQ:
             return plan._evaluate(self.engine, self.graph, null_semantics, route)
         from ..planner import PlanTrace, execute_plan
@@ -783,9 +787,8 @@ class GraphSession(SessionProtocol):
     def _targets_of(self, plan: Query, source: NodeId, null_semantics: bool) -> frozenset:
         if plan.kind is QueryKind.RPQ and not self._is_cached(plan, null_semantics):
             # A point route never pays for statistics.
-            return self._execute(
-                plan, route_point(self.graph, self.policy), null_semantics, source=source
-            )
+            route = route_point(self.graph, self.policy)
+            return self.engine.evaluate_rpq_from(self.graph, plan.plan, source, route)
         return self._entry(plan, null_semantics).targets_of(source)
 
     def stats(self) -> Mapping[str, CacheStats]:

@@ -15,8 +15,9 @@ composed delta since — through one call, :func:`repair_full_relation`:
   (:func:`patched_answer`), else the new entry holds the rows alone and
   is decoded on its first read — a base nobody read gives an entry
   nothing decodes until somebody does;
-* a route that yields **no rows** (forced ``dict`` / ``sql``, GXPath,
-  a CRPQ whose plan does not end on rows) is re-evaluated in full.
+* a route that yields **no rows** (forced ``dict`` / ``sql``, a GXPath
+  node expression, a CRPQ whose plan does not end on rows) is
+  re-evaluated in full.
 
 A :meth:`~repro.api.GraphSession.run_many` batch re-answers each plan
 with a lineage in place, through the same call as ``run``.
@@ -80,7 +81,11 @@ def backward_touched_closure(
 
 
 def patched_answer(
-    base: CachedRelation, delta: GraphDelta, new: BitRelation, objects: Sequence
+    base: CachedRelation,
+    delta: GraphDelta,
+    new: BitRelation,
+    objects: Sequence,
+    monotone: bool,
 ) -> Optional[frozenset]:
     """*new*'s decoded answer, patched from *base* — the lineage's entry
     from before *delta* — by their bit-row difference: the old answer
@@ -92,8 +97,10 @@ def patched_answer(
     it) or no bit rows, its ordering is not a prefix of *new*'s, or
     *delta* removed a node or changed a value (either one rewrites
     ``Node`` objects in pairs the difference does not name).  An
-    insert-only *delta* loses no pair — every dialect patched here is
-    monotone under insertion — so its ``old ∖ new`` is never computed.
+    insert-only *delta* loses no pair of a *monotone* answer, so its
+    ``old ∖ new`` is then never computed; a GXPath path is not monotone
+    (``¬⟨b⟩`` loses a pair when a ``b`` edge is added) and always
+    computes it.
     """
     answer, bits = base.answer, base.bits
     if (
@@ -104,7 +111,7 @@ def patched_answer(
         or not bits.extended_by(new)
     ):
         return None
-    lost = None if delta.insert_only else bits.minus(new)
+    lost = None if delta.insert_only and monotone else bits.minus(new)
     gained = new.minus(bits)
     if lost:
         answer = answer - lost.node_pairs(objects[: len(lost.nodes)])
@@ -146,5 +153,6 @@ def repair_full_relation(
     if not isinstance(new, BitRelation):
         return CachedRelation(answer=new), "no rows"
     snapshot = graph.compact_index()
-    answer = patched_answer(cached, delta, new, snapshot.node_objects)
+    monotone = plan.kind.value != "gxpath_path"  # GXPath's ¬ can lose pairs on insert
+    answer = patched_answer(cached, delta, new, snapshot.node_objects, monotone)
     return CachedRelation(new, snapshot, answer), "rows" if answer is None else "patched"

@@ -268,7 +268,12 @@ def nfa_reachable_targets(
 ) -> Set[NodeId]:
     """Nodes ``v`` with ``(source, v)`` accepted (early exit on *stop_at*).
 
-    The point-query twin of :func:`repro.engine.product.reachable_targets`.
+    The CSR twin of :func:`repro.engine.product.reachable_targets`.  No
+    route runs it (an RPQ point is the seeded bit-row algebra); kept only
+    because the frozen e2e tracer resolves it by name, it goes with that
+    tracer row — once ``engine.compact.point_ms`` is bound to
+    ``GraphSession.targets`` instead, where point time now lands in
+    ``engine.data.ree_ms``.
     """
     position = compact.position
     start = position.get(source)

@@ -8,10 +8,10 @@ routes through.  It owns:
   and register automata for memory RPQs;
 * **the kernels**, driven by each graph's lazily built
   :class:`~repro.datagraph.index.LabelIndex` (or its CSR twin): the
-  bit-row algebra of :mod:`repro.engine.data` answers every full or
-  seeded RPQ and scoped data RPQ; the NFA and register products
-  of :mod:`repro.engine.product` keep point queries and cross-scope
-  REMs;
+  bit-row algebra of :mod:`repro.engine.data` answers every full,
+  seeded or point RPQ and scoped data RPQ; the register product keeps
+  cross-scope REMs, and the NFA product of :mod:`repro.engine.product`
+  only witness paths;
 * **a batched entry point** (:meth:`evaluate_many`) that amortises
   compilation and index construction across a workload.
 
@@ -159,7 +159,7 @@ class EvaluationEngine:
         if route.kernel != "sql":  # plain regexes have a recursive-CTE twin
             relation = self._scoped_bits(graph, query, route)
             if relation is not None:
-                return self._node_pairs(graph, relation, route)
+                return relation.node_pairs(self._objects(graph, relation, route))
         node = graph.node
         return frozenset(
             (node(source), node(target))
@@ -182,11 +182,10 @@ class EvaluationEngine:
         source: NodeId,
         route: Optional["Route"] = None,
     ) -> FrozenSet[Node]:
-        """All nodes ``v`` with ``(source, v) ∈ e(G)``.
-
-        A ``sql`` route runs a source-seeded CTE; point routes only name
-        it when the policy forces it — a single-source frontier is
-        exactly the shape the dict/compact kernels win.
+        """All nodes ``v`` with ``(source, v) ∈ e(G)``: the relation seeded
+        at *source* by the bit-row algebra (:meth:`_scoped_bits`), read
+        across its rows — no automaton is compiled.  A ``sql`` route runs a
+        source-seeded CTE instead.
         """
         graph.node(source)  # raise UnknownNodeError early, mirroring the seed API
         if route is None:
@@ -198,10 +197,8 @@ class EvaluationEngine:
                 graph, query, engine=self, sources=(source,)
             )
             return frozenset(graph.node(target) for _, target in pairs)
-        targets = product.reachable_targets(
-            self._index(graph, route), self.compile_rpq(query), source
-        )
-        return frozenset(graph.node(target) for target in targets)
+        relation = self._scoped_bits(graph, query, route, sources=(source,))
+        return relation.targets_of(source, self._objects(graph, relation, route))
 
     def witness_path_labels(
         self, graph: DataGraph, query: RPQLike, source: NodeId, target: NodeId
@@ -265,7 +262,7 @@ class EvaluationEngine:
         if engine != "automaton":
             relation = self._scoped_bits(graph, expression, route, null_semantics=null_semantics)
         if relation is not None:
-            return self._node_pairs(graph, relation, route)
+            return relation.node_pairs(self._objects(graph, relation, route))
         if engine == "algebraic":
             raise EvaluationError(
                 f"the algebraic engine declines this expression: {scope_violation(expression)}"
@@ -303,11 +300,12 @@ class EvaluationEngine:
         return spaces.NfaProductSpace(index, self.compile_rpq(query))
 
     @staticmethod
-    def _node_pairs(graph: DataGraph, relation: BitRelation, route: "Route") -> FrozenSet[NodePair]:
-        """*relation*'s rows, over the index *route* names, as ``Node`` pairs."""
+    def _objects(graph: DataGraph, relation: BitRelation, route: "Route") -> Sequence[Node]:
+        """The ``Node`` column aligned with *relation*'s ordering over the
+        index *route* names: what decodes its rows."""
         if route.kernel == "compact":
-            return relation.node_pairs(graph.compact_index().node_objects)
-        return relation.node_pairs(tuple(map(graph.node, relation.nodes)))
+            return graph.compact_index().node_objects
+        return tuple(map(graph.node, relation.nodes))
 
     def _scoped_bits(
         self,

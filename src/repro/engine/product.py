@@ -37,9 +37,10 @@ sources), so phase 3 can be split into independent source blocks
 
 :func:`full_relation` keeps the historical ``(index, automaton)``
 signature for plain RPQs; :func:`product_relation` is the dialect-generic
-composition.  Single-source RPQ questions use a direct BFS
-(:func:`reachable_targets`), which is still automaton-compiled and
-index-driven.
+composition.  No route runs the single-source BFS
+(:func:`reachable_targets`): an RPQ point seeds the bit-row algebra at
+its source (:meth:`repro.engine.engine.EvaluationEngine.evaluate_rpq_from`);
+only :func:`witness_labels` still walks the NFA product from one source.
 
 **Seeded evaluation** (:func:`seeded_product_relation`) is the semijoin
 contract the CRPQ planner relies on: the same phases, but seeded only
@@ -318,7 +319,12 @@ def reachable_targets(
     source: NodeId,
     stop_at: Optional[NodeId] = None,
 ) -> Set[NodeId]:
-    """Nodes ``v`` with ``(source, v)`` in the relation (early exit on *stop_at*)."""
+    """Nodes ``v`` with ``(source, v)`` in the relation (early exit on *stop_at*).
+
+    No route runs it (an RPQ point is the seeded bit-row algebra); kept
+    only because the frozen e2e tracer resolves it by name, it goes with
+    that tracer row.
+    """
     if isinstance(index, CompactLabelIndex):
         return compact_kernels.nfa_reachable_targets(index, automaton, source, stop_at)
     accepting = automaton.accepting

@@ -6,9 +6,9 @@ Given a data graph ``G = <V, E>``:
   ``[[α]]_G ⊆ V × V``;
 * the semantics of a node expression φ is a set ``[[φ]]_G ⊆ V``.
 
-Both run on the bit rows of :mod:`repro.engine.data`, over the index the
-resolved :class:`~repro.planner.router.Route` names: a path is ``{target
-position → source bitmask}`` rows, a node expression one position mask.
+Both run on the bit rows of :mod:`repro.engine.data` over the graph's CSR
+index — GXPath has no other index or kernel: a path is ``{target position
+→ source bitmask}`` rows, a node expression one position mask.
 An axis pushes rows along forward or transposed edges, ``a*`` is the
 algebra's swept closure, ``α·β`` pushes α's rows through β, ``[φ]`` keeps
 the rows at φ's positions, ``⟨α⟩`` ORs α's rows, and ``α=`` / ``α≠`` AND
@@ -18,9 +18,8 @@ SQL-null mode used over exchanged graphs with null nodes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Tuple, Union
 
-from ..datagraph.compact import CompactLabelIndex
 from ..datagraph.graph import DataGraph
 from ..datagraph.node import Node, NodeId
 from ..engine.bitrelation import BitRelation
@@ -42,9 +41,6 @@ from .ast import (
     PathNotEqual,
     PathUnion,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..planner.router import Route
 
 __all__ = ["evaluate_path", "evaluate_node", "node_holds"]
 
@@ -151,56 +147,35 @@ class _RowEvaluator:
         return mask
 
 
-def _evaluator(graph: DataGraph, null_semantics: bool, route=None) -> _RowEvaluator:
-    """An evaluator over the index *route* names (a bare call: the
-    router's point rule, the CSR index unless forced)."""
-    if route is None:
-        from ..planner.router import route_point
-
-        route = route_point(graph)
-    index = graph.compact_index() if route.kernel == "compact" else graph.label_index()
-    return _RowEvaluator(index, null_semantics)
-
-
-def _objects(graph: DataGraph, index) -> Sequence[Node]:
-    """The ``Node`` column aligned with *index*'s positions."""
-    if isinstance(index, CompactLabelIndex):
-        return index.node_objects
-    return tuple(map(graph.node, index.nodes))
-
-
 def evaluate_path(
     graph: DataGraph,
     expression: PathExpression,
     null_semantics: bool = False,
     *,
-    route: Optional["Route"] = None,
-) -> FrozenSet[Tuple[Node, Node]]:
-    """The binary relation ``[[α]]_G`` as pairs of nodes, computed over
-    the index *route* names (answers are identical on either index)."""
-    evaluator = _evaluator(graph, null_semantics, route)
+    decode: bool = True,
+) -> Union[FrozenSet[Tuple[Node, Node]], BitRelation]:
+    """The binary relation ``[[α]]_G`` as pairs of nodes — or, without
+    *decode*, as its :class:`~repro.engine.bitrelation.BitRelation` over
+    the CSR index's ordering (what a session caches and reads points from)."""
+    evaluator = _RowEvaluator(graph.compact_index(), null_semantics)
     index = evaluator.index
     relation = BitRelation(index.nodes, index.position, evaluator.path(expression))
-    return relation.node_pairs(_objects(graph, index))
+    return relation.node_pairs(index.node_objects) if decode else relation
 
 
 def evaluate_node(
-    graph: DataGraph,
-    expression: NodeExpression,
-    null_semantics: bool = False,
-    *,
-    route: Optional["Route"] = None,
+    graph: DataGraph, expression: NodeExpression, null_semantics: bool = False
 ) -> FrozenSet[Node]:
-    """The node set ``[[φ]]_G`` (*route* as in :func:`evaluate_path`)."""
-    evaluator = _evaluator(graph, null_semantics, route)
+    """The node set ``[[φ]]_G``."""
+    evaluator = _RowEvaluator(graph.compact_index(), null_semantics)
     mask = evaluator.node(expression)
-    return frozenset(BitRelation.members(mask, _objects(graph, evaluator.index)))
+    return frozenset(BitRelation.members(mask, evaluator.index.node_objects))
 
 
 def node_holds(
     graph: DataGraph, expression: NodeExpression, node_id: NodeId, null_semantics: bool = False
 ) -> bool:
     """Whether ``v ∈ [[φ]]_G`` for the node with the given id."""
-    evaluator = _evaluator(graph, null_semantics)
+    evaluator = _RowEvaluator(graph.compact_index(), null_semantics)
     at = evaluator.index.position.get(node_id)
     return at is not None and bool(evaluator.node(expression) >> at & 1)

@@ -14,7 +14,8 @@ The one rule, shared by :func:`route_query` and :func:`route_point`
 
 * a forced ``backend`` gives that kernel family — ``sql`` on a data RPQ
   resolves ``dict`` (register valuations have no SQL encoding), and
-  GXPath declines ``sql``, naming the decline in the route's reason;
+  GXPath declines ``sql`` and ``dict``, naming the decline in the
+  route's reason;
 * otherwise the route is ``compact``: the CSR index and the bit-row
   algebra, on every graph size.
 
@@ -88,10 +89,9 @@ def _gxpath_route(policy: Optional["ExecutionPolicy"]) -> Route:
     """GXPath's one route (module docstring); the reason names a decline."""
     reason = _reason(policy, "gxpath: the bit-row algebra on the CSR index")
     kernel = _kernel(policy)
-    if kernel == "sql":
-        kernel = "compact"
-        reason += "; backend='sql' declined: GXPath runs on the bit-row algebra only"
-    return Route(kernel, reason)
+    if kernel != "compact":
+        reason += f"; backend={kernel!r} declined: GXPath runs on the CSR index only"
+    return Route("compact", reason)
 
 
 def route_query(

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_path
 from repro.api import ExecutionPolicy, GraphSession, Query
-from repro.datagraph import DataGraph
+from repro.datagraph import DataGraph, GraphBuilder
 from repro.datagraph.values import NULL
 from repro.deltas import repair as repair_module
 from repro.deltas.repair import repair_full_relation
@@ -48,8 +49,8 @@ DIALECT_QUERIES = {
 }
 
 #: Kinds whose cached entries keep bit rows, so a re-answer is a repair;
-#: GXPath keeps none and is evaluated afresh.
-REPAIRING = {"rpq", "ree", "rem", "rem-cross", "crpq"}
+#: a GXPath node expression keeps none and is evaluated afresh.
+REPAIRING = {"rpq", "ree", "rem", "rem-cross", "crpq", "gxpath-path"}
 #: ... of which the RPQ and data RPQs, whose entry stands when a delta
 #: touches nothing they read.
 DATA = {"rpq", "ree", "rem", "rem-cross"}
@@ -695,11 +696,25 @@ class TestReAnswersDecodeByDifference:
         assert (stats["repairs"], stats["recomputes"], stats["patched"]) == (1, 0, 0)
         assert events == ["repair"]
 
+    def test_an_insert_that_loses_a_gxpath_pair_is_patched_exactly(self):
+        """GXPath's ``¬`` is not monotone: inserting ``v -b-> w`` takes
+        ``(u, v)`` out of ``a.[¬⟨b⟩]``, so an insert-only patch of a GXPath
+        path still subtracts what its new rows lost."""
+        graph = GraphBuilder().node("u", 1).node("v", 2).edge("u", "a", "v").build()
+        query = Query.parse("a.[~<b>]", dialect="gxpath-path")
+        session = GraphSession(graph)
+        assert session.run(query).count() == 1  # decoded: the next answer is patched
+        with graph.batch() as batch:
+            batch.add_node("w", 3)
+            batch.add_edge("v", "b", "w")
+        assert session.run(query).pairs() == frozenset() == reference_path(graph, query.plan)
+        assert session.maintenance_stats()["patched"] == 1
+
     @pytest.mark.parametrize("dialect", ["rpq", "crpq"])
     @pytest.mark.parametrize("change", ["insert", "removal"])
     def test_only_a_removal_scans_for_lost_pairs(self, dialect, change, monkeypatch):
-        """An insert-only patch computes no ``old ∖ new``: every dialect
-        it patches is monotone under insertion.  A removal still does."""
+        """An insert-only patch of a dialect monotone under insertion
+        computes no ``old ∖ new``.  A removal still does."""
         graph = chain_graph()
         query = DIALECT_QUERIES[dialect]
         session = GraphSession(graph, policy=COMPACT)
@@ -986,6 +1001,7 @@ class TestRowsOutliveAWrite:
         assert len(session._rows) == 3
         session.clear_cache()
         assert len(session._rows) == 0
+
 
 
 def naive_answer(graph: DataGraph, query: Query, null_semantics: bool):

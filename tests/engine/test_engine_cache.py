@@ -1,10 +1,12 @@
 """Regression tests for the engine's compiled-automaton caches.
 
 The seed evaluators recompiled the NFA on every call.  These tests pin
-the fix: all point entry points (``GraphSession.targets`` / ``holds``,
-``EvaluationEngine.evaluate_rpq_from``, witnesses) share one compiled
+the fix: the one entry point that still compiles an NFA, the witness
+path (``EvaluationEngine.witness_path_labels``), shares one compiled
 automaton per query, keyed on the structural AST, behind an LRU bound.
-Full relations compile none: the bit-row algebra runs the regex itself.
+Full relations and point queries (``GraphSession.targets`` / ``holds``,
+``EvaluationEngine.evaluate_rpq_from``) compile none: the bit-row
+algebra runs the regex itself.
 """
 
 from __future__ import annotations
@@ -34,10 +36,10 @@ def small_graph():
 
 def test_second_evaluation_hits_the_automaton_cache(small_graph):
     engine = EvaluationEngine()
-    engine.evaluate_rpq_from(small_graph, "a.b", "u")
+    engine.witness_path_labels(small_graph, "a.b", "u", "w")
     stats = engine.stats()["automata"]
     assert (stats.misses, stats.hits) == (1, 0)
-    engine.evaluate_rpq_from(small_graph, "a.b", "u")
+    engine.witness_path_labels(small_graph, "a.b", "u", "w")
     stats = engine.stats()["automata"]
     assert (stats.misses, stats.hits) == (1, 1)
 
@@ -47,21 +49,22 @@ def test_all_entry_points_share_one_compiled_automaton(small_graph):
     query = rpq("a.b")
     engine.evaluate_rpq(small_graph, query)
     engine.evaluate_many(small_graph, [query, query])
-    assert engine.stats()["automata"].misses == 0  # full relations: the algebra
-    engine.evaluate_rpq_from(small_graph, query, "u")
+    assert engine.evaluate_rpq_from(small_graph, query, "u") == {small_graph.node("w")}
     engine.evaluate_rpq_from(small_graph, query, "v")
+    assert engine.stats()["automata"].misses == 0  # full relations and points: the algebra
     engine.witness_path_labels(small_graph, query, "u", "w")
+    engine.witness_path_labels(small_graph, query, "v", "u")
     stats = engine.stats()["automata"]
     assert stats.misses == 1
-    assert stats.hits == 2
+    assert stats.hits == 1
 
 
 def test_equivalent_query_spellings_share_one_entry(small_graph):
     engine = EvaluationEngine()
     expression = parse_regex("a.b")
-    engine.evaluate_rpq_from(small_graph, "a.b", "u")  # textual
-    engine.evaluate_rpq_from(small_graph, expression, "u")  # regex AST
-    engine.evaluate_rpq_from(small_graph, rpq("a.b"), "u")  # RPQ wrapper
+    engine.witness_path_labels(small_graph, "a.b", "u", "w")  # textual
+    engine.witness_path_labels(small_graph, expression, "u", "w")  # regex AST
+    engine.witness_path_labels(small_graph, rpq("a.b"), "u", "w")  # RPQ wrapper
     stats = engine.stats()["automata"]
     assert stats.misses == 1
     assert stats.hits == 2
@@ -75,9 +78,10 @@ def test_sessions_reuse_the_default_engine_cache(small_graph):
     GraphSession(small_graph).targets("a.b.a", "u")
     witness_path_labels(small_graph, "a.b.a", "u", "u")
     GraphSession(small_graph).targets("a.b.a", "v")
+    witness_path_labels(small_graph, "a.b.a", "v", "v")
     after = default_engine().stats()["automata"]
-    assert after.misses - before.misses <= 1
-    assert after.hits - before.hits >= 3
+    assert after.misses - before.misses <= 1  # only the witnesses compile
+    assert after.hits - before.hits >= 1
 
 
 def test_register_automaton_compilation_is_cached(small_graph):
@@ -91,13 +95,13 @@ def test_register_automaton_compilation_is_cached(small_graph):
 
 def test_lru_bound_evicts_least_recently_used(small_graph):
     engine = EvaluationEngine(automaton_cache_size=2)
-    engine.evaluate_rpq_from(small_graph, "a", "u")
-    engine.evaluate_rpq_from(small_graph, "b", "u")
-    engine.evaluate_rpq_from(small_graph, "a.b", "u")  # evicts "a"
+    engine.witness_path_labels(small_graph, "a", "u", "v")
+    engine.witness_path_labels(small_graph, "b", "u", "v")
+    engine.witness_path_labels(small_graph, "a.b", "u", "w")  # evicts "a"
     stats = engine.stats()["automata"]
     assert stats.size == 2
     assert stats.evictions == 1
-    engine.evaluate_rpq_from(small_graph, "a", "u")  # recompilation, not a hit
+    engine.witness_path_labels(small_graph, "a", "u", "v")  # recompilation, not a hit
     assert engine.stats()["automata"].misses == 4
 
 
@@ -185,10 +189,10 @@ def test_evaluate_many_stays_correct_across_cache_eviction(small_graph):
 
 def test_clear_caches_resets_entries_but_keeps_counters(small_graph):
     engine = EvaluationEngine()
-    engine.evaluate_rpq_from(small_graph, "a.b", "u")
+    engine.witness_path_labels(small_graph, "a.b", "u", "w")
     engine.clear_caches()
     stats = engine.stats()["automata"]
     assert stats.size == 0
     assert stats.misses == 1
-    engine.evaluate_rpq_from(small_graph, "a.b", "u")
+    engine.witness_path_labels(small_graph, "a.b", "u", "w")
     assert engine.stats()["automata"].misses == 2

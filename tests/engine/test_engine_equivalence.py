@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_node, reference_path
-from repro.api import ExecutionPolicy, GraphSession
+from repro.api import GraphSession
 from repro.datagraph import NULL, generators
 from repro.engine import EvaluationEngine, default_engine
 from repro.gxpath.ast import (
@@ -35,7 +35,6 @@ from repro.gxpath.ast import (
     PathUnion,
 )
 from repro.gxpath.evaluation import evaluate_node, evaluate_path
-from repro.planner.router import route_point
 from repro.query import (
     evaluate_data_rpq_naive,
     evaluate_rpq_naive,
@@ -197,12 +196,10 @@ def test_gxpath_engine_matches_reference(seed, size, null_semantics, nulls):
     path, node = random_gxpath(rng), random_node(rng)
     expected_path = reference_path(graph, path, null_semantics)
     expected_node = reference_node(graph, node, null_semantics)
-    for backend in ("compact", "dict"):
-        route = route_point(graph, ExecutionPolicy(backend=backend))
-        pairs = evaluate_path(graph, path, null_semantics, route=route)
-        assert {(source.id, target.id) for source, target in pairs} == expected_path, backend
-        nodes = evaluate_node(graph, node, null_semantics, route=route)
-        assert {v.id for v in nodes} == expected_node, backend
+    pairs = evaluate_path(graph, path, null_semantics)
+    assert {(source.id, target.id) for source, target in pairs} == expected_path
+    nodes = evaluate_node(graph, node, null_semantics)
+    assert {v.id for v in nodes} == expected_node
 
 
 def test_gxpath_node_exists_uses_indexed_paths(toy_graph):

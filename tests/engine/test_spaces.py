@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import ExecutionPolicy
 from repro.datagraph import DataGraph, generators
 from repro.datapaths import compile_rem, parse_ree, parse_rem, ree_to_rem
 from repro.engine import default_engine, product
@@ -28,7 +27,6 @@ from repro.engine.partition import parallel_product_relation
 from repro.engine.spaces import NfaProductSpace, RegisterProductSpace
 from repro.gxpath.ast import AxisStar
 from repro.gxpath.evaluation import evaluate_path
-from repro.planner.router import route_point
 
 REM_POOL = [
     "!x.((a|b)[x!=])+",
@@ -144,9 +142,8 @@ class TestRegisterProductSpace:
 # ----------------------------------------------------------------------
 # GXPath a* / a-* (the bit-row algebra's closure) vs the per-start BFS spec
 # ----------------------------------------------------------------------
-def axis_star_ids(graph, label, inverse, backend):
-    route = route_point(graph, ExecutionPolicy(backend=backend))
-    pairs = evaluate_path(graph, AxisStar(label, inverse), route=route)
+def axis_star_ids(graph, label, inverse):
+    pairs = evaluate_path(graph, AxisStar(label, inverse))
     return {(source.id, target.id) for source, target in pairs}
 
 
@@ -155,15 +152,13 @@ class TestAxisStarClosure:
     @given(graph=graphs, label=st.sampled_from(["a", "b"]), inverse=st.booleans())
     def test_axis_star_equals_per_start_bfs(self, graph, label, inverse):
         expected = naive_closure(graph.label_index(), label, inverse)
-        for backend in ("compact", "dict"):
-            assert axis_star_ids(graph, label, inverse, backend) == expected, backend
+        assert axis_star_ids(graph, label, inverse) == expected
 
     def test_inverse_axis_star_is_the_transpose(self):
         graph = generators.random_graph(12, 30, labels=("a",), rng=9)
         expected = naive_closure(graph.label_index(), "a", inverse=True)
-        for backend in ("compact", "dict"):
-            forward = axis_star_ids(graph, "a", False, backend)
-            assert {(v, u) for u, v in forward} == axis_star_ids(graph, "a", True, backend) == expected
+        forward = axis_star_ids(graph, "a", False)
+        assert {(v, u) for u, v in forward} == axis_star_ids(graph, "a", True) == expected
 
 
 # ----------------------------------------------------------------------

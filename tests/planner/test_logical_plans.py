@@ -201,7 +201,7 @@ class TestExplain:
     def test_non_crpq_kinds_explain_their_fixed_strategy(self, skewed_graph):
         rpq_text = Query.parse("a.b").explain(skewed_graph)
         assert rpq_text.startswith("rpq: bit-row algebra")
-        assert "point queries run the compiled ε-free NFA" in rpq_text
+        assert "a point query seeds it at its source" in rpq_text
         assert "register" in Query.parse("(a)=", dialect="ree").explain()
         for text, dialect in (("a*.b-", "gxpath-path"), ("<a*.b>", "gxpath-node")):
             gxpath_text = Query.parse(text, dialect=dialect).explain(skewed_graph)

@@ -27,6 +27,7 @@ from repro.api import ExecutionPolicy, GraphSession, Query, QueryKind
 from repro.datagraph import DataGraph, generators
 from repro.datagraph.compact import CompactLabelIndex
 from repro.datapaths.fragments import is_scoped
+from repro.engine import EvaluationEngine
 from repro.engine import compact as compact_kernels
 from repro.engine import data as data_kernels
 from repro.engine import product as product_kernels
@@ -96,39 +97,41 @@ def naive_rows(graph, query: Query):
 class KernelSpy:
     """Record which kernel family actually ran.
 
-    Wraps the kernel entry points — the compact ``*_relation`` kernels,
-    the dict forward expansion, mask pass and point BFS of ``product``,
-    the SQL backend's ``evaluate_*``, the bit-row algebra and the GXPath
-    row evaluator — and counts calls by family (``dict`` / ``compact`` /
-    ``sql``).  The algebra, the GXPath evaluator and
-    the point BFS run over either index, so their family is read off the
-    index they were handed; ``algebra`` counts the algebra's calls on
-    their own.
+    Wraps the kernel entry points — the compact register kernel, the
+    dict forward expansion and mask pass of ``product``, the SQL
+    backend's ``evaluate_*``, the bit-row algebra and the GXPath row
+    evaluator — and counts calls by family (``dict`` / ``compact`` /
+    ``sql``).  The algebra and the GXPath evaluator run over either
+    index type, so their family is read off the index they were handed;
+    ``algebra`` counts the algebra's calls on their own.  ``nfa`` names
+    every call into the NFA product — its point BFS on either index, the
+    compact NFA kernels — and every ``EvaluationEngine.compile_rpq``: no
+    query on the default route makes one (the ``sql`` route compiles its
+    CTE from the automaton).
     """
 
     FAMILIES = (
-        (compact_kernels, "nfa_relation", "compact"),
         (compact_kernels, "register_relation", "compact"),
-        (compact_kernels, "nfa_reachable_targets", "compact"),
         (product_kernels, "forward_expand", "dict"),
         (product_kernels, "propagate_masks", "dict"),
         (sql_backend, "evaluate_rpq_pairs", "sql"),
         (sql_backend, "evaluate_plan_rows", "sql"),
     )
 
+    #: The NFA product's entry points (module, name), recorded in ``nfa``.
+    NFA = (
+        (compact_kernels, "nfa_relation"),
+        (compact_kernels, "nfa_reachable_targets"),
+        (product_kernels, "reachable_targets"),
+        (EvaluationEngine, "compile_rpq"),
+    )
+
     def __init__(self, monkeypatch):
         self.families: Counter = Counter()
         self.algebra = 0
+        self.nfa = []
         for module, name, family in self.FAMILIES:
             monkeypatch.setattr(module, name, self._counting(getattr(module, name), family))
-        point = product_kernels.reachable_targets
-
-        def reachable_targets(index, *args, **kwargs):
-            if not isinstance(index, CompactLabelIndex):  # the compact twin counts itself
-                self.families["dict"] += 1
-            return point(index, *args, **kwargs)
-
-        monkeypatch.setattr(product_kernels, "reachable_targets", reachable_targets)
         algebra = data_kernels.ree_relation
 
         def ree_relation(index, *args, **kwargs):
@@ -144,6 +147,15 @@ class KernelSpy:
             return rows(index, *args, **kwargs)
 
         monkeypatch.setattr(gxpath_evaluation, "_RowEvaluator", row_evaluator)
+        for owner, name in self.NFA:
+            monkeypatch.setattr(owner, name, self._recording(getattr(owner, name), name))
+
+    def _recording(self, function, name):
+        def recorded(*args, **kwargs):
+            self.nfa.append(name)
+            return function(*args, **kwargs)
+
+        return recorded
 
     def _counting(self, function, family):
         def counted(*args, **kwargs):
@@ -155,6 +167,7 @@ class KernelSpy:
     def reset(self):
         self.families.clear()
         self.algebra = 0
+        self.nfa.clear()
 
     def assert_ran(self, route: Route, context):
         """What ran is what *route* says: its kernel family, and nothing
@@ -223,16 +236,19 @@ class TestRouteChoices:
         assert route.kernel == "dict" and route.strategy == "sequential"
         assert "no SQL encoding" in route.reason
 
+    @pytest.mark.parametrize("backend", ["sql", "dict"])
     @pytest.mark.parametrize("name", ["gxpath_node", "gxpath_path"])
-    def test_gxpath_declines_sql(self, graph, name, spy):
-        policy = ExecutionPolicy(backend="sql")
+    def test_gxpath_declines_sql(self, graph, name, backend, spy):
+        policy = ExecutionPolicy(backend=backend)
         query = DIALECTS[name]
         route = route_query(query, graph, policy)
         assert route.kernel == route_query(query, graph).kernel == "compact"
-        assert "backend='sql' declined" in route.reason
+        assert f"backend='{backend}' declined" in route.reason
+        session = GraphSession(graph, policy=policy)
+        assert session.explain(query).splitlines()[0] == route.describe()
         expected = GraphSession(graph).run(query).rows()
         spy.reset()
-        assert GraphSession(graph, policy=policy).run(query).rows() == expected
+        assert session.run(query).rows() == expected
         spy.assert_ran(route, name)
 
     def test_manual_routing_is_ignored(self, graph):
@@ -351,6 +367,33 @@ class TestPointQueriesSkipTheRouter:
         assert fresh.holds(DIALECTS["rpq"], source.id, target.id)
 
 
+class TestTheDefaultRouteIsTheAlgebra:
+    @pytest.mark.parametrize("name", sorted(SPIED_DIALECTS))
+    def test_no_query_reaches_the_nfa_product(self, graph, name, spy):
+        """Under the default policy every dialect — in ``run``,
+        ``targets`` and ``holds`` form — runs on the CSR index (the
+        algebra, the GXPath evaluator, the register product of a
+        cross-scope REM), and nothing compiles an NFA or walks its
+        product."""
+        query = SPIED_DIALECTS[name]
+        expected = naive_rows(graph, query)
+        spy.reset()
+        assert GraphSession(graph).run(query).rows() == expected
+        sources = sorted(graph.node_ids)[:4]
+        for source in sources:  # fresh sessions: an RPQ point is a cache miss
+            if query.arity == 2:
+                answer = {v for u, v in expected if u.id == source}
+                assert GraphSession(graph).targets(query, source) == answer, source
+                for target in sources:
+                    holds = (graph.node(source), graph.node(target)) in expected
+                    assert GraphSession(graph).holds(query, source, target) == holds
+            else:
+                holds = (graph.node(source),) in expected
+                assert GraphSession(graph).holds(query, source) == holds
+        assert spy.nfa == [], (name, spy.nfa)
+        assert set(spy.families) == {"compact"}, (name, dict(spy.families))
+
+
 # ----------------------------------------------------------------------
 # Explain is what ran
 # ----------------------------------------------------------------------
@@ -410,7 +453,8 @@ class TestExplainIsWhatRan:
                         v for u, v in expected if u.id == source
                     ), context
                     if query.kind is QueryKind.RPQ:
-                        # one single-source BFS on the point route's kernel
+                        # the algebra seeded at the source, on the point
+                        # route's index (on sql, its seeded CTE)
                         spy.assert_ran(route_point(graph, CONFIGS[config]), context)
 
     @pytest.mark.parametrize("config", sorted(CONFIGS))

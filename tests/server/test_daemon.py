@@ -116,7 +116,7 @@ class TestBasicOperations:
         _, address, _ = served
         with connect(address) as session:
             assert session.ping()
-            assert "NFA" in session.explain("a.b")
+            assert "bit-row algebra" in session.explain("a.b")
             # Server-side errors come back typed and leave the
             # connection serving.
             with pytest.raises(UnknownNodeError):
@@ -294,12 +294,33 @@ class TestAnswersThroughTheDaemon:
                 assert document(session, "run_many", queries) == first
             assert (len(encodes), len(encoded)) == counts
 
+    def test_a_gxpath_path_is_served_from_its_rows(self, served, encodes):
+        """A GXPath path entry is rows plus snapshot: its first run is
+        encoded from the rows, a repeat sends the stored document, and its
+        points read bits — each equal to the reference semantics."""
+        graph, address, server = served
+        query = Query.parse("a-.(b)!=", dialect="gxpath-path")
+        pairs = reference_path(graph, query.plan)
+        assert pairs
+        with connect(address) as session:
+            sent = document(session, "run", query)
+            assert sent == json.dumps(wire.encode_answers(query, naive_answers(graph, query)))
+            assert len(encodes) == 1
+            assert document(session, "run", query) == sent
+            assert len(encodes) == 1  # the stored document went out again
+            entry = served_session(server)._results.peek((graph.version, query.key, False))
+            assert entry.bits is not None and entry.answer is None
+            for source in sorted({u for u, _ in pairs})[:4] + ["c0n0", "c2n29"]:
+                expected = frozenset(graph.node(v) for u, v in pairs if u == source)
+                assert session.targets(query, source) == expected, source
+            assert entry.answer is None  # points read the rows
+
     def test_a_served_relation_is_never_decoded(self, served):
         graph, address, server = served
         queries = [
             Query.parse(text, dialect=dialect)
             for text, dialect in QUERIES + EXTRA_QUERIES
-            if dialect in ("rpq", "ree", "rem", "crpq")
+            if dialect in ("rpq", "ree", "rem", "crpq", "gxpath-path")
         ]
         with connect(address) as session:
             for query in queries:

@@ -101,7 +101,7 @@ class TestInfoAndEvaluate:
 
     def test_explain_other_dialects(self, graph_file, capsys):
         assert main(["evaluate", str(graph_file), "--rpq", "r.r", "--explain"]) == 0
-        assert "NFA" in capsys.readouterr().out
+        assert "bit-row algebra" in capsys.readouterr().out
 
     def test_explain_rejects_json(self, graph_file, capsys):
         assert main([
