@@ -124,7 +124,9 @@ class RemoteSession(SessionProtocol):
     :class:`~repro.exceptions.EvaluationError` once closed.  Replies are
     decoded through one node table kept for the life of the connection
     (:func:`repro.api.wire.decode_answers`), so each node is built once
-    per connection, not once per reply.
+    per connection, not once per reply.  A reply that fails to frame, or
+    that does not carry its request's ``id``, closes the session: the
+    stream past it cannot be trusted to be in step.
     """
 
     def __init__(
@@ -151,23 +153,33 @@ class RemoteSession(SessionProtocol):
         for key, value in fields.items():
             if value is not None:
                 request[key] = value
+        sent = False
         try:
             send_frame(sock, request, MAX_FRAME_BYTES)
+            sent = True
             response = recv_frame(sock, MAX_FRAME_BYTES)
         except OSError as error:
             self.close()
             raise EvaluationError(f"server connection lost: {error}") from error
+        except ProtocolError:
+            # A request send_frame refused never reached the socket; past
+            # a reply that failed to frame, the stream cannot be read.
+            if sent:
+                self.close()
+            raise
         if response is None:
             self.close()
             raise EvaluationError("server closed the connection")
-        if not isinstance(response, dict):
-            raise ProtocolError(f"malformed response frame {response!r}")
-        if response.get("shutting_down") and response.get("id") != rid:
-            # The unsolicited farewell frame of a graceful shutdown,
-            # arriving in place of (or ahead of) our reply.
+        if not isinstance(response, dict) or response.get("id") != rid:
+            # Not the reply to this request — the unsolicited farewell of
+            # a graceful shutdown, or a stream out of step: close either way.
             self.close()
-            message = (response.get("error") or {}).get("message", "server is shutting down")
-            raise ServerShuttingDownError(message)
+            if not isinstance(response, dict):
+                raise ProtocolError(f"malformed response frame {response!r}")
+            message = (response.get("error") or {}).get("message")
+            if response.get("shutting_down"):
+                raise ServerShuttingDownError(message or "server is shutting down")
+            raise ProtocolError(message or f"reply {response.get('id')!r} does not answer request {rid}")
         if response.get("ok"):
             return response
         error = response.get("error") or {}

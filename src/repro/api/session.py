@@ -454,15 +454,18 @@ class GraphSession(SessionProtocol):
     # ------------------------------------------------------------------
     # Cache plumbing
     # ------------------------------------------------------------------
-    def _document(self, result: Result) -> Dict:
-        """*result*'s answer as its wire document
+    def _document(self, result: Result) -> str:
+        """*result*'s answer as the compact JSON text of its wire document
         (:func:`repro.api.wire.encode_entry`): encoded from the entry's bit
-        rows on its first serve, without decoding them, and kept in the
-        entry — what the daemon sends for every later run of it."""
+        rows on its first serve, without decoding them, serialised, and
+        kept in the entry in place of the document — the text the daemon
+        writes into the reply frame for every later run of it."""
         entry = result._entry()
         document = entry.document
         if document is None:
-            document = entry.document = wire.encode_entry(result.query, entry)
+            document = entry.document = json.dumps(
+                wire.encode_entry(result.query, entry), separators=(",", ":")
+            )
         return document
 
     def _is_cached(self, plan: Query, null_semantics: bool) -> bool:

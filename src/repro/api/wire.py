@@ -34,7 +34,7 @@ from __future__ import annotations
 import dataclasses
 from collections import defaultdict
 from itertools import chain, repeat
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, KeysView, List, Optional, Tuple
 
 from ..datagraph.node import Node, index_rows, sorted_column
 from ..datagraph.values import NULL, is_null
@@ -118,6 +118,13 @@ _REGISTRY: Dict[str, type] = {cls.__name__: cls for cls in _PLAN_CLASSES}
 if len(_REGISTRY) != len(_PLAN_CLASSES):  # pragma: no cover - import-time invariant
     raise AssertionError("wire registry requires unique plan class names")
 
+#: Each registry class's dataclass field names: a keys view, iterated in
+#: declaration order by the encoder, compared as a set by the decoder.
+_FIELDS: Dict[type, KeysView] = {
+    cls: dict.fromkeys(field.name for field in dataclasses.fields(cls)).keys()
+    for cls in _PLAN_CLASSES
+}
+
 _SCALARS = (str, int, float, bool)
 
 
@@ -129,15 +136,9 @@ def _encode_plan(obj: Any) -> Any:
         return obj
     if isinstance(obj, tuple):
         return {"%": "tuple", "items": [_encode_plan(item) for item in obj]}
-    name = type(obj).__name__
-    if name in _REGISTRY and dataclasses.is_dataclass(obj):
-        return {
-            "%": name,
-            "f": {
-                field.name: _encode_plan(getattr(obj, field.name))
-                for field in dataclasses.fields(obj)
-            },
-        }
+    names = _FIELDS.get(type(obj))
+    if names is not None:
+        return {"%": type(obj).__name__, "f": {name: _encode_plan(getattr(obj, name)) for name in names}}
     raise SerializationError(f"cannot encode plan node {obj!r} for the wire")
 
 
@@ -158,8 +159,8 @@ def _decode_plan(doc: Any) -> Any:
     fields = doc.get("f")
     if not isinstance(fields, dict):
         raise SerializationError(f"malformed plan document for {tag!r}")
-    expected = {field.name for field in dataclasses.fields(cls)}
-    if set(fields) != expected:
+    expected = _FIELDS[cls]
+    if fields.keys() != expected:
         raise SerializationError(
             f"plan document for {tag!r} has fields {sorted(fields)}, expected {sorted(expected)}"
         )

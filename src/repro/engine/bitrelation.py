@@ -201,10 +201,12 @@ class CachedRelation:
     computed on: its ``Node`` column decodes them, its sort ranks order
     their wire document.  The decoded ``(Node, Node)`` answer exists only
     once a read asked for pairs (:meth:`pairs`); a route without rows
-    stores only its answer.  ``document`` is the wire document the daemon
-    first encoded for the entry (:func:`repro.api.wire.encode_entry`),
-    sent again for every later run of it: an entry means one answer over
-    one snapshot's nodes and values, so its document never changes.
+    stores only its answer.  ``document`` is the compact JSON text of the
+    wire document the daemon first encoded for the entry
+    (:func:`repro.api.wire.encode_entry`) — the text alone, the dict is
+    not kept — written into the reply frame of every later run of it: an
+    entry means one answer over one snapshot's nodes and values, so its
+    document never changes.
     """
 
     __slots__ = ("bits", "snapshot", "answer", "document")
@@ -218,7 +220,7 @@ class CachedRelation:
         self.bits = bits
         self.snapshot = snapshot
         self.answer = answer
-        self.document: Optional[dict] = None
+        self.document: Optional[str] = None
 
     def pairs(self) -> frozenset:
         """The decoded answer: decoded from the rows on the first call,

@@ -40,8 +40,10 @@ shared, and nothing forks — a ``run_many`` batch runs in order on its
 connection's thread, and the daemon already multiplexes clients over
 its threads.  Queries run in-process on
 the session's bit rows, and a relation answer is encoded straight from
-them, never decoded: once per result-cache entry, whose document every
-later run of it sends again (``GraphSession._document``).
+them, never decoded: once per result-cache entry, as the JSON text of its
+document, which every later run of it writes into its reply frame as it
+stands (``GraphSession._document``, :class:`~repro.server.protocol.JSONText`):
+a repeated run serialises nothing but the reply's few scalar fields.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ from ..exceptions import (
     UnknownNodeError,
 )
 from .metrics import ServerMetrics, cache_stats_view
-from .protocol import MAX_FRAME_BYTES, ProtocolError, error_payload, recv_frame, send_frame
+from .protocol import MAX_FRAME_BYTES, JSONText, ProtocolError, error_payload, recv_frame, send_frame
 
 __all__ = ["ServerConfig", "ReproServer"]
 
@@ -573,7 +575,7 @@ class ReproServer:
 
             def job():
                 result = session.run(query, null_semantics=null_semantics)
-                return {"answers": session._document(result)}
+                return {"answers": JSONText(session._document(result))}
 
         elif op == "run_many":
             documents = request.get("queries")
@@ -583,7 +585,8 @@ class ReproServer:
 
             def job():
                 results = session.run_many(queries, null_semantics=null_semantics)
-                return {"answers": [session._document(result) for result in results]}
+                texts = ",".join(session._document(result) for result in results)
+                return {"answers": JSONText(f"[{texts}]")}
 
         else:  # targets
             query = wire.decode_query(request.get("query"))

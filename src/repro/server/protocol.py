@@ -16,8 +16,11 @@ Requests and responses are JSON objects::
     {"id": 7, "ok": false, "error": {"type": "timeout", "message": "..."}}
 
 ``id`` is a client-chosen correlation token echoed verbatim in the
-response.  The helpers here only frame and parse; operation semantics
-live in :mod:`repro.server.daemon` and :mod:`repro.api.remote`.
+response.  A top-level payload value that is already JSON text — a
+:class:`JSONText`, such as the daemon's stored answer documents — is
+written into the body as it stands instead of being serialised again.
+The helpers here only frame and parse; operation semantics live in
+:mod:`repro.server.daemon` and :mod:`repro.api.remote`.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from ..exceptions import ReproError
 
 __all__ = [
     "ProtocolError",
+    "JSONText",
     "MAX_FRAME_BYTES",
     "send_frame",
     "recv_frame",
@@ -47,10 +51,35 @@ class ProtocolError(ReproError):
     """A malformed, oversized or truncated protocol frame."""
 
 
+class JSONText(str):
+    """JSON text that :func:`send_frame` writes verbatim as a top-level
+    payload value: it must be the compact, ASCII text
+    ``json.dumps(value, separators=(",", ":"))`` makes of that value."""
+
+    __slots__ = ()
+
+
 def send_frame(sock: socket.socket, payload: Any, max_bytes: int = MAX_FRAME_BYTES) -> None:
-    """Serialise *payload* to JSON and write it as one length-prefixed frame."""
+    """Serialise *payload* to JSON and write it as one length-prefixed frame.
+
+    The body is ``json.dumps(payload, separators=(",", ":"))``, except
+    that a top-level value of a dict *payload* (string keys, as every
+    protocol payload has) that is a :class:`JSONText` is spliced in as it
+    stands — the same bytes when it holds the text ``json.dumps`` would
+    have made of its value, without serialising that value again.  The
+    size limit applies to the whole body either way.
+    """
     try:
-        body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+        if isinstance(payload, dict) and any(isinstance(value, JSONText) for value in payload.values()):
+            body = "{%s}" % ",".join(
+                json.dumps(key) + ":" + (
+                    value if isinstance(value, JSONText) else json.dumps(value, separators=(",", ":"))
+                )
+                for key, value in payload.items()
+            )
+        else:
+            body = json.dumps(payload, separators=(",", ":"))
+        body = body.encode("utf-8")
     except (TypeError, ValueError) as error:
         raise ProtocolError(f"frame payload is not JSON-serialisable: {error}") from error
     if len(body) > max_bytes:

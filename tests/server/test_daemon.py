@@ -25,6 +25,7 @@ from repro.api import GraphSession, Query, QueryKind, connect, wire
 from repro.api.remote import QueryTimeoutError, ServerBusyError, ServerShuttingDownError
 from repro.datagraph import GraphBuilder, generators
 from repro.datagraph.node import Node
+from repro.datagraph.values import NULL
 from repro.exceptions import EvaluationError, SerializationError, UnknownNodeError
 from repro.query import evaluate_data_rpq_naive, evaluate_rpq_naive
 from repro.query.crpq import evaluate_crpq_naive
@@ -331,9 +332,114 @@ class TestAnswersThroughTheDaemon:
                 entry = results.peek((graph.version, query.key, False))
                 if query.arity == 2:  # a compact route keeps a relation's rows
                     assert entry.bits is not None and entry.answer is None, str(query)
-                    assert entry.document is not None
+                    assert type(entry.document) is str  # the text alone, no dict
                 else:
                     assert entry.bits is None and entry.answer is not None, str(query)
+
+    def test_a_write_the_query_does_not_read_sends_the_same_text(self, served, encodes):
+        graph, address, server = served
+        query = Query.parse("a.(b|c)+")
+
+        def entry():
+            return served_session(server)._results.peek((graph.version, query.key, False))
+
+        with connect(address) as session:
+            session.run(query)
+            stored = entry()
+            text = stored.document
+            assert type(text) is str
+            assert json.loads(text) == wire.encode_answers(query, naive_answers(graph, query))
+            session.mutate([["add_edge", "c0n1", "alt_for", "c2n3"]])  # no query reads alt_for
+            assert session.run(query) == naive_answers(graph, query)
+            assert entry() is stored and stored.document is text
+            assert len(encodes) == 1
+            session.mutate([["add_node", "fresh", "d1"], ["add_edge", "fresh", "a", "c0n0"]])
+            expected = naive_answers(graph, query)
+            assert session.run(query) == expected
+            assert len(encodes) == 2 and entry() is not stored
+            assert type(entry().document) is str and entry().document != text
+            assert json.loads(entry().document) == wire.encode_answers(query, expected)
+
+
+def unicode_graph():
+    """Tuple ids, non-ASCII ids and values, and the SQL null, on a small cycle."""
+    person, city = ("person", 1), ("city", "Besançon")
+    return (
+        GraphBuilder(name="ünïcode")
+        .node(person, "Zürich").node("ñandú", "東京").node(city, NULL)
+        .node("plain", 3).node("x", "Zürich").node(("n", 2.5, True), "é")
+        .edge(person, "a", "ñandú").edge("ñandú", "b", city).edge(city, "a", "plain")
+        .edge("plain", "b", person).edge("x", "a", "ñandú").edge("ñandú", "c", "x")
+        .edge(city, "c", ("n", 2.5, True)).edge(("n", 2.5, True), "a", "x")
+        .build()
+    )
+
+
+@pytest.fixture
+def frames(monkeypatch):
+    """Every frame the daemon writes, as ``(payload, body)``: recorded as
+    its bytes reach the socket, so before the client can read them."""
+    written = []
+    real_send_frame = daemon_module.send_frame
+
+    class Tap:
+        def __init__(self, sock, payload):
+            self.sock, self.payload = sock, payload
+
+        def sendall(self, data):
+            written.append((self.payload, data[4:]))
+            self.sock.sendall(data)
+
+    monkeypatch.setattr(
+        daemon_module, "send_frame",
+        lambda sock, payload, max_bytes: real_send_frame(Tap(sock, payload), payload, max_bytes),
+    )
+    return written
+
+
+def compact(payload):
+    return json.dumps(payload, separators=(",", ":")).encode("ascii")
+
+
+class TestReplyFrames:
+    """Every reply frame is ``json.dumps`` of its payload with each answer
+    document as a dict — the stored texts splice in the same bytes."""
+
+    @pytest.mark.parametrize("build, texts", [
+        (make_graph, QUERIES + EXTRA_QUERIES),
+        (unicode_graph, [("a.b", "rpq"), ("(a|b|c)+", "rpq"), ("((a|b|c)+)=", "ree"),
+                         ("!x.((a|c)[x!=])+", "rem"), ("a*.(b)!=", "gxpath-path"),
+                         ("x,y,z :- (x, a, y), (y, b|c, z)", "crpq"), ("<a.[<b>]>", "gxpath-node"),
+                         ("zzz", "rpq")]),
+    ])
+    def test_run_run_many_targets_metrics_and_errors(self, frames, build, texts):
+        graph = build()
+        queries = [Query.parse(text, dialect=dialect) for text, dialect in texts]
+        expected = {query: naive_answers(graph, query) for query in queries}
+        source = sorted(graph.node_ids, key=repr)[0]
+        with ReproServer(graph) as server, connect(server.address) as session:
+            for query in queries * 2:  # the first serve and the stored text
+                assert session.run(query) == expected[query], str(query)
+                payload, body = frames[-1]
+                assert body == compact({**payload, "answers": wire.encode_answers(query, expected[query])})
+            batch = [queries[0], queries[1], queries[0], queries[-1], queries[0]]
+            session.run_many(batch)
+            payload, body = frames[-1]
+            documents = [wire.encode_answers(query, expected[query]) for query in batch]
+            assert body == compact({**payload, "answers": documents})
+            relation = served_session(server)._results.peek((graph.version, queries[1].key, False))
+            assert relation.bits is not None and type(relation.document) is str
+            others = len(frames)
+            session.targets(queries[1], source)
+            session.metrics()
+            with pytest.raises(UnknownNodeError):
+                session.targets(queries[1], "no such node")
+            with pytest.raises(SerializationError):
+                session._call("run", query={"kind": "nope"})
+            assert len(frames) == others + 4
+            for payload, body in frames[others:]:
+                assert body == compact(payload)
+        assert {frame[0]["ok"] for frame in frames[-2:]} == {False}
 
 
 #: One write of each kind the daemon's ``mutate`` applies, in order.
@@ -634,19 +740,26 @@ class TestProtocolAbuse:
     def test_reply_over_the_frame_limit_is_a_typed_error(self):
         graph = make_graph()
         limit = 4096
+        closure = Query.parse("(a|b|c)+")  # thousands of pairs
         with ReproServer(graph, ServerConfig(max_frame_bytes=limit)) as server:
             with connect(server.address) as session:
                 with pytest.raises(ProtocolError) as raised:
-                    session.run("(a|b|c)+")  # thousands of pairs
+                    session.run(closure)
                 size = int(str(raised.value).split()[2])  # "frame of N bytes exceeds ..."
                 assert size > limit and f"{limit}-byte limit" in str(raised.value)
+                # The stored text is too large on every later run, alone or batched.
+                for call in (session.run, lambda query: session.run_many([query, "zzz"])):
+                    with pytest.raises(ProtocolError, match=f"{limit}-byte limit"):
+                        call(closure)
+                entry = served_session(server)._results.peek((graph.version, closure.key, False))
+                assert type(entry.document) is str and len(entry.document) > limit
                 # Nothing of the reply was sent, so the stream is intact.
                 assert session.ping()
                 source = next(iter(graph.node_ids))
                 assert session.targets("a", source) == GraphSession(graph).targets("a", source)
                 assert session.run("zzz").count() == 0
             counters = server.metrics.counters
-            assert counters["unsendable_replies"] == 1
+            assert counters["unsendable_replies"] == 3
             assert counters["disconnects_mid_query"] == counters["protocol_errors"] == 0
 
     def test_mid_query_disconnect_leaves_the_server_healthy(self, served):

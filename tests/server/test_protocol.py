@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import socket
 import struct
 import threading
@@ -10,6 +11,7 @@ import pytest
 
 from repro.server.protocol import (
     MAX_FRAME_BYTES,
+    JSONText,
     ProtocolError,
     error_payload,
     recv_frame,
@@ -78,6 +80,53 @@ class TestLimits:
         left, _ = pair
         with pytest.raises(ProtocolError, match="JSON"):
             send_frame(left, {"bad": object()})
+
+
+def _body(sock):
+    (length,) = struct.unpack(">I", sock.recv(4))
+    return sock.recv(length, socket.MSG_WAITALL)
+
+
+def _text(value):
+    return JSONText(json.dumps(value, separators=(",", ":")))
+
+
+class TestSplicedText:
+    DOCUMENT = {"shape": "relation", "nodes": [["Zürich", {"%": "tuple", "items": [1, "東京"]}],
+                                               ["b", None], ["c", 2.5]],
+                "targets": [0, 2], "rows": [[1], [0, 1]]}
+
+    @pytest.mark.parametrize("payload", [
+        {"id": 3, "ok": True, "elapsed_ms": 0.1234, "answers": DOCUMENT},
+        {"answers": DOCUMENT, "id": "é", "ok": True},
+        {"id": 4, "ok": True, "answers": [DOCUMENT, {}, DOCUMENT]},
+        {"id": 5, "ok": True, "answers": []},
+    ])
+    def test_a_spliced_value_writes_the_bytes_json_dumps_would(self, pair, payload):
+        left, right = pair
+        spliced = {key: _text(value) if key == "answers" else value for key, value in payload.items()}
+        send_frame(left, spliced)
+        assert _body(right) == json.dumps(payload, separators=(",", ":")).encode("ascii")
+        send_frame(left, spliced)
+        assert recv_frame(right) == payload
+
+    def test_only_top_level_values_are_spliced(self, pair):
+        left, right = pair
+        send_frame(left, {"nested": [JSONText("[1]")], "top": JSONText("[1]")})
+        assert recv_frame(right) == {"nested": ["[1]"], "top": [1]}
+
+    def test_the_limit_counts_the_spliced_text(self, pair):
+        left, right = pair
+        payload = {"id": 1, "answers": _text({"blob": "x" * 64})}
+        with pytest.raises(ProtocolError, match="exceeds the 64-byte limit"):
+            send_frame(left, payload, max_bytes=64)
+        send_frame(left, payload, max_bytes=128)  # nothing was sent before
+        assert recv_frame(right) == {"id": 1, "answers": {"blob": "x" * 64}}
+
+    def test_other_values_must_still_serialise(self, pair):
+        left, _ = pair
+        with pytest.raises(ProtocolError, match="JSON"):
+            send_frame(left, {"answers": JSONText("[]"), "bad": object()})
 
 
 class TestCorruption:
