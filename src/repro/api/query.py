@@ -332,10 +332,11 @@ class Query:
                 graph, self.plan, null_semantics=null_semantics, route=route
             )
         if kind is QueryKind.CRPQ:
-            from ..query.crpq import evaluate_crpq_with_engine
+            from ..planner import execute_plan, plan_crpq
 
-            return evaluate_crpq_with_engine(
-                graph, self.plan, null_semantics=null_semantics, engine=engine, route=route
+            plan = plan_crpq(self.plan, graph.label_index())
+            return execute_plan(
+                plan, graph, engine=engine, null_semantics=null_semantics, route=route
             )
         from ..gxpath import evaluation as gxpath_evaluation
 

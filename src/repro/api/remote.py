@@ -93,6 +93,18 @@ _ERROR_CLASSES = {
 }
 
 
+def _reply_error(response: dict) -> dict:
+    """A reply's ``error`` object (``{}`` when it has none); anything but
+    an object whose ``type`` and ``message`` are strings is a
+    :class:`ProtocolError`."""
+    error = response.get("error") or {}
+    if not isinstance(error, dict) or not all(
+        isinstance(error.get(field, ""), str) for field in ("type", "message")
+    ):
+        raise ProtocolError(f"malformed error in reply: {error!r}")
+    return error
+
+
 def connect(
     address: Address,
     timeout: Optional[float] = None,
@@ -176,13 +188,13 @@ class RemoteSession(SessionProtocol):
             self.close()
             if not isinstance(response, dict):
                 raise ProtocolError(f"malformed response frame {response!r}")
-            message = (response.get("error") or {}).get("message")
+            message = _reply_error(response).get("message")
             if response.get("shutting_down"):
                 raise ServerShuttingDownError(message or "server is shutting down")
             raise ProtocolError(message or f"reply {response.get('id')!r} does not answer request {rid}")
         if response.get("ok"):
             return response
-        error = response.get("error") or {}
+        error = _reply_error(response)
         error_type = error.get("type", "error")
         message = error.get("message", "server error")
         raise _ERROR_CLASSES.get(error_type, ReproError)(message)

@@ -259,12 +259,17 @@ class DataGraph:
     def add_node(self, node_id: NodeId, value: DataValue = NULL) -> Node:
         """Add a node with the given id and data value and return it.
 
+        A value of ``None`` is stored as :data:`NULL`, as the serialiser
+        reads JSON ``null``.
+
         Raises
         ------
         DuplicateNodeError
             If a node with the same id but a *different* data value is
             already present.  Re-adding an identical node is a no-op.
         """
+        if value is None:
+            value = NULL
         existing = self._nodes.get(node_id)
         if existing is not None:
             if existing.value == value or (is_null(existing.value) and is_null(value)):
@@ -323,7 +328,10 @@ class DataGraph:
         return self.node(node_id).value
 
     def set_value(self, node_id: NodeId, value: DataValue) -> Node:
-        """Replace the data value of an existing node, returning the new node."""
+        """Replace the data value of an existing node, returning the new
+        node (``None`` is stored as :data:`NULL`, as in :meth:`add_node`)."""
+        if value is None:
+            value = NULL
         old = self.node(node_id)
         new = old.with_value(value)
         self._nodes[node_id] = new
@@ -537,7 +545,8 @@ class DataGraph:
         return merged
 
     def map_values(self, transform: Callable[[Node], DataValue]) -> "DataGraph":
-        """Return a copy whose node values are replaced by ``transform(node)``."""
+        """Return a copy whose node values are replaced by ``transform(node)``
+        (through :meth:`add_node`, so ``None`` becomes :data:`NULL`)."""
         mapped = DataGraph(alphabet=self._alphabet, name=self.name)
         for node in self._nodes.values():
             mapped.add_node(node.id, transform(node))

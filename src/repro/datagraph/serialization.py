@@ -10,10 +10,11 @@ plain dictionaries with the shape::
         "edges": [{"source": "n0", "label": "a", "target": "n1"}],
     }
 
-The SQL null data value is represented as JSON ``null``.  Node ids that
-are not JSON scalars (e.g. tuples produced by the property-graph
-encoding) are stringified on export and therefore do not round-trip; the
-:func:`graph_to_dict` function raises if exact round-tripping is
+The SQL null data value is represented as JSON ``null``; the graph
+stores a ``None`` value as that null too, so it round-trips.  Node ids
+that are not JSON scalars (e.g. tuples produced by the property-graph
+encoding) are stringified on export and therefore do not round-trip;
+the :func:`graph_to_dict` function raises if exact round-tripping is
 requested for such a graph.
 """
 
@@ -24,7 +25,7 @@ from typing import Any, Dict, Iterable, Mapping
 
 from ..exceptions import SerializationError
 from .graph import DataGraph
-from .values import NULL, is_null
+from .values import is_null
 
 __all__ = ["graph_to_dict", "graph_from_dict", "graph_to_json", "graph_from_json"]
 
@@ -94,8 +95,7 @@ def graph_from_dict(payload: Mapping[str, Any]) -> DataGraph:
     for entry in nodes:
         if "id" not in entry:
             raise SerializationError(f"node entry without an id: {entry!r}")
-        value = entry.get("value", None)
-        graph.add_node(entry["id"], NULL if value is None else value)
+        graph.add_node(entry["id"], entry.get("value"))
     for entry in edges:
         for key in ("source", "label", "target"):
             if key not in entry:

@@ -14,14 +14,20 @@ algebra's swept closure, ``α·β`` pushes α's rows through β, ``[φ]`` keeps
 the rows at φ's positions, ``⟨α⟩`` ORs α's rows, and ``α=`` / ``α≠`` AND
 each row with its target's value class — false at the null under the
 SQL-null mode used over exchanged graphs with null nodes.
+
+:func:`evaluate_path_naive` / :func:`evaluate_node_naive` are the
+executable specification the row evaluator is tested against: Figure 1
+case by case, as sets of nodes, on the graph API alone.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Tuple, Union
+import operator
+from typing import Dict, FrozenSet, Set, Tuple, Union
 
 from ..datagraph.graph import DataGraph
 from ..datagraph.node import Node, NodeId
+from ..datagraph.values import values_differ, values_equal
 from ..engine.bitrelation import BitRelation
 from ..engine.data import Pusher, Rows, _closure, _comparison, _compose, _letter_pusher, _union
 from ..exceptions import EvaluationError
@@ -42,7 +48,13 @@ from .ast import (
     PathUnion,
 )
 
-__all__ = ["evaluate_path", "evaluate_node", "node_holds"]
+__all__ = [
+    "evaluate_path",
+    "evaluate_node",
+    "node_holds",
+    "evaluate_path_naive",
+    "evaluate_node_naive",
+]
 
 
 class _RowEvaluator:
@@ -179,3 +191,78 @@ def node_holds(
     evaluator = _RowEvaluator(graph.compact_index(), null_semantics)
     at = evaluator.index.position.get(node_id)
     return at is not None and bool(evaluator.node(expression) >> at & 1)
+
+
+# ----------------------------------------------------------------------
+# Reference implementation (Figure 1, case by case)
+# ----------------------------------------------------------------------
+def evaluate_path_naive(
+    graph: DataGraph, expression: PathExpression, null_semantics: bool = False
+) -> FrozenSet[Tuple[Node, Node]]:
+    """``[[α]]_G`` case by case from Figure 1, on the graph API alone.
+
+    The executable specification :func:`evaluate_path` is tested
+    against: relations are sets of node pairs, ``α·β`` joins them and
+    ``a*`` runs one search per node.
+    """
+    if isinstance(expression, PathEpsilon):
+        return frozenset((node, node) for node in graph.nodes)
+    if isinstance(expression, Axis):
+        pairs = graph.edge_relation(expression.label)
+        return frozenset((t, s) for s, t in pairs) if expression.inverse else pairs
+    if isinstance(expression, AxisStar):
+        step = graph.predecessors if expression.inverse else graph.successors
+        result: Set[Tuple[Node, Node]] = set()
+        for start in graph.nodes:
+            seen = {start.id}
+            stack = [start]
+            while stack:
+                current = stack.pop()
+                result.add((start, current))
+                for _, neighbour in step(current.id, expression.label):
+                    if neighbour.id not in seen:
+                        seen.add(neighbour.id)
+                        stack.append(neighbour)
+        return frozenset(result)
+    if isinstance(expression, PathConcat):
+        after: Dict[NodeId, Set[Node]] = {}
+        for middle, target in evaluate_path_naive(graph, expression.right, null_semantics):
+            after.setdefault(middle.id, set()).add(target)
+        left = evaluate_path_naive(graph, expression.left, null_semantics)
+        return frozenset((s, t) for s, middle in left for t in after.get(middle.id, ()))
+    if isinstance(expression, PathUnion):
+        return evaluate_path_naive(graph, expression.left, null_semantics) | evaluate_path_naive(
+            graph, expression.right, null_semantics
+        )
+    if isinstance(expression, (PathEqual, PathNotEqual)):
+        if isinstance(expression, PathEqual):
+            holds = values_equal if null_semantics else operator.eq
+        else:
+            holds = values_differ if null_semantics else operator.ne
+        inner = evaluate_path_naive(graph, expression.inner, null_semantics)
+        return frozenset((s, t) for s, t in inner if holds(s.value, t.value))
+    if isinstance(expression, NodeTest):
+        return frozenset(
+            (v, v) for v in evaluate_node_naive(graph, expression.condition, null_semantics)
+        )
+    raise EvaluationError(f"unknown GXPath path expression {expression!r}")
+
+
+def evaluate_node_naive(
+    graph: DataGraph, expression: NodeExpression, null_semantics: bool = False
+) -> FrozenSet[Node]:
+    """``[[φ]]_G`` case by case from Figure 1 (the specification of
+    :func:`evaluate_node`)."""
+    if isinstance(expression, NodeNot):
+        return frozenset(graph.nodes) - evaluate_node_naive(graph, expression.inner, null_semantics)
+    if isinstance(expression, NodeAnd):
+        return evaluate_node_naive(graph, expression.left, null_semantics) & evaluate_node_naive(
+            graph, expression.right, null_semantics
+        )
+    if isinstance(expression, NodeOr):
+        return evaluate_node_naive(graph, expression.left, null_semantics) | evaluate_node_naive(
+            graph, expression.right, null_semantics
+        )
+    if isinstance(expression, NodeExists):
+        return frozenset(s for s, _ in evaluate_path_naive(graph, expression.path, null_semantics))
+    raise EvaluationError(f"unknown GXPath node expression {expression!r}")

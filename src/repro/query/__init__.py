@@ -11,7 +11,6 @@ from .crpq import (
     Atom,
     ConjunctiveRPQ,
     evaluate_crpq_naive,
-    evaluate_crpq_with_engine,
     parse_crpq,
 )
 from .data_rpq import DataRPQ, data_path_query, equality_rpq, memory_rpq
@@ -37,7 +36,6 @@ __all__ = [
     "ConjunctiveRPQ",
     "parse_crpq",
     "evaluate_crpq_naive",
-    "evaluate_crpq_with_engine",
     "is_preserved_on",
     "violates_homomorphism_preservation",
 ]

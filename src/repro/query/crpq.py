@@ -11,7 +11,9 @@ This module implements CRPQs whose atoms may be plain RPQs or data RPQs.
 Production evaluation routes through :mod:`repro.planner` (cost-ordered
 hash joins over seeded engine kernels); the historical tuple-at-a-time
 nested-loop join is retired to :func:`evaluate_crpq_naive`, the
-executable specification the planner is equivalence-tested against.
+executable specification the planner is equivalence-tested against.  It
+joins the relations of the RPQ and data-RPQ specifications and calls no
+engine, planner or SQL function.
 :func:`parse_crpq` supplies the textual syntax used by
 ``Query.parse(..., dialect="crpq")`` and the CLI's ``--crpq`` flag::
 
@@ -21,24 +23,21 @@ executable specification the planner is equivalence-tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Tuple, Union
 
 from ..datagraph.graph import DataGraph
 from ..datagraph.node import Node
 from ..exceptions import EvaluationError, ParseError
 from .data_rpq import DataRPQ
+from .data_rpq_eval import evaluate_data_rpq_naive
 from .rpq import RPQ
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..engine.engine import EvaluationEngine
-    from ..planner.router import Route
+from .rpq_eval import evaluate_rpq_naive
 
 __all__ = [
     "Atom",
     "ConjunctiveRPQ",
     "parse_crpq",
     "evaluate_crpq_naive",
-    "evaluate_crpq_with_engine",
 ]
 
 QueryLike = Union[RPQ, DataRPQ]
@@ -210,35 +209,27 @@ def evaluate_crpq_naive(
     graph: DataGraph,
     query: ConjunctiveRPQ,
     null_semantics: bool = False,
-    engine: Optional["EvaluationEngine"] = None,
 ) -> FrozenSet[Tuple[Node, ...]]:
     """The retired nested-loop join, kept as the executable specification.
 
-    Materialises every atom's full relation, then joins tuple by tuple
-    over partial variable assignments.  Quadratically slower than the
-    planner path on anything non-trivial — its only job is to pin the
-    semantics the planner's equivalence tests check against.  Self-loop
-    atoms ``(x, e, x)`` admit only pairs with ``source == target``
-    (historically the target assignment silently overwrote the source,
-    admitting arbitrary pairs).  Atoms are evaluated on the dict
-    kernels, independent of the compact route the default policy runs.
+    Materialises every atom's full relation by its own specification
+    (:func:`~repro.query.rpq_eval.evaluate_rpq_naive` /
+    :func:`~repro.query.data_rpq_eval.evaluate_data_rpq_naive`), then
+    joins tuple by tuple over partial variable assignments.  Quadratically
+    slower than the planner path on anything non-trivial — its only job is
+    to pin the semantics the planner's equivalence tests check against.
+    Self-loop atoms ``(x, e, x)`` admit only pairs with ``source ==
+    target`` (historically the target assignment silently overwrote the
+    source, admitting arbitrary pairs).  No engine, planner or SQL
+    function runs.
     """
-    from ..planner.router import Route
-
-    if engine is None:
-        from ..engine import default_engine
-
-        engine = default_engine()
-    route = Route("dict", "the executable specification")
     # Evaluate every atom once.
     atom_relations: List[Tuple[Atom, FrozenSet[Tuple[Node, Node]]]] = []
     for atom in query.atoms:
         if isinstance(atom.query, DataRPQ):
-            relation = engine.evaluate_data_rpq(
-                graph, atom.query, null_semantics=null_semantics, route=route
-            )
+            relation = evaluate_data_rpq_naive(graph, atom.query, null_semantics)
         elif isinstance(atom.query, RPQ):
-            relation = engine.evaluate_rpq(graph, atom.query, route)
+            relation = evaluate_rpq_naive(graph, atom.query)
         else:  # pragma: no cover - defensive
             raise EvaluationError(f"unsupported atom query {atom.query!r}")
         atom_relations.append((atom, relation))
@@ -285,28 +276,3 @@ def evaluate_crpq_naive(
     for assignment in assignments:
         results.add(tuple(assignment[variable] for variable in query.head))
     return frozenset(results)
-
-
-def evaluate_crpq_with_engine(
-    graph: DataGraph,
-    query: ConjunctiveRPQ,
-    null_semantics: bool = False,
-    engine: Optional["EvaluationEngine"] = None,
-    route: Optional["Route"] = None,
-) -> FrozenSet[Tuple[Node, ...]]:
-    """Evaluate a conjunctive (data) RPQ through the query planner.
-
-    Returns the set of tuples of nodes for the head variables; a Boolean
-    query returns ``{()}`` when satisfied and ``frozenset()`` otherwise.
-    This is the internal evaluator behind the CRPQ kind of the unified
-    :class:`repro.api.Query` IR; *engine* defaults to the process-wide
-    shared engine.  Since the planner landed this plans against the
-    graph's label-index statistics and executes cost-ordered hash joins
-    with semijoin-seeded kernels (see :mod:`repro.planner`); sessions
-    additionally cache the plan — use
-    :meth:`repro.api.GraphSession.run` for that.
-    """
-    from ..planner import execute_plan, plan_crpq
-
-    plan = plan_crpq(query, graph.label_index())
-    return execute_plan(plan, graph, engine=engine, null_semantics=null_semantics, route=route)

@@ -111,7 +111,8 @@ def recv_frame(sock: socket.socket, max_bytes: int = MAX_FRAME_BYTES) -> Optiona
     """Read one frame; ``None`` on clean EOF (peer closed between frames).
 
     Raises :class:`ProtocolError` for an oversized declared length, a
-    mid-frame disconnect, or a body that is not valid JSON.
+    mid-frame disconnect, or a body that does not decode — invalid UTF-8
+    or JSON, or JSON nested too deep for the decoder's recursion.
     """
     header = _recv_exact(sock, _HEADER.size)
     if header is None:
@@ -126,7 +127,7 @@ def recv_frame(sock: socket.socket, max_bytes: int = MAX_FRAME_BYTES) -> Optiona
         raise ProtocolError("connection closed before the frame body")
     try:
         return json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (ValueError, RecursionError) as error:
         raise ProtocolError(f"frame body is not valid JSON: {error}") from error
 
 

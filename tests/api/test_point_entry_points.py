@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import spec_answers
 from repro.api import ExecutionPolicy, GraphSession, Query
 from repro.datagraph import NULL, generators
 from repro.engine.bitrelation import BitRelation
@@ -24,8 +25,6 @@ from repro.exceptions import EvaluationError, UnknownNodeError
 from repro.query import (
     DataRPQ,
     equality_rpq,
-    evaluate_data_rpq_naive,
-    evaluate_rpq_naive,
     memory_rpq,
     rpq,
     word_rpq,
@@ -57,10 +56,7 @@ def graph():
 
 
 def _expected(graph, query, null_semantics):
-    if isinstance(query, DataRPQ):
-        pairs = evaluate_data_rpq_naive(graph, query, null_semantics)
-    else:
-        pairs = evaluate_rpq_naive(graph, query)
+    pairs = spec_answers(graph, Query.of(query), null_semantics)
     return {(source.id, target.id) for source, target in pairs}
 
 

@@ -67,6 +67,7 @@ class TestAReplyOutOfStepClosesTheSession:
         {"id": None, "ok": True, "pong": True},
         {"ok": True, "pong": True},
         [1, 2, 3],
+        {"id": None, "ok": False, "error": "boom"},  # an error that is not an object
     ])
     def test_a_reply_to_another_request(self, peer, reply):
         session, server = peer
@@ -101,6 +102,15 @@ class TestAnAlignedStreamStaysOpen:
             session._call("explode")
         assert not session.closed
         assert session.ping()
+
+    @pytest.mark.parametrize("error", ["boom", ["protocol"], {"type": 3}, {"message": None}])
+    def test_a_malformed_error_in_the_reply_to_the_request(self, peer, error):
+        session, server = peer
+        send_frame(server, {"id": 1, "ok": False, "error": error})
+        send_frame(server, {"id": 2, "ok": True, "pong": True})
+        with pytest.raises(ProtocolError, match="malformed error"):
+            session.ping()
+        assert session.ping()  # the stream is still in step
 
     def test_a_request_send_frame_refuses(self, peer):
         session, server = peer

@@ -9,7 +9,8 @@ import sys
 import pytest
 from hypothesis import strategies as st
 
-from repro.datagraph import NULL, DataGraph, GraphBuilder, values_differ, values_equal
+from repro.api import QueryKind
+from repro.datagraph import NULL, DataGraph, GraphBuilder
 from repro.datagraph.paths import Path
 from repro.datapaths.conditions import And, Equal, NotEqual, Or
 from repro.datapaths.rem import (
@@ -22,20 +23,8 @@ from repro.datapaths.rem import (
     RemUnion,
 )
 from repro.engine import forkpool
-from repro.gxpath.ast import (
-    Axis,
-    AxisStar,
-    NodeAnd,
-    NodeExists,
-    NodeNot,
-    NodeOr,
-    NodeTest,
-    PathConcat,
-    PathEpsilon,
-    PathEqual,
-    PathNotEqual,
-    PathUnion,
-)
+from repro.gxpath import evaluate_node_naive, evaluate_path_naive
+from repro.query import evaluate_crpq_naive, evaluate_data_rpq_naive, evaluate_rpq_naive
 from repro.regular import EPSILON, concat, letter, plus, star, union
 
 #: The host shapes a suite can run under: ``(cores, fork)``.
@@ -180,7 +169,7 @@ REM_ASTS = rem_asts()
 
 
 # ----------------------------------------------------------------------
-# GXPath's executable specification (Figure 1), written on the graph API
+# The executable specifications: brute-force paths, and one dispatcher
 # ----------------------------------------------------------------------
 def enumerate_paths(graph, source, max_length, target=None, labels=None):
     """Every path of at most *max_length* edges from *source* (ending at
@@ -198,76 +187,19 @@ def enumerate_paths(graph, source, max_length, target=None, labels=None):
     yield from extend([graph.node(source)], [])
 
 
-def reference_path(graph, expression, null_semantics=False):
-    """``[[α]]_G`` as id pairs, case by case from Figure 1 of the paper."""
-    if isinstance(expression, PathEpsilon):
-        return frozenset((node_id, node_id) for node_id in graph.node_ids)
-    if isinstance(expression, Axis):
-        pairs = {
-            (source.id, target.id)
-            for source, target in graph.edge_relation(expression.label)
-        }
-        return frozenset((t, s) for s, t in pairs) if expression.inverse else frozenset(pairs)
-    if isinstance(expression, AxisStar):
-        result = set()
-        for start in graph.node_ids:
-            seen = {start}
-            stack = [start]
-            while stack:
-                current = stack.pop()
-                result.add((start, current))
-                steps = (
-                    graph.predecessors(current, expression.label)
-                    if expression.inverse
-                    else graph.successors(current, expression.label)
-                )
-                for _, neighbour in steps:
-                    if neighbour.id not in seen:
-                        seen.add(neighbour.id)
-                        stack.append(neighbour.id)
-        return frozenset(result)
-    if isinstance(expression, PathConcat):
-        left = reference_path(graph, expression.left, null_semantics)
-        after = {}
-        for middle, target in reference_path(graph, expression.right, null_semantics):
-            after.setdefault(middle, set()).add(target)
-        return frozenset((s, t) for s, middle in left for t in after.get(middle, ()))
-    if isinstance(expression, PathUnion):
-        return reference_path(graph, expression.left, null_semantics) | reference_path(
-            graph, expression.right, null_semantics
-        )
-    if isinstance(expression, (PathEqual, PathNotEqual)):
-        inner = reference_path(graph, expression.inner, null_semantics)
-        want_equal = isinstance(expression, PathEqual)
-        kept = set()
-        for s, t in inner:
-            first, last = graph.value_of(s), graph.value_of(t)
-            if null_semantics:
-                ok = values_equal(first, last) if want_equal else values_differ(first, last)
-            else:
-                ok = (first == last) if want_equal else (first != last)
-            if ok:
-                kept.add((s, t))
-        return frozenset(kept)
-    if isinstance(expression, NodeTest):
-        return frozenset(
-            (v, v) for v in reference_node(graph, expression.condition, null_semantics)
-        )
-    raise AssertionError(f"unexpected path expression {expression!r}")
+#: Each query kind's executable specification.
+SPECS = {
+    QueryKind.RPQ: lambda graph, plan, null_semantics: evaluate_rpq_naive(graph, plan),
+    QueryKind.DATA_RPQ: evaluate_data_rpq_naive,
+    QueryKind.CRPQ: evaluate_crpq_naive,
+    QueryKind.GXPATH_PATH: evaluate_path_naive,
+    QueryKind.GXPATH_NODE: evaluate_node_naive,
+}
 
 
-def reference_node(graph, expression, null_semantics=False):
-    """``[[φ]]_G`` as a set of node ids, case by case from Figure 1."""
-    if isinstance(expression, NodeNot):
-        return frozenset(graph.node_ids) - reference_node(graph, expression.inner, null_semantics)
-    if isinstance(expression, NodeAnd):
-        return reference_node(graph, expression.left, null_semantics) & reference_node(
-            graph, expression.right, null_semantics
-        )
-    if isinstance(expression, NodeOr):
-        return reference_node(graph, expression.left, null_semantics) | reference_node(
-            graph, expression.right, null_semantics
-        )
-    if isinstance(expression, NodeExists):
-        return frozenset(s for s, _ in reference_path(graph, expression.path, null_semantics))
-    raise AssertionError(f"unexpected node expression {expression!r}")
+def spec_answers(graph, query, null_semantics=False):
+    """*query*'s answer by its kind's specification, in the shape a
+    session's answer has: node pairs, head tuples for a CRPQ, nodes for
+    a GXPath node expression (``Result == spec_answers(...)`` compares
+    them)."""
+    return SPECS[query.kind](graph, query.plan, null_semantics)

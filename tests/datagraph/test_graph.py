@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datagraph import NULL, DataGraph, Node
+from repro.api import GraphSession, Query
+from repro.datagraph import NULL, DataGraph, GraphBuilder, Node, graph_from_json, graph_to_json
 from repro.exceptions import DuplicateNodeError, InvalidEdgeError, UnknownNodeError
 
 
@@ -74,6 +75,32 @@ class TestNodeManagement:
         g.add_node("a", 1)
         g.add_node("b")
         assert [n.id for n in g.null_nodes()] == ["b"]
+
+
+class TestNoneIsTheSqlNull:
+    """``None`` is stored as :data:`NULL` by every write, so a graph and
+    its JSON round trip agree and the SQL-null semantics see the null."""
+
+    def test_every_write_stores_null(self):
+        g = GraphBuilder().node("a", None).node("b", 1).build()
+        g.set_value("b", None)
+        assert g.node("a").value is NULL and g.node("b").value is NULL
+        assert g.map_values(lambda node: None).node("a").value is NULL
+        with g.batch() as batch:
+            batch.add_node("c", None)
+        assert [node.id for node in g.null_nodes()] == ["a", "b", "c"]
+        g.add_node("a", NULL)  # the same node: a no-op
+        assert g.num_nodes == 3
+
+    def test_the_json_round_trip_is_the_graph(self):
+        g = GraphBuilder().node("a", None).node("b", 1).edge("a", "x", "b").build()
+        assert graph_from_json(graph_to_json(g)) == g
+
+    def test_equality_under_null_semantics_is_false_at_none(self):
+        g = GraphBuilder().node("a", None).node("b", None).edge("a", "x", "b").build()
+        query = Query.parse("(x)=", dialect="ree")
+        assert GraphSession(g).run(query, null_semantics=True).count() == 0
+        assert GraphSession(g).run(query).count() == 1
 
 
 class TestEdgeManagement:

@@ -15,16 +15,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_path
+from conftest import spec_answers
 from repro.api import ExecutionPolicy, GraphSession, Query
 from repro.datagraph import DataGraph, GraphBuilder
 from repro.datagraph.values import NULL
 from repro.deltas import repair as repair_module
 from repro.deltas.repair import repair_full_relation
 from repro.engine import default_engine
-from repro.query.crpq import evaluate_crpq_naive
-from repro.query.data_rpq_eval import evaluate_data_rpq_naive
-from repro.query.rpq_eval import evaluate_rpq_naive
 from repro.datagraph.compact import CompactLabelIndex
 from repro.datagraph.index import LabelIndex
 from repro.engine import compact as compact_kernels
@@ -707,7 +704,7 @@ class TestReAnswersDecodeByDifference:
         with graph.batch() as batch:
             batch.add_node("w", 3)
             batch.add_edge("v", "b", "w")
-        assert session.run(query).pairs() == frozenset() == reference_path(graph, query.plan)
+        assert session.run(query).pairs() == frozenset() == spec_answers(graph, query)
         assert session.maintenance_stats()["patched"] == 1
 
     @pytest.mark.parametrize("dialect", ["rpq", "crpq"])
@@ -788,7 +785,7 @@ class TestDecodeOnFirstRead:
     REM = Query.parse("!x.(supplies_to[x!=])+", dialect="rem")
 
     def expected(self, graph):
-        return evaluate_data_rpq_naive(graph, self.REM.plan)
+        return spec_answers(graph, self.REM)
 
     def rows_only_entry(self, session):
         graph = session.graph
@@ -1004,15 +1001,6 @@ class TestRowsOutliveAWrite:
 
 
 
-def naive_answer(graph: DataGraph, query: Query, null_semantics: bool):
-    """The executable specification of *query*'s answer."""
-    if query.kind.value == "rpq":
-        return evaluate_rpq_naive(graph, query.plan)
-    if query.kind.value == "data_rpq":
-        return evaluate_data_rpq_naive(graph, query.plan, null_semantics)
-    return evaluate_crpq_naive(graph, query.plan, null_semantics)
-
-
 #: Two RPQs, a scoped REM, an REE, a cross-scope REM, and a binary
 #: (ending on bit rows), a unary and a 3-ary CRPQ.
 PROPERTY_QUERIES = (
@@ -1117,7 +1105,7 @@ def test_re_answers_after_random_batches_equal_a_fresh_session_and_the_spec(data
         fresh = GraphSession(graph, policy=COMPACT)
         for query, null in cells:
             served = session.run(query, null).rows()
-            assert served == fresh.run(query, null).rows() == naive_answer(graph, query, null)
+            assert served == fresh.run(query, null).rows() == spec_answers(graph, query, null)
             key = (graph.version, query.key, null)
             warm_bits, fresh_bits = session._results.peek(key).bits, fresh._results.peek(key).bits
             assert (warm_bits is None) == (fresh_bits is None)

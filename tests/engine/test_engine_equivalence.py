@@ -3,9 +3,9 @@
 For random graphs (drawn via :mod:`repro.workloads.random_workloads` and
 :mod:`repro.datagraph.generators`) and random queries, the engine must
 return byte-identical answer sets to the seed implementations for RPQs,
-data RPQs and GXPath (whose specification is ``reference_path`` /
-``reference_node`` in ``tests/conftest.py``).  The naive evaluators are
-the executable specification — any divergence is an engine bug.
+data RPQs and GXPath (``evaluate_path_naive`` / ``evaluate_node_naive``).
+The naive evaluators are the executable specification — any divergence
+is an engine bug.
 """
 
 from __future__ import annotations
@@ -16,10 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_node, reference_path
-from repro.api import GraphSession
-from repro.datagraph import NULL, generators
+from conftest import spec_answers
+from repro import planner, sqlbackend
+from repro.api import GraphSession, Query
+from repro.datagraph import NULL, DataGraph, generators
 from repro.engine import EvaluationEngine, default_engine
+from repro.engine import data as data_kernels
+from repro.gxpath import evaluation as gxpath_evaluation
 from repro.gxpath.ast import (
     Axis,
     AxisStar,
@@ -40,6 +43,8 @@ from repro.query import (
     evaluate_rpq_naive,
     rpq,
 )
+from repro.planner import execute as planner_execute
+from repro.sqlbackend import backend as sql_backend
 from repro.workloads.random_workloads import random_equality_query, workload_sweep
 
 RPQ_POOL = [
@@ -194,18 +199,63 @@ def test_gxpath_engine_matches_reference(seed, size, null_semantics, nulls):
             graph.set_value(node_id, NULL)
     rng = random.Random(seed)
     path, node = random_gxpath(rng), random_node(rng)
-    expected_path = reference_path(graph, path, null_semantics)
-    expected_node = reference_node(graph, node, null_semantics)
-    pairs = evaluate_path(graph, path, null_semantics)
-    assert {(source.id, target.id) for source, target in pairs} == expected_path
-    nodes = evaluate_node(graph, node, null_semantics)
-    assert {v.id for v in nodes} == expected_node
+    expected_path = gxpath_evaluation.evaluate_path_naive(graph, path, null_semantics)
+    assert evaluate_path(graph, path, null_semantics) == expected_path
+    expected_node = gxpath_evaluation.evaluate_node_naive(graph, node, null_semantics)
+    assert evaluate_node(graph, node, null_semantics) == expected_node
 
 
 def test_gxpath_node_exists_uses_indexed_paths(toy_graph):
     expression = NodeExists(PathConcat(Axis("knows"), Axis("worksAt")))
     nodes = {node.id for node in evaluate_node(toy_graph, expression)}
     assert nodes == {"alice", "dave"}
+
+
+# ----------------------------------------------------------------------
+# The specifications stand alone: no engine, planner or SQL function runs
+# ----------------------------------------------------------------------
+#: One query of each of the five kinds (the CRPQ mixes an RPQ atom and
+#: a data-RPQ atom).
+SPEC_QUERIES = [
+    Query.parse("a.(a|b)+"),
+    Query.parse("!x.((a|b)[x!=])+", dialect="rem"),
+    Query.parse("x, z :- (x, a+, y), (y, ree:(b.a)=, z)", dialect="crpq"),
+    Query.parse("(a*.b-)!=", dialect="gxpath-path"),
+    Query.parse("<a.[~<b>]>", dialect="gxpath-node"),
+]
+
+
+def test_the_specs_answer_with_every_kernel_entry_point_raising(monkeypatch):
+    graph = random_graph_from(11, 15)
+    graph.set_value(graph.node_ids[0], NULL)
+    cells = [(query, null) for query in SPEC_QUERIES for null in (False, True)]
+    expected = {cell: GraphSession(graph).run(*cell) for cell in cells}
+    assert all(result.count() for result in expected.values())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a specification reached a kernel entry point")
+
+    entry_points = [
+        (EvaluationEngine, name)
+        for name, member in vars(EvaluationEngine).items()
+        if callable(member) and not name.startswith("__")
+    ]
+    entry_points += [(planner, "execute_plan"), (planner_execute, "execute_plan")]
+    entry_points += [
+        (module, name)
+        for module in (sqlbackend, sql_backend)
+        for name in ("store_for", "evaluate_rpq_pairs", "closure_pairs", "evaluate_plan_rows")
+    ]
+    entry_points += [
+        (data_kernels, "ree_relation"),
+        (gxpath_evaluation, "_RowEvaluator"),
+        (DataGraph, "compact_index"),
+        (DataGraph, "label_index"),
+    ]
+    for owner, name in entry_points:
+        monkeypatch.setattr(owner, name, refuse)
+    for (query, null), result in expected.items():
+        assert result == spec_answers(graph, query, null), (str(query), null)
 
 
 # ----------------------------------------------------------------------

@@ -49,9 +49,7 @@ def community(seed: int, num_nodes: int = 24):
 
 def run_both(graph, query, null_semantics=False, **hooks):
     engine = default_engine()
-    expected = evaluate_crpq_naive(
-        graph, query, null_semantics=null_semantics, engine=engine
-    )
+    expected = evaluate_crpq_naive(graph, query, null_semantics)
     plan = plan_crpq(query, graph.label_index(), graph_statistics(graph))
     actual = execute_plan(
         plan,

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import spec_answers
 from repro.api import ExecutionPolicy, GraphSession, Query
 from repro.datagraph import generators
 from repro.datagraph.compact import CompactLabelIndex
@@ -55,10 +56,9 @@ def community(seed: int, num_nodes: int = 24):
 
 
 def assert_planner_matches_naive(graph, query, null_semantics=False):
-    engine = default_engine()
-    expected = evaluate_crpq_naive(graph, query, null_semantics=null_semantics, engine=engine)
+    expected = spec_answers(graph, Query.crpq(query), null_semantics)
     plan = plan_crpq(query, graph.label_index())
-    actual = execute_plan(plan, graph, engine=engine, null_semantics=null_semantics)
+    actual = execute_plan(plan, graph, null_semantics=null_semantics)
     assert actual == expected, plan.explain()
     return expected
 
@@ -143,9 +143,7 @@ class TestEliminationMatchesTheSpec:
             self_loop_prob=0.2,
             rng=query_seed,
         )
-        expected = evaluate_crpq_naive(
-            graph, query, null_semantics=null_semantics, engine=default_engine()
-        )
+        expected = evaluate_crpq_naive(graph, query, null_semantics)
         session = GraphSession(graph, policy=ExecutionPolicy(backend=backend))
         plan = Query.crpq(query)
         assert session._route(plan).kernel == backend
@@ -187,9 +185,7 @@ class TestEliminationMatchesTheSpec:
 
         graph = community(12)
         query = parse_crpq(text)
-        expected = evaluate_crpq_naive(
-            graph, query, null_semantics=null_semantics, engine=default_engine()
-        )
+        expected = evaluate_crpq_naive(graph, query, null_semantics)
         monkeypatch.setattr(data_kernels, "ree_relation", counting)
         for backend in ("compact", "dict"):
             session = GraphSession(graph, policy=ExecutionPolicy(backend=backend))

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_node, reference_path
+from conftest import spec_answers
 from repro.api import ExecutionPolicy, GraphSession, Query, QueryKind
 from repro.datagraph import DataGraph, generators
 from repro.datagraph.compact import CompactLabelIndex
@@ -35,7 +35,6 @@ from repro.gxpath import evaluation as gxpath_evaluation
 from repro.planner import Route, graph_statistics, route_query
 from repro.planner import stats as stats_module
 from repro.planner.router import route_point
-from repro.query import evaluate_crpq_naive, evaluate_data_rpq_naive, evaluate_rpq_naive
 from repro.sqlbackend import backend as sql_backend
 
 pytestmark = pytest.mark.usefixtures("host_shape")
@@ -78,20 +77,6 @@ def graph():
 
 def session_under(config: str, graph) -> GraphSession:
     return GraphSession(graph, policy=CONFIGS[config])
-
-
-def naive_rows(graph, query: Query):
-    """The executable specification's answer for *query*."""
-    if query.kind is QueryKind.RPQ:
-        return evaluate_rpq_naive(graph, query.plan)
-    if query.kind is QueryKind.DATA_RPQ:
-        return evaluate_data_rpq_naive(graph, query.plan)
-    if query.kind is QueryKind.CRPQ:
-        return evaluate_crpq_naive(graph, query.plan)
-    node = graph.node
-    if query.kind is QueryKind.GXPATH_NODE:
-        return frozenset((node(v),) for v in reference_node(graph, query.plan))
-    return frozenset((node(u), node(v)) for u, v in reference_path(graph, query.plan))
 
 
 class KernelSpy:
@@ -376,9 +361,9 @@ class TestTheDefaultRouteIsTheAlgebra:
         cross-scope REM), and nothing compiles an NFA or walks its
         product."""
         query = SPIED_DIALECTS[name]
-        expected = naive_rows(graph, query)
+        expected = spec_answers(graph, query)
         spy.reset()
-        assert GraphSession(graph).run(query).rows() == expected
+        assert GraphSession(graph).run(query) == expected
         sources = sorted(graph.node_ids)[:4]
         for source in sources:  # fresh sessions: an RPQ point is a cache miss
             if query.arity == 2:
@@ -388,7 +373,7 @@ class TestTheDefaultRouteIsTheAlgebra:
                     holds = (graph.node(source), graph.node(target)) in expected
                     assert GraphSession(graph).holds(query, source, target) == holds
             else:
-                holds = (graph.node(source),) in expected
+                holds = graph.node(source) in expected
                 assert GraphSession(graph).holds(query, source) == holds
         assert spy.nfa == [], (name, spy.nfa)
         assert set(spy.families) == {"compact"}, (name, dict(spy.families))
@@ -416,7 +401,7 @@ class TestExplainIsWhatRan:
     @given(graph=graphs)
     def test_every_dialect_under_every_configuration(self, graph, spy):
         for name, query in SPIED_DIALECTS.items():
-            expected = naive_rows(graph, query)
+            expected = spec_answers(graph, query)
             for config in CONFIGS:
                 context = (name, config, graph.num_nodes)
                 session = session_under(config, graph)
@@ -425,7 +410,7 @@ class TestExplainIsWhatRan:
                 assert session.explain(query).splitlines()[0] == route.describe(), context
 
                 spy.reset()
-                assert session.run(query).rows() == expected, context
+                assert session.run(query) == expected, context
                 spy.assert_ran(route, context)
                 if query.kind is QueryKind.DATA_RPQ:
                     # the body names the data-RPQ kernel, and a decline its reason
@@ -438,7 +423,7 @@ class TestExplainIsWhatRan:
                 # run_many takes the same dispatcher, plan cache and trace
                 spy.reset()
                 batch = session_under(config, graph)
-                assert batch.run_many([query])[0].rows() == expected, context
+                assert batch.run_many([query])[0] == expected, context
                 spy.assert_ran(route, context)
                 if query.kind is QueryKind.CRPQ:
                     assert (query.key, False) in batch._plan_traces, context

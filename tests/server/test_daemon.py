@@ -19,16 +19,14 @@ import threading
 import time
 
 import pytest
-from conftest import reference_node, reference_path
+from conftest import spec_answers
 
-from repro.api import GraphSession, Query, QueryKind, connect, wire
+from repro.api import GraphSession, Query, connect, wire
 from repro.api.remote import QueryTimeoutError, ServerBusyError, ServerShuttingDownError
 from repro.datagraph import GraphBuilder, generators
 from repro.datagraph.node import Node
 from repro.datagraph.values import NULL
 from repro.exceptions import EvaluationError, SerializationError, UnknownNodeError
-from repro.query import evaluate_data_rpq_naive, evaluate_rpq_naive
-from repro.query.crpq import evaluate_crpq_naive
 from repro.server import ReproServer, ServerConfig
 from repro.server import daemon as daemon_module
 from repro.server.protocol import ProtocolError, recv_frame, send_frame
@@ -202,6 +200,19 @@ class TestAnswersThroughTheDaemon:
                 query = Query.parse(text, dialect=dialect)
                 assert session.run(query).rows() == local.run(query).rows(), text
 
+    def test_a_graph_with_none_values_answers_like_a_local_session(self):
+        # None is stored as NULL, so the wire's null decodes to the same nodes.
+        graph = make_graph()
+        for node_id in graph.node_ids[::4]:
+            graph.set_value(node_id, None)
+        local = GraphSession(graph)
+        with ReproServer(graph) as server, connect(server.address) as session:
+            for text, dialect in QUERIES + EXTRA_QUERIES:
+                query = Query.parse(text, dialect=dialect)
+                for null_semantics in (False, True):
+                    expected = local.run(query, null_semantics).rows()
+                    assert session.run(query, null_semantics).rows() == expected, text
+
     def test_answers_persist_across_queries_and_clients(self, served):
         graph, address, server = served
         query = Query.parse("a.(b|c)+")
@@ -249,7 +260,7 @@ class TestAnswersThroughTheDaemon:
                     assert None not in kept and entries() == kept
                 assert document(session, "run_many", queries, null_semantics) == documents
                 for query, sent in zip(queries, documents):
-                    expected = naive_answers(graph, query, null_semantics)
+                    expected = spec_answers(graph, query, null_semantics)
                     assert session.run(query, null_semantics=null_semantics) == expected, (
                         write, str(query),
                     )
@@ -267,12 +278,12 @@ class TestAnswersThroughTheDaemon:
             assert reader._nodes[node.id][1] is node  # the reader decoded it
             writer.mutate([["set_value", node.id, "rewritten"]])
             expected = frozenset(
-                target for start, target in naive_answers(graph, step) if start.id == source
+                target for start, target in spec_answers(graph, step) if start.id == source
             )
             targets = reader.targets(step, source)
             assert targets == expected and Node(node.id, "rewritten") in targets
             answers = reader.run(closure)
-            assert answers == naive_answers(graph, closure)
+            assert answers == spec_answers(graph, closure)
             assert Node(node.id, "rewritten") in {target for _, target in answers.pairs()}
             assert len(reader._nodes) == size  # the new value replaced the old entry
 
@@ -301,18 +312,18 @@ class TestAnswersThroughTheDaemon:
         points read bits — each equal to the reference semantics."""
         graph, address, server = served
         query = Query.parse("a-.(b)!=", dialect="gxpath-path")
-        pairs = reference_path(graph, query.plan)
+        pairs = spec_answers(graph, query)
         assert pairs
         with connect(address) as session:
             sent = document(session, "run", query)
-            assert sent == json.dumps(wire.encode_answers(query, naive_answers(graph, query)))
+            assert sent == json.dumps(wire.encode_answers(query, pairs))
             assert len(encodes) == 1
             assert document(session, "run", query) == sent
             assert len(encodes) == 1  # the stored document went out again
             entry = served_session(server)._results.peek((graph.version, query.key, False))
             assert entry.bits is not None and entry.answer is None
-            for source in sorted({u for u, _ in pairs})[:4] + ["c0n0", "c2n29"]:
-                expected = frozenset(graph.node(v) for u, v in pairs if u == source)
+            for source in sorted({u.id for u, _ in pairs})[:4] + ["c0n0", "c2n29"]:
+                expected = frozenset(v for u, v in pairs if u.id == source)
                 assert session.targets(query, source) == expected, source
             assert entry.answer is None  # points read the rows
 
@@ -348,13 +359,13 @@ class TestAnswersThroughTheDaemon:
             stored = entry()
             text = stored.document
             assert type(text) is str
-            assert json.loads(text) == wire.encode_answers(query, naive_answers(graph, query))
+            assert json.loads(text) == wire.encode_answers(query, spec_answers(graph, query))
             session.mutate([["add_edge", "c0n1", "alt_for", "c2n3"]])  # no query reads alt_for
-            assert session.run(query) == naive_answers(graph, query)
+            assert session.run(query) == spec_answers(graph, query)
             assert entry() is stored and stored.document is text
             assert len(encodes) == 1
             session.mutate([["add_node", "fresh", "d1"], ["add_edge", "fresh", "a", "c0n0"]])
-            expected = naive_answers(graph, query)
+            expected = spec_answers(graph, query)
             assert session.run(query) == expected
             assert len(encodes) == 2 and entry() is not stored
             assert type(entry().document) is str and entry().document != text
@@ -415,7 +426,7 @@ class TestReplyFrames:
     def test_run_run_many_targets_metrics_and_errors(self, frames, build, texts):
         graph = build()
         queries = [Query.parse(text, dialect=dialect) for text, dialect in texts]
-        expected = {query: naive_answers(graph, query) for query in queries}
+        expected = {query: spec_answers(graph, query) for query in queries}
         source = sorted(graph.node_ids, key=repr)[0]
         with ReproServer(graph) as server, connect(server.address) as session:
             for query in queries * 2:  # the first serve and the stored text
@@ -452,22 +463,6 @@ WRITES = [
                   ["add_edge", "c2n7", "c", "fresh"]]),
     ("remove_node", [["remove_node", "c1n5"]]),
 ]
-
-
-def naive_answers(graph, query, null_semantics=False):
-    """*query*'s raw answer set by its naive specification."""
-    kind, plan = query.kind, query.plan
-    if kind is QueryKind.RPQ:
-        return evaluate_rpq_naive(graph, plan)
-    if kind is QueryKind.DATA_RPQ:
-        return evaluate_data_rpq_naive(graph, plan, null_semantics)
-    if kind is QueryKind.CRPQ:
-        return evaluate_crpq_naive(graph, plan, null_semantics)
-    node = graph.node
-    if kind is QueryKind.GXPATH_PATH:
-        pairs = reference_path(graph, plan, null_semantics)
-        return frozenset((node(source), node(target)) for source, target in pairs)
-    return frozenset(map(node, reference_node(graph, plan, null_semantics)))
 
 
 def document(session, op, queries, null_semantics=False):
@@ -701,6 +696,21 @@ class TestProtocolAbuse:
             sock.sendall(struct.pack(">I", 5) + b"nope!")
             response = recv_frame(sock)
             assert response["ok"] is False
+            assert response["error"]["type"] == "protocol"
+            assert recv_frame(sock) is None  # server dropped the stream
+        finally:
+            sock.close()
+        assert server.metrics.counters["protocol_errors"] == 1
+
+    def test_json_nested_past_the_decoder_gets_error_then_disconnect(self, served):
+        # json.loads raises RecursionError here, not a JSONDecodeError.
+        _, address, server = served
+        body = b"[" * 100_000
+        sock = socket.create_connection(address)
+        sock.settimeout(30)
+        try:
+            sock.sendall(struct.pack(">I", len(body)) + body)
+            response = recv_frame(sock)
             assert response["error"]["type"] == "protocol"
             assert recv_frame(sock) is None  # server dropped the stream
         finally:
